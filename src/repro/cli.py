@@ -313,11 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(1 forces the scalar datapath — the way the "
                             "interleaved _base half of a before/after "
                             "pair is produced; default: per-rung config)")
-    bench.add_argument("--pdes-static", action="store_true",
-                       help="force the _adaptive pdes rungs back to the "
-                            "static-window barrier protocol (the way the "
-                            "interleaved _base half of an adaptive "
-                            "before/after pair is produced on one build)")
     bench.add_argument("--profile", type=str, default=None, metavar="STATS",
                        help="run the suite under cProfile, dump pstats "
                             "data to a file, and embed the top-20 "
@@ -467,7 +462,6 @@ def _run_bench(args: argparse.Namespace) -> Dict:
             repeats=args.repeats,
             pool=args.pool,
             train_batch=args.train_batch,
-            pdes_static=args.pdes_static,
             log=print,
         )
     if prof.profile is not None:

@@ -115,20 +115,6 @@ class CoreliteConfig:
     #: paper's model) is pure pacing; larger values let a flow that was
     #: idle send a short back-to-back burst before settling at bg.
     shaper_burst: float = 1.0
-    #: Batched control traffic: ingress edges piggyback each marker's
-    #: label on the data packet it trails (the two arrive at the same
-    #: instant anyway — the marker serializes in zero time right behind
-    #: its companion), and core routers coalesce the feedback selected on
-    #: one output link during one congestion epoch into a single counted
-    #: FEEDBACK packet per (flow, edge) at the epoch boundary.  This
-    #: collapses the majority of simulation events in marker-dense runs
-    #: (K1 = 1 sends one marker per ``w`` data packets) at the price of
-    #: quantizing feedback arrival to the core epoch, so runs are
-    #: statistically equivalent but not byte-identical to the unbatched
-    #: schedule.  ``None`` (the default) means "follow the builder's
-    #: ``vectorized`` flag": scalar clouds keep the replayable per-packet
-    #: control plane, vectorized clouds batch.
-    batched_control: "bool | None" = None
     #: Which congestion-detection formula the cores run: "mm1" (the
     #: paper's §3.1 M/M/1 + cubic) or "linear" (Fn = gain*(qavg-qthresh),
     #: the §3.1 "replaceable module" demonstration).
@@ -179,10 +165,6 @@ class CoreliteConfig:
         if self.shaper_burst < 1.0:
             raise ConfigurationError(
                 f"shaper_burst must be >= 1 packet, got {self.shaper_burst}"
-            )
-        if self.batched_control not in (None, True, False):
-            raise ConfigurationError(
-                f"batched_control must be None or a bool, got {self.batched_control!r}"
             )
         if self.congestion_estimator not in ("mm1", "linear"):
             raise ConfigurationError(

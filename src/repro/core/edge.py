@@ -151,42 +151,6 @@ class _IngressFlow:
         self.shaper_drops = 0
 
 
-class _VecIngressFlow(_IngressFlow):
-    """Thin view over the edge's :class:`FlowArrayBank` for one slot.
-
-    Same surface as ``_IngressFlow`` (the per-packet and control-plane
-    paths are shared verbatim), but the hot scalars — ``feedback_peak``
-    and the shaper ``backlog`` — are properties redirecting into the
-    bank's columns so the epoch sweep can read them as arrays.  The
-    backlog column uses -1 as the "always backlogged" sentinel, rendered
-    as ``None`` to keep the object contract.
-    """
-
-    __slots__ = ("bank", "slot")
-
-    def __init__(self, bank, slot: int, *args) -> None:
-        self.bank = bank
-        self.slot = slot
-        super().__init__(*args)
-
-    @property
-    def feedback_peak(self) -> int:
-        return int(self.bank.feedback_peak[self.slot])
-
-    @feedback_peak.setter
-    def feedback_peak(self, value: int) -> None:
-        self.bank.feedback_peak[self.slot] = value
-
-    @property
-    def backlog(self) -> Optional[int]:
-        value = self.bank.backlog[self.slot]
-        return None if value < 0 else int(value)
-
-    @backlog.setter
-    def backlog(self, value: Optional[int]) -> None:
-        self.bank.backlog[self.slot] = -1 if value is None else value
-
-
 class _EgressFlow:
     """Per-flow egress state: delivery metering and gap-based loss count."""
 
@@ -219,17 +183,19 @@ class CoreliteEdge(Router):
         sim: Simulator,
         config: CoreliteConfig,
         epoch_offset: Optional[float] = None,
-        vectorized: bool = False,
+        merge_markers: bool = False,
         train_batch: int = 1,
     ) -> None:
         """``epoch_offset`` staggers this edge's first adaptation tick so
         that edges created together do not adapt in lockstep (see
         :meth:`repro.sim.engine.Simulator.every`).
 
-        ``vectorized`` moves the per-flow scalars into a slot-indexed
-        :class:`~repro.sim.flowarrays.FlowArrayBank` and runs the epoch
-        as one masked array sweep; the default keeps the scalar
-        object-per-flow path (byte-identical replays).
+        ``merge_markers`` is the edge half of the batched control plane
+        (the builder's ``vectorized`` flag): a due marker rides its
+        companion data packet as (origin_edge, label) instead of a
+        separate zero-size packet — same arrival instant, one event per
+        hop instead of two.  The default keeps the standalone markers
+        (byte-identical replays).
 
         ``train_batch = K > 1`` turns on the packet-train datapath: each
         shaper firing emits up to K back-to-back packets as one
@@ -244,25 +210,7 @@ class CoreliteEdge(Router):
         self.config = config
         self._epoch_offset = epoch_offset
         self._train_batch = int(train_batch)
-        # Marker piggybacking (see CoreliteConfig.batched_control): a due
-        # marker rides its companion data packet as (origin_edge, label)
-        # instead of a separate zero-size packet — same arrival instant,
-        # one event per hop instead of two.
-        self._merge_markers = (
-            config.batched_control
-            if config.batched_control is not None
-            else vectorized
-        )
-        self._bank = None
-        self._np = None
-        self._active_slots = None
-        if vectorized:
-            import numpy  # deferred: scalar mode must not require numpy
-
-            from repro.sim.flowarrays import FlowArrayBank
-
-            self._np = numpy
-            self._bank = FlowArrayBank()
+        self._merge_markers = merge_markers
         # Slot-indexed flow tables: the id -> slot maps are touched once
         # per control-plane packet, while the per-epoch adaptation sweep
         # and the per-packet egress path index dense lists.  Slots are
@@ -298,59 +246,27 @@ class CoreliteEdge(Router):
         # Train datapath: internally-sourced flows coalesce departures;
         # external flows keep scalar emission (their packets pre-exist).
         train_batch = 1 if attachment.external else self._train_batch
-        if self._bank is not None:
-            from repro.sim.flowarrays import ArrayPacedSender, ArrayRateController
-
-            slot = self._bank.alloc()
-            controller = ArrayRateController(
-                self.config,
-                attachment.weight,
-                self._bank,
-                slot,
-                start_time=self.sim.now,
-                min_rate=attachment.min_rate,
-                alpha_scale=scale,
-                rate_scale=scale,
-            )
-            state = _VecIngressFlow(
-                self._bank, slot, attachment, controller, None, injector
-            )
-            state.pacer = ArrayPacedSender(
-                self._bank,
-                slot,
-                self.sim,
-                controller.rate,
-                lambda s=state: self._emit(s),
-                burst=self.config.shaper_burst,
-                train_batch=train_batch,
-                train_emit=(
-                    (lambda n, s=state: self._emit_train(s, n))
-                    if train_batch > 1
-                    else None
-                ),
-            )
-        else:
-            controller = RateController(
-                self.config,
-                attachment.weight,
-                start_time=self.sim.now,
-                min_rate=attachment.min_rate,
-                alpha_scale=scale,
-                rate_scale=scale,
-            )
-            state = _IngressFlow(attachment, controller, pacer=None, injector=injector)  # type: ignore[arg-type]
-            state.pacer = PacedSender(
-                self.sim,
-                controller.rate,
-                lambda s=state: self._emit(s),
-                burst=self.config.shaper_burst,
-                train_batch=train_batch,
-                train_emit=(
-                    (lambda n, s=state: self._emit_train(s, n))
-                    if train_batch > 1
-                    else None
-                ),
-            )
+        controller = RateController(
+            self.config,
+            attachment.weight,
+            start_time=self.sim.now,
+            min_rate=attachment.min_rate,
+            alpha_scale=scale,
+            rate_scale=scale,
+        )
+        state = _IngressFlow(attachment, controller, pacer=None, injector=injector)  # type: ignore[arg-type]
+        state.pacer = PacedSender(
+            self.sim,
+            controller.rate,
+            lambda s=state: self._emit(s),
+            burst=self.config.shaper_burst,
+            train_batch=train_batch,
+            train_emit=(
+                (lambda n, s=state: self._emit_train(s, n))
+                if train_batch > 1
+                else None
+            ),
+        )
         self._ingress_index[attachment.flow_id] = len(self._ingress_flows)
         self._ingress_flows.append(state)
         if self._epoch_task is None:
@@ -616,9 +532,6 @@ class CoreliteEdge(Router):
 
     def _epoch(self) -> None:
         """Edge epoch: run rate adaptation on every active ingress flow."""
-        if self._bank is not None:
-            self._epoch_vectorized()
-            return
         now = self.sim.now
         if self._active_dirty:
             # Attach order, not start order: the sweep must visit flows in
@@ -635,101 +548,6 @@ class CoreliteEdge(Router):
                 state.feedback_peak = 0
             new_rate = state.controller.on_epoch(m, now)
             state.pacer.set_rate(new_rate)
-
-    def _epoch_vectorized(self) -> None:
-        """One masked array sweep over the active slots.
-
-        Mirrors the scalar epoch operation-for-operation (same IEEE-754
-        double ops in the same per-flow order), so in practice the runs
-        agree float-exactly; the contract we *pin* is only statistical
-        equivalence, leaving room for genuinely reordered math later.
-        """
-        np = self._np
-        now = self.sim.now
-        if self._active_dirty:
-            self._active_ingress = [s for s in self._ingress_flows if s.active]
-            self._active_slots = np.fromiter(
-                (s.slot for s in self._active_ingress),
-                dtype=np.intp,
-                count=len(self._active_ingress),
-            )
-            self._active_dirty = False
-        flows = self._active_ingress
-        if not flows:
-            return
-        if len(flows) < 32:
-            # Tiny population: numpy's fixed per-sweep overhead (~tens of
-            # µs) dwarfs the work.  ``ArrayRateController.on_epoch`` is the
-            # same arithmetic on the same columns, one slot at a time, so
-            # this cutover is invisible to results — only to the clock.
-            for state in flows:
-                m = state.feedback_peak
-                if m:
-                    state.feedback.clear()
-                    state.feedback_peak = 0
-                state.pacer.set_rate(state.controller.on_epoch(m, now))
-            return
-        bank = self._bank
-        cfg = self.config
-        idx = self._active_slots
-        m = bank.feedback_peak[idx]
-        rate = bank.rate[idx]
-        minr = bank.min_rate[idx]
-        ceiling = cfg.max_rate * bank.rate_scale[idx]
-
-        def clamp(x):
-            return np.minimum(ceiling, np.maximum(minr, np.maximum(0.0, x)))
-
-        cong = m > 0
-        ss = bank.phase[idx] == 0
-        new_rate = rate.copy()
-        new_phase = bank.phase[idx].copy()
-        last_double = bank.last_double[idx].copy()
-
-        # Slow start, congestion seen: halve and go linear.
-        ss_cong = ss & cong
-        halved = clamp(rate / 2.0)
-        new_rate[ss_cong] = halved[ss_cong]
-        new_phase[ss_cong] = 1
-
-        # Slow start, quiet and due: double; if the normalized rate
-        # overshoots ss_thresh, halve back and go linear.
-        due = ss & ~cong & ((now - last_double) >= cfg.ss_double_interval)
-        doubled = clamp(rate * 2.0)
-        new_rate[due] = doubled[due]
-        last_double[due] = now
-        over = due & (doubled / bank.weight[idx] > cfg.ss_thresh)
-        overshoot = clamp(doubled / 2.0)
-        new_rate[over] = overshoot[over]
-        new_phase[over] = 1
-
-        # Linear LIMD: +alpha (scaled for aggregates) when quiet,
-        # -beta*m toward the bottleneck's feedback count otherwise.
-        lin = ~ss
-        inc = lin & ~cong
-        increased = clamp(rate + cfg.alpha * bank.alpha_scale[idx])
-        new_rate[inc] = increased[inc]
-        dec = lin & cong
-        decreased = clamp(rate - cfg.beta * m)
-        new_rate[dec] = decreased[dec]
-
-        bank.feedback_total[idx] += m
-        bank.increases[idx] += inc
-        bank.decreases[idx] += ss_cong | dec
-        bank.slow_start_exits[idx] += ss_cong | over
-        bank.rate[idx] = new_rate
-        bank.phase[idx] = new_phase
-        bank.last_double[idx] = last_double
-
-        if cong.any():
-            bank.feedback_peak[idx[cong]] = 0
-            for i in np.nonzero(cong)[0].tolist():
-                flows[i].feedback.clear()
-
-        # Re-arm the shapers (event scheduling stays per-flow, in the
-        # same order as the scalar sweep; set_rate no-ops on equality).
-        for state, r in zip(flows, new_rate.tolist()):
-            state.pacer.set_rate(r)
 
     # -- egress role -----------------------------------------------------
 

@@ -104,10 +104,10 @@ class CoreliteCoreRouter(Router):
         """``batch_feedback`` coalesces the feedback one output link
         selects during one congestion epoch into a single counted
         FEEDBACK packet per (flow, edge), flushed at the epoch boundary
-        (see ``CoreliteConfig.batched_control``; the builder resolves the
-        tri-state).  The edge credits the packet's ``seq`` as its marker
-        count, so the LIMD sees the same per-epoch totals with feedback
-        arrival quantized to the core epoch."""
+        (the core half of the batched control plane — the builder's
+        ``vectorized`` flag).  The edge credits the packet's ``seq`` as
+        its marker count, so the LIMD sees the same per-epoch totals with
+        feedback arrival quantized to the core epoch."""
         super().__init__(name)
         self.sim = sim
         self.config = config

@@ -89,39 +89,6 @@ class _IngressFlow:
         self.backlog: Optional[int] = None if attachment.backlogged else 0
 
 
-class _VecIngressFlow(_IngressFlow):
-    """Bank-backed view of one slot (see :mod:`repro.sim.flowarrays`).
-
-    ``losses`` (the per-epoch LOSS_NOTIFY accumulator) and the shaper
-    ``backlog`` live in the bank's columns; the backlog column uses -1
-    as the "always backlogged" sentinel.
-    """
-
-    __slots__ = ("bank", "slot")
-
-    def __init__(self, bank, slot: int, *args) -> None:
-        self.bank = bank
-        self.slot = slot
-        super().__init__(*args)
-
-    @property
-    def losses(self) -> int:
-        return int(self.bank.losses[self.slot])
-
-    @losses.setter
-    def losses(self, value: int) -> None:
-        self.bank.losses[self.slot] = value
-
-    @property
-    def backlog(self) -> Optional[int]:
-        value = self.bank.backlog[self.slot]
-        return None if value < 0 else int(value)
-
-    @backlog.setter
-    def backlog(self, value: Optional[int]) -> None:
-        self.bank.backlog[self.slot] = -1 if value is None else value
-
-
 class _EgressFlow:
     __slots__ = ("meter", "expected_seq", "lost", "ecn_marks", "delay")
 
@@ -143,15 +110,10 @@ class CsfqEdge(Router):
         sim: Simulator,
         config: CsfqConfig,
         epoch_offset: Optional[float] = None,
-        vectorized: bool = False,
         train_batch: int = 1,
     ) -> None:
         """``epoch_offset`` staggers this edge's first adaptation tick so
         that edges created together do not adapt in lockstep.
-
-        ``vectorized`` mirrors :class:`repro.core.edge.CoreliteEdge`:
-        per-flow scalars move into a slot-indexed FlowArrayBank and the
-        loss-driven epoch runs as one masked array sweep.
 
         ``train_batch = K > 1`` turns on the packet-train datapath (see
         :class:`repro.core.edge.CoreliteEdge`): shapers emit up to K
@@ -166,16 +128,6 @@ class CsfqEdge(Router):
         if train_batch < 1:
             raise FlowError(f"train_batch must be >= 1, got {train_batch}")
         self._train_batch = int(train_batch)
-        self._bank = None
-        self._np = None
-        self._active_slots = None
-        if vectorized:
-            import numpy  # deferred: scalar mode must not require numpy
-
-            from repro.sim.flowarrays import FlowArrayBank
-
-            self._np = numpy
-            self._bank = FlowArrayBank()
         # Slot-indexed flow tables (see repro.core.edge): id -> slot maps
         # for control-plane lookups, dense lists for the hot sweeps.
         self._ingress_index: Dict[int, int] = {}
@@ -201,55 +153,26 @@ class CsfqEdge(Router):
         estimator = ExponentialRateEstimator(self.config.k_flow, start_time=self.sim.now)
         scale = float(attachment.aggregate)
         train_batch = self._train_batch
-        if self._bank is not None:
-            from repro.sim.flowarrays import ArrayPacedSender, ArrayRateController
-
-            slot = self._bank.alloc()
-            controller = ArrayRateController(
-                self.config,
-                attachment.weight,
-                self._bank,
-                slot,
-                start_time=self.sim.now,
-                alpha_scale=scale,
-                rate_scale=scale,
-            )
-            state = _VecIngressFlow(self._bank, slot, attachment, controller, estimator)
-            state.pacer = ArrayPacedSender(
-                self._bank,
-                slot,
-                self.sim,
-                controller.rate,
-                lambda s=state: self._emit(s),
-                burst=self.config.shaper_burst,
-                train_batch=train_batch,
-                train_emit=(
-                    (lambda n, s=state: self._emit_train(s, n))
-                    if train_batch > 1
-                    else None
-                ),
-            )
-        else:
-            controller = RateController(
-                self.config,  # type: ignore[arg-type]
-                attachment.weight,
-                start_time=self.sim.now,
-                alpha_scale=scale,
-                rate_scale=scale,
-            )
-            state = _IngressFlow(attachment, controller, estimator)
-            state.pacer = PacedSender(
-                self.sim,
-                controller.rate,
-                lambda s=state: self._emit(s),
-                burst=self.config.shaper_burst,
-                train_batch=train_batch,
-                train_emit=(
-                    (lambda n, s=state: self._emit_train(s, n))
-                    if train_batch > 1
-                    else None
-                ),
-            )
+        controller = RateController(
+            self.config,  # type: ignore[arg-type]
+            attachment.weight,
+            start_time=self.sim.now,
+            alpha_scale=scale,
+            rate_scale=scale,
+        )
+        state = _IngressFlow(attachment, controller, estimator)
+        state.pacer = PacedSender(
+            self.sim,
+            controller.rate,
+            lambda s=state: self._emit(s),
+            burst=self.config.shaper_burst,
+            train_batch=train_batch,
+            train_emit=(
+                (lambda n, s=state: self._emit_train(s, n))
+                if train_batch > 1
+                else None
+            ),
+        )
         self._ingress_index[attachment.flow_id] = len(self._ingress_flows)
         self._ingress_flows.append(state)
         if self._epoch_task is None:
@@ -373,9 +296,6 @@ class CsfqEdge(Router):
         return n
 
     def _epoch(self) -> None:
-        if self._bank is not None:
-            self._epoch_vectorized()
-            return
         now = self.sim.now
         if self._active_dirty:
             # Attach order keeps the sweep sequence identical to the old
@@ -387,76 +307,6 @@ class CsfqEdge(Router):
             state.losses = 0
             new_rate = state.controller.on_epoch(losses, now)
             state.pacer.set_rate(new_rate)
-
-    def _epoch_vectorized(self) -> None:
-        """Masked array sweep over active slots (loss-driven LIMD).
-
-        Operation-for-operation mirror of the scalar epoch; see
-        ``CoreliteEdge._epoch_vectorized`` for the masking rules.
-        """
-        np = self._np
-        now = self.sim.now
-        if self._active_dirty:
-            self._active_ingress = [s for s in self._ingress_flows if s.active]
-            self._active_slots = np.fromiter(
-                (s.slot for s in self._active_ingress),
-                dtype=np.intp,
-                count=len(self._active_ingress),
-            )
-            self._active_dirty = False
-        flows = self._active_ingress
-        if not flows:
-            return
-        bank = self._bank
-        cfg = self.config
-        idx = self._active_slots
-        m = bank.losses[idx]
-        rate = bank.rate[idx]
-        minr = bank.min_rate[idx]
-        ceiling = cfg.max_rate * bank.rate_scale[idx]
-
-        def clamp(x):
-            return np.minimum(ceiling, np.maximum(minr, np.maximum(0.0, x)))
-
-        cong = m > 0
-        ss = bank.phase[idx] == 0
-        new_rate = rate.copy()
-        new_phase = bank.phase[idx].copy()
-        last_double = bank.last_double[idx].copy()
-
-        ss_cong = ss & cong
-        halved = clamp(rate / 2.0)
-        new_rate[ss_cong] = halved[ss_cong]
-        new_phase[ss_cong] = 1
-
-        due = ss & ~cong & ((now - last_double) >= cfg.ss_double_interval)
-        doubled = clamp(rate * 2.0)
-        new_rate[due] = doubled[due]
-        last_double[due] = now
-        over = due & (doubled / bank.weight[idx] > cfg.ss_thresh)
-        overshoot = clamp(doubled / 2.0)
-        new_rate[over] = overshoot[over]
-        new_phase[over] = 1
-
-        lin = ~ss
-        inc = lin & ~cong
-        increased = clamp(rate + cfg.alpha * bank.alpha_scale[idx])
-        new_rate[inc] = increased[inc]
-        dec = lin & cong
-        decreased = clamp(rate - cfg.beta * m)
-        new_rate[dec] = decreased[dec]
-
-        bank.feedback_total[idx] += m
-        bank.increases[idx] += inc
-        bank.decreases[idx] += ss_cong | dec
-        bank.slow_start_exits[idx] += ss_cong | over
-        bank.rate[idx] = new_rate
-        bank.phase[idx] = new_phase
-        bank.last_double[idx] = last_double
-        bank.losses[idx] = 0
-
-        for state, r in zip(flows, new_rate.tolist()):
-            state.pacer.set_rate(r)
 
     # -- egress role -----------------------------------------------------
 

@@ -201,12 +201,9 @@ class CoreliteStrategy(SchemeStrategy):
                 raise FlowError(f"feedback for unknown edge {packet.dst!r}")
             cloud.control.send(router_name, packet.dst, edge.receive_feedback, packet)
 
-        batched = cloud.config.batched_control
-        if batched is None:
-            batched = cloud.vectorized
         return CoreliteCoreRouter(
             name, cloud.sim, cloud.config, cloud.rng, send_feedback,
-            batch_feedback=batched,
+            batch_feedback=cloud.vectorized,
         )
 
     def make_edge(self, cloud: "Cloud", name: str):
@@ -220,7 +217,7 @@ class CoreliteStrategy(SchemeStrategy):
             cloud.sim,
             cloud.config,
             epoch_offset=offset,
-            vectorized=cloud.vectorized,
+            merge_markers=cloud.vectorized,
             train_batch=cloud.train_batch,
         )
 
@@ -337,7 +334,6 @@ class CsfqStrategy(SchemeStrategy):
             cloud.sim,
             cloud.config,
             epoch_offset=offset,
-            vectorized=cloud.vectorized,
             train_batch=cloud.train_batch,
         )
 
@@ -453,10 +449,14 @@ class Cloud:
         on long runs.  ``calendar=False`` forces the simulator's timer
         tier onto the pure binary heap — also byte-identical (pinned by
         the same replay tests) and only useful for those pins.
-        ``vectorized=True`` moves per-flow edge state into slot-indexed
-        NumPy arrays and runs each congestion epoch as one masked sweep;
-        results are statistically equivalent (pinned by Jain/per-flow
-        tolerance tests) but not guaranteed byte-identical.
+        ``vectorized=True`` batches the Corelite control plane: ingress
+        edges piggyback each due marker on the data packet it trails and
+        cores coalesce the feedback one link selects during one
+        congestion epoch into a single counted FEEDBACK packet per
+        (flow, edge).  That quantizes feedback arrival to the core epoch,
+        so results are statistically equivalent (pinned by Jain/per-flow
+        tolerance tests) but not byte-identical to the default; CSFQ and
+        FIFO have no marker traffic, so for them the flag is inert.
         ``train_batch = K > 1`` turns on the packet-train datapath: edge
         shapers emit up to K packets per firing as one
         :class:`~repro.sim.packet.PacketTrain` that links transmit as a
@@ -1069,7 +1069,6 @@ class CloudBuilder:
         partitions: int = 1,
         partition_plan=None,
         pdes_mode: str = "process",
-        pdes_adaptive: bool = True,
     ) -> None:
         if scheme not in SCHEME_STRATEGIES:
             raise ConfigurationError(
@@ -1096,7 +1095,6 @@ class CloudBuilder:
         self.partitions = partitions
         self.partition_plan = partition_plan
         self.pdes_mode = pdes_mode
-        self.pdes_adaptive = pdes_adaptive
         self._flows: List[FlowPathSpec] = []
 
     def add_flow(self, spec: Union[FlowPathSpec, None] = None, **kwargs) -> "CloudBuilder":
@@ -1160,7 +1158,6 @@ class CloudBuilder:
             partitions=self.partitions,
             plan=self.partition_plan,
             mode=self.pdes_mode,
-            adaptive=self.pdes_adaptive,
             queue_factory=self.queue_factory,
             control_loss_prob=self.control_loss_prob,
             packet_pool=self.packet_pool,

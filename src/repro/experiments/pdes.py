@@ -8,7 +8,7 @@ the minimum propagation delay over the *cut links* (see
 inside a window and addressed to another partition is in flight for at
 least one window, so no partition can ever receive an event from its past.
 
-Adaptive lookahead (the default) sharpens that bound per barrier.  The
+Adaptive lookahead sharpens that bound per barrier.  The
 coordinator holds a *channel-delay matrix*: for every ordered partition
 pair, the minimum delay over all channels partition ``i`` can message
 ``j`` through — directed cut links actually used by some flow's route
@@ -60,7 +60,7 @@ in exactly one partition, routing and control delays come from the
 shadow graph (identical floats to the serial topology queries), and
 boundary transmission uses the same queued-path timestamps as a local
 link.  The chain pins in ``tests/test_pdes.py`` assert bit-equal
-rate/throughput series against the serial run, adaptive and static.
+rate/throughput series against the serial run.
 
 v1 restrictions (each raises :class:`~repro.errors.ConfigurationError`):
 topology dynamics, TCP transport, lossy control planes and custom queue
@@ -772,7 +772,6 @@ class ParallelCloud:
         partitions: int = 2,
         plan: Optional[PartitionPlan] = None,
         mode: str = "process",
-        adaptive: bool = True,
         queue_factory=None,
         control_loss_prob: float = 0.0,
         packet_pool: bool = False,
@@ -832,7 +831,6 @@ class ParallelCloud:
         self.config = config
         self.plan = plan
         self.mode = mode
-        self.adaptive = adaptive
         self.queue_factory = queue_factory
         self.packet_pool = packet_pool
         self.calendar = calendar
@@ -840,8 +838,7 @@ class ParallelCloud:
         self.train_batch = train_batch
         #: Conservative static window: min cut-link propagation delay
         #: (``inf`` when no link crosses the cut — one barrier spans the
-        #: run).  The floor for adaptive windows, and the whole story
-        #: for ``adaptive=False``.
+        #: run).  The floor for the adaptive windows.
         self.window = plan.window(spec)
         #: Barrier-overhead counters, populated by :meth:`execute`.
         self.barriers = 0
@@ -860,8 +857,8 @@ class ParallelCloud:
             self._partition_of[flow.egress_edge] = plan.partition_of(
                 flow.egress_core
             )
-        self._lookahead: Optional[List[List[float]]] = (
-            lookahead_closure(self._channel_matrix()) if adaptive else None
+        self._lookahead: List[List[float]] = lookahead_closure(
+            self._channel_matrix()
         )
 
     def _channel_matrix(self) -> List[List[float]]:
@@ -1004,79 +1001,65 @@ class ParallelCloud:
                 and peek[j] > t_next
             )
 
-        if not self.adaptive:
-            # Static lock-step: every partition runs every window of
-            # width ``self.window`` — the PR-8 protocol over the fused
-            # wire format.
-            now = 0.0
-            while now < until:
-                t_next = min(until, now + self.window)
-                self.rounds += 1
-                requests = [make_request(j, t_next) for j in range(num)]
-                results = session.windows(requests)
+        closure = self._lookahead
+
+        def bounds() -> List[float]:
+            # eff[i]: the earliest time partition i can act — its
+            # own next event, or an undelivered message bound for it.
+            eff = [
+                min(
+                    peek[i] if known[i] else clock[i],
+                    pending_min[i],
+                )
+                for i in range(num)
+            ]
+            return [
+                min(
+                    until,
+                    min(eff[i] + closure[i][j] for i in range(num)),
+                )
+                for j in range(num)
+            ]
+
+        while min(clock) < until:
+            self.rounds += 1
+            t_next = bounds()
+            if self.mode == "inline":
+                # Gauss–Seidel: one partition per round, lowest clock
+                # first, so every later bound sees this step's fresh
+                # promise — lookahead compounds across the sweep.
+                due = [j for j in range(num) if t_next[j] > clock[j]]
+                if not due:  # pragma: no cover - progress invariant
+                    raise SimulationError(
+                        "pdes adaptive window deadlock: no partition "
+                        "can advance"
+                    )
+                j = min(due, key=lambda j: (clock[j], j))
+                if can_skip(j, t_next[j]):
+                    clock[j] = t_next[j]
+                    self.skips += 1
+                else:
+                    tn = t_next[j]
+                    results = session.windows([make_request(j, tn)])
+                    absorb(j, tn, results[j])
+            else:
+                # Jacobi: every due partition steps concurrently —
+                # bounds are computed once from the pre-round state,
+                # so the windows are independent and run in parallel.
+                requests = []
                 for j in range(num):
-                    absorb(j, t_next, results[j])
-                now = t_next
-        else:
-            closure = self._lookahead
-
-            def bounds() -> List[float]:
-                # eff[i]: the earliest time partition i can act — its
-                # own next event, or an undelivered message bound for it.
-                eff = [
-                    min(
-                        peek[i] if known[i] else clock[i],
-                        pending_min[i],
-                    )
-                    for i in range(num)
-                ]
-                return [
-                    min(
-                        until,
-                        min(eff[i] + closure[i][j] for i in range(num)),
-                    )
-                    for j in range(num)
-                ]
-
-            while min(clock) < until:
-                self.rounds += 1
-                t_next = bounds()
-                if self.mode == "inline":
-                    # Gauss–Seidel: one partition per round, lowest clock
-                    # first, so every later bound sees this step's fresh
-                    # promise — lookahead compounds across the sweep.
-                    due = [j for j in range(num) if t_next[j] > clock[j]]
-                    if not due:  # pragma: no cover - progress invariant
-                        raise SimulationError(
-                            "pdes adaptive window deadlock: no partition "
-                            "can advance"
-                        )
-                    j = min(due, key=lambda j: (clock[j], j))
+                    if t_next[j] <= clock[j]:
+                        continue
                     if can_skip(j, t_next[j]):
                         clock[j] = t_next[j]
                         self.skips += 1
-                    else:
-                        tn = t_next[j]
-                        results = session.windows([make_request(j, tn)])
-                        absorb(j, tn, results[j])
-                else:
-                    # Jacobi: every due partition steps concurrently —
-                    # bounds are computed once from the pre-round state,
-                    # so the windows are independent and run in parallel.
-                    requests = []
-                    for j in range(num):
-                        if t_next[j] <= clock[j]:
-                            continue
-                        if can_skip(j, t_next[j]):
-                            clock[j] = t_next[j]
-                            self.skips += 1
-                            continue
-                        requests.append(make_request(j, t_next[j]))
-                    if not requests:
                         continue
-                    results = session.windows(requests)
-                    for j, tn, _batches, _sched in requests:
-                        absorb(j, tn, results[j])
+                    requests.append(make_request(j, t_next[j]))
+                if not requests:
+                    continue
+                results = session.windows(requests)
+                for j, tn, _batches, _sched in requests:
+                    absorb(j, tn, results[j])
 
         # Horizon flush: messages timed exactly at ``until`` still run
         # in the serial schedule (run(until) executes events at until),

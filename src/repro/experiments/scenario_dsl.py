@@ -39,17 +39,21 @@ Arbitrary clouds use the declarative ``"topology"`` key instead of the
 keys are rejected (silent typos in experiment definitions are the
 classic way to benchmark the wrong thing).
 
-Scale knobs: a top-level ``"vectorized": true`` opts the edges into the
-array-backed control plane (statistically equivalent, not byte-identical
-— see docs/REPRODUCING.md), a top-level ``"train": K`` opts the datapath
-into packet trains of up to K members (also statistically pinned; the
-default ``train: 1`` is byte-identical), and a per-flow
-``"aggregate": N`` makes one flow entry stand for a bucket of N
-identical member flows.
+Scale knobs: a top-level ``"vectorized": true`` batches the Corelite
+control plane — markers piggyback on data packets and cores coalesce
+feedback per epoch (statistically equivalent, not byte-identical — see
+docs/REPRODUCING.md; accepted and inert for csfq/fifo), a top-level
+``"train": K`` opts the datapath into packet trains of up to K members
+(also statistically pinned; the default ``train: 1`` is
+byte-identical), and a per-flow ``"aggregate": N`` makes one flow entry
+stand for a bucket of N identical member flows.  ``"vectorized"`` and
+``"record_queues"`` must be JSON booleans and ``"train"`` a JSON
+integer >= 1: a quoted ``"false"`` is not quietly truthy.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Dict, Mapping, Tuple
@@ -95,6 +99,25 @@ def _reject_unknown(mapping: Mapping, allowed: set, where: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _flag(scenario: Mapping, key: str) -> bool:
+    """A top-level on/off knob; only a JSON boolean will do."""
+    value = scenario.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigurationError(
+            f"scenario: {key!r} must be true or false, got {value!r}"
+        )
+    return value
+
+
+def _train_batch(scenario: Mapping) -> int:
+    value = scenario.get("train", 1)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(
+            f"scenario: 'train' must be an integer >= 1, got {value!r}"
+        )
+    return value
 
 
 def _parse_source(spec: Mapping) -> SourceSpec:
@@ -153,6 +176,17 @@ def build_network(scenario: Mapping) -> BaseNetwork:
         raise ConfigurationError(
             f"unknown scheme {scheme!r}; pick one of {sorted(_SCHEMES)}"
         )
+    vectorized = _flag(scenario, "vectorized")
+    _flag(scenario, "record_queues")  # run_scenario's knob; fail before building
+    train_batch = _train_batch(scenario)
+    config_cls = CoreliteConfig if scheme == "corelite" else CsfqConfig
+    config_raw = scenario.get("config")
+    if config_raw:
+        _reject_unknown(
+            config_raw,
+            {field.name for field in dataclasses.fields(config_cls)},
+            "config",
+        )
     network_raw = dict(scenario.get("network", {}))
     _reject_unknown(network_raw, _NETWORK_KEYS, "network")
     if "topology" in scenario:
@@ -170,23 +204,19 @@ def build_network(scenario: Mapping) -> BaseNetwork:
         ]
 
     config = None
-    config_raw = scenario.get("config")
     if config_raw:
-        if scheme == "corelite":
-            if "feedback_scheme" in config_raw:
-                config_raw = dict(config_raw)
-                config_raw["feedback_scheme"] = FeedbackScheme(
-                    config_raw["feedback_scheme"]
-                )
-            config = CoreliteConfig(**config_raw)
-        else:
-            config = CsfqConfig(**config_raw)
+        if "feedback_scheme" in config_raw:
+            config_raw = dict(config_raw)
+            config_raw["feedback_scheme"] = FeedbackScheme(
+                config_raw["feedback_scheme"]
+            )
+        config = config_cls(**config_raw)
 
     cls = _SCHEMES[scheme]
     kwargs = dict(network_raw)
     kwargs["seed"] = int(scenario.get("seed", 0))
-    kwargs["vectorized"] = bool(scenario.get("vectorized", False))
-    kwargs["train_batch"] = int(scenario.get("train", 1))
+    kwargs["vectorized"] = vectorized
+    kwargs["train_batch"] = train_batch
     if config is not None:
         kwargs["config"] = config
     net = cls(**kwargs)  # type: ignore[arg-type]
@@ -207,7 +237,7 @@ def run_scenario(scenario: Mapping) -> RunResult:
     return net.run(
         until=duration,
         sample_interval=float(scenario.get("sample_interval", 1.0)),
-        record_queues=bool(scenario.get("record_queues", False)),
+        record_queues=_flag(scenario, "record_queues"),
     )
 
 

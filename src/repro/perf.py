@@ -262,11 +262,10 @@ def _flow_scaling_cloud(
     ``packet_pool``/``calendar`` feed the replay tests, which pin the
     same cloud byte-identical with each optimization toggled off.
 
-    ``vectorized`` opts the edges into the array-backed control plane
-    (and, for corelite, the batched marker/feedback transport);
-    ``aggregate`` folds every ``aggregate`` member flows into one
-    aggregated bucket (``flows`` must divide evenly), keeping the same
-    total weight profile: bucket ``b`` carries the weight class
+    ``vectorized`` opts corelite into the batched marker/feedback
+    transport (inert for csfq); ``aggregate`` folds every ``aggregate``
+    member flows into one bucket (``flows`` must divide evenly), keeping
+    the same total weight profile: bucket ``b`` carries the weight class
     ``1 + (b % 4)`` for all of its members.  ``train_batch`` opts the
     shapers into the packet-train datapath (statistically pinned, not
     byte-identical — see ARCHITECTURE's "Train datapath").
@@ -398,17 +397,14 @@ def _bench_flow_scaling_pdes(
     scale: float,
     flows: int = 1024,
     partitions: int = 1,
-    adaptive: bool = False,
     train_batch: int = 1,
 ) -> Tuple[int, float]:
     """The flow_scaling family's parallel rung: same workload, N workers.
 
     ``partitions=1`` is the serial baseline over the identical 8-core
-    workload; ``partitions>1`` runs it as a conservative-window PDES in
-    spawned worker processes — lock-step static windows by default, the
-    adaptive-lookahead barrier protocol with ``adaptive=True`` (both
-    rungs are registered so the pair measures the barrier overhead
-    directly).  ``train_batch>1`` drives the packet-train datapath over
+    workload; ``partitions>1`` runs it as a conservative-window PDES
+    (adaptive-lookahead barriers) in spawned worker processes.
+    ``train_batch>1`` drives the packet-train datapath over
     the cut links and asserts the weighted fairness of the result, so
     the rung doubles as a trains-over-cuts correctness smoke.  Timing
     covers scheduling, the window barrier loop and the result merge —
@@ -420,7 +416,6 @@ def _bench_flow_scaling_pdes(
     del scale  # fixed horizon; see _bench_flow_scaling
     horizon = 16.0
     builder = _pdes_scaling_builder(flows, partitions, train_batch=train_batch)
-    builder.pdes_adaptive = adaptive
     if partitions == 1:
         cloud = builder.build()
         started = time.perf_counter()
@@ -489,7 +484,7 @@ FLOW_SCALING_POINTS: Tuple[Tuple[str, int], ...] = (
     ("csfq", 4096),
 )
 
-#: Train batch the corelite vectorized/large rungs run with.  K=8 keeps
+#: Train batch the corelite ``_vec``/large rungs run with.  K=8 keeps
 #: the coalescing burstiness small enough that delivered counts stay
 #: within ~5% of the scalar datapath at the 4096 point while the
 #: packets-per-second rate clears the PR 9 acceptance targets severalfold.
@@ -498,10 +493,10 @@ FLOW_SCALING_POINTS: Tuple[Tuple[str, int], ...] = (
 #: little there while shifting the drop statistics at bench loads.
 TRAIN_RUNG_BATCH = 8
 
-#: Vectorized + aggregated variants: (scheme, flows, aggregate, train).
-#: The ``_vec`` rungs carry the same member-flow population as their
-#: scalar namesakes, folded into ``flows / aggregate`` buckets riding the
-#: array-backed control plane — the PR 7 configuration under test — with
+#: Batched-control + aggregated variants: (scheme, flows, aggregate,
+#: train).  The ``_vec`` rungs carry the same member-flow population as
+#: their scalar namesakes, folded into ``flows / aggregate`` buckets with
+#: ``vectorized=True`` (batched corelite control plane; inert for csfq),
 #: the corelite rungs additionally riding the PR 9 train datapath.
 FLOW_SCALING_VEC_POINTS: Tuple[Tuple[str, int, int, int], ...] = (
     ("corelite", 1024, 256, TRAIN_RUNG_BATCH),
@@ -510,7 +505,7 @@ FLOW_SCALING_VEC_POINTS: Tuple[Tuple[str, int, int, int], ...] = (
     ("csfq", 4096, 256, 1),
 )
 
-#: 16384-member rungs are vectorized + aggregated *by construction* (no
+#: 16384-member rungs are batched + aggregated *by construction* (no
 #: ``_vec`` suffix): building 32k+ per-flow edge objects and their routes
 #: is infeasible at bench timescales, which is precisely the regime the
 #: aggregated mode exists for.
@@ -522,7 +517,7 @@ FLOW_SCALING_LARGE_POINTS: Tuple[Tuple[str, int, int, int], ...] = (
 # Registration order is suite run order, and it matters: the scalar
 # 4096 clouds leave the process holding gigabytes of allocator arenas,
 # which measurably depresses every bench that runs after them.  The
-# small scalar rungs and the vectorized rungs therefore run first, the
+# small scalar rungs and the ``_vec`` rungs therefore run first, the
 # 4096 scalar rungs after, and the 16384 clouds (the biggest) last.
 for _scheme, _flows in FLOW_SCALING_POINTS:
     if _flows < 4096:
@@ -553,36 +548,25 @@ FLOW_SCALING_PDES_POINTS: Tuple[Tuple[int, int], ...] = (
     (1024, 4),
 )
 
+# The parallel rungs keep the ``_adaptive`` suffix they were committed
+# under (BENCH_pr10 onward), so reports stay diffable rung-for-rung.
 for _flows, _parts in FLOW_SCALING_PDES_POINTS:
-    _suffix = "serial" if _parts == 1 else f"w{_parts}"
+    _suffix = "serial" if _parts == 1 else f"w{_parts}_adaptive"
     BENCHES[f"flow_scaling_corelite_{_flows}_pdes_{_suffix}"] = (
         functools.partial(
             _bench_flow_scaling_pdes, flows=_flows, partitions=_parts
         ),
         "packets",
     )
-    if _parts > 1:
-        # The same rung under adaptive-lookahead barriers: the static/
-        # adaptive pair measures pure barrier overhead on one workload.
-        BENCHES[f"flow_scaling_corelite_{_flows}_pdes_{_suffix}_adaptive"] = (
-            functools.partial(
-                _bench_flow_scaling_pdes,
-                flows=_flows,
-                partitions=_parts,
-                adaptive=True,
-            ),
-            "packets",
-        )
 del _flows, _parts, _suffix
 
-#: Trains over cut links: the w2 adaptive rung with the PR-9 coalesced
-#: datapath, asserting the weighted fairness pin on its own result.
+#: Trains over cut links: the w2 rung with the PR-9 coalesced datapath,
+#: asserting the weighted fairness pin on its own result.
 BENCHES["flow_scaling_corelite_1024_pdes_w2_adaptive_train8"] = (
     functools.partial(
         _bench_flow_scaling_pdes,
         flows=1024,
         partitions=2,
-        adaptive=True,
         train_batch=8,
     ),
     "packets",
@@ -619,8 +603,6 @@ BENCH_REPEAT_CAPS: Dict[str, int] = {
     "flow_scaling_corelite_16384": 2,
     "flow_scaling_csfq_16384": 2,
     "flow_scaling_corelite_1024_pdes_serial": 2,
-    "flow_scaling_corelite_1024_pdes_w2": 2,
-    "flow_scaling_corelite_1024_pdes_w4": 2,
     "flow_scaling_corelite_1024_pdes_w2_adaptive": 2,
     "flow_scaling_corelite_1024_pdes_w4_adaptive": 2,
     "flow_scaling_corelite_1024_pdes_w2_adaptive_train8": 2,
@@ -648,12 +630,10 @@ QUICK_SKIP_BENCHES = frozenset(
         "flow_scaling_corelite_4096",
         "flow_scaling_csfq_4096",
         "flow_scaling_csfq_16384",
-        # The adaptive w4 rung stays as the quick-mode PDES smoke; the
-        # serial baseline, the static rungs and the train variant only
-        # matter for full speedup reports.
+        # The w4 rung stays as the quick-mode PDES smoke; the serial
+        # baseline, the w2 rung and the train variant only matter for
+        # full speedup reports.
         "flow_scaling_corelite_1024_pdes_serial",
-        "flow_scaling_corelite_1024_pdes_w2",
-        "flow_scaling_corelite_1024_pdes_w4",
         "flow_scaling_corelite_1024_pdes_w2_adaptive",
         "flow_scaling_corelite_1024_pdes_w2_adaptive_train8",
     }
@@ -837,7 +817,6 @@ def run_suite(
     repeats: Optional[int] = None,
     pool: bool = False,
     train_batch: Optional[int] = None,
-    pdes_static: bool = False,
     log: Optional[Callable[[str], None]] = None,
 ) -> BenchReport:
     """Run the full suite and return its report.
@@ -849,11 +828,7 @@ def run_suite(
     the trajectory.  ``train_batch`` overrides the per-rung train batch
     of every serial ``flow_scaling`` rung (``1`` forces the scalar
     datapath — how the interleaved ``_base`` half of a before/after pair
-    is produced on one build).  ``pdes_static`` forces the ``_adaptive``
-    pdes rungs back to the static-window barrier protocol, the same
-    one-build mechanism for the adaptive before/after pair (the rungs
-    keep their names so the two halves diff rung-for-rung).  Benches
-    that probe for features the
+    is produced on one build).  Benches that probe for features the
     current revision lacks are recorded under ``skipped`` instead of
     failing, which is what lets one suite binary produce comparable
     before/after reports.
@@ -874,8 +849,6 @@ def run_suite(
             and "_pdes_" not in name
         ):
             kwargs["train_batch"] = train_batch
-        if pdes_static and "_pdes_" in name and "_adaptive" in name:
-            kwargs["adaptive"] = False
         reps = min(repeats, BENCH_REPEAT_CAPS.get(name, repeats))
         if name.startswith(GATED_BENCH_PREFIX):
             # CI-gated rungs never land with a variance-free median.

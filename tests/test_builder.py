@@ -168,3 +168,40 @@ class TestReferenceRates:
         assert ref[1] == pytest.approx(250.0)
         for fid in range(2, 8):
             assert ref[fid] == pytest.approx(125.0)
+
+
+class TestOneFlowPerEdge:
+    """``Cloud.add_flow`` gives every flow its own ingress edge
+    ``Ein<fid>``, so an edge's per-epoch sweep covers at most one flow
+    (an ``aggregate:N`` bucket is one flow).  That is why the
+    array-backed ("vectorized") edges were deleted: they measured no
+    faster than the scalar edges and byte-identical to them.  A future
+    shared-edge feature must revisit that measurement (docs/REPRODUCING
+    §11) before re-adding array state."""
+
+    @staticmethod
+    def _builder(scheme):
+        from repro.experiments.scenarios import parking_lot_flows
+
+        builder = CloudBuilder(TopologySpec.parking_lot(3), scheme=scheme, seed=1)
+        builder.add_flows(parking_lot_flows())
+        builder.add_flow(
+            flow_id=8, ingress_core="C1", egress_core="C4", aggregate=4
+        )
+        return builder
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_STRATEGIES))
+    def test_every_edge_has_at_most_one_ingress_flow(self, scheme):
+        clouds = [self._builder(scheme).build()]
+        partitioned = self._builder(scheme)
+        partitioned.partitions = 2
+        partitioned.pdes_mode = "inline"
+        session = partitioned.build_parallel().start()
+        clouds += [worker.cloud for worker in session.workers]
+        ingress_flows = 0
+        for cloud in clouds:
+            for edge in cloud.edges.values():
+                assert len(edge.ingress_flow_ids()) <= 1, edge.name
+                ingress_flows += len(edge.ingress_flow_ids())
+        # Serial + the two partitions each attach all 8 flows exactly once.
+        assert ingress_flows == 2 * 8

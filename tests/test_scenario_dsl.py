@@ -108,6 +108,32 @@ class TestBuild:
                 flows=[{"id": 1, "source": {"kind": "poisson", "rate": 5}}]
             ))
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"vectorized": "false"}, "vectorized"),  # bool("false") is True
+            ({"train": 2.7}, "train"),  # int() would truncate to 2
+            ({"train": "8"}, "train"),
+            ({"train": True}, "train"),
+            ({"train": 0}, "train"),
+            ({"record_queues": "no"}, "record_queues"),
+            ({"config": {"edge_epohc": 0.3}}, "edge_epohc"),
+            ({"scheme": "csfq", "config": {"k1": 1.0}}, "k1"),
+        ],
+    )
+    def test_mistyped_knobs_name_the_key(self, overrides, key):
+        """JSON booleans / a JSON integer >= 1 / known config fields, or
+        a ConfigurationError naming the key — raised before the topology
+        is even parsed (the bogus one below would complain otherwise)."""
+        scenario = basic_scenario(topology={"kind": "no-such-shape"}, **overrides)
+        with pytest.raises(ConfigurationError, match=key):
+            run_scenario(scenario)
+
+    def test_vectorized_flag_is_accepted_by_every_scheme(self):
+        for scheme in ("corelite", "csfq", "fifo"):
+            net = build_network(basic_scenario(scheme=scheme, vectorized=True))
+            assert net.vectorized is True
+
     def test_no_flows_rejected(self):
         with pytest.raises(ConfigurationError):
             build_network(basic_scenario(flows=[]))

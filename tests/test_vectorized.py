@@ -1,29 +1,27 @@
-"""PR 7 pins: the vectorized edge control plane and aggregated sources.
+"""PR 7 pins: the batched control plane (``vectorized=True``) and
+aggregated sources.
 
 Four layers of protection:
 
-* **Scalar replay fingerprints** — the default (object-based) build path
-  must stay byte-identical to the pre-vectorization code: same per-flow
-  series, same packet-id counter, same event count, hashed and pinned.
-* **Vectorized equivalence** — with the batched control transport off,
-  the array sweeps are a float-exact mirror of the scalar controllers,
-  so vectorized runs must match scalar runs *exactly* (which trivially
-  satisfies the Jain-ratio / 2%-per-flow statistical pins).  With
-  batching on (the default in vectorized mode), feedback is quantized to
-  core epochs, so only the statistical pins apply.
+* **Scalar replay fingerprints** — the default build path must stay
+  byte-identical to the pre-PR-7 code: same per-flow series, same
+  packet-id counter, same event count, hashed and pinned.
+* **Batched replay fingerprints** — ``vectorized=True`` runs recorded
+  while the array-backed edges (``repro.sim.flowarrays``) still existed;
+  deleting them must not move a single delivery, loss, rate or event.
+* **Batched vs unbatched** — batching quantizes feedback to core
+  epochs, so against the default only the statistical pins apply.
 * **Aggregated sources** — ``PacedAggregateSource`` unit behavior and
   the ``aggregate`` knob end to end (builder and scenario DSL).
-* **Array primitives** — ``FlowArrayBank`` slot allocation/growth and
-  ``ArrayRateController`` parity with the scalar ``RateController``.
 """
+
+import dataclasses
 
 import hashlib
 import random
 
 import pytest
 
-from repro.core.adaptation import Phase, RateController
-from repro.core.config import CoreliteConfig
 from repro.errors import ConfigurationError, FlowError
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.scenario_dsl import build_network, run_scenario
@@ -36,11 +34,6 @@ from repro.experiments.scenarios import (
 from repro.experiments.topospec import FlowPathSpec, TopologySpec
 from repro.fairness.metrics import jain_index
 from repro.sim.engine import Simulator
-from repro.sim.flowarrays import (
-    ArrayPacedSender,
-    ArrayRateController,
-    FlowArrayBank,
-)
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.sources import PacedAggregateSource, SourceSpec
 
@@ -50,47 +43,46 @@ from repro.sim.sources import PacedAggregateSource, SourceSpec
 # ---------------------------------------------------------------------------
 
 
-def _chain4_corelite(vectorized=False, config=None):
+def _chain4_corelite(vectorized=False):
     builder = CloudBuilder(
         TopologySpec.chain(4), scheme="corelite", seed=3,
-        vectorized=vectorized, config=config,
+        vectorized=vectorized,
     )
     builder.add_flows(topology1_flows(WEIGHTS_41, {}))
     return builder.build(), 12.0
 
 
-def _chain2_csfq(vectorized=False, config=None):
+def _chain2_csfq(vectorized=False):
     builder = CloudBuilder(
         TopologySpec.chain(2), scheme="csfq", seed=1,
-        vectorized=vectorized, config=config,
+        vectorized=vectorized,
     )
     builder.add_flow(FlowPathSpec(1, weight=2.0, ingress_core="C1", egress_core="C2"))
     builder.add_flow(FlowPathSpec(2, weight=1.0, ingress_core="C1", egress_core="C2"))
     return builder.build(), 12.0
 
 
-def _parking_corelite(vectorized=False, config=None):
+def _parking_corelite(vectorized=False):
     builder = CloudBuilder(
         TopologySpec.parking_lot(3), scheme="corelite", seed=5,
-        vectorized=vectorized, config=config,
+        vectorized=vectorized,
     )
     builder.add_flows(parking_lot_flows())
     return builder.build(), 10.0
 
 
-def _mesh_csfq(vectorized=False, config=None):
+def _mesh_csfq(vectorized=False):
     builder = CloudBuilder(
         TopologySpec.mesh(), scheme="csfq", seed=2,
-        vectorized=vectorized, config=config,
+        vectorized=vectorized,
     )
     builder.add_flows(mesh_flows())
     return builder.build(), 10.0
 
 
-def _flow_scaling_corelite_256(vectorized=False, config=None):
+def _flow_scaling_corelite_256(vectorized=False):
     from repro.perf import _flow_scaling_cloud
 
-    assert config is None
     return _flow_scaling_cloud("corelite", 256, vectorized=vectorized), 8.0
 
 
@@ -168,49 +160,133 @@ def test_scalar_replay_fingerprints_unchanged(scalar_runs):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized vs scalar equivalence
+# Batched (vectorized=True) replay fingerprints
 # ---------------------------------------------------------------------------
 
-_EQUIV_SCENARIOS = ("chain4_corelite", "parking_corelite", "mesh_csfq")
+
+def _vec_chain4(scheme, train_batch):
+    builder = CloudBuilder(
+        TopologySpec.chain(4), scheme=scheme, seed=3,
+        vectorized=True, train_batch=train_batch,
+    )
+    builder.add_flows(topology1_flows(WEIGHTS_41, {}))
+    return builder.build(), 12.0
 
 
-def _unbatched_config(name):
-    """Vectorized-but-unbatched config for corelite; csfq has no batched
-    transport, so its vectorized path needs no override."""
-    return CoreliteConfig(batched_control=False) if "corelite" in name else None
+def _vec_parking(scheme, train_batch):
+    """Parking lot whose flow 2 is a Poisson-sourced ``aggregate:4``
+    bucket (mux accounting on corelite, shaper backlog on csfq)."""
+    builder = CloudBuilder(
+        TopologySpec.parking_lot(3), scheme=scheme, seed=5,
+        vectorized=True, train_batch=train_batch,
+    )
+    flows = parking_lot_flows()
+    flows[1] = dataclasses.replace(
+        flows[1], aggregate=4, source=SourceSpec("poisson", mean_rate=100.0)
+    )
+    builder.add_flows(flows)
+    return builder.build(), 10.0
 
 
-@pytest.mark.parametrize("name", _EQUIV_SCENARIOS)
-def test_vectorized_math_matches_scalar_exactly(scalar_runs, name):
-    """The array sweeps (batched transport off) are a float-exact mirror
-    of the scalar controllers: identical per-flow deliveries, hence the
-    ISSUE's statistical pins (Jain ratio within 1%, per-flow delivered
-    within 2%) hold with zero slack."""
-    _, scalar_delivered, weights = scalar_runs[name]
-    cloud, until = SCENARIOS[name](vectorized=True, config=_unbatched_config(name))
+#: (scheme, scenario, train_batch) -> (per-flow (delivered, losses,
+#: repr(final allotted rate)) in flow-id order, sim.events_executed),
+#: captured at the last commit that had the array-backed edges
+#: (a63a83d, ``vectorized=True``).  The scalar edges with batched
+#: control must keep reproducing them exactly.
+VECTORIZED_FINGERPRINTS = {
+    ("corelite", "chain4", 1): (
+        ((183, 3, "28.0"), (251, 0, "40.0"), (260, 0, "42.0"),
+         (247, 1, "39.0"), (283, 6, "44.0"), (244, 0, "38.0"),
+         (226, 0, "34.0"), (239, 3, "38.0"), (201, 0, "27.0"),
+         (216, 1, "31.0"), (184, 0, "26.0"), (243, 0, "38.0"),
+         (243, 0, "34.0"), (228, 0, "34.0"), (270, 0, "39.0"),
+         (180, 0, "26.0"), (261, 0, "39.0"), (257, 0, "39.0"),
+         (260, 0, "42.0"), (260, 0, "39.0")),
+        27065,
+    ),
+    ("corelite", "chain4", 8): (
+        ((180, 2, "27.0"), (253, 0, "41.0"), (257, 0, "42.0"),
+         (247, 0, "39.0"), (288, 0, "44.0"), (247, 3, "40.0"),
+         (229, 3, "36.0"), (242, 9, "41.0"), (207, 0, "29.0"),
+         (219, 0, "32.0"), (183, 0, "26.0"), (245, 0, "39.0"),
+         (237, 3, "33.0"), (237, 0, "37.0"), (270, 0, "39.0"),
+         (164, 0, "21.0"), (257, 0, "38.0"), (254, 0, "38.0"),
+         (266, 0, "44.0"), (257, 0, "38.0")),
+        22632,
+    ),
+    ("corelite", "parking", 1): (
+        ((241, 0, "69.0"), (684, 0, "164.0"), (172, 0, "41.0"),
+         (171, 0, "41.0"), (180, 0, "41.0"), (181, 0, "41.0"),
+         (174, 0, "41.0")),
+        12676,
+    ),
+    ("corelite", "parking", 8): (
+        ((239, 0, "69.0"), (673, 0, "164.0"), (171, 0, "41.0"),
+         (171, 0, "41.0"), (179, 0, "41.0"), (181, 0, "41.0"),
+         (173, 0, "41.0")),
+        5905,
+    ),
+    ("csfq", "chain4", 1): (
+        ((115, 6, "23.0"), (129, 3, "28.0"), (130, 2, "28.0"), (92, 6, "22.0"),
+         (119, 5, "24.0"), (132, 5, "26.0"), (109, 4, "24.0"),
+         (119, 3, "26.0"), (157, 7, "28.0"), (111, 3, "25.0"), (91, 8, "22.0"),
+         (124, 2, "27.0"), (126, 3, "26.0"), (135, 2, "29.0"),
+         (113, 4, "25.0"), (96, 5, "21.0"), (140, 4, "26.0"), (127, 5, "24.0"),
+         (127, 3, "28.0"), (133, 2, "29.0")),
+        13356,
+    ),
+    ("csfq", "chain4", 8): (
+        ((108, 6, "23.0"), (129, 3, "28.0"), (130, 2, "28.0"), (92, 6, "22.0"),
+         (119, 5, "24.0"), (135, 4, "28.0"), (109, 4, "24.0"),
+         (120, 3, "26.0"), (148, 8, "26.0"), (111, 3, "25.0"), (84, 9, "19.0"),
+         (124, 2, "27.0"), (126, 3, "26.0"), (132, 3, "27.0"),
+         (113, 4, "25.0"), (95, 5, "21.0"), (140, 4, "26.0"), (127, 5, "24.0"),
+         (128, 2, "28.0"), (133, 2, "29.0")),
+        13170,
+    ),
+    ("csfq", "parking", 1): (
+        ((67, 5, "18.0"), (287, 9, "77.0"), (55, 5, "18.0"), (25, 11, "9.0"),
+         (71, 4, "20.0"), (54, 7, "14.0"), (42, 9, "11.0")),
+        7075,
+    ),
+    ("csfq", "parking", 8): (
+        ((67, 5, "18.0"), (261, 8, "70.0"), (55, 5, "18.0"), (25, 11, "9.0"),
+         (71, 4, "20.0"), (58, 7, "14.0"), (36, 11, "9.0")),
+        3354,
+    ),
+}
+
+_VEC_SCENARIOS = {"chain4": _vec_chain4, "parking": _vec_parking}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(VECTORIZED_FINGERPRINTS), ids=lambda key: "-".join(map(str, key))
+)
+def test_vectorized_replay_fingerprints_unchanged(key):
+    scheme, scenario, train_batch = key
+    cloud, until = _VEC_SCENARIOS[scenario](scheme, train_batch)
     result = cloud.run(until=until)
-    vec_delivered = {fid: r.delivered for fid, r in result.flows.items()}
-
-    assert vec_delivered == scalar_delivered
-
-    scalar_jain = jain_index(
-        [scalar_delivered[f] / weights[f] for f in sorted(scalar_delivered)]
-    )
-    vec_jain = jain_index(
-        [vec_delivered[f] / weights[f] for f in sorted(vec_delivered)]
-    )
-    assert 0.99 <= vec_jain / scalar_jain <= 1.01
-    for fid in scalar_delivered:
-        assert abs(vec_delivered[fid] - scalar_delivered[fid]) <= (
-            0.02 * max(1, scalar_delivered[fid])
+    flows = tuple(
+        (
+            record.delivered,
+            record.losses,
+            repr(cloud.edges[f"Ein{fid}"].allotted_rate(fid)),
         )
+        for fid, record in sorted(result.flows.items())
+    )
+    assert (flows, cloud.sim.events_executed) == VECTORIZED_FINGERPRINTS[key]
+
+
+# ---------------------------------------------------------------------------
+# Batched vs unbatched equivalence
+# ---------------------------------------------------------------------------
 
 
 def test_vectorized_batched_is_statistically_equivalent(scalar_runs):
-    """The default vectorized mode additionally batches the control
-    plane (markers merged onto data, feedback coalesced per core epoch),
-    which quantizes feedback arrival times — per-flow trajectories drift
-    a few percent, but the fairness outcome must be preserved."""
+    """``vectorized=True`` batches the control plane (markers merged
+    onto data, feedback coalesced per core epoch), which quantizes
+    feedback arrival times — per-flow trajectories drift a few percent,
+    but the fairness outcome must be preserved."""
     _, scalar_delivered, weights = scalar_runs["chain4_corelite"]
     cloud, until = SCENARIOS["chain4_corelite"](vectorized=True)
     result = cloud.run(until=until)
@@ -241,12 +317,6 @@ def test_vectorized_batched_is_statistically_equivalent(scalar_runs):
 
 
 class TestBatchedControl:
-    def test_config_rejects_non_tristate(self):
-        with pytest.raises(ConfigurationError):
-            CoreliteConfig(batched_control=7)
-        for value in (None, True, False):
-            assert CoreliteConfig(batched_control=value).batched_control is value
-
     @staticmethod
     def _tiny_vec_cloud():
         # Tight core capacity so the two backlogged flows actually
@@ -305,7 +375,7 @@ class TestBatchedControl:
         assert edge.stray_feedback == before + 1
 
     def test_batched_run_closes_the_feedback_loop(self):
-        """End to end in the default vectorized mode: congested cores emit
+        """End to end with ``vectorized=True``: congested cores emit
         (batched) feedback and the edge controllers react to it."""
         cloud = self._tiny_vec_cloud()
         cloud.run(until=8.0)
@@ -323,93 +393,6 @@ class TestBatchedControl:
         assert cloud.edges["Ein2"]._ingress_state(2).controller.rate > (
             cloud.edges["Ein1"]._ingress_state(1).controller.rate
         )
-
-
-# ---------------------------------------------------------------------------
-# Array primitives
-# ---------------------------------------------------------------------------
-
-
-class TestFlowArrayBank:
-    def test_alloc_grows_and_preserves(self):
-        bank = FlowArrayBank(capacity=2)
-        assert bank.alloc() == 0
-        assert bank.alloc() == 1
-        bank.rate[0] = 5.0
-        bank.feedback_peak[1] = 7
-        # Third alloc forces a doubling; existing slot data must survive.
-        assert bank.alloc() == 2
-        assert bank.capacity == 4
-        assert bank.size == 3
-        assert bank.rate[0] == 5.0
-        assert bank.feedback_peak[1] == 7
-        for _ in range(10):
-            bank.alloc()
-        assert bank.size == 13
-        assert bank.capacity >= 13
-
-    def test_capacity_validation(self):
-        with pytest.raises(ConfigurationError):
-            FlowArrayBank(capacity=0)
-
-
-class TestArrayRateController:
-    def test_parity_with_scalar_controller(self):
-        """Driven through the same epoch sequence, the array-backed
-        controller and the scalar one must agree exactly — rates, phase
-        transitions and all adaptation counters."""
-        config = CoreliteConfig()
-        scalar = RateController(config, weight=2.0)
-        bank = FlowArrayBank()
-        array = ArrayRateController(config, 2.0, bank, bank.alloc())
-
-        epoch = config.edge_epoch
-        feedback = [0, 0, 0, 1, 0, 3, 2, 0, 0, 5, 0, 1, 0, 0, 0]
-        for step, count in enumerate(feedback):
-            now = (step + 1) * epoch
-            assert array.on_epoch(count, now) == scalar.on_epoch(count, now)
-            assert array.phase is scalar.phase
-        assert array.rate == scalar.rate
-        assert array.increases == scalar.increases
-        assert array.decreases == scalar.decreases
-        assert array.feedback_total == scalar.feedback_total
-        assert array.slow_start_exits == scalar.slow_start_exits
-
-        array.restart(100.0)
-        scalar.restart(100.0)
-        assert array.rate == scalar.rate
-        assert array.phase is Phase.SLOW_START
-
-    def test_validation(self):
-        config = CoreliteConfig()
-        bank = FlowArrayBank()
-        with pytest.raises(ConfigurationError):
-            ArrayRateController(config, 0.0, bank, bank.alloc())
-        with pytest.raises(ConfigurationError):
-            ArrayRateController(config, 1.0, bank, bank.alloc(), alpha_scale=0.0)
-        with pytest.raises(ConfigurationError):
-            ArrayRateController(config, 1.0, bank, bank.alloc(), min_rate=-1.0)
-        controller = ArrayRateController(config, 1.0, bank, bank.alloc())
-        with pytest.raises(ConfigurationError):
-            controller.on_epoch(-1, 0.0)
-
-
-class TestArrayPacedSender:
-    def test_snapshot_columns_track_programming(self):
-        sim = Simulator()
-        bank = FlowArrayBank()
-        slot = bank.alloc()
-        sent = []
-        sender = ArrayPacedSender(
-            bank, slot, sim, 10.0, lambda: bool(sent.append(1)) or True
-        )
-        assert bank.shaper_rate[slot] == sender._rate
-        sender.set_rate(25.0)
-        assert bank.shaper_rate[slot] == 25.0
-        assert bank.shaper_credit[slot] == sender._credit
-        sender.start()
-        sim.run(until=1.0)
-        assert sent, "programmed sender never emitted"
 
 
 # ---------------------------------------------------------------------------
