@@ -35,8 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.errors import ConfigurationError, TopologyError
-from repro.sim.routing import reconstruct_path, shortest_paths
+from repro.errors import ConfigurationError, RoutingError, TopologyError
+from repro.sim.routing import PathCache
 
 __all__ = [
     "PartitionPlan",
@@ -305,7 +305,9 @@ class ShadowGraph:
 
     Holds the global adjacency (both directions of every spec link plus
     every flow's access links, remote or not), per-link-name capacities
-    and propagation delays, and cached Dijkstra results.  Built purely
+    and propagation delays, and the :class:`~repro.sim.routing.PathCache`
+    over that adjacency (``paths``) that local route tables are built
+    from and path queries are answered by.  Built purely
     from the spec and the full flow list, it is bitwise-identical across
     partitions and processes — which is what makes partition-local route
     installation, control-plane delays and admission control agree with
@@ -313,9 +315,8 @@ class ShadowGraph:
 
     Adjacency entries are ``(neighbor, prop_delay, link_name)`` sorted
     exactly as :meth:`repro.sim.topology.Topology._adjacency` sorts its
-    live links, so :func:`repro.sim.routing.shortest_paths` produces the
-    same trees (and the same deterministic tie-breaks) as the serial
-    route build.
+    live links, so the cache produces the same trees (and the same
+    deterministic tie-breaks) as the serial route build.
     """
 
     def __init__(self, spec, flows: Sequence) -> None:
@@ -347,22 +348,25 @@ class ShadowGraph:
         self.adjacency = adjacency
         self.capacities = capacities
         self.delays = delays
-        self._shortest: Dict[str, Tuple[Dict[str, float], Dict[str, Tuple[str, str]]]] = {}
+        self.paths = PathCache(adjacency)
 
-    def shortest_from(
-        self, src: str
-    ) -> Tuple[Dict[str, float], Dict[str, Tuple[str, str]]]:
-        cached = self._shortest.get(src)
-        if cached is None:
-            if src not in self.adjacency:
-                raise TopologyError(f"unknown shadow node {src!r}")
-            cached = shortest_paths(self.adjacency, src)
-            self._shortest[src] = cached
-        return cached
+    def require_routable(self, flows: Sequence, topology_name: str) -> None:
+        """Fail, naming the flow, if any flow has no ingress-to-egress path."""
+        for flow in flows:
+            try:  # noqa: PERF203 -- cold path; the per-flow error context is the point
+                self.path_link_names(flow.ingress_edge, flow.egress_edge)
+            except RoutingError as exc:
+                raise TopologyError(
+                    f"flow {flow.flow_id}: no route from ingress_core "
+                    f"{flow.ingress_core!r} to egress_core "
+                    f"{flow.egress_core!r} in topology {topology_name!r} "
+                    f"({exc})"
+                ) from exc
 
     def path_link_names(self, src: str, dst: str) -> Tuple[str, ...]:
-        _dist, prev = self.shortest_from(src)
-        return tuple(reconstruct_path(prev, src, dst))
+        if src not in self.adjacency:
+            raise TopologyError(f"unknown shadow node {src!r}")
+        return tuple(self.paths.path(src, dst))
 
     def path_delay(self, src: str, dst: str) -> float:
         """Sum of propagation delays along the shortest path (the pure

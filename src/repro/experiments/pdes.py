@@ -87,9 +87,7 @@ from repro.experiments.runner import FlowRecord, RunResult
 from repro.experiments.topospec import FlowPathSpec, TopologySpec
 from repro.sim.control import ControlPlane
 from repro.sim.monitor import Series
-from repro.sim.node import Router
 from repro.sim.packet import Packet, PacketKind, PacketTrain
-from repro.sim.routing import equal_cost_next_hops, reconstruct_path
 
 __all__ = ["ParallelCloud"]
 
@@ -321,71 +319,22 @@ class _PartitionWorker:
         admission accepts or rejects identically everywhere.
         """
         shadow = self.shadow
-        for spec in self.flows:
-            try:  # noqa: PERF203 -- cold path; the per-flow error context is the point
-                shadow.path_link_names(spec.ingress_edge, spec.egress_edge)
-            except RoutingError as exc:
-                raise TopologyError(
-                    f"flow {spec.flow_id}: no route from ingress_core "
-                    f"{spec.ingress_core!r} to egress_core "
-                    f"{spec.egress_core!r} in topology {self.spec.name!r} "
-                    f"({exc})"
-                ) from exc
+        shadow.require_routable(self.flows, self.spec.name)
         destinations: List[str] = []
         for spec in self.flows:
             destinations.append(spec.ingress_edge)
             destinations.append(spec.egress_edge)
-        self._install_shadow_routes(cloud, destinations)
-        cloud._enable_core_links()
-        self._admit_contracts()
-
-    def _install_shadow_routes(self, cloud: Cloud, destinations: List[str]) -> None:
-        """Fill every local router's table from global shortest paths.
-
-        The first hop out of a local router is always a local link object
-        (an intra-partition link or the local half of a cut link), so the
-        shadow path's leading link name resolves in the local topology.
-        """
-        spec = self.spec
-        shadow = self.shadow
-        tables: Dict[str, Dict[str, object]] = {}
         try:
-            for src_name, node in cloud.topology.nodes.items():
-                if not isinstance(node, Router):
-                    continue
-                _dist, prev = shadow.shortest_from(src_name)
-                routes: Dict[str, object] = {}
-                for dst_name in destinations:
-                    if dst_name == src_name:
-                        continue
-                    path = reconstruct_path(prev, src_name, dst_name)
-                    routes[dst_name] = cloud.topology.links[path[0]]
-                tables[src_name] = routes
+            # A local router's first hop is always a local link object
+            # (an intra-partition link or the local half of a cut link),
+            # so the global tables resolve in the local topology.
+            cloud.topology.install_routes_over(shadow.paths, destinations, strict=True)
         except RoutingError as exc:
             raise TopologyError(
-                f"topology {spec.name!r} is disconnected: {exc}"
+                f"topology {self.spec.name!r} is disconnected: {exc}"
             ) from exc
-        if spec.routing_mode == "static":
-            for src_name, routes in tables.items():
-                cloud.topology.nodes[src_name].install_routes(routes)
-            return
-        adjacency = shadow.adjacency
-        dist_maps = {name: shadow.shortest_from(name)[0] for name in adjacency}
-        flowlet = (
-            spec.ecmp_flowlet_n_packets if spec.routing_mode == "ecmp_flowlet" else 0
-        )
-        for src_name, routes in tables.items():
-            ecmp: Dict[str, Tuple] = {}
-            for dst_name in routes:
-                hops = equal_cost_next_hops(adjacency, src_name, dst_name, dist_maps)
-                if len(hops) >= 2:
-                    ecmp[dst_name] = tuple(
-                        cloud.topology.links[link_name]
-                        for _neighbor, link_name in hops
-                    )
-            cloud.topology.nodes[src_name].install_multipath_routes(
-                routes, ecmp, flowlet
-            )
+        cloud._enable_core_links()
+        self._admit_contracts()
 
     def _admit_contracts(self) -> None:
         contracted = [spec for spec in self.flows if spec.min_rate > 0]
@@ -857,6 +806,10 @@ class ParallelCloud:
             self._partition_of[flow.egress_edge] = plan.partition_of(
                 flow.egress_core
             )
+        #: The coordinator's whole-topology view (identical to every
+        #: worker's): channel delays now, result paths/capacities later.
+        self._shadow = ShadowGraph(spec, self.flows)
+        self._shadow.require_routable(self.flows, spec.name)
         self._lookahead: List[List[float]] = lookahead_closure(
             self._channel_matrix()
         )
@@ -872,7 +825,7 @@ class ParallelCloud:
         charges.  Same-partition channels are discarded by
         :func:`channel_delay_matrix`.
         """
-        shadow = ShadowGraph(self.spec, self.flows)
+        shadow = self._shadow
         plan = self.plan
         channels: List[Tuple[int, int, float]] = []
         directed: Dict[str, Tuple[int, int, float]] = {}
@@ -1120,7 +1073,7 @@ class ParallelCloud:
         from the coordinator's own shadow graph (identical to every
         worker's).
         """
-        shadow = ShadowGraph(self.spec, self.flows)
+        shadow = self._shadow
         records: Dict[int, FlowRecord] = {}
         for spec in self.flows:
             fid = spec.flow_id

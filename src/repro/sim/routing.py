@@ -14,16 +14,38 @@ the same deterministic tie-breaking so replays stay byte-stable.
 given the per-node distance maps it returns every first hop that lies on
 *some* shortest path, sorted by (neighbor, link name) so the candidate
 order is deterministic.
+
+:class:`PathCache` is the one route-table builder (serial topology,
+rebuilds after a link event, and every PDES partition all use it): it
+holds one adjacency snapshot plus the shortest-path trees computed over
+it so far, and roots a tree only at nodes that have a routing *choice*.
+A node with exactly one outgoing link has its first hop forced, so its
+table and its paths are read off its neighbour's tree — build cost
+scales with the transit routers, not with the edge routers hanging off
+them.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import RoutingError
 
 __all__ = [
+    "PathTree",
+    "PathCache",
+    "shortest_path_tree",
     "shortest_paths",
     "reconstruct_path",
     "path_cost",
@@ -43,6 +65,58 @@ HOP_BIAS = 1e-9
 ECMP_TOLERANCE = 1e-12
 
 
+class PathTree(NamedTuple):
+    """One single-source Dijkstra result.
+
+    ``dist[node]`` is the path cost from the source, ``prev[node] =
+    (predecessor, link_name)`` encodes the shortest-path tree and
+    ``first_hop[node]`` is the name of the link the path to ``node``
+    leaves the source on.  Unreachable nodes — and the source itself,
+    in ``prev`` and ``first_hop`` — are absent.
+    """
+
+    dist: Dict[str, float]
+    prev: Dict[str, Tuple[str, str]]
+    first_hop: Dict[str, str]
+
+
+def shortest_path_tree(adjacency: Adjacency, source: str) -> PathTree:
+    """Single-source Dijkstra that also records every node's first hop.
+
+    The first hop is inherited during relaxation (a node relaxed from the
+    source takes the relaxing link, any other node takes its settled
+    predecessor's first hop), so ``first_hop[node]`` always equals
+    ``reconstruct_path(prev, source, node)[0]`` without walking the tree
+    once per destination.
+    """
+    if source not in adjacency:
+        raise RoutingError(f"unknown source node {source!r}")
+    dist: Dict[str, float] = {source: 0.0}
+    prev: Dict[str, Tuple[str, str]] = {}
+    first_hop: Dict[str, str] = {}
+    visited = set()
+    heap: List[Tuple[float, str]] = [(0.0, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in visited:
+            continue
+        visited.add(node)
+        # Nothing ever relaxes the source (every candidate cost is
+        # positive), so ``via`` is None exactly when ``node`` is it.
+        via = first_hop.get(node)
+        for neighbor, cost, link_name in adjacency.get(node, ()):
+            if cost < 0:
+                raise RoutingError(f"negative link cost on {link_name!r}")
+            candidate = d + cost + HOP_BIAS
+            best = dist.get(neighbor)
+            if best is None or candidate < best - 1e-15:
+                dist[neighbor] = candidate
+                prev[neighbor] = (node, link_name)
+                first_hop[neighbor] = link_name if via is None else via
+                heapq.heappush(heap, (candidate, neighbor))
+    return PathTree(dist, prev, first_hop)
+
+
 def shortest_paths(
     adjacency: Adjacency, source: str
 ) -> Tuple[Dict[str, float], Dict[str, Tuple[str, str]]]:
@@ -52,27 +126,8 @@ def shortest_paths(
     ``source`` and ``prev[node] = (predecessor, link_name)`` encodes the
     shortest-path tree.  Unreachable nodes are absent from both maps.
     """
-    if source not in adjacency:
-        raise RoutingError(f"unknown source node {source!r}")
-    dist: Dict[str, float] = {source: 0.0}
-    prev: Dict[str, Tuple[str, str]] = {}
-    visited = set()
-    heap: List[Tuple[float, str]] = [(0.0, source)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        for neighbor, cost, link_name in adjacency.get(node, ()):
-            if cost < 0:
-                raise RoutingError(f"negative link cost on {link_name!r}")
-            candidate = d + cost + HOP_BIAS
-            best = dist.get(neighbor)
-            if best is None or candidate < best - 1e-15:
-                dist[neighbor] = candidate
-                prev[neighbor] = (node, link_name)
-                heapq.heappush(heap, (candidate, neighbor))
-    return dist, prev
+    tree = shortest_path_tree(adjacency, source)
+    return tree.dist, tree.prev
 
 
 def reconstruct_path(
@@ -140,3 +195,151 @@ def equal_cost_next_hops(
             candidates.append((neighbor, link_name))
     candidates.sort()
     return tuple(candidates)
+
+
+def _leads_only_back(adjacency: Adjacency, node: str, source: str) -> bool:
+    """True when every outgoing link of ``node`` returns to ``source``.
+
+    Any path from ``source`` through such a node re-enters ``source``, so
+    (all hop costs being positive) it is on no shortest path to anything
+    but itself.
+    """
+    return all(neighbor == source for neighbor, _cost, _link in adjacency.get(node, ()))
+
+
+class PathCache:
+    """Shortest-path trees over one adjacency snapshot, rooted on demand.
+
+    A tree is rooted only where routing has a choice.  A node with
+    exactly one outgoing link must leave on it, and no shortest path
+    from its neighbour comes back through it (that would be a cycle of
+    positive cost), so for every destination other than itself it
+    reaches exactly what the neighbour reaches, over ``that link + the
+    neighbour's path``.  This is exact, not a heuristic; tables and
+    paths of single-link nodes are therefore read off the neighbour's
+    tree, and a cloud of many edge routers around a few cores runs one
+    Dijkstra per core.
+    """
+
+    def __init__(self, adjacency: Adjacency) -> None:
+        self.adjacency = adjacency
+        self._trees: Dict[str, PathTree] = {}
+
+    def tree(self, node: str) -> PathTree:
+        """The shortest-path tree rooted at ``node`` (computed once)."""
+        tree = self._trees.get(node)
+        if tree is None:
+            tree = shortest_path_tree(self.adjacency, node)
+            self._trees[node] = tree
+        return tree
+
+    def path(self, src: str, dst: str) -> List[str]:
+        """Link names along the shortest path ``src -> dst``.
+
+        Raises :class:`RoutingError` if ``dst`` is unreachable.
+        """
+        if src == dst:
+            return []
+        root, lead = src, []
+        out = self.adjacency.get(src, ())
+        if len(out) == 1:
+            root, _cost, link_name = out[0]
+            lead = [link_name]
+            if root == dst:
+                return lead
+        prev = self.tree(root).prev
+        if dst not in prev:
+            raise RoutingError(f"no path from {src!r} to {dst!r}")
+        return lead + reconstruct_path(prev, root, dst)
+
+    def route_tables(
+        self,
+        sources: Iterable[str],
+        destinations: Sequence[str],
+        strict: bool,
+        links: Optional[Mapping[str, Any]] = None,
+    ) -> Dict[str, Dict[str, Any]]:
+        """``{src: {dst: first-hop link}}`` for every source.
+
+        Each table lists the reachable ``destinations`` (never ``src``
+        itself) in the order given.  With ``strict`` an unreachable
+        destination raises :class:`RoutingError`; otherwise it is left
+        out of the table, and a source without any outgoing link gets an
+        empty one.  A first hop is given by its link name, or as
+        ``links[name]`` when ``links`` is passed (a topology passes its
+        link objects so the tables are filled once, not translated).
+        """
+        adjacency = self.adjacency
+        resolve = (lambda name: name) if links is None else links.__getitem__
+        wanted = set(destinations)
+        tables: Dict[str, Dict[str, Any]] = {}
+        #: Per neighbour: the destinations a single-link node behind it
+        #: reaches (shared by every such node, e.g. all edges of one core).
+        behind: Dict[str, List[str]] = {}
+        for src in sources:
+            if src not in adjacency:
+                raise RoutingError(f"unknown source node {src!r}")
+            out = adjacency[src]
+            if len(out) == 1:
+                neighbor, _cost, link_name = out[0]
+                reached = behind.get(neighbor)
+                if reached is None:
+                    onward = self.tree(neighbor).first_hop
+                    reached = behind[neighbor] = [
+                        dst for dst in destinations if dst == neighbor or dst in onward
+                    ]
+                routes = dict.fromkeys(reached, resolve(link_name))
+                routes.pop(src, None)
+            elif out:
+                first_hop = self.tree(src).first_hop
+                routes = {
+                    dst: resolve(first_hop[dst])
+                    for dst in destinations
+                    if dst in first_hop
+                }
+            else:
+                routes = {}
+            if strict and len(routes) != len(wanted) - (src in wanted):
+                missing = next(
+                    dst for dst in destinations if dst != src and dst not in routes
+                )
+                raise RoutingError(f"no path from {src!r} to {missing!r}")
+            tables[src] = routes
+        return tables
+
+    def equal_cost_tables(
+        self, tables: Mapping[str, Mapping[str, Any]]
+    ) -> Dict[str, Dict[str, Tuple[str, ...]]]:
+        """ECMP candidate link names for the entries of ``tables``.
+
+        ``{src: {dst: (link name, ...)}}`` holding only the destinations
+        with two or more equal-cost first hops, candidates ordered as
+        :func:`equal_cost_next_hops` orders them.
+        """
+        adjacency = self.adjacency
+        ecmp_tables: Dict[str, Dict[str, Tuple[str, ...]]] = {}
+        for src, routes in tables.items():
+            ecmp: Dict[str, Tuple[str, ...]] = {}
+            out = adjacency[src]
+            if len(out) >= 2:
+                # A dead-end neighbour is a candidate only as the
+                # destination itself, which needs no distance map: offer
+                # it for that one destination and root no tree at it.
+                transit: List[Tuple[str, float, str]] = []
+                dead_ends: Dict[str, List[Tuple[str, float, str]]] = {}
+                for hop in out:
+                    if _leads_only_back(adjacency, hop[0], src):
+                        dead_ends.setdefault(hop[0], []).append(hop)
+                    else:
+                        transit.append(hop)
+                dist_maps = {src: self.tree(src).dist}
+                for neighbor, _cost, _link in transit:
+                    dist_maps[neighbor] = self.tree(neighbor).dist
+                for dst in routes:
+                    hops = equal_cost_next_hops(
+                        {src: transit + dead_ends.get(dst, [])}, src, dst, dist_maps
+                    )
+                    if len(hops) >= 2:
+                        ecmp[dst] = tuple(link_name for _neighbor, link_name in hops)
+            ecmp_tables[src] = ecmp
+        return ecmp_tables

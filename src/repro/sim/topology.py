@@ -25,14 +25,14 @@ per-destination candidate sets from
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.sim.engine import Simulator
 from repro.sim.link import BoundaryLink, Link
 from repro.sim.node import Node, Router
 from repro.sim.queues import DropTailQueue, FifoQueue
-from repro.sim.routing import equal_cost_next_hops, reconstruct_path, shortest_paths
+from repro.sim.routing import PathCache
 
 ROUTING_MODES = ("static", "ecmp", "ecmp_flowlet")
 
@@ -54,8 +54,10 @@ class Topology:
         self.nodes: Dict[str, Node] = {}
         self.links: Dict[str, Link] = {}
         self._routes_built = False
-        # Cached per-source Dijkstra results, keyed by source node name.
-        self._dijkstra: Dict[str, Tuple[Dict[str, float], Dict[str, Tuple[str, str]]]] = {}
+        #: The adjacency snapshot path queries are answered over, with the
+        #: shortest-path trees computed on it so far.  Taken at every route
+        #: (re)build, so queries always agree with the installed tables.
+        self._paths: Optional[PathCache] = None
         #: Destination names the tables cover (remembered for rebuilds).
         self._destinations: List[str] = []
         self.routing_mode = "static"
@@ -171,7 +173,7 @@ class Topology:
 
     def _invalidate(self) -> None:
         self._routes_built = False
-        self._dijkstra.clear()
+        self._paths = None
 
     # -- routing ----------------------------------------------------------
 
@@ -213,7 +215,7 @@ class Topology:
             if dst_name not in self.nodes:
                 raise TopologyError(f"unknown destination {dst_name!r}")
         self._destinations = dest_names
-        self._install_routes(self._adjacency(), dest_names, strict=True)
+        self._install_live_routes(strict=True)
         self._routes_built = True
 
     def rebuild_routes(self) -> None:
@@ -227,69 +229,52 @@ class Topology:
         """
         if not self._routes_built:
             raise TopologyError("rebuild_routes() before build_routes()")
-        self._install_routes(self._adjacency(), self._destinations, strict=False)
+        self._install_live_routes(strict=False)
 
-    def _install_routes(
-        self,
-        adjacency: Dict[str, List[Tuple[str, float, str]]],
-        dest_names: List[str],
-        strict: bool,
+    def _install_live_routes(self, strict: bool) -> None:
+        self._paths = None  # fresh snapshot of the live adjacency
+        self.install_routes_over(self._path_cache(), self._destinations, strict)
+
+    def install_routes_over(
+        self, paths: PathCache, dest_names: Sequence[str], strict: bool
     ) -> None:
-        self._dijkstra.clear()
-        tables: Dict[str, Dict[str, Link]] = {}
-        for src_name, node in self.nodes.items():
-            if not isinstance(node, Router):
-                continue
-            dist, prev = shortest_paths(adjacency, src_name)
-            self._dijkstra[src_name] = (dist, prev)
-            routes: Dict[str, Link] = {}
-            for dst_name in dest_names:
-                if dst_name == src_name:
-                    continue
-                if dst_name not in prev:
-                    if strict:
-                        reconstruct_path(prev, src_name, dst_name)  # raises
-                    continue
-                path = reconstruct_path(prev, src_name, dst_name)
-                routes[dst_name] = self.links[path[0]]
-            tables[src_name] = routes
+        """Build every router's table over ``paths`` and swap it in.
+
+        ``paths`` is a snapshot of this topology's own live adjacency for
+        a serial cloud; a PDES partition passes the global shadow graph's
+        instead.  A router's first hop is always one of its own links, so
+        the names resolve here either way.
+        """
+        routers = [
+            name for name, node in self.nodes.items() if isinstance(node, Router)
+        ]
+        links = self.links
+        tables = paths.route_tables(routers, dest_names, strict, links=links)
         if self.routing_mode == "static":
             for src_name, routes in tables.items():
                 self.nodes[src_name].install_routes(routes)
             return
-        # ECMP needs the distance map rooted at every node (candidates
-        # test "is this neighbor on *some* shortest path", and neighbors
-        # include non-router nodes like TCP hosts).
-        dist_maps: Dict[str, Dict[str, float]] = {}
-        for name in self.nodes:
-            cached = self._dijkstra.get(name)
-            dist_maps[name] = (
-                cached[0] if cached is not None else shortest_paths(adjacency, name)[0]
-            )
         flowlet = self.flowlet_packets if self.routing_mode == "ecmp_flowlet" else 0
-        for src_name, routes in tables.items():
-            ecmp: Dict[str, Tuple[Link, ...]] = {}
-            for dst_name in routes:
-                hops = equal_cost_next_hops(adjacency, src_name, dst_name, dist_maps)
-                if len(hops) >= 2:
-                    ecmp[dst_name] = tuple(
-                        self.links[link_name] for _neighbor, link_name in hops
-                    )
-            self.nodes[src_name].install_multipath_routes(routes, ecmp, flowlet)
+        for src_name, ecmp in paths.equal_cost_tables(tables).items():
+            self.nodes[src_name].install_multipath_routes(
+                tables[src_name],
+                {
+                    dst_name: tuple(links[link_name] for link_name in candidates)
+                    for dst_name, candidates in ecmp.items()
+                },
+                flowlet,
+            )
 
-    def _dijkstra_from(self, src: str) -> Tuple[Dict[str, float], Dict[str, Tuple[str, str]]]:
-        if src not in self.nodes:
-            raise TopologyError(f"unknown node {src!r}")
-        cached = self._dijkstra.get(src)
-        if cached is None:
-            cached = shortest_paths(self._adjacency(), src)
-            self._dijkstra[src] = cached
-        return cached
+    def _path_cache(self) -> PathCache:
+        if self._paths is None:
+            self._paths = PathCache(self._adjacency())
+        return self._paths
 
     def path_links(self, src: str, dst: str) -> List[Link]:
         """Links along the shortest path ``src -> dst``."""
-        _dist, prev = self._dijkstra_from(src)
-        return [self.links[name] for name in reconstruct_path(prev, src, dst)]
+        if src not in self.nodes:
+            raise TopologyError(f"unknown node {src!r}")
+        return [self.links[name] for name in self._path_cache().path(src, dst)]
 
     def path_delay(self, src: str, dst: str) -> float:
         """Total propagation delay along the shortest path ``src -> dst``."""

@@ -205,3 +205,68 @@ class TestOneFlowPerEdge:
                 ingress_flows += len(edge.ingress_flow_ids())
         # Serial + the two partitions each attach all 8 flows exactly once.
         assert ingress_flows == 2 * 8
+
+
+class TestRouteBuildScalesWithTransitRouters:
+    """A cloud of single-uplink edge routers around a few cores must cost
+    one shortest-path computation per core: every edge's table and every
+    edge-rooted path query (routability check, flow paths, control
+    delays) is read off its core's tree.  Pinned by counting the routine
+    so a return to one Dijkstra per edge fails here, not in a benchmark.
+    """
+
+    FLOWS = 256
+
+    @pytest.fixture
+    def roots(self, monkeypatch):
+        """``[(graph id, source), ...]`` of every tree computed."""
+        from repro.sim import routing
+
+        calls = []
+        real = routing.shortest_path_tree
+
+        def counting(adjacency, source):
+            calls.append((id(adjacency), source))
+            return real(adjacency, source)
+
+        monkeypatch.setattr(routing, "shortest_path_tree", counting)
+        return calls
+
+    def _builder(self, **kwargs):
+        spec = TopologySpec.chain(8, capacity_pps=4000.0)
+        builder = CloudBuilder(spec, scheme="corelite", seed=0, **kwargs)
+        for fid in range(1, self.FLOWS + 1):
+            ingress = fid % 8
+            builder.add_flow(
+                flow_id=fid,
+                ingress_core=f"C{ingress + 1}",
+                egress_core=f"C{(ingress + 1 + fid % 7) % 8 + 1}",
+            )
+        return builder, set(spec.cores)
+
+    def test_serial_build_runs_one_dijkstra_per_core(self, roots):
+        builder, cores = self._builder()
+        cloud = builder.build()
+        assert len(cloud.edges) == 2 * self.FLOWS
+        assert sorted(source for _graph, source in roots) == sorted(cores)
+        cloud.reference_rates()  # flow paths: answered from the same trees
+        assert len(roots) == len(cores)
+
+    def test_inline_two_partition_build_runs_one_dijkstra_per_core(self, roots):
+        builder, cores = self._builder(partitions=2, pdes_mode="inline")
+        session = builder.build_parallel().start()
+        try:
+            # One whole-topology graph each: the coordinator and two workers.
+            graphs = {graph for graph, _source in roots}
+            assert len(graphs) == 3
+            assert len(set(roots)) == len(roots)  # nothing computed twice
+            assert {source for _graph, source in roots} == cores
+            for worker in session.workers:
+                rooted = {
+                    source
+                    for graph, source in roots
+                    if graph == id(worker.shadow.adjacency)
+                }
+                assert rooted == cores
+        finally:
+            session.close()

@@ -306,6 +306,56 @@ class TestTwoPartitionChainEquivalence:
         )
         assert_identical(serial, parallel)
 
+    @pytest.mark.parametrize("shape", ["chain", "leaf_spine_ecmp"])
+    def test_worker_tables_equal_serial_tables(self, shape):
+        # Workers build their tables with the serial builder over the
+        # shadow graph; every local router must end up with the serial
+        # router's table: same destinations, same order, same links.
+        def tables(cloud):
+            return {
+                name: (
+                    [(dst, link.name) for dst, link in node._routes.items()],
+                    [
+                        (dst, [link.name for link in links])
+                        for dst, links in node._ecmp_routes.items()
+                    ],
+                )
+                for name, node in cloud.topology.nodes.items()
+            }
+
+        if shape == "chain":
+            spec, flows = TopologySpec.chain(4), chain_flows()
+        else:
+            spec = TopologySpec.leaf_spine(leaves=2, spines=2)
+            flows = [
+                FlowPathSpec(1, weight=1.0, ingress_core="L1", egress_core="L2"),
+                FlowPathSpec(2, weight=2.0, ingress_core="L2", egress_core="L1"),
+            ]
+
+        def builder():
+            b = CloudBuilder(spec, scheme="corelite", seed=7)
+            b.add_flows(flows)
+            return b
+
+        serial = tables(builder().build())
+        b = builder()
+        b.partitions = 2
+        b.pdes_mode = "inline"
+        session = b.build_parallel().start()
+        try:
+            local = [tables(worker.cloud) for worker in session.workers]
+        finally:
+            session.close()
+        assert set(local[0]) | set(local[1]) == set(serial)
+        assert not set(local[0]) & set(local[1])
+        for worker_tables in local:
+            for name, table in worker_tables.items():
+                assert table == serial[name], name
+                assert table[0], name
+        if shape == "leaf_spine_ecmp":
+            both_spines = ["L1->S1", "L1->S2"]
+            assert serial["L1"][1] == [("Eout1", both_spines), ("Ein2", both_spines)]
+
     def test_csfq_loss_notifications_cross_the_cut(self):
         # Unresponsive overload: egress loss notifications must travel
         # back across the partition boundary to throttle the sources.

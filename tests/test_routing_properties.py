@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.topospec import FlowPathSpec, LinkSpec, TopologySpec
 from repro.sim.dynamics import NetworkEvent
@@ -16,6 +19,7 @@ from repro.sim.engine import Simulator
 from repro.sim.node import Router, _ecmp_index
 from repro.sim.routing import (
     HOP_BIAS,
+    PathCache,
     equal_cost_next_hops,
     reconstruct_path,
     shortest_paths,
@@ -138,6 +142,111 @@ def test_dijkstra_route_is_insertion_order_independent():
                 source,
                 dest,
             )
+
+
+def attach_leaves(rng, names, adjacency, n_leaves, *, quantize=False):
+    """Hang ``n_leaves`` single-uplink nodes off the graph, in place.
+
+    Most leaves are duplex (the edge-router shape), some hang off another
+    leaf, some have only the uplink (nothing routes *to* them), some only
+    the downlink (no way out at all), and one in six points its uplink
+    onward to a second node, which makes it a one-way transit.
+    """
+    def cost():
+        return rng.choice([1.0, 2.0, 4.0]) if quantize else rng.uniform(0.5, 5.0)
+
+    names = list(names)
+    for index in range(n_leaves):
+        leaf = f"E{index}"
+        parent = rng.choice(names)
+        adjacency[leaf] = []
+        shape = rng.randrange(6)
+        if shape != 4:
+            adjacency[leaf].append((parent, cost(), f"{leaf}->{parent}"))
+        if shape not in (3, 5):
+            adjacency[parent].append((leaf, cost(), f"{parent}->{leaf}"))
+        if shape == 5:
+            feeder = rng.choice([name for name in names if name != parent])
+            adjacency[feeder].append((leaf, cost(), f"{feeder}->{leaf}"))
+        names.append(leaf)
+    for entries in adjacency.values():
+        entries.sort()
+    return names
+
+
+def oracle_first_hops(adjacency, names):
+    """``{src: {dst: first hop}}`` and the trees, by one Dijkstra and one
+    path walk per pair — the algorithm :class:`PathCache` replaced."""
+    trees = {name: shortest_paths(adjacency, name) for name in names}
+    tables = {
+        src: {
+            dst: reconstruct_path(trees[src][1], src, dst)[0]
+            for dst in names
+            if dst != src and dst in trees[src][1]
+        }
+        for src in names
+    }
+    return tables, trees
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 8),
+    extra_edges=st.integers(0, 6),
+    n_leaves=st.integers(0, 8),
+    quantize=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_path_cache_tables_equal_all_pairs_dijkstra(
+    seed, n_nodes, extra_edges, n_leaves, quantize
+):
+    """Tables read off the neighbour's tree equal per-source Dijkstra:
+    same reachable destinations, same order, same first hop — and a tree
+    is only ever rooted at a node with a choice, or next to one without."""
+    rng = random.Random(seed)
+    core, adjacency = random_connected_adjacency(
+        rng, n_nodes, extra_edges, quantize=quantize
+    )
+    names = attach_leaves(rng, core, adjacency, n_leaves, quantize=quantize)
+    expected, trees = oracle_first_hops(adjacency, names)
+
+    cache = PathCache(adjacency)
+    tables = cache.route_tables(names, names, strict=False)
+    assert list(tables) == names
+    for src in names:
+        assert list(tables[src].items()) == list(expected[src].items()), src
+    single = {name for name in names if len(adjacency[name]) == 1}
+    behind = {adjacency[name][0][0] for name in single}
+    assert set(cache._trees) <= {
+        name for name in names if len(adjacency[name]) >= 2
+    } | behind
+
+    # ECMP candidates never need a dead-end neighbour's distance map:
+    # same sets as testing every neighbour against every node's map.
+    dist_maps = {name: trees[name][0] for name in names}
+    ecmp = cache.equal_cost_tables(tables)
+    for src in names:
+        for dst in tables[src]:
+            hops = equal_cost_next_hops(adjacency, src, dst, dist_maps)
+            wanted = tuple(link for _n, link in hops) if len(hops) >= 2 else None
+            assert ecmp[src].get(dst) == wanted, (src, dst)
+
+    # A path leaves on the table's first hop and costs the optimum; with
+    # continuous costs shortest paths are unique, so it is *the* path.
+    costs = {link: c for entries in adjacency.values() for _n, c, link in entries}
+    for src in names:
+        for dst in names:
+            if dst == src:
+                assert cache.path(src, dst) == []
+                continue
+            if dst not in expected[src]:
+                continue
+            path = cache.path(src, dst)
+            assert path[0] == expected[src][dst]
+            biased = sum(costs[link] for link in path) + HOP_BIAS * len(path)
+            assert abs(biased - trees[src][0][dst]) < 1e-9
+            if not quantize:
+                assert path == reconstruct_path(trees[src][1], src, dst)
 
 
 def test_removed_links_are_never_routed_through():
