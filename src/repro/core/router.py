@@ -186,6 +186,10 @@ class CoreliteCoreRouter(Router):
             out_link = self.route_for_packet(packet)
         else:
             out_link = self._routes.get(packet.dst)
+            if out_link is None:
+                # Not a table hit: a core down to one live out-link holds
+                # an uplink instead, and must still observe its markers.
+                out_link = self.route_for(packet.dst)
         if out_link is None:
             # Defer to forward() for the drop-vs-raise decision.  (Safe
             # under multipath: a None here means no candidate set either,

@@ -1,11 +1,19 @@
 """Nodes and routers.
 
 A :class:`Node` is anything that can receive packets from a link.  A
-:class:`Router` additionally owns a forwarding table mapping *destination
-edge router names* to output links; the table is filled in by
+:class:`Router` additionally owns forwarding state mapping *destination
+edge router names* to output links; it is filled in by
 :meth:`repro.sim.topology.Topology.build_routes` and atomically replaced
 by :meth:`repro.sim.topology.Topology.rebuild_routes` when the topology
 changes mid-run.
+
+Only a router with a routing *choice* holds a table.  One with a single
+live out-link (every edge router, every host) holds that uplink and a
+``reach`` set — the destinations its neighbour delivers to, one frozenset
+shared by all routers behind that neighbour — so forwarding state grows
+with transit routers x destinations.  ``reach`` is exact, not a bare
+default route: a packet for an unreachable destination still dies (and
+is counted) at this router, as it would against a full table.
 
 Core routers in both Corelite and CSFQ subclass :class:`Router`: the paper's
 "simple forwarding behavior" is exactly this class, and the per-scheme
@@ -30,7 +38,7 @@ a reroute changes the candidate sets, not the spraying state.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.sim.packet import Packet
@@ -70,11 +78,15 @@ class Node:
 
 
 class Router(Node):
-    """A node with a next-hop forwarding table (single- or multi-path)."""
+    """A node with next-hop forwarding state: a table, or one uplink."""
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self._routes: Dict[str, "Link"] = {}
+        #: Single-uplink form: every destination in ``_reach`` (other
+        #: than this router) without an explicit entry leaves on ``_uplink``.
+        self._uplink: Optional["Link"] = None
+        self._reach: FrozenSet[str] = frozenset()
         #: destination -> equal-cost next-hop links (only len >= 2 entries).
         self._ecmp_routes: Dict[str, Tuple["Link", ...]] = {}
         #: flow_id -> [data packets in current flowlet, flowlet index].
@@ -82,7 +94,7 @@ class Router(Node):
         self._flowlet_packets = 0
         self._ecmp_salt = 0
         #: True only when some destination actually has >= 2 candidates;
-        #: the single-path per-packet lookup stays a bare dict get.
+        #: the single-path per-packet lookup never enters the spray code.
         self.multipath = False
         #: Drop (and count) packets with no route instead of raising —
         #: enabled by the dynamics layer, where a failure can legally
@@ -95,14 +107,32 @@ class Router(Node):
         self._routes[dst_name] = link
 
     def route_for(self, dst_name: str) -> Optional["Link"]:
-        """Primary next-hop link toward ``dst_name``, or None if unknown."""
-        return self._routes.get(dst_name)
+        """Next hop toward ``dst_name`` or None — the one rule every forwarder
+        uses: an explicit entry, else the uplink iff ``dst_name`` is in reach."""
+        link = self._routes.get(dst_name)
+        if link is None and dst_name in self._reach and dst_name != self.name:
+            return self._uplink
+        return link
+
+    def routes(self) -> Dict[str, "Link"]:
+        """The effective ``{destination: next hop}``, materialised and
+        sorted by destination — for tests and debugging, never per packet."""
+        names = sorted(self._reach.union(self._routes))
+        return {dst: self.route_for(dst) for dst in names if dst != self.name}
 
     # -- table installation (atomic swaps) --------------------------------
 
-    def install_routes(self, routes: Mapping[str, "Link"]) -> None:
-        """Atomically replace the whole forwarding table (single-path)."""
+    def install_routes(
+        self,
+        routes: Mapping[str, "Link"],
+        uplink: Optional["Link"] = None,
+        reach: FrozenSet[str] = frozenset(),
+    ) -> None:
+        """Atomically replace the whole forwarding state (single-path);
+        a plain table install clears any ``uplink``/``reach`` held before."""
         self._routes = dict(routes)
+        self._uplink = uplink
+        self._reach = reach
         self._ecmp_routes = {}
         self.multipath = False
 
@@ -111,14 +141,16 @@ class Router(Node):
         routes: Mapping[str, "Link"],
         ecmp_routes: Mapping[str, Tuple["Link", ...]],
         flowlet_packets: int = 0,
+        uplink: Optional["Link"] = None,
+        reach: FrozenSet[str] = frozenset(),
     ) -> None:
-        """Atomically replace the table with ECMP candidate sets.
+        """Atomically replace the state with ECMP candidate sets.
 
         ``routes`` is the primary (deterministic tie-break) next hop per
         destination; ``ecmp_routes`` the per-destination equal-cost
         candidates.  ``flowlet_packets == 0`` means plain per-flow ECMP.
         """
-        self._routes = dict(routes)
+        self.install_routes(routes, uplink, reach)
         self._ecmp_routes = {
             dst: tuple(links)
             for dst, links in ecmp_routes.items()
@@ -161,7 +193,7 @@ class Router(Node):
                         packet.flow_id, flowlet, self._ecmp_salt, len(candidates)
                     )
                 ]
-        return self._routes.get(packet.dst)
+        return self.route_for(packet.dst)
 
     def forward(self, packet: Packet) -> bool:
         """Send ``packet`` toward its destination; False if it was dropped."""
@@ -172,7 +204,7 @@ class Router(Node):
         if self.multipath:
             link = self.route_for_packet(packet)
         else:
-            link = self._routes.get(packet.dst)
+            link = self.route_for(packet.dst)
         if link is None:
             if self.drop_unrouted:
                 if packet.size > 0.0:

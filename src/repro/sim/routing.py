@@ -20,9 +20,10 @@ rebuilds after a link event, and every PDES partition all use it): it
 holds one adjacency snapshot plus the shortest-path trees computed over
 it so far, and roots a tree only at nodes that have a routing *choice*.
 A node with exactly one outgoing link has its first hop forced, so its
-table and its paths are read off its neighbour's tree — build cost
-scales with the transit routers, not with the edge routers hanging off
-them.
+paths are read off its neighbour's tree and its whole table is one fact:
+that uplink, good for whatever the neighbour reaches
+(:class:`RouteTable`).  Build cost *and* forwarding state scale with the
+transit routers, not with the edge routers hanging off them.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import heapq
 from typing import (
     Any,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -45,6 +47,7 @@ from repro.errors import RoutingError
 __all__ = [
     "PathTree",
     "PathCache",
+    "RouteTable",
     "shortest_path_tree",
     "shortest_paths",
     "reconstruct_path",
@@ -78,6 +81,16 @@ class PathTree(NamedTuple):
     dist: Dict[str, float]
     prev: Dict[str, Tuple[str, str]]
     first_hop: Dict[str, str]
+
+
+class RouteTable(NamedTuple):
+    """One node's forwarding state: the next hop toward ``dst`` is
+    ``routes[dst]``, else ``uplink`` iff ``dst`` is in ``reach`` (and is
+    not the node itself), else there is none."""
+
+    routes: Dict[str, Any]
+    uplink: Any = None
+    reach: FrozenSet[str] = frozenset()
 
 
 def shortest_path_tree(adjacency: Adjacency, source: str) -> PathTree:
@@ -258,59 +271,66 @@ class PathCache:
         destinations: Sequence[str],
         strict: bool,
         links: Optional[Mapping[str, Any]] = None,
-    ) -> Dict[str, Dict[str, Any]]:
-        """``{src: {dst: first-hop link}}`` for every source.
+    ) -> Dict[str, RouteTable]:
+        """``{src: RouteTable}`` for every source.
 
-        Each table lists the reachable ``destinations`` (never ``src``
-        itself) in the order given.  With ``strict`` an unreachable
-        destination raises :class:`RoutingError`; otherwise it is left
-        out of the table, and a source without any outgoing link gets an
-        empty one.  A first hop is given by its link name, or as
-        ``links[name]`` when ``links`` is passed (a topology passes its
-        link objects so the tables are filled once, not translated).
+        A source with several outgoing links gets ``routes``, the first
+        hop per reachable destination (never ``src`` itself) in the order
+        given; a source with exactly one gets no entries, only that
+        ``uplink`` and its neighbour's ``reach`` set — one object shared
+        by every source behind that neighbour.  With ``strict`` an
+        unreachable destination raises :class:`RoutingError`; otherwise
+        it is not routed, and a source without any outgoing link routes
+        nothing.  A first hop is a link name, or ``links[name]`` when
+        ``links`` is passed (a topology passes its link objects so the
+        tables are filled once, not translated).
         """
         adjacency = self.adjacency
         resolve = (lambda name: name) if links is None else links.__getitem__
         wanted = set(destinations)
-        tables: Dict[str, Dict[str, Any]] = {}
+        tables: Dict[str, RouteTable] = {}
         #: Per neighbour: the destinations a single-link node behind it
         #: reaches (shared by every such node, e.g. all edges of one core).
-        behind: Dict[str, List[str]] = {}
+        behind: Dict[str, FrozenSet[str]] = {}
         for src in sources:
             if src not in adjacency:
                 raise RoutingError(f"unknown source node {src!r}")
             out = adjacency[src]
             if len(out) == 1:
                 neighbor, _cost, link_name = out[0]
-                reached = behind.get(neighbor)
-                if reached is None:
+                reach = behind.get(neighbor)
+                if reach is None:
                     onward = self.tree(neighbor).first_hop
-                    reached = behind[neighbor] = [
+                    reach = behind[neighbor] = frozenset(
                         dst for dst in destinations if dst == neighbor or dst in onward
-                    ]
-                routes = dict.fromkeys(reached, resolve(link_name))
-                routes.pop(src, None)
+                    )
+                table = RouteTable({}, resolve(link_name), reach)
             elif out:
                 first_hop = self.tree(src).first_hop
-                routes = {
-                    dst: resolve(first_hop[dst])
-                    for dst in destinations
-                    if dst in first_hop
-                }
+                table = RouteTable(
+                    {
+                        dst: resolve(first_hop[dst])
+                        for dst in destinations
+                        if dst in first_hop
+                    }
+                )
             else:
-                routes = {}
-            if strict and len(routes) != len(wanted) - (src in wanted):
+                table = RouteTable({})
+            routed = len(table.routes) + len(table.reach) - (src in table.reach)
+            if strict and routed != len(wanted) - (src in wanted):
                 missing = next(
-                    dst for dst in destinations if dst != src and dst not in routes
+                    dst
+                    for dst in destinations
+                    if dst != src and dst not in table.routes and dst not in table.reach
                 )
                 raise RoutingError(f"no path from {src!r} to {missing!r}")
-            tables[src] = routes
+            tables[src] = table
         return tables
 
     def equal_cost_tables(
-        self, tables: Mapping[str, Mapping[str, Any]]
+        self, tables: Mapping[str, RouteTable]
     ) -> Dict[str, Dict[str, Tuple[str, ...]]]:
-        """ECMP candidate link names for the entries of ``tables``.
+        """ECMP candidate link names for the explicit entries of ``tables``.
 
         ``{src: {dst: (link name, ...)}}`` holding only the destinations
         with two or more equal-cost first hops, candidates ordered as
@@ -318,7 +338,7 @@ class PathCache:
         """
         adjacency = self.adjacency
         ecmp_tables: Dict[str, Dict[str, Tuple[str, ...]]] = {}
-        for src, routes in tables.items():
+        for src, table in tables.items():
             ecmp: Dict[str, Tuple[str, ...]] = {}
             out = adjacency[src]
             if len(out) >= 2:
@@ -335,7 +355,7 @@ class PathCache:
                 dist_maps = {src: self.tree(src).dist}
                 for neighbor, _cost, _link in transit:
                     dist_maps[neighbor] = self.tree(neighbor).dist
-                for dst in routes:
+                for dst in table.routes:
                     hops = equal_cost_next_hops(
                         {src: transit + dead_ends.get(dst, [])}, src, dst, dist_maps
                     )

@@ -9,8 +9,9 @@ Dynamic routing contract: the adjacency only ever contains links that
 are currently up, :meth:`Topology.build_routes` performs the strict
 initial build (every declared destination must be reachable from every
 router), and :meth:`Topology.rebuild_routes` recomputes all tables
-against the live adjacency with an *atomic swap* — each router's table
-is replaced wholesale via :meth:`~repro.sim.node.Router.install_routes`,
+against the live adjacency with an *atomic swap* — each router's state
+(its table, or for a single-uplink router its uplink and reach set) is
+replaced wholesale via :meth:`~repro.sim.node.Router.install_routes`,
 never mutated entry by entry, so no packet forwards over a half-updated
 table.  Rebuilds are lenient: destinations a failure made unreachable
 are simply absent from the new tables (the routers' ``drop_unrouted``
@@ -238,7 +239,7 @@ class Topology:
     def install_routes_over(
         self, paths: PathCache, dest_names: Sequence[str], strict: bool
     ) -> None:
-        """Build every router's table over ``paths`` and swap it in.
+        """Build every router's forwarding state over ``paths`` and swap it in.
 
         ``paths`` is a snapshot of this topology's own live adjacency for
         a serial cloud; a PDES partition passes the global shadow graph's
@@ -251,18 +252,21 @@ class Topology:
         links = self.links
         tables = paths.route_tables(routers, dest_names, strict, links=links)
         if self.routing_mode == "static":
-            for src_name, routes in tables.items():
-                self.nodes[src_name].install_routes(routes)
+            for src_name, table in tables.items():
+                self.nodes[src_name].install_routes(*table)
             return
         flowlet = self.flowlet_packets if self.routing_mode == "ecmp_flowlet" else 0
         for src_name, ecmp in paths.equal_cost_tables(tables).items():
+            table = tables[src_name]
             self.nodes[src_name].install_multipath_routes(
-                tables[src_name],
+                table.routes,
                 {
                     dst_name: tuple(links[link_name] for link_name in candidates)
                     for dst_name, candidates in ecmp.items()
                 },
                 flowlet,
+                table.uplink,
+                table.reach,
             )
 
     def _path_cache(self) -> PathCache:
@@ -287,6 +291,13 @@ class Topology:
         return names
 
     # -- stats ---------------------------------------------------------
+
+    def route_entries(self) -> int:
+        """``destination -> link`` entries stored over all routers — the
+        forwarding twin of ``flow_state_entries()``.  A single-uplink
+        router adds none: its reach set is its neighbour's, shared."""
+        routers = (n for n in self.nodes.values() if isinstance(n, Router))
+        return sum(len(router._routes) for router in routers)
 
     def total_drops(self) -> int:
         """Data packets dropped anywhere in the network so far.

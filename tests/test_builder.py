@@ -20,6 +20,7 @@ from repro.experiments.network import (
     FlowSpec,
 )
 from repro.experiments.topospec import LinkSpec, TopologySpec
+from repro.sim.node import Router
 
 
 def two_flow_specs():
@@ -268,5 +269,58 @@ class TestRouteBuildScalesWithTransitRouters:
                     if graph == id(worker.shadow.adjacency)
                 }
                 assert rooted == cores
+        finally:
+            session.close()
+
+    # -- the state-count pin: what the build leaves behind ----------------
+
+    @staticmethod
+    def _two_core_cloud(flows, **kwargs):
+        spec = TopologySpec.chain(2, capacity_pps=4000.0)
+        builder = CloudBuilder(spec, scheme="corelite", seed=0, **kwargs)
+        for fid in range(1, flows + 1):
+            ingress, egress = ("C1", "C2") if fid % 2 else ("C2", "C1")
+            builder.add_flow(flow_id=fid, ingress_core=ingress, egress_core=egress)
+        return builder, set(spec.cores)
+
+    @staticmethod
+    def _assert_only_cores_hold_tables(topologies, cores, destinations):
+        """Forwarding state is cores x destinations, exactly; an edge holds
+        its uplink and its core's reach set — the same object as every
+        other edge of that core — and no entries of its own."""
+        assert sum(t.route_entries() for t in topologies) == len(cores) * destinations
+        edges = 0
+        for topology in topologies:
+            reach_behind = {}
+            for name, node in topology.nodes.items():
+                if not isinstance(node, Router):
+                    continue
+                if name in cores:
+                    assert len(node._routes) == destinations, name
+                    assert node._uplink is None and not node._reach, name
+                    assert len(set(map(id, node._routes.values()))) > 1, name
+                    continue
+                edges += 1
+                assert node._routes == {}, name
+                core = node._uplink.dst.name
+                assert core in cores, name
+                assert len(node._reach) == destinations, name
+                assert reach_behind.setdefault(core, node._reach) is node._reach, name
+        assert edges == destinations
+
+    @pytest.mark.parametrize("flows", [64, 256, 1024])
+    def test_serial_build_stores_cores_times_destinations_entries(self, flows):
+        builder, cores = self._two_core_cloud(flows)
+        cloud = builder.build()
+        assert cloud.topology.route_entries() == 2 * (2 * flows)
+        self._assert_only_cores_hold_tables([cloud.topology], cores, 2 * flows)
+
+    @pytest.mark.parametrize("flows", [64, 256, 1024])
+    def test_inline_two_partition_build_stores_the_same_entries(self, flows):
+        builder, cores = self._two_core_cloud(flows, partitions=2, pdes_mode="inline")
+        session = builder.build_parallel().start()
+        try:
+            topologies = [worker.cloud.topology for worker in session.workers]
+            self._assert_only_cores_hold_tables(topologies, cores, 2 * flows)
         finally:
             session.close()

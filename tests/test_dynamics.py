@@ -190,18 +190,18 @@ def test_rebuild_routes_excludes_failed_link(line_topology):
     topo.links["C->B"].fail()
     topo.rebuild_routes()
     # B has no route to C any more; A has no route to B's far side.
-    assert "C" not in a._routes
-    assert "C" not in b._routes
+    assert "C" not in a.routes()
+    assert "C" not in b.routes()
     topo.links["B->C"].recover()
     topo.links["C->B"].recover()
     topo.rebuild_routes()
-    assert a._routes["C"] is topo.links["A->B"]
+    assert a.routes()["C"] is topo.links["A->B"]
 
 
 def test_router_drop_unrouted_counts_data_only(line_topology):
     topo, a, b, c = line_topology
     a.drop_unrouted = True
-    a._routes = {}
+    a.install_routes({})  # blank the table (and the uplink: A has one link)
     assert a.forward(Packet.data(1, "A", "C", seq=0, now=0.0)) is False
     assert a.forward(Packet.marker(1, "A", "C", label=0.0, now=0.0)) is False
     assert a.unrouted_drops == 1

@@ -310,11 +310,12 @@ class TestTwoPartitionChainEquivalence:
     def test_worker_tables_equal_serial_tables(self, shape):
         # Workers build their tables with the serial builder over the
         # shadow graph; every local router must end up with the serial
-        # router's table: same destinations, same order, same links.
+        # router's effective table: same destinations, same links, same
+        # ECMP candidate order.
         def tables(cloud):
             return {
                 name: (
-                    [(dst, link.name) for dst, link in node._routes.items()],
+                    [(dst, link.name) for dst, link in node.routes().items()],
                     [
                         (dst, [link.name for link in links])
                         for dst, links in node._ecmp_routes.items()

@@ -5,14 +5,26 @@ nodes with two or more live links and reads every single-link node's
 table off its neighbour's tree.  The algorithm it replaced — one
 Dijkstra per router, one ``reconstruct_path`` walk per (router,
 destination), one distance map per node for ECMP — is kept here as the
-oracle, and the installed tables must equal it entry for entry: same
-keys, same key order, same link objects.
+oracle, and the installed forwarding state must equal it entry for
+entry: same destinations, same link objects, ECMP candidates in the same
+order.
+
+Only multi-link routers store those entries; a single-uplink router
+holds ``(uplink, reach)`` and answers through ``Router.route_for``.  The
+oracle stays fully materialised, and the *effective* next hop must equal
+it for every (router, destination) pair — ``None`` where the oracle has
+no route — so the representation can change again without these
+assertions changing meaning.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.config import CoreliteConfig
+from repro.core.router import CoreliteCoreRouter
+from repro.csfq.config import CsfqConfig
+from repro.csfq.router import CsfqCoreRouter
 from repro.errors import RoutingError, TopologyError
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.topospec import FlowPathSpec, LinkSpec, TopologySpec
@@ -20,15 +32,19 @@ from repro.sim.dynamics import NetworkEvent
 from repro.sim.engine import Simulator
 from repro.sim.node import Router
 from repro.sim.packet import Packet, PacketKind
+from repro.sim.rng import RngRegistry
 from repro.sim.routing import equal_cost_next_hops, reconstruct_path, shortest_paths
 from repro.sim.topology import ROUTING_MODES, Topology
+
+from .conftest import CollectorNode
 
 # -- the old algorithm, kept as the oracle --------------------------------------
 
 
 def oracle_tables(topology: Topology):
     """``{router: (routes, ecmp)}`` by per-source Dijkstra + path walks,
-    with ECMP candidates tested against a distance map for *every* node."""
+    with ECMP candidates tested against a distance map for *every* node.
+    Fully materialised: one link name per (router, reachable destination)."""
     adjacency = topology._adjacency()
     trees = {name: shortest_paths(adjacency, name) for name in topology.nodes}
     dist_maps = {name: dist for name, (dist, _prev) in trees.items()}
@@ -40,25 +56,48 @@ def oracle_tables(topology: Topology):
         routes = {}
         for dst in topology._destinations:
             if dst != src and dst in prev:
-                routes[dst] = topology.links[reconstruct_path(prev, src, dst)[0]]
+                routes[dst] = reconstruct_path(prev, src, dst)[0]
         ecmp = {}
         if topology.routing_mode != "static":
             for dst in routes:
                 hops = equal_cost_next_hops(adjacency, src, dst, dist_maps)
                 if len(hops) >= 2:
-                    ecmp[dst] = tuple(topology.links[name] for _n, name in hops)
+                    ecmp[dst] = tuple(name for _n, name in hops)
         expected[src] = (routes, ecmp)
     return expected, trees
 
 
+def assert_effective_next_hops(router, routes, ecmp, destinations, links) -> None:
+    """``router`` forwards exactly as the materialised ``routes`` would:
+    same next hop for every destination, ``None`` where there is none."""
+    src = router.name
+    wanted = {dst: links[name] for dst, name in routes.items()}
+    installed = router.routes()
+    assert list(installed) == sorted(wanted), src
+    assert all(link is wanted[dst] for dst, link in installed.items()), src
+    for dst in destinations:
+        assert router.route_for(dst) is wanted.get(dst), (src, dst)
+        if dst not in ecmp:
+            probe = Packet(PacketKind.DATA, flow_id=1, src=src, dst=dst)
+            assert router.route_for_packet(probe) is wanted.get(dst), (src, dst)
+    assert src not in wanted and router.route_for(src) is None, src
+    assert [
+        (dst, tuple(link.name for link in candidates))
+        for dst, candidates in router._ecmp_routes.items()
+    ] == list(ecmp.items()), src
+    assert router.multipath == bool(ecmp), src
+
+
 def assert_matches_oracle(topology: Topology) -> None:
     expected, trees = oracle_tables(topology)
+    adjacency = topology._adjacency()
     for src, (routes, ecmp) in expected.items():
         router = topology.nodes[src]
-        installed = list(router._routes.items())
-        assert [dst for dst, _ in installed] == list(routes), src
-        assert all(link is routes[dst] for dst, link in installed), src
-        assert list(router._ecmp_routes.items()) == list(ecmp.items()), src
+        assert_effective_next_hops(
+            router, routes, ecmp, topology._destinations, topology.links
+        )
+        if len(adjacency[src]) == 1:
+            assert router._routes == {}, src  # one uplink, never a table
         prev = trees[src][1]
         for dst in topology._destinations:
             try:
@@ -89,8 +128,10 @@ SPECS = {
 }
 
 
-def spread_flows(spec: TopologySpec):
-    """Two flows out of every core, so each core grows edge routers."""
+def spread_flows(spec: TopologySpec, tcp: bool = True):
+    """Two flows out of every core, so each core grows edge routers; with
+    ``tcp`` the first is a TCP flow, whose hosts are single-link routers
+    *and* destinations hanging off edges that then have two links."""
     cores = spec.core_names
     flows = []
     for index, core in enumerate(cores):
@@ -101,6 +142,7 @@ def spread_flows(spec: TopologySpec):
                     weight=1.0,
                     ingress_core=core,
                     egress_core=cores[(index + step) % len(cores)],
+                    transport="tcp" if tcp and not flows else "shaped",
                 )
             )
     return flows
@@ -123,7 +165,7 @@ def test_tables_equal_the_all_pairs_oracle_through_failure_and_recovery(shape, m
     topology = cloud.topology
     assert_matches_oracle(topology)
     before = {
-        name: list(node._routes.items())
+        name: node.routes()
         for name, node in topology.nodes.items()
         if isinstance(node, Router)
     }
@@ -138,7 +180,7 @@ def test_tables_equal_the_all_pairs_oracle_through_failure_and_recovery(shape, m
     assert cloud.dynamics.reroutes == 2
     assert_matches_oracle(topology)
     after = {
-        name: list(node._routes.items())
+        name: node.routes()
         for name, node in topology.nodes.items()
         if isinstance(node, Router)
     }
@@ -180,7 +222,7 @@ def test_single_link_router_routes_everything_over_its_uplink():
     topology = hub_and_leaves()
     topology.build_routes(destinations=["A", "B"])
     uplink = topology.links["A->H1"]
-    assert topology.nodes["A"]._routes == {"B": uplink}
+    assert topology.nodes["A"].routes() == {"B": uplink}
     assert [link.name for link in topology.path_links("A", "B")] == [
         "A->H1",
         "H1->H2",
@@ -197,18 +239,18 @@ def test_zero_link_router_is_an_error_on_the_strict_build():
     topology.add_link("H1", "Z", 500.0, 0.01)  # reachable, but no way out
     with pytest.raises(RoutingError, match="no path from 'Z' to 'A'"):
         topology.build_routes(destinations=["A", "B"])
-    assert all(not node._routes for node in topology.nodes.values())
+    assert all(not node.routes() for node in topology.nodes.values())
     # It is fine as long as nothing has to be reached from it.
     topology.build_routes(destinations=["Z"])
-    assert topology.nodes["Z"]._routes == {}
-    assert topology.nodes["A"]._routes == {"Z": topology.links["A->H1"]}
+    assert topology.nodes["Z"].routes() == {}
+    assert topology.nodes["A"].routes() == {"Z": topology.links["A->H1"]}
 
 
 def test_unknown_destination_raises_before_any_table_is_installed():
     topology = hub_and_leaves()
     with pytest.raises(TopologyError, match="unknown destination 'nowhere'"):
         topology.build_routes(destinations=["A", "nowhere"])
-    assert all(not node._routes for node in topology.nodes.values())
+    assert all(not node.routes() for node in topology.nodes.values())
 
 
 def test_edge_whose_only_link_is_down_gets_an_empty_table_and_drops():
@@ -221,9 +263,9 @@ def test_edge_whose_only_link_is_down_gets_an_empty_table_and_drops():
         topology.links[name].fail()
     topology.rebuild_routes()
     edge = topology.nodes["A"]
-    assert edge._routes == {}
-    assert topology.nodes["H1"]._routes == {"B": topology.links["H1->H2"]}
-    assert topology.nodes["B"]._routes == {}  # its only destination is gone
+    assert edge.routes() == {}
+    assert topology.nodes["H1"].routes() == {"B": topology.links["H1->H2"]}
+    assert topology.nodes["B"].routes() == {}  # its only destination is gone
     with pytest.raises(RoutingError, match="no path from 'A' to 'B'"):
         topology.path_links("A", "B")
     assert_matches_oracle(topology)
@@ -234,7 +276,7 @@ def test_edge_whose_only_link_is_down_gets_an_empty_table_and_drops():
     for name in ("A->H1", "H1->A"):
         topology.links[name].recover()
     topology.rebuild_routes()
-    assert edge._routes == {"B": topology.links["A->H1"]}
+    assert edge.routes() == {"B": topology.links["A->H1"]}
     assert_matches_oracle(topology)
 
 
@@ -255,7 +297,7 @@ def test_one_way_single_link_neighbour_is_still_a_transit_candidate():
         "S->V",
     ]
     onward = topology.links["V->T"]
-    assert topology.nodes["V"]._routes == {"T": onward, "S": onward}
+    assert topology.nodes["V"].routes() == {"S": onward, "T": onward}
     assert_matches_oracle(topology)
 
 
@@ -270,3 +312,193 @@ def test_disconnected_spec_still_names_the_flow():
         build = builder.build if partitions == 1 else builder.build_parallel
         with pytest.raises(TopologyError, match=r"flow 1: no route.*'A'.*'Y'.*islands"):
             build()
+
+
+# -- partition workers against the same oracle -----------------------------------
+
+
+@pytest.mark.parametrize("mode", ROUTING_MODES)
+@pytest.mark.parametrize("shape", sorted(SPECS))
+def test_inline_two_partition_workers_forward_as_the_serial_oracle_says(shape, mode):
+    """Every worker builds over the global shadow graph with the serial
+    builder; each local router's effective next hops must be the serial
+    oracle's, resolved to that worker's own link objects."""
+    factory, _cut = SPECS[shape]
+    spec = factory(routing_mode=mode)
+
+    def builder(**kwargs):
+        b = CloudBuilder(spec, scheme="corelite", seed=1, **kwargs)
+        b.add_flows(spread_flows(spec, tcp=False))
+        return b
+
+    serial = builder().build().topology
+    expected, _trees = oracle_tables(serial)
+    session = builder(partitions=2, pdes_mode="inline").build_parallel().start()
+    try:
+        seen = []
+        for worker in session.workers:
+            local = worker.cloud.topology
+            for name, node in local.nodes.items():
+                routes, ecmp = expected[name]
+                assert_effective_next_hops(
+                    node, routes, ecmp, serial._destinations, local.links
+                )
+                seen.append(name)
+        assert sorted(seen) == sorted(expected)  # each router in one partition
+    finally:
+        session.close()
+
+
+# -- the uplink form, case by case ------------------------------------------------
+
+
+def test_self_addressed_packet_still_raises_on_an_uplink_router():
+    topology = hub_and_leaves()
+    topology.build_routes(destinations=["A", "B"])
+    edge = topology.nodes["A"]
+    assert edge._routes == {} and "A" in edge._reach  # reach is H1's, A included
+    assert edge.route_for("A") is None
+    with pytest.raises(RoutingError, match="addressed to itself"):
+        edge.forward(Packet(PacketKind.DATA, flow_id=1, src="A", dst="A"))
+    with pytest.raises(RoutingError, match="A: no route toward 'nowhere'"):
+        edge.forward(Packet(PacketKind.DATA, flow_id=1, src="A", dst="nowhere"))
+
+
+def test_full_table_install_clears_the_uplink():
+    topology = hub_and_leaves()
+    topology.build_routes(destinations=["A", "B"])
+    edge = topology.nodes["A"]
+    assert edge.route_for("B") is topology.links["A->H1"]
+    edge.install_routes({})
+    assert edge.routes() == {} and edge.route_for("B") is None
+    edge.install_multipath_routes({"B": topology.links["A->H1"]}, {})
+    assert edge.routes() == {"B": topology.links["A->H1"]}
+    assert edge._uplink is None and not edge._reach
+
+
+def test_strict_build_on_islands_names_the_same_pair_from_an_uplink_router():
+    """The strict check of a single-link source is computed from its
+    reach set; the error must read as it did against a full table."""
+    topology = Topology(Simulator())
+    for name in ("A", "H1", "H2", "B", "X", "Y"):  # a leaf is checked first
+        topology.add_node(Router(name))
+    topology.add_duplex_link("H1", "H2", 500.0, 0.01)
+    topology.add_duplex_link("A", "H1", 500.0, 0.02)
+    topology.add_duplex_link("B", "H2", 500.0, 0.02)
+    topology.add_duplex_link("X", "Y", 500.0, 0.02)
+    with pytest.raises(RoutingError, match="^no path from 'A' to 'Y'$"):
+        topology.build_routes(destinations=["B", "A", "Y"])
+    assert all(not node.routes() for node in topology.nodes.values())
+    spec = TopologySpec(
+        links=(LinkSpec("A", "B", 500.0, 0.02), LinkSpec("X", "Y", 500.0, 0.02)),
+        name="islands",
+    )
+    builder = CloudBuilder(spec, scheme="corelite")
+    builder.add_flow(FlowPathSpec(1, weight=1.0, ingress_core="A", egress_core="B"))
+    builder.add_flow(FlowPathSpec(2, weight=1.0, ingress_core="X", egress_core="Y"))
+    with pytest.raises(
+        TopologyError, match="'islands' is disconnected: no path from 'A' to 'Ein2'"
+    ):
+        builder.build()
+
+
+def test_one_way_uplink_whose_neighbour_cannot_answer_passes_the_strict_build():
+    """``P -> H1`` only: nothing reaches ``P``, so it is not in its own
+    reach set — and must not be counted as missing from it."""
+    topology = hub_and_leaves()
+    topology.add_node(Router("P"))
+    topology.add_link("P", "H1", 500.0, 0.01)
+    with pytest.raises(RoutingError, match="no path from 'H1' to 'P'"):
+        topology.build_routes(destinations=["A", "B", "P"])
+    topology.build_routes(destinations=["A", "B"])
+    probe = topology.nodes["P"]
+    assert probe._reach is topology.nodes["A"]._reach  # both behind H1
+    assert probe.routes() == dict.fromkeys(["A", "B"], topology.links["P->H1"])
+    assert_matches_oracle(topology)
+
+
+# -- a core down to one out-link must not go blind ---------------------------------
+
+
+def _stub_core_topology(make_core):
+    """``C`` forwards to sink ``Eout`` over the slow ``C->D`` link and has
+    one spare duplex link ``C<->X``; with the spare down, ``C->D`` is its
+    only live out-link and it holds an uplink, not a table."""
+    sim = Simulator()
+    topology = Topology(sim)
+    core = make_core(sim)
+    for node in (core, Router("D"), Router("X"), CollectorNode("Eout", sim)):
+        topology.add_node(node)
+    topology.add_link("C", "D", 500.0, 0.0)
+    topology.add_link("D", "Eout", 5000.0, 0.0)
+    topology.add_duplex_link("C", "X", 500.0, 0.0)
+    topology.add_link("X", "D", 500.0, 0.0)  # X routes with the spare down too
+    spare = [topology.links["C->X"], topology.links["X->C"]]
+    for link in spare:
+        link.enable_dynamics()
+        link.fail()
+    topology.build_routes(destinations=["Eout"])
+    return topology, core, spare
+
+
+def _cycle_the_spare(topology, core, spare, pump, count):
+    """Stub at build -> recover -> fail again; ``count()`` must rise in
+    every phase, and the core must be in the form the phase implies."""
+    out = topology.links["C->D"]
+    for phase, single in (("built", True), ("recovered", False), ("failed", True)):
+        if phase == "recovered":
+            for link in spare:
+                link.recover()
+            topology.rebuild_routes()
+        elif phase == "failed":
+            for link in spare:
+                link.fail()
+            topology.rebuild_routes()
+        assert (core._uplink is out and not core._routes) == single, phase
+        assert core.route_for("Eout") is out, phase
+        before = count()
+        start = topology.sim.now
+        for k in range(8):
+            topology.sim.schedule_at(start + k * 0.05, pump)
+        topology.sim.run(until=start + 1.2)
+        assert count() > before, f"{phase}: core went blind"
+
+
+def test_corelite_core_with_one_live_out_link_still_emits_feedback():
+    feedback = []
+    topology, core, spare = _stub_core_topology(
+        lambda sim: CoreliteCoreRouter(
+            "C", sim, CoreliteConfig(), RngRegistry(0), send_feedback=feedback.append
+        )
+    )
+    machinery = core.enable_on_link(topology.links["C->D"])
+    sim = topology.sim
+
+    def pump():
+        for i in range(30):
+            core.receive(Packet.data(1, "Ein1", "Eout", i, sim.now), link=None)
+        for _ in range(10):
+            core.receive(Packet.marker(1, "Ein1", "Eout", label=10.0, now=sim.now), link=None)
+
+    _cycle_the_spare(topology, core, spare, pump, lambda: len(feedback))
+    assert machinery.selector.markers_seen == 3 * 8 * 10
+    assert {fb.feedback_from for fb in feedback} == {"C->D"}
+
+
+def test_csfq_core_with_one_live_out_link_still_drops_probabilistically():
+    topology, core, spare = _stub_core_topology(
+        lambda sim: CsfqCoreRouter("C", sim, CsfqConfig(), RngRegistry(0))
+    )
+    state = core.enable_on_link(topology.links["C->D"])
+    sim = topology.sim
+    seq = iter(range(10**6))
+
+    def pump():
+        for _ in range(40):
+            core.receive(
+                Packet.data(1, "Ein1", "Eout", next(seq), sim.now, label=2000.0),
+                link=None,
+            )
+
+    _cycle_the_spare(topology, core, spare, pump, lambda: state.prob_drops)
+    assert state.forwarded > 0

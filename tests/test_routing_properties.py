@@ -189,32 +189,62 @@ def oracle_first_hops(adjacency, names):
     return tables, trees
 
 
+def remove_links(rng, adjacency, n_removed):
+    """Drop ``n_removed`` random directed links, in place — the live
+    adjacency after failures.  One half of a duplex pair may go alone, so
+    this turns transit nodes into single-link, zero-link and one-way-link
+    nodes, and leaves some destinations unreachable."""
+    for _ in range(n_removed):
+        populated = sorted(name for name, entries in adjacency.items() if entries)
+        if not populated:
+            return
+        entries = adjacency[rng.choice(populated)]
+        entries.pop(rng.randrange(len(entries)))
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_nodes=st.integers(2, 8),
     extra_edges=st.integers(0, 6),
     n_leaves=st.integers(0, 8),
+    n_removed=st.integers(0, 10),
     quantize=st.booleans(),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_path_cache_tables_equal_all_pairs_dijkstra(
-    seed, n_nodes, extra_edges, n_leaves, quantize
+    seed, n_nodes, extra_edges, n_leaves, n_removed, quantize
 ):
-    """Tables read off the neighbour's tree equal per-source Dijkstra:
-    same reachable destinations, same order, same first hop — and a tree
+    """Forwarding state read off the neighbour's tree equals per-source
+    Dijkstra: a multi-link node's table entry for entry, and every
+    node's *effective* next hop — uplink/reach rule included — for every
+    destination, ``None`` exactly where the oracle has no route.  A tree
     is only ever rooted at a node with a choice, or next to one without."""
     rng = random.Random(seed)
     core, adjacency = random_connected_adjacency(
         rng, n_nodes, extra_edges, quantize=quantize
     )
     names = attach_leaves(rng, core, adjacency, n_leaves, quantize=quantize)
+    remove_links(rng, adjacency, n_removed)
     expected, trees = oracle_first_hops(adjacency, names)
 
     cache = PathCache(adjacency)
     tables = cache.route_tables(names, names, strict=False)
     assert list(tables) == names
+    shared = {}
     for src in names:
-        assert list(tables[src].items()) == list(expected[src].items()), src
+        table = tables[src]
+        if len(adjacency[src]) == 1:
+            neighbor, _cost, link = adjacency[src][0]
+            assert table.routes == {} and table.uplink == link, src
+            assert shared.setdefault(neighbor, table.reach) is table.reach, src
+        else:
+            assert list(table.routes.items()) == list(expected[src].items()), src
+            assert table.uplink is None and not table.reach, src
+        router = Router(src)
+        router.install_routes(*table)
+        assert router.routes() == expected[src], src
+        for dst in names:
+            assert router.route_for(dst) == expected[src].get(dst), (src, dst)
     single = {name for name in names if len(adjacency[name]) == 1}
     behind = {adjacency[name][0][0] for name in single}
     assert set(cache._trees) <= {
@@ -226,7 +256,7 @@ def test_path_cache_tables_equal_all_pairs_dijkstra(
     dist_maps = {name: trees[name][0] for name in names}
     ecmp = cache.equal_cost_tables(tables)
     for src in names:
-        for dst in tables[src]:
+        for dst in expected[src]:
             hops = equal_cost_next_hops(adjacency, src, dst, dist_maps)
             wanted = tuple(link for _n, link in hops) if len(hops) >= 2 else None
             assert ecmp[src].get(dst) == wanted, (src, dst)
@@ -297,7 +327,7 @@ def test_removed_links_are_never_routed_through():
 
         for router_name in names:
             router = topo.nodes[router_name]
-            for link in router._routes.values():
+            for link in router.routes().values():
                 assert link.name not in dead, (seed, router_name, link.name)
             for links in router._ecmp_routes.values():
                 for link in links:
@@ -320,7 +350,7 @@ def test_cloud_ecmp_routes_respect_spec_events():
     dead = {"L1->S1", "S1->L1"}
     for router_name in ("L1", "L2", "S1", "S2"):
         router = cloud.topology.nodes[router_name]
-        for link in router._routes.values():
+        for link in router.routes().values():
             assert link.name not in dead
         for links in router._ecmp_routes.values():
             assert all(link.name not in dead for link in links)
