@@ -48,10 +48,13 @@ class MarkerCacheFeedback:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def observe(self, flow_id: int, origin_edge: str, label: float, now: float) -> None:
-        """Copy a traversing marker into the cache (oldest entry evicted)."""
-        self.markers_seen += 1
-        self._cache.append((flow_id, origin_edge, label))
+    def observe(
+        self, flow_id: int, origin_edge: str, label: float, now: float, count: int = 1
+    ) -> None:
+        """Copy ``count`` traversing markers with one label (a train's
+        piggybacked markers) into the cache, oldest entries evicted."""
+        self.markers_seen += count
+        self._cache.extend(((flow_id, origin_edge, label),) * count)
 
     def on_epoch(self, n_markers: int, now: float) -> int:
         """Congestion epoch boundary: echo ``n_markers`` random cache entries.

@@ -584,7 +584,7 @@ class CoreliteEdge(Router):
         except KeyError:
             raise FlowError(f"{self.name}: unknown egress flow {flow_id}") from None
 
-    def _deliver_local(self, packet: Packet) -> None:
+    def _deliver_local(self, packet: Packet, link) -> None:
         slot = self._egress_index.get(packet.flow_id)
         state = self._egress_flows[slot] if slot is not None else None
         if state is None:
@@ -601,7 +601,7 @@ class CoreliteEdge(Router):
         if packet.kind is not _DATA:
             return
         if packet.count != 1:
-            self._deliver_train(state, packet)
+            self._deliver_train(state, packet, link)
             return
         if packet.origin_edge is not None:
             # A piggybacked marker (batched control plane) rode this data
@@ -624,7 +624,7 @@ class CoreliteEdge(Router):
         if pool is not None:
             pool.release(packet)
 
-    def _deliver_train(self, state: _EgressFlow, train: Packet) -> None:
+    def _deliver_train(self, state: _EgressFlow, train: Packet, link) -> None:
         """Egress sweep for a whole train: one pass of bulk bookkeeping.
 
         The loss detector works off the head sequence number exactly as it
@@ -641,12 +641,10 @@ class CoreliteEdge(Router):
         # A restarted flow re-begins at seq 0; backward jumps reset.
         state.expected_seq = head + n if head >= (expected or 0) else 1
         state.meter.record(n)
-        base = max(0.0, self.sim.now - train.created_at)
-        lags = train.member_lags
-        if lags is None:
-            state.delay.record_many(base, n)
-        else:
-            state.delay.record_train(base, lags)
+        # Members left the last link one serialization time apart (a train
+        # handed over without a link, in unit tests, has no spacing).
+        spacing = 0.0 if link is None else 1.0 / link.bandwidth_pps
+        state.delay.record_train(max(0.0, self.sim.now - train.created_at), n, spacing)
         micro_delivered = state.micro_delivered
         micro_ids = train.micro_ids
         if micro_ids is None:
@@ -663,7 +661,7 @@ class CoreliteEdge(Router):
 
     def receive(self, packet: Packet, link) -> None:
         if packet.dst == self.name:
-            self._deliver_local(packet)
+            self._deliver_local(packet, link)
             return
         if packet.kind is _DATA:
             # Ingress role for external flows: host-originated packets are

@@ -211,14 +211,11 @@ class CoreliteCoreRouter(Router):
                 if machinery.parked_at is not None:
                     self._note_parked_marker(machinery, markers)
                 observe = machinery.selector.observe
-                flow_id = packet.flow_id
                 origin = packet.origin_edge or packet.src
-                label = packet.label
-                now = self.sim.now
-                observe(flow_id, origin, label, now)
-                if markers != 1:
-                    for _ in range(markers - 1):
-                        observe(flow_id, origin, label, now)
+                if markers == 1:
+                    observe(packet.flow_id, origin, packet.label, self.sim.now)
+                else:
+                    observe(packet.flow_id, origin, packet.label, self.sim.now, markers)
         out_link.send(packet)
 
     # -- congestion epoch -------------------------------------------------

@@ -78,29 +78,34 @@ class SelectiveFeedback:
         self.feedback_sent = 0
         self.swaps = 0
 
-    def observe(self, flow_id: int, origin_edge: str, label: float, now: float) -> None:
-        """Process one traversing marker: update ``rav`` and maybe echo it."""
-        self.markers_seen += 1
-        self._epoch_marker_count += 1
-        # Running average of the labelled normalized rate.  Seed with the
-        # first label so early epochs don't compare against an artificial 0.
-        if self.markers_seen == 1:
-            self.rav = label
-        else:
-            self.rav += self.config.rav_gain * (label - self.rav)
+    def observe(
+        self, flow_id: int, origin_edge: str, label: float, now: float, count: int = 1
+    ) -> None:
+        """Process ``count`` markers of one label (a train's), each as if it
+        had arrived alone: update ``rav`` and maybe echo it."""
+        while count > 0:
+            count -= 1
+            self.markers_seen += 1
+            self._epoch_marker_count += 1
+            # Running average of the labelled normalized rate.  Seed with the
+            # first label so early epochs don't compare against an artificial 0.
+            if self.markers_seen == 1:
+                self.rav = label
+            else:
+                self.rav += self.config.rav_gain * (label - self.rav)
 
-        if self.pw <= 0.0:
-            return
-        selected = self._rng.random() < self.pw
-        above_average = label >= self.rav
-        if selected and above_average:
-            self._send(flow_id, origin_edge, label)
-        elif selected:
-            self.deficit += 1  # owed: re-spend on a future above-average marker
-        elif self.deficit > 0 and above_average:
-            self.deficit -= 1
-            self.swaps += 1
-            self._send(flow_id, origin_edge, label)
+            if self.pw <= 0.0:
+                continue
+            selected = self._rng.random() < self.pw
+            above_average = label >= self.rav
+            if selected and above_average:
+                self._send(flow_id, origin_edge, label)
+            elif selected:
+                self.deficit += 1  # owed: re-spend on a future above-average marker
+            elif self.deficit > 0 and above_average:
+                self.deficit -= 1
+                self.swaps += 1
+                self._send(flow_id, origin_edge, label)
 
     def on_epoch(self, n_markers: int, now: float) -> None:
         """Epoch boundary: fold the epoch's marker count into ``wav`` and

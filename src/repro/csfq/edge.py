@@ -335,7 +335,7 @@ class CsfqEdge(Router):
         except KeyError:
             raise FlowError(f"{self.name}: unknown egress flow {flow_id}") from None
 
-    def _deliver_local(self, packet: Packet) -> None:
+    def _deliver_local(self, packet: Packet, link) -> None:
         slot = self._egress_index.get(packet.flow_id)
         state = self._egress_flows[slot] if slot is not None else None
         if state is None:
@@ -346,7 +346,7 @@ class CsfqEdge(Router):
         if packet.kind is not PacketKind.DATA:
             return
         if packet.count != 1:
-            self._deliver_train(state, packet)
+            self._deliver_train(state, packet, link)
             return
         if state.expected_seq is not None and packet.seq > state.expected_seq:
             gap = packet.seq - state.expected_seq
@@ -366,7 +366,7 @@ class CsfqEdge(Router):
         if pool is not None:
             pool.release(packet)
 
-    def _deliver_train(self, state: _EgressFlow, train: Packet) -> None:
+    def _deliver_train(self, state: _EgressFlow, train: Packet, link) -> None:
         """Egress sweep for a whole train: one pass of bulk bookkeeping.
 
         The loss detector works off the head sequence number exactly as
@@ -385,12 +385,10 @@ class CsfqEdge(Router):
             self._report_loss(train, gap)
         state.expected_seq = head + n
         state.meter.record(n)
-        base = max(0.0, self.sim.now - train.created_at)
-        lags = train.member_lags
-        if lags is None:
-            state.delay.record_many(base, n)
-        else:
-            state.delay.record_train(base, lags)
+        # Members left the last link one serialization time apart (a train
+        # handed over without a link, in unit tests, has no spacing).
+        spacing = 0.0 if link is None else 1.0 / link.bandwidth_pps
+        state.delay.record_train(max(0.0, self.sim.now - train.created_at), n, spacing)
         pool = self.sim.packet_pool
         if pool is not None:
             pool.release(train)
@@ -414,6 +412,6 @@ class CsfqEdge(Router):
 
     def receive(self, packet: Packet, link) -> None:
         if packet.dst == self.name:
-            self._deliver_local(packet)
+            self._deliver_local(packet, link)
         else:
             self.forward(packet)

@@ -26,7 +26,7 @@ until tail drop.  The implementation here keeps those dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.csfq.config import CsfqConfig
 from repro.csfq.estimator import ExponentialRateEstimator
@@ -55,6 +55,7 @@ class CsfqLinkState:
         "prob_drops",
         "overflow_drops",
         "forwarded",
+        "coin",
     )
 
     def __init__(self, link: Link, config: CsfqConfig, now: float) -> None:
@@ -69,6 +70,9 @@ class CsfqLinkState:
         self.prob_drops = 0
         self.overflow_drops = 0
         self.forwarded = 0
+        #: The link's drop coin, bound by the first flip: a link that never
+        #: drops (idle access links) never seeds a stream.
+        self.coin: Optional[Callable[[], float]] = None
 
 
 class CsfqCoreRouter(Router):
@@ -143,7 +147,11 @@ class CsfqCoreRouter(Router):
         else:
             # Cold start: no fair-share estimate yet, accept everything.
             prob = 0.0
-        dropped = prob > 0.0 and self._rng.stream(f"csfq:{out_link.name}").random() < prob
+        dropped = False
+        if prob > 0.0:
+            if state.coin is None:
+                state.coin = self._rng.stream(f"csfq:{out_link.name}").random
+            dropped = state.coin() < prob
         self._estimate_alpha(state, packet, now, dropped)
         if dropped:
             state.prob_drops += 1

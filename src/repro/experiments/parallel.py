@@ -69,8 +69,9 @@ __all__ = [
     "batch_summary_table",
 ]
 
-#: Bump when the cached payload layout changes; part of every cache key.
-CACHE_FORMAT = 2
+#: Bump when the cached payload's layout or meaning changes (3: the delay
+#: percentiles come from a different sampler); part of every cache key.
+CACHE_FORMAT = 3
 
 
 def _canonical_json(value: object, where: str) -> str:

@@ -46,7 +46,7 @@ Barrier overhead is attacked three more ways:
   partition instead of per-packet tuples, so a batch pickles as a few
   buffers.  :class:`~repro.sim.packet.PacketTrain` carriers cross
   plain-FIFO cut links whole — the wire format round-trips the train
-  fields (count, markers, micro ids, member lags/labels).
+  fields (count, markers, micro ids, member labels).
 
 Execution modes differ in stepping discipline, not semantics: ``inline``
 advances one partition at a time (Gauss–Seidel — each step sees every
@@ -109,20 +109,6 @@ _NUMS = 10
 #: origin_edge, feedback_from.
 _OBJS = 6
 
-_np_asarray = None
-
-
-def _lags_array(lags: List[float]):
-    """Member-lag lists travel as plain floats; the egress delay stats
-    vectorize over them, so rebuild the NumPy array on arrival."""
-    global _np_asarray
-    if _np_asarray is None:
-        from numpy import asarray
-
-        _np_asarray = asarray
-    return _np_asarray(lags, dtype=float)
-
-
 class _OutBatch:
     """Accumulates one window's messages toward one destination partition."""
 
@@ -167,16 +153,8 @@ class _OutBatch:
             )
         )
         if type(packet) is not Packet:
-            lags = packet.member_lags
             self.trains.append(
-                (
-                    row,
-                    packet.count,
-                    packet.marker_count,
-                    packet.micro_ids,
-                    None if lags is None else [float(lag) for lag in lags],
-                    packet.member_labels,
-                )
+                (row, packet.count, packet.marker_count, packet.micro_ids, packet.member_labels)
             )
 
     def payload(self) -> Tuple:
@@ -467,7 +445,13 @@ class _PartitionWorker:
                 )
                 packet.micro_id = int(nums[base + 9])
             else:
-                _row, count, marker_count, micro_ids, lags, member_labels = extra
+                _row, count, marker_count, micro_ids, member_labels = extra
+                if dst == objs[obase]:
+                    # The egress edge spaces member delays by the link that
+                    # delivers the train; cuts join cores, so that hop is local.
+                    raise SimulationError(
+                        f"train of flow {flow_id} crossed a cut into its egress edge {dst!r}"
+                    )
                 packet = PacketTrain(
                     flow_id,
                     src,
@@ -482,7 +466,6 @@ class _PartitionWorker:
                 packet.origin_edge = objs[obase + 4]
                 packet.marker_count = marker_count
                 packet.micro_ids = micro_ids
-                packet.member_lags = None if lags is None else _lags_array(lags)
                 packet.member_labels = member_labels
                 packet.micro_id = int(nums[base + 9])
             packet.feedback_from = objs[obase + 5]

@@ -30,11 +30,13 @@ A :class:`~repro.sim.packet.PacketTrain` (opt-in ``train_batch`` datapath)
 traverses a plain-FIFO link as **one** packet whose size is the member
 count: occupancy, admission and serialization charge the whole train in a
 single arithmetic step, and one delivery event carries all members.
-Per-member counters charge ``packet.count``.  Any path that needs
-per-packet decisions splits the train into its scalar members first:
-bypass-free queues (WFQ/RED/FRED/DECbit), arrival taps (CSFQ's
-probabilistic drop), dynamics-enabled links (failure drop taxonomy +
-reroutes), and boundary links (partition cuts serialize scalars).
+Per-member counters charge ``packet.count``; nothing is written per
+member (the egress edge spaces member delays by ``1 / bandwidth_pps`` of
+the link that hands it the train).  Any path that needs per-packet
+decisions splits the train into its scalar members first: bypass-free
+queues (WFQ/RED/FRED/DECbit), arrival taps (CSFQ's probabilistic drop),
+dynamics-enabled links (failure drop taxonomy + reroutes), and boundary
+links (partition cuts serialize scalars).
 
 Dynamics
 --------
@@ -61,27 +63,6 @@ from repro.sim.queues import FifoQueue
 __all__ = ["Link", "BoundaryLink"]
 
 DropListener = Callable[[Packet, float], None]
-
-#: Lazily-bound ``numpy.arange`` (the scalar datapath never imports numpy;
-#: the first train through a link binds it).
-_np_arange = None
-
-
-def _member_lags(count: int, bandwidth_pps: float):
-    """Per-member delivery lags for a train serialized at ``bandwidth_pps``.
-
-    Member ``i`` of a train finishes serialization ``(count - 1 - i) / bw``
-    seconds *before* the train's single delivery event fires; the egress
-    subtracts these lags so per-member delay stats keep the scalar
-    spacing of the last hop.  Computed with NumPy per the train contract
-    (one vectorized op instead of ``count`` Python subtractions).
-    """
-    global _np_arange
-    if _np_arange is None:
-        from numpy import arange
-
-        _np_arange = arange
-    return _np_arange(count - 1, -1, -1, dtype=float) / bandwidth_pps
 
 
 class Link:
@@ -341,8 +322,6 @@ class Link:
             self.busy_time += tx
             free_at = now + tx
             self._free_at = free_at
-            if count != 1:
-                packet.member_lags = _member_lags(count, self.bandwidth_pps)
             sim.schedule_at_fast(free_at + self.prop_delay, self._deliver_cb, packet)
             return True
         if packet.size <= 0.0 and not queue._items and not self._wake_pending:
@@ -439,8 +418,6 @@ class Link:
             if len(queue) and not self._wake_pending:
                 self._wake_pending = True
                 schedule_at(free_at, self._wake)
-            if packet.count != 1:
-                packet.member_lags = _member_lags(packet.count, self.bandwidth_pps)
             schedule_at(free_at + prop, self._deliver_cb, packet)
             return
 
@@ -606,8 +583,6 @@ class BoundaryLink(Link):
             if len(queue) and not self._wake_pending:
                 self._wake_pending = True
                 self.sim.schedule_at_fast(free_at, self._wake)
-            if packet.count != 1:
-                packet.member_lags = _member_lags(packet.count, self.bandwidth_pps)
             self.delivered_data += packet.count
             emit(free_at + prop, packet)
             return

@@ -256,7 +256,9 @@ class PacketTrain(Packet):
       ``origin_edge`` is set; on a split they attach to the first
       ``marker_count`` members.
     * ``created_at`` is shared: train members are emitted back-to-back at
-      one shaper firing.
+      one shaper firing.  The train is delivered when its tail is; the
+      egress edge places member ``i`` ``(count - 1 - i) / bandwidth``
+      earlier, the last link's serialization spacing.
 
     Trains only ever exist on the opt-in ``train_batch > 1`` datapath and
     are pinned *statistically* (Jain ratio, per-flow rates), never
@@ -264,7 +266,7 @@ class PacketTrain(Packet):
     to the scalar schedule.
     """
 
-    __slots__ = ("count", "marker_count", "micro_ids", "member_lags", "member_labels")
+    __slots__ = ("count", "marker_count", "micro_ids", "member_labels")
 
     def __init__(
         self,
@@ -291,10 +293,6 @@ class PacketTrain(Packet):
         self.count = n
         self.marker_count = 0
         self.micro_ids: Optional[tuple] = None
-        #: Per-member delivery lags (NumPy array), written by the last
-        #: link hop so the egress can reconstruct scalar-spaced arrival
-        #: times for per-member delay stats.  ``None`` until transmitted.
-        self.member_lags = None
         #: Per-member CSFQ labels (the scalar estimator's label ladder);
         #: ``None`` means every member shares ``label`` on a split.
         self.member_labels: Optional[tuple] = None
@@ -485,7 +483,6 @@ class PacketPool:
         train.count = n
         train.marker_count = 0
         train.micro_ids = None
-        train.member_lags = None
         train.member_labels = None
         return train
 

@@ -86,3 +86,14 @@ def test_markers_seen_counter():
     for i in range(5):
         fb.observe(i, "E", 1.0, 0.0)
     assert fb.markers_seen == 5
+
+
+def test_observe_count_is_that_many_single_observes():
+    one, _ = make(cache_size=7)
+    many, _ = make(cache_size=7)
+    for i in range(6):
+        many.observe(i, f"E{i}", float(i), 0.0, 5)
+        for _ in range(5):
+            one.observe(i, f"E{i}", float(i), 0.0)
+    assert list(many._cache) == list(one._cache)
+    assert many.markers_seen == one.markers_seen == 30

@@ -161,3 +161,26 @@ def test_zero_label_never_dropped(rig):
     router.receive(labeled(0.0), link=None)
     sim.run()
     assert len(sink.packets) == 1
+
+
+def test_drop_coin_stream_is_bound_by_the_first_flip(rig):
+    sim, cfg, router, out, sink, state = rig
+    # No positive drop probability yet: no coin, and no stream seeded.
+    for i in range(5):
+        router.receive(labeled(10.0, seq=i), link=None)
+    assert state.coin is None
+    assert f"csfq:{out.name}" not in router._rng
+    # The bound coin is the link's named stream, so draws are the ones a
+    # per-flip lookup would have made.
+    state.alpha = 10.0
+    reference = RngRegistry(0).stream(f"csfq:{out.name}")
+    expected = [reference.random() < 0.75 for _ in range(50)]
+    before = state.prob_drops
+    dropped = []
+    for i in range(50):
+        router.receive(labeled(40.0, seq=5 + i), link=None)
+        dropped.append(state.prob_drops > before)
+        before = state.prob_drops
+        state.alpha = 10.0  # hold the drop probability at 1 - 10/40
+    assert dropped == expected
+    assert state.coin.__self__ is router._rng.stream(f"csfq:{out.name}")

@@ -24,10 +24,12 @@ from repro.experiments.partition import (
     channel_delay_matrix,
     lookahead_closure,
 )
-from repro.experiments.pdes import ParallelCloud
+from repro.experiments.pdes import ParallelCloud, _OutBatch
 from repro.experiments.scenarios import mesh_flows, parking_lot_flows
 from repro.experiments.topospec import FlowPathSpec, SourceSpec, TopologySpec
 from repro.sim.engine import Simulator
+from repro.sim.link import BoundaryLink
+from repro.sim.packet import PacketTrain
 from repro.units import ms_to_s
 
 
@@ -486,13 +488,54 @@ class TestAdaptiveWindows:
     def test_trains_cross_cut_links_whole(self):
         # PR-9 composition: with a plain-FIFO cut the train carrier must
         # survive the boundary intact, and the run stays byte-identical
-        # (the wire format round-trips count/markers/micro ids/lags).
+        # (the wire format round-trips count/markers/micro ids/labels).
         serial, parallel = run_pair(
             TopologySpec.chain(4), chain_flows(), "corelite", 20.0,
             train_batch=8,
         )
         assert_identical(serial, parallel)
         assert serial.total_delivered() > 0
+        assert all(r.delay["count"] == r.delivered for r in parallel.flows.values())
+
+    @staticmethod
+    def _inline_train_session(partitions):
+        b = CloudBuilder(TopologySpec.chain(4), scheme="corelite", seed=7, train_batch=8)
+        b.add_flows(chain_flows())
+        b.partitions = partitions
+        b.pdes_mode = "inline"
+        return b.build_parallel().start()
+
+    def test_cut_links_never_end_at_an_egress_edge(self):
+        # The egress edge spaces a train's member delays by the link that
+        # delivers it, and an injected packet arrives without one.  Cuts
+        # join cores, so that hop is always local -- checked, not assumed.
+        session = self._inline_train_session(4)
+        try:
+            cut = 0
+            for worker in session.workers:
+                cloud = worker.cloud
+                for link in cloud.topology.links.values():
+                    if isinstance(link, BoundaryLink):
+                        cut += 1
+                        assert link.dst.name in cloud.spec.cores
+            assert cut == 6  # three chain links, both directions
+        finally:
+            session.close()
+
+    def test_a_train_injected_into_its_egress_edge_is_an_error(self):
+        session = self._inline_train_session(2)
+        try:
+            worker = session.workers[1]
+            flow = next(f for f in chain_flows() if f.egress_edge in worker.cloud.edges)
+            batch = _OutBatch()
+            train = PacketTrain(
+                flow.flow_id, flow.ingress_edge, flow.egress_edge, 0, 4, created_at=0.0
+            )
+            batch.add(0.0, 0.5, 0, flow.egress_edge, train)
+            with pytest.raises(SimulationError, match="egress edge"):
+                worker.inject_batches([(0, batch.payload())])
+        finally:
+            session.close()
 
     def test_trains_cross_cut_links_in_process_mode(self):
         serial, parallel = run_pair(

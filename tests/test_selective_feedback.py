@@ -166,3 +166,32 @@ def test_expected_feedback_count_tracks_fn():
         sel.on_epoch(fn, (e + 1) * 0.1)
     per_epoch = len(sent) / epochs
     assert per_epoch == pytest.approx(fn, rel=0.25)
+
+
+def test_observe_count_is_that_many_single_observes():
+    """A train's markers go through one ``observe(..., count)`` call; the
+    per-marker ``rav`` fold, coin order and deficit logic must be the
+    sequence ``count`` standalone markers would have produced."""
+
+    def drive(batched):
+        sel, sent = make(rng=random.Random(11))
+        labels = random.Random(3)
+        for epoch in range(40):
+            for _ in range(12):
+                flow = labels.randrange(4)
+                label = labels.uniform(0.0, 20.0)
+                if batched:
+                    sel.observe(flow, f"E{flow}", label, epoch * 0.1, 5)
+                else:
+                    for _ in range(5):
+                        sel.observe(flow, f"E{flow}", label, epoch * 0.1)
+            sel.on_epoch(6, (epoch + 1) * 0.1)
+        return sel, sent
+
+    one, sent_one = drive(batched=False)
+    many, sent_many = drive(batched=True)
+    assert sent_many == sent_one and many.feedback_sent == one.feedback_sent > 0
+    assert many.swaps == one.swaps > 0
+    assert (many.rav, many.wav, many.pw, many.deficit) == (one.rav, one.wav, one.pw, one.deficit)
+    assert many.markers_seen == one.markers_seen == 40 * 12 * 5
+    assert many._rng.getstate() == one._rng.getstate()

@@ -22,6 +22,10 @@ Four layers of protection:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.shaping import PacedSender, TRAIN_HORIZON
@@ -142,7 +146,6 @@ def test_pool_recycles_whole_trains_fully_reinitialized():
     train.origin_edge = "E1"
     train.micro_ids = (7, 8, 9, 10)
     train.member_labels = (1.0, 2.0, 3.0, 4.0)
-    train.member_lags = object()
     old_pid = train.pid
     pool.release(train)
     assert len(pool._free_trains) == 1
@@ -157,7 +160,6 @@ def test_pool_recycles_whole_trains_fully_reinitialized():
     assert again.marker_count == 0
     assert again.origin_edge is None
     assert again.micro_ids is None
-    assert again.member_lags is None
     assert again.member_labels is None
 
 
@@ -378,3 +380,63 @@ def test_train_mode_is_statistically_equivalent(name, scheme):
         assert abs(train_delivered[fid] - scalar_delivered[fid]) <= (
             0.10 * max(1.0, scalar_delivered[fid])
         )
+
+
+# ---------------------------------------------------------------------------
+# Delay accounting: every delivered member is one delay sample
+# ---------------------------------------------------------------------------
+
+
+def _chain4_result(scheme, train_batch, partitions=1):
+    topo, flows, until, seed = _SCENARIOS["chain4"]
+    builder = CloudBuilder(topo(), scheme=scheme, seed=seed, train_batch=train_batch)
+    builder.add_flows(flows())
+    if partitions > 1:
+        builder.partitions = partitions
+        builder.pdes_mode = "inline"
+    return builder.run(until=until)
+
+
+@pytest.mark.parametrize("scheme", ["corelite", "csfq"])
+def test_every_delivered_member_is_one_delay_sample(scheme):
+    """A train is recorded in closed form, so nothing counts its members
+    one by one any more: the sample count must still equal the delivered
+    count in every mode, and the members' delays must still be spread
+    over the last hop's serialization rather than stacked on the tail's
+    (mean within one train horizon of the scalar run's)."""
+    scalar = _chain4_result(scheme, 1)
+    train = _chain4_result(scheme, TRAIN_RUNG_BATCH)
+    split = _chain4_result(scheme, TRAIN_RUNG_BATCH, partitions=2)
+    for result in (scalar, train, split):
+        assert result.total_delivered() > 0
+        for fid, record in result.flows.items():
+            assert record.delay["count"] == record.delivered, fid
+    for fid, record in train.flows.items():
+        assert record.delay["min"] <= record.delay["mean"] <= record.delay["max"]
+        assert abs(record.delay["mean"] - scalar.flows[fid].delay["mean"]) <= TRAIN_HORIZON
+        # Cuts join cores, so partitioning changes no delay sample.
+        assert split.flows[fid].delay == record.delay, fid
+
+
+def test_train_run_never_imports_numpy():
+    """The package is pure stdlib: the train datapath used NumPy for
+    member lags once, and an accidental re-import should fail here even
+    on a machine that has it installed."""
+    script = (
+        "import sys\n"
+        "from repro.experiments.builder import CloudBuilder\n"
+        "from repro.experiments.topospec import FlowPathSpec, TopologySpec\n"
+        "b = CloudBuilder(TopologySpec.chain(2), scheme='corelite', seed=0,\n"
+        "                 vectorized=True, train_batch=8)\n"
+        "b.add_flow(FlowPathSpec(1, ingress_core='C1', egress_core='C2', aggregate=256))\n"
+        "b.add_flow(FlowPathSpec(2, ingress_core='C1', egress_core='C2', aggregate=256))\n"
+        "result = b.run(until=4.0)\n"
+        "assert result.total_delivered() > 0\n"
+        "assert all(r.delay['count'] == r.delivered for r in result.flows.values())\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
