@@ -20,6 +20,7 @@ from collections import deque
 from typing import Callable, Deque, Tuple
 
 from repro.errors import ConfigurationError
+from repro.sim.rng import RngSource
 
 __all__ = ["MarkerCacheFeedback"]
 
@@ -32,11 +33,14 @@ EmitFeedback = Callable[[int, str, float], None]
 class MarkerCacheFeedback:
     """Circular cache of recent markers with uniform random selection."""
 
-    def __init__(self, cache_size: int, rng: random.Random, emit: EmitFeedback) -> None:
+    def __init__(self, cache_size: int, rng: RngSource, emit: EmitFeedback) -> None:
         if cache_size < 1:
             raise ConfigurationError(f"cache size must be >= 1, got {cache_size}")
         self._cache: Deque[CachedMarker] = deque(maxlen=cache_size)
-        self._rng = rng
+        if isinstance(rng, random.Random):
+            self._rng, self._take_rng = rng, None
+        else:
+            self._rng, self._take_rng = None, rng
         self._emit = emit
         self.markers_seen = 0
         self.feedback_sent = 0
@@ -68,6 +72,8 @@ class MarkerCacheFeedback:
             raise ConfigurationError(f"n_markers must be >= 0, got {n_markers}")
         if n_markers == 0 or not self._cache:
             return 0
+        if self._rng is None:
+            self._rng = self._take_rng()
         for flow_id, origin_edge, label in self._rng.choices(self._cache, k=n_markers):
             self._emit(flow_id, origin_edge, label)
         self.feedback_sent += n_markers

@@ -21,6 +21,7 @@ a bounded marker history; the selective variant keeps two scalars).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.core.cache_feedback import MarkerCacheFeedback
@@ -56,7 +57,7 @@ class _LinkMachinery:
         "qavg_last",
         "task",
         "parked_at",
-        "saved_send",
+        "on_backlog",
         "park_t",
         "park_next",
         "park_counts",
@@ -72,8 +73,8 @@ class _LinkMachinery:
         self.task = None
         #: Fire time of the epoch that parked the timer (None = running).
         self.parked_at: Optional[float] = None
-        #: The link's real ``send`` entry point while the wake trap is set.
-        self.saved_send = None
+        #: Unparks this machinery; handed to ``Link.watch_backlog``.
+        self.on_backlog = None
         #: Virtual epoch grid while parked: the last passed boundary, the
         #: next one, the marker count of each fully elapsed epoch (to
         #: replay the selector's per-epoch folds on unpark) and the count
@@ -132,17 +133,23 @@ class CoreliteCoreRouter(Router):
         estimator = make_estimator(self.config, link.bandwidth_pps)
         emit = self._make_emitter(link.name)
         selector: Selector
+        # The selection stream is taken at its first draw: access links
+        # are never congested, and seeding a generator for each is a
+        # third of a dense cloud's ``RngRegistry.stream`` calls.
         if self.config.feedback_scheme is FeedbackScheme.MARKER_CACHE:
             selector = MarkerCacheFeedback(
                 self.config.marker_cache_size,
-                self._rng.stream(f"cache:{link.name}"),
+                partial(self._rng.stream, f"cache:{link.name}"),
                 emit,
             )
         else:
             selector = SelectiveFeedback(
-                self.config, self._rng.stream(f"selective:{link.name}"), emit
+                self.config,
+                partial(self._rng.stream, f"selective:{link.name}"),
+                emit,
             )
         machinery = _LinkMachinery(link, estimator, selector)
+        machinery.on_backlog = lambda m=machinery: self._unpark(m)
         self._machinery[link.name] = machinery
         link.queue.reset_window(self.sim.now)
         # Randomized phase: real routers' epoch clocks are unsynchronized,
@@ -222,8 +229,7 @@ class CoreliteCoreRouter(Router):
 
     def _epoch(self, machinery: _LinkMachinery) -> None:
         now = self.sim.now
-        queue = machinery.link.queue
-        qavg = queue.take_window_average(now)
+        qavg = machinery.link.queue.take_window_average(now)
         machinery.qavg_last = qavg
         estimator = machinery.estimator
         if qavg <= self.config.qthresh:
@@ -244,61 +250,26 @@ class CoreliteCoreRouter(Router):
         # stays exactly 0.0 (the occupancy integral never accrues), no
         # selection can trigger, and the only evolving selector state is
         # the per-epoch ``wav`` fold — which is recorded and replayed on
-        # unpark.  Park the timer and trap the link's send: with N flows,
-        # the access links alone are 2N near-permanently poolable timers.
-        # (Parking reads FIFO internals, so it requires the link's plain
-        # FIFO hot path — true for every builder-produced core link.  A
-        # failed link never parks: its ``send`` is the refuse-all stub
-        # and the wake trap must not wrap it.)
-        if (
-            qavg == 0.0
-            and not queue._items
-            and machinery.link._plain_fifo
-            and machinery.link.up
-        ):
+        # unpark.  Park the timer until the link reports its next backlog:
+        # with N flows, the access links alone are 2N near-permanently
+        # poolable timers.  Only a *data* packet that has to wait can make
+        # the next window average non-zero — markers have zero size, and a
+        # packet that finds the transmitter idle never touches the
+        # occupancy integral — which is exactly when ``watch_backlog``
+        # calls back.  (Only a departure-time link can promise that — true
+        # for every builder-produced core link that is neither a partition
+        # cut nor armed for failures; the others keep their timer.)
+        if qavg == 0.0 and machinery.link.watch_backlog(machinery.on_backlog):
             self._park(machinery)
 
     def _park(self, machinery: _LinkMachinery) -> None:
-        """Stop an idle link's epoch timer; its ``send`` re-arms it."""
+        """Stop an idle link's epoch timer; its next backlog re-arms it."""
         machinery.task.stop()
         now = self.sim.now
         machinery.parked_at = now
         machinery.park_t = now
         machinery.park_next = now + self.config.core_epoch
         machinery.park_pending = 0
-        link = machinery.link
-        machinery.saved_send = link.send
-
-        def waking_send(packet: Packet, _m: _LinkMachinery = machinery) -> bool:
-            # Only a *data* packet that will actually enqueue (busy
-            # transmitter or a non-empty queue) can make the next window
-            # average non-zero — markers have zero size and never touch
-            # the occupancy integral, and bypassed sends keep every
-            # parked boundary a provable no-op.
-            link = _m.link
-            if packet.size > 0.0 and (
-                self.sim.now < link._free_at or link.queue._items
-            ):
-                send = _m.saved_send
-                self._unpark(_m)
-                return send(packet)
-            return _m.saved_send(packet)
-
-        link.send = waking_send
-
-    def force_unpark(self, link_name: str) -> None:
-        """Unpark ``link_name``'s epoch machinery if it is parked.
-
-        The dynamics layer calls this just before failing a link: parking
-        wraps the link's ``send`` in the wake trap, and a failure that
-        rebound ``send`` underneath the trap would corrupt the restore
-        chain.  Unparking replays the skipped epoch folds and re-arms the
-        timer on its original grid, after which the failure proceeds on a
-        trap-free link.  A no-op for unparked or non-enabled links.
-        """
-        machinery = self._machinery.get(link_name)
-        if machinery is not None and machinery.parked_at is not None:
-            self._unpark(machinery)
 
     def _note_parked_marker(self, machinery: _LinkMachinery, count: int = 1) -> None:
         """A marker (or a train carrying ``count`` of them) is traversing a
@@ -322,8 +293,9 @@ class CoreliteCoreRouter(Router):
         machinery.park_pending += count
 
     def _unpark(self, machinery: _LinkMachinery) -> None:
-        """First enqueue-capable packet after parking: restore ``send``
-        and re-arm the epoch timer *on its original grid*.
+        """First data packet that has to wait after parking (the link
+        calls this just before admitting it): re-arm the epoch timer *on
+        its original grid*.
 
         The skipped boundaries are replayed by re-accumulating the fire
         times a never-parked task would have produced (``t += interval``
@@ -333,9 +305,6 @@ class CoreliteCoreRouter(Router):
         last skipped boundary — precisely the state the skipped epochs
         would have left behind.
         """
-        link = machinery.link
-        link.send = machinery.saved_send
-        machinery.saved_send = None
         interval = self.config.core_epoch
         now = self.sim.now
         machinery.parked_at = None
@@ -357,7 +326,7 @@ class CoreliteCoreRouter(Router):
                 fold(count)
             counts.clear()
         machinery.park_pending = 0
-        link.queue.reset_window(t)
+        machinery.link.queue.reset_window(t)
         machinery.task = self.sim.every(
             interval, lambda m=machinery: self._epoch(m), first_at=nxt
         )

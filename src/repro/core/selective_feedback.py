@@ -38,6 +38,7 @@ from typing import Callable
 
 from repro.core.config import CoreliteConfig
 from repro.errors import ConfigurationError
+from repro.sim.rng import RngSource
 
 __all__ = ["SelectiveFeedback"]
 
@@ -50,6 +51,7 @@ class SelectiveFeedback:
     __slots__ = (
         "config",
         "_rng",
+        "_take_rng",
         "_emit",
         "rav",
         "wav",
@@ -61,9 +63,12 @@ class SelectiveFeedback:
         "swaps",
     )
 
-    def __init__(self, config: CoreliteConfig, rng: random.Random, emit: EmitFeedback) -> None:
+    def __init__(self, config: CoreliteConfig, rng: RngSource, emit: EmitFeedback) -> None:
         self.config = config
-        self._rng = rng
+        if isinstance(rng, random.Random):
+            self._rng, self._take_rng = rng, None
+        else:
+            self._rng, self._take_rng = None, rng
         self._emit = emit
         #: Running average of marker labels (normalized rates), pkt/s.
         self.rav = 0.0
@@ -96,7 +101,10 @@ class SelectiveFeedback:
 
             if self.pw <= 0.0:
                 continue
-            selected = self._rng.random() < self.pw
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = self._take_rng()
+            selected = rng.random() < self.pw
             above_average = label >= self.rav
             if selected and above_average:
                 self._send(flow_id, origin_edge, label)

@@ -37,7 +37,6 @@ from repro.fairness.maxmin import FlowDemand, weighted_maxmin
 from repro.sim.control import ControlPlane
 from repro.sim.dynamics import NetworkDynamics
 from repro.sim.engine import Simulator
-from repro.sim.link import Link
 from repro.sim.node import Router
 from repro.sim.monitor import Series
 from repro.sim.packet import Packet, PacketPool
@@ -148,14 +147,6 @@ class SchemeStrategy:
             f"scheme {self.scheme!r} does not support TCP transport "
             "(a Corelite edge feature)"
         )
-
-    def prepare_link_failure(self, cloud: "Cloud", link: Link) -> None:
-        """Scheme hook run just before ``link`` fails (default: nothing).
-
-        Corelite uses this to force-unpark a parked epoch timer so the
-        failure never rebinds ``send`` underneath the parking trap.
-        """
-        return None
 
     @classmethod
     def control_channels(cls, flows, on_path_cores):
@@ -290,12 +281,6 @@ class CoreliteStrategy(SchemeStrategy):
         ingress.attach_microflows(spec.flow_id, mux)
         cloud._muxes[spec.flow_id] = mux
         return mux
-
-    def prepare_link_failure(self, cloud: "Cloud", link: Link) -> None:
-        core = cloud.topology.nodes.get(link.src_name)
-        force_unpark = getattr(core, "force_unpark", None)
-        if force_unpark is not None:
-            force_unpark(link.name)
 
     @classmethod
     def control_channels(cls, flows, on_path_cores):
@@ -726,9 +711,6 @@ class Cloud:
                 self.spec.events,
                 control=self.control,
                 reroute_latency=self.spec.reroute_latency,
-                pre_fail_hooks=(
-                    lambda link: self.strategy.prepare_link_failure(self, link),
-                ),
             )
             # A failure may legally partition the graph mid-run: table
             # misses become counted drops instead of crashes.
@@ -998,6 +980,10 @@ class Cloud:
         sampler = self.sim.every(sample_interval, sample)
         self.sim.run(until=until)
         sampler.stop()
+        # Departure-time links book dequeues lazily; leave every link's
+        # ``queue.stats`` current for whoever inspects the cloud next.
+        for link in self.topology.links.values():
+            link.settle()
 
         for fid, spec in self.flows.items():
             egress = self.edges[spec.egress_edge]

@@ -36,7 +36,7 @@ each fire time — recomputation is idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.sim.engine import Simulator
@@ -136,10 +136,6 @@ class NetworkDynamics:
     of its duplex link at construction time (unknown links fail fast,
     before any simulation runs) and arms every link that appears in the
     schedule for dynamics (generation-checked deliveries).
-
-    ``pre_fail_hooks`` run for each unidirectional link just before it
-    fails — the Corelite strategy uses this to force-unpark a parked
-    epoch timer so the parking trap never wraps a dead link's ``send``.
     """
 
     def __init__(
@@ -149,7 +145,6 @@ class NetworkDynamics:
         events: Sequence[NetworkEvent],
         control=None,
         reroute_latency: float = 0.0,
-        pre_fail_hooks: Sequence[Callable[[Link], None]] = (),
     ) -> None:
         if reroute_latency < 0:
             raise ConfigurationError(
@@ -160,7 +155,6 @@ class NetworkDynamics:
         self.control = control
         self.reroute_latency = reroute_latency
         self.events: Tuple[NetworkEvent, ...] = tuple(events)
-        self._pre_fail_hooks = tuple(pre_fail_hooks)
         #: Executed events as ``(fire_time, event)`` in execution order.
         self.applied: List[Tuple[float, NetworkEvent]] = []
         #: Route recomputations performed so far.
@@ -199,8 +193,6 @@ class NetworkDynamics:
         links = self._links_for[event.pair]
         if event.kind == "link_down":
             for link in links:
-                for hook in self._pre_fail_hooks:
-                    hook(link)
                 link.fail()
         else:
             for link in links:

@@ -11,12 +11,63 @@ piggybacked on the data stream and consume no capacity (paper §2.2).
 
 Hot path
 --------
-Each data packet costs exactly **one** scheduled event per hop: the
-delivery time is computed at transmit start (``start + tx + prop``) and
-scheduled directly, instead of the classic ``tx_done`` → ``deliver``
-two-event chain.  A separate transmitter wakeup event exists only while
-the queue is non-empty, and markers are folded into the popping loop (zero
-serialization time means they never occupy the transmitter at all).
+A static drop-tail FIFO link — every link of a cloud without AQM,
+partition cuts or scheduled failures — is a *departure-time* FIFO
+(``_send_fast``): on a FIFO nothing that arrives later can change when
+an admitted packet leaves, so its serialization start
+``max(now, _free_at)``, the new ``_free_at = start + size /
+bandwidth_pps`` and its delivery at ``_free_at + prop_delay`` are fixed
+at arrival and the **one** event of the hop, the delivery, is scheduled
+there and then.  There is no transmitter wakeup and no queue of packet
+objects.
+
+*Ledger.*  What the buffer has to remember is only when each waiting
+packet stops occupying it.  A packet that must wait is appended to the
+link's ledger as ``(start, size, count, packet)``; ``_settle(now)``
+replays, in start order, exactly what ``FifoQueue.pop`` and
+``_transmit_from`` would have done at each ``start`` — advance the
+occupancy integral to ``start``, release the occupancy, count the
+dequeue, charge ``busy_time`` — so ``qavg``, drop-tail admission and
+every counter are those of a real queue.  Settling is lazy: the next
+arrival does it, and so does every read (``Link.settle()``,
+``busy_time``, and the queue's ``occupancy`` / ``time_average`` /
+``take_window_average`` / ``reset_window`` / ``len`` through
+``FifoQueue._port``).  ``busy_time`` is charged when a serialization
+starts, not when the packet is admitted, so a horizon that cuts a
+backlog reads the same as with a real queue.  The ledger is allocated on
+a link's first backlog; an access link that never queues carries none.
+
+*Tie rule.*  A read or an arrival at ``now`` first replays the starts
+strictly before ``now``: **a packet whose serialization starts exactly
+at ``now`` still occupies the buffer for an arrival at ``now``**, which
+is admitted or dropped against it.  Once booked, the arrival kicks that
+start (as a ``send`` kicks an idle transmitter), so a second arrival at
+the same instant finds the slot free; a refused arrival kicks nothing.
+This is what a wakeup-driven queue does whenever the arrival's event
+precedes the wakeup in ``(time, seq)`` order; the opposite order could
+differ only in one drop decision on an exactly full buffer at an exact
+float tie.
+
+*Riders.*  Markers have size 0 and are due at ``max(now, _free_at) +
+prop_delay``.  When that is the instant of the delivery event this link
+scheduled last, and that instant is still in the future (so the event
+cannot have fired), the marker is chained behind that event's last
+packet through ``Packet.trailer`` and delivered by the same event, in
+FIFO order, right after it; otherwise it gets its own event.  A marker
+trailing its data packet — the paper's piggybacking — therefore costs
+no event at any hop, yet stays a standalone :class:`Packet`: it is never
+lost with the data packet (a marker behind a dropped packet simply
+travels alone).  ``_deliver_*`` clears ``trailer`` before handing a
+packet on, so no node and no packet pool ever sees one.
+
+Links that need a real queue keep it (``_send_queued`` →
+``FifoQueue.push`` / ``pop``, ``_transmit_from``, one ``_wake`` per
+serialization gap): disciplines with their own push/pop (WFQ, RED, FRED,
+DECbit), :class:`BoundaryLink`, and links armed by
+:meth:`Link.enable_dynamics`, whose failures flush packet objects.  The
+choice is made from what the link observes (``_plain_fifo``,
+``_dynamic``); the queued path is also the oracle the departure-time
+path is tested against.
 
 ``send`` and the delivery callback are *rebindable*: with no taps
 installed — the common case in large sweeps — the per-packet path never
@@ -53,6 +104,8 @@ the bare fast path and the per-packet cost is unchanged.
 
 from __future__ import annotations
 
+from collections import deque
+from math import inf, nextafter
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError, SimulationError
@@ -63,6 +116,10 @@ from repro.sim.queues import FifoQueue
 __all__ = ["Link", "BoundaryLink"]
 
 DropListener = Callable[[Packet, float], None]
+
+#: ``Packet.trailer`` of a ledger packet that :meth:`Link.fail` flushed:
+#: its delivery event is already scheduled and must deliver nothing.
+_FLUSHED = object()
 
 
 class Link:
@@ -78,12 +135,16 @@ class Link:
         "queue",
         "delivered_data",
         "delivered_control",
-        "busy_time",
+        "_busy_time",
         "send",
         "_send_base",
         "_plain_fifo",
         "_deliver_cb",
         "_free_at",
+        "_ledger",
+        "_last_due",
+        "_tail",
+        "_on_backlog",
         "_wake_pending",
         "_drop_listeners",
         "_arrival_taps",
@@ -119,9 +180,20 @@ class Link:
         self.queue = queue
         self.delivered_data = 0
         self.delivered_control = 0
-        self.busy_time = 0.0
-        #: Absolute time the transmitter finishes its current serialization.
+        self._busy_time = 0.0
+        #: Absolute time the transmitter has served everything admitted so
+        #: far (departure-time path) / finishes its current serialization
+        #: (queued path).
         self._free_at = 0.0
+        #: Departure-time path: ``(start, size, count, packet)`` of admitted
+        #: packets whose serialization start has not been replayed yet;
+        #: allocated on the first backlog.
+        self._ledger: Optional[deque] = None
+        #: Departure-time path: instant of the delivery event scheduled
+        #: last, and the last packet that event delivers (rider chaining).
+        self._last_due = -1.0
+        self._tail: Optional[Packet] = None
+        self._on_backlog: Optional[Callable[[], None]] = None
         self._wake_pending = False
         self._drop_listeners: list = []
         self._arrival_taps: list = []
@@ -135,16 +207,19 @@ class Link:
         self._dynamic = False
         self._gen = 0
         self._down_saved_send: Optional[Callable[[Packet], bool]] = None
-        # The queue-skipping bypasses in ``_send_fast`` replicate
-        # FifoQueue's push/pop bookkeeping verbatim, so they are only
-        # sound when the discipline *is* plain FIFO.  Queues with their
-        # own scheduling or accounting (WFQ, RED, FRED, DECbit) must see
-        # every packet through push/pop.
+        # ``_send_fast`` replays FifoQueue's push/pop bookkeeping without
+        # ever calling them, so it is only sound when the discipline *is*
+        # plain FIFO.  Queues with their own scheduling or accounting
+        # (WFQ, RED, FRED, DECbit) must see every packet through push/pop.
         self._plain_fifo = (
             type(queue).push is FifoQueue.push and type(queue).pop is FifoQueue.pop
         )
         # Rebindable entry points: start on the tap-free fast paths.
-        self._send_base = self._send_fast if self._plain_fifo else self._send_queued
+        if self._plain_fifo:
+            self._send_base = self._send_fast
+            queue._port = self
+        else:
+            self._send_base = self._send_queued
         self.send = self._send_base
         self._deliver_cb = self._deliver_fast
 
@@ -170,6 +245,20 @@ class Link:
         self._delivery_taps.append(tap)
         self._rebind_deliver()
 
+    def watch_backlog(self, callback: Callable[[], None]) -> bool:
+        """Arm ``callback`` to run once, just before the next data packet
+        that has to wait for the transmitter is admitted.
+
+        Until it runs the buffer provably stays empty, which is what lets
+        an idle Corelite link park its epoch timer.  Only a departure-time
+        link with nothing waiting can promise that; any other link
+        returns ``False`` and arms nothing.
+        """
+        if not self._plain_fifo or self._dynamic or self.backlog():
+            return False
+        self._on_backlog = callback
+        return True
+
     # -- dynamics (failure / recovery) ------------------------------------
 
     def enable_dynamics(self) -> None:
@@ -177,22 +266,33 @@ class Link:
 
         Must run before traffic flows (the dynamics layer calls it at
         build time): deliveries scheduled earlier captured the unchecked
-        callback and would survive a failure.
+        callback and would survive a failure, and a packet already
+        waiting in the departure-time ledger cannot move to the real
+        queue an armed link serves.
         """
         if self._dynamic:
             return
+        self.settle()
+        if self._ledger:
+            raise SimulationError(
+                f"link {self.name}: enable_dynamics() with packets waiting; "
+                "arm the link before traffic flows"
+            )
         self._dynamic = True
-        # Dynamic links split trains: the failure drop taxonomy (queue
-        # flush / in-flight stranding / send-while-down) and reroute
-        # decisions are per-packet semantics.  (Compare the underlying
-        # functions — ``self._send_fast`` materializes a fresh bound
-        # method on every attribute access, so an ``is`` check against it
-        # can never be true.)
-        if getattr(self._send_base, "__func__", None) is Link._send_fast:
+        # Failures flush packet objects and split trains (the drop
+        # taxonomy — queue flush / in-flight stranding / send-while-down —
+        # and reroute decisions are per-packet semantics): a plain FIFO
+        # moves to the real queue.
+        if self._plain_fifo:
             rebind_send = self.send is self._send_base
-            self._send_base = self._send_fast_dynamic
+            self._send_base = self._send_queued
             if rebind_send:
                 self.send = self._send_base
+            self.queue._port = None
+            if self._on_backlog is not None:
+                # Nothing on the queued path would ever fire it.
+                callback, self._on_backlog = self._on_backlog, None
+                callback()
         self._rebind_deliver()
 
     def _rebind_deliver(self) -> None:
@@ -230,17 +330,21 @@ class Link:
         :attr:`failure_drops`).  Markers vanish silently — they carry no
         payload.  Idempotent while already down.  Returns the number of
         queued data packets flushed.
+
+        A link that was never armed may hold its waiting packets in the
+        departure-time ledger instead: they are flushed the same way and
+        their already-scheduled deliveries are voided.
         """
         if not self.up:
             return 0
+        now = self.sim.now
+        flushed = self._flush_ledger(now)
         if not self._dynamic:
             self.enable_dynamics()
-        now = self.sim.now
         self.up = False
         self._gen += 1
         queue = self.queue
         stats = queue.stats
-        flushed = 0
         while True:
             packet = queue.pop(now)
             if packet is None:
@@ -258,6 +362,29 @@ class Link:
             self._free_at = now
         self._down_saved_send = self.send
         self.send = self._send_down
+        return flushed
+
+    def _flush_ledger(self, now: float) -> int:
+        """Drop every ledger packet that has not started serializing by
+        ``now``, as ``fail`` drops a queued one; returns how many."""
+        self.settle(now)
+        ledger = self._ledger
+        if not ledger:
+            return 0
+        queue = self.queue
+        queue._advance(now)
+        flushed = 0
+        for _start, size, count, packet in ledger:
+            queue._occupancy -= size
+            queue.stats.dropped_data += count
+            flushed += count
+            # Void the scheduled delivery, and any riders with it.
+            packet.trailer = _FLUSHED
+            for listener in self._drop_listeners:
+                listener(packet, now)
+        ledger.clear()
+        self._last_due = -1.0
+        self._tail = None
         return flushed
 
     def recover(self) -> None:
@@ -280,38 +407,45 @@ class Link:
                 listener(packet, now)
         return False
 
-    # -- data path ----------------------------------------------------------
+    # -- data path: departure-time FIFO -------------------------------------
 
     def _send_fast(self, packet: Packet) -> bool:
         """Offer ``packet`` to the link; returns False if it was dropped.
 
-        Bound as ``self.send`` while no arrival taps are installed and the
-        queue is a plain FIFO (see ``_plain_fifo``).
-
-        When the transmitter is free and the queue empty — the every-packet
-        case on uncongested access links — the packet would be pushed and
-        immediately popped again, so it skips the queue entirely.  The
-        bypass replays the queue's exact bookkeeping (admission check,
-        stats counters, occupancy-integral timestamp) and schedules the
-        same delivery event the queued path would, so behaviour, stats and
-        event order are identical.
+        The departure-time FIFO (module docstring, "Hot path"): bound as
+        ``self.send`` while no arrival taps are installed, the queue is a
+        plain FIFO and the link is not armed for failures.  Trains pass
+        whole — size, occupancy and serialization are plain arithmetic.
         """
         sim = self.sim
         now = sim.now
+        free_at = self._free_at
+        size = packet.size
+        if size <= 0.0:
+            self.queue.stats.enqueued_control += 1
+            due = (free_at if free_at > now else now) + self.prop_delay
+            if due == self._last_due and due > now:
+                # Same instant as the pending delivery event scheduled
+                # last: ride it, behind everything it already delivers.
+                self._tail.trailer = packet
+            else:
+                self._last_due = due
+                sim.schedule_at_fast(due, self._deliver_cb, packet)
+            self._tail = packet
+            ledger = self._ledger
+            if ledger and ledger[0][0] <= now:
+                self._settle(nextafter(now, inf))  # tie rule: an arrival kicks
+            return True
+        if self._ledger:
+            self._settle(now)
         queue = self.queue
-        if now >= self._free_at and not queue._items:
-            stats = queue.stats
-            size = packet.size
-            if size <= 0.0:
-                stats.enqueued_control += 1
-                sim.schedule_at_fast(now + self.prop_delay, self._deliver_cb, packet)
-                return True
-            count = packet.count
+        stats = queue.stats
+        count = packet.count
+        if now >= free_at:
+            # Idle transmitter, hence an empty buffer: the packet would be
+            # pushed and popped again at once.  Book both in one step.
             if not queue.admit(packet, now):
-                stats.dropped_data += count
-                for listener in self._drop_listeners:
-                    listener(packet, now)
-                return False
+                return self._tail_drop(packet, now)
             stats.enqueued_data += count
             stats.dequeued_data += count
             if size > stats.peak_occupancy:
@@ -319,35 +453,84 @@ class Link:
             if now > queue._last_time:  # zero-width occupancy spike: the
                 queue._last_time = now  # integral only advances its clock
             tx = size / self.bandwidth_pps
-            self.busy_time += tx
+            self._busy_time += tx
             free_at = now + tx
-            self._free_at = free_at
-            sim.schedule_at_fast(free_at + self.prop_delay, self._deliver_cb, packet)
-            return True
-        if packet.size <= 0.0 and not queue._items and not self._wake_pending:
-            # A marker behind the in-flight serialization with nothing
-            # else queued: the wakeup would pop it exactly at ``_free_at``
-            # (zero serialization time), so schedule its delivery directly
-            # and skip the queue + wakeup round trip.
-            queue.stats.enqueued_control += 1
-            sim.schedule_at_fast(self._free_at + self.prop_delay, self._deliver_cb, packet)
-            return True
-        if not queue.push(packet, now):
-            for listener in self._drop_listeners:
-                listener(packet, now)
-            return False
-        if now >= self._free_at:
-            self._transmit_from(now)
-        elif not self._wake_pending:
-            self._wake_pending = True
-            sim.schedule_at_fast(self._free_at, self._wake)
+        else:
+            # The packet waits until ``free_at``: book the push now, leave
+            # the pop to ``_settle``.
+            callback = self._on_backlog
+            if callback is not None:
+                self._on_backlog = None
+                callback()
+            if not queue.admit(packet, now):
+                return self._tail_drop(packet, now)
+            last = queue._last_time
+            if now > last:
+                queue._integral += queue._occupancy * (now - last)
+                queue._last_time = now
+            occupancy = queue._occupancy + size
+            queue._occupancy = occupancy
+            stats.enqueued_data += count
+            if occupancy > stats.peak_occupancy:
+                stats.peak_occupancy = occupancy
+            ledger = self._ledger
+            if ledger is None:
+                ledger = self._ledger = deque()
+            ledger.append((free_at, size, count, packet))
+            if ledger[0][0] <= now:
+                self._settle(nextafter(now, inf))  # tie rule: an arrival kicks
+            free_at = free_at + size / self.bandwidth_pps
+        self._free_at = free_at
+        due = free_at + self.prop_delay
+        self._last_due = due
+        self._tail = packet
+        sim.schedule_at_fast(due, self._deliver_cb, packet)
         return True
 
+    def _tail_drop(self, packet: Packet, now: float) -> bool:
+        self.queue.stats.dropped_data += packet.count
+        for listener in self._drop_listeners:
+            listener(packet, now)
+        return False
+
+    def _settle(self, before: float) -> None:
+        """Replay every serialization start strictly before ``before``, in
+        start order: ``FifoQueue.pop`` at ``start``, then
+        ``_transmit_from``'s ``busy_time`` charge."""
+        ledger = self._ledger
+        queue = self.queue
+        stats = queue.stats
+        bandwidth = self.bandwidth_pps
+        while ledger and ledger[0][0] < before:
+            start, size, count, _packet = ledger.popleft()
+            last = queue._last_time
+            if start > last:
+                queue._integral += queue._occupancy * (start - last)
+                queue._last_time = start
+            queue._occupancy -= size
+            stats.dequeued_data += count
+            self._busy_time += size / bandwidth
+
+    def settle(self, now: Optional[float] = None) -> None:
+        """Bring the lazily booked state — queue occupancy and its
+        integral, ``stats.dequeued_data``, ``busy_time`` — up to ``now``
+        (default: the current instant).  A no-op on the queued path."""
+        if self._ledger:
+            self._settle(self.sim.now if now is None else now)
+
+    def backlog(self) -> int:
+        """Data packets (trains count once) admitted by the departure-time
+        path that have not started serializing."""
+        self.settle()
+        return len(self._ledger) if self._ledger else 0
+
+    # -- data path: real queue ----------------------------------------------
+
     def _send_queued(self, packet: Packet) -> bool:
-        """Bypass-free ``send`` for queues with custom push/pop semantics:
-        every packet goes through the discipline's own enqueue/dequeue.
-        Non-FIFO disciplines make per-packet decisions, so trains split
-        into scalar members here."""
+        """``send`` through the discipline's own enqueue/dequeue, for
+        queues with custom push/pop semantics and for armed links.  Both
+        make per-packet decisions, so trains split into scalar members
+        here."""
         if packet.count != 1:
             return self._send_split(packet, self._send_queued)
         return self._send_via_queue(packet)
@@ -378,12 +561,6 @@ class Link:
                 return False
         return self._send_base(packet)
 
-    def _send_fast_dynamic(self, packet: Packet) -> bool:
-        """``_send_fast`` with a train split in front (dynamic links)."""
-        if packet.count != 1:
-            return self._send_split(packet, self._send_fast)
-        return self._send_fast(packet)
-
     def _send_split(self, train: Packet, send: Callable[[Packet], bool]) -> bool:
         """Split ``train`` and offer every member through ``send``.
 
@@ -412,7 +589,7 @@ class Link:
                 # and keep popping — they never hold the transmitter.
                 schedule_at(start + prop, self._deliver_cb, packet)
                 continue
-            self.busy_time += tx
+            self._busy_time += tx
             free_at = start + tx
             self._free_at = free_at
             if len(queue) and not self._wake_pending:
@@ -432,24 +609,47 @@ class Link:
             self._wake_pending = True
             self.sim.schedule_at_fast(self._free_at, self._wake)
 
+    # -- delivery -----------------------------------------------------------
+
     def _deliver_fast(self, packet: Packet) -> None:
-        if packet.size > 0.0:
-            self.delivered_data += packet.count
-        else:
-            self.delivered_control += 1
-        self.dst.receive(packet, self)
+        """Hand ``packet`` to the far end, then the riders chained behind
+        it, in order (``trailer`` is cleared first: nothing downstream
+        ever sees one)."""
+        while True:
+            rider = packet.trailer
+            if rider is not None:
+                packet.trailer = None
+                if rider is _FLUSHED:
+                    return
+            if packet.size > 0.0:
+                self.delivered_data += packet.count
+            else:
+                self.delivered_control += 1
+            self.dst.receive(packet, self)
+            if rider is None:
+                return
+            packet = rider
 
     def _deliver_tapped(self, packet: Packet) -> None:
-        if packet.size > 0.0:
-            self.delivered_data += packet.count
-        else:
-            self.delivered_control += 1
+        """``_deliver_fast`` with the delivery taps in front of every
+        packet of the event, riders included."""
         now = self.sim.now
-        for tap in self._delivery_taps:
-            tap(packet, now)
-        self.dst.receive(packet, self)
+        while packet is not None:
+            rider, packet.trailer = packet.trailer, None
+            if rider is _FLUSHED:
+                return
+            for tap in self._delivery_taps:
+                tap(packet, now)
+            self._deliver_fast(packet)
+            packet = rider
 
     # -- metrics --------------------------------------------------------
+
+    @property
+    def busy_time(self) -> float:
+        """Seconds the transmitter has spent serializing so far."""
+        self.settle()
+        return self._busy_time
 
     @property
     def busy(self) -> bool:
@@ -496,10 +696,11 @@ class BoundaryLink(Link):
     in the future, so the receiving partition can ingest it at the next
     barrier without ever seeing an event in its past.
 
-    The queue-skip bypass stays off (``send`` is the bypass-free queued
-    path): the bypass schedules the delivery event directly, which has no
-    capture point.  The queued path produces identical timestamps, stats
-    and drops — only the local event count differs.
+    The departure-time path stays off (``send`` is the queued path): it
+    schedules a local delivery event, which a cut does not have — the
+    capture point is the pop loop at transmit start.  The queued path
+    produces identical timestamps, stats and drops — only the local event
+    count differs.
 
     :class:`~repro.sim.packet.PacketTrain` carriers cross the cut whole
     when the underlying queue is a plain FIFO (``_train_whole``, captured
@@ -540,11 +741,12 @@ class BoundaryLink(Link):
         # Trains may stay whole only where the serial link would keep
         # them whole: remember the plain-FIFO verdict before clearing it.
         self._train_whole = self._plain_fifo
-        # Force the bypass-free path: messages are captured in the pop
-        # loop, and the plain-FIFO shortcuts would skip it.  This also
-        # keeps Corelite's epoch parking off this link (parking is gated
-        # on ``_plain_fifo``), which is results-invariant by design.
+        # Force the queued path: messages are captured in the pop loop,
+        # which the departure-time path does not have.  This also keeps
+        # Corelite's epoch parking off this link (``watch_backlog`` is
+        # gated on ``_plain_fifo``), which is results-invariant by design.
         self._plain_fifo = False
+        queue._port = None
         self._send_base = self._send_queued
         self.send = self._send_base
 
@@ -577,7 +779,7 @@ class BoundaryLink(Link):
                 self.delivered_control += 1
                 emit(start + prop, packet)
                 continue
-            self.busy_time += tx
+            self._busy_time += tx
             free_at = start + tx
             self._free_at = free_at
             if len(queue) and not self._wake_pending:

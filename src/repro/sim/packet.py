@@ -79,6 +79,10 @@ class Packet:
         echoed the marker (the edge reacts to the *max* over core routers).
     created_at:
         Virtual time at which the packet was created.
+    trailer:
+        Link-private: the next zero-size packet riding this packet's
+        delivery event on the link it is crossing.  ``None`` everywhere
+        outside :mod:`repro.sim.link`.
     """
 
     __slots__ = (
@@ -95,6 +99,7 @@ class Packet:
         "created_at",
         "ecn",
         "micro_id",
+        "trailer",
     )
 
     #: Number of data packets this object represents.  Plain packets are
@@ -140,6 +145,11 @@ class Packet:
         #: (paper §2: an edge-to-edge flow "can potentially comprise of
         #: several end to end micro flows"); 0 when not aggregated.
         self.micro_id = 0
+        #: Next zero-size packet riding this packet's delivery event on the
+        #: link it is crossing (see :mod:`repro.sim.link`); the link sets
+        #: it and clears it again before handing the packet on, so it is
+        #: ``None`` at every node and at the pool.
+        self.trailer: Optional["Packet"] = None
 
     @classmethod
     def data(
@@ -380,6 +390,9 @@ class PacketPool:
     point.  Components that record packet attributes copy scalars out
     (tracers, meters), so the edges are the only owners at delivery time.
     Packets that are dropped or never released are simply garbage-collected.
+    A delivering link clears ``trailer`` before it hands a packet to its
+    sink, so a released packet never carries a rider (pinned in
+    ``tests/test_link.py``) and ``acquire`` has nothing to reset there.
     """
 
     __slots__ = ("max_size", "_free", "_free_trains", "allocated", "reused", "released")

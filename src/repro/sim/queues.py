@@ -10,6 +10,14 @@ Occupancy counts only data-sized packets: Corelite markers are piggybacked
 (size 0) and therefore consume neither buffer space nor bandwidth, exactly
 as the paper assumes.  Markers do keep their FIFO position so that the
 marker stream observed downstream preserves the interleaving of the flows.
+
+A static drop-tail link never calls :meth:`FifoQueue.push` / ``pop``: it
+fixes departure times at arrival and books this queue's occupancy,
+integral and counters itself, the dequeues lazily (the "Hot path" notes
+of :mod:`repro.sim.link`).  Every read here first asks that link
+(``_port``) to settle, so what a reader sees is what a real queue would
+show.  ``push`` / ``pop`` serve the links that need packet objects in a
+queue, and the disciplines that override them.
 """
 
 from __future__ import annotations
@@ -66,6 +74,7 @@ class FifoQueue:
         "_integral",
         "_last_time",
         "_window_start",
+        "_port",
     )
 
     def __init__(self, capacity: float) -> None:
@@ -79,6 +88,18 @@ class FifoQueue:
         self._integral = 0.0
         self._last_time = 0.0
         self._window_start = 0.0
+        #: The departure-time link serving this queue, if any.  Such a
+        #: link books a waiting packet's dequeue lazily (see the "Hot
+        #: path" notes in :mod:`repro.sim.link`), so every read below
+        #: asks it to settle first; ``stats.dequeued_data`` is the one
+        #: lazily booked counter that is a plain attribute —
+        #: ``Link.settle()`` (or any read here) brings it up to date.
+        self._port = None
+
+    def _sync(self, now: Optional[float] = None) -> None:
+        """Have the serving link book every dequeue that is due by ``now``."""
+        if self._port is not None:
+            self._port.settle(now)
 
     # -- time-average bookkeeping -------------------------------------
 
@@ -90,6 +111,7 @@ class FifoQueue:
 
     def time_average(self, now: float) -> float:
         """Mean occupancy since the start of the current averaging window."""
+        self._sync(now)
         self._advance(now)
         span = now - self._window_start
         if span <= 0.0:
@@ -98,6 +120,7 @@ class FifoQueue:
 
     def reset_window(self, now: float) -> None:
         """Start a new averaging window (called once per congestion epoch)."""
+        self._sync(now)
         self._advance(now)
         self._integral = 0.0
         self._window_start = now
@@ -110,6 +133,7 @@ class FifoQueue:
         immediately opens the next window; fusing the two saves a second
         occupancy-integration pass per epoch per enabled link.
         """
+        self._sync(now)
         integral = self._integral
         last = self._last_time
         if now > last:
@@ -163,11 +187,15 @@ class FifoQueue:
     @property
     def occupancy(self) -> float:
         """Current buffered data, in data packets (markers excluded)."""
+        self._sync()
         return self._occupancy
 
     def __len__(self) -> int:
-        """Number of queued packet objects, markers included."""
-        return len(self._items)
+        """Number of waiting packets: queued objects (markers included)
+        plus the data packets a departure-time link has yet to start."""
+        if self._port is None:
+            return len(self._items)
+        return len(self._items) + self._port.backlog()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

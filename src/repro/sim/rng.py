@@ -11,9 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import Callable, Dict, Union
 
-__all__ = ["derive_seed", "RngRegistry"]
+__all__ = ["derive_seed", "RngRegistry", "RngSource"]
+
+#: What a component that rarely draws takes in place of a stream: the
+#: stream itself, or a zero-argument callable returning it (typically
+#: ``partial(registry.stream, name)``) that the component calls at its
+#: first draw.  The name, hence the derived seed, is the same either way;
+#: a component that never draws never seeds a 2.5 KB Mersenne state.
+RngSource = Union[random.Random, Callable[[], random.Random]]
 
 
 def derive_seed(root_seed: int, name: str) -> int:

@@ -133,3 +133,48 @@ def test_epoch_resets_queue_window(rig):
     # After a couple of epochs the recorded qavg reflects the draining queue.
     assert machinery.qavg_last >= 0.0
     assert out.queue.time_average(sim.now) <= 20.0
+
+
+@pytest.mark.parametrize(
+    "scheme, prefix",
+    [(FeedbackScheme.SELECTIVE, "selective"), (FeedbackScheme.MARKER_CACHE, "cache")],
+)
+def test_selector_stream_is_taken_at_the_first_draw(scheme, prefix):
+    """An uncongested link (every access link) never draws, so it never
+    seeds a stream; a congested one draws from the stream of the same
+    name — hence the same derived seed — an eager build would have."""
+    sim = Simulator()
+    feedback = []
+    registry = RngRegistry(0)
+    router = CoreliteCoreRouter(
+        "C1", sim, CoreliteConfig(feedback_scheme=scheme), registry,
+        send_feedback=feedback.append,
+    )
+    out = Link(sim, "C1->Eout", "C1", Sink("Eout"), 500.0, 0.0, DropTailQueue(40))
+    router.set_route("Eout", out)
+    machinery = router.enable_on_link(out)
+    name = f"{prefix}:{out.name}"
+    for _ in range(5):
+        router.receive(marker(), link=None)
+    sim.run(until=1.0)
+    assert name not in registry and machinery.selector._rng is None
+    assert f"epoch:{out.name}" in registry  # the phase draw is not lazy
+
+    def pump():
+        for i in range(30):
+            router.receive(Packet.data(1, "Ein1", "Eout", i, sim.now), link=None)
+        for _ in range(10):
+            router.receive(marker(), link=None)
+
+    for k in range(8):
+        sim.schedule(k * 0.05, pump)
+    sim.run(until=2.5)
+    assert feedback
+    assert machinery.selector._rng is registry.stream(name)
+    # Same draws as a fresh stream of that name, advanced equally far.
+    reference = RngRegistry(0).stream(name)
+    draws = 0
+    while reference.getstate() != machinery.selector._rng.getstate():
+        reference.random()
+        draws += 1
+        assert draws < 10_000

@@ -4,8 +4,8 @@ Covers the unit semantics (NetworkEvent validation and JSON round trip,
 Link.fail/recover drop accounting, generation-checked in-flight drops)
 and the cloud-level behavior (chain failure partitions and recovery
 reconnects, mesh failure reroutes onto the detour, same-timestamp events
-execute in declaration order, parked epoch timers are woken before their
-link fails, ECMP/flowlet modes spray across equal-cost next hops).
+execute in declaration order, links armed for failure keep their epoch
+timer running, ECMP/flowlet modes spray across equal-cost next hops).
 """
 
 from __future__ import annotations
@@ -312,9 +312,10 @@ def test_recovery_before_pending_reroute_completes():
 
 
 def test_failed_link_with_parked_epoch_timer_is_woken_first():
-    """PR 5 parks a core's epoch timer when a link goes idle.  Failing
-    that link must unpark first — the parking trap must never wrap the
-    dead link's send, and a down link must not be parked again."""
+    """PR 5 parks a core's epoch timer when a link goes idle, until the
+    link reports its next backlog.  A link armed for failure serves a
+    real queue, which reports none, so its timer must never park — idle,
+    down or recovered — and ``send`` must come back live."""
     spec = TopologySpec.chain(
         3,
         events=(
@@ -335,7 +336,11 @@ def test_failed_link_with_parked_epoch_timer_is_woken_first():
         )
     )
     cloud = builder.build()
+    machinery = cloud.core_router("C2").machinery_for("C2->C3")
+    parked = []
+    cloud.sim.every(1.0, lambda: parked.append(machinery.parked))
     result = cloud.run(until=40.0)
+    assert not any(parked)
     link = cloud.topology.links["C2->C3"]
     assert link.up
     # send must be a live path, not the stale failure trap.

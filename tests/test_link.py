@@ -6,7 +6,7 @@ from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.node import Node
-from repro.sim.packet import Packet
+from repro.sim.packet import Packet, PacketTrain
 from repro.sim.queues import DropTailQueue
 
 
@@ -144,3 +144,454 @@ def test_pipelining_multiple_packets_in_flight():
     # arrivals are spaced by serialization (1 ms), all near t = 1 s
     assert times[0] == pytest.approx(1.001)
     assert times[-1] == pytest.approx(1.010)
+
+
+# ---------------------------------------------------------------------------
+# Departure-time FIFO: riders, the tie rule, backlog watch, unarmed fail()
+# ---------------------------------------------------------------------------
+
+
+def marker():
+    return Packet.marker(1, "A", "B", label=1.0, now=0.0)
+
+
+def test_two_markers_on_an_idle_link_share_one_event(rig):
+    sim, link, sink = rig
+    first, second = marker(), marker()
+    link.send(first)
+    link.send(second)
+    sim.run()
+    assert [p for _, p in sink.arrivals] == [first, second]
+    assert [t for t, _ in sink.arrivals] == [0.05, 0.05]
+    assert sim.events_executed == 1
+    assert link.delivered_control == 2
+    assert first.trailer is None and second.trailer is None
+
+
+def test_rider_is_delivered_after_its_carrier_and_before_any_later_packet(rig):
+    sim, link, sink = rig
+    carrier, rider, later = data(0), marker(), data(1)
+    for packet in (carrier, rider, later):
+        link.send(packet)
+    assert carrier.trailer is rider
+    sim.run()
+    assert [p for _, p in sink.arrivals] == [carrier, rider, later]
+    assert [t for t, _ in sink.arrivals] == pytest.approx([0.06, 0.06, 0.07])
+    assert sim.events_executed == 2  # one per data packet, none for the marker
+    assert carrier.trailer is None
+
+
+def test_delivery_taps_see_riders_too(rig):
+    sim, link, sink = rig
+    tapped = []
+    link.add_delivery_tap(lambda packet, now: tapped.append((now, packet)))
+    carrier, rider = data(0), marker()
+    link.send(carrier)
+    link.send(rider)
+    sim.run()
+    assert tapped == sink.arrivals
+    assert [p for _, p in tapped] == [carrier, rider]
+    assert sim.events_executed == 1
+    assert (link.delivered_data, link.delivered_control) == (1, 1)
+
+
+def test_marker_behind_a_dropped_data_packet_travels_alone():
+    """Markers are standalone packets: the drop of the data packet a
+    marker trails does not take the marker with it."""
+    sim = Simulator()
+    sink = Sink("B", sim)
+    link = Link(sim, "A->B", "A", sink, bandwidth_pps=100.0, prop_delay=0.05,
+                queue=DropTailQueue(1))
+    in_service, waiting, dropped = data(0), data(1), data(2)
+    assert link.send(in_service) and link.send(waiting)
+    assert link.send(dropped) is False
+    orphan = marker()
+    assert link.send(orphan)
+    sim.run()
+    assert [p for _, p in sink.arrivals] == [in_service, waiting, orphan]
+    # Zero size: it leaves when the buffer ahead of it has drained.
+    assert sink.arrivals[-1][0] == sink.arrivals[-2][0] == pytest.approx(0.07)
+    assert (link.delivered_data, link.delivered_control) == (2, 1)
+
+    # With nothing ahead of it the orphan gets an event of its own.
+    lone = Link(sim, "A->B", "A", sink, bandwidth_pps=100.0, prop_delay=0.05,
+                queue=DropTailQueue(1))
+    too_big = Packet.data(1, "A", "B", seq=0, now=sim.now)
+    too_big.size = 2.0
+    before = sim.events_executed
+    assert lone.send(too_big) is False
+    assert lone.send(marker())
+    sim.run()
+    assert sim.events_executed == before + 1
+    assert lone.delivered_control == 1
+
+
+def test_marker_does_not_ride_an_event_due_now():
+    """prop_delay 0 on an idle link: the event scheduled last at this very
+    instant may already have fired, so the marker takes its own."""
+    sim = Simulator()
+    sink = Sink("B", sim)
+    link = Link(sim, "A->B", "A", sink, bandwidth_pps=100.0, prop_delay=0.0,
+                queue=DropTailQueue(4))
+    link.send(marker())
+    sim.run()
+    link.send(marker())  # same instant as the (fired) event above
+    sim.run()
+    assert len(sink.arrivals) == 2
+    assert sim.events_executed == 2
+
+
+def test_tie_rule_start_at_now_still_occupies_the_buffer():
+    """A packet whose serialization starts exactly at the arrival instant
+    still counts against the buffer for that arrival."""
+    sim = Simulator()
+    sink = Sink("B", sim)
+    link = Link(sim, "A->B", "A", sink, bandwidth_pps=10.0, prop_delay=0.0,
+                queue=DropTailQueue(2))
+    accepted = []
+
+    def offer(seq):
+        accepted.append((seq, link.send(data(seq))))
+
+    for seq in range(3):  # 0 in service until 0.1; 1 and 2 fill the buffer
+        offer(seq)
+    sim.schedule_at(0.1, offer, 3)  # exactly when packet 1 starts
+    sim.schedule_at(0.1000001, offer, 4)  # just after: one slot is free
+    sim.run()
+    assert accepted == [(0, True), (1, True), (2, True), (3, False), (4, True)]
+    assert link.queue.stats.dropped_data == 1
+    assert link.queue.stats.peak_occupancy == 2.0
+
+
+def test_tie_rule_an_admitted_arrival_kicks_the_start_at_now():
+    """...and once it is booked, the start at ``now`` happens: a second
+    arrival at the same instant finds that slot free (a refused arrival,
+    above, frees nothing)."""
+    sim = Simulator()
+    sink = Sink("B", sim)
+    link = Link(sim, "A->B", "A", sink, bandwidth_pps=10.0, prop_delay=0.0,
+                queue=DropTailQueue(3))
+    accepted = []
+
+    def offer(seq):
+        accepted.append((seq, link.send(data(seq))))
+
+    for seq in range(3):  # 0 in service until 0.1; 1 and 2 wait
+        offer(seq)
+    for seq in (3, 4, 5):
+        sim.schedule_at(0.1, offer, seq)  # all exactly when packet 1 starts
+    sim.run()
+    # 3 joins 1 and 2 (buffer full) and kicks 1 out; 4 takes that slot; 5
+    # finds the buffer full again.
+    assert accepted[3:] == [(3, True), (4, True), (5, False)]
+    assert link.queue.stats.peak_occupancy == 3.0
+
+
+def test_watch_backlog_fires_once_before_the_first_waiting_data_packet(rig):
+    sim, link, sink = rig
+    seen = []
+    assert link.watch_backlog(lambda: seen.append(link.queue.occupancy))
+    link.send(marker())  # zero size: never waits
+    link.send(data(0))  # idle transmitter: does not wait
+    assert seen == []
+    link.send(marker())  # transmitter busy, but markers occupy nothing
+    assert seen == []
+    link.send(data(1))  # has to wait
+    assert seen == [0.0]  # called before the packet was booked
+    link.send(data(2))
+    assert seen == [0.0]  # one shot
+    # Something is waiting now: the promise cannot be made.
+    assert link.watch_backlog(lambda: None) is False
+    sim.run()
+    assert link.watch_backlog(lambda: None) is True
+
+
+def test_watch_backlog_refused_off_the_departure_time_path():
+    from repro.aqm.red import RedQueue
+
+    sim = Simulator()
+    sink = Sink("B", sim)
+    red = Link(sim, "A->B", "A", sink, 100.0, 0.05, RedQueue(capacity=50.0))
+    assert red.watch_backlog(lambda: None) is False
+    armed = Link(sim, "A->B", "A", sink, 100.0, 0.05, DropTailQueue(4))
+    armed.enable_dynamics()
+    assert armed.watch_backlog(lambda: None) is False
+
+
+def test_arming_a_watched_link_fires_the_watch(rig):
+    """The queued path never reports a backlog, so arming the link hands
+    the watcher back its timer instead of leaving it parked forever."""
+    sim, link, sink = rig
+    seen = []
+    assert link.watch_backlog(lambda: seen.append(True))
+    link.enable_dynamics()
+    assert seen == [True]
+
+
+def test_enable_dynamics_with_packets_waiting_is_refused(rig):
+    from repro.errors import SimulationError
+
+    sim, link, sink = rig
+    link.send(data(0))
+    link.send(data(1))
+    with pytest.raises(SimulationError, match="before traffic"):
+        link.enable_dynamics()
+
+
+def test_fail_on_unarmed_link_flushes_the_ledger_and_voids_deliveries(rig):
+    """Backlog held as departure times is still a queue to a failure:
+    every waiting packet is booked as a queue drop, the listeners hear of
+    it, and the deliveries already scheduled for them deliver nothing —
+    nor do the markers riding them."""
+    sim, link, sink = rig
+    dropped = []
+    link.add_drop_listener(lambda p, t: dropped.append((p.seq, t)))
+    packets = [data(i) for i in range(4)]
+    for packet in packets:
+        link.send(packet)
+    link.send(marker())  # rides the last waiting packet
+    sim.run(until=0.015)  # packet 1 is now in service, 2 and 3 wait
+    assert link.fail() == 2
+    assert dropped == [(2, 0.015), (3, 0.015)]
+    stats = link.queue.stats
+    assert (stats.enqueued_data, stats.dequeued_data, stats.dropped_data) == (4, 2, 2)
+    assert link.queue.occupancy == 0
+    assert link.failure_drops == 0
+    sim.run()
+    # Never armed, so what had left the buffer survives (documented).
+    assert [p.seq for _, p in sink.arrivals] == [0, 1]
+    assert link.delivered_control == 0
+    assert link.busy_time == pytest.approx(0.02)
+
+
+def test_lazy_counters_read_current_without_an_explicit_settle():
+    sim = Simulator()
+    sink = Sink("B", sim)
+    link = Link(sim, "A->B", "A", sink, bandwidth_pps=100.0, prop_delay=0.0,
+                queue=DropTailQueue(10))
+    for i in range(5):
+        link.send(data(i))
+    assert (link.queue.occupancy, len(link.queue)) == (4.0, 4)
+    sim.run(until=0.025)  # starts at 0, 0.01, 0.02 have happened
+    assert link.busy_time == pytest.approx(0.03)
+    assert (link.queue.occupancy, len(link.queue)) == (2.0, 2)
+    assert link.queue.stats.dequeued_data == 3
+    assert link.queue.time_average(0.025) == pytest.approx(
+        (4 * 0.01 + 3 * 0.01 + 2 * 0.005) / 0.025
+    )
+    assert link._ledger is not None and link.backlog() == 2
+
+
+def test_access_link_that_never_queues_allocates_no_ledger(rig):
+    sim, link, sink = rig
+    for i in range(3):
+        link.send(data(i))
+        link.send(marker())
+        sim.run()
+    assert link._ledger is None
+
+
+def test_packet_pool_recycles_no_packet_with_a_rider_attached():
+    from repro.experiments.builder import CloudBuilder
+    from repro.experiments.topospec import FlowPathSpec, TopologySpec
+    from repro.sim.packet import PacketPool
+
+    class CheckingPool(PacketPool):
+        def release(self, packet):
+            assert packet.trailer is None, packet
+            super().release(packet)
+
+    rides = []
+    original = Link._deliver_fast
+
+    def counting(self, packet):
+        if packet.trailer is not None:
+            rides.append(packet.pid)
+        original(self, packet)
+
+    # Links bind their delivery callback at construction: patch first.
+    Link._deliver_fast = counting
+    try:
+        builder = CloudBuilder(
+            TopologySpec.chain(2, capacity_pps=60.0), scheme="corelite", seed=1,
+            packet_pool=True,
+        )
+        for fid in (1, 2, 3):
+            builder.add_flow(FlowPathSpec(fid, weight=float(fid)))
+        cloud = builder.build()
+        pool = cloud.sim.packet_pool = CheckingPool()
+        cloud.run(until=6.0)
+    finally:
+        Link._deliver_fast = original
+    assert pool.released > 100 and pool.reused > 0
+    assert len(rides) > 100  # markers did ride pooled data packets
+    assert all(p.trailer is None for p in pool._free)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: departure-time path vs the real queue
+# ---------------------------------------------------------------------------
+#
+# The queued path (``FifoQueue.push`` / ``pop``, ``_transmit_from``, one
+# ``_wake`` per serialization gap) is what the departure-time path replaced
+# on static drop-tail links, and it stays in ``src`` for the links that need
+# packet objects in a queue — so it is the oracle.  One arrival schedule is
+# driven through a link on each path; everything observable must be equal,
+# floats included (``==``, not ``approx``).  Arrivals and probes are
+# scheduled before the run, so at an equal instant they precede the
+# oracle's wakeup in (time, seq) order — the case the tie rule states.
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+class _Observed:
+    """One link, one path, and everything a run of it shows."""
+
+    def __init__(self, capacity, bandwidth, prop, departure_time):
+        self.sim = sim = Simulator()
+        self.deliveries = []
+        self.refused = []
+        self.listened = []
+        self.probes = []
+        outer = self
+
+        class Recorder(Node):
+            def receive(self, packet, link):
+                assert packet.trailer is None
+                outer.deliveries.append((sim.now, packet.pid))
+
+        self.link = link = Link(
+            sim, "A->B", "A", Recorder("B"), bandwidth, prop, DropTailQueue(capacity)
+        )
+        link.add_drop_listener(lambda p, t: self.listened.append((t, p.pid)))
+        assert link.send.__func__ is Link._send_fast
+        if not departure_time:
+            link.send = link._send_via_queue
+            link.queue._port = None
+
+    def offer(self, size):
+        if size == 0:
+            packet = Packet.marker(1, "A", "B", label=1.0, now=self.sim.now, sim=self.sim)
+        elif size == 1:
+            packet = Packet.data(1, "A", "B", seq=0, now=self.sim.now, sim=self.sim)
+        else:
+            packet = PacketTrain.build(1, "A", "B", 0, size, now=self.sim.now, sim=self.sim)
+        if not self.link.send(packet):
+            self.refused.append((self.sim.now, packet.pid))
+
+    def probe(self):
+        link, now = self.link, self.sim.now
+        link.settle()
+        self.probes.append(
+            (
+                now,
+                link.queue.time_average(now),
+                link.queue.occupancy,
+                link.queue.stats.dequeued_data,
+                link.busy_time,
+            )
+        )
+
+    def replay(self, arrivals, probes):
+        for when, size in arrivals:
+            self.sim.schedule_at(when, self.offer, size)
+        for when in probes:
+            self.sim.schedule_at(when, self.probe)
+        self.sim.run()
+        link = self.link
+        link.settle()
+        assert link._wake_pending is False
+        return {
+            "deliveries": self.deliveries,
+            "refused": self.refused,
+            "listened": self.listened,
+            "probes": self.probes,
+            "stats": link.queue.stats.as_dict(),
+            "occupancy": link.queue.occupancy,
+            "busy_time": link.busy_time,
+            "delivered": (link.delivered_data, link.delivered_control),
+            "next_pid": self.sim._next_pid,
+        }
+
+
+def _realize(capacity, bandwidth, prop, steps):
+    """Turn gap instructions into absolute arrival times by walking a
+    departure-time link, whose ledger *is* the list of upcoming
+    serialization starts: ``("boundary", j)`` lands the arrival exactly on
+    the j-th of them (the last one being the instant the transmitter
+    falls idle)."""
+    walker = _Observed(capacity, bandwidth, prop, departure_time=True)
+    sim, link = walker.sim, walker.link
+    arrivals = []
+    now = 0.0
+    for size, (kind, value) in steps:
+        if kind == "gap":
+            now = now + value
+        else:
+            link.settle(now)
+            starts = [entry[0] for entry in link._ledger or ()]
+            starts.append(link._free_at)
+            now = max(now, starts[min(value, len(starts) - 1)])
+        sim.run(until=now)
+        walker.offer(size)
+        arrivals.append((now, size))
+    return arrivals
+
+
+_steps = st.lists(
+    st.tuples(
+        # Markers and scalars dominate; a few trains (size > 1).
+        st.sampled_from([0, 0, 1, 1, 1, 1, 2, 3, 5]),
+        st.one_of(
+            st.just(("gap", 0.0)),  # same instant as the previous arrival
+            st.tuples(st.just("gap"), st.floats(0.0, 0.05)),
+            st.tuples(st.just("boundary"), st.integers(0, 4)),
+        ),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(
+    capacity=st.integers(1, 40),
+    bandwidth=st.sampled_from([10.0, 100.0, 500.0, 333.0, 1000.0 / 3.0]),
+    prop=st.sampled_from([0.0, 0.001, 0.01, 0.05]),
+    steps=_steps,
+    probes=st.lists(st.floats(0.0, 3.0), max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_departure_time_path_equals_the_real_queue(capacity, bandwidth, prop, steps, probes):
+    arrivals = _realize(capacity, bandwidth, prop, steps)
+    # Probe at a few arrival instants too (ties with starts included).
+    probes = sorted(probes + [when for when, _size in arrivals[::7]])
+    fast = _Observed(capacity, bandwidth, prop, departure_time=True)
+    oracle = _Observed(capacity, bandwidth, prop, departure_time=False)
+    seen = fast.replay(arrivals, probes)
+    expected = oracle.replay(arrivals, probes)
+    assert seen == expected
+    # ...from fewer events: one per data packet accepted, at most one per
+    # marker, nothing per serialization gap.
+    assert fast.sim.events_executed <= oracle.sim.events_executed
+    data_accepted = sum(
+        1 for _when, size in arrivals if size
+    ) - len(expected["refused"])
+    markers = sum(1 for _when, size in arrivals if not size)
+    assert (
+        fast.sim.events_executed - len(arrivals) - len(probes)
+        <= data_accepted + markers
+    )
+
+
+def test_oracle_walker_lands_arrivals_on_serialization_starts():
+    """The property above is only as strong as its tie coverage: check
+    that ``boundary`` steps really produce arrivals at exact starts, and
+    that such an arrival meets a full buffer on both paths."""
+    steps = [(1, ("gap", 0.0))] * 3 + [(1, ("boundary", 0)), (1, ("boundary", 1))]
+    arrivals = _realize(2, 10.0, 0.0, steps)
+    assert [when for when, _ in arrivals] == [0.0, 0.0, 0.0, 0.1, 0.2]
+    fast = _Observed(2, 10.0, 0.0, departure_time=True).replay(arrivals, [0.1, 0.2])
+    oracle = _Observed(2, 10.0, 0.0, departure_time=False).replay(arrivals, [0.1, 0.2])
+    assert fast == oracle
+    assert [when for when, _pid in fast["refused"]] == [0.1]

@@ -315,19 +315,20 @@ def _build(name, scheme, train_batch=1, seed=None):
 
 def test_train_batch_1_is_byte_identical_to_scalar():
     """``train_batch=1`` must take the scalar datapath exactly: the same
-    replay fingerprints test_vectorized pins against the pre-train code."""
-    digest, _, _ = _run_and_fingerprint(*_build("chain4", "corelite", train_batch=1))
-    assert digest == FINGERPRINTS["chain4_corelite"]
-    digest, _, _ = _run_and_fingerprint(*_build("mesh", "csfq", train_batch=1))
-    assert digest == FINGERPRINTS["mesh_csfq"]
+    (result digest, event count) pairs test_vectorized pins against the
+    pre-train code."""
+    pin, _, _ = _run_and_fingerprint(*_build("chain4", "corelite", train_batch=1))
+    assert pin == FINGERPRINTS["chain4_corelite"]
+    pin, _, _ = _run_and_fingerprint(*_build("mesh", "csfq", train_batch=1))
+    assert pin == FINGERPRINTS["mesh_csfq"]
 
     builder = CloudBuilder(
         TopologySpec.chain(2), scheme="csfq", seed=1, train_batch=1
     )
     builder.add_flow(FlowPathSpec(1, weight=2.0, ingress_core="C1", egress_core="C2"))
     builder.add_flow(FlowPathSpec(2, weight=1.0, ingress_core="C1", egress_core="C2"))
-    digest, _, _ = _run_and_fingerprint(builder.build(), 12.0)
-    assert digest == FINGERPRINTS["chain2_csfq"]
+    pin, _, _ = _run_and_fingerprint(builder.build(), 12.0)
+    assert pin == FINGERPRINTS["chain2_csfq"]
 
 
 #: Seeds averaged per statistical pin.  A single deterministic pair is

@@ -4,11 +4,14 @@ aggregated sources.
 Four layers of protection:
 
 * **Scalar replay fingerprints** — the default build path must stay
-  byte-identical to the pre-PR-7 code: same per-flow series, same
-  packet-id counter, same event count, hashed and pinned.
+  byte-identical to the pre-PR-7 code: same per-flow series and same
+  packet-id counter, hashed and pinned as a *result digest*, with the
+  executed-event count pinned beside it (a pure event-structure change
+  moves only the count).
 * **Batched replay fingerprints** — ``vectorized=True`` runs recorded
   while the array-backed edges (``repro.sim.flowarrays``) still existed;
-  deleting them must not move a single delivery, loss, rate or event.
+  deleting them must not move a single delivery, loss or rate, and the
+  event count is pinned beside them.
 * **Batched vs unbatched** — batching quantizes feedback to core
   epochs, so against the default only the statistical pins apply.
 * **Aggregated sources** — ``PacedAggregateSource`` unit behavior and
@@ -94,27 +97,47 @@ SCENARIOS = {
     "flow_scaling_corelite_256": _flow_scaling_corelite_256,
 }
 
-#: sha256 replay fingerprints recorded from the pre-PR7 scalar code.
-#: The default build path must keep reproducing these byte-for-byte.
+#: name -> (sha256 result digest, events executed).  The digest covers
+#: everything a run *produced* — per-flow delivered / losses / rate,
+#: throughput and cumulative series, and the packet-id counter — and was
+#: computed on the last commit that still hashed the event count into it
+#: (0b2fe4e, where the combined hashes recorded from the pre-PR7 scalar
+#: code still passed); the default build path must keep reproducing it
+#: byte-for-byte.  The event count is pinned *beside* it, so a change in
+#: event structure and a change in results fail apart.  Counts re-recorded
+#: once for the departure-time links (no transmitter wakeups, markers ride
+#: their data packet's delivery): 37,473 / 885 / 10,393 / 4,055 / 83,868
+#: before.
 FINGERPRINTS = {
-    "chain4_corelite":
-        "f248531b3ef37ab7250704e7600b5a04cffbab8d9f4af84b0175c0fa785bd532",
-    "chain2_csfq":
-        "a2921b4a0b419d7f145b725ebb19b722d632e885e15d22191f4ed091ff1fbc55",
-    "parking_corelite":
-        "c99fdf984ed7b10714c9103176efee371df398cf3a6dcc396862cd27c1e60296",
-    "mesh_csfq":
-        "5f8ed013d8e67c04597479d87d37a70f0d858a8d68c59eddf9d16ba07baec770",
-    "flow_scaling_corelite_256":
-        "43f05fde0a85db1a3303737a9a0cb86059f2b9ab9c510c38e5d1940ca67a1f98",
+    "chain4_corelite": (
+        "8463658a7b636d0c8295f4b3945de0603b7bed833410bd44a812b84cbb65c1fe",
+        23481,
+    ),
+    "chain2_csfq": (
+        "800b58a0888f1e2692c1b5ecf7bf2e95bd09330af9c885e2dbb78deaa039c63b",
+        877,
+    ),
+    "parking_corelite": (
+        "30ca7d7ac6e71f50ee9d51233c6bb5513c3e163c9a731105adc64c27aee95e13",
+        6131,
+    ),
+    "mesh_csfq": (
+        "eb7de8bc08e89e942fac0cc82d5cad7256d2d3c97dc6588eab16add9c2606110",
+        4001,
+    ),
+    "flow_scaling_corelite_256": (
+        "9eda7ddc332cbe2457b36a7915432cb583f2fe9a3d71863e9b60b5a7ed8be229",
+        57797,
+    ),
 }
 
 
 def _run_and_fingerprint(cloud, until):
-    """Run the cloud and hash everything replay-relevant: the sorted
-    per-flow delivery/loss/series tuples plus the simulator's packet-id
-    counter and executed-event count (so a change in event *structure*
-    trips the pin even when the results happen to agree)."""
+    """Run the cloud; returns ``((result digest, events executed),
+    delivered, weights)``.  The digest hashes everything replay-relevant
+    that is a *result*: the sorted per-flow delivery/loss/series tuples
+    plus the simulator's packet-id counter.  The executed-event count
+    travels beside it, not inside it."""
     result = cloud.run(until=until)
     payload = []
     for flow_id, record in sorted(result.flows.items()):
@@ -128,11 +151,11 @@ def _run_and_fingerprint(cloud, until):
                 tuple(record.cumulative_series.values),
             )
         )
-    blob = repr((payload, cloud.sim._next_pid, cloud.sim.events_executed))
+    blob = repr((payload, cloud.sim._next_pid))
     digest = hashlib.sha256(blob.encode()).hexdigest()
     delivered = {fid: record.delivered for fid, record in result.flows.items()}
     weights = {fid: record.weight for fid, record in result.flows.items()}
-    return digest, delivered, weights
+    return (digest, cloud.sim.events_executed), delivered, weights
 
 
 @pytest.fixture(scope="module")
@@ -148,14 +171,23 @@ def scalar_runs():
 
 
 def test_scalar_replay_fingerprints_unchanged(scalar_runs):
-    mismatched = {
-        name: scalar_runs[name][0]
-        for name in FINGERPRINTS
-        if scalar_runs[name][0] != FINGERPRINTS[name]
+    results = {
+        name: scalar_runs[name][0][0]
+        for name, (digest, _events) in FINGERPRINTS.items()
+        if scalar_runs[name][0][0] != digest
     }
-    assert not mismatched, (
+    assert not results, (
         "default (scalar) build path no longer replays byte-identical to "
-        f"the pre-vectorization code: {mismatched}"
+        f"the pre-vectorization code: {results}"
+    )
+    events = {
+        name: (scalar_runs[name][0][1], pinned)
+        for name, (_digest, pinned) in FINGERPRINTS.items()
+        if scalar_runs[name][0][1] != pinned
+    }
+    assert not events, (
+        "same results, different event structure — (now, pinned) events "
+        f"executed: {events}"
     )
 
 
@@ -192,7 +224,10 @@ def _vec_parking(scheme, train_batch):
 #: repr(final allotted rate)) in flow-id order, sim.events_executed),
 #: captured at the last commit that had the array-backed edges
 #: (a63a83d, ``vectorized=True``).  The scalar edges with batched
-#: control must keep reproducing them exactly.
+#: control must keep reproducing them exactly.  The event counts (only)
+#: were re-recorded once for the departure-time links: 27,065 / 22,632 /
+#: 12,676 / 5,905 / 13,356 / 13,170 / 7,075 / 3,354 before, in the order
+#: below.
 VECTORIZED_FINGERPRINTS = {
     ("corelite", "chain4", 1): (
         ((183, 3, "28.0"), (251, 0, "40.0"), (260, 0, "42.0"),
@@ -202,7 +237,7 @@ VECTORIZED_FINGERPRINTS = {
          (243, 0, "34.0"), (228, 0, "34.0"), (270, 0, "39.0"),
          (180, 0, "26.0"), (261, 0, "39.0"), (257, 0, "39.0"),
          (260, 0, "42.0"), (260, 0, "39.0")),
-        27065,
+        22777,
     ),
     ("corelite", "chain4", 8): (
         ((180, 2, "27.0"), (253, 0, "41.0"), (257, 0, "42.0"),
@@ -212,19 +247,19 @@ VECTORIZED_FINGERPRINTS = {
          (237, 3, "33.0"), (237, 0, "37.0"), (270, 0, "39.0"),
          (164, 0, "21.0"), (257, 0, "38.0"), (254, 0, "38.0"),
          (266, 0, "44.0"), (257, 0, "38.0")),
-        22632,
+        19388,
     ),
     ("corelite", "parking", 1): (
         ((241, 0, "69.0"), (684, 0, "164.0"), (172, 0, "41.0"),
          (171, 0, "41.0"), (180, 0, "41.0"), (181, 0, "41.0"),
          (174, 0, "41.0")),
-        12676,
+        12237,
     ),
     ("corelite", "parking", 8): (
         ((239, 0, "69.0"), (673, 0, "164.0"), (171, 0, "41.0"),
          (171, 0, "41.0"), (179, 0, "41.0"), (181, 0, "41.0"),
          (173, 0, "41.0")),
-        5905,
+        5673,
     ),
     ("csfq", "chain4", 1): (
         ((115, 6, "23.0"), (129, 3, "28.0"), (130, 2, "28.0"), (92, 6, "22.0"),
@@ -233,7 +268,7 @@ VECTORIZED_FINGERPRINTS = {
          (124, 2, "27.0"), (126, 3, "26.0"), (135, 2, "29.0"),
          (113, 4, "25.0"), (96, 5, "21.0"), (140, 4, "26.0"), (127, 5, "24.0"),
          (127, 3, "28.0"), (133, 2, "29.0")),
-        13356,
+        12317,
     ),
     ("csfq", "chain4", 8): (
         ((108, 6, "23.0"), (129, 3, "28.0"), (130, 2, "28.0"), (92, 6, "22.0"),
@@ -242,17 +277,17 @@ VECTORIZED_FINGERPRINTS = {
          (124, 2, "27.0"), (126, 3, "26.0"), (132, 3, "27.0"),
          (113, 4, "25.0"), (95, 5, "21.0"), (140, 4, "26.0"), (127, 5, "24.0"),
          (128, 2, "28.0"), (133, 2, "29.0")),
-        13170,
+        12162,
     ),
     ("csfq", "parking", 1): (
         ((67, 5, "18.0"), (287, 9, "77.0"), (55, 5, "18.0"), (25, 11, "9.0"),
          (71, 4, "20.0"), (54, 7, "14.0"), (42, 9, "11.0")),
-        7075,
+        7025,
     ),
     ("csfq", "parking", 8): (
         ((67, 5, "18.0"), (261, 8, "70.0"), (55, 5, "18.0"), (25, 11, "9.0"),
          (71, 4, "20.0"), (58, 7, "14.0"), (36, 11, "9.0")),
-        3354,
+        3219,
     ),
 }
 
@@ -274,7 +309,9 @@ def test_vectorized_replay_fingerprints_unchanged(key):
         )
         for fid, record in sorted(result.flows.items())
     )
-    assert (flows, cloud.sim.events_executed) == VECTORIZED_FINGERPRINTS[key]
+    pinned_flows, pinned_events = VECTORIZED_FINGERPRINTS[key]
+    assert flows == pinned_flows
+    assert cloud.sim.events_executed == pinned_events, "same results, different event structure"
 
 
 # ---------------------------------------------------------------------------
