@@ -134,30 +134,29 @@ def test_harness_construction_mesh(benchmark):
 
 
 @pytest.mark.benchmark(group="micro-harness")
-def test_harness_events_per_second_chain_vs_mesh(benchmark):
-    """Simulated events/second through a built cloud (5 s of traffic).
+def test_harness_run_chain_vs_mesh(benchmark):
+    """Wall time of 5 simulated seconds through a built cloud.
 
     Runs the chain and the mesh back to back in one bench so the
-    reported number tracks the end-to-end cost of a spec-built cloud,
-    not just its construction."""
+    reported time tracks the end-to-end cost of a spec-built cloud,
+    not just its construction.  The work is checked in delivered
+    packets: events per packet is what datapath work changes."""
     from repro.experiments.scenarios import mesh_flows, topology1_flows, WEIGHTS_41
     from repro.experiments.topospec import TopologySpec
 
     chain_flows = topology1_flows(WEIGHTS_41, {})
 
     def run():
-        executed = 0
+        delivered = 0
         for spec, flows in (
             (TopologySpec.chain(4), chain_flows),
             (TopologySpec.mesh(), mesh_flows()),
         ):
             cloud = _build_cloud(spec, flows)
-            cloud.run(until=5.0)
-            executed += cloud.sim.events_executed
-        return executed
+            delivered += cloud.run(until=5.0).total_delivered()
+        return delivered
 
-    events = benchmark(run)
-    assert events > 10_000
+    assert benchmark(run) > 500
 
 
 @pytest.mark.benchmark(group="micro")

@@ -9,7 +9,6 @@ figures or ablations from the terminal::
     corelite ablation feedback
     corelite run my_scenario.json        # declarative DSL
     corelite batch my_scenario.json --num-seeds 4 --workers 4
-    corelite bench --quick               # perf suite + BENCH_*.json report
     corelite report                      # verify all paper claims
 
 Each figure command prints the paper-style measured-vs-expected table and
@@ -276,49 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run under cProfile and dump pstats data to a file")
     run.set_defaults(handler=_run_scenario_file)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the perf bench suite and write a BENCH_<label>.json report",
-        description="Measure event-engine and datapath throughput "
-        "(simulated events/sec), write the BENCH_<label>.json trajectory "
-        "point, and optionally gate against a previous report with a "
-        "regression threshold — the proof layer for hot-path work.",
-    )
-    bench.add_argument("--list", action="store_true", dest="list_benches",
-                       help="enumerate the registered benchmarks (name, work "
-                            "unit, repeat cap, quick-mode status) and exit")
-    bench.add_argument("--label", type=str, default="local",
-                       help="report label; the file is BENCH_<label>.json")
-    bench.add_argument("--out-dir", type=str, default="benchmarks/results",
-                       help="directory the report is written into")
-    bench.add_argument("--quick", action="store_true",
-                       help="small sizes / fewer repeats (the CI smoke)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="override per-bench repeat count")
-    bench.add_argument("--diff", type=str, nargs=2, default=None,
-                       metavar=("CURRENT", "BASELINE"),
-                       help="diff two existing BENCH_*.json reports and "
-                            "exit without running the suite (informational "
-                            "— the gating form is --baseline)")
-    bench.add_argument("--baseline", type=str, default=None,
-                       help="previous BENCH_*.json to diff against; exits 1 "
-                            "on a regression beyond --threshold")
-    bench.add_argument("--threshold", type=float, default=0.30,
-                       help="regression gate as a fraction (0.30 = 30%%)")
-    bench.add_argument("--pool", action="store_true",
-                       help="enable the packet free-list pool in the "
-                            "scenario bench")
-    bench.add_argument("--train-batch", type=int, default=None,
-                       help="override the flow-scaling rungs' train batch "
-                            "(1 forces the scalar datapath — the way the "
-                            "interleaved _base half of a before/after "
-                            "pair is produced; default: per-rung config)")
-    bench.add_argument("--profile", type=str, default=None, metavar="STATS",
-                       help="run the suite under cProfile, dump pstats "
-                            "data to a file, and embed the top-20 "
-                            "cumulative entries in the JSON report")
-    bench.set_defaults(handler=_run_bench)
-
     rp = sub.add_parser(
         "report",
         help="rerun every experiment and print a paper-vs-measured markdown report",
@@ -415,101 +371,12 @@ def _run_batch(args: argparse.Namespace) -> Dict:
     }
 
 
-def _run_bench(args: argparse.Namespace) -> Dict:
-    import os
-
-    from repro import perf
-
-    if args.list_benches:
-        rows = []
-        for name, (_fn, unit) in perf.BENCHES.items():
-            cap = perf.BENCH_REPEAT_CAPS.get(name)
-            rows.append((
-                name,
-                unit,
-                str(cap) if cap is not None else "-",
-                "skipped" if name in perf.QUICK_SKIP_BENCHES else "runs",
-            ))
-        width = max(len(row[0]) for row in rows)
-        print(f"{'bench':<{width}} {'unit':>8} {'cap':>4} {'quick':>8}")
-        for name, unit, cap, quick in rows:
-            print(f"{name:<{width}} {unit:>8} {cap:>4} {quick:>8}")
-        print(f"\n{len(rows)} registered benchmarks")
-        return {"benches": [row[0] for row in rows]}
-
-    if args.diff:
-        current_path, baseline_path = args.diff
-        current = perf.load_report(current_path)
-        baseline = perf.load_report(baseline_path)
-        regressions, improvements = perf.diff_reports(
-            current,
-            baseline,
-            threshold=args.threshold,
-            warn=lambda message: print(f"  ~ {message}"),
-        )
-        print(f"{current_path} vs {baseline_path}:")
-        print(perf.format_diff_table(regressions, improvements))
-        return {
-            "regressions": [r.name for r in regressions],
-            "improvements": [r.name for r in improvements],
-        }
-
-    print(f"== corelite bench ({'quick' if args.quick else 'full'} suite) ==")
-    with _maybe_profile(args.profile) as prof:
-        report = perf.run_suite(
-            label=args.label,
-            quick=args.quick,
-            repeats=args.repeats,
-            pool=args.pool,
-            train_batch=args.train_batch,
-            log=print,
-        )
-    if prof.profile is not None:
-        report.profile = perf.profile_summary(prof.profile)
-    print()
-    print(perf.format_report_table(report))
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
-    report.write(out_path)
-    print(f"\nwrote {out_path}")
-
-    payload = report.as_dict()
-    payload["report_path"] = out_path
-    if args.baseline:
-        baseline = perf.load_report(args.baseline)
-        regressions, improvements = perf.diff_reports(
-            payload,
-            baseline,
-            threshold=args.threshold,
-            warn=lambda message: print(f"  ~ {message}"),
-        )
-        print(f"\nvs {args.baseline} (gate: -{args.threshold:.0%}):")
-        print(perf.format_diff_table(regressions, improvements))
-        payload["regressions"] = [r.name for r in regressions]
-        if regressions:
-            raise SystemExit(
-                f"corelite bench: {len(regressions)} bench(es) regressed "
-                f"more than {args.threshold:.0%} vs {args.baseline}"
-            )
-    return payload
-
-
 class _maybe_profile:
-    """Context manager: cProfile the body and dump stats when a path is set.
-
-    The profiler object stays accessible as ``.profile`` after exit so
-    callers can embed a :func:`repro.perf.profile_summary` snapshot in
-    their own reports.
-    """
+    """Context manager: cProfile the body and dump stats when a path is set."""
 
     def __init__(self, stats_path: Optional[str]) -> None:
         self._path = stats_path
         self._profile = None
-
-    @property
-    def profile(self):
-        """The cProfile.Profile instance, or None when profiling is off."""
-        return self._profile
 
     def __enter__(self):
         if self._path:

@@ -594,9 +594,6 @@ class CoreliteEdge(Router):
             )
         if packet.kind is _MARKER:
             state.markers_received += 1
-            pool = self.sim.packet_pool
-            if pool is not None:
-                pool.release(packet)
             return
         if packet.kind is not _DATA:
             return
@@ -618,11 +615,6 @@ class CoreliteEdge(Router):
         state.micro_delivered[packet.micro_id] = (
             state.micro_delivered.get(packet.micro_id, 0) + 1
         )
-        # Terminal sink: this edge is the last owner of a locally-delivered
-        # packet, so it may recycle the object (no-op when pooling is off).
-        pool = self.sim.packet_pool
-        if pool is not None:
-            pool.release(packet)
 
     def _deliver_train(self, state: _EgressFlow, train: Packet, link) -> None:
         """Egress sweep for a whole train: one pass of bulk bookkeeping.
@@ -653,9 +645,6 @@ class CoreliteEdge(Router):
         else:
             for micro in micro_ids:
                 micro_delivered[micro] = micro_delivered.get(micro, 0) + 1
-        pool = self.sim.packet_pool
-        if pool is not None:
-            pool.release(train)
 
     # -- shared receive path -------------------------------------------------
 

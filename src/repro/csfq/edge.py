@@ -360,11 +360,6 @@ class CsfqEdge(Router):
         state.expected_seq = packet.seq + 1
         state.meter.record()
         state.delay.record(max(0.0, self.sim.now - packet.created_at))
-        # Terminal sink: recycle the delivered packet (no-op when pooling
-        # is off); nothing above retains a reference to the object.
-        pool = self.sim.packet_pool
-        if pool is not None:
-            pool.release(packet)
 
     def _deliver_train(self, state: _EgressFlow, train: Packet, link) -> None:
         """Egress sweep for a whole train: one pass of bulk bookkeeping.
@@ -389,9 +384,6 @@ class CsfqEdge(Router):
         # handed over without a link, in unit tests, has no spacing).
         spacing = 0.0 if link is None else 1.0 / link.bandwidth_pps
         state.delay.record_train(max(0.0, self.sim.now - train.created_at), n, spacing)
-        pool = self.sim.packet_pool
-        if pool is not None:
-            pool.release(train)
 
     def _report_loss(self, packet: Packet, gap: int) -> None:
         if self.loss_channel is None:

@@ -39,7 +39,7 @@ from repro.sim.dynamics import NetworkDynamics
 from repro.sim.engine import Simulator
 from repro.sim.node import Router
 from repro.sim.monitor import Series
-from repro.sim.packet import Packet, PacketPool
+from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import Topology
@@ -417,7 +417,6 @@ class Cloud:
         seed: int = 0,
         queue_factory: Optional[Callable[[], DropTailQueue]] = None,
         control_loss_prob: float = 0.0,
-        packet_pool: bool = False,
         calendar: bool = True,
         vectorized: bool = False,
         train_batch: int = 1,
@@ -428,12 +427,9 @@ class Cloud:
         queues) and takes precedence over per-link ``queue_capacity``
         overrides in the spec.  ``control_loss_prob`` injects random loss
         of control packets (feedback markers / loss notifications) for
-        robustness experiments.  ``packet_pool`` recycles delivered
-        packet objects through a free list — results are byte-identical
-        either way (pinned by replay tests); it only cuts allocator churn
-        on long runs.  ``calendar=False`` forces the simulator's timer
-        tier onto the pure binary heap — also byte-identical (pinned by
-        the same replay tests) and only useful for those pins.
+        robustness experiments.  ``calendar=False`` forces the simulator's
+        timer tier onto the pure binary heap — byte-identical (pinned by
+        replay tests) and only useful for those pins.
         ``vectorized=True`` batches the Corelite control plane: ingress
         edges piggyback each due marker on the data packet it trails and
         cores coalesce the feedback one link selects during one
@@ -474,8 +470,6 @@ class Cloud:
         self.partition = partition
         self.config = strategy.make_config()
         self.sim = Simulator(calendar=calendar)
-        if packet_pool:
-            self.sim.packet_pool = PacketPool()
         self.rng = RngRegistry(seed)
         self.seed = seed
         self.topology = Topology(self.sim)
@@ -1048,7 +1042,6 @@ class CloudBuilder:
         config=None,
         queue_factory: Optional[Callable[[], DropTailQueue]] = None,
         control_loss_prob: float = 0.0,
-        packet_pool: bool = False,
         calendar: bool = True,
         vectorized: bool = False,
         train_batch: int = 1,
@@ -1074,7 +1067,6 @@ class CloudBuilder:
         self.config = config
         self.queue_factory = queue_factory
         self.control_loss_prob = control_loss_prob
-        self.packet_pool = packet_pool
         self.calendar = calendar
         self.vectorized = vectorized
         self.train_batch = train_batch
@@ -1116,7 +1108,6 @@ class CloudBuilder:
             seed=self.seed,
             queue_factory=self.queue_factory,
             control_loss_prob=self.control_loss_prob,
-            packet_pool=self.packet_pool,
             calendar=self.calendar,
             vectorized=self.vectorized,
             train_batch=self.train_batch,
@@ -1146,7 +1137,6 @@ class CloudBuilder:
             mode=self.pdes_mode,
             queue_factory=self.queue_factory,
             control_loss_prob=self.control_loss_prob,
-            packet_pool=self.packet_pool,
             calendar=self.calendar,
             vectorized=self.vectorized,
             train_batch=self.train_batch,

@@ -195,8 +195,7 @@ class _PartitionWorker:
     call into: ``owns`` / ``boundary_emit`` / ``make_control_plane`` /
     ``send_control`` / ``finalize_cloud``.  Outgoing messages are packed
     into per-destination-partition :class:`_OutBatch` columns at emit
-    time (the packet object may be recycled the moment the emit closure
-    returns, so fields are captured immediately).
+    time.
     """
 
     def __init__(self, payload: Dict) -> None:
@@ -207,7 +206,6 @@ class _PartitionWorker:
         self.config = payload["config"]
         self.plan: PartitionPlan = payload["plan"]
         self.index: int = payload["index"]
-        self.packet_pool: bool = payload["packet_pool"]
         self.calendar: bool = payload["calendar"]
         self.vectorized: bool = payload["vectorized"]
         self.train_batch: int = payload.get("train_batch", 1)
@@ -235,7 +233,6 @@ class _PartitionWorker:
             strategy,
             seed=self.seed,
             queue_factory=self.queue_factory,
-            packet_pool=self.packet_pool,
             calendar=self.calendar,
             vectorized=self.vectorized,
             train_batch=self.train_batch,
@@ -708,7 +705,6 @@ class ParallelCloud:
         mode: str = "process",
         queue_factory=None,
         control_loss_prob: float = 0.0,
-        packet_pool: bool = False,
         calendar: bool = True,
         vectorized: bool = False,
         train_batch: int = 1,
@@ -766,7 +762,6 @@ class ParallelCloud:
         self.plan = plan
         self.mode = mode
         self.queue_factory = queue_factory
-        self.packet_pool = packet_pool
         self.calendar = calendar
         self.vectorized = vectorized
         self.train_batch = train_batch
@@ -858,7 +853,6 @@ class ParallelCloud:
                 "config": self.config,
                 "plan": self.plan,
                 "index": index,
-                "packet_pool": self.packet_pool,
                 "calendar": self.calendar,
                 "vectorized": self.vectorized,
                 "train_batch": self.train_batch,

@@ -174,7 +174,6 @@ class Simulator:
         "_running",
         "_next_pid",
         "events_executed",
-        "packet_pool",
         "_cal_on",
         "_cal_buckets",
         "_cal_pos",
@@ -194,9 +193,6 @@ class Simulator:
         self._next_pid = 0
         #: Total number of events executed so far (for micro-benchmarks).
         self.events_executed = 0
-        #: Optional free-list pool consulted by ``Packet.data``/``marker``
-        #: when constructing packets with ``sim=`` (see repro.sim.packet).
-        self.packet_pool = None
         #: ``calendar=False`` forces every event onto the binary heap —
         #: same event order (the replay tests pin this), no O(1) tier.
         self._cal_on = calendar

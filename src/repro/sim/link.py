@@ -58,7 +58,7 @@ trailing its data packet — the paper's piggybacking — therefore costs
 no event at any hop, yet stays a standalone :class:`Packet`: it is never
 lost with the data packet (a marker behind a dropped packet simply
 travels alone).  ``_deliver_*`` clears ``trailer`` before handing a
-packet on, so no node and no packet pool ever sees one.
+packet on, so no node ever sees one.
 
 Links that need a real queue keep it (``_send_queued`` →
 ``FifoQueue.push`` / ``pop``, ``_transmit_from``, one ``_wake`` per

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
 
-__all__ = ["Packet", "PacketKind", "PacketPool", "PacketTrain"]
+__all__ = ["Packet", "PacketKind", "PacketTrain"]
 
 #: Fallback id source for packets built without a simulator (unit tests,
 #: interactive probing).  Components always pass ``sim=`` so that packet
@@ -148,7 +148,7 @@ class Packet:
         #: Next zero-size packet riding this packet's delivery event on the
         #: link it is crossing (see :mod:`repro.sim.link`); the link sets
         #: it and clears it again before handing the packet on, so it is
-        #: ``None`` at every node and at the pool.
+        #: ``None`` at every node.
         self.trailer: Optional["Packet"] = None
 
     @classmethod
@@ -163,10 +163,6 @@ class Packet:
         sim: Optional["Simulator"] = None,
     ) -> "Packet":
         """Create a DATA packet (size 1.0)."""
-        if sim is not None and sim.packet_pool is not None:
-            return sim.packet_pool.acquire(
-                PacketKind.DATA, flow_id, src, dst, 1.0, seq, None, label, now, sim
-            )
         return cls(
             PacketKind.DATA,
             flow_id,
@@ -194,10 +190,6 @@ class Packet:
         ``src`` doubles as the marker's origin edge: the core router sends
         feedback back to ``origin_edge`` without inspecting anything else.
         """
-        if sim is not None and sim.packet_pool is not None:
-            return sim.packet_pool.acquire(
-                PacketKind.MARKER, flow_id, src, dst, 0.0, 0, src, label, now, sim
-            )
         return cls(
             PacketKind.MARKER,
             flow_id,
@@ -319,11 +311,7 @@ class PacketTrain(Packet):
         label: float = 0.0,
         sim: Optional["Simulator"] = None,
     ) -> "PacketTrain":
-        """Create a train of ``n`` DATA packets (pool-aware)."""
-        if sim is not None and sim.packet_pool is not None:
-            return sim.packet_pool.acquire_train(
-                flow_id, src, dst, first_seq, n, label, now, sim
-            )
+        """Create a train of ``n`` DATA packets."""
         return cls(flow_id, src, dst, first_seq, n, created_at=now, label=label, sim=sim)
 
     def split(self, sim: Optional["Simulator"] = None) -> list:
@@ -333,8 +321,7 @@ class PacketTrain(Packet):
         queues, arrival taps, dynamic links, partition cuts).  Markers
         attach to the first ``marker_count`` members; a label on a
         markerless train (the CSFQ per-packet rate estimate) is copied to
-        every member.  The train itself is returned to the packet pool —
-        the caller must drop its reference afterwards.
+        every member.  The caller drops the train afterwards.
         """
         head = self.seq
         created = self.created_at
@@ -359,8 +346,6 @@ class PacketTrain(Packet):
             if micro_ids is not None:
                 pkt.micro_id = micro_ids[i]
             members.append(pkt)
-        if sim is not None and sim.packet_pool is not None:
-            sim.packet_pool.release(self)
         return members
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -370,143 +355,3 @@ class PacketTrain(Packet):
             f"{self.src}->{self.dst})"
         )
 
-
-class PacketPool:
-    """Opt-in free list of :class:`Packet` objects.
-
-    Long runs allocate millions of short-lived packets; recycling the
-    objects cuts allocator churn without touching simulation semantics.
-    Enable by assigning a pool to ``Simulator.packet_pool`` (the builder
-    exposes this as ``packet_pool=True``); ``Packet.data``/``marker`` then
-    draw from the pool automatically when called with ``sim=``.
-
-    Determinism: pooling changes *object identity* only, never ids —
-    :meth:`acquire` draws the pid from the owning simulator's counter
-    exactly as a fresh construction would, and reinitializes every slot.
-    Replay tests pin that runs with the pool on and off are byte-identical.
-
-    Safety: :meth:`release` may only be called at a packet's terminal sink
-    (egress local delivery), and nothing may retain a reference past that
-    point.  Components that record packet attributes copy scalars out
-    (tracers, meters), so the edges are the only owners at delivery time.
-    Packets that are dropped or never released are simply garbage-collected.
-    A delivering link clears ``trailer`` before it hands a packet to its
-    sink, so a released packet never carries a rider (pinned in
-    ``tests/test_link.py``) and ``acquire`` has nothing to reset there.
-    """
-
-    __slots__ = ("max_size", "_free", "_free_trains", "allocated", "reused", "released")
-
-    def __init__(self, max_size: int = 4096) -> None:
-        if max_size < 1:
-            raise ValueError(f"pool max_size must be >= 1, got {max_size}")
-        self.max_size = max_size
-        self._free: list = []
-        #: Separate free list for :class:`PacketTrain` objects — trains and
-        #: scalars must never swap classes on reuse, so each class recycles
-        #: through its own list.
-        self._free_trains: list = []
-        #: Pool misses: packets freshly constructed because the list was empty.
-        self.allocated = 0
-        #: Pool hits: packets recycled from the free list.
-        self.reused = 0
-        #: Packets returned via :meth:`release` (capped entries still count).
-        self.released = 0
-
-    def acquire(
-        self,
-        kind: PacketKind,
-        flow_id: int,
-        src: str,
-        dst: str,
-        size: float,
-        seq: int,
-        origin_edge: Optional[str],
-        label: float,
-        created_at: float,
-        sim: "Simulator",
-    ) -> Packet:
-        """Take a recycled packet (or build one) and fully reinitialize it."""
-        free = self._free
-        if not free:
-            self.allocated += 1
-            return Packet(
-                kind,
-                flow_id,
-                src,
-                dst,
-                size=size,
-                seq=seq,
-                origin_edge=origin_edge,
-                label=label,
-                created_at=created_at,
-                sim=sim,
-            )
-        self.reused += 1
-        packet = free.pop()
-        packet.pid = sim.next_packet_id()
-        packet.kind = kind
-        packet.flow_id = flow_id
-        packet.size = size
-        packet.seq = seq
-        packet.src = src
-        packet.dst = dst
-        packet.origin_edge = origin_edge
-        packet.label = label
-        packet.feedback_from = None
-        packet.created_at = created_at
-        packet.ecn = False
-        packet.micro_id = 0
-        return packet
-
-    def acquire_train(
-        self,
-        flow_id: int,
-        src: str,
-        dst: str,
-        first_seq: int,
-        n: int,
-        label: float,
-        created_at: float,
-        sim: "Simulator",
-    ) -> PacketTrain:
-        """Take a recycled train (or build one) and fully reinitialize it."""
-        free = self._free_trains
-        if not free:
-            self.allocated += 1
-            return PacketTrain(
-                flow_id, src, dst, first_seq, n, created_at=created_at,
-                label=label, sim=sim,
-            )
-        self.reused += 1
-        train = free.pop()
-        train.pid = sim.next_packet_id()
-        train.kind = PacketKind.DATA
-        train.flow_id = flow_id
-        train.size = float(n)
-        train.seq = first_seq
-        train.src = src
-        train.dst = dst
-        train.origin_edge = None
-        train.label = label
-        train.feedback_from = None
-        train.created_at = created_at
-        train.ecn = False
-        train.micro_id = 0
-        train.count = n
-        train.marker_count = 0
-        train.micro_ids = None
-        train.member_labels = None
-        return train
-
-    def release(self, packet: Packet) -> None:
-        """Return a packet whose journey ended; caller must drop its reference."""
-        self.released += 1
-        if type(packet) is Packet:
-            if len(self._free) < self.max_size:
-                self._free.append(packet)
-        elif len(self._free_trains) < self.max_size:
-            self._free_trains.append(packet)
-
-    def __len__(self) -> int:
-        return len(self._free) + len(self._free_trains)

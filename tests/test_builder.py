@@ -22,6 +22,8 @@ from repro.experiments.network import (
 from repro.experiments.topospec import LinkSpec, TopologySpec
 from repro.sim.node import Router
 
+from .conftest import run_python
+
 
 def two_flow_specs():
     return [
@@ -324,3 +326,26 @@ class TestRouteBuildScalesWithTransitRouters:
             self._assert_only_cores_hold_tables(topologies, cores, 2 * flows)
         finally:
             session.close()
+
+
+def test_4096_flow_scalar_build_stays_under_400_mb_and_10_s():
+    """Forwarding state must not grow with the square of the edge count:
+    the 4,096-flow scalar cloud (2 cores, 8,194 routers) held 67 M entries /
+    3.37 GB / 38.5 s before the uplink form and 16,384 / 166 MB / ~1 s
+    after.  In a subprocess so ``ru_maxrss`` is the build's own; the memory
+    bound is tight, the time bound loose for shared runners."""
+    script = (
+        "import resource, time\n"
+        "from tests.conftest import flow_scaling_cloud\n"
+        "started = time.perf_counter()\n"
+        "cloud = flow_scaling_cloud('corelite', 4096)\n"
+        "seconds = time.perf_counter() - started\n"
+        "rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "entries = cloud.topology.route_entries()\n"
+        "print(f'build={seconds:.2f}s ru_maxrss={rss_mb:.0f}MB route_entries={entries}')\n"
+        "assert entries == 2 * 8192, entries\n"
+        "assert rss_mb <= 400, f'ru_maxrss {rss_mb:.0f} MB > 400 MB'\n"
+        "assert seconds <= 10, f'build took {seconds:.1f} s > 10 s'\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,6 +1,7 @@
 """Additional CLI coverage: new subcommands and export paths."""
 
 import json
+import pstats
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -47,6 +48,15 @@ def test_run_command_with_json_output(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["scenario"] == str(scenario_path)
     assert "corelite" in payload
+
+
+def test_run_command_profile_writes_pstats_dump(tmp_path, capsys):
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps({"duration": 4.0, "flows": [{"id": 1}]}))
+    profile = tmp_path / "made" / "run.prof"  # the directory is created
+    assert main(["run", str(scenario_path), "--no-chart", "--profile", str(profile)]) == 0
+    assert pstats.Stats(str(profile)).total_calls > 0
+    assert str(profile) in capsys.readouterr().out
 
 
 def test_figure_csv_and_svg_combined(tmp_path, capsys):

@@ -1,9 +1,8 @@
 """Replay pins for runs with topology dynamics.
 
 A run with a mid-run link failure and recovery must be byte-identical
-across repeats, across the calendar-tier toggle and across the
-packet-pool toggle — topology churn may not introduce any ordering
-nondeterminism (the acceptance pin for the dynamics subsystem, in the
+across repeats and across the calendar-tier toggle — topology churn
+may not introduce any ordering nondeterminism (the acceptance pin for the dynamics subsystem, in the
 style of test_hotpath.py's static pins).
 """
 
@@ -46,7 +45,7 @@ def _fingerprint(cloud, result):
     )
 
 
-def _chain_failure_run(*, calendar, packet_pool):
+def _chain_failure_run(*, calendar):
     spec = TopologySpec.chain(
         3,
         events=(
@@ -54,9 +53,7 @@ def _chain_failure_run(*, calendar, packet_pool):
             NetworkEvent(time=12.0, kind="link_up", a="C1", b="C2"),
         ),
     )
-    builder = CloudBuilder(
-        spec, scheme="corelite", seed=5, calendar=calendar, packet_pool=packet_pool
-    )
+    builder = CloudBuilder(spec, scheme="corelite", seed=5, calendar=calendar)
     builder.add_flow(
         FlowPathSpec(flow_id=1, weight=1.0, ingress_core="C1", egress_core="C3")
     )
@@ -69,16 +66,15 @@ def _chain_failure_run(*, calendar, packet_pool):
 
 
 def test_chain_failure_replay_byte_identical_across_optimizations():
-    base = _chain_failure_run(calendar=True, packet_pool=False)
-    assert _chain_failure_run(calendar=True, packet_pool=False) == base
-    assert _chain_failure_run(calendar=False, packet_pool=False) == base
-    assert _chain_failure_run(calendar=True, packet_pool=True) == base
+    base = _chain_failure_run(calendar=True)
+    assert _chain_failure_run(calendar=True) == base
+    assert _chain_failure_run(calendar=False) == base
     # The failure actually did something (the pin is not vacuous).
     assert base[3] > 0
     assert len(base[4]) == 2
 
 
-def _parking_lot_failure_run(*, calendar, packet_pool):
+def _parking_lot_failure_run(*, calendar):
     spec = TopologySpec.parking_lot(
         hops=3,
         events=(
@@ -86,9 +82,7 @@ def _parking_lot_failure_run(*, calendar, packet_pool):
             NetworkEvent(time=14.0, kind="link_up", a="C2", b="C3"),
         ),
     )
-    builder = CloudBuilder(
-        spec, scheme="corelite", seed=11, calendar=calendar, packet_pool=packet_pool
-    )
+    builder = CloudBuilder(spec, scheme="corelite", seed=11, calendar=calendar)
     builder.add_flows(parking_lot_flows(hops=3))
     cloud = builder.build()
     result = cloud.run(until=24.0)
@@ -98,10 +92,9 @@ def _parking_lot_failure_run(*, calendar, packet_pool):
 def test_parking_lot_failure_replay_byte_identical_across_optimizations():
     """The parking-lot shape exercises the PR 5 epoch-parking machinery
     together with a failure on a parked-adjacent hop."""
-    base = _parking_lot_failure_run(calendar=True, packet_pool=False)
-    assert _parking_lot_failure_run(calendar=True, packet_pool=False) == base
-    assert _parking_lot_failure_run(calendar=False, packet_pool=False) == base
-    assert _parking_lot_failure_run(calendar=True, packet_pool=True) == base
+    base = _parking_lot_failure_run(calendar=True)
+    assert _parking_lot_failure_run(calendar=True) == base
+    assert _parking_lot_failure_run(calendar=False) == base
 
 
 def test_static_spec_produces_no_dynamics_payload():

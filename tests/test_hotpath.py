@@ -1,6 +1,6 @@
 """Tests for the hot-path overhaul: fast-path scheduling, handle reuse,
-bounded-run heap hygiene, the rebindable link datapath, and the opt-in
-packet pool's byte-identical replay guarantee."""
+bounded-run heap hygiene, the rebindable link datapath, and the flow-scale
+replay pins."""
 
 import pytest
 
@@ -8,8 +8,10 @@ from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.node import Node
-from repro.sim.packet import Packet, PacketKind, PacketPool
+from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue
+
+from .conftest import flow_scaling_cloud
 
 
 # ---------------------------------------------------------------------------
@@ -271,111 +273,6 @@ def test_link_markers_keep_fifo_position_and_zero_time(sim):
 
 
 # ---------------------------------------------------------------------------
-# packet pool
-# ---------------------------------------------------------------------------
-
-
-def test_pool_acquire_reinitializes_every_field(sim):
-    pool = PacketPool()
-    packet = Packet.data(7, "A", "B", seq=3, now=1.0, sim=sim)
-    packet.ecn = True
-    packet.micro_id = 9
-    packet.feedback_from = "L1"
-    pool.release(packet)
-    sim.packet_pool = pool
-    recycled = Packet.data(8, "C", "D", seq=0, now=2.0, sim=sim)
-    assert recycled is packet  # same object, fully reset
-    assert recycled.flow_id == 8
-    assert recycled.ecn is False
-    assert recycled.micro_id == 0
-    assert recycled.feedback_from is None
-    assert recycled.origin_edge is None
-    assert recycled.created_at == 2.0
-
-
-def test_pool_pids_match_fresh_allocation(sim):
-    sim.packet_pool = PacketPool()
-    first = Packet.data(1, "A", "B", seq=0, now=0.0, sim=sim)
-    pid = first.pid
-    sim.packet_pool.release(first)
-    second = Packet.data(1, "A", "B", seq=1, now=0.0, sim=sim)
-    assert second.pid == pid + 1
-
-
-def test_pool_caps_free_list_size():
-    pool = PacketPool(max_size=2)
-    sim = Simulator()
-    for i in range(5):
-        pool.release(Packet.data(1, "A", "B", seq=i, now=0.0, sim=sim))
-    assert len(pool) == 2
-    assert pool.released == 5
-
-
-def test_pool_rejects_nonpositive_max_size():
-    with pytest.raises(ValueError):
-        PacketPool(max_size=0)
-
-
-def _chain_fingerprint(packet_pool):
-    from repro.experiments.builder import CloudBuilder
-    from repro.experiments.scenarios import WEIGHTS_41, topology1_flows
-    from repro.experiments.topospec import TopologySpec
-
-    builder = CloudBuilder(
-        TopologySpec.chain(4), scheme="corelite", seed=3, packet_pool=packet_pool
-    )
-    builder.add_flows(topology1_flows(WEIGHTS_41, {}))
-    cloud = builder.build()
-    result = cloud.run(until=12.0)
-    fingerprint = []
-    for flow_id, record in sorted(result.flows.items()):
-        fingerprint.append(
-            (
-                flow_id,
-                record.delivered,
-                record.losses,
-                tuple(record.rate_series.values),
-                tuple(record.throughput_series.values),
-                tuple(record.cumulative_series.values),
-            )
-        )
-    return fingerprint, cloud.sim._next_pid, cloud.sim.events_executed, cloud
-
-
-def test_pool_replay_is_byte_identical():
-    """The figure-level outputs, packet-id counter, and event count must
-    not change when pooling is enabled — the pool recycles objects, never
-    semantics."""
-    plain = _chain_fingerprint(packet_pool=False)
-    pooled = _chain_fingerprint(packet_pool=True)
-    assert pooled[0] == plain[0]
-    assert pooled[1] == plain[1]
-    assert pooled[2] == plain[2]
-    pool = pooled[3].sim.packet_pool
-    assert pool is not None and pool.reused > 0  # the pool actually engaged
-
-
-def test_pool_replay_csfq_scheme():
-    from repro.experiments.builder import CloudBuilder
-    from repro.experiments.topospec import FlowPathSpec, TopologySpec
-
-    def run(packet_pool):
-        builder = CloudBuilder(
-            TopologySpec.chain(2), scheme="csfq", seed=1, packet_pool=packet_pool
-        )
-        builder.add_flow(FlowPathSpec(1, weight=2.0, ingress_core="C1", egress_core="C2"))
-        builder.add_flow(FlowPathSpec(2, weight=1.0, ingress_core="C1", egress_core="C2"))
-        cloud = builder.build()
-        result = cloud.run(until=12.0)
-        return {
-            flow_id: (record.delivered, record.losses)
-            for flow_id, record in result.flows.items()
-        }, cloud.sim._next_pid
-
-    assert run(True) == run(False)
-
-
-# ---------------------------------------------------------------------------
 # per-simulation packet ids (no global-counter fallback)
 # ---------------------------------------------------------------------------
 
@@ -574,12 +471,8 @@ def test_selective_fold_epoch_replays_wav_exactly():
 # ---------------------------------------------------------------------------
 
 
-def _flow_scaling_fingerprint(*, packet_pool, calendar):
-    from repro.perf import _flow_scaling_cloud
-
-    cloud = _flow_scaling_cloud(
-        "corelite", 512, packet_pool=packet_pool, calendar=calendar
-    )
+def _flow_scaling_fingerprint(*, calendar):
+    cloud = flow_scaling_cloud("corelite", 512, calendar=calendar)
     result = cloud.run(until=4.0, sample_interval=1.0)
     flows = tuple(
         (
@@ -600,11 +493,11 @@ def _flow_scaling_fingerprint(*, packet_pool, calendar):
 
 def test_flow_scale_replay_byte_identical_across_optimizations():
     """512 flows: figure-level outputs, every queue's counters, the packet
-    id counter and the executed-event count must not move when the packet
-    pool or the calendar tier is toggled."""
-    base = _flow_scaling_fingerprint(packet_pool=False, calendar=True)
-    assert _flow_scaling_fingerprint(packet_pool=True, calendar=True) == base
-    assert _flow_scaling_fingerprint(packet_pool=False, calendar=False) == base
+    id counter and the executed-event count must not move when the
+    calendar tier is toggled."""
+    assert _flow_scaling_fingerprint(calendar=False) == _flow_scaling_fingerprint(
+        calendar=True
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -391,15 +391,11 @@ def test_access_link_that_never_queues_allocates_no_ledger(rig):
     assert link._ledger is None
 
 
-def test_packet_pool_recycles_no_packet_with_a_rider_attached():
+def test_no_node_is_handed_a_packet_with_a_rider_attached():
+    """``trailer`` is link-private: on a cloud whose markers do ride their
+    data packets, every packet reaches ``receive`` with it cleared."""
     from repro.experiments.builder import CloudBuilder
     from repro.experiments.topospec import FlowPathSpec, TopologySpec
-    from repro.sim.packet import PacketPool
-
-    class CheckingPool(PacketPool):
-        def release(self, packet):
-            assert packet.trailer is None, packet
-            super().release(packet)
 
     rides = []
     original = Link._deliver_fast
@@ -409,23 +405,32 @@ def test_packet_pool_recycles_no_packet_with_a_rider_attached():
             rides.append(packet.pid)
         original(self, packet)
 
+    handed = []
+
+    def checking(receive):
+        def wrapper(packet, link):
+            assert packet.trailer is None, packet
+            handed.append(packet.pid)
+            receive(packet, link)
+
+        return wrapper
+
     # Links bind their delivery callback at construction: patch first.
     Link._deliver_fast = counting
     try:
         builder = CloudBuilder(
-            TopologySpec.chain(2, capacity_pps=60.0), scheme="corelite", seed=1,
-            packet_pool=True,
+            TopologySpec.chain(2, capacity_pps=60.0), scheme="corelite", seed=1
         )
         for fid in (1, 2, 3):
             builder.add_flow(FlowPathSpec(fid, weight=float(fid)))
         cloud = builder.build()
-        pool = cloud.sim.packet_pool = CheckingPool()
+        for node in cloud.topology.nodes.values():
+            node.receive = checking(node.receive)
         cloud.run(until=6.0)
     finally:
         Link._deliver_fast = original
-    assert pool.released > 100 and pool.reused > 0
-    assert len(rides) > 100  # markers did ride pooled data packets
-    assert all(p.trailer is None for p in pool._free)
+    assert len(rides) > 100  # markers did ride data packets
+    assert len(handed) > len(rides)
 
 
 # ---------------------------------------------------------------------------

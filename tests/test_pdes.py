@@ -32,6 +32,8 @@ from repro.sim.link import BoundaryLink
 from repro.sim.packet import PacketTrain
 from repro.units import ms_to_s
 
+from .conftest import pdes_scaling_builder
+
 
 def chain_flows():
     return [
@@ -297,7 +299,6 @@ class TestTwoPartitionChainEquivalence:
             chain_flows(),
             "corelite",
             20.0,
-            packet_pool=True,
             calendar=False,
         )
         assert_identical(serial, parallel)
@@ -470,9 +471,7 @@ class TestAdaptiveWindows:
         assert_identical(serial, parallel)
 
     def test_barrier_count_drops_at_least_3x_on_the_chain_rung(self):
-        from repro.perf import _pdes_scaling_builder
-
-        builder = _pdes_scaling_builder(64, 2)
+        builder = pdes_scaling_builder(64, 2)
         builder.pdes_mode = "inline"
         parallel = builder.build_parallel()
         session = parallel.start()

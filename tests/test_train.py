@@ -1,6 +1,6 @@
 """PR 9 pins: the opt-in packet-train datapath.
 
-Four layers of protection:
+Three layers of protection:
 
 * **Shaper cadence** — train mode changes burst *structure*, never the
   long-run rate: a slow flow (``rate * horizon < 1``) fires at exactly
@@ -10,9 +10,6 @@ Four layers of protection:
 * **Split boundaries** — non-plain-FIFO queues (WFQ/RED), dynamic links
   and failures see scalar members, never whole trains: per-packet
   decisions stay per-packet.
-* **Pooling** — :class:`PacketPool` recycles whole trains through its
-  own free list (trains and scalars never swap classes) and reinitializes
-  every train-specific slot on reuse.
 * **Equivalence contract** — ``train_batch=1`` replays byte-identical to
   the pre-train code (fingerprint pins shared with ``test_vectorized``),
   and train mode holds the statistical pins (Jain ratio within 1%,
@@ -21,10 +18,6 @@ Four layers of protection:
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -40,13 +33,12 @@ from repro.experiments.topospec import FlowPathSpec, TopologySpec
 from repro.fairness.metrics import jain_index
 from repro.aqm.red import RedQueue
 from repro.aqm.wfq import WfqQueue
-from repro.perf import TRAIN_RUNG_BATCH
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
-from repro.sim.packet import Packet, PacketPool, PacketTrain
+from repro.sim.packet import Packet, PacketTrain
 from repro.sim.queues import DropTailQueue
 
-from .conftest import CollectorNode
+from .conftest import TRAIN_RUNG_BATCH, CollectorNode, run_python
 from .test_vectorized import FINGERPRINTS, _run_and_fingerprint
 
 
@@ -129,64 +121,6 @@ def test_set_rate_does_not_mint_phantom_train_credit():
     # waited * new_rate = 400 tokens and burst = 8, but only 0.8 accrued:
     # the cap grants at most one prompt token.
     assert sender.credit() <= 1.0 + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Trains x PacketPool
-# ---------------------------------------------------------------------------
-
-
-def test_pool_recycles_whole_trains_fully_reinitialized():
-    sim = Simulator()
-    sim.packet_pool = pool = PacketPool()
-    train = PacketTrain.build(1, "E1", "E2", 0, 4, now=0.0, sim=sim)
-    assert pool.allocated == 1
-    # Dirty every train-specific slot, then retire it.
-    train.marker_count = 2
-    train.origin_edge = "E1"
-    train.micro_ids = (7, 8, 9, 10)
-    train.member_labels = (1.0, 2.0, 3.0, 4.0)
-    old_pid = train.pid
-    pool.release(train)
-    assert len(pool._free_trains) == 1
-
-    again = PacketTrain.build(5, "E3", "E4", 100, 2, now=1.0, label=2.5, sim=sim)
-    assert again is train  # recycled, not reallocated
-    assert pool.reused == 1
-    assert again.pid != old_pid  # pid always drawn fresh from the sim
-    assert (again.flow_id, again.src, again.dst) == (5, "E3", "E4")
-    assert (again.seq, again.count, again.size) == (100, 2, 2.0)
-    assert again.label == 2.5 and again.created_at == 1.0
-    assert again.marker_count == 0
-    assert again.origin_edge is None
-    assert again.micro_ids is None
-    assert again.member_labels is None
-
-
-def test_pool_keeps_trains_and_scalars_on_separate_free_lists():
-    sim = Simulator()
-    sim.packet_pool = pool = PacketPool()
-    scalar = Packet.data(1, "A", "B", seq=0, now=0.0, sim=sim)
-    train = PacketTrain.build(1, "A", "B", 0, 3, now=0.0, sim=sim)
-    pool.release(scalar)
-    pool.release(train)
-    assert len(pool._free) == 1 and len(pool._free_trains) == 1
-    # A train acquire never hands back a scalar and vice versa.
-    t = PacketTrain.build(2, "A", "B", 10, 2, now=0.5, sim=sim)
-    assert t is train
-    p = Packet.data(2, "A", "B", seq=10, now=0.5, sim=sim)
-    assert p is scalar
-    assert type(t) is PacketTrain and type(p) is Packet
-
-
-def test_split_returns_train_to_pool():
-    sim = Simulator()
-    sim.packet_pool = pool = PacketPool()
-    train = PacketTrain.build(1, "A", "B", 0, 3, now=0.0, sim=sim)
-    members = train.split(sim)
-    assert [m.seq for m in members] == [0, 1, 2]
-    assert all(type(m) is Packet and m.count == 1 for m in members)
-    assert train in pool._free_trains  # retired on split
 
 
 # ---------------------------------------------------------------------------
@@ -422,22 +356,18 @@ def test_every_delivered_member_is_one_delay_sample(scheme):
 def test_train_run_never_imports_numpy():
     """The package is pure stdlib: the train datapath used NumPy for
     member lags once, and an accidental re-import should fail here even
-    on a machine that has it installed."""
+    on a machine that has it installed.  The cloud is the 16384-member
+    rung — 64 aggregate buckets, batched control, trains — so this is also
+    the smoke that the aggregated scale path completes (CI runs it by name)."""
     script = (
         "import sys\n"
-        "from repro.experiments.builder import CloudBuilder\n"
-        "from repro.experiments.topospec import FlowPathSpec, TopologySpec\n"
-        "b = CloudBuilder(TopologySpec.chain(2), scheme='corelite', seed=0,\n"
-        "                 vectorized=True, train_batch=8)\n"
-        "b.add_flow(FlowPathSpec(1, ingress_core='C1', egress_core='C2', aggregate=256))\n"
-        "b.add_flow(FlowPathSpec(2, ingress_core='C1', egress_core='C2', aggregate=256))\n"
-        "result = b.run(until=4.0)\n"
+        "from tests.conftest import TRAIN_RUNG_BATCH, flow_scaling_cloud\n"
+        "cloud = flow_scaling_cloud('corelite', 16384, vectorized=True, aggregate=256,\n"
+        "                           train_batch=TRAIN_RUNG_BATCH)\n"
+        "result = cloud.run(until=8.0)\n"
         "assert result.total_delivered() > 0\n"
         "assert all(r.delay['count'] == r.delivered for r in result.flows.values())\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr

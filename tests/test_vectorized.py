@@ -40,6 +40,8 @@ from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.sources import PacedAggregateSource, SourceSpec
 
+from .conftest import flow_scaling_cloud
+
 
 # ---------------------------------------------------------------------------
 # Scenario constructors shared by the fingerprint and equivalence tests
@@ -84,9 +86,7 @@ def _mesh_csfq(vectorized=False):
 
 
 def _flow_scaling_corelite_256(vectorized=False):
-    from repro.perf import _flow_scaling_cloud
-
-    return _flow_scaling_cloud("corelite", 256, vectorized=vectorized), 8.0
+    return flow_scaling_cloud("corelite", 256, vectorized=vectorized), 8.0
 
 
 SCENARIOS = {
@@ -497,21 +497,17 @@ class TestPacedAggregateSource:
 
 class TestAggregateBuckets:
     def test_flow_scaling_cloud_validates_aggregate(self):
-        from repro.perf import _flow_scaling_cloud
-
         with pytest.raises(ConfigurationError):
-            _flow_scaling_cloud("corelite", 8, aggregate=0)
+            flow_scaling_cloud("corelite", 8, aggregate=0)
         with pytest.raises(ConfigurationError):
-            _flow_scaling_cloud("corelite", 10, aggregate=4)
+            flow_scaling_cloud("corelite", 10, aggregate=4)
 
     def test_backlogged_bucket_matches_member_flows_statistically(self):
         """16 flows as 4 aggregate-4 buckets vs 16 individual flows: the
         per-weight-class delivered totals must agree within a few percent
         (the bucket controller is the exact N-scaled twin)."""
-        from repro.perf import _flow_scaling_cloud
-
         def class_totals(aggregate):
-            cloud = _flow_scaling_cloud(
+            cloud = flow_scaling_cloud(
                 "corelite", 16, vectorized=True, aggregate=aggregate
             )
             result = cloud.run(until=12.0)
