@@ -93,7 +93,8 @@ def _print_result(result: RunResult, window, chart: bool = True) -> None:
             losses={fid: r.losses for fid, r in result.flows.items()},
         )
     )
-    print(f"total drops: {result.total_drops}   total losses: {result.total_losses()}")
+    drops = f"total drops: {result.total_drops}   policy drops: {result.policy_drops}"
+    print(f"{drops}   total losses: {result.total_losses()}")
     if result.dynamics and result.dynamics.get("events"):
         from repro.fairness.metrics import reconvergence_time, transient_dip
 

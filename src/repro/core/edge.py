@@ -5,7 +5,8 @@ An edge router plays two roles:
 * **Ingress** for the flows entering the cloud through it: it shapes each
   flow to its allowed rate ``bg(f)`` with a :class:`~repro.core.shaping.
   PacedSender`, injects markers via :class:`~repro.core.marking.
-  MarkerInjector`, collects feedback markers echoed by core routers, and
+  MarkerInjector` (as two header fields of the data packet, not as packets),
+  collects feedback markers echoed by core routers, and
   once per edge epoch runs the :class:`~repro.core.adaptation.
   RateController` on the **max** per-core feedback count.
 * **Egress** for the flows leaving through it: it meters delivered packets
@@ -183,19 +184,11 @@ class CoreliteEdge(Router):
         sim: Simulator,
         config: CoreliteConfig,
         epoch_offset: Optional[float] = None,
-        merge_markers: bool = False,
         train_batch: int = 1,
     ) -> None:
         """``epoch_offset`` staggers this edge's first adaptation tick so
         that edges created together do not adapt in lockstep (see
         :meth:`repro.sim.engine.Simulator.every`).
-
-        ``merge_markers`` is the edge half of the batched control plane
-        (the builder's ``vectorized`` flag): a due marker rides its
-        companion data packet as (origin_edge, label) instead of a
-        separate zero-size packet — same arrival instant, one event per
-        hop instead of two.  The default keeps the standalone markers
-        (byte-identical replays).
 
         ``train_batch = K > 1`` turns on the packet-train datapath: each
         shaper firing emits up to K back-to-back packets as one
@@ -210,7 +203,6 @@ class CoreliteEdge(Router):
         self.config = config
         self._epoch_offset = epoch_offset
         self._train_batch = int(train_batch)
-        self._merge_markers = merge_markers
         # Slot-indexed flow tables: the id -> slot maps are touched once
         # per control-plane packet, while the per-epoch adaptation sweep
         # and the per-packet egress path index dense lists.  Slots are
@@ -416,38 +408,10 @@ class CoreliteEdge(Router):
             )
             packet.micro_id = micro_id
             state.seq += 1
-        if self._merge_markers:
-            # Batched control plane: the due marker is piggybacked on the
-            # data packet itself — ``origin_edge`` doubles as the "marker
-            # aboard" flag for the core routers, which observe the label
-            # exactly as they would a trailing zero-size marker (same
-            # arrival instant, since markers serialize in zero time right
-            # behind their companion).  Label semantics are identical to
-            # the standalone-marker branch below.
-            if state.rate_estimator is not None:
-                state.rate_estimator.update(now, packet.size)
-            due = state.injector.on_data(packet.size)
-            if due:
-                rate = state.controller.rate
-                if state.rate_estimator is not None:
-                    rate = min(rate, state.rate_estimator.rate)
-                label = max(0.0, rate - att.min_rate) / att.weight
-                packet.origin_edge = self.name
-                packet.label = label
-                for _ in range(due - 1):
-                    # Sub-unit marker intervals (member weight < 1) can owe
-                    # several markers per packet; extras stay standalone.
-                    self.forward(
-                        Packet.marker(
-                            att.flow_id, self.name, att.dst_edge, label, now, sim=self.sim
-                        )
-                    )
-            self.forward(packet)
-            return True
-        self.forward(packet)
         if state.rate_estimator is not None:
             state.rate_estimator.update(now, packet.size)
-        for _ in range(state.injector.on_data(packet.size)):
+        due = state.injector.on_data(packet.size)
+        if due:
             # The marker carries the *out-of-profile* normalized rate: the
             # portion above the contracted minimum, per unit weight.  With
             # no contract this is the paper's plain rn = bg/w; with one,
@@ -460,9 +424,20 @@ class CoreliteEdge(Router):
             if state.rate_estimator is not None:
                 rate = min(rate, state.rate_estimator.rate)
             label = max(0.0, rate - att.min_rate) / att.weight
-            self.forward(
-                Packet.marker(att.flow_id, self.name, att.dst_edge, label, now, sim=self.sim)
-            )
+            # The marker is a field of its data packet (``origin_edge``
+            # doubles as the "marker aboard" flag), parted from it only
+            # where the two could fare differently (``repro.sim.link``).
+            packet.origin_edge = self.name
+            packet.label = label
+            for _ in range(due - 1):
+                # Sub-unit marker intervals (member weight < 1) can owe
+                # several markers per packet; extras stay standalone.
+                self.forward(
+                    Packet.marker(
+                        att.flow_id, self.name, att.dst_edge, label, now, sim=self.sim
+                    )
+                )
+        self.forward(packet)
         return True
 
     def _emit_train(self, state: _IngressFlow, allowance: int) -> int:
@@ -471,9 +446,8 @@ class CoreliteEdge(Router):
         (0 parks the shaper until a deposit kicks it).
 
         Marker bookkeeping matches ``allowance`` scalar emissions: the
-        injector advances once per member, due markers ride the train
-        (``marker_count``) in merged mode or follow it as standalone
-        zero-size packets otherwise.
+        injector advances once per member and due markers ride the train
+        (``marker_count``, at most one per member).
         """
         att = state.attachment
         now = self.sim.now
@@ -513,15 +487,11 @@ class CoreliteEdge(Router):
             if state.rate_estimator is not None:
                 rate = min(rate, state.rate_estimator.rate)
             label = max(0.0, rate - att.min_rate) / att.weight
-            if self._merge_markers:
-                aboard = due if due <= n else n
-                train.origin_edge = self.name
-                train.label = label
-                train.marker_count = aboard
-                extra = due - aboard
-            else:
-                extra = due
-            for _ in range(extra):
+            aboard = due if due <= n else n
+            train.origin_edge = self.name
+            train.label = label
+            train.marker_count = aboard
+            for _ in range(due - aboard):
                 self.forward(
                     Packet.marker(
                         att.flow_id, self.name, att.dst_edge, label, now, sim=self.sim
@@ -601,10 +571,9 @@ class CoreliteEdge(Router):
             self._deliver_train(state, packet, link)
             return
         if packet.origin_edge is not None:
-            # A piggybacked marker (batched control plane) rode this data
-            # packet; account it so marker stats match unbatched runs.
-            # ``marker_count`` is 1 for every scalar packet; a one-member
-            # train can also land here and may carry exactly one.
+            # A marker rode this data packet (``marker_count`` is 1 for
+            # every scalar packet; a one-member train can also land here
+            # and may carry exactly one).
             state.markers_received += packet.marker_count
         if state.expected_seq is not None and packet.seq > state.expected_seq:
             state.lost += packet.seq - state.expected_seq
@@ -668,4 +637,13 @@ class CoreliteEdge(Router):
                 egress_state = self._egress_flows[out_slot]
                 egress_state.meter.record(packet.count)
                 egress_state.delay.record(max(0.0, self.sim.now - packet.created_at))
+                if packet.origin_edge is not None:
+                    # The marker aboard ends here; the host gets bare data.
+                    egress_state.markers_received += 1
+                    packet.origin_edge = None
+        elif packet.kind is _MARKER and packet.flow_id in self._egress_index:
+            # Parted from an external flow's packet, hence addressed to its
+            # end host: it too ends at the flow's egress edge.
+            self._egress_flows[self._egress_index[packet.flow_id]].markers_received += 1
+            return
         self.forward(packet)

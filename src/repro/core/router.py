@@ -1,7 +1,8 @@
 """The Corelite core router (paper §2.2 step 2, §3).
 
 Data packets get the "standard forwarding behavior" — a route lookup and a
-FIFO enqueue, nothing else.  Markers are additionally *observed* by the
+FIFO enqueue, nothing else.  Markers — aboard a data packet, or parted
+from it as a zero-size packet — are additionally *observed* by the
 feedback mechanism attached to the output link they are about to join.
 Once per congestion epoch, each Corelite-enabled output link:
 
@@ -105,8 +106,8 @@ class CoreliteCoreRouter(Router):
         """``batch_feedback`` coalesces the feedback one output link
         selects during one congestion epoch into a single counted
         FEEDBACK packet per (flow, edge), flushed at the epoch boundary
-        (the core half of the batched control plane — the builder's
-        ``vectorized`` flag).  The edge credits the packet's ``seq`` as
+        (the batched control plane — all the builder's ``vectorized``
+        flag means).  The edge credits the packet's ``seq`` as
         its marker count, so the LIMD sees the same per-epoch totals with
         feedback arrival quantized to the core epoch."""
         super().__init__(name)
@@ -189,7 +190,17 @@ class CoreliteCoreRouter(Router):
     # -- data path --------------------------------------------------------
 
     def receive(self, packet: Packet, link: Link) -> None:
+        kind = packet.kind
+        origin = packet.origin_edge
+        #: A data packet with a marker aboard (a train may carry several).
+        carrier = origin is not None and kind is _DATA
         if self.multipath:
+            if carrier and self._flowlet_packets and type(packet) is Packet:
+                # The data packet may close its flowlet, and the marker
+                # trailing it would take the next one's path: part them.
+                marker = packet.detach_marker(self.sim)
+                self.receive(packet, link)
+                packet, kind, carrier = marker, _MARKER, False
             out_link = self.route_for_packet(packet)
         else:
             out_link = self._routes.get(packet.dst)
@@ -203,27 +214,25 @@ class CoreliteCoreRouter(Router):
             # so forward() cannot advance the flowlet counter twice.)
             self.forward(packet)
             return
-        if packet.kind is _MARKER or (
-            packet.origin_edge is not None and packet.kind is _DATA
-        ):
-            # Standalone marker, or a data packet carrying a piggybacked
-            # one (batched control plane) — the selector observes both
-            # identically; only the event count differs.  A PacketTrain
-            # can carry several markers (``marker_count``); the selector
-            # observes each as if it had arrived standalone (scalar
-            # packets always carry exactly one).
-            machinery = self._machinery.get(out_link.name)
-            if machinery is not None:
-                markers = packet.marker_count
-                if machinery.parked_at is not None:
-                    self._note_parked_marker(machinery, markers)
-                observe = machinery.selector.observe
-                origin = packet.origin_edge or packet.src
-                if markers == 1:
-                    observe(packet.flow_id, origin, packet.label, self.sim.now)
-                else:
-                    observe(packet.flow_id, origin, packet.label, self.sim.now, markers)
-        out_link.send(packet)
+        if not carrier and kind is not _MARKER:
+            out_link.send(packet)
+            return
+        # The selector observes a marker aboard as it would one trailing the
+        # packet: after the packet has been offered to the link — which may
+        # part the two (``repro.sim.link``), so the fields are read first.
+        label = packet.label
+        markers = packet.marker_count
+        if carrier:
+            out_link.send(packet)
+        machinery = self._machinery.get(out_link.name)
+        if machinery is not None:
+            if machinery.parked_at is not None:
+                self._note_parked_marker(machinery, markers)
+            machinery.selector.observe(
+                packet.flow_id, origin or packet.src, label, self.sim.now, markers
+            )
+        if not carrier:
+            out_link.send(packet)
 
     # -- congestion epoch -------------------------------------------------
 

@@ -127,6 +127,10 @@ class SchemeStrategy:
     def enable_core_links(self, cloud: "Cloud") -> None:
         raise NotImplementedError
 
+    def policy_drops(self, cloud: "Cloud") -> int:
+        """Data packets its cores dropped by policy, unseen by ``total_drops()``."""
+        return 0
+
     def attach_aggregate(self, cloud: "Cloud", ingress, spec: FlowPathSpec):
         raise ConfigurationError(
             f"scheme {self.scheme!r} does not support micro-flow aggregation "
@@ -208,7 +212,6 @@ class CoreliteStrategy(SchemeStrategy):
             cloud.sim,
             cloud.config,
             epoch_offset=offset,
-            merge_markers=cloud.vectorized,
             train_batch=cloud.train_batch,
         )
 
@@ -360,6 +363,12 @@ class CsfqStrategy(SchemeStrategy):
             core = cloud.topology.nodes[link.src_name]
             core.enable_on_link(link)
 
+    def policy_drops(self, cloud: "Cloud") -> int:
+        nodes = cloud.topology.nodes  # (FIFO cores enable no link: state None)
+        links = cloud._core_output_links()
+        states = (nodes[link.src_name].state_for(link.name) for link in links)
+        return sum(state.prob_drops for state in states if state is not None)
+
     @classmethod
     def control_channels(cls, flows, on_path_cores):
         # Loss notifications travel egress edge -> ingress edge; the
@@ -430,12 +439,11 @@ class Cloud:
         robustness experiments.  ``calendar=False`` forces the simulator's
         timer tier onto the pure binary heap — byte-identical (pinned by
         replay tests) and only useful for those pins.
-        ``vectorized=True`` batches the Corelite control plane: ingress
-        edges piggyback each due marker on the data packet it trails and
-        cores coalesce the feedback one link selects during one
-        congestion epoch into a single counted FEEDBACK packet per
-        (flow, edge).  That quantizes feedback arrival to the core epoch,
-        so results are statistically equivalent (pinned by Jain/per-flow
+        ``vectorized=True`` batches the Corelite feedback: cores coalesce
+        what one link selects during one congestion epoch into a single
+        counted FEEDBACK packet per (flow, edge) — a control-plane choice,
+        the datapath is the same.  Feedback arrives quantized to the core
+        epoch, so results are statistically equivalent (pinned by Jain/per-flow
         tolerance tests) but not byte-identical to the default; CSFQ and
         FIFO have no marker traffic, so for them the flag is inert.
         ``train_batch = K > 1`` turns on the packet-train datapath: edge
@@ -1012,6 +1020,7 @@ class Cloud:
             seed=self.seed,
             queue_series=queue_series if record_queues else None,
             dynamics=dynamics_summary,
+            policy_drops=self.strategy.policy_drops(self),
         )
 
 

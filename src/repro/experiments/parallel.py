@@ -69,9 +69,9 @@ __all__ = [
     "batch_summary_table",
 ]
 
-#: Bump when the cached payload's layout or meaning changes (3: the delay
-#: percentiles come from a different sampler); part of every cache key.
-CACHE_FORMAT = 3
+#: Bump when the cached payload's layout or meaning changes (4: the
+#: payload carries ``policy_drops``); part of every cache key.
+CACHE_FORMAT = 4
 
 
 def _canonical_json(value: object, where: str) -> str:
@@ -210,6 +210,7 @@ def result_to_payload(result: RunResult) -> Dict:
         "duration": result.duration,
         "seed": result.seed,
         "total_drops": result.total_drops,
+        "policy_drops": result.policy_drops,
         "capacities": dict(result.capacities),
         "flows": {
             str(fid): {
@@ -303,6 +304,7 @@ def result_from_payload(payload: Mapping) -> RunResult:
         seed=payload["seed"],
         queue_series=queue_series or None,
         dynamics=dynamics,
+        policy_drops=payload["policy_drops"],
     )
 
 

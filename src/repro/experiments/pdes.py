@@ -530,6 +530,7 @@ class _PartitionWorker:
             flows[fid] = out
         return {
             "drops": cloud.topology.total_drops(),
+            "policy_drops": cloud.strategy.policy_drops(cloud),
             "events": cloud.sim.events_executed,
             "flows": flows,
             "queues": {
@@ -1092,4 +1093,5 @@ class ParallelCloud:
             total_drops=sum(fragment["drops"] for fragment in fragments),
             seed=self.seed,
             queue_series=queue_series,
+            policy_drops=sum(fragment["policy_drops"] for fragment in fragments),
         )

@@ -63,12 +63,16 @@ class RunResult:
         seed: int,
         queue_series: Optional[Dict[str, Series]] = None,
         dynamics: Optional[Dict] = None,
+        policy_drops: int = 0,
     ) -> None:
         self.scheme = scheme
         self.duration = duration
         self.capacities = dict(capacities)
         self.flows = flows
         self.total_drops = total_drops
+        #: Data packets a core dropped by policy ahead of its buffer (CSFQ's
+        #: probabilistic filter), which ``total_drops`` does not count.
+        self.policy_drops = policy_drops
         self.seed = seed
         #: Per-link queue occupancy samples (only when the run recorded them).
         self.queue_series: Dict[str, Series] = queue_series or {}

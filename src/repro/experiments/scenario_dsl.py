@@ -40,8 +40,8 @@ keys are rejected (silent typos in experiment definitions are the
 classic way to benchmark the wrong thing).
 
 Scale knobs: a top-level ``"vectorized": true`` batches the Corelite
-control plane — markers piggyback on data packets and cores coalesce
-feedback per epoch (statistically equivalent, not byte-identical — see
+control plane — cores coalesce the feedback a link selects over one
+congestion epoch (statistically equivalent, not byte-identical — see
 docs/REPRODUCING.md; accepted and inert for csfq/fifo), a top-level
 ``"train": K`` opts the datapath into packet trains of up to K members
 (also statistically pinned; the default ``train: 1`` is

@@ -6,8 +6,8 @@ packets per second, and a propagation pipe of ``prop_delay`` seconds.
 Several packets can be in the propagation pipe simultaneously (the
 transmitter frees up as soon as serialization ends).
 
-Markers have size 0 and therefore serialize instantaneously — they are
-piggybacked on the data stream and consume no capacity (paper §2.2).
+Markers are piggybacked on the data stream and consume no capacity (paper
+§2.2): header fields of a data packet, or packets of size 0.
 
 Hot path
 --------
@@ -48,17 +48,25 @@ precedes the wakeup in ``(time, seq)`` order; the opposite order could
 differ only in one drop decision on an exactly full buffer at an exact
 float tie.
 
-*Riders.*  Markers have size 0 and are due at ``max(now, _free_at) +
-prop_delay``.  When that is the instant of the delivery event this link
-scheduled last, and that instant is still in the future (so the event
-cannot have fired), the marker is chained behind that event's last
-packet through ``Packet.trailer`` and delivered by the same event, in
+*Markers aboard.*  A Corelite marker is a field of the data packet it was
+emitted with (``origin_edge`` / ``label`` on a DATA packet): on this path
+one object, one ``send``, one delivery.  It leaves its carrier
+(:meth:`Packet.detach_marker`) exactly where a marker trailing the packet
+would have fared differently from it: a scalar carrier the buffer refuses
+sends its marker on alone over the same link (``_tail_drop`` — never lost
+with its data packet), and the per-packet paths part the two on entry
+(``_send_split``, where a train is split).  A failed link loses both, as
+it lost both packets; markers aboard a *train* go where the train goes.
+
+*Riders.*  A zero-size packet — a parted marker, a TCP ACK — is due at
+``max(now, _free_at) + prop_delay``.  When that is the instant of the
+delivery event this link scheduled last, and that instant is still in the
+future (so the event cannot have fired), it is chained behind that event's
+last packet through ``Packet.trailer`` and delivered by the same event, in
 FIFO order, right after it; otherwise it gets its own event.  A marker
-trailing its data packet — the paper's piggybacking — therefore costs
-no event at any hop, yet stays a standalone :class:`Packet`: it is never
-lost with the data packet (a marker behind a dropped packet simply
-travels alone).  ``_deliver_*`` clears ``trailer`` before handing a
-packet on, so no node ever sees one.
+trailing a data packet therefore costs no event at any hop.
+``_deliver_*`` clears ``trailer`` before handing a packet on, so no node
+ever sees one.
 
 Links that need a real queue keep it (``_send_queued`` →
 ``FifoQueue.push`` / ``pop``, ``_transmit_from``, one ``_wake`` per
@@ -491,6 +499,10 @@ class Link:
         self.queue.stats.dropped_data += packet.count
         for listener in self._drop_listeners:
             listener(packet, now)
+        if packet.origin_edge is not None and type(packet) is Packet:
+            # Never lost with its data packet: the marker aboard travels on
+            # alone (zero size is always admitted).
+            self.send(packet.detach_marker(self.sim))
         return False
 
     def _settle(self, before: float) -> None:
@@ -536,7 +548,11 @@ class Link:
         return self._send_via_queue(packet)
 
     def _send_via_queue(self, packet: Packet) -> bool:
-        """Push through the discipline and kick the transmitter."""
+        """Push through the discipline and kick the transmitter.  The
+        discipline decides per packet, so a scalar packet parts from the
+        marker aboard it first, as a train splits."""
+        if packet.origin_edge is not None and packet.size > 0.0 and type(packet) is Packet:
+            return self._send_split(packet, self._send_via_queue)
         now = self.sim.now
         if not self.queue.push(packet, now):
             for listener in self._drop_listeners:
@@ -553,7 +569,7 @@ class Link:
         """Tap-aware ``send`` variant (bound once an arrival tap exists).
         Arrival taps decide per packet (CSFQ's probabilistic drop), so
         trains split before the taps run."""
-        if packet.count != 1:
+        if packet.count != 1 or (packet.origin_edge is not None and packet.size > 0.0):
             return self._send_split(packet, self._send_tapped)
         now = self.sim.now
         for tap in self._arrival_taps:
@@ -561,15 +577,20 @@ class Link:
                 return False
         return self._send_base(packet)
 
-    def _send_split(self, train: Packet, send: Callable[[Packet], bool]) -> bool:
-        """Split ``train`` and offer every member through ``send``.
+    def _send_split(self, packet: Packet, send: Callable[[Packet], bool]) -> bool:
+        """Offer ``packet`` through ``send`` piece by piece: a train's
+        members, or a scalar packet and then the marker that was aboard it.
 
-        Returns True iff every member was accepted (matching the
+        Returns True iff every piece was accepted (matching the
         all-or-nothing contract loosely: callers only use the boolean for
         logging; drops are fully accounted by the per-member path).
         """
+        if type(packet) is Packet:
+            pieces = [packet, packet.detach_marker(self.sim)]
+        else:
+            pieces = packet.split(self.sim)
         accepted = True
-        for member in train.split(self.sim):
+        for member in pieces:
             if not send(member):
                 accepted = False
         return accepted

@@ -4,10 +4,12 @@ A single :class:`Packet` class covers all traffic in the system; the
 :class:`PacketKind` field distinguishes:
 
 * ``DATA`` — a 1-packet-sized payload packet of an edge-to-edge flow.
-* ``MARKER`` — a Corelite marker injected by the ingress edge after every
-  ``Nw = K1 * w`` data packets.  Markers are *logically distinct but
-  physically piggybacked* (paper §2.2), so their size is 0: they occupy a
-  FIFO position in queues but consume no bandwidth and no buffer space.
+* ``MARKER`` — a Corelite marker (one per ``Nw = K1 * w`` data packets)
+  travelling alone.  Markers are *logically distinct but physically
+  piggybacked* (paper §2.2): one is normally two fields of the DATA packet
+  it was emitted with (``origin_edge``, ``label``) and a packet only where
+  the two part (:meth:`Packet.detach_marker`) — of size 0, so it occupies a
+  FIFO position in queues but consumes no bandwidth and no buffer space.
 * ``FEEDBACK`` — a marker echoed back to its generating edge by a congested
   core router.  Feedback travels on the control plane.
 * ``LOSS_NOTIFY`` — an egress-edge loss report used by the CSFQ baseline
@@ -70,10 +72,12 @@ class Packet:
     origin_edge:
         For markers: the edge router that generated the marker (the paper's
         "source address of the marker"), i.e. where feedback must return.
+        Set on a DATA packet it means "a marker is aboard".
     label:
-        For markers: the flow's normalized rate ``rn = bg/w`` at injection
-        time (used by the selective feedback scheme).  For CSFQ data
-        packets: the normalized rate estimate carried in the header.
+        For markers (aboard or standalone): the flow's normalized rate
+        ``rn = bg/w`` at injection time (used by the selective feedback
+        scheme).  For CSFQ data packets: the normalized rate estimate
+        carried in the header.
     feedback_from:
         For FEEDBACK packets: identifier of the congested core link that
         echoed the marker (the edge reacts to the *max* over core routers).
@@ -109,10 +113,9 @@ class Packet:
     #: ``+= 1`` for every non-train packet, preserving byte-identity).
     count = 1
 
-    #: Number of piggybacked Corelite markers carried by a marker-bearing
-    #: packet (``origin_edge is not None``).  Scalar merged-marker packets
-    #: always carry exactly one; trains may carry several.  Only read when
-    #: ``origin_edge`` is set.
+    #: Number of Corelite markers aboard a marker-bearing packet
+    #: (``origin_edge is not None``).  A scalar packet carries exactly
+    #: one; trains may carry several.  Only read when ``origin_edge`` is set.
     marker_count = 1
 
     def __init__(
@@ -219,6 +222,17 @@ class Packet:
         fb.origin_edge = self.origin_edge
         fb.feedback_from = core_link
         return fb
+
+    def detach_marker(self, sim: Optional["Simulator"] = None) -> "Packet":
+        """Part this scalar data packet from the marker aboard it: returns
+        the zero-size packet that would have trailed it — same flow, origin,
+        destination, label, ``created_at`` — and this one carries none."""
+        marker = Packet.marker(
+            self.flow_id, self.origin_edge, self.dst, self.label, self.created_at, sim=sim
+        )
+        self.origin_edge = None
+        self.label = 0.0
+        return marker
 
     @property
     def is_data(self) -> bool:

@@ -349,3 +349,38 @@ def test_4096_flow_scalar_build_stays_under_400_mb_and_10_s():
     )
     proc = run_python(script)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class TestPacketConservation:
+    """``total_drops`` is what the network lost; a scheme's own core policy
+    (CSFQ's probabilistic filter) drops ahead of the buffer and is reported
+    beside it.  Together they close the books."""
+
+    @pytest.mark.parametrize("scheme", ["corelite", "csfq"])
+    def test_every_emitted_packet_is_accounted_for(self, scheme):
+        from repro.experiments.scenarios import WEIGHTS_41, topology1_flows
+
+        # corebench's paper_chain4 / csfq_chain4 cloud, a shorter horizon.
+        builder = CloudBuilder(TopologySpec.chain(4), scheme=scheme, seed=0)
+        builder.add_flows(topology1_flows(WEIGHTS_41, {}))
+        cloud = builder.build()
+        result = cloud.run(until=30.0)
+
+        filtered = 0
+        if scheme == "csfq":
+            cores = [cloud.core_router(name) for name in cloud.core_names]
+            filtered = sum(
+                core.state_for(name).prob_drops for core in cores for name in core.enabled_links()
+            )
+            assert filtered > 10 * result.total_drops > 0
+        assert result.policy_drops == filtered
+
+        emitted = sum(
+            state.seq for edge in cloud.edges.values() for state in edge._ingress_flows
+        )
+        links = cloud.topology.links.values()
+        in_pipe = sum(link.queue.stats.enqueued_data - link.delivered_data for link in links)
+        assert in_pipe > 0
+        assert emitted == (
+            result.total_delivered() + result.total_drops + result.policy_drops + in_pipe
+        )

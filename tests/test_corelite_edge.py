@@ -57,11 +57,12 @@ def test_started_flow_emits_data_and_markers(rig):
     attach(edge, weight=2.0)
     edge.start_flow(1)
     sim.run(until=2.0)
-    data = [p for p in catcher.packets if p.kind == PacketKind.DATA]
-    markers = [p for p in catcher.packets if p.kind == PacketKind.MARKER]
-    assert data, "no data emitted"
+    assert {p.kind for p in catcher.packets} == {PacketKind.DATA}, "no data emitted"
+    # A marker is a field of the data packet it is emitted with.
+    markers = [p for p in catcher.packets if p.origin_edge is not None]
     # Nw = K1 * w = 2 -> one marker per two data packets.
-    assert len(markers) == pytest.approx(len(data) / 2, abs=1)
+    assert len(markers) == pytest.approx(len(catcher.packets) / 2, abs=1)
+    assert all(p.label == 0.0 for p in catcher.packets if p.origin_edge is None)
 
 
 def test_marker_labels_are_normalized_rate(rig):
@@ -69,8 +70,8 @@ def test_marker_labels_are_normalized_rate(rig):
     attach(edge, weight=2.0)
     edge.start_flow(1)
     sim.run(until=4.0)
-    markers = [p for p in catcher.packets if p.kind == PacketKind.MARKER]
-    assert markers
+    markers = [p for p in catcher.packets if p.origin_edge is not None]
+    assert markers and all(p.kind == PacketKind.DATA for p in markers)
     # Every marker label is the rate/weight at its injection time; the most
     # recent one reflects a recent allotted rate (within one doubling).
     last = markers[-1]

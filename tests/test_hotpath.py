@@ -509,9 +509,11 @@ def test_paper_chain_event_budget(monkeypatch):
     """§4.1 chain, 20 flows, 10 sim-s (the counts repeat exactly per seed).
 
     Every link of this cloud is a static drop-tail FIFO, so transmitter
-    wakeups and per-marker deliveries are simulator artefacts, not model
-    work.  A reintroduced per-wakeup or per-marker event fails here with
-    a count instead of somewhere else with a digest mismatch."""
+    wakeups, per-marker deliveries and per-marker sends are simulator
+    artefacts, not model work.  A reintroduced per-wakeup or per-marker
+    event, or a marker that is a packet of its own at every hop again,
+    fails here with a count instead of somewhere else with a digest
+    mismatch."""
     from repro.experiments.builder import CloudBuilder
     from repro.experiments.scenarios import WEIGHTS_41, topology1_flows
     from repro.experiments.topospec import TopologySpec
@@ -532,10 +534,21 @@ def test_paper_chain_event_budget(monkeypatch):
     builder = CloudBuilder(TopologySpec.chain(4), scheme="corelite", seed=0)
     builder.add_flows(topology1_flows(WEIGHTS_41, {}))
     cloud = builder.build()
-    result = cloud.run(until=10.0)
-
     links = cloud.topology.links.values()
     assert all(link.send.__func__ is Link._send_fast for link in links)
+    sends = []
+
+    def counted(send):
+        def wrapper(packet):
+            sends.append(packet.size)
+            return send(packet)
+
+        return wrapper
+
+    for link in links:
+        link.send = counted(link.send)
+    result = cloud.run(until=10.0)
+
     assert not wakeups, (
         f"{len(wakeups)} transmitter wakeups scheduled by static drop-tail "
         f"links, e.g. {sorted(set(wakeups))[:3]}: departure times are known "
@@ -548,10 +561,21 @@ def test_paper_chain_event_budget(monkeypatch):
         f"= {per_packet:.2f} per packet (budget 5.5; 4.9 when this was "
         "written, ~8 with a wakeup per gap and an event per marker hop)"
     )
-    marker_hops = sum(link.delivered_control for link in links)
-    assert marker_hops > 5_000  # the workload does carry markers
+    marker_hops = sum(
+        core.machinery_for(name).selector.markers_seen
+        for core in map(cloud.core_router, cloud.core_names)
+        for name in core.enabled_links()
+    )
+    assert marker_hops > 4_000  # the workload does carry markers
     assert len(marker_events) <= 0.01 * marker_hops, (
         f"{len(marker_events)} delivery events carried only a marker, of "
         f"{marker_hops} marker hops: a marker trailing its data packet must "
         "ride that packet's delivery event"
+    )
+    sends_per_packet = len(sends) / delivered
+    assert sends_per_packet <= 3.85, (
+        f"{len(sends)} link sends ({sends.count(0.0)} of them zero-size) for "
+        f"{delivered} delivered packets = {sends_per_packet:.2f} per packet "
+        "(budget 3.85; 3.57 when this was written, 5.46 with every marker a "
+        "packet of its own at every hop)"
     )

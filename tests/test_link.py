@@ -392,8 +392,11 @@ def test_access_link_that_never_queues_allocates_no_ledger(rig):
 
 
 def test_no_node_is_handed_a_packet_with_a_rider_attached():
-    """``trailer`` is link-private: on a cloud whose markers do ride their
-    data packets, every packet reaches ``receive`` with it cleared."""
+    """``trailer`` is link-private: on a cloud that has riders — 4-packet
+    buffers refuse data packets, and the marker aboard one travels on alone
+    behind the last admitted packet's delivery — every packet reaches
+    ``receive`` with it cleared."""
+    from repro.core.config import CoreliteConfig
     from repro.experiments.builder import CloudBuilder
     from repro.experiments.topospec import FlowPathSpec, TopologySpec
 
@@ -419,14 +422,17 @@ def test_no_node_is_handed_a_packet_with_a_rider_attached():
     Link._deliver_fast = counting
     try:
         builder = CloudBuilder(
-            TopologySpec.chain(2, capacity_pps=60.0), scheme="corelite", seed=1
+            TopologySpec.chain(2, capacity_pps=60.0, queue_capacity=4.0),
+            scheme="corelite",
+            seed=1,
+            config=CoreliteConfig(qthresh=2.0, initial_rate=30.0),
         )
         for fid in (1, 2, 3):
             builder.add_flow(FlowPathSpec(fid, weight=float(fid)))
         cloud = builder.build()
         for node in cloud.topology.nodes.values():
             node.receive = checking(node.receive)
-        cloud.run(until=6.0)
+        cloud.run(until=12.0)
     finally:
         Link._deliver_fast = original
     assert len(rides) > 100  # markers did ride data packets

@@ -246,6 +246,13 @@ def test_result_payload_round_trip_is_exact():
     assert rebuilt.expected_rates(at_time=3.0) == result.expected_rates(at_time=3.0)
 
 
+def test_policy_drops_survive_the_payload():
+    scenario = dict(TINY, scheme="csfq", duration=12.0)
+    result = run_scenario(scenario)
+    assert result.policy_drops > 0  # CSFQ's filter dropped ahead of the buffers
+    assert result_from_payload(result_to_payload(result)).policy_drops == result.policy_drops
+
+
 # ---------------------------------------------------------------------------
 # Aggregation helpers
 # ---------------------------------------------------------------------------

@@ -276,6 +276,10 @@ class TestTwoPartitionChainEquivalence:
         assert_identical(serial, parallel)
         assert serial.total_delivered() > 0
 
+    def test_policy_drops_sum_over_partitions(self):
+        serial, parallel = run_pair(TopologySpec.chain(4), chain_flows(), "csfq", 30.0)
+        assert parallel.policy_drops == serial.policy_drops > 0
+
     def test_rich_corelite_scenario_matches_serial_exactly(self):
         serial, parallel = run_pair(
             TopologySpec.chain(4), rich_flows(), "corelite", 30.0

@@ -249,8 +249,8 @@ def _build(name, scheme, train_batch=1, seed=None):
 
 def test_train_batch_1_is_byte_identical_to_scalar():
     """``train_batch=1`` must take the scalar datapath exactly: the same
-    (result digest, event count) pairs test_vectorized pins against the
-    pre-train code."""
+    (result digest, event count, packet-id counter) triples test_vectorized
+    pins against the pre-train code."""
     pin, _, _ = _run_and_fingerprint(*_build("chain4", "corelite", train_batch=1))
     assert pin == FINGERPRINTS["chain4_corelite"]
     pin, _, _ = _run_and_fingerprint(*_build("mesh", "csfq", train_batch=1))

@@ -4,10 +4,10 @@ aggregated sources.
 Four layers of protection:
 
 * **Scalar replay fingerprints** — the default build path must stay
-  byte-identical to the pre-PR-7 code: same per-flow series and same
-  packet-id counter, hashed and pinned as a *result digest*, with the
-  executed-event count pinned beside it (a pure event-structure change
-  moves only the count).
+  byte-identical to the pre-PR-7 code: same per-flow series, hashed and
+  pinned as a *result digest*, with the executed-event count and the
+  packet-id counter pinned beside it (a pure event-structure or
+  allocation change moves only its count).
 * **Batched replay fingerprints** — ``vectorized=True`` runs recorded
   while the array-backed edges (``repro.sim.flowarrays``) still existed;
   deleting them must not move a single delivery, loss or rate, and the
@@ -97,47 +97,55 @@ SCENARIOS = {
     "flow_scaling_corelite_256": _flow_scaling_corelite_256,
 }
 
-#: name -> (sha256 result digest, events executed).  The digest covers
-#: everything a run *produced* — per-flow delivered / losses / rate,
-#: throughput and cumulative series, and the packet-id counter — and was
-#: computed on the last commit that still hashed the event count into it
-#: (0b2fe4e, where the combined hashes recorded from the pre-PR7 scalar
-#: code still passed); the default build path must keep reproducing it
-#: byte-for-byte.  The event count is pinned *beside* it, so a change in
-#: event structure and a change in results fail apart.  Counts re-recorded
-#: once for the departure-time links (no transmitter wakeups, markers ride
-#: their data packet's delivery): 37,473 / 885 / 10,393 / 4,055 / 83,868
-#: before.
+#: name -> (sha256 result digest, events executed, packet ids allocated).
+#: The digest covers everything a run *produced* — per-flow delivered /
+#: losses / rate, throughput and cumulative series — and nothing about how:
+#: it is the sha256 of ``repr(payload)`` alone, recorded on 07ecefd, where
+#: the older digests (which hashed the packet-id counter, and before
+#: 0b2fe4e the event count, into the same blob) still passed.  The default
+#: build path must keep reproducing it byte-for-byte.  The event count and
+#: the packet-id counter are pinned *beside* it, so a change in event
+#: structure, a change in what is allocated and a change in results fail
+#: apart.  Counts re-recorded once for the departure-time links (no
+#: transmitter wakeups, markers ride their data packet's delivery): 37,473
+#: / 885 / 10,393 / 4,055 / 83,868 events before.  Packet ids re-recorded
+#: once when a marker became a field of its data packet instead of a
+#: packet (the Corelite runs allocated 7,920 / 2,546 / 20,888 before).
 FINGERPRINTS = {
     "chain4_corelite": (
-        "8463658a7b636d0c8295f4b3945de0603b7bed833410bd44a812b84cbb65c1fe",
+        "83f1678124a279e88257a09c6996cf2f16a516b06694bc1e211accca16d3fdf7",
         23481,
+        5254,
     ),
     "chain2_csfq": (
-        "800b58a0888f1e2692c1b5ecf7bf2e95bd09330af9c885e2dbb78deaa039c63b",
+        "20ddf6011d218f665eb00667e66d2d80e6aa986144c0490344f1cb18aa5ac853",
         877,
+        213,
     ),
     "parking_corelite": (
-        "30ca7d7ac6e71f50ee9d51233c6bb5513c3e163c9a731105adc64c27aee95e13",
+        "b5708b8a13daa4603f51b894ef86db534887ac454aa50d3c5abeef5408ea8ef2",
         6131,
+        1337,
     ),
     "mesh_csfq": (
-        "eb7de8bc08e89e942fac0cc82d5cad7256d2d3c97dc6588eab16add9c2606110",
+        "c989e42ff308ad7c2a81cf9e14f8b70ebc3f867399b0f3d2920007dc7803f95c",
         4001,
+        939,
     ),
     "flow_scaling_corelite_256": (
-        "9eda7ddc332cbe2457b36a7915432cb583f2fe9a3d71863e9b60b5a7ed8be229",
+        "107d07ea546d869bd06e4c7191c45dec6c2b43bc5c291dd0fe0081f46d81710b",
         57797,
+        16216,
     ),
 }
 
 
 def _run_and_fingerprint(cloud, until):
-    """Run the cloud; returns ``((result digest, events executed),
-    delivered, weights)``.  The digest hashes everything replay-relevant
-    that is a *result*: the sorted per-flow delivery/loss/series tuples
-    plus the simulator's packet-id counter.  The executed-event count
-    travels beside it, not inside it."""
+    """Run the cloud; returns ``((result digest, events executed, packet
+    ids allocated), delivered, weights)``.  The digest hashes everything
+    replay-relevant that is a *result*: the sorted per-flow
+    delivery/loss/series tuples.  The executed-event count and the
+    simulator's packet-id counter travel beside it, not inside it."""
     result = cloud.run(until=until)
     payload = []
     for flow_id, record in sorted(result.flows.items()):
@@ -151,11 +159,10 @@ def _run_and_fingerprint(cloud, until):
                 tuple(record.cumulative_series.values),
             )
         )
-    blob = repr((payload, cloud.sim._next_pid))
-    digest = hashlib.sha256(blob.encode()).hexdigest()
+    digest = hashlib.sha256(repr(payload).encode()).hexdigest()
     delivered = {fid: record.delivered for fid, record in result.flows.items()}
     weights = {fid: record.weight for fid, record in result.flows.items()}
-    return (digest, cloud.sim.events_executed), delivered, weights
+    return (digest, cloud.sim.events_executed, cloud.sim._next_pid), delivered, weights
 
 
 @pytest.fixture(scope="module")
@@ -173,22 +180,20 @@ def scalar_runs():
 def test_scalar_replay_fingerprints_unchanged(scalar_runs):
     results = {
         name: scalar_runs[name][0][0]
-        for name, (digest, _events) in FINGERPRINTS.items()
-        if scalar_runs[name][0][0] != digest
+        for name, pinned in FINGERPRINTS.items()
+        if scalar_runs[name][0][0] != pinned[0]
     }
     assert not results, (
         "default (scalar) build path no longer replays byte-identical to "
         f"the pre-vectorization code: {results}"
     )
-    events = {
-        name: (scalar_runs[name][0][1], pinned)
-        for name, (_digest, pinned) in FINGERPRINTS.items()
-        if scalar_runs[name][0][1] != pinned
-    }
-    assert not events, (
-        "same results, different event structure — (now, pinned) events "
-        f"executed: {events}"
-    )
+    for field, what in ((1, "events executed"), (2, "packet ids allocated")):
+        moved = {
+            name: (scalar_runs[name][0][field], pinned[field])
+            for name, pinned in FINGERPRINTS.items()
+            if scalar_runs[name][0][field] != pinned[field]
+        }
+        assert not moved, f"same results, different (now, pinned) {what}: {moved}"
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +232,21 @@ def _vec_parking(scheme, train_batch):
 #: control must keep reproducing them exactly.  The event counts (only)
 #: were re-recorded once for the departure-time links: 27,065 / 22,632 /
 #: 12,676 / 5,905 / 13,356 / 13,170 / 7,075 / 3,354 before, in the order
-#: below.
+#: below.  ``("corelite", "chain4", 1)`` — the one run here that drops
+#: scalar packets with a marker aboard (14 of them) — was re-recorded once
+#: when such a marker started to travel on alone instead of being lost
+#: with its packet: flows 8 and 11 read (239, 3, "38.0") and
+#: (184, 0, "26.0"), and the run 22,777 events, before.
 VECTORIZED_FINGERPRINTS = {
     ("corelite", "chain4", 1): (
         ((183, 3, "28.0"), (251, 0, "40.0"), (260, 0, "42.0"),
          (247, 1, "39.0"), (283, 6, "44.0"), (244, 0, "38.0"),
-         (226, 0, "34.0"), (239, 3, "38.0"), (201, 0, "27.0"),
-         (216, 1, "31.0"), (184, 0, "26.0"), (243, 0, "38.0"),
+         (226, 0, "34.0"), (232, 3, "36.0"), (201, 0, "27.0"),
+         (216, 1, "31.0"), (187, 0, "27.0"), (243, 0, "38.0"),
          (243, 0, "34.0"), (228, 0, "34.0"), (270, 0, "39.0"),
          (180, 0, "26.0"), (261, 0, "39.0"), (257, 0, "39.0"),
          (260, 0, "42.0"), (260, 0, "39.0")),
-        22777,
+        22760,
     ),
     ("corelite", "chain4", 8): (
         ((180, 2, "27.0"), (253, 0, "41.0"), (257, 0, "42.0"),
