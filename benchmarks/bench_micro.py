@@ -10,9 +10,9 @@ import random
 
 import pytest
 
-from repro.csfq.estimator import ExponentialRateEstimator
 from repro.fairness.maxmin import FlowDemand, weighted_maxmin
 from repro.sim.engine import Simulator
+from repro.sim.estimators import ExponentialRateEstimator
 from repro.sim.link import Link
 from repro.sim.node import Node
 from repro.sim.packet import Packet

@@ -16,7 +16,7 @@ and reports them to the ingress over the control plane.
 
 from repro.csfq.config import CsfqConfig
 from repro.csfq.edge import CsfqEdge
-from repro.csfq.estimator import ExponentialRateEstimator
 from repro.csfq.router import CsfqCoreRouter
+from repro.sim.estimators import ExponentialRateEstimator
 
 __all__ = ["CsfqConfig", "ExponentialRateEstimator", "CsfqCoreRouter", "CsfqEdge"]

@@ -2,7 +2,7 @@
 
 Ingress role: shape each flow to its allowed rate with the same paced
 sender as Corelite, estimate the flow's rate with exponential averaging
-(:class:`~repro.csfq.estimator.ExponentialRateEstimator`) and stamp each
+(:class:`~repro.sim.estimators.ExponentialRateEstimator`) and stamp each
 data packet's label with the *normalized* estimate ``r/w`` — the weighted
 CSFQ labeling.
 
@@ -16,20 +16,23 @@ losses per edge epoch and runs the shared slow-start + LIMD
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.adaptation import RateController
 from repro.core.shaping import PacedSender
 from repro.csfq.config import CsfqConfig
-from repro.csfq.estimator import ExponentialRateEstimator
-from repro.errors import FlowError
+from repro.errors import FlowError, SimulationError
 from repro.sim.delay import DelayTracker
 from repro.sim.engine import PeriodicTask, Simulator
+from repro.sim.estimators import ExponentialRateEstimator
 from repro.sim.monitor import ThroughputMeter
 from repro.sim.node import Router
 from repro.sim.packet import Packet, PacketKind, PacketTrain
 
 __all__ = ["CsfqFlowAttachment", "CsfqEdge"]
+
+_DATA = PacketKind.DATA
 
 #: Ships a LOSS_NOTIFY packet toward the ingress edge named in packet.dst.
 LossChannel = Callable[[Packet], None]
@@ -248,12 +251,26 @@ class CsfqEdge(Router):
             state.backlog -= 1
         att = state.attachment
         now = self.sim.now
-        rate = state.estimator.update(now, 1.0)
+        # ``estimator.update(now, 1.0)`` written out, arithmetic unchanged.
+        est = state.estimator
+        gap = now - est._last_time
+        if gap > 0.0:
+            weight = exp(-gap / est.k)
+            load = est._pending + 1.0
+            est._pending = 0.0
+            est._last_time = now
+            rate = est.rate = (1.0 - weight) * (load / gap) + weight * est.rate
+            est.updates += 1
+        elif gap == 0.0:
+            est._pending += 1.0
+            rate = est.rate
+        else:
+            raise SimulationError(f"rate estimator saw time go backwards ({gap})")
         label = rate / att.weight  # weighted CSFQ: labels are normalized
-        packet = Packet.data(
-            att.flow_id, self.name, att.dst_edge, seq=state.seq, now=now, sim=self.sim
+        packet = Packet(
+            _DATA, att.flow_id, self.name, att.dst_edge,
+            seq=state.seq, label=label, created_at=now, sim=self.sim,
         )
-        packet.label = label
         state.seq += 1
         self.forward(packet)
         return True

@@ -21,16 +21,19 @@ This explicit fair-share estimation is exactly what the Corelite paper
 blames for CSFQ's transient misbehaviour (§4.2): underestimate ``alpha``
 and flows below fair share lose packets; overestimate it and queues build
 until tail drop.  The implementation here keeps those dynamics.
+
+All of it is one function per packet, :meth:`CsfqCoreRouter._csfq_admit`;
+``A`` and ``F`` are :class:`repro.sim.estimators.ExponentialRateEstimator`
+written out against the link state's own fields, arithmetic unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import exp
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.csfq.config import CsfqConfig
-from repro.csfq.estimator import ExponentialRateEstimator
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.node import Router
@@ -39,15 +42,27 @@ from repro.sim.rng import RngRegistry
 
 __all__ = ["CsfqCoreRouter", "CsfqLinkState"]
 
+_DATA = PacketKind.DATA
+
 
 class CsfqLinkState:
-    """Aggregate (flow-stateless) CSFQ state for one output link."""
+    """Aggregate (flow-stateless) CSFQ state for one output link.
+
+    ``arrival_*`` (``A``) and ``accepted_*`` (``F``) are each an estimate,
+    the clock of its last positive-gap update and the load that has
+    arrived at that very instant since, still to fold.
+    """
 
     __slots__ = (
         "link",
         "capacity",
-        "arrival",
-        "accepted",
+        "k",
+        "arrival_rate",
+        "arrival_time",
+        "arrival_pending",
+        "accepted_rate",
+        "accepted_time",
+        "accepted_pending",
         "alpha",
         "tmp_alpha",
         "congested",
@@ -61,8 +76,10 @@ class CsfqLinkState:
     def __init__(self, link: Link, config: CsfqConfig, now: float) -> None:
         self.link = link
         self.capacity = link.bandwidth_pps
-        self.arrival = ExponentialRateEstimator(config.k_alpha, start_time=now)
-        self.accepted = ExponentialRateEstimator(config.k_alpha, start_time=now)
+        self.k = config.k_alpha
+        self.arrival_rate = self.accepted_rate = 0.0
+        self.arrival_time = self.accepted_time = now
+        self.arrival_pending = self.accepted_pending = 0.0
         self.alpha = 0.0
         self.tmp_alpha = 0.0
         self.congested = False
@@ -118,19 +135,20 @@ class CsfqCoreRouter(Router):
         if self.multipath:
             out_link = self.route_for_packet(packet)
         else:
-            out_link = self.route_for(packet.dst)
+            out_link = self._routes.get(packet.dst)
+            if out_link is None:
+                # Not a table hit: a core down to one live out-link holds an uplink.
+                out_link = self.route_for(packet.dst)
         if out_link is None:
             self.forward(packet)  # raises (or drop-counts) appropriately
             return
         state = self._states.get(out_link.name)
-        if state is None or packet.kind != PacketKind.DATA:
+        if state is None or packet.kind is not _DATA:
             out_link.send(packet)
             return
         self._csfq_admit(state, out_link, packet)
 
     def _csfq_admit(self, state: CsfqLinkState, out_link: Link, packet: Packet) -> None:
-        now = self.sim.now
-        label = packet.label
         if packet.count != 1:
             # CSFQ admission is a per-packet mechanism end to end: the
             # drop coin, the relabel and the alpha estimation all operate
@@ -142,58 +160,81 @@ class CsfqCoreRouter(Router):
             for member in packet.split(self.sim):
                 self._csfq_admit(state, out_link, member)
             return
-        if state.alpha > 0.0 and label > 0.0:
-            prob = max(0.0, 1.0 - state.alpha / label)
-        else:
-            # Cold start: no fair-share estimate yet, accept everything.
-            prob = 0.0
+        now = self.sim.now
+        label = packet.label
+        size = packet.size
+        alpha = state.alpha
+        # Cold start (no fair-share estimate yet) accepts everything.
+        prob = 1.0 - alpha / label if alpha > 0.0 and label > 0.0 else 0.0
         dropped = False
         if prob > 0.0:
-            if state.coin is None:
-                state.coin = self._rng.stream(f"csfq:{out_link.name}").random
-            dropped = state.coin() < prob
-        self._estimate_alpha(state, packet, now, dropped)
-        if dropped:
-            state.prob_drops += 1
-            return
-        if prob > 0.0:
-            packet.label = min(label, state.alpha)
-        if out_link.send(packet):
-            state.forwarded += packet.count
+            coin = state.coin
+            if coin is None:
+                coin = state.coin = self._rng.stream(f"csfq:{out_link.name}").random
+            dropped = coin() < prob
+        # A, the arrival rate (drops included).  Arrivals at the instant of
+        # the last update wait as pending load for the next positive gap.
+        clock = state.arrival_time
+        gap = now - clock
+        if gap > 0.0:
+            weight = exp(-gap / state.k)
+            load = state.arrival_pending + size
+            state.arrival_pending = 0.0
+            state.arrival_time = now
+            arrival = (1.0 - weight) * (load / gap) + weight * state.arrival_rate
+            state.arrival_rate = arrival
+        elif gap == 0.0:
+            state.arrival_pending += size
+            arrival = state.arrival_rate
         else:
-            # Buffer overflow: the filter was too permissive -> shrink alpha.
-            state.overflow_drops += packet.count
-            state.alpha *= self.config.overflow_alpha_decay
-
-    # -- fair share estimation ------------------------------------------------
-
-    def _estimate_alpha(
-        self, state: CsfqLinkState, packet: Packet, now: float, dropped: bool
-    ) -> None:
-        cfg = self.config
-        state.arrival.update(now, packet.size)
+            raise SimulationError(f"rate estimator saw time go backwards ({gap})")
+        # F, the accepted rate.  Its clock only stops while packets are
+        # dropped, so it is never ahead of A's, and until a drop parts the
+        # two it shares A's gap and exponential.
         if not dropped:
-            state.accepted.update(now, packet.size)
-        if state.arrival.rate >= state.capacity:
+            if state.accepted_time != clock:
+                gap = now - state.accepted_time
+                weight = exp(-gap / state.k)
+            if gap > 0.0:
+                load = state.accepted_pending + size
+                state.accepted_pending = 0.0
+                state.accepted_time = now
+                state.accepted_rate = (1.0 - weight) * (load / gap) + weight * state.accepted_rate
+            else:
+                state.accepted_pending += size
+        # alpha, once per Klink window.
+        if arrival >= state.capacity:
             if not state.congested:
                 state.congested = True
                 state.window_start = now
-                if state.alpha <= 0.0:
+                if alpha <= 0.0:
                     # First-ever congestion before an uncongested window
                     # completed: seed alpha from what we have seen so far.
-                    state.alpha = max(state.tmp_alpha, packet.label)
-            elif now > state.window_start + cfg.k_window:
-                if state.accepted.rate > 0.0:
-                    state.alpha *= state.capacity / state.accepted.rate
+                    tmp = state.tmp_alpha
+                    alpha = state.alpha = label if label > tmp else tmp
+            elif now > state.window_start + self.config.k_window:
+                if state.accepted_rate > 0.0:
+                    alpha = state.alpha = alpha * (state.capacity / state.accepted_rate)
                 state.window_start = now
+        elif state.congested:
+            state.congested = False
+            state.window_start = now
+            state.tmp_alpha = 0.0
         else:
-            if state.congested:
-                state.congested = False
+            if label > state.tmp_alpha:
+                state.tmp_alpha = label
+            if now > state.window_start + self.config.k_window:
+                alpha = state.alpha = state.tmp_alpha
                 state.window_start = now
                 state.tmp_alpha = 0.0
-            else:
-                state.tmp_alpha = max(state.tmp_alpha, packet.label)
-                if now > state.window_start + cfg.k_window:
-                    state.alpha = state.tmp_alpha
-                    state.window_start = now
-                    state.tmp_alpha = 0.0
+        if dropped:
+            state.prob_drops += 1
+            return
+        if prob > 0.0 and alpha < label:
+            packet.label = alpha
+        if out_link.send(packet):
+            state.forwarded += 1
+        else:
+            # Buffer overflow: the filter was too permissive -> shrink alpha.
+            state.overflow_drops += 1
+            state.alpha *= self.config.overflow_alpha_decay

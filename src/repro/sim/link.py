@@ -93,9 +93,9 @@ Per-member counters charge ``packet.count``; nothing is written per
 member (the egress edge spaces member delays by ``1 / bandwidth_pps`` of
 the link that hands it the train).  Any path that needs per-packet
 decisions splits the train into its scalar members first: bypass-free
-queues (WFQ/RED/FRED/DECbit), arrival taps (CSFQ's probabilistic drop),
-dynamics-enabled links (failure drop taxonomy + reroutes), and boundary
-links (partition cuts serialize scalars).
+queues (WFQ/RED/FRED/DECbit), arrival taps, dynamics-enabled links
+(failure drop taxonomy + reroutes), boundary links (partition cuts
+serialize scalars) — and, before the link, a CSFQ core's admission.
 
 Dynamics
 --------
@@ -240,8 +240,8 @@ class Link:
     def add_arrival_tap(self, tap: Callable[[Packet, float], Optional[bool]]) -> None:
         """Install an ingress tap, called before a packet is enqueued.
 
-        A tap may *consume* the packet by returning ``True`` (used by the
-        CSFQ core, which drops probabilistically before the buffer).
+        A tap may *consume* the packet by returning ``True`` (only tests
+        install one, to lose chosen packets; CSFQ's drop is in its router).
         Returning ``None``/``False`` lets the packet continue to the queue.
         """
         self._arrival_taps.append(tap)
@@ -567,8 +567,8 @@ class Link:
 
     def _send_tapped(self, packet: Packet) -> bool:
         """Tap-aware ``send`` variant (bound once an arrival tap exists).
-        Arrival taps decide per packet (CSFQ's probabilistic drop), so
-        trains split before the taps run."""
+        Arrival taps decide per packet, so trains split before the taps
+        run."""
         if packet.count != 1 or (packet.origin_edge is not None and packet.size > 0.0):
             return self._send_split(packet, self._send_tapped)
         now = self.sim.now

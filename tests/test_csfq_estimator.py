@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.csfq.estimator import ExponentialRateEstimator
 from repro.errors import ConfigurationError, SimulationError
+from repro.sim.estimators import ExponentialRateEstimator
 
 
 def test_constant_stream_converges_to_true_rate():
