@@ -16,12 +16,25 @@ An edge router plays two roles:
 The edge is the only place with per-flow state, which is the Diffserv
 premise Corelite is built on: "it is feasible to maintain a restricted
 amount of per-flow state" at the fringes (§1).
+
+Hot frames
+----------
+A scalar packet costs one frame at each end: ``_emit`` builds it
+positionally with ``MarkerInjector.on_data`` and the single-path hit of
+``Router.forward`` inline (``forward`` still serves multipath, unrouted
+packets and extra markers), and ``receive`` records it with the meter and
+``DelayTracker.record`` inline (``_deliver_local`` keeps markers, trains and
+unknown flows).  The egress only records, so the edge is a ``quiet_sink``
+(:mod:`repro.sim.link`, "Sinks"): ``receive`` is told the delivery instant
+and every read of egress state settles ``inbox`` first.  The call chains
+these frames replaced are the oracle in ``tests/test_egress_ledger.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -178,6 +191,9 @@ class _EgressFlow:
 class CoreliteEdge(Router):
     """An edge router of the Corelite cloud (ingress + egress roles)."""
 
+    #: The egress role only records (:mod:`repro.sim.link`, "Sinks").
+    quiet_sink = True
+
     def __init__(
         self,
         name: str,
@@ -250,7 +266,7 @@ class CoreliteEdge(Router):
         state.pacer = PacedSender(
             self.sim,
             controller.rate,
-            lambda s=state: self._emit(s),
+            partial(self._emit, state),
             burst=self.config.shaper_burst,
             train_batch=train_batch,
             train_emit=(
@@ -387,7 +403,9 @@ class CoreliteEdge(Router):
         send; deposits kick the shaper awake.
         """
         att = state.attachment
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
+        name = self.name
         if state.ext_queue is not None:
             if not state.ext_queue:
                 return False  # no host packet buffered
@@ -403,15 +421,25 @@ class CoreliteEdge(Router):
                 if state.backlog < 1:
                     return False  # nothing deposited yet
                 state.backlog -= 1
-            packet = Packet.data(
-                att.flow_id, self.name, att.dst_edge, seq=state.seq, now=now, sim=self.sim
+            packet = Packet(
+                _DATA, att.flow_id, name, att.dst_edge, 1.0, state.seq, None, 0.0, now, sim
             )
             packet.micro_id = micro_id
             state.seq += 1
+        size = packet.size
         if state.rate_estimator is not None:
-            state.rate_estimator.update(now, packet.size)
-        due = state.injector.on_data(packet.size)
+            state.rate_estimator.update(now, size)
+        injector = state.injector
+        injector.data_seen += 1
+        credit = injector._credit + size
+        interval = injector.interval
+        due = 0
+        while credit >= interval:
+            credit -= interval
+            due += 1
+        injector._credit = credit
         if due:
+            injector.markers_emitted += due
             # The marker carries the *out-of-profile* normalized rate: the
             # portion above the contracted minimum, per unit weight.  With
             # no contract this is the paper's plain rn = bg/w; with one,
@@ -427,17 +455,22 @@ class CoreliteEdge(Router):
             # The marker is a field of its data packet (``origin_edge``
             # doubles as the "marker aboard" flag), parted from it only
             # where the two could fare differently (``repro.sim.link``).
-            packet.origin_edge = self.name
+            packet.origin_edge = name
             packet.label = label
             for _ in range(due - 1):
                 # Sub-unit marker intervals (member weight < 1) can owe
                 # several markers per packet; extras stay standalone.
                 self.forward(
-                    Packet.marker(
-                        att.flow_id, self.name, att.dst_edge, label, now, sim=self.sim
-                    )
+                    Packet.marker(att.flow_id, name, att.dst_edge, label, now, sim=sim)
                 )
-        self.forward(packet)
+        dst = packet.dst
+        link = self._routes.get(dst)
+        if link is None and dst in self._reach and dst != name:
+            link = self._uplink
+        if link is None or self.multipath:
+            self.forward(packet)
+        else:
+            link.send(packet)
         return True
 
     def _emit_train(self, state: _IngressFlow, allowance: int) -> int:
@@ -549,43 +582,28 @@ class CoreliteEdge(Router):
         return self._egress_state(flow_id).delay
 
     def _egress_state(self, flow_id: int) -> _EgressFlow:
+        if self.inbox:  # every read of egress state: booked deliveries first
+            self.sim.settle(self.inbox)
         try:
             return self._egress_flows[self._egress_index[flow_id]]
         except KeyError:
             raise FlowError(f"{self.name}: unknown egress flow {flow_id}") from None
 
-    def _deliver_local(self, packet: Packet, link) -> None:
+    def _deliver_local(self, packet: Packet, link, at: float) -> None:
+        """What is addressed to this edge other than the scalar data packet
+        of an expected flow, which ``receive`` records itself."""
         slot = self._egress_index.get(packet.flow_id)
-        state = self._egress_flows[slot] if slot is not None else None
-        if state is None:
+        if slot is None:
             raise FlowError(
                 f"{self.name}: packet for unexpected flow {packet.flow_id} "
                 f"(call expect_flow first)"
             )
         if packet.kind is _MARKER:
-            state.markers_received += 1
-            return
-        if packet.kind is not _DATA:
-            return
-        if packet.count != 1:
-            self._deliver_train(state, packet, link)
-            return
-        if packet.origin_edge is not None:
-            # A marker rode this data packet (``marker_count`` is 1 for
-            # every scalar packet; a one-member train can also land here
-            # and may carry exactly one).
-            state.markers_received += packet.marker_count
-        if state.expected_seq is not None and packet.seq > state.expected_seq:
-            state.lost += packet.seq - state.expected_seq
-        # A restarted flow re-begins at seq 0; treat backward jumps as resets.
-        state.expected_seq = packet.seq + 1 if packet.seq >= (state.expected_seq or 0) else 1
-        state.meter.record()
-        state.delay.record(max(0.0, self.sim.now - packet.created_at))
-        state.micro_delivered[packet.micro_id] = (
-            state.micro_delivered.get(packet.micro_id, 0) + 1
-        )
+            self._egress_flows[slot].markers_received += 1
+        elif packet.kind is _DATA:
+            self._deliver_train(self._egress_flows[slot], packet, link, at)
 
-    def _deliver_train(self, state: _EgressFlow, train: Packet, link) -> None:
+    def _deliver_train(self, state: _EgressFlow, train: Packet, link, at: float) -> None:
         """Egress sweep for a whole train: one pass of bulk bookkeeping.
 
         The loss detector works off the head sequence number exactly as it
@@ -605,7 +623,7 @@ class CoreliteEdge(Router):
         # Members left the last link one serialization time apart (a train
         # handed over without a link, in unit tests, has no spacing).
         spacing = 0.0 if link is None else 1.0 / link.bandwidth_pps
-        state.delay.record_train(max(0.0, self.sim.now - train.created_at), n, spacing)
+        state.delay.record_train(max(0.0, at - train.created_at), n, spacing)
         micro_delivered = state.micro_delivered
         micro_ids = train.micro_ids
         if micro_ids is None:
@@ -617,9 +635,50 @@ class CoreliteEdge(Router):
 
     # -- shared receive path -------------------------------------------------
 
-    def receive(self, packet: Packet, link) -> None:
+    def receive(self, packet: Packet, link, at: Optional[float] = None) -> None:
+        """``at``: the delivery instant of a packet off the sink ledger,
+        which settles late.  An event hands its packet over at ``sim.now``,
+        behind whatever was booked before it."""
+        if at is None:
+            if self.inbox:
+                self.sim.settle(self.inbox)
+            at = self.sim.now
         if packet.dst == self.name:
-            self._deliver_local(packet, link)
+            slot = self._egress_index.get(packet.flow_id)
+            if slot is None or packet.kind is not _DATA or packet.count != 1:
+                self._deliver_local(packet, link, at)
+                return
+            # The egress record of a scalar data packet, in this frame.
+            state = self._egress_flows[slot]
+            if packet.origin_edge is not None:
+                # A marker rode this data packet (``marker_count`` is 1 for
+                # every scalar packet; a one-member train can also land
+                # here and may carry exactly one).
+                state.markers_received += packet.marker_count
+            seq = packet.seq
+            expected = state.expected_seq
+            if expected is not None and seq > expected:
+                state.lost += seq - expected
+            # A restarted flow re-begins at seq 0; treat backward jumps as resets.
+            state.expected_seq = seq + 1 if seq >= (expected or 0) else 1
+            state.meter.count += 1
+            delay = max(0.0, at - packet.created_at)
+            tracker = state.delay  # DelayTracker.record, inline
+            index = tracker.count
+            tracker.count = index + 1
+            tracker.total += delay
+            tracker.total_sq += delay * delay
+            if delay < tracker.min:
+                tracker.min = delay
+            if delay > tracker.max:
+                tracker.max = delay
+            if index >= tracker._next:
+                if index < tracker._capacity:
+                    tracker._reservoir.append(delay)
+                else:
+                    tracker._admit(index, delay)
+            micro = packet.micro_id
+            state.micro_delivered[micro] = state.micro_delivered.get(micro, 0) + 1
             return
         if packet.kind is _DATA:
             # Ingress role for external flows: host-originated packets are
@@ -636,7 +695,7 @@ class CoreliteEdge(Router):
             if out_slot is not None:
                 egress_state = self._egress_flows[out_slot]
                 egress_state.meter.record(packet.count)
-                egress_state.delay.record(max(0.0, self.sim.now - packet.created_at))
+                egress_state.delay.record(max(0.0, at - packet.created_at))
                 if packet.origin_edge is not None:
                     # The marker aboard ends here; the host gets bare data.
                     egress_state.markers_received += 1

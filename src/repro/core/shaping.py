@@ -18,6 +18,12 @@ Rate changes take effect immediately: the accumulated credit is re-priced
 at the new rate, so a throttled flow cannot burst on credit earned at its
 old, higher rate.
 
+The scalar firing (``_fire``) is one frame per packet: the float operations
+of ``_accrue`` and ``_delay_until_token`` in their order, the debit and the
+re-arm through ``Simulator.reschedule``.  Those helpers and ``_schedule``
+remain for ``set_rate``, ``kick``, ``credit()``, train mode and a firing
+whose emit callback re-armed the shaper, moved the clock or changed the rate.
+
 Train mode (opt-in)
 -------------------
 With ``train_batch = K > 1`` the shaper coalesces departures: instead of
@@ -280,12 +286,19 @@ class PacedSender:
             self._handle = self._sim.schedule(delay, self._fire_cb)
 
     def _fire(self) -> None:
+        """Scalar firing, one frame per packet (module docstring)."""
         fired = self._handle
         self._handle = None
         if not self._running:
             return
-        self._accrue()
-        if self._credit < 1.0 - _TOKEN_EPS:
+        sim = self._sim
+        now = sim.now
+        rate = self._rate
+        credit = self._credit
+        if rate > 0 and now > self._last_accrual:
+            credit = self._credit = min(self.burst, credit + (now - self._last_accrual) * rate)
+        self._last_accrual = now
+        if credit < 1.0 - _TOKEN_EPS:
             self._schedule(self._delay_until_token(), reuse=fired)
             return
         sent = self._emit()
@@ -296,10 +309,16 @@ class PacedSender:
             # (None counts as sent so plain callbacks need no return.)
             self.idle_parks += 1
             return
-        self._credit = max(0.0, self._credit - 1.0)
-        self._last_emit = self._sim.now
+        credit = self._credit = max(0.0, self._credit - 1.0)
+        self._last_emit = sim.now
         self.packets_sent += 1
-        self._schedule(self._delay_until_token(), reuse=fired)
+        if self._handle is not None or fired is None or sim.now != now or self._rate != rate:
+            # The callback re-armed the shaper, moved the clock or changed the rate.
+            self._schedule(self._delay_until_token(), reuse=fired)
+        elif credit >= 1.0 - _TOKEN_EPS:
+            self._handle = sim.reschedule(0.0, self._fire_cb, fired)
+        elif rate > 0.0:
+            self._handle = sim.reschedule((1.0 - credit) / rate, self._fire_cb, fired)
 
     def _fire_train(self) -> None:
         """Train-mode firing: emit up to ``min(batch, credit)`` packets as

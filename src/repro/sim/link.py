@@ -68,6 +68,23 @@ trailing a data packet therefore costs no event at any hop.
 ``_deliver_*`` clears ``trailer`` before handing a packet on, so no node
 ever sees one.
 
+*Sinks.*  A packet's last hop needs no event when the node it is addressed
+to only records it.  A node says so with ``quiet_sink`` (a Corelite edge; not
+a CSFQ edge, which sends LOSS_NOTIFY at a gap), and a departure-time link
+into it *books* ``(due, seq, packet)`` in a :class:`~repro.sim.engine.Ledger`
+— scalar packets, parted markers and trains alike, no riders — where it
+would have scheduled the delivery.  The first booking opens the ledger as
+the node's ``inbox``; a second in-link finds the node fed and stays on
+events, so a ledger is in ``(due, seq)`` order by construction.  Deliveries
+are settled — counted in ``delivered_*``, handed to ``receive(packet, link,
+due)`` — by the node before it reads the state they write or an event hands
+it a packet, by :meth:`Link.settle`, and by the push past the ledger's cap;
+which precede a reader is the engine's rule (:mod:`repro.sim.engine`).  A
+booked zero-size packet takes its own seq instead of riding, so against
+event delivery it can differ only for a reader at that exact float instant.
+A link that is tapped or armed leaves for good (``_unbook``): what precedes
+the caller is delivered, the rest become the events they would have been.
+
 Links that need a real queue keep it (``_send_queued`` →
 ``FifoQueue.push`` / ``pop``, ``_transmit_from``, one ``_wake`` per
 serialization gap): disciplines with their own push/pop (WFQ, RED, FRED,
@@ -117,7 +134,7 @@ from math import inf, nextafter
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.engine import Simulator
+from repro.sim.engine import Ledger, Simulator
 from repro.sim.packet import Packet
 from repro.sim.queues import FifoQueue
 
@@ -150,6 +167,8 @@ class Link:
         "_deliver_cb",
         "_free_at",
         "_ledger",
+        "_sink",
+        "_booked",
         "_last_due",
         "_tail",
         "_on_backlog",
@@ -197,6 +216,10 @@ class Link:
         #: packets whose serialization start has not been replayed yet;
         #: allocated on the first backlog.
         self._ledger: Optional[deque] = None
+        #: "Sinks": the far end's name if it is a quiet sink, and the
+        #: deliveries booked for it (opened by the first).
+        self._sink = self._sink_of(dst)
+        self._booked: Optional[Ledger] = None
         #: Departure-time path: instant of the delivery event scheduled
         #: last, and the last packet that event delivers (rider chaining).
         self._last_due = -1.0
@@ -245,12 +268,14 @@ class Link:
         Returning ``None``/``False`` lets the packet continue to the queue.
         """
         self._arrival_taps.append(tap)
+        self._unbook()
         self.send = self._send_tapped
 
     def add_delivery_tap(self, tap: Callable[[Packet, float], None]) -> None:
         """Call ``tap(packet, now)`` when a packet reaches the far end
         (observation only — used by tracing and monitors)."""
         self._delivery_taps.append(tap)
+        self._unbook()
         self._rebind_deliver()
 
     def watch_backlog(self, callback: Callable[[], None]) -> bool:
@@ -287,6 +312,7 @@ class Link:
                 "arm the link before traffic flows"
             )
         self._dynamic = True
+        self._unbook()
         # Failures flush packet objects and split trains (the drop
         # taxonomy — queue flush / in-flight stranding / send-while-down —
         # and reroute decisions are per-packet semantics): a plain FIFO
@@ -432,14 +458,15 @@ class Link:
         if size <= 0.0:
             self.queue.stats.enqueued_control += 1
             due = (free_at if free_at > now else now) + self.prop_delay
-            if due == self._last_due and due > now:
-                # Same instant as the pending delivery event scheduled
-                # last: ride it, behind everything it already delivers.
-                self._tail.trailer = packet
-            else:
-                self._last_due = due
-                sim.schedule_at_fast(due, self._deliver_cb, packet)
-            self._tail = packet
+            if packet.dst != self._sink or not self._book(due, packet):
+                if due == self._last_due and due > now:
+                    # Same instant as the pending delivery event scheduled
+                    # last: ride it, behind everything it already delivers.
+                    self._tail.trailer = packet
+                else:
+                    self._last_due = due
+                    sim.schedule_at_fast(due, self._deliver_cb, packet)
+                self._tail = packet
             ledger = self._ledger
             if ledger and ledger[0][0] <= now:
                 self._settle(nextafter(now, inf))  # tie rule: an arrival kicks
@@ -490,10 +517,49 @@ class Link:
             free_at = free_at + size / self.bandwidth_pps
         self._free_at = free_at
         due = free_at + self.prop_delay
-        self._last_due = due
-        self._tail = packet
-        sim.schedule_at_fast(due, self._deliver_cb, packet)
+        sink = self._sink
+        if sink is None or packet.dst != sink or not self._book(due, packet):
+            self._last_due = due
+            self._tail = packet
+            sim.schedule_at_fast(due, self._deliver_cb, packet)
         return True
+
+    # -- sinks: deliveries booked, not scheduled -------------------------------
+
+    @staticmethod
+    def _sink_of(dst) -> Optional[str]:
+        """``dst``'s name if it is a quiet sink, else ``None``."""
+        return dst.name if getattr(dst, "quiet_sink", False) else None
+
+    def _book(self, due: float, packet: Packet) -> bool:
+        """Book the delivery instead of scheduling it.  The first booking
+        opens the ledger — unless another in-link already feeds the node:
+        then this link cedes (returns False) and stays on events."""
+        booked = self._booked
+        if booked is None:
+            dst = self.dst
+            if dst.inbox is not None:
+                self._sink = None
+                return False
+            booked = self._booked = dst.inbox = self.sim.open_ledger(self._deliver_booked)
+        self.sim.book(booked, due, packet)
+        return True
+
+    def _deliver_booked(self, packet: Packet, due: float) -> None:
+        if packet.size > 0.0:
+            self.delivered_data += packet.count
+        else:
+            self.delivered_control += 1
+        self.dst.receive(packet, self, due)
+
+    def _unbook(self) -> None:
+        """Leave the ledger for good: what is booked becomes the events it
+        would have been — scheduled while untapped and unarmed."""
+        self._sink = None
+        booked, self._booked = self._booked, None
+        if booked is not None:
+            self.dst.inbox = None
+            self.sim.close_ledger(booked, self._deliver_fast)
 
     def _tail_drop(self, packet: Packet, now: float) -> bool:
         self.queue.stats.dropped_data += packet.count
@@ -526,9 +592,12 @@ class Link:
     def settle(self, now: Optional[float] = None) -> None:
         """Bring the lazily booked state — queue occupancy and its
         integral, ``stats.dequeued_data``, ``busy_time`` — up to ``now``
-        (default: the current instant).  A no-op on the queued path."""
+        (default: the current instant), and settle the sink's booked
+        deliveries.  A no-op on the queued path."""
         if self._ledger:
             self._settle(self.sim.now if now is None else now)
+        if self._booked:
+            self.sim.settle(self._booked)
 
     def backlog(self) -> int:
         """Data packets (trains count once) admitted by the departure-time

@@ -66,6 +66,13 @@ def _ecmp_index(flow_id: int, flowlet: int, salt: int, n: int) -> int:
 class Node:
     """Anything attachable to a link's receiving end."""
 
+    #: True declares that receiving a packet addressed to this node sends
+    #: and schedules nothing: an in-link may book those deliveries in
+    #: ``inbox`` (:mod:`repro.sim.link`, "Sinks"), the node settles it before
+    #: that state is read, and ``receive`` takes the instant as ``at``.
+    quiet_sink = False
+    inbox = None
+
     def __init__(self, name: str) -> None:
         self.name = name
 

@@ -1,0 +1,740 @@
+"""A packet's last hop is a ledger entry: oracles for the ledger and the frames.
+
+A departure-time link whose far end is a Corelite edge books the delivery
+of a packet addressed to that edge instead of scheduling it
+(``repro.sim.link``, "Sinks"; the ordering rule is ``repro.sim.engine``,
+"Ledgers").  Event delivery survives here as a switch — ``Link._sink_of``
+patched to answer ``None`` — and is the oracle: every cloud below runs once
+each way and everything a run shows must be ``==``, floats included, with
+``events_executed`` apart by exactly the last-hop delivery events.
+
+The second half keeps the three call chains the hot frames replaced —
+``PacedSender._fire``, ``CoreliteEdge._emit`` and ``receive`` ->
+``_deliver_local`` as they were at 00d76a9 — and compares pacer, injector
+and egress state after every packet.
+
+Mutants that must fail here (each checked by hand when this was written;
+``docs/PERF_LOG.md``, PR 22): ``due <= now`` for the ``(due, seq)`` rule in
+``Simulator.settle``; ``receive`` not settling before an event-handed
+packet; ``_fire`` without the ``min(burst, .)`` clamp.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+from collections import deque
+from math import nextafter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.aqm.red import RedQueue
+from repro.core.config import CoreliteConfig
+from repro.core.edge import CoreliteEdge, _DATA, _MARKER
+from repro.core.shaping import _TOKEN_EPS, PacedSender
+from repro.errors import FlowError, SimulationError
+from repro.experiments.builder import CloudBuilder
+from repro.experiments.parallel import result_to_payload
+from repro.experiments.topospec import FlowPathSpec, LinkSpec, TopologySpec
+from repro.sim import engine as engine_module
+from repro.sim.engine import Simulator
+from repro.sim.link import _FLUSHED, Link
+from repro.sim.packet import Packet
+from repro.sim.queues import DropTailQueue
+from repro.sim.sources import SourceSpec
+
+from .test_marker_carrier import (
+    SERIAL_CLOUDS,
+    _conservation_builder,
+    _inline_chain4,
+    _observed,
+)
+
+# -- the switch, and everything a run shows ---------------------------------------
+
+
+def _events_mode(patch):
+    """Every delivery an event again, as before the ledger."""
+    patch.setattr(Link, "_sink_of", staticmethod(lambda dst: None))
+
+
+class _Census:
+    """Counts, from outside, the deliveries the two modes trade: those the
+    ledger hands over, and the delivery events whose packets are all for
+    the node they reach (``mixed`` counts the others that carry one)."""
+
+    def __init__(self, patch):
+        self.booked = self.last_hop_events = self.mixed = 0
+        deliver_booked, deliver_fast = Link._deliver_booked, Link._deliver_fast
+        census = self
+
+        def counting_booked(link, packet, due):
+            census.booked += 1
+            deliver_booked(link, packet, due)
+
+        def counting_fast(link, packet):
+            chain, rider = [], packet
+            while rider is not None and rider is not _FLUSHED:
+                chain.append(rider.dst == link.dst.name)
+                rider = rider.trailer
+            if rider is None and isinstance(link.dst, CoreliteEdge) and any(chain):
+                if all(chain):
+                    census.last_hop_events += 1
+                else:
+                    census.mixed += 1
+            deliver_fast(link, packet)
+
+        # Links bind ``_deliver_fast`` at construction: patched before any build.
+        patch.setattr(Link, "_deliver_booked", counting_booked)
+        patch.setattr(Link, "_deliver_fast", counting_fast)
+
+
+def _show(clouds, result):
+    seen = _observed(clouds, result)
+    seen["payload"] = result_to_payload(result)
+    seen["control"] = {
+        name: (link.delivered_control, link.queue.stats.enqueued_control)
+        for cloud in clouds
+        for name, link in cloud.topology.links.items()
+    }
+    return seen
+
+
+def _run_cloud(make, sample_interval=1.0, during=None):
+    cloud, until = make()
+    if during is not None:
+        during(cloud)
+    return _show([cloud], cloud.run(until=until, sample_interval=sample_interval))
+
+
+def _run_parallel(make):
+    parallel, until = make()
+    session = parallel.start()
+    try:
+        result = parallel.execute(session, until)
+        return _show([worker.cloud for worker in session.workers], result)
+    finally:
+        session.close()
+
+
+def both(run, ledgered="all"):
+    """``run()`` with the ledger and with events; every section equal, the
+    event counts apart by the last-hop delivery events.  ``ledgered`` says
+    how much of the run books its last hops: ``"all"``, ``"some"`` (a link
+    leaves mid-run) or ``"none"``.  Returns the ledger run's observation."""
+    with pytest.MonkeyPatch.context() as patch:
+        census = _Census(patch)
+        ledger = run()
+    with pytest.MonkeyPatch.context() as patch:
+        oracle_census = _Census(patch)
+        _events_mode(patch)
+        events = run()
+    assert oracle_census.booked == 0
+    for section in events:
+        if section != "events":
+            assert ledger[section] == events[section], section
+    saved = sum(events["events"]) - sum(ledger["events"])
+    if ledgered == "none":
+        assert census.booked == saved == 0
+        return ledger
+    assert census.booked > 100, "the cloud does ledger deliveries"
+    assert 0 < saved <= census.booked  # a rider had no event to save
+    if ledgered == "all":
+        assert census.last_hop_events == 0, "a last-hop delivery was scheduled, not booked"
+        if not oracle_census.mixed:
+            assert saved == oracle_census.last_hop_events
+    return ledger
+
+
+# -- ledger == events -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SERIAL_CLOUDS))
+def test_ledger_equals_event_delivery(name):
+    # RED / WFQ on every link: no departure-time link, nothing to book.
+    both(lambda: _run_cloud(SERIAL_CLOUDS[name]), "none" if name in ("red", "wfq") else "all")
+
+
+def test_ledger_equals_event_delivery_across_a_partition_cut():
+    seen = both(lambda: _run_parallel(_inline_chain4))
+    assert len(seen["events"]) == 2
+
+
+def test_ledger_equals_event_delivery_for_trains():
+    """A train's last hop is one entry; ``_deliver_train`` gets the instant."""
+
+    def make():
+        return _conservation_builder(train_batch=8, queue_capacity=400.0).build(), 12.0
+
+    seen = both(lambda: _run_cloud(make, sample_interval=0.1))
+    assert sum(flow[0] for flow in seen["flows"].values()) > 500
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    capacities=st.lists(st.sampled_from([30.0, 60.0, 90.0, 150.0]), min_size=1, max_size=3),
+    weights=st.lists(
+        st.floats(min_value=0.3, max_value=4.0, allow_nan=False), min_size=2, max_size=6
+    ),
+    buffer=st.sampled_from([2.0, 5.0, 12.0, 40.0]),
+    sample_interval=st.sampled_from([0.01, 0.1, 1.0]),
+    seed=st.integers(min_value=0, max_value=50),
+)
+def test_ledger_equals_event_delivery_on_random_chains(
+    capacities, weights, buffer, sample_interval, seed
+):
+    """Random chain capacities x weights x buffers x sampling periods.  A
+    0.01 s sampler is shorter than the 42 ms access transit, so reader and
+    delivery seqs interleave: several samples fall between a booking and
+    its instant."""
+    cores = tuple(f"C{i}" for i in range(1, len(capacities) + 2))
+    spec = TopologySpec(
+        links=tuple(
+            LinkSpec(a, b, capacity, 0.02)
+            for a, b, capacity in zip(cores, cores[1:], capacities)
+        ),
+        cores=cores,
+        queue_capacity=buffer,
+        name="random-chain",
+    )
+
+    def make():
+        config = CoreliteConfig(qthresh=min(8.0, buffer / 2), initial_rate=24.0)
+        builder = CloudBuilder(spec, seed=seed, config=config)
+        for fid, weight in enumerate(weights, start=1):
+            builder.add_flow(
+                FlowPathSpec(
+                    fid,
+                    weight=weight,
+                    ingress_core=cores[fid % (len(cores) - 1)],
+                    egress_core=cores[-1],
+                )
+            )
+        return builder.build(), 6.0
+
+    both(lambda: _run_cloud(make, sample_interval))
+
+
+# -- ties at an exact float instant ------------------------------------------------
+
+
+class _Rig:
+    """One Corelite egress behind one 100 pkt/s, 50 ms link."""
+
+    def __init__(self, queue=None, prop=0.05):
+        self.sim = Simulator()
+        self.edge = CoreliteEdge("E", self.sim, CoreliteConfig())
+        self.edge.expect_flow(1)
+        self.link = Link(self.sim, "A->E", "A", self.edge, 100.0, prop, queue or DropTailQueue(8))
+        self.seen = []
+
+    def send(self, seq=0):
+        return self.link.send(Packet.data(1, "A", "E", seq, self.sim.now, sim=self.sim))
+
+    def read(self):
+        self.seen.append((self.sim.now, self.edge.delivered(1)))
+
+
+#: When the first packet sent at t = 0 is delivered, as the link computes it.
+DUE = (0.0 + 1.0 / 100.0) + 0.05
+
+MODES = pytest.mark.parametrize("events", [False, True], ids=["ledger", "events"])
+
+
+@pytest.fixture
+def rig(events, monkeypatch):
+    if events:
+        _events_mode(monkeypatch)
+    rig = _Rig()
+    assert (rig.link._sink is None) == events
+    return rig
+
+
+@MODES
+def test_reader_scheduled_before_the_send_does_not_see_the_delivery(rig):
+    rig.sim.schedule_at(DUE, rig.read)
+    rig.send()
+    rig.sim.run()
+    assert rig.seen == [(DUE, 0)]
+    assert rig.edge.delivered(1) == 1
+
+
+@MODES
+def test_reader_scheduled_after_the_send_sees_the_delivery(rig):
+    rig.send()
+    rig.sim.schedule_at(DUE, rig.read)
+    rig.sim.schedule_at(DUE, rig.send, 1)  # booked inside the run, due later
+    rig.sim.run()
+    assert rig.seen == [(DUE, 1)]
+    assert rig.edge.delivered(1) == 2
+
+
+@MODES
+def test_run_until_the_instant_includes_the_delivery(rig):
+    rig.send()
+    rig.sim.run(until=nextafter(DUE, 0.0))
+    assert rig.edge.delivered(1) == 0
+    assert rig.sim.pending() == 1 and rig.sim.peek_time() == DUE
+    rig.sim.run(until=DUE)
+    assert rig.edge.delivered(1) == 1
+    assert rig.sim.pending() == 0 and rig.sim.peek_time() is None
+    assert rig.edge.delay_stats(1).max == DUE  # the instant, not the read time
+
+
+@MODES
+def test_draining_run_ends_on_the_last_delivery(rig):
+    rig.send()
+    rig.send(1)
+    rig.sim.run()
+    assert rig.sim.now == DUE + 0.01
+    assert rig.edge.delivered(1) == 2 and rig.link.delivered_data == 2
+
+
+@MODES
+def test_step_steps_onto_each_delivery_in_order(rig, events):
+    rig.send()
+    rig.send(1)
+    rig.sim.schedule_at(DUE, rig.read)  # after the first delivery, before the second
+    assert rig.sim.step() and rig.sim.now == DUE and rig.edge.delivered(1) == 1
+    assert rig.sim.step() and rig.seen == [(DUE, 1)]
+    assert rig.sim.step() and rig.sim.now == DUE + 0.01 and rig.edge.delivered(1) == 2
+    assert rig.sim.step() is False
+    assert rig.sim.events_executed == (3 if events else 1)
+
+
+# -- leaving the ledger -----------------------------------------------------------
+
+
+def _leaver(action, at=5.0137):
+    """Mid-run, on every link into an edge: ``action(link)``; then (for
+    ``fail``) recovery a little later."""
+
+    def during(cloud):
+        sink_links = [
+            link for link in cloud.topology.links.values() if link.dst.name in cloud.edges
+        ]
+        outcome = cloud.outcome = []
+
+        def leave():
+            for link in sink_links:
+                try:
+                    outcome.append((link.name, action(link)))
+                except SimulationError as exc:  # packets waiting: equal both ways
+                    outcome.append((link.name, str(exc)))
+
+        cloud.sim.schedule_at(at, leave)
+        cloud.sim.schedule_at(at + 0.5, lambda: [link.recover() for link in sink_links])
+
+    return during
+
+
+def _small_chain():
+    spec = TopologySpec.chain(3, capacity_pps=120.0, queue_capacity=3.0)
+    builder = CloudBuilder(spec, seed=9, config=CoreliteConfig(qthresh=1.0))
+    for fid in range(1, 7):
+        builder.add_flow(
+            FlowPathSpec(
+                fid, weight=1.0 + fid % 2, ingress_core="C1" if fid % 3 else "C2",
+                egress_core="C3",
+            )
+        )
+    return builder.build(), 8.0
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        Link.fail,
+        Link.enable_dynamics,
+        lambda link: link.add_delivery_tap(lambda packet, now: None),
+        lambda link: link.add_arrival_tap(lambda packet, now: None),
+    ],
+    ids=["fail", "enable_dynamics", "delivery_tap", "arrival_tap"],
+)
+def test_a_link_leaves_the_ledger_as_its_events_would_have_fared(action):
+    seen = both(lambda: _run_cloud(_small_chain, 0.1, _leaver(action)), "some")
+    assert sum(flow[0] for flow in seen["flows"].values()) > 300
+    if action is Link.fail:
+        assert sum(link[6] for link in seen["links"].values()) > 10  # refused while down
+
+
+def test_left_ledger_strands_what_was_booked_and_goes_back_to_events():
+    rig = _Rig()
+    tapped = []
+    for seq in range(3):
+        rig.send(seq)
+    rig.sim.run(until=DUE)  # 0 delivered; 1 and 2 booked, not due
+    assert rig.edge.delivered(1) == 1
+    assert len(rig.link._booked) == 2 and rig.edge.inbox is rig.link._booked
+    rig.link.add_delivery_tap(lambda packet, now: tapped.append(packet.seq))
+    assert rig.link._booked is None and rig.edge.inbox is None and not rig.sim._ledgers
+    assert rig.edge.delivered(1) == 1
+    rig.send(3)
+    before = rig.sim.events_executed
+    rig.sim.run()
+    assert rig.sim.events_executed == before + 3  # two stranded, one new
+    assert rig.edge.delivered(1) == 4 and rig.link.delivered_data == 4
+    assert tapped == [3]  # the stranded two were sent untapped
+
+
+def test_fail_on_an_unarmed_sink_link_voids_what_waited_and_spares_what_had_left():
+    """``tests/test_link.py``'s unarmed-``fail()`` case, into a sink."""
+    outcomes = []
+    for events in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if events:
+                _events_mode(patch)
+            rig = _Rig(DropTailQueue(4))
+            for seq in range(4):
+                rig.send(seq)
+            rig.sim.run(until=0.015)  # 1 in service; 2 and 3 wait
+            assert rig.link.fail() == 2
+            rig.sim.run()
+            stats = rig.link.queue.stats
+            outcomes.append(
+                (rig.edge.delivered(1), rig.edge.losses(1), rig.link.delivered_data,
+                 rig.link.inflight_drops, stats.dequeued_data, stats.dropped_data)
+            )
+    assert outcomes[0] == outcomes[1] == (2, 0, 2, 0, 2, 2)
+
+
+# -- more than one in-link ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("second", ["plain", "red"])
+def test_one_flow_arriving_over_two_links(second):
+    """One feeder per node: the first in-link to book keeps the ledger, the
+    other delivers by events, and an event-handed packet settles what was
+    booked before it — the loss detector sees the arrivals in ``(due, seq)``
+    order either way."""
+
+    def run():
+        rig = _Rig()
+        queue = DropTailQueue(8) if second == "plain" else RedQueue(capacity=40.0)
+        other = Link(rig.sim, "B->E", "B", rig.edge, 100.0, 0.013, queue)
+        links = (rig.link, other)
+
+        def offer(seq):
+            links[seq % 3 == 1].send(Packet.data(1, "A", "E", seq, rig.sim.now, sim=rig.sim))
+
+        for seq in range(60):
+            rig.sim.schedule_at(seq * 0.007, offer, seq)
+        rig.sim.run()
+        delay = rig.edge.delay_stats(1)
+        return (
+            rig.edge.delivered(1), rig.edge.losses(1), delay.summary(),
+            tuple(delay._reservoir), rig.link._booked is not None, other._booked,
+        )
+
+    ledger = run()
+    with pytest.MonkeyPatch.context() as patch:
+        _events_mode(patch)
+        events = run()
+    assert ledger[:4] == events[:4]
+    assert ledger[0] == 60 and ledger[1] > 10  # reordered across the two links
+    assert ledger[4:] == (True, None) and events[4:] == (False, None)
+
+
+# -- bounded, and nothing allocated at build ---------------------------------------
+
+
+def test_build_allocates_no_ledger_and_only_fed_edges_open_one():
+    cloud, until = SERIAL_CLOUDS["chain4-selective"]()
+    links = cloud.topology.links.values()
+    assert all(link._booked is None for link in links) and not cloud.sim._ledgers
+    assert all(node.inbox is None for node in cloud.topology.nodes.values())
+    cloud.run(until=2.0)
+    opened = {link.dst.name for link in links if link._booked is not None}
+    assert opened == {spec.egress_edge for spec in cloud.flows.values()}
+    assert len(cloud.sim._ledgers) == len(opened)
+
+
+def test_a_run_nobody_reads_holds_a_bounded_ledger(monkeypatch):
+    """1,000 s with no sampler: ~40,000 deliveries, never more than the cap
+    booked on a link, and no growth in traced memory after warm-up."""
+    builder = CloudBuilder(TopologySpec.chain(2, capacity_pps=40.0), seed=1)
+    builder.add_flow(FlowPathSpec(1, weight=1.0))
+    builder.add_flow(FlowPathSpec(2, weight=2.0))
+    cloud = builder.build()
+    for fid, spec in cloud.flows.items():
+        cloud._schedule_flow_traffic(fid, spec, 1000.0)
+    longest = [0]
+    book = Simulator.book
+
+    def watching(sim, ledger, due, packet):
+        book(sim, ledger, due, packet)
+        longest[0] = max(longest[0], len(ledger))
+
+    monkeypatch.setattr(Simulator, "book", watching)
+    tracemalloc.start()
+    try:
+        cloud.sim.run(until=100.0)
+        warm, _peak = tracemalloc.get_traced_memory()
+        cloud.sim.run(until=1000.0)
+        end, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cap = engine_module._LEDGER_CAP
+    assert longest[0] == cap  # the push past it settles what is due
+    assert sum(cloud.edges[s.egress_edge].delivered(f) for f, s in cloud.flows.items()) > 35_000
+    assert end - warm < 256 * 1024, (warm, end)  # 40k held packets would be ~10 MB
+
+
+# -- frame oracles: the call chains as they were at 00d76a9 ------------------------
+
+
+def _fire_chain(self) -> None:
+    """``PacedSender._fire`` -> ``_accrue`` x2 -> ``_delay_until_token`` ->
+    ``_schedule`` -> ``reschedule``."""
+    fired = self._handle
+    self._handle = None
+    if not self._running:
+        return
+    self._accrue()
+    if self._credit < 1.0 - _TOKEN_EPS:
+        self._schedule(self._delay_until_token(), reuse=fired)
+        return
+    sent = self._emit()
+    if not self._running:
+        return
+    if sent is False:
+        self.idle_parks += 1
+        return
+    self._credit = max(0.0, self._credit - 1.0)
+    self._last_emit = self._sim.now
+    self.packets_sent += 1
+    self._schedule(self._delay_until_token(), reuse=fired)
+
+
+def _emit_chain(self, state) -> bool:
+    """``CoreliteEdge._emit`` -> ``Packet.data``, ``on_data``, ``forward``."""
+    att = state.attachment
+    now = self.sim.now
+    if state.ext_queue is not None:
+        if not state.ext_queue:
+            return False
+        packet = state.ext_queue.popleft()
+    else:
+        micro_id = 0
+        if state.mux is not None:
+            picked = state.mux.pop()
+            if picked is None:
+                return False
+            micro_id = picked
+        elif state.backlog is not None:
+            if state.backlog < 1:
+                return False
+            state.backlog -= 1
+        packet = Packet.data(
+            att.flow_id, self.name, att.dst_edge, seq=state.seq, now=now, sim=self.sim
+        )
+        packet.micro_id = micro_id
+        state.seq += 1
+    if state.rate_estimator is not None:
+        state.rate_estimator.update(now, packet.size)
+    due = state.injector.on_data(packet.size)
+    if due:
+        rate = state.controller.rate
+        if state.rate_estimator is not None:
+            rate = min(rate, state.rate_estimator.rate)
+        label = max(0.0, rate - att.min_rate) / att.weight
+        packet.origin_edge = self.name
+        packet.label = label
+        for _ in range(due - 1):
+            self.forward(
+                Packet.marker(att.flow_id, self.name, att.dst_edge, label, now, sim=self.sim)
+            )
+    self.forward(packet)
+    return True
+
+
+def _receive_chain(self, packet, link) -> None:
+    """``CoreliteEdge.receive`` -> ``_deliver_local`` -> ``record`` x2; the
+    transit half below it has not changed and is the source's."""
+    if packet.dst != self.name:
+        return _receive(self, packet, link)
+    slot = self._egress_index.get(packet.flow_id)
+    state = self._egress_flows[slot] if slot is not None else None
+    if state is None:
+        raise FlowError(f"{self.name}: packet for unexpected flow {packet.flow_id}")
+    if packet.kind is _MARKER:
+        state.markers_received += 1
+        return
+    if packet.kind is not _DATA:
+        return
+    if packet.count != 1:
+        self._deliver_train(state, packet, link, self.sim.now)
+        return
+    if packet.origin_edge is not None:
+        state.markers_received += packet.marker_count
+    if state.expected_seq is not None and packet.seq > state.expected_seq:
+        state.lost += packet.seq - state.expected_seq
+    state.expected_seq = packet.seq + 1 if packet.seq >= (state.expected_seq or 0) else 1
+    state.meter.record()
+    state.delay.record(max(0.0, self.sim.now - packet.created_at))
+    state.micro_delivered[packet.micro_id] = state.micro_delivered.get(packet.micro_id, 0) + 1
+
+
+_fire, _emit, _receive = PacedSender._fire, CoreliteEdge._emit, CoreliteEdge.receive
+
+
+def _pacer_view(pacer):
+    handle = pacer._handle
+    return (
+        pacer._rate, pacer._credit, pacer._last_accrual, pacer._last_emit, pacer._running,
+        pacer.packets_sent, pacer.idle_parks,
+        None if handle is None else (handle.time, handle.cancelled),
+    )
+
+
+def _logged_frames(patch, chains):
+    """Install the frames (the chains, or the source's) with a log line of
+    everything they touch after every firing and every edge ``receive``."""
+    fire, emit, receive = (_fire_chain, _emit_chain, _receive_chain) if chains else (
+        _fire, _emit, _receive
+    )
+    log = []
+
+    def logged_fire(pacer):
+        fire(pacer)
+        flow = pacer._emit.args[0]
+        injector, queue = flow.injector, flow.ext_queue
+        log.append((
+            "fire", pacer._sim.now, flow.attachment.flow_id, _pacer_view(pacer),
+            (injector._credit, injector.markers_emitted, injector.data_seen),
+            (flow.seq, flow.backlog, None if queue is None else len(queue), pacer._sim._next_pid),
+        ))
+
+    def logged_receive(edge, packet, link, *at):
+        receive(edge, packet, link, *at)
+        slot = edge._egress_index.get(packet.flow_id)
+        if slot is not None:
+            state, delay = edge._egress_flows[slot], edge._egress_flows[slot].delay
+            log.append((
+                "receive", edge.sim.now, packet.flow_id, packet.pid,
+                (state.markers_received, state.expected_seq, state.lost, state.meter.count),
+                (delay.count, delay.total, delay.total_sq, delay.min, delay.max, delay._next,
+                 tuple(delay._reservoir[-2:])),
+                tuple(sorted(state.micro_delivered.items())),
+            ))
+
+    patch.setattr(PacedSender, "_fire", logged_fire)
+    patch.setattr(CoreliteEdge, "_emit", emit)
+    patch.setattr(CoreliteEdge, "receive", logged_receive)
+    return log
+
+
+def _every_flow_kind():
+    """Backlogged, deposit-fed, micro-flow mux, external (TCP), a ``min_rate``
+    contract and sub-unit weights (several markers owed per packet), over a
+    bottleneck that drops."""
+    spec = TopologySpec.chain(2, capacity_pps=320.0, queue_capacity=6.0)
+    builder = CloudBuilder(spec, seed=11, config=CoreliteConfig(qthresh=3.0))
+    builder.add_flow(FlowPathSpec(1, weight=1.0))
+    builder.add_flow(FlowPathSpec(2, weight=1.0, source=SourceSpec(kind="poisson", mean_rate=70.0)))
+    builder.add_flow(
+        FlowPathSpec(
+            3, weight=2.0,
+            micro_flows=tuple(
+                (mid, SourceSpec(kind="poisson", mean_rate=50.0)) for mid in (1, 2, 3)
+            ),
+        )
+    )
+    builder.add_flow(FlowPathSpec(4, weight=1.0, transport="tcp"))
+    builder.add_flow(FlowPathSpec(5, weight=1.0, min_rate=60.0))
+    builder.add_flow(FlowPathSpec(6, weight=0.4))
+    builder.add_flow(FlowPathSpec(7, weight=0.3, schedule=((1.0, 4.0), (5.0, 9.0))))
+    return builder.build(), 10.0
+
+
+def test_frames_equal_their_call_chains_after_every_packet():
+    """Run in event mode, where the old ``receive`` can read ``sim.now``; the
+    ledger's ``at`` is covered by every test above."""
+    logs = []
+    for chains in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            _events_mode(patch)
+            log = _logged_frames(patch, chains)
+            cloud, until = _every_flow_kind()
+            result = cloud.run(until=until, sample_interval=0.1)
+            logs.append((log, result_to_payload(result), cloud.sim.events_executed))
+    (chain_log, chain_payload, chain_events), (frame_log, frame_payload, frame_events) = logs
+    assert len(frame_log) == len(chain_log) > 3_000
+    for i, (got, want) in enumerate(zip(frame_log, chain_log)):
+        assert got == want, f"entry {i}"
+    assert frame_payload == chain_payload and frame_events == chain_events
+    fires = [entry for entry in frame_log if entry[0] == "fire"]
+    assert {entry[2] for entry in fires} == set(range(1, 8))
+    assert any(entry[3][6] for entry in fires)  # idle parks (deposit-fed flows ran dry)
+    assert max(entry[4][1] for entry in fires if entry[2] == 7) > 2 * max(
+        entry[4][2] for entry in fires if entry[2] == 7
+    )  # weight 0.3: more than two markers per packet
+
+
+class _ChainPacer(PacedSender):
+    _fire = _fire_chain
+
+
+ACTIONS = st.sampled_from(
+    ["send"] * 6 + ["park", "none", "stop", "restart", "kick", "slower", "faster", "zero", "same"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rate=st.sampled_from([0.0, 3.0, 40.0, 1000.0]),
+    burst=st.sampled_from([1.0, 1.0, 2.5, 6.0]),
+    script=st.lists(ACTIONS, max_size=40),
+    outside=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.001, 0.025, 0.4]),
+            st.sampled_from(["kick", "slower", "faster", "zero", "stop", "start"]),
+        ),
+        max_size=12,
+    ),
+)
+def test_fire_equals_its_call_chain_under_reentrant_callbacks(rate, burst, script, outside):
+    """``set_rate`` / ``stop`` / ``kick`` issued from inside the emit callback
+    (and between firings): the inlined firing falls back to the general
+    re-arm exactly where the chain would have behaved differently."""
+
+    def drive(cls):
+        sim = Simulator()
+        todo = deque(script)
+        views = []
+
+        def act(what):
+            if what == "kick":
+                pacer.kick()
+            elif what == "slower":
+                pacer.set_rate(pacer.rate * 0.5)
+            elif what == "faster":
+                pacer.set_rate(pacer.rate * 3.0 + 1.0)
+            elif what == "zero":
+                pacer.set_rate(0.0)
+            elif what == "same":
+                pacer.set_rate(pacer.rate)
+            elif what == "stop":
+                pacer.stop()
+            elif what in ("start", "restart"):
+                pacer.stop()
+                pacer.start()
+
+        def emit():
+            what = todo.popleft() if todo else "send"
+            act(what)
+            views.append((sim.now, what, _pacer_view(pacer)))
+            return False if what == "park" else None if what == "none" else True
+
+        pacer = cls(sim, rate, emit, burst=burst)
+        pacer.start()
+        at = 0.0
+        for gap, what in outside:
+            at += gap
+            sim.schedule_at(at, act, what)
+        sim.run(until=at + 1.0)
+        views.append((sim.now, "end", _pacer_view(pacer), pacer.credit(), sim.events_executed))
+        return views
+
+    assert drive(PacedSender) == drive(_ChainPacer)

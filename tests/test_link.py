@@ -411,10 +411,10 @@ def test_no_node_is_handed_a_packet_with_a_rider_attached():
     handed = []
 
     def checking(receive):
-        def wrapper(packet, link):
+        def wrapper(packet, link, *at):  # an egress edge is also handed the instant
             assert packet.trailer is None, packet
             handed.append(packet.pid)
-            receive(packet, link)
+            receive(packet, link, *at)
 
         return wrapper
 
