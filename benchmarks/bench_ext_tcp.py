@@ -16,7 +16,7 @@ paper-style shaped flow (weight 1) and checks the extension's claims:
 import pytest
 
 from benchmarks.conftest import once
-from repro.experiments.network import CoreliteNetwork, FlowSpec
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.experiments.report import format_table
 
 DURATION = 200.0
@@ -25,10 +25,11 @@ DURATION = 200.0
 @pytest.mark.benchmark(group="ext")
 def test_tcp_over_corelite(benchmark, write_report):
     def run():
-        net = CoreliteNetwork.single_bottleneck(capacity_pps=500.0, seed=1)
-        net.add_flow(FlowSpec(flow_id=1, weight=1.0, transport="tcp"))
-        net.add_flow(FlowSpec(flow_id=2, weight=2.0, transport="tcp"))
-        net.add_flow(FlowSpec(flow_id=3, weight=1.0))
+        builder = CloudBuilder(TopologySpec.chain(2, capacity_pps=500.0), "corelite", seed=1)
+        builder.add_flow(FlowSpec(flow_id=1, weight=1.0, transport="tcp"))
+        builder.add_flow(FlowSpec(flow_id=2, weight=2.0, transport="tcp"))
+        builder.add_flow(FlowSpec(flow_id=3, weight=1.0))
+        net = builder.build()
         return net, net.run(until=DURATION)
 
     net, result = once(benchmark, run)

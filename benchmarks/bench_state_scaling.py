@@ -28,10 +28,10 @@ import os
 import pytest
 
 from benchmarks.conftest import bench_workers, once
+from repro import CloudBuilder, TopologySpec
 from repro.aqm.fred import FredQueue
 from repro.aqm.wfq import WfqQueue
 from repro.core.config import CoreliteConfig, FeedbackScheme
-from repro.experiments.network import CoreliteNetwork, CsfqNetwork, FifoLossNetwork
 from repro.experiments.parallel import pool_map
 from repro.experiments.report import format_table
 from repro.experiments.scenarios import startup_flows
@@ -56,16 +56,15 @@ def _weight(fid: int) -> float:
 
 def _peak_state(net, tracker) -> int:
     peak = [0]
-    net.finalize()
     net.sim.every(0.05, lambda: peak.__setitem__(0, max(peak[0], tracker())))
     return peak
 
 
 def _run_corelite(n: int, scheme: FeedbackScheme) -> int:
-    net = CoreliteNetwork.single_bottleneck(
-        seed=0, config=CoreliteConfig(feedback_scheme=scheme)
-    )
-    net.add_flows(startup_flows(n))
+    net = CloudBuilder(
+        TopologySpec.chain(2), "corelite", seed=0,
+        config=CoreliteConfig(feedback_scheme=scheme),
+    ).add_flows(startup_flows(n)).build()
     core = net.core_router("C1")
     peak = _peak_state(net, core.flow_state_entries)
     net.run(until=DURATION)
@@ -73,8 +72,8 @@ def _run_corelite(n: int, scheme: FeedbackScheme) -> int:
 
 
 def _run_csfq(n: int) -> int:
-    net = CsfqNetwork.single_bottleneck(seed=0)
-    net.add_flows(startup_flows(n))
+    builder = CloudBuilder(TopologySpec.chain(2), "csfq", seed=0)
+    net = builder.add_flows(startup_flows(n)).build()
     core = net.core_router("C1")
     peak = _peak_state(net, core.flow_state_entries)
     net.run(until=DURATION)
@@ -88,9 +87,9 @@ def _run_queue_based(n: int, factory_kind: str) -> int:
     else:
         def factory():
             return FredQueue(capacity=40.0)
-    net = FifoLossNetwork.single_bottleneck(seed=0, queue_factory=factory)
-    net.add_flows(startup_flows(n))
-    net.finalize()
+    net = CloudBuilder(
+        TopologySpec.chain(2), "fifo", seed=0, queue_factory=factory
+    ).add_flows(startup_flows(n)).build()
     queue = net.topology.links["C1->C2"].queue
     if factory_kind == "wfq":
         tracker = lambda: queue.per_flow_state_size

@@ -10,30 +10,30 @@ same topology for comparison.
 Run:  python examples/custom_topology.py
 """
 
-from repro import CoreliteNetwork, FlowSpec
+from repro import CloudBuilder, TopologySpec, FlowSpec
 from repro.experiments.report import ascii_chart, rate_comparison_table
 from repro.units import mbps_to_pps
 
 
 def main() -> None:
-    net = CoreliteNetwork(
-        num_cores=3,
-        core_capacity_pps=mbps_to_pps(4.0),   # 500 pkt/s
+    spec = TopologySpec.chain(
+        3,
+        capacity_pps=mbps_to_pps(4.0),   # 500 pkt/s
         access_capacity_pps=mbps_to_pps(8.0),  # fat access links
-        seed=5,
     )
+    builder = CloudBuilder(spec, "corelite", seed=5)
     # A long flow across both congested links...
-    net.add_flow(FlowSpec(flow_id=1, weight=1.0, ingress_core="C1", egress_core="C3"))
+    builder.add_flow(FlowSpec(flow_id=1, weight=1.0, ingress_core="C1", egress_core="C3"))
     # ...a heavy short flow on each link...
-    net.add_flow(FlowSpec(flow_id=2, weight=2.0, ingress_core="C1", egress_core="C2"))
-    net.add_flow(FlowSpec(flow_id=3, weight=2.0, ingress_core="C2", egress_core="C3"))
+    builder.add_flow(FlowSpec(flow_id=2, weight=2.0, ingress_core="C1", egress_core="C2"))
+    builder.add_flow(FlowSpec(flow_id=3, weight=2.0, ingress_core="C2", egress_core="C3"))
     # ...and a churning light flow that shares the second link.
-    net.add_flow(FlowSpec(
+    builder.add_flow(FlowSpec(
         flow_id=4, weight=1.0, ingress_core="C2", egress_core="C3",
         schedule=((40.0, 90.0), (120.0, 10_000.0)),
     ))
 
-    result = net.run(until=160.0)
+    result = builder.run(until=160.0)
 
     for label, at, window in (
         ("flow 4 absent", 30.0, (20.0, 39.0)),

@@ -14,21 +14,21 @@ flow (weight 1) on a 500 pkt/s bottleneck: the aggregate should take
 Run:  python examples/microflow_aggregation.py
 """
 
-from repro import CoreliteNetwork, FlowSpec
+from repro import CloudBuilder, TopologySpec, FlowSpec
 from repro.experiments.report import format_table
 from repro.sim.sources import poisson_source
 
 
 def main() -> None:
-    net = CoreliteNetwork.single_bottleneck(capacity_pps=500.0, seed=9)
-    net.add_flow(FlowSpec(
+    builder = CloudBuilder(TopologySpec.chain(2, capacity_pps=500.0), "corelite", seed=9)
+    builder.add_flow(FlowSpec(
         flow_id=1,
         weight=2.0,
         micro_flows=tuple((mid, poisson_source(250.0)) for mid in (1, 2, 3)),
     ))
-    net.add_flow(FlowSpec(flow_id=2, weight=1.0))
+    builder.add_flow(FlowSpec(flow_id=2, weight=1.0))
 
-    result = net.run(until=150.0)
+    result = builder.run(until=150.0)
     window = (110.0, 150.0)
 
     rates = result.mean_rates(window)

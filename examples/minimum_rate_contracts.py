@@ -14,18 +14,18 @@ lands near 275 and each best-effort flow near 75.
 Run:  python examples/minimum_rate_contracts.py
 """
 
-from repro import CoreliteNetwork, FlowSpec
+from repro import CloudBuilder, TopologySpec, FlowSpec
 from repro.experiments.report import rate_comparison_table
 from repro.fairness.maxmin import FlowDemand, weighted_maxmin_with_minimums
 
 
 def main() -> None:
-    net = CoreliteNetwork.single_bottleneck(capacity_pps=500.0, seed=11)
-    net.add_flow(FlowSpec(flow_id=1, weight=1.0, min_rate=200.0))  # premium
+    builder = CloudBuilder(TopologySpec.chain(2, capacity_pps=500.0), "corelite", seed=11)
+    builder.add_flow(FlowSpec(flow_id=1, weight=1.0, min_rate=200.0))  # premium
     for fid in (2, 3, 4):
-        net.add_flow(FlowSpec(flow_id=fid, weight=1.0))
+        builder.add_flow(FlowSpec(flow_id=fid, weight=1.0))
 
-    result = net.run(until=150.0)
+    result = builder.run(until=150.0)
 
     # Analytic expectation: reserve the contract, water-fill the excess.
     capacities = result.capacities

@@ -12,16 +12,16 @@ propagation + qthresh/mu instead of the bufferbloat worst case.
 Run:  python examples/queue_dynamics.py
 """
 
-from repro import CoreliteNetwork, FlowSpec
+from repro import CloudBuilder, TopologySpec, FlowSpec
 from repro.experiments.report import ascii_chart, format_table
 
 
 def main() -> None:
-    net = CoreliteNetwork.single_bottleneck(capacity_pps=500.0, seed=4)
+    builder = CloudBuilder(TopologySpec.chain(2, capacity_pps=500.0), "corelite", seed=4)
     for fid, weight in ((1, 1.0), (2, 1.0), (3, 2.0), (4, 2.0), (5, 3.0), (6, 3.0)):
-        net.add_flow(FlowSpec(flow_id=fid, weight=weight))
+        builder.add_flow(FlowSpec(flow_id=fid, weight=weight))
 
-    result = net.run(until=90.0, sample_interval=0.25, record_queues=True)
+    result = builder.run(until=90.0, sample_interval=0.25, record_queues=True)
 
     queue = result.queue_series["C1->C2"]
     steady = queue.window(30.0, 90.0)

@@ -9,17 +9,17 @@ flows with rate weights 1, 2 and 3.  Weighted max-min fairness predicts a
 Run:  python examples/quickstart.py
 """
 
-from repro import CoreliteNetwork, FlowSpec
+from repro import CloudBuilder, TopologySpec, FlowSpec
 from repro.experiments.report import ascii_chart, rate_comparison_table
 
 
 def main() -> None:
-    net = CoreliteNetwork.single_bottleneck(capacity_pps=500.0, seed=42)
-    net.add_flow(FlowSpec(flow_id=1, weight=1.0))
-    net.add_flow(FlowSpec(flow_id=2, weight=2.0))
-    net.add_flow(FlowSpec(flow_id=3, weight=3.0))
+    builder = CloudBuilder(TopologySpec.chain(2, capacity_pps=500.0), "corelite", seed=42)
+    builder.add_flow(FlowSpec(flow_id=1, weight=1.0))
+    builder.add_flow(FlowSpec(flow_id=2, weight=2.0))
+    builder.add_flow(FlowSpec(flow_id=3, weight=3.0))
 
-    result = net.run(until=120.0)
+    result = builder.run(until=120.0)
 
     window = (90.0, 120.0)
     measured = result.mean_rates(window)

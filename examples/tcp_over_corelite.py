@@ -18,16 +18,17 @@ congestion control adapts to that.  The interesting outcome:
 Run:  python examples/tcp_over_corelite.py
 """
 
-from repro import CoreliteNetwork, FlowSpec
+from repro import CloudBuilder, TopologySpec, FlowSpec
 from repro.experiments.report import format_table
 
 
 def main() -> None:
-    net = CoreliteNetwork.single_bottleneck(capacity_pps=500.0, seed=1)
-    net.add_flow(FlowSpec(flow_id=1, weight=1.0, transport="tcp"))
-    net.add_flow(FlowSpec(flow_id=2, weight=2.0, transport="tcp"))
-    net.add_flow(FlowSpec(flow_id=3, weight=1.0))  # a paper-style shaped flow
+    builder = CloudBuilder(TopologySpec.chain(2, capacity_pps=500.0), "corelite", seed=1)
+    builder.add_flow(FlowSpec(flow_id=1, weight=1.0, transport="tcp"))
+    builder.add_flow(FlowSpec(flow_id=2, weight=2.0, transport="tcp"))
+    builder.add_flow(FlowSpec(flow_id=3, weight=1.0))  # a paper-style shaped flow
 
+    net = builder.build()  # kept: the TCP hosts and edges are inspected below
     result = net.run(until=200.0)
     window = (150.0, 200.0)
 

@@ -18,12 +18,12 @@ Rate Fairness in a Core Stateless Network" (Sivakumar et al., ICDCS 2000):
 
 Quickstart::
 
-    from repro import CoreliteNetwork, FlowSpec
+    from repro import CloudBuilder, TopologySpec, FlowSpec
 
-    net = CoreliteNetwork.single_bottleneck(capacity_pps=500.0)
-    net.add_flow(FlowSpec(flow_id=1, weight=1.0))
-    net.add_flow(FlowSpec(flow_id=2, weight=2.0))
-    result = net.run(until=60.0)
+    builder = CloudBuilder(TopologySpec.chain(2, capacity_pps=500.0), "corelite")
+    builder.add_flow(FlowSpec(flow_id=1, weight=1.0))
+    builder.add_flow(FlowSpec(flow_id=2, weight=2.0))
+    result = builder.run(until=60.0)
     print(result.mean_rates(window=(40.0, 60.0)))
 
 The public names below are imported lazily (PEP 562) so that
@@ -37,9 +37,9 @@ _EXPORTS = {
     "CoreliteConfig": "repro.core.config",
     "FeedbackScheme": "repro.core.config",
     "CsfqConfig": "repro.csfq.config",
-    "CoreliteNetwork": "repro.experiments.network",
-    "CsfqNetwork": "repro.experiments.network",
-    "FlowSpec": "repro.experiments.network",
+    "CloudBuilder": "repro.experiments.builder",
+    "TopologySpec": "repro.experiments.topospec",
+    "FlowSpec": "repro.experiments.topospec",
     "RunResult": "repro.experiments.runner",
     "FlowDemand": "repro.fairness.maxmin",
     "weighted_maxmin": "repro.fairness.maxmin",

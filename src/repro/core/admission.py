@@ -10,8 +10,8 @@ that survives in an edge-based architecture (cores remain stateless; they
 never see reservations, only markers).
 
 :class:`AdmissionController` implements exactly that: reserve-or-reject
-per flow path, release on teardown.  ``CoreliteNetwork`` consults one at
-``finalize()`` time for every contracted flow.
+per flow path, release on teardown.  ``Cloud.finalize()`` consults one for
+every contracted flow.
 """
 
 from __future__ import annotations

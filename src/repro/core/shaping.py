@@ -28,14 +28,14 @@ Train mode (opt-in)
 -------------------
 With ``train_batch = K > 1`` the shaper coalesces departures: instead of
 one timer firing per packet it sleeps until ~K tokens have accrued (never
-longer than ``train_horizon`` seconds) and emits them as one batch through
+longer than :data:`TRAIN_HORIZON` seconds) and emits them as one batch through
 the ``train_emit(allowance) -> sent`` callback — the edge wraps the batch
 in a single :class:`~repro.sim.packet.PacketTrain`.  The long-run rate is
 unchanged (tokens still accrue at ``bg``); what changes is the burst
 structure: up to K packets leave back-to-back, which is why train mode is
 pinned statistically rather than byte-identically.  The horizon cap keeps
 slow flows responsive — a flow at rate ``r`` coalesces
-``min(K, r * train_horizon)`` packets, so coalescing fades out exactly
+``min(K, r * TRAIN_HORIZON)`` packets, so coalescing fades out exactly
 where per-event overhead no longer dominates.  (The literal paper-world
 criterion — coalesce while the inter-packet gap is below the bottleneck
 serialization time — degenerates at simulated rates: gaps are milliseconds
@@ -57,7 +57,7 @@ __all__ = ["PacedSender", "TRAIN_HORIZON"]
 #: to the same simulation instant (a livelock).
 _TOKEN_EPS = 1e-9
 
-#: Default cap on how long a train-mode shaper waits to coalesce a batch.
+#: Cap on how long a train-mode shaper waits to coalesce a batch.
 #: Bounds the extra shaping latency a member can pick up (one horizon) and
 #: scales the effective batch for slow flows to ``rate * horizon``.
 TRAIN_HORIZON = 0.05
@@ -81,7 +81,6 @@ class PacedSender:
         "_fire_cb",
         "_train_batch",
         "_train_emit",
-        "_train_horizon",
     )
 
     def __init__(
@@ -92,7 +91,6 @@ class PacedSender:
         burst: float = 1.0,
         train_batch: int = 1,
         train_emit: Optional[Callable[[int], int]] = None,
-        train_horizon: float = TRAIN_HORIZON,
     ) -> None:
         if rate < 0:
             raise ConfigurationError(f"rate must be >= 0, got {rate}")
@@ -104,16 +102,11 @@ class PacedSender:
             )
         if train_batch > 1 and train_emit is None:
             raise ConfigurationError("train_batch > 1 requires a train_emit callback")
-        if train_horizon <= 0.0:
-            raise ConfigurationError(
-                f"train_horizon must be positive, got {train_horizon}"
-            )
         self._sim = sim
         self._emit = emit
         self._rate = rate
         self._train_batch = int(train_batch)
         self._train_emit = train_emit
-        self._train_horizon = train_horizon
         if train_batch > 1:
             # The bucket must be able to hold a whole batch of tokens.
             burst = max(burst, float(train_batch))
@@ -254,7 +247,7 @@ class PacedSender:
         if rate <= 0.0:
             return -1.0  # dormant until the rate rises
         delay = (target - credit) / rate
-        horizon = self._train_horizon
+        horizon = TRAIN_HORIZON
         if delay > horizon:
             # The full batch is out of reach: coalesce only what the
             # horizon allows, and fire the moment the last whole token

@@ -142,7 +142,7 @@ class CsfqEdge(Router):
         self._active_ingress: List[_IngressFlow] = []
         self._active_dirty = False
         self._epoch_task: Optional[PeriodicTask] = None
-        #: Set by the network harness: ships loss notifications upstream.
+        #: Set by ``CsfqStrategy.make_edge``: ships loss notifications upstream.
         self.loss_channel: Optional[LossChannel] = None
         self.stray_notifications = 0
 

@@ -6,10 +6,8 @@
   custom link lists; JSON round-trippable).
 * :mod:`repro.experiments.builder` — the assembly layer:
   :class:`CloudBuilder` wires a spec into a running cloud through a
-  per-scheme :class:`SchemeStrategy` (Corelite, CSFQ or FIFO).
-* :mod:`repro.experiments.network` — legacy front door: the historical
-  ``CoreliteNetwork(num_cores=4)``-style classes, now thin shims over
-  the spec/builder pipeline.
+  per-scheme :class:`SchemeStrategy` (Corelite, CSFQ or FIFO) — the one
+  front door every figure, ablation, scenario and example goes through.
 * :mod:`repro.experiments.runner` — result containers: per-flow rate /
   throughput / cumulative-service series plus expected-rate computation.
 * :mod:`repro.experiments.scenarios` — the paper's §4 flow sets and
@@ -32,14 +30,7 @@ from repro.experiments.builder import (
     FifoStrategy,
     SchemeStrategy,
 )
-from repro.experiments.network import (
-    BaseNetwork,
-    CoreliteNetwork,
-    CsfqNetwork,
-    FifoLossNetwork,
-    FlowSpec,
-)
-from repro.experiments.topospec import FlowPathSpec, LinkSpec, TopologySpec
+from repro.experiments.topospec import FlowPathSpec, FlowSpec, LinkSpec, TopologySpec
 from repro.experiments.parallel import (
     BatchResult,
     BatchRunner,
@@ -60,10 +51,6 @@ __all__ = [
     "CoreliteStrategy",
     "CsfqStrategy",
     "FifoStrategy",
-    "BaseNetwork",
-    "CoreliteNetwork",
-    "CsfqNetwork",
-    "FifoLossNetwork",
     "RunResult",
     "FlowRecord",
     "ScenarioSpec",

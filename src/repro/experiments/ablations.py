@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import math
 
@@ -24,15 +24,10 @@ from repro.aqm.red import RedQueue
 from repro.aqm.wfq import WfqQueue
 from repro.core.config import CoreliteConfig, FeedbackScheme
 from repro.errors import ConfigurationError
-from repro.experiments.network import (
-    BaseNetwork,
-    CoreliteNetwork,
-    CsfqNetwork,
-    FifoLossNetwork,
-    FlowSpec,
-)
+from repro.experiments.builder import CloudBuilder
 from repro.experiments.runner import RunResult
 from repro.experiments.scenarios import startup_flows
+from repro.experiments.topospec import FlowSpec, TopologySpec
 from repro.fairness.metrics import mean_absolute_error, weighted_jain_index
 from repro.sim.sources import onoff_source, poisson_source
 
@@ -87,14 +82,12 @@ def _measure(result: RunResult, window: Tuple[float, float], label: str, value) 
 
 
 def run_startup_workload(
-    network_factory: Callable[[], BaseNetwork],
+    builder: CloudBuilder,
     duration: float = 80.0,
     num_flows: int = 10,
 ) -> RunResult:
-    """Run the §4.2 workload on a freshly built network."""
-    network = network_factory()
-    network.add_flows(startup_flows(num_flows))
-    return network.run(until=duration)
+    """Run the §4.2 workload on the cloud a fresh ``builder`` describes."""
+    return builder.add_flows(startup_flows(num_flows)).run(until=duration)
 
 
 def _sweep_config_field(
@@ -110,7 +103,7 @@ def _sweep_config_field(
     for value in values:
         config = dataclasses.replace(base_config, **{field: value})
         result = run_startup_workload(
-            lambda config=config: CoreliteNetwork.single_bottleneck(seed=seed, config=config),
+            CloudBuilder(TopologySpec.chain(2), "corelite", seed=seed, config=config),
             duration=duration,
         )
         points.append(_measure(result, window, field, value))
@@ -214,7 +207,7 @@ def grid_study(
     for combo in combos:
         config = dataclasses.replace(base_config, **combo)
         result = run_startup_workload(
-            lambda config=config: CoreliteNetwork.single_bottleneck(seed=seed, config=config),
+            CloudBuilder(TopologySpec.chain(2), "corelite", seed=seed, config=config),
             duration=duration,
         )
         points.append(_measure(result, window, "grid", dict(combo)))
@@ -230,7 +223,7 @@ def compare_feedback_schemes(
     for scheme in (FeedbackScheme.MARKER_CACHE, FeedbackScheme.SELECTIVE):
         config = CoreliteConfig(feedback_scheme=scheme)
         result = run_startup_workload(
-            lambda config=config: CoreliteNetwork.single_bottleneck(seed=seed, config=config),
+            CloudBuilder(TopologySpec.chain(2), "corelite", seed=seed, config=config),
             duration=duration,
         )
         points.append(_measure(result, window, "feedback_scheme", scheme.value))
@@ -254,49 +247,29 @@ def compare_queue_disciplines(
     """
     window = (0.75 * duration, duration)
 
-    def red_factory() -> RedQueue:
-        return RedQueue(capacity=40.0)
-
-    def wfq_factory() -> WfqQueue:
+    # (label, scheme, queue factory or None for the default drop-tail)
+    candidates = [
+        ("corelite", "corelite", None),
+        ("csfq", "csfq", None),
+        ("fifo-droptail", "fifo", None),
+        ("fifo-red", "fifo", lambda: RedQueue(capacity=40.0)),
+        ("fifo-fred", "fifo", lambda: FredQueue(capacity=40.0)),
+        ("fifo-decbit", "fifo", lambda: DecbitQueue(capacity=40.0)),
         # The §4.2 workload's weights: flow i has weight ceil(i/2).
-        return WfqQueue(capacity=40.0, weight_of=lambda fid: float(math.ceil(fid / 2)))
-
-    def fred_factory() -> FredQueue:
-        return FredQueue(capacity=40.0)
-
-    def decbit_factory() -> DecbitQueue:
-        return DecbitQueue(capacity=40.0)
-
-    candidates: List[Tuple[str, Callable[[], BaseNetwork]]] = [
-        ("corelite", lambda: CoreliteNetwork.single_bottleneck(seed=seed)),
-        ("csfq", lambda: CsfqNetwork.single_bottleneck(seed=seed)),
-        ("fifo-droptail", lambda: FifoLossNetwork.single_bottleneck(seed=seed)),
-        (
-            "fifo-red",
-            lambda: FifoLossNetwork.single_bottleneck(seed=seed, queue_factory=red_factory),
-        ),
-        (
-            "fifo-fred",
-            lambda: FifoLossNetwork.single_bottleneck(
-                seed=seed, queue_factory=fred_factory
-            ),
-        ),
-        (
-            "fifo-decbit",
-            lambda: FifoLossNetwork.single_bottleneck(
-                seed=seed, queue_factory=decbit_factory
-            ),
-        ),
         (
             "fifo-wfq",
-            lambda: FifoLossNetwork.single_bottleneck(
-                seed=seed, queue_factory=wfq_factory
-            ),
+            "fifo",
+            lambda: WfqQueue(capacity=40.0, weight_of=lambda fid: float(math.ceil(fid / 2))),
         ),
     ]
     points = []
-    for name, factory in candidates:
-        result = run_startup_workload(factory, duration=duration)
+    for name, scheme, queue_factory in candidates:
+        result = run_startup_workload(
+            CloudBuilder(
+                TopologySpec.chain(2), scheme, seed=seed, queue_factory=queue_factory
+            ),
+            duration=duration,
+        )
         points.append(_measure(result, window, "scheme", name))
     return points
 
@@ -316,7 +289,7 @@ def compare_congestion_estimators(
     for name in ("mm1", "linear"):
         config = CoreliteConfig(congestion_estimator=name)
         result = run_startup_workload(
-            lambda config=config: CoreliteNetwork.single_bottleneck(seed=seed, config=config),
+            CloudBuilder(TopologySpec.chain(2), "corelite", seed=seed, config=config),
             duration=duration,
         )
         points.append(_measure(result, window, "congestion_estimator", name))
@@ -358,9 +331,8 @@ def compare_traffic_patterns(
     window = (0.75 * duration, duration)
     points = []
     for pattern in ("backlogged", "poisson", "onoff"):
-        network = CoreliteNetwork.single_bottleneck(seed=seed)
-        network.add_flows(_traffic_pattern_flows(pattern))
-        result = network.run(until=duration)
+        builder = CloudBuilder(TopologySpec.chain(2), "corelite", seed=seed)
+        result = builder.add_flows(_traffic_pattern_flows(pattern)).run(until=duration)
         measured = result.mean_throughputs(window)
         expected = result.expected_rates(at_time=sum(window) / 2)
         weights = result.weights()

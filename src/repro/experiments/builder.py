@@ -17,11 +17,9 @@ concentrated in a small :class:`SchemeStrategy` object per scheme:
 * :class:`FifoStrategy` — CSFQ sources over pure FIFO/AQM forwarders
   (the §5 strawman: nothing is enabled on any link).
 
-The legacy harness classes in :mod:`repro.experiments.network`
-(``CoreliteNetwork`` and friends) are thin shims over this module: they
-translate the historical chain-of-cores keyword arguments into a
-``TopologySpec`` and bind the matching strategy, so a same-seed chain run
-through either entry point is event-for-event identical.
+``CloudBuilder(spec, scheme)`` is the one front door: figures, ablations,
+the scenario DSL, the examples and corebench all build through it, and
+:data:`SCHEME_STRATEGIES` is the one place a scheme name maps to code.
 """
 
 from __future__ import annotations
@@ -63,8 +61,7 @@ class SchemeStrategy:
     hold per-cloud state such as the micro-flow muxes) and answers the
     cloud's construction hooks.  The base class implements the parts that
     are genuinely shared: taking a private copy of the scheme config and
-    clamping it to the cloud's access capacity after the cores exist,
-    exactly as the historical harnesses did.
+    clamping it to the cloud's access capacity after the cores exist.
     """
 
     scheme = "base"
@@ -410,13 +407,8 @@ class Cloud:
     """One runnable cloud built from a :class:`TopologySpec`.
 
     Owns the simulator, runtime topology, control plane and all per-flow
-    state; delegates every scheme-specific decision to its strategy.  The
-    underscore hooks (``_make_edge`` etc.) are kept as methods so the
-    historical harness surface keeps working — they forward to the
-    strategy.
+    state; delegates every scheme-specific decision to its strategy.
     """
-
-    scheme = "base"
 
     def __init__(
         self,
@@ -498,9 +490,6 @@ class Cloud:
         self.access_capacity_pps = spec.access_capacity_pps
         self.prop_delay = spec.access_prop_delay
         self.queue_capacity = spec.queue_capacity
-        #: Informational: the first core link's capacity (chains built by
-        #: the legacy harness overwrite this with their uniform capacity).
-        self.core_capacity_pps = spec.links[0].capacity_pps
         self.core_names: List[str] = list(spec.cores)
         self.edges: Dict[str, object] = {}
         self.flows: Dict[int, FlowPathSpec] = {}
@@ -524,7 +513,7 @@ class Cloud:
         self.topology.set_routing(spec.routing_mode, spec.ecmp_flowlet_n_packets)
         for name in self.core_names:
             if partition is None or partition.owns(name):
-                self.topology.add_node(self._make_core(name))
+                self.topology.add_node(strategy.make_core(self, name))
         for link in spec.links:
             factory = self._link_queue_factory(link)
             if partition is None:
@@ -557,26 +546,6 @@ class Cloud:
             return self._queue_factory
         return lambda: DropTailQueue(capacity=link.queue_capacity)
 
-    # -- scheme hooks (forwarded to the strategy) -------------------------
-
-    def _make_core(self, name: str):
-        return self.strategy.make_core(self, name)
-
-    def _make_edge(self, name: str):
-        return self.strategy.make_edge(self, name)
-
-    def _attach_ingress(self, edge, spec: FlowPathSpec) -> None:
-        self.strategy.attach_ingress(self, edge, spec)
-
-    def _enable_core_links(self) -> None:
-        self.strategy.enable_core_links(self)
-
-    def _attach_aggregate(self, ingress, spec: FlowPathSpec):
-        return self.strategy.attach_aggregate(self, ingress, spec)
-
-    def _attach_tcp_hosts(self, spec: FlowPathSpec) -> None:
-        self.strategy.attach_tcp_hosts(self, spec)
-
     # -- construction ---------------------------------------------------
 
     def add_flow(self, spec: FlowPathSpec) -> None:
@@ -598,8 +567,8 @@ class Cloud:
         if self.partition is not None:
             self._add_flow_partitioned(spec)
             return
-        ingress = self._make_edge(spec.ingress_edge)
-        egress = self._make_edge(spec.egress_edge)
+        ingress = self.strategy.make_edge(self, spec.ingress_edge)
+        egress = self.strategy.make_edge(self, spec.egress_edge)
         self.topology.add_node(ingress)
         self.topology.add_node(egress)
         self.edges[ingress.name] = ingress
@@ -622,10 +591,10 @@ class Cloud:
             self.prop_delay,
             self._queue_factory,
         )
-        self._attach_ingress(ingress, spec)
+        self.strategy.attach_ingress(self, ingress, spec)
         egress.expect_flow(spec.flow_id)
         if spec.transport == "tcp":
-            self._attach_tcp_hosts(spec)
+            self.strategy.attach_tcp_hosts(self, spec)
         self.flows[spec.flow_id] = spec
 
     def _add_flow_partitioned(self, spec: FlowPathSpec) -> None:
@@ -650,7 +619,7 @@ class Cloud:
             return
         access_capacity = self.access_capacity_pps * spec.aggregate
         if ingress_local:
-            ingress = self._make_edge(spec.ingress_edge)
+            ingress = self.strategy.make_edge(self, spec.ingress_edge)
             self.topology.add_node(ingress)
             self.edges[ingress.name] = ingress
             self.topology.add_duplex_link(
@@ -660,9 +629,9 @@ class Cloud:
                 self.prop_delay,
                 self._queue_factory,
             )
-            self._attach_ingress(ingress, spec)
+            self.strategy.attach_ingress(self, ingress, spec)
         if egress_local:
-            egress = self._make_edge(spec.egress_edge)
+            egress = self.strategy.make_edge(self, spec.egress_edge)
             self.topology.add_node(egress)
             self.edges[egress.name] = egress
             self.topology.add_duplex_link(
@@ -704,7 +673,7 @@ class Cloud:
                 f"topology {self.spec.name!r} is disconnected: {exc}"
             ) from exc
         self._check_routability()
-        self._enable_core_links()
+        self.strategy.enable_core_links(self)
         self._admit_contracts()
         if self.spec.events:
             self.dynamics = NetworkDynamics(
@@ -761,11 +730,6 @@ class Cloud:
 
     # -- flow paths, capacities, reference allocation ---------------------
 
-    @staticmethod
-    def _flow_demand(spec: FlowPathSpec) -> float:
-        """Mean offered load capping the flow's expected allocation."""
-        return spec.demand()
-
     def flow_path_links(self, flow_id: int) -> Tuple[str, ...]:
         spec = self.flows[flow_id]
         links = self.topology.path_links(spec.ingress_edge, spec.egress_edge)
@@ -790,7 +754,7 @@ class Cloud:
                 fid,
                 spec.network_weight,
                 self.flow_path_links(fid),
-                demand=self._flow_demand(spec),
+                demand=spec.demand(),
             )
             for fid, spec in self.flows.items()
         ]
@@ -811,7 +775,7 @@ class Cloud:
                 continue
             demands.append(
                 FlowDemand(
-                    fid, spec.network_weight, path, demand=self._flow_demand(spec)
+                    fid, spec.network_weight, path, demand=spec.demand()
                 )
             )
         reference = (
@@ -851,7 +815,7 @@ class Cloud:
         # aggregated.
         generators = []
         if spec.micro_flows:
-            mux = self._attach_aggregate(ingress, spec)
+            mux = self.strategy.attach_aggregate(self, ingress, spec)
             generators.extend(
                 (
                     source_spec.build(),
@@ -949,7 +913,7 @@ class Cloud:
                 rate_series=Series(f"rate:{fid}"),
                 throughput_series=Series(f"tput:{fid}"),
                 cumulative_series=Series(f"cum:{fid}"),
-                demand=self._flow_demand(spec),
+                demand=spec.demand(),
             )
 
         if self.dynamics is not None:

@@ -21,12 +21,12 @@ FIG9/10  §4.3 — same but each flow lives 60 s, stops, restarts 5 s
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import CoreliteConfig
 from repro.csfq.config import CsfqConfig
 from repro.errors import ConfigurationError
-from repro.experiments.network import CoreliteNetwork, CsfqNetwork
+from repro.experiments.builder import CloudBuilder
 from repro.experiments.runner import RunResult
 from repro.experiments.scenarios import (
     WEIGHTS_41,
@@ -37,6 +37,7 @@ from repro.experiments.scenarios import (
     startup_flows,
     topology1_flows,
 )
+from repro.experiments.topospec import FlowSpec, TopologySpec
 
 __all__ = [
     "Fig34Result",
@@ -95,10 +96,9 @@ def figure3_4(
     """
     schedules = fig3_schedule(scale)
     specs = topology1_flows(WEIGHTS_41, schedules)
-    net = CoreliteNetwork.paper_topology(seed=seed, config=config)
-    net.add_flows(specs)
+    builder = CloudBuilder(TopologySpec.chain(4), "corelite", seed=seed, config=config)
     duration = 800.0 * scale
-    result = net.run(until=duration, sample_interval=sample_interval)
+    result = builder.add_flows(specs).run(until=duration, sample_interval=sample_interval)
 
     phase_times = (0.0, 250.0 * scale, 500.0 * scale, 750.0 * scale)
     expected_by_phase = (
@@ -115,14 +115,22 @@ def figure3_4(
 
 
 def _compare(
-    corelite_net: CoreliteNetwork,
-    csfq_net: CsfqNetwork,
+    num_cores: int,
+    flows: Sequence[FlowSpec],
+    seed: int,
+    corelite_config: Optional[CoreliteConfig],
+    csfq_config: Optional[CsfqConfig],
     duration: float,
     sample_interval: float,
     expected_at: float,
 ) -> ComparisonResult:
-    corelite = corelite_net.run(until=duration, sample_interval=sample_interval)
-    csfq = csfq_net.run(until=duration, sample_interval=sample_interval)
+    """The same chain and flows under Corelite, then under CSFQ."""
+    corelite, csfq = [
+        CloudBuilder(TopologySpec.chain(num_cores), scheme, seed=seed, config=config)
+        .add_flows(flows)
+        .run(until=duration, sample_interval=sample_interval)
+        for scheme, config in (("corelite", corelite_config), ("csfq", csfq_config))
+    ]
     return ComparisonResult(
         corelite=corelite,
         csfq=csfq,
@@ -139,13 +147,9 @@ def figure5_6(
     csfq_config: Optional[CsfqConfig] = None,
 ) -> ComparisonResult:
     """Figures 5/6: simultaneous startup of 10 flows, weight ceil(i/2)."""
-    specs = startup_flows(num_flows)
-    corelite_net = CoreliteNetwork.single_bottleneck(seed=seed, config=corelite_config)
-    corelite_net.add_flows(specs)
-    csfq_net = CsfqNetwork.single_bottleneck(seed=seed, config=csfq_config)
-    csfq_net.add_flows(specs)
     return _compare(
-        corelite_net, csfq_net, duration, sample_interval, expected_at=duration / 2
+        2, startup_flows(num_flows), seed, corelite_config, csfq_config,
+        duration, sample_interval, expected_at=duration / 2,
     )
 
 
@@ -160,12 +164,9 @@ def figure7_8(
     """Figures 7/8: 20 Topology-1 flows entering ``gap`` seconds apart."""
     schedules = staggered_schedule(num_flows=20, gap=gap)
     specs = topology1_flows(WEIGHTS_43, schedules)
-    corelite_net = CoreliteNetwork.paper_topology(seed=seed, config=corelite_config)
-    corelite_net.add_flows(specs)
-    csfq_net = CsfqNetwork.paper_topology(seed=seed, config=csfq_config)
-    csfq_net.add_flows(specs)
     return _compare(
-        corelite_net, csfq_net, duration, sample_interval, expected_at=duration - 1.0
+        4, specs, seed, corelite_config, csfq_config,
+        duration, sample_interval, expected_at=duration - 1.0,
     )
 
 
@@ -184,10 +185,7 @@ def figure9_10(
         num_flows=20, gap=gap, lifetime=lifetime, restart_after=restart_after
     )
     specs = topology1_flows(WEIGHTS_43, schedules)
-    corelite_net = CoreliteNetwork.paper_topology(seed=seed, config=corelite_config)
-    corelite_net.add_flows(specs)
-    csfq_net = CsfqNetwork.paper_topology(seed=seed, config=csfq_config)
-    csfq_net.add_flows(specs)
     return _compare(
-        corelite_net, csfq_net, duration, sample_interval, expected_at=duration - 1.0
+        4, specs, seed, corelite_config, csfq_config,
+        duration, sample_interval, expected_at=duration - 1.0,
     )

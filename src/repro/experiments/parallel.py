@@ -14,7 +14,7 @@ suite pins down:
   are not picklable, so what crosses the process boundary is a
   :class:`ScenarioSpec` (a JSON-compatible scenario dict, the same format
   ``corelite run`` consumes) on the way in and a plain-data rendering of
-  the :class:`RunResult` on the way out; the worker rebuilds the network
+  the :class:`RunResult` on the way out; the worker rebuilds the cloud
   from the spec via :func:`repro.experiments.scenario_dsl.run_scenario`.
 * **Replay** — every finished task is written to an on-disk cache keyed
   by a content hash of (scenario, seed, cache format, code version), so

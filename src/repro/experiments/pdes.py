@@ -308,7 +308,7 @@ class _PartitionWorker:
             raise TopologyError(
                 f"topology {self.spec.name!r} is disconnected: {exc}"
             ) from exc
-        cloud._enable_core_links()
+        cloud.strategy.enable_core_links(cloud)
         self._admit_contracts()
 
     def _admit_contracts(self) -> None:

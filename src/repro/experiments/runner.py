@@ -1,6 +1,6 @@
 """Run results.
 
-A :class:`RunResult` is what a network harness returns: per-flow sampled
+A :class:`RunResult` is what ``Cloud.run`` returns: per-flow sampled
 series of the quantities the paper plots (allotted rate ``bg``, delivered
 throughput, cumulative service), loss/drop accounting, and the weighted
 max-min *expected rates* for any instant of the run (computed from the

@@ -46,9 +46,10 @@ docs/REPRODUCING.md; accepted and inert for csfq/fifo), a top-level
 ``"train": K`` opts the datapath into packet trains of up to K members
 (also statistically pinned; the default ``train: 1`` is
 byte-identical), and a per-flow ``"aggregate": N`` makes one flow entry
-stand for a bucket of N identical member flows.  ``"vectorized"`` and
-``"record_queues"`` must be JSON booleans and ``"train"`` a JSON
-integer >= 1: a quoted ``"false"`` is not quietly truthy.
+stand for a bucket of N identical member flows.  Every value is
+read through one typed reader: a quoted ``"false"`` or ``"4"``, a missing
+``mean_rate`` or a short ``core_links`` row is a ``ConfigurationError``
+naming the key and the value, raised before any cloud is built.
 """
 
 from __future__ import annotations
@@ -58,27 +59,15 @@ import json
 import math
 from typing import Dict, Mapping, Tuple
 
-from repro.core.config import CoreliteConfig, FeedbackScheme
-from repro.csfq.config import CsfqConfig
+from repro.core.config import FeedbackScheme
 from repro.errors import ConfigurationError
-from repro.experiments.network import (
-    BaseNetwork,
-    CoreliteNetwork,
-    CsfqNetwork,
-    FifoLossNetwork,
-    FlowSpec,
-)
+from repro.experiments.builder import SCHEME_STRATEGIES, Cloud, CloudBuilder
 from repro.experiments.runner import RunResult
-from repro.experiments.topospec import TopologySpec
+from repro.experiments.topospec import FlowSpec, TopologySpec
 from repro.sim.sources import SourceSpec, onoff_source, poisson_source, transfer_source
+from repro.units import ms_to_s
 
 __all__ = ["build_network", "run_scenario", "load_scenario_file"]
-
-_SCHEMES = {
-    "corelite": CoreliteNetwork,
-    "csfq": CsfqNetwork,
-    "fifo": FifoLossNetwork,
-}
 
 _TOP_KEYS = {"scheme", "seed", "duration", "sample_interval", "record_queues",
              "network", "topology", "config", "flows", "description",
@@ -86,159 +75,233 @@ _TOP_KEYS = {"scheme", "seed", "duration", "sample_interval", "record_queues",
 _NETWORK_KEYS = {"num_cores", "core_capacity_pps", "access_capacity_pps",
                  "prop_delay", "queue_capacity", "control_loss_prob",
                  "core_links"}
-#: Network keys that describe the graph shape, and therefore clash with
-#: an explicit "topology" section.
-_NETWORK_SHAPE_KEYS = _NETWORK_KEYS - {"control_loss_prob"}
 _FLOW_KEYS = {"id", "weight", "ingress", "egress", "schedule", "min_rate",
               "source", "transport", "micro_flows", "aggregate"}
 _SOURCE_KEYS = {"kind", "mean_rate", "peak_rate", "mean_on", "mean_off",
                 "total_packets"}
 
+#: JSON kind -> (accepted Python types, how an error names the kind).
+_KINDS = {
+    "bool": ((bool,), "true or false"),
+    "int": ((int,), "an integer"),
+    "number": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "list": ((list, tuple), "a list"),
+    "object": ((Mapping,), "an object"),
+}
+_REQUIRED = object()
 
-def _reject_unknown(mapping: Mapping, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+
+def _typed(value, kind: str, where: str):
+    """``value`` if it is a JSON ``kind`` (numbers come back as float),
+    else a ConfigurationError naming ``where`` and the offending value.
+    A quoted number is a string and a boolean is not a number."""
+    types, noun = _KINDS[kind]
+    if not isinstance(value, types) or (kind != "bool" and isinstance(value, bool)):
+        raise ConfigurationError(f"{where} must be {noun}, got {value!r}")
+    return float(value) if kind == "number" else value
+
+
+def _read(mapping: Mapping, key: str, kind: str, section: str, default=_REQUIRED):
+    """The one typed reader: ``mapping[key]`` as ``kind``, or ``default``."""
+    if key not in mapping:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"{section}: missing {key!r}")
+        return default
+    return _typed(mapping[key], kind, f"{section}: {key!r}")
+
+
+def _section(raw, allowed: set, where: str) -> Mapping:
+    """``raw`` as an object with no keys outside ``allowed``."""
+    unknown = set(_typed(raw, "object", where)) - allowed
     if unknown:
         raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
+    return raw
 
 
-def _flag(scenario: Mapping, key: str) -> bool:
-    """A top-level on/off knob; only a JSON boolean will do."""
-    value = scenario.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigurationError(
-            f"scenario: {key!r} must be true or false, got {value!r}"
-        )
-    return value
+def _row(raw, length: int, where: str):
+    """``raw`` as a list of exactly ``length`` elements."""
+    if len(_typed(raw, "list", where)) != length:
+        raise ConfigurationError(f"{where} must have {length} elements, got {raw!r}")
+    return raw
 
 
-def _train_batch(scenario: Mapping) -> int:
-    value = scenario.get("train", 1)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigurationError(
-            f"scenario: 'train' must be an integer >= 1, got {value!r}"
-        )
-    return value
-
-
-def _parse_source(spec: Mapping) -> SourceSpec:
-    _reject_unknown(spec, _SOURCE_KEYS, "source")
+def _parse_source(raw, where: str) -> SourceSpec:
+    spec = _section(raw, _SOURCE_KEYS, where)
     kind = spec.get("kind")
     if kind == "poisson":
-        return poisson_source(float(spec["mean_rate"]))
+        return poisson_source(_read(spec, "mean_rate", "number", where))
     if kind == "onoff":
         return onoff_source(
-            float(spec["peak_rate"]), float(spec["mean_on"]), float(spec["mean_off"])
+            _read(spec, "peak_rate", "number", where),
+            _read(spec, "mean_on", "number", where),
+            _read(spec, "mean_off", "number", where),
         )
     if kind == "transfer":
-        return transfer_source(int(spec["total_packets"]), float(spec["peak_rate"]))
-    raise ConfigurationError(f"source: unknown kind {kind!r}")
+        return transfer_source(
+            _read(spec, "total_packets", "int", where),
+            _read(spec, "peak_rate", "number", where),
+        )
+    raise ConfigurationError(f"{where}: unknown kind {kind!r}")
 
 
-def _parse_schedule(raw) -> Tuple[Tuple[float, float], ...]:
+def _parse_schedule(raw, where: str) -> Tuple[Tuple[float, float], ...]:
     periods = []
-    for entry in raw:
-        if len(entry) != 2:
-            raise ConfigurationError(f"schedule period must be [start, stop]: {entry!r}")
-        start, stop = entry
-        periods.append((float(start), math.inf if stop is None else float(stop)))
+    for entry in _typed(raw, "list", where):
+        start, stop = _row(entry, 2, f"{where} period [start, stop]")
+        periods.append((
+            _typed(start, "number", f"{where} start"),
+            math.inf if stop is None else _typed(stop, "number", f"{where} stop"),
+        ))
     return tuple(periods)
 
 
-def _parse_flow(raw: Mapping, default_ingress: str, default_egress: str) -> FlowSpec:
-    _reject_unknown(raw, _FLOW_KEYS, f"flow {raw.get('id')!r}")
-    if "id" not in raw:
-        raise ConfigurationError("every flow needs an 'id'")
+def _parse_flow(raw, default_ingress: str, default_egress: str) -> FlowSpec:
+    where = f"flow {_typed(raw, 'object', 'flows entry').get('id')!r}"
+    _section(raw, _FLOW_KEYS, where)
     kwargs: Dict[str, object] = {
-        "flow_id": int(raw["id"]),
-        "weight": float(raw.get("weight", 1.0)),
-        "ingress_core": raw.get("ingress", default_ingress),
-        "egress_core": raw.get("egress", default_egress),
-        "min_rate": float(raw.get("min_rate", 0.0)),
-        "transport": raw.get("transport", "shaped"),
-        "aggregate": int(raw.get("aggregate", 1)),
+        "flow_id": _read(raw, "id", "int", where),
+        "weight": _read(raw, "weight", "number", where, 1.0),
+        "ingress_core": _read(raw, "ingress", "str", where, default_ingress),
+        "egress_core": _read(raw, "egress", "str", where, default_egress),
+        "min_rate": _read(raw, "min_rate", "number", where, 0.0),
+        "transport": _read(raw, "transport", "str", where, "shaped"),
+        "aggregate": _read(raw, "aggregate", "int", where, 1),
     }
     if "schedule" in raw:
-        kwargs["schedule"] = _parse_schedule(raw["schedule"])
+        kwargs["schedule"] = _parse_schedule(raw["schedule"], f"{where}: 'schedule'")
     if "source" in raw:
-        kwargs["source"] = _parse_source(raw["source"])
+        kwargs["source"] = _parse_source(raw["source"], f"{where}: 'source'")
     if "micro_flows" in raw:
+        entry = f"{where}: 'micro_flows' entry [id, source]"
         kwargs["micro_flows"] = tuple(
-            (int(mid), _parse_source(source)) for mid, source in raw["micro_flows"]
+            (_typed(mid, "int", entry), _parse_source(source, entry))
+            for mid, source in (
+                _row(raw_entry, 2, entry)
+                for raw_entry in _read(raw, "micro_flows", "list", where)
+            )
         )
     return FlowSpec(**kwargs)  # type: ignore[arg-type]
 
 
-def build_network(scenario: Mapping) -> BaseNetwork:
-    """Construct the network (with flows attached) from a scenario dict."""
-    _reject_unknown(scenario, _TOP_KEYS, "scenario")
+def _parse_config(raw, config_cls):
+    """A scheme config from its JSON fields, each read as the kind of
+    the dataclass default it overrides."""
+    fields = {field.name: field for field in dataclasses.fields(config_cls)}
+    kwargs = {}
+    for name in _section(raw, set(fields), "config"):
+        default = fields[name].default
+        if isinstance(default, FeedbackScheme):
+            names = [scheme.value for scheme in FeedbackScheme]
+            if raw[name] not in names:
+                raise ConfigurationError(
+                    f"config: {name!r} must be one of {names}, got {raw[name]!r}"
+                )
+            kwargs[name] = FeedbackScheme(raw[name])
+        else:
+            kind = {int: "int", str: "str"}.get(type(default), "number")
+            kwargs[name] = _read(raw, name, kind, "config")
+    return config_cls(**kwargs)
+
+
+def _network_topology(raw: Mapping) -> TopologySpec:
+    """The ``"network"`` shape keys as a spec: the ``core_links`` graph
+    when given (``num_cores`` / ``core_capacity_pps`` are then ignored),
+    else a chain of ``num_cores`` (default 2).  ``prop_delay`` is the
+    delay of the core links and of the access links alike."""
+
+    def number(key: str, default: float) -> float:
+        return _read(raw, key, "number", "network", default)
+
+    prop_delay = number("prop_delay", ms_to_s(40.0))
+    access = {
+        "access_capacity_pps": number("access_capacity_pps", 500.0),
+        "access_prop_delay": prop_delay,
+        "queue_capacity": number("queue_capacity", 40.0),
+    }
+    if "core_links" in raw:
+        where = "network: 'core_links' row [a, b, capacity_pps, prop_delay]"
+        rows = [
+            (str(a), str(b), _typed(capacity, "number", where), _typed(delay, "number", where))
+            for a, b, capacity, delay in (
+                _row(row, 4, where)
+                for row in _read(raw, "core_links", "list", "network")
+            )
+        ]
+        return TopologySpec.from_core_links(rows, **access)
+    return TopologySpec.chain(
+        _read(raw, "num_cores", "int", "network", 2),
+        number("core_capacity_pps", 500.0),
+        prop_delay,
+        **access,
+    )
+
+
+def _parse(scenario: Mapping) -> Tuple[CloudBuilder, Dict[str, object]]:
+    """Validate the whole scenario into a loaded builder and
+    :meth:`Cloud.run`'s keywords.  No cloud exists yet: a malformed value
+    dies here as a ConfigurationError naming its key (an impossible graph
+    or flow as its spec's own TopologyError / FlowError)."""
+    _section(scenario, _TOP_KEYS, "scenario")
     scheme = scenario.get("scheme", "corelite")
-    if scheme not in _SCHEMES:
+    if scheme not in SCHEME_STRATEGIES:
         raise ConfigurationError(
-            f"unknown scheme {scheme!r}; pick one of {sorted(_SCHEMES)}"
+            f"unknown scheme {scheme!r}; pick one of {sorted(SCHEME_STRATEGIES)}"
         )
-    vectorized = _flag(scenario, "vectorized")
-    _flag(scenario, "record_queues")  # run_scenario's knob; fail before building
-    train_batch = _train_batch(scenario)
-    config_cls = CoreliteConfig if scheme == "corelite" else CsfqConfig
-    config_raw = scenario.get("config")
-    if config_raw:
-        _reject_unknown(
-            config_raw,
-            {field.name for field in dataclasses.fields(config_cls)},
-            "config",
+
+    def top(key: str, kind: str, default):
+        return _read(scenario, key, kind, "scenario", default)
+
+    run_kwargs = {
+        "until": top("duration", "number", 60.0),
+        "sample_interval": top("sample_interval", "number", 1.0),
+        "record_queues": top("record_queues", "bool", False),
+    }
+    build_kwargs = {
+        "seed": top("seed", "int", 0),
+        "vectorized": top("vectorized", "bool", False),
+        "train_batch": top("train", "int", 1),
+    }
+    if build_kwargs["train_batch"] < 1:
+        raise ConfigurationError(
+            f"scenario: 'train' must be >= 1, got {build_kwargs['train_batch']!r}"
         )
-    network_raw = dict(scenario.get("network", {}))
-    _reject_unknown(network_raw, _NETWORK_KEYS, "network")
+    if scenario.get("config"):
+        config_cls = SCHEME_STRATEGIES[scheme]().config_cls
+        build_kwargs["config"] = _parse_config(scenario["config"], config_cls)
+    network = _section(scenario.get("network", {}), _NETWORK_KEYS, "network")
+    build_kwargs["control_loss_prob"] = _read(
+        network, "control_loss_prob", "number", "network", 0.0
+    )
     if "topology" in scenario:
-        clashing = sorted(set(network_raw) & _NETWORK_SHAPE_KEYS)
+        # Every "network" key but this one describes the graph shape.
+        clashing = sorted(set(network) - {"control_loss_prob"})
         if clashing:
             raise ConfigurationError(
                 f"scenario: 'topology' and network shape keys {clashing} are "
                 "mutually exclusive — describe the graph in one place"
             )
-        network_raw["topology_spec"] = TopologySpec.from_dict(scenario["topology"])
-    if "core_links" in network_raw:
-        network_raw["core_links"] = [
-            (str(a), str(b), float(cap), float(delay))
-            for a, b, cap, delay in network_raw["core_links"]
-        ]
-
-    config = None
-    if config_raw:
-        if "feedback_scheme" in config_raw:
-            config_raw = dict(config_raw)
-            config_raw["feedback_scheme"] = FeedbackScheme(
-                config_raw["feedback_scheme"]
-            )
-        config = config_cls(**config_raw)
-
-    cls = _SCHEMES[scheme]
-    kwargs = dict(network_raw)
-    kwargs["seed"] = int(scenario.get("seed", 0))
-    kwargs["vectorized"] = vectorized
-    kwargs["train_batch"] = train_batch
-    if config is not None:
-        kwargs["config"] = config
-    net = cls(**kwargs)  # type: ignore[arg-type]
-
-    flows_raw = scenario.get("flows")
-    if not flows_raw:
+        topology = TopologySpec.from_dict(scenario["topology"])
+    else:
+        topology = _network_topology(network)
+    flows = top("flows", "list", ())
+    if not flows:
         raise ConfigurationError("scenario needs at least one flow")
-    first, last = net.core_names[0], net.core_names[-1]
-    for raw in flows_raw:
-        net.add_flow(_parse_flow(raw, default_ingress=first, default_egress=last))
-    return net
+    first, last = topology.cores[0], topology.cores[-1]
+    builder = CloudBuilder(topology, scheme, **build_kwargs)
+    builder.add_flows(_parse_flow(raw, first, last) for raw in flows)
+    return builder, run_kwargs
+
+
+def build_network(scenario: Mapping) -> Cloud:
+    """The scenario's cloud, flows attached, not yet finalized."""
+    return _parse(scenario)[0].build(finalize=False)
 
 
 def run_scenario(scenario: Mapping) -> RunResult:
     """Build and run a scenario; returns the usual :class:`RunResult`."""
-    net = build_network(scenario)
-    duration = float(scenario.get("duration", 60.0))
-    return net.run(
-        until=duration,
-        sample_interval=float(scenario.get("sample_interval", 1.0)),
-        record_queues=_flag(scenario, "record_queues"),
-    )
+    builder, run_kwargs = _parse(scenario)
+    return builder.run(**run_kwargs)
 
 
 def load_scenario_file(path: str) -> Dict:

@@ -28,7 +28,7 @@ import math
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.network import FlowSpec
+from repro.experiments.topospec import FlowSpec
 
 __all__ = [
     "PATH_ASSIGNMENT",

@@ -451,7 +451,7 @@ class TopologySpec:
         **kwargs,
     ) -> "TopologySpec":
         """Build from ``(core_a, core_b, capacity_pps, prop_delay)`` rows
-        (the legacy ``core_links`` harness argument)."""
+        (the scenario DSL's ``"core_links"`` spelling)."""
         rows = list(core_links)
         if not rows:
             raise TopologyError(

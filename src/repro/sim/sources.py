@@ -18,7 +18,7 @@ A source deposits packets into the ingress edge's per-flow backlog; the
 edge's paced shaper then drains the backlog at the flow's allowed rate
 ``bg(f)``, exactly as the paper's edge "shapes the flow's traffic".
 Declarative :class:`SourceSpec` values are what experiment code puts in a
-``FlowSpec``; the network harness builds and drives the live model.
+``FlowSpec``; the ``Cloud`` builds and drives the live model.
 """
 
 from __future__ import annotations

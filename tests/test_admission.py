@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.core.admission import AdmissionController
 from repro.errors import ConfigurationError, FlowError
-from repro.experiments.network import CoreliteNetwork, FlowSpec
 
 
 @pytest.fixture
@@ -64,21 +64,20 @@ class TestController:
 
 class TestNetworkIntegration:
     def test_admissible_contracts_are_accepted(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
-        net.add_flow(FlowSpec(flow_id=1, min_rate=200.0))
-        net.add_flow(FlowSpec(flow_id=2, min_rate=200.0))
-        net.finalize()
+        builder = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
+        builder.add_flow(FlowSpec(flow_id=1, min_rate=200.0))
+        builder.add_flow(FlowSpec(flow_id=2, min_rate=200.0))
+        net = builder.build()
         assert net.admission.reserved_on("C1->C2") == 400.0
 
     def test_oversubscribed_contracts_rejected_at_finalize(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
-        net.add_flow(FlowSpec(flow_id=1, min_rate=300.0))
-        net.add_flow(FlowSpec(flow_id=2, min_rate=300.0))  # 600 > 450 limit
+        builder = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
+        builder.add_flow(FlowSpec(flow_id=1, min_rate=300.0))
+        builder.add_flow(FlowSpec(flow_id=2, min_rate=300.0))  # 600 > 450 limit
         with pytest.raises(ConfigurationError):
-            net.finalize()
+            builder.build()
 
     def test_uncontracted_network_builds_no_controller(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
-        net.add_flow(FlowSpec(flow_id=1))
-        net.finalize()
+        builder = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
+        net = builder.add_flow(FlowSpec(flow_id=1)).build()
         assert not hasattr(net, "admission")

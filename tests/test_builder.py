@@ -1,6 +1,6 @@
 """Unit tests for the spec-driven cloud builder (layer 2 of the
-pipeline): strategies, validation, and — crucially — event-for-event
-equivalence with the historical harness classes on chain topologies."""
+pipeline): strategies, validation, and the equivalence of the three ways
+a scenario can spell one chain."""
 
 import pytest
 
@@ -13,57 +13,38 @@ from repro.experiments.builder import (
     FifoStrategy,
     SCHEME_STRATEGIES,
 )
-from repro.experiments.network import (
-    CoreliteNetwork,
-    CsfqNetwork,
-    FifoLossNetwork,
-    FlowSpec,
-)
-from repro.experiments.topospec import LinkSpec, TopologySpec
+from repro.experiments.parallel import result_to_payload
+from repro.experiments.scenario_dsl import run_scenario
+from repro.experiments.topospec import FlowSpec, LinkSpec, TopologySpec
 from repro.sim.node import Router
 
 from .conftest import run_python
 
 
-def two_flow_specs():
-    return [
-        FlowSpec(flow_id=1, weight=1.0, ingress_core="C1", egress_core="C4"),
-        FlowSpec(flow_id=2, weight=2.0, ingress_core="C2", egress_core="C3"),
-    ]
+class TestOneCloudThreeSpellings:
+    """A scenario's legacy ``"network"`` section, the same chain under
+    ``"topology"`` and a direct ``CloudBuilder`` are one cloud."""
 
-
-def series_fingerprint(result):
-    return {
-        fid: (list(rec.rate_series), list(rec.throughput_series))
-        for fid, rec in result.flows.items()
-    }
-
-
-class TestEquivalenceWithLegacyHarness:
-    """A same-seed chain run must be identical through either front door:
-    the refactor moved the wiring, not the behavior."""
-
-    @pytest.mark.parametrize(
-        "legacy_cls, scheme",
-        [(CoreliteNetwork, "corelite"), (CsfqNetwork, "csfq"), (FifoLossNetwork, "fifo")],
-    )
-    def test_chain_runs_match_exactly(self, legacy_cls, scheme):
-        legacy = legacy_cls(num_cores=4, seed=3)
-        for spec in two_flow_specs():
-            legacy.add_flow(spec)
-        legacy_result = legacy.run(until=12.0)
-
-        builder = CloudBuilder(TopologySpec.chain(4), scheme=scheme, seed=3)
-        builder.add_flows(two_flow_specs())
-        new_result = builder.run(until=12.0)
-
-        assert series_fingerprint(new_result) == series_fingerprint(legacy_result)
-        assert new_result.total_drops == legacy_result.total_drops
-
-    def test_legacy_class_is_a_cloud(self):
-        net = CoreliteNetwork(num_cores=2, seed=0)
-        assert isinstance(net, Cloud)
-        assert net.scheme == "corelite"
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_STRATEGIES))
+    def test_network_topology_and_builder_agree(self, scheme):
+        scenario = {
+            "scheme": scheme,
+            "seed": 3,
+            "duration": 12.0,
+            "flows": [
+                {"id": 1, "weight": 1.0, "ingress": "C1", "egress": "C4"},
+                {"id": 2, "weight": 2.0, "ingress": "C2", "egress": "C3"},
+            ],
+        }
+        builder = CloudBuilder(TopologySpec.chain(4), scheme, seed=3)
+        builder.add_flow(flow_id=1, weight=1.0, ingress_core="C1", egress_core="C4")
+        builder.add_flow(flow_id=2, weight=2.0, ingress_core="C2", egress_core="C3")
+        direct = result_to_payload(builder.run(until=12.0))
+        for section in (
+            {"network": {"num_cores": 4}},
+            {"topology": {"kind": "chain", "num_cores": 4}},
+        ):
+            assert result_to_payload(run_scenario({**scenario, **section})) == direct
 
 
 class TestStrategies:

@@ -78,12 +78,12 @@ class TestFluidVsPackets:
     def test_fluid_fixed_point_matches_packet_steady_state(self):
         """The fluid prediction and the packet simulator agree on where
         the rates settle (within the packet system's oscillation)."""
-        from repro.experiments.network import CoreliteNetwork, FlowSpec
+        from repro import CloudBuilder, FlowSpec, TopologySpec
 
         weights = [1.0, 2.0, 3.0]
         fluid = simulate_fluid_limd(weights, capacity=500.0)
 
-        net = CoreliteNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         for fid, w in enumerate(weights, start=1):
             net.add_flow(FlowSpec(flow_id=fid, weight=w))
         res = net.run(until=120.0)

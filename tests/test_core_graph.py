@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.experiments.network import CoreliteNetwork, FlowSpec
+from repro import CloudBuilder, FlowSpec, TopologySpec
+from repro.errors import TopologyError
 from repro.fairness.metrics import weighted_jain_index
 
 
@@ -18,17 +18,19 @@ def star_links(capacity=500.0, delay=0.02):
 
 class TestConstruction:
     def test_core_names_derived_from_edges(self):
-        net = CoreliteNetwork.from_core_graph(star_links())
+        spec = TopologySpec.from_core_links(star_links())
+        net = CloudBuilder(spec, "corelite").build(finalize=False)
         assert set(net.core_names) == {"H", "A", "B", "C"}
 
     def test_links_built_duplex(self):
-        net = CoreliteNetwork.from_core_graph(star_links())
+        spec = TopologySpec.from_core_links(star_links())
+        net = CloudBuilder(spec, "corelite").build(finalize=False)
         assert "H->A" in net.topology.links
         assert "A->H" in net.topology.links
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CoreliteNetwork.from_core_graph([])
+        with pytest.raises(TopologyError):  # the spec's guard; the shim's own is gone
+            CloudBuilder(TopologySpec.from_core_links([]), "corelite")
 
     def test_ring_routing_takes_shortest_arc(self):
         ring = [
@@ -37,10 +39,9 @@ class TestConstruction:
             ("C3", "C4", 500.0, 0.01),
             ("C4", "C1", 500.0, 0.01),
         ]
-        net = CoreliteNetwork.from_core_graph(ring)
-        net.add_flow(FlowSpec(flow_id=1, ingress_core="C1", egress_core="C2"))
-        net.finalize()
-        path = net.flow_path_links(1)
+        builder = CloudBuilder(TopologySpec.from_core_links(ring), "corelite")
+        builder.add_flow(FlowSpec(flow_id=1, ingress_core="C1", egress_core="C2"))
+        path = builder.build().flow_path_links(1)
         # direct arc, not the long way around
         assert "C1->C2" in path
         assert "C1->C4" not in path
@@ -50,7 +51,7 @@ class TestFairnessOnAStar:
     def test_weighted_fairness_through_a_hub(self):
         """Three flows cross the hub toward the same spoke: the shared
         H->C link is the bottleneck and is split by weight."""
-        net = CoreliteNetwork.from_core_graph(star_links(), seed=0)
+        net = CloudBuilder(TopologySpec.from_core_links(star_links()), "corelite", seed=0)
         net.add_flow(FlowSpec(flow_id=1, weight=1.0, ingress_core="A", egress_core="C"))
         net.add_flow(FlowSpec(flow_id=2, weight=1.0, ingress_core="B", egress_core="C"))
         net.add_flow(FlowSpec(flow_id=3, weight=2.0, ingress_core="A", egress_core="C"))
@@ -66,7 +67,7 @@ class TestFairnessOnAStar:
         assert wj > 0.97
 
     def test_cross_traffic_on_disjoint_spokes_does_not_interfere(self):
-        net = CoreliteNetwork.from_core_graph(star_links(), seed=0)
+        net = CloudBuilder(TopologySpec.from_core_links(star_links()), "corelite", seed=0)
         net.add_flow(FlowSpec(flow_id=1, ingress_core="A", egress_core="B"))
         net.add_flow(FlowSpec(flow_id=2, ingress_core="B", egress_core="C"))
         res = net.run(until=150.0)

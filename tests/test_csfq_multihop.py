@@ -8,19 +8,19 @@ mechanism end to end on a two-bottleneck chain.
 
 import pytest
 
-from repro.experiments.network import CsfqNetwork, FlowSpec
+from repro import CloudBuilder, FlowSpec, TopologySpec
 
 
 class TestRelabelingAcrossHops:
     def test_labels_shrink_at_each_congested_hop(self):
         """A flow crossing two congested links arrives at its egress with
         labels bounded by the tighter fair share, not its ingress rate."""
-        net = CsfqNetwork(num_cores=3, seed=0)
+        builder = CloudBuilder(TopologySpec.chain(3), "csfq", seed=0)
         # long flow across both links, plus cross traffic on each
-        net.add_flow(FlowSpec(flow_id=1, ingress_core="C1", egress_core="C3"))
-        net.add_flow(FlowSpec(flow_id=2, ingress_core="C1", egress_core="C2"))
-        net.add_flow(FlowSpec(flow_id=3, ingress_core="C2", egress_core="C3"))
-        net.finalize()
+        builder.add_flow(FlowSpec(flow_id=1, ingress_core="C1", egress_core="C3"))
+        builder.add_flow(FlowSpec(flow_id=2, ingress_core="C1", egress_core="C2"))
+        builder.add_flow(FlowSpec(flow_id=3, ingress_core="C2", egress_core="C3"))
+        net = builder.build()
 
         labels_at_egress = []
         egress_link = net.topology.links["C3->Eout1"]
@@ -41,7 +41,7 @@ class TestRelabelingAcrossHops:
         assert sum(steady) / len(steady) < 320.0
 
     def test_two_bottleneck_throughput_matches_maxmin(self):
-        net = CsfqNetwork(num_cores=3, seed=0)
+        net = CloudBuilder(TopologySpec.chain(3), "csfq", seed=0)
         net.add_flow(FlowSpec(flow_id=1, ingress_core="C1", egress_core="C3"))
         net.add_flow(FlowSpec(flow_id=2, weight=2.0, ingress_core="C1",
                               egress_core="C2"))
@@ -59,7 +59,7 @@ class TestRelabelingAcrossHops:
         signal rate matches its probe rate.  (The paper's §4.4 multi-hop
         loss penalty applies to the transient and to non-adaptive senders;
         this pins down the steady-state behaviour our model produces.)"""
-        net = CsfqNetwork(num_cores=3, seed=0)
+        net = CloudBuilder(TopologySpec.chain(3), "csfq", seed=0)
         net.add_flow(FlowSpec(flow_id=1, ingress_core="C1", egress_core="C3"))
         net.add_flow(FlowSpec(flow_id=2, ingress_core="C1", egress_core="C2"))
         net.add_flow(FlowSpec(flow_id=3, ingress_core="C2", egress_core="C3"))

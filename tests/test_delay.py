@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.errors import ConfigurationError
-from repro.experiments.network import CoreliteNetwork, FlowSpec
 from repro.sim import delay as delay_module
 from repro.sim.delay import DelayTracker
 
@@ -208,7 +208,7 @@ class TestEndToEndDelay:
         """Incipient-congestion feedback keeps the standing queue near
         qthresh (8 pkt), so one-way delay sits far below the
         full-buffer (40 pkt) worst case."""
-        net = CoreliteNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         for fid, weight in ((1, 1.0), (2, 1.0), (3, 2.0)):
             net.add_flow(FlowSpec(flow_id=fid, weight=weight))
         res = net.run(until=80.0)
@@ -220,7 +220,7 @@ class TestEndToEndDelay:
         assert summary["p95"] < 0.25
 
     def test_delay_scales_with_hop_count(self):
-        net = CoreliteNetwork(num_cores=3, seed=0)
+        net = CloudBuilder(TopologySpec.chain(3), "corelite", seed=0)
         net.add_flow(FlowSpec(flow_id=1, ingress_core="C1", egress_core="C3"))
         net.add_flow(FlowSpec(flow_id=2, ingress_core="C1", egress_core="C2"))
         net.add_flow(FlowSpec(flow_id=3, ingress_core="C2", egress_core="C3"))

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.core.config import CoreliteConfig
 from repro.core.edge import CoreliteEdge, FlowAttachment
 from repro.errors import FlowError
-from repro.experiments.network import CoreliteNetwork, FlowSpec
 from repro.hosts.tcp import TcpReceiver, TcpSender
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
@@ -162,14 +162,14 @@ class TestTcpInvariants:
 
 class TestNetworkCorners:
     def test_single_flow_network_is_stable(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         net.add_flow(FlowSpec(flow_id=1, weight=5.0))
         res = net.run(until=30.0)
         assert res.total_drops == 0
         assert res.flows[1].delivered > 0
 
     def test_flow_scheduled_entirely_after_horizon_never_runs(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         net.add_flow(FlowSpec(flow_id=1))
         net.add_flow(FlowSpec(flow_id=2, schedule=((100.0, 200.0),)))
         res = net.run(until=20.0)

@@ -5,15 +5,15 @@ import json
 
 import pytest
 
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.errors import ConfigurationError
-from repro.experiments.network import CoreliteNetwork, FlowSpec
 from repro.experiments.report import save_result_json, save_series_csv
 from repro.sim.monitor import Series
 
 
 @pytest.fixture(scope="module")
 def small_result():
-    net = CoreliteNetwork.single_bottleneck(seed=0)
+    net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
     net.add_flow(FlowSpec(flow_id=1, weight=1.0))
     net.add_flow(FlowSpec(flow_id=2, weight=2.0, schedule=((0.0, 8.0),)))
     return net.run(until=10.0, record_queues=True)

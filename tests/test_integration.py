@@ -5,21 +5,15 @@ total); the full-size reproductions live in benchmarks/.
 
 import pytest
 
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.core.config import CoreliteConfig, FeedbackScheme
-from repro.experiments.network import (
-    CoreliteNetwork,
-    CsfqNetwork,
-    FifoLossNetwork,
-    FlowSpec,
-)
 from repro.experiments.scenarios import startup_flows
 from repro.fairness.metrics import weighted_jain_index
 
 
-def run_corelite(flows, until=60.0, seed=0, config=None, **net_kwargs):
-    net = CoreliteNetwork.single_bottleneck(seed=seed, config=config, **net_kwargs)
-    net.add_flows(flows)
-    return net.run(until=until)
+def run_corelite(flows, until=60.0, seed=0, config=None):
+    builder = CloudBuilder(TopologySpec.chain(2), "corelite", seed=seed, config=config)
+    return builder.add_flows(flows).run(until=until)
 
 
 class TestWeightedFairness:
@@ -76,7 +70,7 @@ class TestMultiHop:
     def test_parking_lot_maxmin(self):
         """A long flow across two congested links and short cross-flows:
         weighted max-min gives everyone the same per-weight share."""
-        net = CoreliteNetwork(num_cores=3, seed=0)
+        net = CloudBuilder(TopologySpec.chain(3), "corelite", seed=0)
         net.add_flow(FlowSpec(flow_id=1, ingress_core="C1", egress_core="C3"))
         net.add_flow(FlowSpec(flow_id=2, ingress_core="C1", egress_core="C2"))
         net.add_flow(FlowSpec(flow_id=3, ingress_core="C2", egress_core="C3"))
@@ -89,7 +83,7 @@ class TestMultiHop:
     def test_cumulative_service_same_weight_same_service(self):
         """Figure 4's point: equal-weight flows get equal cumulative
         service regardless of hop count."""
-        net = CoreliteNetwork(num_cores=3, seed=0)
+        net = CloudBuilder(TopologySpec.chain(3), "corelite", seed=0)
         net.add_flow(FlowSpec(flow_id=1, ingress_core="C1", egress_core="C3"))  # 2 hops
         net.add_flow(FlowSpec(flow_id=2, ingress_core="C1", egress_core="C2"))  # 1 hop
         net.add_flow(FlowSpec(flow_id=3, ingress_core="C2", egress_core="C3"))  # 1 hop
@@ -146,10 +140,10 @@ class TestDynamics:
 class TestCorelitVsCsfq:
     def test_csfq_also_converges_but_with_losses(self):
         specs = startup_flows(6)
-        corelite = CoreliteNetwork.single_bottleneck(seed=0)
+        corelite = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         corelite.add_flows(specs)
         res_corelite = corelite.run(until=60.0)
-        csfq = CsfqNetwork.single_bottleneck(seed=0)
+        csfq = CloudBuilder(TopologySpec.chain(2), "csfq", seed=0)
         csfq.add_flows(specs)
         res_csfq = csfq.run(until=60.0)
 
@@ -163,7 +157,7 @@ class TestCorelitVsCsfq:
 
     def test_fifo_gives_no_weighted_fairness(self):
         specs = startup_flows(6)
-        fifo = FifoLossNetwork.single_bottleneck(seed=0)
+        fifo = CloudBuilder(TopologySpec.chain(2), "fifo", seed=0)
         fifo.add_flows(specs)
         res = fifo.run(until=60.0)
         rates = res.mean_rates((40.0, 60.0))
@@ -193,7 +187,7 @@ class TestDeterminism:
         specs = [FlowSpec(flow_id=1, weight=1.0), FlowSpec(flow_id=2, weight=3.0)]
         runs = []
         for _ in range(2):
-            net = CoreliteNetwork.single_bottleneck(seed=123)
+            net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=123)
             net.add_flows(specs)
             res = net.run(until=20.0)
             runs.append(
@@ -205,7 +199,7 @@ class TestDeterminism:
         specs = startup_flows(4)
         outcomes = []
         for seed in (1, 2):
-            net = CoreliteNetwork.single_bottleneck(seed=seed)
+            net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=seed)
             net.add_flows(specs)
             res = net.run(until=20.0)
             outcomes.append(tuple(res.flows[1].rate_series.values))

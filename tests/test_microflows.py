@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.core.microflows import MicroFlowMux
 from repro.errors import ConfigurationError, FlowError
-from repro.experiments.network import CoreliteNetwork, CsfqNetwork, FlowSpec
 from repro.sim.sources import poisson_source
 
 
@@ -86,7 +86,7 @@ class TestFlowSpecValidation:
 
 class TestEndToEnd:
     def test_aggregate_shares_equally_among_microflows(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         net.add_flow(FlowSpec(
             flow_id=1, weight=2.0,
             micro_flows=tuple((m, poisson_source(200.0)) for m in (1, 2, 3)),
@@ -99,7 +99,7 @@ class TestEndToEnd:
         assert hi <= lo * 1.05  # equal split within 5%
 
     def test_aggregate_gets_weighted_share_as_one_flow(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         net.add_flow(FlowSpec(
             flow_id=1, weight=2.0,
             micro_flows=tuple((m, poisson_source(300.0)) for m in (1, 2)),
@@ -110,7 +110,7 @@ class TestEndToEnd:
         assert rates[1] / rates[2] == pytest.approx(2.0, rel=0.2)
 
     def test_idle_micro_donates_bandwidth_within_aggregate(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         net.add_flow(FlowSpec(
             flow_id=1, weight=1.0,
             micro_flows=((1, poisson_source(400.0)), (2, poisson_source(20.0))),
@@ -123,7 +123,7 @@ class TestEndToEnd:
         assert micro[1] > 3 * micro[2]
 
     def test_csfq_rejects_aggregation(self):
-        net = CsfqNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "csfq", seed=0)
         net.add_flow(FlowSpec(
             flow_id=1, micro_flows=((1, poisson_source(10.0)),),
         ))
@@ -131,14 +131,13 @@ class TestEndToEnd:
             net.run(until=1.0)
 
     def test_deposit_through_edge_rejected_when_aggregated(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
-        net.add_flow(FlowSpec(
+        builder = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
+        builder.add_flow(FlowSpec(
             flow_id=1, micro_flows=((1, poisson_source(10.0)),),
         ))
-        net.add_flow(FlowSpec(flow_id=2))
-        net.finalize()
+        net = builder.add_flow(FlowSpec(flow_id=2)).build()
         edge = net.edges["Ein1"]
         net.sim.schedule_at(0.0, edge.start_flow, 1)
-        mux = net._attach_aggregate(edge, net.flows[1])
+        mux = net.strategy.attach_aggregate(net, edge, net.flows[1])
         with pytest.raises(FlowError):
             edge.deposit(1, 1)

@@ -3,7 +3,7 @@ integration tests a downstream user's deployment would look like."""
 
 import pytest
 
-from repro.experiments.network import CoreliteNetwork, FlowSpec
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.sim.sources import onoff_source, poisson_source
 
 
@@ -11,15 +11,16 @@ class TestMultiHopTcp:
     def test_tcp_across_three_congested_links(self):
         """A TCP connection crossing all three core links (400 ms RTT
         path) against shaped cross-traffic on each link."""
-        net = CoreliteNetwork.paper_topology(seed=0)
-        net.add_flow(FlowSpec(flow_id=1, weight=2.0, ingress_core="C1",
-                              egress_core="C4", transport="tcp"))
-        net.add_flow(FlowSpec(flow_id=2, weight=1.0, ingress_core="C1",
-                              egress_core="C2"))
-        net.add_flow(FlowSpec(flow_id=3, weight=1.0, ingress_core="C2",
-                              egress_core="C3"))
-        net.add_flow(FlowSpec(flow_id=4, weight=1.0, ingress_core="C3",
-                              egress_core="C4"))
+        builder = CloudBuilder(TopologySpec.chain(4), "corelite", seed=0)
+        builder.add_flow(FlowSpec(flow_id=1, weight=2.0, ingress_core="C1",
+                                  egress_core="C4", transport="tcp"))
+        builder.add_flow(FlowSpec(flow_id=2, weight=1.0, ingress_core="C1",
+                                  egress_core="C2"))
+        builder.add_flow(FlowSpec(flow_id=3, weight=1.0, ingress_core="C2",
+                                  egress_core="C3"))
+        builder.add_flow(FlowSpec(flow_id=4, weight=1.0, ingress_core="C3",
+                                  egress_core="C4"))
+        net = builder.build()
         res = net.run(until=150.0)
         window = (110.0, 150.0)
         rates = res.mean_rates(window)
@@ -34,7 +35,7 @@ class TestMultiHopTcp:
         assert sender.timeouts < 10
 
     def test_tcp_coexists_with_bursty_and_poisson_traffic(self):
-        net = CoreliteNetwork.paper_topology(seed=1)
+        net = CloudBuilder(TopologySpec.chain(4), "corelite", seed=1)
         net.add_flow(FlowSpec(flow_id=1, weight=1.0, ingress_core="C1",
                               egress_core="C4", transport="tcp"))
         net.add_flow(FlowSpec(flow_id=2, weight=1.0, ingress_core="C1",
@@ -60,13 +61,14 @@ class TestMultiHopTcp:
 
 class TestContractsOnPaperTopology:
     def test_multi_hop_contract_admitted_and_honored(self):
-        net = CoreliteNetwork.paper_topology(seed=0)
-        net.add_flow(FlowSpec(flow_id=1, weight=1.0, ingress_core="C1",
-                              egress_core="C4", min_rate=150.0))
+        builder = CloudBuilder(TopologySpec.chain(4), "corelite", seed=0)
+        builder.add_flow(FlowSpec(flow_id=1, weight=1.0, ingress_core="C1",
+                                  egress_core="C4", min_rate=150.0))
         for fid, (a, b) in ((2, ("C1", "C2")), (3, ("C2", "C3")),
                             (4, ("C3", "C4"))):
-            net.add_flow(FlowSpec(flow_id=fid, weight=1.0,
-                                  ingress_core=a, egress_core=b))
+            builder.add_flow(FlowSpec(flow_id=fid, weight=1.0,
+                                      ingress_core=a, egress_core=b))
+        net = builder.build()
         res = net.run(until=120.0)
         # contract reserved on every congested link of the path
         for link in ("C1->C2", "C2->C3", "C3->C4"):

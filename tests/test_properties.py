@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.aqm.wfq import WfqQueue
 from repro.core.config import CoreliteConfig
 from repro.core.selective_feedback import SelectiveFeedback
-from repro.experiments.network import CoreliteNetwork, FlowSpec
 from repro.fairness.maxmin import (
     FlowDemand,
     weighted_maxmin,
@@ -342,15 +342,11 @@ def test_per_flow_packet_conservation(cloud):
         queues.append(q)
         return q
 
-    net = CoreliteNetwork(
-        num_cores=num_cores,
-        core_capacity_pps=capacity,
-        access_capacity_pps=capacity,
-        queue_capacity=float(queue_cap),
-        seed=seed,
-        queue_factory=factory,
+    topology = TopologySpec.chain(
+        num_cores, capacity, access_capacity_pps=capacity, queue_capacity=float(queue_cap)
     )
-    net.add_flows(flows)
+    builder = CloudBuilder(topology, "corelite", seed=seed, queue_factory=factory)
+    net = builder.add_flows(flows).build()
     net.run(until=8.0)  # flows stop at 4.0; 4 s of drain is ample
 
     for spec in flows:

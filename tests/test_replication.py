@@ -3,8 +3,8 @@ stability check of the core result."""
 
 import pytest
 
+from repro import CloudBuilder, TopologySpec
 from repro.errors import ConfigurationError
-from repro.experiments.network import CoreliteNetwork
 from repro.experiments.replication import replicate
 from repro.experiments.scenarios import startup_flows
 from repro.fairness.metrics import weighted_jain_index
@@ -44,7 +44,7 @@ class TestCrossSeedStability:
         above 0.99 and drops stay small for several seeds."""
 
         def run(seed):
-            net = CoreliteNetwork.single_bottleneck(seed=seed)
+            net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=seed)
             net.add_flows(startup_flows(6))
             result = net.run(until=60.0)
             rates = result.mean_rates((45.0, 60.0))

@@ -8,8 +8,8 @@ router "does not know or care" whether its feedback arrives.
 
 import pytest
 
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.errors import ConfigurationError
-from repro.experiments.network import CoreliteNetwork, CsfqNetwork, FlowSpec
 from repro.experiments.scenarios import startup_flows
 from repro.fairness.metrics import weighted_jain_index
 from repro.sim.control import ControlPlane
@@ -17,8 +17,10 @@ from repro.sim.control import ControlPlane
 
 class TestControlPlaneLoss:
     def run_with_loss(self, loss_prob, until=80.0):
-        net = CoreliteNetwork.single_bottleneck(seed=0, control_loss_prob=loss_prob)
-        net.add_flows(startup_flows(6))
+        builder = CloudBuilder(
+            TopologySpec.chain(2), "corelite", seed=0, control_loss_prob=loss_prob
+        )
+        net = builder.add_flows(startup_flows(6)).build()
         result = net.run(until=until)
         return net, result
 
@@ -51,7 +53,7 @@ class TestControlPlaneLoss:
         assert lossy.total_drops >= clean.total_drops
 
     def test_csfq_loss_notifications_also_survive(self):
-        net = CsfqNetwork.single_bottleneck(seed=0, control_loss_prob=0.3)
+        net = CloudBuilder(TopologySpec.chain(2), "csfq", seed=0, control_loss_prob=0.3)
         net.add_flows(startup_flows(6))
         result = net.run(until=80.0)
         rates = result.mean_rates((60.0, 80.0))
@@ -64,9 +66,9 @@ class TestControlPlaneLoss:
 
     def test_invalid_loss_prob_rejected(self):
         with pytest.raises(ConfigurationError):
-            CoreliteNetwork.single_bottleneck(control_loss_prob=1.0)
+            CloudBuilder(TopologySpec.chain(2), "corelite", control_loss_prob=1.0).build()
         with pytest.raises(ConfigurationError):
-            CoreliteNetwork.single_bottleneck(control_loss_prob=-0.1)
+            CloudBuilder(TopologySpec.chain(2), "corelite", control_loss_prob=-0.1).build()
 
     def test_lossy_plane_requires_rng(self):
         from repro.sim.engine import Simulator
@@ -79,7 +81,7 @@ class TestControlPlaneLoss:
 
 class TestQueueRecording:
     def test_queue_series_recorded_for_core_links(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         net.add_flows(startup_flows(4))
         result = net.run(until=20.0, record_queues=True)
         assert "C1->C2" in result.queue_series
@@ -88,7 +90,7 @@ class TestQueueRecording:
         assert max(series.values) <= 40.0
 
     def test_queue_series_absent_by_default(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         net.add_flow(FlowSpec(flow_id=1))
         result = net.run(until=5.0)
         assert result.queue_series == {}
@@ -96,7 +98,7 @@ class TestQueueRecording:
     def test_congested_link_queue_oscillates_below_capacity(self):
         """The §3.1 design goal: incipient-congestion feedback keeps the
         queue off the 40-packet ceiling in steady state."""
-        net = CoreliteNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         net.add_flows(startup_flows(6))
         result = net.run(until=60.0, record_queues=True)
         steady = result.queue_series["C1->C2"].window(30.0, 60.0)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.network import CoreliteNetwork, CsfqNetwork, FifoLossNetwork
+from repro.experiments.builder import Cloud
 from repro.experiments.scenario_dsl import (
     build_network,
     load_scenario_file,
@@ -31,14 +31,14 @@ def basic_scenario(**overrides):
 class TestBuild:
     def test_default_corelite_two_cores(self):
         net = build_network(basic_scenario())
-        assert isinstance(net, CoreliteNetwork)
+        assert isinstance(net, Cloud) and net.scheme == "corelite"
         assert net.core_names == ["C1", "C2"]
         assert set(net.flows) == {1, 2}
         assert net.seed == 1
 
     def test_scheme_selection(self):
-        assert isinstance(build_network(basic_scenario(scheme="csfq")), CsfqNetwork)
-        assert isinstance(build_network(basic_scenario(scheme="fifo")), FifoLossNetwork)
+        assert build_network(basic_scenario(scheme="csfq")).scheme == "csfq"
+        assert build_network(basic_scenario(scheme="fifo")).scheme == "fifo"
         with pytest.raises(ConfigurationError):
             build_network(basic_scenario(scheme="quantum"))
 
@@ -128,6 +128,34 @@ class TestBuild:
         scenario = basic_scenario(topology={"kind": "no-such-shape"}, **overrides)
         with pytest.raises(ConfigurationError, match=key):
             run_scenario(scenario)
+
+    @pytest.mark.parametrize(
+        "overrides, names",
+        [
+            ({"flows": [{"id": 1, "weight": "abc"}]}, r"flow 1: 'weight'.*'abc'"),
+            ({"flows": [{"id": "x"}]}, r"'id'.*'x'"),
+            ({"seed": "s"}, r"'seed'.*'s'"),
+            ({"duration": "long"}, r"'duration'.*'long'"),
+            ({"sample_interval": "x"}, r"'sample_interval'.*'x'"),
+            ({"network": {"num_cores": "4"}}, r"network: 'num_cores'.*'4'"),
+            ({"config": {"alpha": "big"}}, r"config: 'alpha'.*'big'"),
+            ({"flows": 5}, r"'flows'.*5"),
+            ({"flows": [3]}, r"flows entry.*3"),
+            ({"flows": [{"id": 1, "source": {"kind": "poisson"}}]}, r"missing 'mean_rate'"),
+            ({"network": {"core_links": [["A", "B", 500]]}}, r"'core_links' row.*500"),
+            ({"flows": [{"id": 1, "micro_flows": [[7]]}]}, r"'micro_flows' entry.*7"),
+        ],
+    )
+    def test_malformed_values_die_before_the_build(self, overrides, names, monkeypatch):
+        """Wrong-typed, missing or mis-shaped values (ValueError,
+        TypeError, AttributeError and KeyError before the typed reader)
+        are a ConfigurationError naming key and value, raised before any
+        cloud is constructed."""
+        monkeypatch.setattr(
+            Cloud, "__init__", lambda *a, **k: pytest.fail("a cloud was built")
+        )
+        with pytest.raises(ConfigurationError, match=names):
+            run_scenario(basic_scenario(**overrides))
 
     def test_vectorized_flag_is_accepted_by_every_scheme(self):
         for scheme in ("corelite", "csfq", "fifo"):

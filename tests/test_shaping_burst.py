@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.core.shaping import PacedSender
 from repro.errors import ConfigurationError
-from repro.experiments.network import CoreliteNetwork, FlowSpec
 from repro.core.config import CoreliteConfig
 from repro.sim.engine import Simulator
 from repro.sim.sources import onoff_source
@@ -90,8 +90,9 @@ class TestBurstInTheNetwork:
         faster (fewer deep backlogs) without hurting fairness."""
 
         def run(burst):
-            net = CoreliteNetwork.single_bottleneck(
-                seed=0, config=CoreliteConfig(shaper_burst=burst)
+            net = CloudBuilder(
+                TopologySpec.chain(2), "corelite", seed=0,
+                config=CoreliteConfig(shaper_burst=burst),
             )
             net.add_flow(FlowSpec(flow_id=1, weight=1.0))
             net.add_flow(FlowSpec(

@@ -9,7 +9,7 @@ fairness even for short-lived flows."
 
 import pytest
 
-from repro.experiments.network import CoreliteNetwork, CsfqNetwork, FlowSpec
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.sim.sources import FiniteTransferSource, transfer_source
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
@@ -55,10 +55,10 @@ class TestFiniteTransferSource:
 
 
 class TestShortFlowCompletion:
-    def completion_time(self, network_cls, seed=0):
+    def completion_time(self, scheme, seed=0):
         """Two long backlogged flows plus a short 600-packet transfer that
         starts mid-run; return the transfer's completion time."""
-        net = network_cls.single_bottleneck(seed=seed)
+        net = CloudBuilder(TopologySpec.chain(2), scheme, seed=seed)
         net.add_flow(FlowSpec(flow_id=1, weight=1.0))
         net.add_flow(FlowSpec(flow_id=2, weight=1.0))
         net.add_flow(FlowSpec(
@@ -73,7 +73,7 @@ class TestShortFlowCompletion:
         return None, res
 
     def test_short_high_weight_transfer_completes_reasonably(self):
-        t_corelite, res = self.completion_time(CoreliteNetwork)
+        t_corelite, res = self.completion_time("corelite")
         assert t_corelite is not None, "transfer never completed under Corelite"
         # weighted share for w=3 of 5 units ~ 300 pkt/s; 600 packets in
         # a few seconds plus the slow-start runway.
@@ -81,8 +81,8 @@ class TestShortFlowCompletion:
         assert res.flows[3].losses <= 5
 
     def test_corelite_no_worse_than_csfq_for_short_flows(self):
-        t_corelite, res_c = self.completion_time(CoreliteNetwork)
-        t_csfq, res_q = self.completion_time(CsfqNetwork)
+        t_corelite, res_c = self.completion_time("corelite")
+        t_csfq, res_q = self.completion_time("csfq")
         assert t_corelite is not None
         # CSFQ may or may not complete in the horizon; if it does, the
         # paper's ordering claim: Corelite is not slower by much, and its

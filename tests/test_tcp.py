@@ -3,8 +3,8 @@ integration (§4.4/§6 extension)."""
 
 import pytest
 
+from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.errors import ConfigurationError
-from repro.experiments.network import CoreliteNetwork, CsfqNetwork, FlowSpec
 from repro.hosts.tcp import TcpReceiver, TcpSender
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
@@ -148,7 +148,7 @@ class TestTcpReceiver:
 
 class TestTcpOverCorelite:
     def test_weighted_shares_flow_through_to_tcp(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         net.add_flow(FlowSpec(flow_id=1, weight=1.0, transport="tcp"))
         net.add_flow(FlowSpec(flow_id=2, weight=2.0, transport="tcp"))
         res = net.run(until=150.0)
@@ -163,9 +163,10 @@ class TestTcpOverCorelite:
         assert tput[2] <= rates[2] * 1.1
 
     def test_tcp_adapts_to_edge_policing_without_collapse(self):
-        net = CoreliteNetwork.single_bottleneck(seed=0)
-        net.add_flow(FlowSpec(flow_id=1, weight=1.0, transport="tcp"))
-        net.add_flow(FlowSpec(flow_id=2, weight=1.0))  # shaped competitor
+        builder = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
+        builder.add_flow(FlowSpec(flow_id=1, weight=1.0, transport="tcp"))
+        builder.add_flow(FlowSpec(flow_id=2, weight=1.0))  # shaped competitor
+        net = builder.build()
         res = net.run(until=120.0)
         sender, receiver = net.tcp_hosts[1]
         # TCP keeps working: bounded timeouts, sustained delivery.
@@ -176,9 +177,10 @@ class TestTcpOverCorelite:
         assert rates[2] > 150.0
 
     def test_tcp_rejected_on_csfq(self):
-        net = CsfqNetwork.single_bottleneck(seed=0)
+        net = CloudBuilder(TopologySpec.chain(2), "csfq", seed=0)
+        net.add_flow(FlowSpec(flow_id=1, transport="tcp"))
         with pytest.raises(ConfigurationError):
-            net.add_flow(FlowSpec(flow_id=1, transport="tcp"))
+            net.build()
 
     def test_tcp_spec_validation(self):
         from repro.sim.sources import poisson_source
