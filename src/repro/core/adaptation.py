@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from repro.core.config import CoreliteConfig
+from repro.core.config import EdgeConfig
 from repro.errors import ConfigurationError
 
 __all__ = ["Phase", "RateController"]
@@ -62,7 +62,7 @@ class RateController:
 
     def __init__(
         self,
-        config: CoreliteConfig,
+        config: EdgeConfig,
         weight: float,
         start_time: float = 0.0,
         min_rate: float | None = None,

@@ -12,12 +12,12 @@ ablation benchmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import ConfigurationError
 
-__all__ = ["FeedbackScheme", "CoreliteConfig"]
+__all__ = ["FeedbackScheme", "EdgeConfig", "CoreliteConfig"]
 
 
 class FeedbackScheme(Enum):
@@ -35,20 +35,22 @@ class FeedbackScheme(Enum):
 
 
 @dataclass
-class CoreliteConfig:
-    """Tunables for the Corelite edge and core mechanisms.
+class EdgeConfig:
+    """What the edge of either scheme is configured by: the source agents'
+    slow-start + LIMD constants, the shaper and the buffer size.  The paper
+    uses "similar rate adaptation schemes" for Corelite and CSFQ (§4), so
+    :class:`CoreliteConfig` and :class:`repro.csfq.config.CsfqConfig` inherit
+    these fields and :class:`repro.core.adaptation.RateController` reads
+    nothing else.
 
     Attributes
     ----------
-    k1:
-        Marker spacing constant: one marker per ``K1 * w`` data packets
-        (paper §2.2; §4 uses ``K1 = 1``).
     alpha:
         Linear increase, in pkt/s added per edge epoch when a flow received
         no feedback ("increase the sending rate by one every epoch").
     beta:
-        Rate decrease per received feedback marker, in pkt/s (paper §4:
-        ``beta = 1``).
+        Rate decrease per congestion indication (a feedback marker, or a
+        lost packet under CSFQ), in pkt/s (paper §4: ``beta = 1``).
     edge_epoch:
         Edge rate-adaptation period in seconds.  The paper fixes only the
         *core* epoch (100 ms); we default the edge epoch to 300 ms — about
@@ -57,26 +59,8 @@ class CoreliteConfig:
         pressure (``alpha * flows / edge_epoch``) outrun the feedback
         loop's authority and produce limit-cycle buffer overruns; the
         ABL-EPOCH ablation sweeps this.
-    core_epoch:
-        Core congestion-detection period in seconds (paper §4: 100 ms).
-    qthresh:
-        Incipient-congestion threshold on the epoch-averaged queue length,
-        in packets (paper §4: 8).
     queue_capacity:
         Output buffer size in packets (paper §4: 40).
-    fn_k:
-        The "small but non-zero" self-correcting constant ``k`` multiplying
-        ``(qavg - qthresh)^3`` in the ``Fn`` formula (§3.1).  ``0`` disables
-        the correction term (ablated in ABL-K).
-    feedback_scheme:
-        Which marker-selection mechanism the core routers run.
-    marker_cache_size:
-        Circular marker-cache capacity (MARKER_CACHE scheme only).
-    rav_gain:
-        Gain of the exponential running average of marker labels (``rav``,
-        SELECTIVE scheme).  Per-marker update ``rav += gain * (rn - rav)``.
-    wav_gain:
-        Gain of the running average of markers observed per epoch (``wav``).
     ss_thresh:
         Slow-start exit threshold in pkt/s (paper §4: 32): when the doubled
         rate exceeds it, the rate is halved and the flow goes linear.
@@ -92,29 +76,84 @@ class CoreliteConfig:
         default stays 0).
     max_rate:
         Optional administrative cap on any single flow's allowed rate.
+    shaper_burst:
+        Token-bucket depth of the edge shaper, in packets.  1.0 (the
+        paper's model) is pure pacing; larger values let a flow that was
+        idle send a short back-to-back burst before settling at bg.
     """
 
-    k1: float = 1.0
     alpha: float = 1.0
     beta: float = 1.0
     edge_epoch: float = 0.3
-    core_epoch: float = 0.1
-    qthresh: float = 8.0
     queue_capacity: float = 40.0
-    fn_k: float = 0.02
-    feedback_scheme: FeedbackScheme = FeedbackScheme.SELECTIVE
-    marker_cache_size: int = 128
-    rav_gain: float = 0.05
-    wav_gain: float = 0.25
     ss_thresh: float = 32.0
     ss_double_interval: float = 1.0
     initial_rate: float = 1.0
     min_rate: float = 0.0
     max_rate: float = math.inf
-    #: Token-bucket depth of the edge shaper, in packets.  1.0 (the
-    #: paper's model) is pure pacing; larger values let a flow that was
-    #: idle send a short back-to-back burst before settling at bg.
     shaper_burst: float = 1.0
+
+    def __post_init__(self) -> None:
+        self._require_positive(
+            "alpha", "beta", "edge_epoch", "queue_capacity", "ss_thresh",
+            "ss_double_interval", "initial_rate", "max_rate",
+        )
+        if self.min_rate < 0:
+            raise ConfigurationError(f"min_rate must be >= 0, got {self.min_rate}")
+        if self.min_rate > self.max_rate:
+            raise ConfigurationError(
+                f"min_rate ({self.min_rate}) exceeds max_rate ({self.max_rate})"
+            )
+        if self.shaper_burst < 1.0:
+            raise ConfigurationError(
+                f"shaper_burst must be >= 1 packet, got {self.shaper_burst}"
+            )
+
+    def _require_positive(self, *names: str) -> None:
+        for name in names:
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
+
+
+@dataclass
+class CoreliteConfig(EdgeConfig):
+    """Tunables for the Corelite edge and core mechanisms (the edge's
+    adaptation, shaper and buffer fields are :class:`EdgeConfig`'s).
+
+    Attributes
+    ----------
+    k1:
+        Marker spacing constant: one marker per ``K1 * w`` data packets
+        (paper §2.2; §4 uses ``K1 = 1``).
+    core_epoch:
+        Core congestion-detection period in seconds (paper §4: 100 ms).
+    qthresh:
+        Incipient-congestion threshold on the epoch-averaged queue length,
+        in packets (paper §4: 8).
+    fn_k:
+        The "small but non-zero" self-correcting constant ``k`` multiplying
+        ``(qavg - qthresh)^3`` in the ``Fn`` formula (§3.1).  ``0`` disables
+        the correction term (ablated in ABL-K).
+    feedback_scheme:
+        Which marker-selection mechanism the core routers run.
+    marker_cache_size:
+        Circular marker-cache capacity (MARKER_CACHE scheme only).
+    rav_gain:
+        Gain of the exponential running average of marker labels (``rav``,
+        SELECTIVE scheme).  Per-marker update ``rav += gain * (rn - rav)``.
+    wav_gain:
+        Gain of the running average of markers observed per epoch (``wav``).
+    """
+
+    k1: float = 1.0
+    core_epoch: float = 0.1
+    qthresh: float = 8.0
+    fn_k: float = 0.02
+    feedback_scheme: FeedbackScheme = FeedbackScheme.SELECTIVE
+    marker_cache_size: int = 128
+    rav_gain: float = 0.05
+    wav_gain: float = 0.25
     #: Which congestion-detection formula the cores run: "mm1" (the
     #: paper's §3.1 M/M/1 + cubic) or "linear" (Fn = gain*(qavg-qthresh),
     #: the §3.1 "replaceable module" demonstration).
@@ -123,27 +162,9 @@ class CoreliteConfig:
     linear_gain: float = 1.0
 
     def __post_init__(self) -> None:
-        positive = {
-            "k1": self.k1,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "edge_epoch": self.edge_epoch,
-            "core_epoch": self.core_epoch,
-            "queue_capacity": self.queue_capacity,
-            "ss_thresh": self.ss_thresh,
-            "ss_double_interval": self.ss_double_interval,
-            "initial_rate": self.initial_rate,
-            "max_rate": self.max_rate,
-        }
-        for name, value in positive.items():
-            if not value > 0:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
-        non_negative = {
-            "qthresh": self.qthresh,
-            "fn_k": self.fn_k,
-            "min_rate": self.min_rate,
-        }
-        for name, value in non_negative.items():
+        super().__post_init__()
+        self._require_positive("k1", "core_epoch", "linear_gain")
+        for name, value in (("qthresh", self.qthresh), ("fn_k", self.fn_k)):
             if value < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {value}")
         if self.qthresh >= self.queue_capacity:
@@ -158,22 +179,10 @@ class CoreliteConfig:
         for name, gain in (("rav_gain", self.rav_gain), ("wav_gain", self.wav_gain)):
             if not 0.0 < gain <= 1.0:
                 raise ConfigurationError(f"{name} must be in (0, 1], got {gain}")
-        if self.min_rate > self.max_rate:
-            raise ConfigurationError(
-                f"min_rate ({self.min_rate}) exceeds max_rate ({self.max_rate})"
-            )
-        if self.shaper_burst < 1.0:
-            raise ConfigurationError(
-                f"shaper_burst must be >= 1 packet, got {self.shaper_burst}"
-            )
         if self.congestion_estimator not in ("mm1", "linear"):
             raise ConfigurationError(
                 f"congestion_estimator must be 'mm1' or 'linear', "
                 f"got {self.congestion_estimator!r}"
-            )
-        if self.linear_gain <= 0:
-            raise ConfigurationError(
-                f"linear_gain must be positive, got {self.linear_gain}"
             )
         if not isinstance(self.feedback_scheme, FeedbackScheme):
             raise ConfigurationError(

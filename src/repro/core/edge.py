@@ -1,6 +1,17 @@
-"""The Corelite edge router (paper §2.2, steps 1 and 3).
+"""The edge router: what both schemes share, and Corelite's (paper §2.2,
+steps 1 and 3).
 
-An edge router plays two roles:
+:class:`EdgeRouter` is what an edge *is* under either scheme — the paper's §4
+gives Corelite and weighted CSFQ "similar rate adaptation schemes" at the
+edges and a different congestion signal: slot tables of per-flow state, a
+:class:`~repro.core.adaptation.RateController` and a paced shaper per
+ingress flow, start / stop / deposit, the per-epoch sweep list, and per
+egress flow the delivery meter, the delay tracker and one reorder-safe
+sequence-gap loss detector.  A scheme's edge (:class:`CoreliteEdge` here,
+:class:`repro.csfq.edge.CsfqEdge`) adds its per-flow state, what it stamps
+on a packet, what it counts per epoch and how that count reaches it.
+
+A Corelite edge router plays two roles:
 
 * **Ingress** for the flows entering the cloud through it: it shapes each
   flow to its allowed rate ``bg(f)`` with a :class:`~repro.core.shaping.
@@ -35,13 +46,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.microflows import MicroFlowMux
 
 from repro.core.adaptation import RateController
-from repro.core.config import CoreliteConfig
+from repro.core.config import CoreliteConfig, EdgeConfig
 from repro.core.marking import MarkerInjector
 from repro.core.shaping import PacedSender
 from repro.errors import FlowError
@@ -52,7 +63,7 @@ from repro.sim.monitor import ThroughputMeter
 from repro.sim.node import Router
 from repro.sim.packet import Packet, PacketKind, PacketTrain
 
-__all__ = ["FlowAttachment", "CoreliteEdge"]
+__all__ = ["FlowAttachment", "EdgeRouter", "CoreliteEdge"]
 
 #: Localized enum members for the per-packet egress tests.
 _DATA = PacketKind.DATA
@@ -61,12 +72,14 @@ _MARKER = PacketKind.MARKER
 
 @dataclass(frozen=True)
 class FlowAttachment:
-    """Declaration of one edge-to-edge flow at its ingress edge.
+    """Declaration of one edge-to-edge flow at its ingress edge, of either
+    scheme (``min_rate`` and ``external`` are Corelite edge features; a
+    :class:`repro.csfq.edge.CsfqEdge` refuses them).
 
     ``min_rate`` is an optional minimum rate contract: the edge never
     throttles the flow below it (0 means pure best-effort weighted share).
     ``backlogged`` declares the paper's always-has-packets source; set it
-    False for flows fed by a traffic source via :meth:`CoreliteEdge.
+    False for flows fed by a traffic source via :meth:`EdgeRouter.
     deposit` — the shaper then only sends when backlog is available.
     ``external`` declares a flow whose packets *arrive* at the edge from
     an end host (e.g. TCP): the edge buffers up to ``shaper_buffer`` of
@@ -127,17 +140,17 @@ class _IngressFlow:
         "ext_queue",
         "shaper_drops",
     )
+    #: The flow's shaper, wired by ``EdgeRouter._attach``.
+    pacer: PacedSender
 
     def __init__(
         self,
         attachment: FlowAttachment,
         controller: RateController,
-        pacer: PacedSender,
         injector: MarkerInjector,
     ) -> None:
         self.attachment = attachment
         self.controller = controller
-        self.pacer = pacer
         self.injector = injector
         self.seq = 0
         #: feedback marker counts in the current epoch, keyed by core link.
@@ -188,17 +201,22 @@ class _EgressFlow:
         self.delay = DelayTracker()
 
 
-class CoreliteEdge(Router):
-    """An edge router of the Corelite cloud (ingress + egress roles)."""
+class EdgeRouter(Router):
+    """An edge router of either scheme (ingress + egress roles): everything
+    but the congestion signal.  A subclass supplies ``egress_flow`` (its
+    per-flow egress record: ``meter``, ``expected_seq``, ``lost``, ``delay``
+    plus its own), ``attach_flow`` (build its ingress record, hand it to
+    :meth:`_attach`), ``start_flow``, the shaper callbacks ``_emit(state)``
+    / ``_emit_train(state, allowance)``, ``_epoch`` and ``receive``.
+    """
 
-    #: The egress role only records (:mod:`repro.sim.link`, "Sinks").
-    quiet_sink = True
+    egress_flow: type
 
     def __init__(
         self,
         name: str,
         sim: Simulator,
-        config: CoreliteConfig,
+        config: EdgeConfig,
         epoch_offset: Optional[float] = None,
         train_batch: int = 1,
     ) -> None:
@@ -209,9 +227,7 @@ class CoreliteEdge(Router):
         ``train_batch = K > 1`` turns on the packet-train datapath: each
         shaper firing emits up to K back-to-back packets as one
         :class:`~repro.sim.packet.PacketTrain` (statistically pinned;
-        K = 1 keeps the scalar per-packet emission byte-identical).
-        External (host-originated) flows always stay scalar — their
-        packets pre-exist with transport-owned sequence numbers."""
+        K = 1 keeps the scalar per-packet emission byte-identical)."""
         super().__init__(name)
         if train_batch < 1:
             raise FlowError(f"train_batch must be >= 1, got {train_batch}")
@@ -224,15 +240,173 @@ class CoreliteEdge(Router):
         # and the per-packet egress path index dense lists.  Slots are
         # assigned at attach time and never reused.
         self._ingress_index: Dict[int, int] = {}
-        self._ingress_flows: List[_IngressFlow] = []
+        self._ingress_flows: list = []
         self._egress_index: Dict[int, int] = {}
-        self._egress_flows: List[_EgressFlow] = []
+        self._egress_flows: list = []
         #: Dense attach-ordered sweep list of the currently active ingress
         #: flows; rebuilt lazily after any start/stop transition so the
         #: epoch sweep does not re-test ``active`` per flow per epoch.
-        self._active_ingress: List[_IngressFlow] = []
+        self._active_ingress: list = []
         self._active_dirty = False
         self._epoch_task: Optional[PeriodicTask] = None
+
+    # -- ingress role ---------------------------------------------------
+
+    def _controller(self, attachment: FlowAttachment) -> RateController:
+        """The flow's slow-start + LIMD controller, floored at its contract
+        (or the config's floor) and with an aggregate bucket's gains."""
+        scale = float(attachment.aggregate)
+        return RateController(
+            self.config,
+            attachment.weight,
+            start_time=self.sim.now,
+            min_rate=max(self.config.min_rate, attachment.min_rate),
+            alpha_scale=scale,
+            rate_scale=scale,
+        )
+
+    def _attach(self, state, train_batch: int) -> None:
+        """Give a new ingress record its shaper and slot (it starts stopped)."""
+        flow_id = state.attachment.flow_id
+        if flow_id in self._ingress_index:
+            raise FlowError(f"flow {flow_id} already attached at {self.name}")
+        state.pacer = PacedSender(
+            self.sim,
+            state.controller.rate,
+            partial(self._emit, state),
+            burst=self.config.shaper_burst,
+            train_batch=train_batch,
+            train_emit=partial(self._emit_train, state) if train_batch > 1 else None,
+        )
+        self._ingress_index[flow_id] = len(self._ingress_flows)
+        self._ingress_flows.append(state)
+        if self._epoch_task is None:
+            self._epoch_task = self.sim.every(
+                self.config.edge_epoch, self._epoch, first_delay=self._epoch_offset
+            )
+
+    def stop_flow(self, flow_id: int) -> None:
+        """Stop a flow; its allowed-rate state is discarded on restart."""
+        state = self._ingress_state(flow_id)
+        if not state.active:
+            return
+        state.active = False
+        self._active_dirty = True
+        state.pacer.stop()
+
+    def allotted_rate(self, flow_id: int) -> float:
+        """The flow's current allowed rate ``bg(f)`` (the paper's y-axis)."""
+        return self._ingress_state(flow_id).controller.rate
+
+    def flow_active(self, flow_id: int) -> bool:
+        """Whether the flow is currently transmitting."""
+        return self._ingress_state(flow_id).active
+
+    def ingress_flow_ids(self) -> Tuple[int, ...]:
+        return tuple(self._ingress_index)
+
+    def _ingress_state(self, flow_id: int):
+        try:
+            return self._ingress_flows[self._ingress_index[flow_id]]
+        except KeyError:
+            raise FlowError(f"{self.name}: unknown ingress flow {flow_id}") from None
+
+    def deposit(self, flow_id: int, n: int = 1) -> None:
+        """Offer ``n`` packets to a non-backlogged flow's shaper queue."""
+        state = self._ingress_state(flow_id)
+        if state.backlog is None:
+            raise FlowError(
+                f"{self.name}: flow {flow_id} is declared always-backlogged"
+            )
+        state.backlog += n
+        state.pacer.kick()
+
+    def backlog_of(self, flow_id: int) -> Optional[int]:
+        """Pending packets awaiting shaping (None = always backlogged)."""
+        return self._ingress_state(flow_id).backlog
+
+    def _active_flows(self) -> list:
+        """The active ingress flows for this epoch's sweep.  Attach order,
+        not start order: the sweep must visit flows in the same order a
+        full-table scan would, so replays keep their event sequence."""
+        if self._active_dirty:
+            self._active_ingress = [s for s in self._ingress_flows if s.active]
+            self._active_dirty = False
+        return self._active_ingress
+
+    # -- egress role -----------------------------------------------------
+
+    def expect_flow(self, flow_id: int) -> None:
+        """Declare a flow whose egress is this edge."""
+        if flow_id in self._egress_index:
+            raise FlowError(f"flow {flow_id} already expected at {self.name}")
+        self._egress_index[flow_id] = len(self._egress_flows)
+        self._egress_flows.append(self.egress_flow())
+
+    def delivered(self, flow_id: int) -> int:
+        """Cumulative data packets delivered for ``flow_id`` (Figure 4)."""
+        return self._egress_state(flow_id).meter.count
+
+    def take_throughput(self, flow_id: int) -> float:
+        """Delivered rate since the last call (pkt/s)."""
+        return self._egress_state(flow_id).meter.take_rate(self.sim.now)
+
+    def losses(self, flow_id: int) -> int:
+        """Sequence-gap loss count observed at this egress."""
+        return self._egress_state(flow_id).lost
+
+    def delay_stats(self, flow_id: int) -> DelayTracker:
+        """One-way delay statistics for a flow delivered at this egress."""
+        return self._egress_state(flow_id).delay
+
+    def _egress_state(self, flow_id: int):
+        if self.inbox:  # every read of egress state: booked deliveries first
+            self.sim.settle(self.inbox)
+        try:
+            return self._egress_flows[self._egress_index[flow_id]]
+        except KeyError:
+            raise FlowError(f"{self.name}: unknown egress flow {flow_id}") from None
+
+    @staticmethod
+    def _sequence_gap(state, seq: int, n: int = 1) -> int:
+        """The egress loss detector, for ``n`` contiguous packets from
+        ``seq``: how many packets this arrival shows missing (0 in order).
+
+        A jump ahead books the gap as lost.  An arrival from behind is a
+        packet that was overtaken (multipath reordering), not a loss and not
+        a restart — no edge rewinds ``seq`` — so ``expected_seq`` never
+        moves back and ``lost`` gives back what the jump over it booked.
+        """
+        expected = state.expected_seq
+        if expected is None:
+            expected = seq
+        if seq >= expected:
+            state.lost += seq - expected
+            state.expected_seq = seq + n
+            return seq - expected
+        state.lost = max(0, state.lost - n)
+        return 0
+
+
+class CoreliteEdge(EdgeRouter):
+    """An edge router of the Corelite cloud (ingress + egress roles)."""
+
+    #: The egress role only records (:mod:`repro.sim.link`, "Sinks").
+    quiet_sink = True
+    egress_flow = _EgressFlow
+
+    def __init__(
+        self,
+        name: str,
+        sim: Simulator,
+        config: CoreliteConfig,
+        epoch_offset: Optional[float] = None,
+        train_batch: int = 1,
+    ) -> None:
+        """See :class:`EdgeRouter`.  External (host-originated) flows stay
+        scalar under ``train_batch`` — their packets pre-exist with
+        transport-owned sequence numbers."""
+        super().__init__(name, sim, config, epoch_offset, train_batch)
         #: Feedback packets that arrived for unknown/stopped flows.
         self.stray_feedback = 0
         #: External packets that arrived while their flow was stopped.
@@ -242,45 +416,16 @@ class CoreliteEdge(Router):
 
     def attach_flow(self, attachment: FlowAttachment) -> None:
         """Declare a flow whose ingress is this edge (it starts stopped)."""
-        if attachment.flow_id in self._ingress_index:
-            raise FlowError(f"flow {attachment.flow_id} already attached at {self.name}")
         # The marker interval uses the *member* weight: an N-flow bucket
         # must emit markers as densely as N individual flows would, or
         # the core's feedback (and thus the LIMD decrease) goes sparse
         # and fairness coarsens.  For aggregate=1 this is weight exactly.
         member_weight = attachment.weight / attachment.aggregate
         injector = MarkerInjector(self.config.marker_interval(member_weight))
-        scale = float(attachment.aggregate)
+        state = _IngressFlow(attachment, self._controller(attachment), injector)
         # Train datapath: internally-sourced flows coalesce departures;
         # external flows keep scalar emission (their packets pre-exist).
-        train_batch = 1 if attachment.external else self._train_batch
-        controller = RateController(
-            self.config,
-            attachment.weight,
-            start_time=self.sim.now,
-            min_rate=attachment.min_rate,
-            alpha_scale=scale,
-            rate_scale=scale,
-        )
-        state = _IngressFlow(attachment, controller, pacer=None, injector=injector)  # type: ignore[arg-type]
-        state.pacer = PacedSender(
-            self.sim,
-            controller.rate,
-            partial(self._emit, state),
-            burst=self.config.shaper_burst,
-            train_batch=train_batch,
-            train_emit=(
-                (lambda n, s=state: self._emit_train(s, n))
-                if train_batch > 1
-                else None
-            ),
-        )
-        self._ingress_index[attachment.flow_id] = len(self._ingress_flows)
-        self._ingress_flows.append(state)
-        if self._epoch_task is None:
-            self._epoch_task = self.sim.every(
-                self.config.edge_epoch, self._epoch, first_delay=self._epoch_offset
-            )
+        self._attach(state, 1 if attachment.external else self._train_batch)
 
     def start_flow(self, flow_id: int) -> None:
         """(Re)start a flow: fresh slow-start, pacing begins immediately."""
@@ -298,15 +443,6 @@ class CoreliteEdge(Router):
         state.pacer.set_rate(state.controller.rate)
         state.pacer.start()
 
-    def stop_flow(self, flow_id: int) -> None:
-        """Stop a flow; its allowed-rate state is discarded on restart."""
-        state = self._ingress_state(flow_id)
-        if not state.active:
-            return
-        state.active = False
-        self._active_dirty = True
-        state.pacer.stop()
-
     def receive_feedback(self, packet: Packet) -> None:
         """Control-plane entry point for feedback markers from the core."""
         if packet.kind != PacketKind.FEEDBACK:
@@ -323,23 +459,6 @@ class CoreliteEdge(Router):
         state.feedback[source] = count
         if count > state.feedback_peak:
             state.feedback_peak = count
-
-    def allotted_rate(self, flow_id: int) -> float:
-        """The flow's current allowed rate ``bg(f)`` (the paper's y-axis)."""
-        return self._ingress_state(flow_id).controller.rate
-
-    def flow_active(self, flow_id: int) -> bool:
-        """Whether the flow is currently transmitting."""
-        return self._ingress_state(flow_id).active
-
-    def ingress_flow_ids(self) -> Tuple[int, ...]:
-        return tuple(self._ingress_index)
-
-    def _ingress_state(self, flow_id: int) -> _IngressFlow:
-        try:
-            return self._ingress_flows[self._ingress_index[flow_id]]
-        except KeyError:
-            raise FlowError(f"{self.name}: unknown ingress flow {flow_id}") from None
 
     def attach_microflows(self, flow_id: int, mux: "MicroFlowMux") -> "MicroFlowMux":
         """Turn a non-backlogged flow into an aggregate of micro-flows.
@@ -360,25 +479,15 @@ class CoreliteEdge(Router):
         return mux
 
     def deposit(self, flow_id: int, n: int = 1) -> None:
-        """Offer ``n`` packets to a non-backlogged flow's shaper queue."""
-        state = self._ingress_state(flow_id)
-        if state.backlog is None:
-            raise FlowError(
-                f"{self.name}: flow {flow_id} is declared always-backlogged"
-            )
-        if state.mux is not None:
+        if self._ingress_state(flow_id).mux is not None:
             raise FlowError(
                 f"{self.name}: flow {flow_id} is aggregated; deposit through its mux"
             )
-        state.backlog += n
-        state.pacer.kick()
+        super().deposit(flow_id, n)
 
     def backlog_of(self, flow_id: int) -> Optional[int]:
-        """Pending packets awaiting shaping (None = always backlogged)."""
-        state = self._ingress_state(flow_id)
-        if state.ext_queue is not None:
-            return len(state.ext_queue)
-        return state.backlog
+        ext_queue = self._ingress_state(flow_id).ext_queue
+        return super().backlog_of(flow_id) if ext_queue is None else len(ext_queue)
 
     def shaper_drops_of(self, flow_id: int) -> int:
         """External packets dropped at this edge's shaper buffer."""
@@ -536,13 +645,7 @@ class CoreliteEdge(Router):
     def _epoch(self) -> None:
         """Edge epoch: run rate adaptation on every active ingress flow."""
         now = self.sim.now
-        if self._active_dirty:
-            # Attach order, not start order: the sweep must visit flows in
-            # the same order the old full-table scan did, so replays keep
-            # their event sequence.
-            self._active_ingress = [s for s in self._ingress_flows if s.active]
-            self._active_dirty = False
-        for state in self._active_ingress:
+        for state in self._active_flows():
             # React to the bottleneck: the max feedback from any single
             # core link, not the sum across congested hops (paper §2.2).
             m = state.feedback_peak
@@ -554,40 +657,9 @@ class CoreliteEdge(Router):
 
     # -- egress role -----------------------------------------------------
 
-    def expect_flow(self, flow_id: int) -> None:
-        """Declare a flow whose egress is this edge."""
-        if flow_id in self._egress_index:
-            raise FlowError(f"flow {flow_id} already expected at {self.name}")
-        self._egress_index[flow_id] = len(self._egress_flows)
-        self._egress_flows.append(_EgressFlow())
-
-    def delivered(self, flow_id: int) -> int:
-        """Cumulative data packets delivered for ``flow_id`` (Figure 4)."""
-        return self._egress_state(flow_id).meter.count
-
-    def take_throughput(self, flow_id: int) -> float:
-        """Delivered rate since the last call (pkt/s)."""
-        return self._egress_state(flow_id).meter.take_rate(self.sim.now)
-
-    def losses(self, flow_id: int) -> int:
-        """Sequence-gap loss count observed at this egress."""
-        return self._egress_state(flow_id).lost
-
     def delivered_by_micro(self, flow_id: int) -> Dict[int, int]:
         """Delivered packets keyed by micro-flow id (0 = unaggregated)."""
         return dict(self._egress_state(flow_id).micro_delivered)
-
-    def delay_stats(self, flow_id: int) -> DelayTracker:
-        """One-way delay statistics for a flow delivered at this egress."""
-        return self._egress_state(flow_id).delay
-
-    def _egress_state(self, flow_id: int) -> _EgressFlow:
-        if self.inbox:  # every read of egress state: booked deliveries first
-            self.sim.settle(self.inbox)
-        try:
-            return self._egress_flows[self._egress_index[flow_id]]
-        except KeyError:
-            raise FlowError(f"{self.name}: unknown egress flow {flow_id}") from None
 
     def _deliver_local(self, packet: Packet, link, at: float) -> None:
         """What is addressed to this edge other than the scalar data packet
@@ -613,12 +685,7 @@ class CoreliteEdge(Router):
         n = train.count
         if train.origin_edge is not None:
             state.markers_received += train.marker_count
-        head = train.seq
-        expected = state.expected_seq
-        if expected is not None and head > expected:
-            state.lost += head - expected
-        # A restarted flow re-begins at seq 0; backward jumps reset.
-        state.expected_seq = head + n if head >= (expected or 0) else 1
+        self._sequence_gap(state, train.seq, n)
         state.meter.record(n)
         # Members left the last link one serialization time apart (a train
         # handed over without a link, in unit tests, has no spacing).
@@ -655,12 +722,15 @@ class CoreliteEdge(Router):
                 # every scalar packet; a one-member train can also land
                 # here and may carry exactly one).
                 state.markers_received += packet.marker_count
-            seq = packet.seq
+            seq = packet.seq  # ``_sequence_gap``, inline
             expected = state.expected_seq
-            if expected is not None and seq > expected:
+            if expected is None:
+                expected = seq
+            if seq >= expected:
                 state.lost += seq - expected
-            # A restarted flow re-begins at seq 0; treat backward jumps as resets.
-            state.expected_seq = seq + 1 if seq >= (expected or 0) else 1
+                state.expected_seq = seq + 1
+            elif state.lost:
+                state.lost -= 1
             state.meter.count += 1
             delay = max(0.0, at - packet.created_at)
             tracker = state.delay  # DelayTracker.record, inline

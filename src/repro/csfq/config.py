@@ -3,24 +3,24 @@
 The paper's §4 sets ``K`` (flow rate estimation) and ``Klink`` (the window
 for the aggregate rate / fair share computation) to 100 ms, the same
 40-packet buffers, and source agents with the same adaptation constants as
-Corelite's.  The adaptation fields mirror :class:`repro.core.config.
-CoreliteConfig` *by name* so one :class:`repro.core.adaptation.
-RateController` implementation drives both schemes' sources.
+Corelite's: those, the shaper and the buffer size are the inherited
+:class:`repro.core.config.EdgeConfig`, which is all the shared
+:class:`repro.core.adaptation.RateController` reads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from repro.core.config import EdgeConfig
 from repro.errors import ConfigurationError
 
 __all__ = ["CsfqConfig"]
 
 
 @dataclass
-class CsfqConfig:
-    """Tunables for the weighted CSFQ baseline.
+class CsfqConfig(EdgeConfig):
+    """Tunables for the weighted CSFQ baseline, on top of :class:`EdgeConfig`.
 
     Attributes
     ----------
@@ -34,64 +34,21 @@ class CsfqConfig:
         ``Klink``: the window after which the fair share ``alpha`` is
         updated (congested: ``alpha *= C/F``; uncongested: ``alpha`` is the
         max label seen), seconds.
-    queue_capacity:
-        Output buffer size in packets.
     overflow_alpha_decay:
         Multiplicative penalty applied to ``alpha`` when the buffer
         overflows despite probabilistic dropping (SIGCOMM'98 uses a small
         fixed percentage; 0.99 here).
-    alpha / beta / edge_epoch / ss_thresh / ss_double_interval /
-    initial_rate / min_rate / max_rate:
-        Source-agent adaptation constants, identical in meaning to the
-        fields of :class:`repro.core.config.CoreliteConfig` (the paper uses
-        "similar rate adaptation schemes" for both systems).
     """
 
     k_flow: float = 0.1
     k_alpha: float = 0.1
     k_window: float = 0.1
-    queue_capacity: float = 40.0
     overflow_alpha_decay: float = 0.99
-    # Source adaptation (duck-typed against CoreliteConfig for RateController).
-    alpha: float = 1.0
-    beta: float = 1.0
-    edge_epoch: float = 0.3
-    ss_thresh: float = 32.0
-    ss_double_interval: float = 1.0
-    initial_rate: float = 1.0
-    min_rate: float = 0.0
-    max_rate: float = math.inf
-    #: Token-bucket depth of the edge shaper (1.0 = pure pacing).
-    shaper_burst: float = 1.0
 
     def __post_init__(self) -> None:
-        positive = {
-            "k_flow": self.k_flow,
-            "k_alpha": self.k_alpha,
-            "k_window": self.k_window,
-            "queue_capacity": self.queue_capacity,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "edge_epoch": self.edge_epoch,
-            "ss_thresh": self.ss_thresh,
-            "ss_double_interval": self.ss_double_interval,
-            "initial_rate": self.initial_rate,
-            "max_rate": self.max_rate,
-        }
-        for name, value in positive.items():
-            if not value > 0:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
+        super().__post_init__()
+        self._require_positive("k_flow", "k_alpha", "k_window")
         if not 0.0 < self.overflow_alpha_decay <= 1.0:
             raise ConfigurationError(
                 f"overflow_alpha_decay must be in (0, 1], got {self.overflow_alpha_decay}"
-            )
-        if self.min_rate < 0:
-            raise ConfigurationError(f"min_rate must be >= 0, got {self.min_rate}")
-        if self.min_rate > self.max_rate:
-            raise ConfigurationError(
-                f"min_rate ({self.min_rate}) exceeds max_rate ({self.max_rate})"
-            )
-        if self.shaper_burst < 1.0:
-            raise ConfigurationError(
-                f"shaper_burst must be >= 1 packet, got {self.shaper_burst}"
             )

@@ -1,66 +1,42 @@
-"""The CSFQ edge router.
+"""The CSFQ edge router: :class:`repro.core.edge.EdgeRouter` plus CSFQ's signal.
 
-Ingress role: shape each flow to its allowed rate with the same paced
-sender as Corelite, estimate the flow's rate with exponential averaging
+The shared base is the edge itself — slot tables, controller and paced
+shaper per flow, start / stop / deposit, the egress meter, delay tracker and
+sequence-gap loss detector.  What is CSFQ's own:
+
+Ingress role: estimate the flow's rate with exponential averaging
 (:class:`~repro.sim.estimators.ExponentialRateEstimator`) and stamp each
 data packet's label with the *normalized* estimate ``r/w`` — the weighted
 CSFQ labeling.
 
-Egress role: detect losses from sequence gaps and report them to the
-ingress edge over the control plane (LOSS_NOTIFY).  The ingress counts
-losses per edge epoch and runs the shared slow-start + LIMD
-:class:`~repro.core.adaptation.RateController` on that count — the paper's
-"similar rate adaptation schemes ... (losses in case of CSFQ)".
+Egress role: report each sequence gap to the ingress edge over the control
+plane (LOSS_NOTIFY).  The ingress counts losses per edge epoch and runs the
+shared controller on that count — the paper's "similar rate adaptation
+schemes ... (losses in case of CSFQ)".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.core.adaptation import RateController
+from repro.core.edge import EdgeRouter, FlowAttachment
 from repro.core.shaping import PacedSender
 from repro.csfq.config import CsfqConfig
 from repro.errors import FlowError, SimulationError
 from repro.sim.delay import DelayTracker
-from repro.sim.engine import PeriodicTask, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.estimators import ExponentialRateEstimator
 from repro.sim.monitor import ThroughputMeter
-from repro.sim.node import Router
 from repro.sim.packet import Packet, PacketKind, PacketTrain
 
-__all__ = ["CsfqFlowAttachment", "CsfqEdge"]
+__all__ = ["CsfqEdge"]
 
 _DATA = PacketKind.DATA
 
 #: Ships a LOSS_NOTIFY packet toward the ingress edge named in packet.dst.
 LossChannel = Callable[[Packet], None]
-
-
-@dataclass(frozen=True)
-class CsfqFlowAttachment:
-    """Declaration of one flow at its CSFQ ingress edge.
-
-    ``backlogged`` mirrors :class:`repro.core.edge.FlowAttachment`: set it
-    False for flows fed by a traffic source via :meth:`CsfqEdge.deposit`.
-    """
-
-    flow_id: int
-    weight: float
-    dst_edge: str
-    backlogged: bool = True
-    #: Member-flow count for an aggregate bucket; ``weight`` is the
-    #: bucket total (member x N), so per-packet labels r/weight stay
-    #: normalized to the member fair share.  Controller gains scale as
-    #: in :class:`repro.core.adaptation.RateController`.
-    aggregate: int = 1
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise FlowError(f"flow {self.flow_id}: weight must be > 0, got {self.weight}")
-        if self.aggregate < 1:
-            raise FlowError(f"flow {self.flow_id}: aggregate must be >= 1")
 
 
 class _IngressFlow:
@@ -74,16 +50,17 @@ class _IngressFlow:
         "active",
         "backlog",
     )
+    #: The flow's shaper, wired by ``EdgeRouter._attach``.
+    pacer: PacedSender
 
     def __init__(
         self,
-        attachment: CsfqFlowAttachment,
+        attachment: FlowAttachment,
         controller: RateController,
         estimator: ExponentialRateEstimator,
     ) -> None:
         self.attachment = attachment
         self.controller = controller
-        self.pacer: PacedSender = None  # type: ignore[assignment]
         self.estimator = estimator
         self.seq = 0
         self.losses = 0
@@ -104,8 +81,10 @@ class _EgressFlow:
         self.delay = DelayTracker()
 
 
-class CsfqEdge(Router):
+class CsfqEdge(EdgeRouter):
     """An edge router of the CSFQ cloud (ingress + egress roles)."""
+
+    egress_flow = _EgressFlow
 
     def __init__(
         self,
@@ -115,73 +94,24 @@ class CsfqEdge(Router):
         epoch_offset: Optional[float] = None,
         train_batch: int = 1,
     ) -> None:
-        """``epoch_offset`` staggers this edge's first adaptation tick so
-        that edges created together do not adapt in lockstep.
-
-        ``train_batch = K > 1`` turns on the packet-train datapath (see
-        :class:`repro.core.edge.CoreliteEdge`): shapers emit up to K
-        members per firing as one :class:`~repro.sim.packet.PacketTrain`
-        labeled with a single rate estimate.  Train runs are pinned
-        *statistically* against scalar runs, not byte-for-byte; the
-        default K = 1 stays byte-identical."""
-        super().__init__(name)
-        self.sim = sim
-        self.config = config
-        self._epoch_offset = epoch_offset
-        if train_batch < 1:
-            raise FlowError(f"train_batch must be >= 1, got {train_batch}")
-        self._train_batch = int(train_batch)
-        # Slot-indexed flow tables (see repro.core.edge): id -> slot maps
-        # for control-plane lookups, dense lists for the hot sweeps.
-        self._ingress_index: Dict[int, int] = {}
-        self._ingress_flows: List[_IngressFlow] = []
-        self._egress_index: Dict[int, int] = {}
-        self._egress_flows: List[_EgressFlow] = []
-        #: Attach-ordered sweep list of active ingress flows; rebuilt
-        #: lazily after any start/stop transition.
-        self._active_ingress: List[_IngressFlow] = []
-        self._active_dirty = False
-        self._epoch_task: Optional[PeriodicTask] = None
+        """See :class:`~repro.core.edge.EdgeRouter`; a train is labeled per
+        member (:meth:`_emit_train`)."""
+        super().__init__(name, sim, config, epoch_offset, train_batch)
         #: Set by ``CsfqStrategy.make_edge``: ships loss notifications upstream.
         self.loss_channel: Optional[LossChannel] = None
         self.stray_notifications = 0
 
     # -- ingress role ---------------------------------------------------
 
-    def attach_flow(self, attachment: CsfqFlowAttachment) -> None:
-        if attachment.flow_id in self._ingress_index:
-            raise FlowError(f"flow {attachment.flow_id} already attached at {self.name}")
-        # CsfqConfig mirrors the adaptation fields of CoreliteConfig by
-        # name, so the shared RateController drives CSFQ sources unchanged.
-        estimator = ExponentialRateEstimator(self.config.k_flow, start_time=self.sim.now)
-        scale = float(attachment.aggregate)
-        train_batch = self._train_batch
-        controller = RateController(
-            self.config,  # type: ignore[arg-type]
-            attachment.weight,
-            start_time=self.sim.now,
-            alpha_scale=scale,
-            rate_scale=scale,
-        )
-        state = _IngressFlow(attachment, controller, estimator)
-        state.pacer = PacedSender(
-            self.sim,
-            controller.rate,
-            lambda s=state: self._emit(s),
-            burst=self.config.shaper_burst,
-            train_batch=train_batch,
-            train_emit=(
-                (lambda n, s=state: self._emit_train(s, n))
-                if train_batch > 1
-                else None
-            ),
-        )
-        self._ingress_index[attachment.flow_id] = len(self._ingress_flows)
-        self._ingress_flows.append(state)
-        if self._epoch_task is None:
-            self._epoch_task = self.sim.every(
-                self.config.edge_epoch, self._epoch, first_delay=self._epoch_offset
+    def attach_flow(self, attachment: FlowAttachment) -> None:
+        if attachment.min_rate > 0 or attachment.external:
+            raise FlowError(
+                f"flow {attachment.flow_id}: minimum rate contracts and external "
+                "(host-fed) flows are Corelite edge features"
             )
+        estimator = ExponentialRateEstimator(self.config.k_flow, start_time=self.sim.now)
+        state = _IngressFlow(attachment, self._controller(attachment), estimator)
+        self._attach(state, self._train_batch)
 
     def start_flow(self, flow_id: int) -> None:
         state = self._ingress_state(flow_id)
@@ -195,14 +125,6 @@ class CsfqEdge(Router):
         state.pacer.set_rate(state.controller.rate)
         state.pacer.start()
 
-    def stop_flow(self, flow_id: int) -> None:
-        state = self._ingress_state(flow_id)
-        if not state.active:
-            return
-        state.active = False
-        self._active_dirty = True
-        state.pacer.stop()
-
     def receive_loss_notify(self, packet: Packet) -> None:
         """Control-plane entry: egress-detected losses for one of our flows."""
         if packet.kind != PacketKind.LOSS_NOTIFY:
@@ -213,36 +135,6 @@ class CsfqEdge(Router):
             self.stray_notifications += 1
             return
         state.losses += int(packet.label)
-
-    def allotted_rate(self, flow_id: int) -> float:
-        return self._ingress_state(flow_id).controller.rate
-
-    def flow_active(self, flow_id: int) -> bool:
-        """Whether the flow is currently transmitting."""
-        return self._ingress_state(flow_id).active
-
-    def ingress_flow_ids(self) -> Tuple[int, ...]:
-        return tuple(self._ingress_index)
-
-    def _ingress_state(self, flow_id: int) -> _IngressFlow:
-        try:
-            return self._ingress_flows[self._ingress_index[flow_id]]
-        except KeyError:
-            raise FlowError(f"{self.name}: unknown ingress flow {flow_id}") from None
-
-    def deposit(self, flow_id: int, n: int = 1) -> None:
-        """Offer ``n`` packets to a non-backlogged flow's shaper queue."""
-        state = self._ingress_state(flow_id)
-        if state.backlog is None:
-            raise FlowError(
-                f"{self.name}: flow {flow_id} is declared always-backlogged"
-            )
-        state.backlog += n
-        state.pacer.kick()
-
-    def backlog_of(self, flow_id: int) -> Optional[int]:
-        """Pending packets awaiting shaping (None = always backlogged)."""
-        return self._ingress_state(flow_id).backlog
 
     def _emit(self, state: _IngressFlow) -> bool:
         if state.backlog is not None:
@@ -314,43 +206,13 @@ class CsfqEdge(Router):
 
     def _epoch(self) -> None:
         now = self.sim.now
-        if self._active_dirty:
-            # Attach order keeps the sweep sequence identical to the old
-            # full-table scan, preserving replays.
-            self._active_ingress = [s for s in self._ingress_flows if s.active]
-            self._active_dirty = False
-        for state in self._active_ingress:
+        for state in self._active_flows():
             losses = state.losses
             state.losses = 0
             new_rate = state.controller.on_epoch(losses, now)
             state.pacer.set_rate(new_rate)
 
     # -- egress role -----------------------------------------------------
-
-    def expect_flow(self, flow_id: int) -> None:
-        if flow_id in self._egress_index:
-            raise FlowError(f"flow {flow_id} already expected at {self.name}")
-        self._egress_index[flow_id] = len(self._egress_flows)
-        self._egress_flows.append(_EgressFlow())
-
-    def delivered(self, flow_id: int) -> int:
-        return self._egress_state(flow_id).meter.count
-
-    def take_throughput(self, flow_id: int) -> float:
-        return self._egress_state(flow_id).meter.take_rate(self.sim.now)
-
-    def losses(self, flow_id: int) -> int:
-        return self._egress_state(flow_id).lost
-
-    def delay_stats(self, flow_id: int) -> DelayTracker:
-        """One-way delay statistics for a flow delivered at this egress."""
-        return self._egress_state(flow_id).delay
-
-    def _egress_state(self, flow_id: int) -> _EgressFlow:
-        try:
-            return self._egress_flows[self._egress_index[flow_id]]
-        except KeyError:
-            raise FlowError(f"{self.name}: unknown egress flow {flow_id}") from None
 
     def _deliver_local(self, packet: Packet, link) -> None:
         slot = self._egress_index.get(packet.flow_id)
@@ -365,16 +227,14 @@ class CsfqEdge(Router):
         if packet.count != 1:
             self._deliver_train(state, packet, link)
             return
-        if state.expected_seq is not None and packet.seq > state.expected_seq:
-            gap = packet.seq - state.expected_seq
-            state.lost += gap
+        gap = self._sequence_gap(state, packet.seq)
+        if gap:
             self._report_loss(packet, gap)
         if packet.ecn:
             # DECbit-style marking: a congestion indication without a loss
             # (only set by the ABL-AQM DecbitQueue; CSFQ itself drops).
             state.ecn_marks += 1
             self._report_loss(packet, 1)
-        state.expected_seq = packet.seq + 1
         state.meter.record()
         state.delay.record(max(0.0, self.sim.now - packet.created_at))
 
@@ -389,13 +249,9 @@ class CsfqEdge(Router):
         scalars; trains never carry ``ecn``.
         """
         n = train.count
-        head = train.seq
-        expected = state.expected_seq
-        if expected is not None and head > expected:
-            gap = head - expected
-            state.lost += gap
+        gap = self._sequence_gap(state, train.seq, n)
+        if gap:
             self._report_loss(train, gap)
-        state.expected_seq = head + n
         state.meter.record(n)
         # Members left the last link one serialization time apart (a train
         # handed over without a link, in unit tests, has no spacing).

@@ -118,11 +118,29 @@ class SchemeStrategy:
     def make_edge(self, cloud: "Cloud", name: str):
         raise NotImplementedError
 
+    def _new_edge(self, edge_cls: type, cloud: "Cloud", name: str):
+        """An :class:`~repro.core.edge.EdgeRouter` whose first adaptation
+        tick is drawn from the edge's own stream, so edges built together
+        do not adapt in lockstep."""
+        offset = cloud.rng.stream(f"edge-epoch:{name}").uniform(
+            0.0, cloud.config.edge_epoch
+        )
+        return edge_cls(
+            name,
+            cloud.sim,
+            cloud.config,
+            epoch_offset=offset,
+            train_batch=cloud.train_batch,
+        )
+
     def attach_ingress(self, cloud: "Cloud", edge, spec: FlowPathSpec) -> None:
         raise NotImplementedError
 
     def enable_core_links(self, cloud: "Cloud") -> None:
-        raise NotImplementedError
+        """Every core runs the scheme's machinery on each of its output links."""
+        for link in cloud._core_output_links():
+            core = cloud.topology.nodes[link.src_name]
+            core.enable_on_link(link)
 
     def policy_drops(self, cloud: "Cloud") -> int:
         """Data packets its cores dropped by policy, unseen by ``total_drops()``."""
@@ -201,16 +219,7 @@ class CoreliteStrategy(SchemeStrategy):
     def make_edge(self, cloud: "Cloud", name: str):
         from repro.core.edge import CoreliteEdge
 
-        offset = cloud.rng.stream(f"edge-epoch:{name}").uniform(
-            0.0, cloud.config.edge_epoch
-        )
-        return CoreliteEdge(
-            name,
-            cloud.sim,
-            cloud.config,
-            epoch_offset=offset,
-            train_batch=cloud.train_batch,
-        )
+        return self._new_edge(CoreliteEdge, cloud, name)
 
     def attach_ingress(self, cloud: "Cloud", edge, spec: FlowPathSpec) -> None:
         from repro.core.edge import FlowAttachment
@@ -259,11 +268,6 @@ class CoreliteStrategy(SchemeStrategy):
         cloud._extra_destinations += [spec.sender_host, spec.receiver_host]
         cloud.tcp_hosts[spec.flow_id] = (sender, receiver)
 
-    def enable_core_links(self, cloud: "Cloud") -> None:
-        for link in cloud._core_output_links():
-            core = cloud.topology.nodes[link.src_name]
-            core.enable_on_link(link)
-
     def attach_aggregate(self, cloud: "Cloud", ingress, spec: FlowPathSpec):
         from repro.core.microflows import MicroFlowMux
 
@@ -311,16 +315,7 @@ class CsfqStrategy(SchemeStrategy):
     def make_edge(self, cloud: "Cloud", name: str):
         from repro.csfq.edge import CsfqEdge
 
-        offset = cloud.rng.stream(f"edge-epoch:{name}").uniform(
-            0.0, cloud.config.edge_epoch
-        )
-        edge = CsfqEdge(
-            name,
-            cloud.sim,
-            cloud.config,
-            epoch_offset=offset,
-            train_batch=cloud.train_batch,
-        )
+        edge = self._new_edge(CsfqEdge, cloud, name)
 
         def loss_channel(packet: Packet, src: str = name) -> None:
             ingress = cloud.edges.get(packet.dst)
@@ -337,7 +332,7 @@ class CsfqStrategy(SchemeStrategy):
         return edge
 
     def attach_ingress(self, cloud: "Cloud", edge, spec: FlowPathSpec) -> None:
-        from repro.csfq.edge import CsfqFlowAttachment
+        from repro.core.edge import FlowAttachment
 
         if spec.min_rate > 0:
             raise ConfigurationError(
@@ -346,7 +341,7 @@ class CsfqStrategy(SchemeStrategy):
                 "mechanism to honor them"
             )
         edge.attach_flow(
-            CsfqFlowAttachment(
+            FlowAttachment(
                 flow_id=spec.flow_id,
                 weight=spec.network_weight,
                 dst_edge=spec.egress_edge,
@@ -354,11 +349,6 @@ class CsfqStrategy(SchemeStrategy):
                 aggregate=spec.aggregate,
             )
         )
-
-    def enable_core_links(self, cloud: "Cloud") -> None:
-        for link in cloud._core_output_links():
-            core = cloud.topology.nodes[link.src_name]
-            core.enable_on_link(link)
 
     def policy_drops(self, cloud: "Cloud") -> int:
         nodes = cloud.topology.nodes  # (FIFO cores enable no link: state None)

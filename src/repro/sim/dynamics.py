@@ -36,7 +36,7 @@ each fire time — recomputation is idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.sim.engine import Simulator
@@ -177,10 +177,6 @@ class NetworkDynamics:
                 link.enable_dynamics()
             self._links_for[event.pair] = members
 
-    def links_of(self, event: NetworkEvent) -> Tuple[Link, ...]:
-        """The unidirectional links the event acts on (for tests)."""
-        return self._links_for[event.pair]
-
     def schedule(self, until: float) -> None:
         """Arm every event with ``time <= until`` on the simulator."""
         for event in self.events:
@@ -220,12 +216,6 @@ class NetworkDynamics:
             link.failure_drops + link.inflight_drops
             for link in self.topology.links.values()
         )
-
-    def last_event_time(self) -> Optional[float]:
-        """Latest declared event time, or None for an empty schedule."""
-        if not self.events:
-            return None
-        return max(event.time for event in self.events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -205,24 +205,6 @@ class Packet:
             sim=sim,
         )
 
-    def to_feedback(
-        self, core_link: str, now: float, sim: Optional["Simulator"] = None
-    ) -> "Packet":
-        """Clone this marker into a FEEDBACK packet addressed to its edge."""
-        fb = Packet(
-            PacketKind.FEEDBACK,
-            self.flow_id,
-            src=core_link,
-            dst=self.origin_edge or self.src,
-            size=0.0,
-            label=self.label,
-            created_at=now,
-            sim=sim,
-        )
-        fb.origin_edge = self.origin_edge
-        fb.feedback_from = core_link
-        return fb
-
     def detach_marker(self, sim: Optional["Simulator"] = None) -> "Packet":
         """Part this scalar data packet from the marker aboard it: returns
         the zero-size packet that would have trailed it — same flow, origin,

@@ -17,6 +17,9 @@ from repro.sim.node import Router
 from repro.sim.packet import Packet
 from repro.sim.topology import Topology
 
+# The edge cases both schemes' test modules import (failed asserts explain themselves).
+pytest.register_assert_rewrite("tests.edge_contract")
+
 
 class CollectorNode(Router):
     """A router that records everything delivered to it."""

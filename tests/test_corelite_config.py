@@ -1,8 +1,11 @@
-"""Unit tests for CoreliteConfig validation."""
+"""Unit tests for CoreliteConfig validation, and the EdgeConfig both schemes share."""
+
+import dataclasses
 
 import pytest
 
-from repro.core.config import CoreliteConfig, FeedbackScheme
+from repro.core.config import CoreliteConfig, EdgeConfig, FeedbackScheme
+from repro.csfq.config import CsfqConfig
 from repro.errors import ConfigurationError
 
 
@@ -69,3 +72,27 @@ def test_feedback_scheme_must_be_enum():
 def test_fn_k_zero_is_allowed():
     # k = 0 is a legal (if ill-advised) setting the ABL-K ablation uses.
     assert CoreliteConfig(fn_k=0.0).fn_k == 0.0
+
+
+@pytest.mark.parametrize("config_cls", [CoreliteConfig, CsfqConfig])
+@pytest.mark.parametrize(
+    "field,bad,good",
+    [
+        ("alpha", 0.0, 2.0),
+        ("beta", -1.0, 0.5),
+        ("edge_epoch", 0.0, 0.1),
+        ("queue_capacity", 0.0, 60.0),
+        ("ss_thresh", 0.0, 16.0),
+        ("ss_double_interval", -1.0, 0.5),
+        ("initial_rate", 0.0, 2.0),
+        ("min_rate", -1.0, 1.0),
+        ("max_rate", 0.0, 100.0),
+        ("shaper_burst", 0.5, 4.0),
+    ],
+)
+def test_edge_config_fields_are_validated_once_for_both_schemes(config_cls, field, bad, good):
+    assert field in {f.name for f in dataclasses.fields(EdgeConfig)}
+    assert field not in config_cls.__dict__.get("__annotations__", {})  # inherited, not re-declared
+    assert getattr(config_cls(**{field: good}), field) == good
+    with pytest.raises(ConfigurationError, match=field):
+        config_cls(**{field: bad})

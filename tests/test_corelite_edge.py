@@ -4,11 +4,17 @@ import pytest
 
 from repro.core.config import CoreliteConfig
 from repro.core.edge import CoreliteEdge, FlowAttachment
-from repro.errors import FlowError
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue
+from tests.edge_contract import (  # noqa: F401 - the cases both edges run
+    EgressContract,
+    test_duplicate_attach_rejected,
+    test_flow_starts_stopped,
+    test_stop_flow_stops_emission,
+    test_unknown_flow_queries_rejected,
+)
 
 
 class Catcher:
@@ -42,14 +48,6 @@ def feedback(flow_id=1, source="C1->C2"):
     p = Packet(PacketKind.FEEDBACK, flow_id, src="C1", dst="Ein1", size=0.0)
     p.feedback_from = source
     return p
-
-
-def test_flow_starts_stopped(rig):
-    sim, cfg, edge, catcher = rig
-    attach(edge)
-    sim.run(until=1.0)
-    assert catcher.packets == []
-    assert not edge.flow_active(1)
 
 
 def test_started_flow_emits_data_and_markers(rig):
@@ -117,19 +115,6 @@ def test_max_feedback_across_core_links_not_sum(rig):
     assert edge.allotted_rate(1) == pytest.approx(rate0 - cfg.beta * 2, abs=cfg.alpha)
 
 
-def test_stop_flow_stops_emission(rig):
-    sim, cfg, edge, catcher = rig
-    attach(edge)
-    edge.start_flow(1)
-    sim.run(until=1.0)
-    edge.stop_flow(1)
-    sim.run(until=2.0)  # drain packets already in flight at stop time
-    count = len(catcher.packets)
-    sim.run(until=10.0)
-    assert len(catcher.packets) == count
-    assert not edge.flow_active(1)
-
-
 def test_restart_resets_to_slow_start(rig):
     sim, cfg, edge, catcher = rig
     attach(edge)
@@ -148,54 +133,12 @@ def test_feedback_for_stopped_flow_is_stray(rig):
     assert edge.stray_feedback == 1
 
 
-def test_duplicate_attach_rejected(rig):
-    _, _, edge, _ = rig
-    attach(edge)
-    with pytest.raises(FlowError):
-        attach(edge)
-
-
-def test_unknown_flow_queries_rejected(rig):
-    _, _, edge, _ = rig
-    with pytest.raises(FlowError):
-        edge.allotted_rate(99)
-    with pytest.raises(FlowError):
-        edge.start_flow(99)
-
-
-class TestEgress:
-    def test_delivery_metering(self, rig):
-        sim, cfg, edge, catcher = rig
-        edge.expect_flow(7)
-        for seq in range(5):
-            edge.receive(Packet.data(7, "EinX", "Ein1", seq=seq, now=0.0), link=None)
-        assert edge.delivered(7) == 5
-
+class TestEgress(EgressContract):
     def test_markers_are_absorbed_and_counted(self, rig):
         sim, cfg, edge, catcher = rig
         edge.expect_flow(7)
         edge.receive(Packet.marker(7, "EinX", "Ein1", 1.0, 0.0), link=None)
         assert edge.delivered(7) == 0
-
-    def test_gap_detection_counts_losses(self, rig):
-        sim, cfg, edge, catcher = rig
-        edge.expect_flow(7)
-        for seq in (0, 1, 4, 5):
-            edge.receive(Packet.data(7, "EinX", "Ein1", seq=seq, now=0.0), link=None)
-        assert edge.losses(7) == 2
-
-    def test_unexpected_flow_rejected(self, rig):
-        _, _, edge, _ = rig
-        with pytest.raises(FlowError):
-            edge.receive(Packet.data(9, "EinX", "Ein1", 0, 0.0), link=None)
-
-    def test_throughput_meter(self, rig):
-        sim, cfg, edge, catcher = rig
-        edge.expect_flow(7)
-        for seq in range(10):
-            edge.receive(Packet.data(7, "EinX", "Ein1", seq=seq, now=0.0), link=None)
-        sim.run(until=2.0)
-        assert edge.take_throughput(7) == pytest.approx(5.0)
 
 
 def test_min_rate_contract_is_initial_and_floor(rig):

@@ -3,12 +3,21 @@
 import pytest
 
 from repro.csfq.config import CsfqConfig
-from repro.csfq.edge import CsfqEdge, CsfqFlowAttachment
+from repro.core.edge import FlowAttachment
+from repro.csfq.edge import CsfqEdge
 from repro.errors import FlowError
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue
+from tests.edge_contract import (  # noqa: F401 - the cases both edges run
+    EgressContract,
+    arrive,
+    test_duplicate_attach_rejected,
+    test_flow_starts_stopped,
+    test_stop_flow_stops_emission,
+    test_unknown_flow_queries_rejected,
+)
 
 
 class Catcher:
@@ -33,7 +42,7 @@ def rig():
 
 def test_emitted_packets_carry_normalized_labels(rig):
     sim, cfg, edge, catcher = rig
-    edge.attach_flow(CsfqFlowAttachment(1, weight=2.0, dst_edge="Eout1"))
+    edge.attach_flow(FlowAttachment(1, weight=2.0, dst_edge="Eout1"))
     edge.start_flow(1)
     sim.run(until=5.0)
     data = [p for p in catcher.packets if p.kind == PacketKind.DATA]
@@ -46,7 +55,7 @@ def test_emitted_packets_carry_normalized_labels(rig):
 
 def test_no_markers_in_csfq(rig):
     sim, cfg, edge, catcher = rig
-    edge.attach_flow(CsfqFlowAttachment(1, weight=1.0, dst_edge="Eout1"))
+    edge.attach_flow(FlowAttachment(1, weight=1.0, dst_edge="Eout1"))
     edge.start_flow(1)
     sim.run(until=3.0)
     assert all(p.kind == PacketKind.DATA for p in catcher.packets)
@@ -54,7 +63,7 @@ def test_no_markers_in_csfq(rig):
 
 def test_loss_notification_throttles(rig):
     sim, cfg, edge, catcher = rig
-    edge.attach_flow(CsfqFlowAttachment(1, weight=1.0, dst_edge="Eout1"))
+    edge.attach_flow(FlowAttachment(1, weight=1.0, dst_edge="Eout1"))
     edge.start_flow(1)
     sim.run(until=3.0)
     rate_before = edge.allotted_rate(1)
@@ -77,7 +86,28 @@ def test_wrong_kind_on_control_plane_rejected(rig):
         edge.receive_loss_notify(Packet.data(1, "A", "Ein1", 0, 0.0))
 
 
-class TestEgress:
+def test_contracts_and_host_fed_flows_are_corelite_features(rig):
+    _, _, edge, _ = rig
+    with pytest.raises(FlowError, match="Corelite"):
+        edge.attach_flow(FlowAttachment(1, 1.0, "Eout1", min_rate=1))
+    with pytest.raises(FlowError, match="Corelite"):
+        edge.attach_flow(FlowAttachment(1, 1.0, "Eout1", backlogged=False, external=True))
+    assert edge.ingress_flow_ids() == ()
+
+
+class TestEgress(EgressContract):
+    def test_gap_is_reported_and_a_late_arrival_is_not(self, rig):
+        """The notification leaves at the gap (a gap detector cannot recall
+        it); the packet that was only overtaken sends none."""
+        sim, cfg, edge, catcher = rig
+        reports = []
+        edge.loss_channel = reports.append
+        edge.expect_flow(7)
+        for seq in (0, 1, 2, 3, 5, 4, 6, 7):
+            arrive(edge, seq)
+        assert [r.label for r in reports] == [1.0]
+        assert edge.losses(7) == 0 and edge.delivered(7) == 8
+
     def test_gap_triggers_loss_report(self, rig):
         sim, cfg, edge, catcher = rig
         reports = []
@@ -123,7 +153,7 @@ class TestEgress:
 
 def test_restart_resets_estimator_and_controller(rig):
     sim, cfg, edge, catcher = rig
-    edge.attach_flow(CsfqFlowAttachment(1, weight=1.0, dst_edge="Eout1"))
+    edge.attach_flow(FlowAttachment(1, weight=1.0, dst_edge="Eout1"))
     edge.start_flow(1)
     sim.run(until=6.0)
     edge.stop_flow(1)

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.core.config import CoreliteConfig
 from repro.core.edge import CoreliteEdge, FlowAttachment
-from repro.errors import FlowError
+from repro.csfq.config import CsfqConfig
+from repro.csfq.edge import CsfqEdge
 from repro.hosts.tcp import TcpReceiver, TcpSender
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue
+from tests.edge_contract import LifecycleContract
 
 
 class TestEngineCorners:
@@ -40,38 +42,8 @@ class TestEngineCorners:
         assert sim.pending() == 1
 
 
-class TestEdgeLifecycle:
-    def make_edge(self):
-        sim = Simulator()
-        edge = CoreliteEdge("Ein1", sim, CoreliteConfig())
-
-        class Catcher:
-            name = "C"
-            packets = []
-
-            def receive(self, p, link):
-                self.packets.append(p)
-
-        catcher = Catcher()
-        link = Link(sim, "Ein1->C", "Ein1", catcher, 10_000.0, 0.0, DropTailQueue(10_000))
-        edge.set_route("Eout1", link)
-        return sim, edge, catcher
-
-    def test_double_start_is_idempotent(self):
-        sim, edge, catcher = self.make_edge()
-        edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
-        edge.start_flow(1)
-        edge.start_flow(1)
-        sim.run(until=2.0)
-        seqs = [p.seq for p in catcher.packets if p.kind == PacketKind.DATA]
-        assert seqs == sorted(set(seqs))  # no duplicated emissions
-
-    def test_stop_without_start_is_noop(self):
-        sim, edge, catcher = self.make_edge()
-        edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
-        edge.stop_flow(1)
-        sim.run(until=1.0)
-        assert catcher.packets == []
+class TestEdgeLifecycle(LifecycleContract):
+    edge_cls, config_cls = CoreliteEdge, CoreliteConfig
 
     def test_feedback_between_stop_and_restart_is_stray(self):
         sim, edge, catcher = self.make_edge()
@@ -86,12 +58,6 @@ class TestEdgeLifecycle:
         edge.start_flow(1)  # restart unaffected by the stray feedback
         assert edge.allotted_rate(1) == CoreliteConfig().initial_rate
 
-    def test_deposit_to_backlogged_flow_rejected(self):
-        sim, edge, catcher = self.make_edge()
-        edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))  # backlogged
-        with pytest.raises(FlowError):
-            edge.deposit(1, 1)
-
     def test_external_packets_while_stopped_are_dropped(self):
         sim, edge, catcher = self.make_edge()
         edge.attach_flow(FlowAttachment(1, 1.0, "Eout1", backlogged=False,
@@ -99,6 +65,10 @@ class TestEdgeLifecycle:
         pkt = Packet.data(1, "H", "R", seq=0, now=0.0)
         edge.receive(pkt, link=None)
         assert edge.shaper_drops_inactive == 1
+
+
+class TestCsfqEdgeLifecycle(LifecycleContract):
+    edge_cls, config_cls = CsfqEdge, CsfqConfig
 
 
 class TestTcpInvariants:

@@ -31,18 +31,6 @@ def test_marker_is_zero_size_and_carries_origin():
     assert m.is_marker and not m.is_data
 
 
-def test_marker_to_feedback_addresses_origin_edge():
-    m = Packet.marker(3, "Ein3", "Eout3", label=12.5, now=2.0)
-    fb = m.to_feedback(core_link="C1->C2", now=5.0)
-    assert fb.kind == PacketKind.FEEDBACK
-    assert fb.dst == "Ein3"
-    assert fb.feedback_from == "C1->C2"
-    assert fb.flow_id == 3
-    assert fb.label == 12.5
-    assert fb.size == 0.0
-    assert fb.created_at == 5.0
-
-
 def test_data_packet_can_carry_csfq_label():
     p = Packet.data(1, "A", "B", seq=0, now=0.0, label=33.3)
     assert p.label == 33.3
@@ -57,7 +45,7 @@ def test_simulator_owns_packet_ids():
     sim = Simulator()
     a = Packet.data(1, "A", "B", seq=0, now=0.0, sim=sim)
     b = Packet.marker(1, "A", "B", label=1.0, now=0.0, sim=sim)
-    c = b.to_feedback("C1->C2", now=0.0, sim=sim)
+    c = Packet(PacketKind.FEEDBACK, 1, src="C1->C2", dst="A", size=0.0, sim=sim)
     assert (a.pid, b.pid, c.pid) == (1, 2, 3)
 
 
