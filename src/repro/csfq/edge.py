@@ -13,6 +13,15 @@ Egress role: report each sequence gap to the ingress edge over the control
 plane (LOSS_NOTIFY).  The ingress counts losses per edge epoch and runs the
 shared controller on that count — the paper's "similar rate adaptation
 schemes ... (losses in case of CSFQ)".
+
+Hot frames
+----------
+As at a Corelite edge, a scalar packet is one frame at each end, its helpers
+inline: ``_emit`` (estimator, ``Packet``, ``Router.forward``'s route hit) and
+``receive`` (loss detector, meter, delay; ``_deliver_local`` keeps the rest).
+``quiet_for`` tells the feeding link which deliveries send no LOSS_NOTIFY:
+those are booked (:mod:`repro.sim.link`, "Sinks"), and one that finds a loss
+raises.  The old call chains are the oracle in ``tests/test_egress_ledger.py``.
 """
 
 from __future__ import annotations
@@ -70,7 +79,7 @@ class _IngressFlow:
 
 
 class _EgressFlow:
-    __slots__ = ("meter", "expected_seq", "lost", "ecn_marks", "delay")
+    __slots__ = ("meter", "expected_seq", "lost", "ecn_marks", "delay", "fed_seq")
 
     def __init__(self) -> None:
         self.meter = ThroughputMeter()
@@ -79,11 +88,15 @@ class _EgressFlow:
         self.ecn_marks = 0
         #: One-way delay statistics (ingress shaping to egress delivery).
         self.delay = DelayTracker()
+        #: Max ``seq + count`` the feeding link has handed over (``quiet_for``).
+        self.fed_seq: Optional[int] = None
 
 
 class CsfqEdge(EdgeRouter):
     """An edge router of the CSFQ cloud (ingress + egress roles)."""
 
+    #: The egress only records, but for gaps and ECN marks (``quiet_for``).
+    quiet_sink = True
     egress_flow = _EgressFlow
 
     def __init__(
@@ -159,12 +172,16 @@ class CsfqEdge(EdgeRouter):
         else:
             raise SimulationError(f"rate estimator saw time go backwards ({gap})")
         label = rate / att.weight  # weighted CSFQ: labels are normalized
-        packet = Packet(
-            _DATA, att.flow_id, self.name, att.dst_edge,
-            seq=state.seq, label=label, created_at=now, sim=self.sim,
-        )
+        name, dst = self.name, att.dst_edge
+        packet = Packet(_DATA, att.flow_id, name, dst, 1.0, state.seq, None, label, now, self.sim)
         state.seq += 1
-        self.forward(packet)
+        link = self._routes.get(dst)  # ``Router.forward``'s single-path hit, inline
+        if link is None and dst in self._reach and dst != name:
+            link = self._uplink
+        if link is None or self.multipath:
+            self.forward(packet)
+        else:
+            link.send(packet)
         return True
 
     def _emit_train(self, state: _IngressFlow, allowance: int) -> int:
@@ -214,31 +231,49 @@ class CsfqEdge(EdgeRouter):
 
     # -- egress role -----------------------------------------------------
 
-    def _deliver_local(self, packet: Packet, link) -> None:
+    def quiet_for(self, packet: Packet) -> bool:
+        """Whether delivering ``packet`` provably sends nothing (``Node``): a
+        data packet does if its seq is at most ``fed_seq`` — the feeder is
+        FIFO, so ``expected_seq >= fed_seq >= seq`` on arrival: in order or late.
+        A flow's first packet, an ECN mark and an unknown flow (its
+        ``FlowError``) take an event."""
         slot = self._egress_index.get(packet.flow_id)
-        state = self._egress_flows[slot] if slot is not None else None
-        if state is None:
+        if slot is None:
+            return False
+        if packet.kind is not _DATA:
+            return True
+        state = self._egress_flows[slot]
+        seq, fed = packet.seq, state.fed_seq
+        if fed is None or seq + packet.count > fed:
+            state.fed_seq = seq + packet.count
+        return fed is not None and seq <= fed and not packet.ecn
+
+    def _deliver_local(self, packet: Packet, link, at: Optional[float]) -> None:
+        """All but what ``receive`` records itself (``at``: as there)."""
+        slot = self._egress_index.get(packet.flow_id)
+        if slot is None:
             raise FlowError(
                 f"{self.name}: packet for unexpected flow {packet.flow_id} "
                 f"(call expect_flow first)"
             )
-        if packet.kind is not PacketKind.DATA:
+        if packet.kind is not _DATA:
             return
+        state = self._egress_flows[slot]
         if packet.count != 1:
-            self._deliver_train(state, packet, link)
+            self._deliver_train(state, packet, link, at)
             return
         gap = self._sequence_gap(state, packet.seq)
         if gap:
-            self._report_loss(packet, gap)
+            self._report_loss(packet, gap, at)
         if packet.ecn:
             # DECbit-style marking: a congestion indication without a loss
             # (only set by the ABL-AQM DecbitQueue; CSFQ itself drops).
             state.ecn_marks += 1
-            self._report_loss(packet, 1)
+            self._report_loss(packet, 1, at)
         state.meter.record()
-        state.delay.record(max(0.0, self.sim.now - packet.created_at))
+        state.delay.record(max(0.0, (self.sim.now if at is None else at) - packet.created_at))
 
-    def _deliver_train(self, state: _EgressFlow, train: Packet, link) -> None:
+    def _deliver_train(self, state: _EgressFlow, train: Packet, link, at) -> None:
         """Egress sweep for a whole train: one pass of bulk bookkeeping.
 
         The loss detector works off the head sequence number exactly as
@@ -251,14 +286,20 @@ class CsfqEdge(EdgeRouter):
         n = train.count
         gap = self._sequence_gap(state, train.seq, n)
         if gap:
-            self._report_loss(train, gap)
+            self._report_loss(train, gap, at)
         state.meter.record(n)
         # Members left the last link one serialization time apart (a train
         # handed over without a link, in unit tests, has no spacing).
         spacing = 0.0 if link is None else 1.0 / link.bandwidth_pps
-        state.delay.record_train(max(0.0, self.sim.now - train.created_at), n, spacing)
+        now = self.sim.now if at is None else at
+        state.delay.record_train(max(0.0, now - train.created_at), n, spacing)
 
-    def _report_loss(self, packet: Packet, gap: int) -> None:
+    def _report_loss(self, packet: Packet, gap: int, at: Optional[float]) -> None:
+        if at is not None:  # booked: ``quiet_for`` vouched for it
+            raise SimulationError(
+                f"{self.name}: flow {packet.flow_id} seq {packet.seq} was booked as quiet "
+                f"but reports {gap} lost or marked at its delivery ({at})"
+            )
         if self.loss_channel is None:
             return
         notify = Packet(
@@ -275,8 +316,47 @@ class CsfqEdge(EdgeRouter):
 
     # -- shared receive path -------------------------------------------------
 
-    def receive(self, packet: Packet, link) -> None:
-        if packet.dst == self.name:
-            self._deliver_local(packet, link)
-        else:
+    def receive(self, packet: Packet, link, at: Optional[float] = None) -> None:
+        """``at``: the delivery instant of a booked packet (``CoreliteEdge``);
+        an event hands its packet over at ``sim.now``, after the inbox."""
+        now = at
+        if at is None:
+            if self.inbox:
+                self.sim.settle(self.inbox)
+            now = self.sim.now
+        if packet.dst != self.name:
             self.forward(packet)
+            return
+        slot = self._egress_index.get(packet.flow_id)
+        if slot is None or packet.kind is not _DATA or packet.count != 1 or packet.ecn:
+            self._deliver_local(packet, link, at)
+            return
+        # The egress record of a scalar data packet, in this frame.
+        state = self._egress_flows[slot]
+        seq = packet.seq  # ``_sequence_gap``, inline
+        expected = state.expected_seq
+        if expected is None:
+            expected = seq
+        if seq >= expected:
+            state.expected_seq = seq + 1
+            if seq > expected:
+                state.lost += seq - expected
+                self._report_loss(packet, seq - expected, at)
+        elif state.lost:
+            state.lost -= 1
+        state.meter.count += 1
+        delay = max(0.0, now - packet.created_at)
+        tracker = state.delay  # DelayTracker.record, inline
+        index = tracker.count
+        tracker.count = index + 1
+        tracker.total += delay
+        tracker.total_sq += delay * delay
+        if delay < tracker.min:
+            tracker.min = delay
+        if delay > tracker.max:
+            tracker.max = delay
+        if index >= tracker._next:
+            if index < tracker._capacity:
+                tracker._reservoir.append(delay)
+            else:
+                tracker._admit(index, delay)

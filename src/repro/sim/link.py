@@ -69,13 +69,15 @@ trailing a data packet therefore costs no event at any hop.
 ever sees one.
 
 *Sinks.*  A packet's last hop needs no event when the node it is addressed
-to only records it.  A node says so with ``quiet_sink`` (a Corelite edge; not
-a CSFQ edge, which sends LOSS_NOTIFY at a gap), and a departure-time link
-into it *books* ``(due, seq, packet)`` in a :class:`~repro.sim.engine.Ledger`
-— scalar packets, parted markers and trains alike, no riders — where it
-would have scheduled the delivery.  The first booking opens the ledger as
-the node's ``inbox``; a second in-link finds the node fed and stays on
-events, so a ledger is in ``(due, seq)`` order by construction.  Deliveries
+to only records it.  A node says so with ``quiet_sink`` (a Corelite edge;
+a CSFQ edge, which sends LOSS_NOTIFY at a gap, also has ``quiet_for``: asked
+per packet handed over, it keeps each delivery it does not vouch for an
+event), and a departure-time link into it *books* ``(due, seq, packet)`` in
+a :class:`~repro.sim.engine.Ledger` — scalar packets, parted markers and
+trains alike, no riders — where it would have scheduled the delivery.  The
+first booking opens the ledger as the node's ``inbox``, and the node keeps
+that one feeder for life: another in-link finds it fed and stays on events,
+so a ledger is in ``(due, seq)`` order by construction.  Deliveries
 are settled — counted in ``delivered_*``, handed to ``receive(packet, link,
 due)`` — by the node before it reads the state they write or an event hands
 it a packet, by :meth:`Link.settle`, and by the push past the ledger's cap;
@@ -168,6 +170,7 @@ class Link:
         "_free_at",
         "_ledger",
         "_sink",
+        "_quiet_for",
         "_booked",
         "_last_due",
         "_tail",
@@ -216,9 +219,10 @@ class Link:
         #: packets whose serialization start has not been replayed yet;
         #: allocated on the first backlog.
         self._ledger: Optional[deque] = None
-        #: "Sinks": the far end's name if it is a quiet sink, and the
-        #: deliveries booked for it (opened by the first).
+        #: "Sinks": the far end's name if it is a quiet sink, its
+        #: ``quiet_for``, and the deliveries booked for it (opened by the first).
         self._sink = self._sink_of(dst)
+        self._quiet_for = getattr(dst, "quiet_for", None)
         self._booked: Optional[Ledger] = None
         #: Departure-time path: instant of the delivery event scheduled
         #: last, and the last packet that event delivers (rider chaining).
@@ -532,9 +536,9 @@ class Link:
         return dst.name if getattr(dst, "quiet_sink", False) else None
 
     def _book(self, due: float, packet: Packet) -> bool:
-        """Book the delivery instead of scheduling it.  The first booking
-        opens the ledger — unless another in-link already feeds the node:
-        then this link cedes (returns False) and stays on events."""
+        """Book the delivery (False: schedule it).  The first booking opens
+        the ledger — unless the node already has a feeder: then this link
+        cedes for good.  A feeder books what ``quiet_for`` (if any) vouches."""
         booked = self._booked
         if booked is None:
             dst = self.dst
@@ -542,6 +546,9 @@ class Link:
                 self._sink = None
                 return False
             booked = self._booked = dst.inbox = self.sim.open_ledger(self._deliver_booked)
+        quiet_for = self._quiet_for
+        if quiet_for is not None and not quiet_for(packet):
+            return False
         self.sim.book(booked, due, packet)
         return True
 
@@ -554,11 +561,11 @@ class Link:
 
     def _unbook(self) -> None:
         """Leave the ledger for good: what is booked becomes the events it
-        would have been — scheduled while untapped and unarmed."""
+        would have been — scheduled while untapped and unarmed.  The empty
+        ledger stays the node's ``inbox``: it takes no other feeder."""
         self._sink = None
         booked, self._booked = self._booked, None
         if booked is not None:
-            self.dst.inbox = None
             self.sim.close_ledger(booked, self._deliver_fast)
 
     def _tail_drop(self, packet: Packet, now: float) -> bool:

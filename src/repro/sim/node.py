@@ -38,7 +38,7 @@ a reroute changes the candidate sets, not the spraying state.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.sim.packet import Packet
@@ -71,6 +71,9 @@ class Node:
     #: ``inbox`` (:mod:`repro.sim.link`, "Sinks"), the node settles it before
     #: that state is read, and ``receive`` takes the instant as ``at``.
     quiet_sink = False
+    #: If set, ``quiet_for(packet)`` — asked by the feeding link per packet it
+    #: hands over — vouches which deliveries are quiet; else all of them are.
+    quiet_for: Optional[Callable[[Packet], bool]] = None
     inbox = None
 
     def __init__(self, name: str) -> None:

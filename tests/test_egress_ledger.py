@@ -1,46 +1,61 @@
 """A packet's last hop is a ledger entry: oracles for the ledger and the frames.
 
-A departure-time link whose far end is a Corelite edge books the delivery
-of a packet addressed to that edge instead of scheduling it
-(``repro.sim.link``, "Sinks"; the ordering rule is ``repro.sim.engine``,
-"Ledgers").  Event delivery survives here as a switch — ``Link._sink_of``
+A departure-time link whose far end is an egress edge books the delivery of
+a packet addressed to that edge instead of scheduling it (``repro.sim.link``,
+"Sinks"; the ordering rule is ``repro.sim.engine``, "Ledgers") — every
+delivery into a Corelite edge, every one a CSFQ edge's ``quiet_for`` vouches
+sends nothing.  Event delivery survives here as a switch — ``Link._sink_of``
 patched to answer ``None`` — and is the oracle: every cloud below runs once
 each way and everything a run shows must be ``==``, floats included, with
 ``events_executed`` apart by exactly the last-hop delivery events.
 
-The second half keeps the three call chains the hot frames replaced —
+The second half keeps the call chains the hot frames replaced —
 ``PacedSender._fire``, ``CoreliteEdge._emit`` and ``receive`` ->
-``_deliver_local`` as they were at 00d76a9 — and compares pacer, injector
-and egress state after every packet.
+``_deliver_local`` as they were at 00d76a9, ``CsfqEdge._emit`` and
+``receive`` as they were at a782f07 — and compares pacer, injector,
+estimator and egress state after every packet.
 
-Mutants that must fail here (each checked by hand when this was written;
-``docs/PERF_LOG.md``, PR 22): ``due <= now`` for the ``(due, seq)`` rule in
-``Simulator.settle``; ``receive`` not settling before an event-handed
-packet; ``_fire`` without the ``min(burst, .)`` clamp.
+Mutants that must fail here (each checked by hand when it was written, and
+recorded in ``docs/PERF_LOG.md``): ``due <= now`` for the ``(due, seq)``
+rule in ``Simulator.settle``; ``receive`` not settling before an
+event-handed packet (either edge); ``_fire`` without the ``min(burst, .)``
+clamp; ``quiet_for`` answering ``seq <= fed + 1``, reading ``fed_seq`` after
+folding the packet in, folding a train in as one member or not folding an
+ECN-marked packet in; ``CsfqEdge.receive`` recording a booked delay at
+``sim.now``; a second feeder taking over a node whose feeder left.
 """
 
 from __future__ import annotations
 
 import tracemalloc
 from collections import deque
-from math import nextafter
+from math import exp, nextafter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.aqm.decbit import DecbitQueue
 from repro.aqm.red import RedQueue
 from repro.core.config import CoreliteConfig
-from repro.core.edge import CoreliteEdge, _DATA, _MARKER
+from repro.core.edge import CoreliteEdge, EdgeRouter, _DATA, _MARKER
 from repro.core.shaping import _TOKEN_EPS, PacedSender
+from repro.csfq.config import CsfqConfig
+from repro.csfq.edge import CsfqEdge
 from repro.errors import FlowError, SimulationError
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.parallel import result_to_payload
+from repro.experiments.scenarios import (
+    WEIGHTS_41,
+    mesh_flows,
+    parking_lot_flows,
+    topology1_flows,
+)
 from repro.experiments.topospec import FlowPathSpec, LinkSpec, TopologySpec
 from repro.sim import engine as engine_module
 from repro.sim.engine import Simulator
 from repro.sim.link import _FLUSHED, Link
-from repro.sim.packet import Packet
+from repro.sim.packet import Packet, PacketTrain
 from repro.sim.queues import DropTailQueue
 from repro.sim.sources import SourceSpec
 
@@ -62,11 +77,16 @@ def _events_mode(patch):
 class _Census:
     """Counts, from outside, the deliveries the two modes trade: those the
     ledger hands over, and the delivery events whose packets are all for
-    the node they reach (``mixed`` counts the others that carry one)."""
+    the edge they reach (``mixed`` counts the others that carry one).  Of
+    those events, ``loud`` counts the ones a CSFQ egress must take: a
+    delivery that sends LOSS_NOTIFY, or a flow's first packet off its
+    feeder (``first``)."""
 
     def __init__(self, patch):
-        self.booked = self.last_hop_events = self.mixed = 0
+        self.booked = self.last_hop_events = self.mixed = self.loud = self.reports = 0
+        self.first = set()
         deliver_booked, deliver_fast = Link._deliver_booked, Link._deliver_fast
+        report_loss, quiet_for = CsfqEdge._report_loss, CsfqEdge.quiet_for
         census = self
 
         def counting_booked(link, packet, due):
@@ -78,16 +98,31 @@ class _Census:
             while rider is not None and rider is not _FLUSHED:
                 chain.append(rider.dst == link.dst.name)
                 rider = rider.trailer
-            if rider is None and isinstance(link.dst, CoreliteEdge) and any(chain):
-                if all(chain):
-                    census.last_hop_events += 1
-                else:
-                    census.mixed += 1
+            last_hop = rider is None and isinstance(link.dst, EdgeRouter) and any(chain)
+            reports = census.reports
             deliver_fast(link, packet)
+            if last_hop and not all(chain):
+                census.mixed += 1
+            elif last_hop:
+                census.last_hop_events += 1
+                census.loud += census.reports > reports or packet.pid in census.first
 
-        # Links bind ``_deliver_fast`` at construction: patched before any build.
+        def counting_reports(edge, packet, gap, at):
+            census.reports += 1
+            report_loss(edge, packet, gap, at)
+
+        def noting_first(edge, packet):
+            slot = edge._egress_index.get(packet.flow_id)
+            if slot is not None and edge._egress_flows[slot].fed_seq is None:
+                census.first.add(packet.pid)
+            return quiet_for(edge, packet)
+
+        # Links bind ``_deliver_fast`` and ``quiet_for`` at construction:
+        # patched before any build.
         patch.setattr(Link, "_deliver_booked", counting_booked)
         patch.setattr(Link, "_deliver_fast", counting_fast)
+        patch.setattr(CsfqEdge, "_report_loss", counting_reports)
+        patch.setattr(CsfqEdge, "quiet_for", noting_first)
 
 
 def _show(clouds, result):
@@ -98,6 +133,21 @@ def _show(clouds, result):
         for cloud in clouds
         for name, link in cloud.topology.links.items()
     }
+    seen["control_plane"] = [
+        (cloud.control.delivered, cloud.control.lost, cloud.control.unroutable)
+        for cloud in clouds
+    ]
+    seen["egress"] = {}
+    for cloud in clouds:
+        for edge in cloud.edges.values():
+            seen["egress"][edge.name, "stray"] = (
+                getattr(edge, "stray_notifications", None), getattr(edge, "stray_feedback", None)
+            )
+            for fid in edge._egress_index:
+                state = edge._egress_state(fid)  # settles
+                seen["egress"][edge.name, fid] = (
+                    state.expected_seq, state.lost, getattr(state, "ecn_marks", None)
+                )
     return seen
 
 
@@ -121,8 +171,9 @@ def _run_parallel(make):
 def both(run, ledgered="all"):
     """``run()`` with the ledger and with events; every section equal, the
     event counts apart by the last-hop delivery events.  ``ledgered`` says
-    how much of the run books its last hops: ``"all"``, ``"some"`` (a link
-    leaves mid-run) or ``"none"``.  Returns the ledger run's observation."""
+    how much of the run books its quiet last hops: ``"all"``, ``"some"`` (a
+    link leaves mid-run) or ``"none"``.  Returns the ledger run's
+    observation."""
     with pytest.MonkeyPatch.context() as patch:
         census = _Census(patch)
         ledger = run()
@@ -141,9 +192,11 @@ def both(run, ledgered="all"):
     assert census.booked > 100, "the cloud does ledger deliveries"
     assert 0 < saved <= census.booked  # a rider had no event to save
     if ledgered == "all":
-        assert census.last_hop_events == 0, "a last-hop delivery was scheduled, not booked"
+        assert census.last_hop_events == census.loud, (
+            "a quiet last-hop delivery was scheduled, not booked"
+        )
         if not oracle_census.mixed:
-            assert saved == oracle_census.last_hop_events
+            assert saved == oracle_census.last_hop_events - census.last_hop_events
     return ledger
 
 
@@ -368,7 +421,8 @@ def test_left_ledger_strands_what_was_booked_and_goes_back_to_events():
     assert rig.edge.delivered(1) == 1
     assert len(rig.link._booked) == 2 and rig.edge.inbox is rig.link._booked
     rig.link.add_delivery_tap(lambda packet, now: tapped.append(packet.seq))
-    assert rig.link._booked is None and rig.edge.inbox is None and not rig.sim._ledgers
+    # The node keeps its emptied inbox: it takes no other feeder.
+    assert rig.link._booked is None and not rig.edge.inbox and not rig.sim._ledgers
     assert rig.edge.delivered(1) == 1
     rig.send(3)
     before = rig.sim.events_executed
@@ -435,6 +489,237 @@ def test_one_flow_arriving_over_two_links(second):
     assert ledger[:4] == events[:4]
     assert ledger[0] == 60 and ledger[1] == 0  # reordered across the two links, none lost
     assert ledger[4:] == (True, None) and events[4:] == (False, None)
+
+
+# -- CSFQ: every delivery that provably sends nothing is booked ---------------------
+
+
+def _csfq(spec, flows, until, seed=3, **kw):
+    def make():
+        builder = CloudBuilder(spec, scheme="csfq", seed=seed, **kw)
+        builder.add_flows(flows)
+        return builder.build(), until
+
+    return make
+
+
+def _fabric_flows():
+    return [
+        FlowPathSpec(fid, weight=1.0 + fid % 3, ingress_core="L1", egress_core="L2")
+        for fid in range(1, 9)
+    ]
+
+
+def _lopsided_fabric():
+    """Two equal-delay spines, one a third as fast: a flowlet that switches
+    spine overtakes or is overtaken, so late packets reach the egress."""
+    links = (("L1", "S1", 500.0), ("S1", "L2", 500.0), ("L1", "S2", 150.0), ("S2", "L2", 150.0))
+    return TopologySpec(
+        links=tuple(LinkSpec(a, b, capacity, 0.01) for a, b, capacity in links),
+        cores=("L1", "L2", "S1", "S2"),
+        routing_mode="ecmp_flowlet",
+        ecmp_flowlet_n_packets=8,
+        name="lopsided-fabric",
+    )
+
+
+def _decbit_core(*more):
+    """The core link's two directions mark (DECbit), the access links are
+    plain drop-tail: a marked packet reaches a departure-time last hop."""
+    made = []
+
+    def queue():
+        made.append(None)
+        return DecbitQueue(capacity=40.0) if len(made) <= 2 else DropTailQueue(capacity=40.0)
+
+    flows = [FlowPathSpec(fid, weight=float((fid + 1) // 2)) for fid in range(1, 7)]
+    spec = TopologySpec.chain(2, capacity_pps=200.0)
+    return _csfq(spec, flows + list(more), 15.0, 4, queue_factory=queue)()
+
+
+CSFQ_CLOUDS = {
+    "chain4": _csfq(TopologySpec.chain(4), topology1_flows(WEIGHTS_41, {}), 30.0),
+    "parking-lot": _csfq(TopologySpec.parking_lot(3), parking_lot_flows(), 20.0, 5),
+    "mesh": _csfq(TopologySpec.mesh(), mesh_flows(), 20.0, 2),
+    "leaf-spine-flowlets": _csfq(
+        TopologySpec.leaf_spine(2, 2, routing_mode="ecmp_flowlet", ecmp_flowlet_n_packets=8),
+        _fabric_flows(),
+        20.0,
+    ),
+    "lopsided-flowlets": _csfq(_lopsided_fabric(), _fabric_flows(), 20.0),
+    "decbit-core": _decbit_core,
+    "train-8": _csfq(
+        TopologySpec.chain(4), topology1_flows(WEIGHTS_41, {}), 30.0, train_batch=8
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSFQ_CLOUDS))
+def test_csfq_ledger_equals_event_delivery(name):
+    """Only LOSS_NOTIFY senders and each flow's first packet take an event."""
+    seen = both(lambda: _run_cloud(CSFQ_CLOUDS[name], sample_interval=0.1))
+    egress = [state for key, state in seen["egress"].items() if key[1] != "stray"]
+    assert sum(lost for _seq, lost, _ecn in egress) > 20, "the cloud loses packets"
+    if name == "decbit-core":
+        assert sum(ecn for _seq, _lost, ecn in egress) > 10
+
+
+def test_csfq_ledger_books_late_packets():
+    """An overtaken packet is late, not lost: quiet, hence booked."""
+    late = []
+    receive = CsfqEdge.receive
+
+    def watching(edge, packet, link, at=None):
+        if at is None and edge.inbox:
+            edge.sim.settle(edge.inbox)
+        state = edge._egress_flows[edge._egress_index[packet.flow_id]]
+        if packet.dst == edge.name and (state.expected_seq or 0) > packet.seq:
+            late.append(at is not None)
+        receive(edge, packet, link, at)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CsfqEdge, "receive", watching)
+        _run_cloud(CSFQ_CLOUDS["lopsided-flowlets"])
+    assert len(late) > 10 and all(late)
+
+
+def _csfq_inline_chain4():
+    builder = CloudBuilder(TopologySpec.chain(4), scheme="csfq", seed=7)
+    builder.add_flows(topology1_flows(WEIGHTS_41, {}))
+    builder.partitions = 2
+    builder.pdes_mode = "inline"
+    return builder.build_parallel(), 20.0
+
+
+def test_csfq_ledger_equals_event_delivery_across_a_partition_cut():
+    seen = both(lambda: _run_parallel(_csfq_inline_chain4))
+    assert len(seen["events"]) == 2
+
+
+def _small_csfq_chain():
+    flows = [
+        FlowPathSpec(
+            fid, weight=1.0 + fid % 2, ingress_core="C1" if fid % 3 else "C2", egress_core="C3"
+        )
+        for fid in range(1, 7)
+    ]
+    spec = TopologySpec.chain(3, capacity_pps=120.0, queue_capacity=3.0)
+    return _csfq(spec, flows, 16.0, 9)()
+
+
+def test_csfq_fail_on_an_unarmed_egress_link_leaves_the_ledger_as_events_would():
+    """What a failure flushes was handed to ``quiet_for`` but never arrives;
+    the link leaves the ledger for good, so nothing booked after it can
+    find the hole."""
+    seen = both(lambda: _run_cloud(_small_csfq_chain, 0.1, _leaver(Link.fail, 10.0137)), "some")
+    assert sum(link[6] for link in seen["links"].values()) > 10  # refused while down
+
+
+def test_csfq_a_booked_delivery_that_finds_a_gap_raises(monkeypatch):
+    """Never a LOSS_NOTIFY stamped at settle time: a wrong ``quiet_for`` fails
+    the run at the booked packet, by name."""
+    monkeypatch.setattr(CsfqEdge, "quiet_for", lambda edge, packet: True)
+    with pytest.raises(SimulationError, match=r"Eout\d+: flow \d+ seq \d+ was booked"):
+        _run_cloud(CSFQ_CLOUDS["chain4"])
+
+
+SEQ_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.002, 0.011, 0.03]),  # gap before the send
+        st.sampled_from(["A", "A", "A", "B"]),  # the in-link
+        st.sampled_from([1, 1, 1, 3]),  # members: a scalar, or a train of three
+        st.sampled_from(["next"] * 6 + ["skip", "back", "ecn"]),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    steps=SEQ_STEPS,
+    second=st.sampled_from(["plain", "red"]),
+    fail_at=st.one_of(st.none(), st.integers(min_value=0, max_value=80)),
+)
+@example(  # the feeder fails with 3, 4, 5 waiting; B then sends 2 over a hole at 1
+    steps=[(0.0, "A", 1, "next"), (0.0, "A", 1, "skip")] + [(0.0, "A", 1, "next")] * 2
+    + [(0.005, "A", 1, "next"), (0.1, "B", 1, "back"), (0.01, "B", 1, "back")],
+    second="plain",
+    fail_at=4,
+)
+def test_csfq_quiet_for_never_vouches_for_a_packet_that_finds_a_gap(steps, second, fail_at):
+    """Random seq streams over two in-links into one CSFQ egress: holes, the
+    packets that left them sent later (overtaken), ECN marks, trains, buffer
+    drops on the 4-packet feeder and, maybe, the feeder failing.  Each seq
+    is sent at most once, as an edge emits them.  ``quiet_for`` vouches for
+    exactly the unmarked packets at or below the furthest seq its feeder
+    has handed over before; each arrives in order or late, and the run
+    equals event delivery."""
+
+    def run():
+        sim = Simulator()
+        edge = CsfqEdge("E", sim, CsfqConfig())
+        edge.expect_flow(1)
+        reports = []
+        edge.loss_channel = lambda notify: reports.append((sim.now, notify.label))
+        queue = DropTailQueue(8) if second == "plain" else RedQueue(capacity=40.0)
+        links = {
+            "A": Link(sim, "A->E", "A", edge, 100.0, 0.05, DropTailQueue(4)),
+            "B": Link(sim, "B->E", "B", edge, 100.0, 0.013, queue),
+        }
+        top = 0
+
+        def offer(via, seq, n, ecn):
+            if n == 1:
+                packet = Packet.data(1, via, "E", seq, sim.now, sim=sim)
+            else:
+                packet = PacketTrain.build(1, via, "E", seq, n, sim.now, sim=sim)
+            packet.ecn = ecn
+            links[via].send(packet)
+
+        at, held = 0.0, []
+        for i, (gap, via, n, what) in enumerate(steps):
+            at += gap
+            if i == fail_at:
+                sim.schedule_at(at, links["A"].fail)
+            if what == "back" and held:
+                seq, n = held.pop(), 1  # overtaken: sent after its successors
+            else:
+                if what == "skip":
+                    held += [top, top + 1]  # sent later by "back", or lost
+                    top += 2
+                seq, top = top, top + n
+            sim.schedule_at(at, offer, via, seq, n, what == "ecn" and n == 1)
+        sim.run()
+        delay = edge.delay_stats(1)
+        return edge.delivered(1), edge.losses(1), reports, delay.summary()
+
+    vouched, handed = set(), []
+    quiet_for, receive = CsfqEdge.quiet_for, CsfqEdge.receive
+
+    def vouching(edge, packet):
+        quiet = quiet_for(edge, packet)
+        assert quiet == (bool(handed) and packet.seq <= max(handed) and not packet.ecn)
+        handed.append(packet.seq + packet.count)
+        if quiet:
+            vouched.add(packet.pid)
+        return quiet
+
+    def checking(edge, packet, link, at=None):
+        if at is None and edge.inbox:
+            edge.sim.settle(edge.inbox)
+        if packet.pid in vouched:
+            state = edge._egress_flows[0]
+            assert not packet.ecn and packet.seq <= state.expected_seq, (packet, state.expected_seq)
+        receive(edge, packet, link, at)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CsfqEdge, "quiet_for", vouching)
+        patch.setattr(CsfqEdge, "receive", checking)
+        ledger = run()
+    with pytest.MonkeyPatch.context() as patch:
+        _events_mode(patch)
+        events = run()
+    assert ledger == events
 
 
 # -- bounded, and nothing allocated at build ---------------------------------------
@@ -669,6 +954,114 @@ def test_frames_equal_their_call_chains_after_every_packet():
     assert max(entry[4][1] for entry in fires if entry[2] == 7) > 2 * max(
         entry[4][2] for entry in fires if entry[2] == 7
     )  # weight 0.3: more than two markers per packet
+
+
+def _csfq_emit_chain(self, state) -> bool:
+    """``CsfqEdge._emit`` -> keyword ``Packet(...)`` and ``forward``."""
+    if state.backlog is not None:
+        if state.backlog < 1:
+            return False
+        state.backlog -= 1
+    att = state.attachment
+    now = self.sim.now
+    est = state.estimator
+    gap = now - est._last_time
+    if gap > 0.0:
+        weight = exp(-gap / est.k)
+        load = est._pending + 1.0
+        est._pending = 0.0
+        est._last_time = now
+        rate = est.rate = (1.0 - weight) * (load / gap) + weight * est.rate
+        est.updates += 1
+    elif gap == 0.0:
+        est._pending += 1.0
+        rate = est.rate
+    else:
+        raise SimulationError(f"rate estimator saw time go backwards ({gap})")
+    label = rate / att.weight
+    packet = Packet(
+        _DATA, att.flow_id, self.name, att.dst_edge,
+        seq=state.seq, label=label, created_at=now, sim=self.sim,
+    )
+    state.seq += 1
+    self.forward(packet)
+    return True
+
+
+def _csfq_receive_chain(self, packet, link) -> None:
+    """``CsfqEdge.receive`` -> ``_deliver_local`` -> ``_sequence_gap``,
+    ``record`` x2 (``_report_loss`` has since gained ``at``)."""
+    if packet.dst != self.name:
+        self.forward(packet)
+        return
+    slot = self._egress_index.get(packet.flow_id)
+    state = self._egress_flows[slot] if slot is not None else None
+    if state is None:
+        raise FlowError(f"{self.name}: packet for unexpected flow {packet.flow_id}")
+    if packet.kind is not _DATA:
+        return
+    if packet.count != 1:
+        self._deliver_train(state, packet, link, None)
+        return
+    gap = self._sequence_gap(state, packet.seq)
+    if gap:
+        self._report_loss(packet, gap, None)
+    if packet.ecn:
+        state.ecn_marks += 1
+        self._report_loss(packet, 1, None)
+    state.meter.record()
+    state.delay.record(max(0.0, self.sim.now - packet.created_at))
+
+
+def test_csfq_frames_equal_their_call_chains_after_every_packet():
+    """Backlogged, deposit-fed and on/off flows over a DECbit core (gaps and
+    ECN marks), in event mode as above; estimator and egress state ``==``
+    after every emission and every delivery."""
+    logs = []
+    for chains in (True, False):
+        emit, receive = (_csfq_emit_chain, _csfq_receive_chain) if chains else (
+            CsfqEdge._emit, CsfqEdge.receive
+        )
+        log = []
+
+        def logged_emit(edge, state, emit=emit, log=log):
+            sent = emit(edge, state)
+            est = state.estimator
+            log.append((
+                "emit", edge.sim.now, state.attachment.flow_id, sent, state.seq, state.backlog,
+                (est.rate, est._pending, est._last_time, est.updates), edge.sim._next_pid,
+            ))
+            return sent
+
+        def logged_receive(edge, packet, link, *at, receive=receive, log=log):
+            receive(edge, packet, link, *at)
+            state = edge._egress_flows[edge._egress_index[packet.flow_id]]
+            delay = state.delay
+            log.append((
+                "receive", edge.sim.now, packet.flow_id, packet.pid, edge.sim._next_pid,
+                (state.expected_seq, state.lost, state.ecn_marks, state.meter.count),
+                (delay.count, delay.total, delay.total_sq, delay.min, delay.max, delay._next,
+                 tuple(delay._reservoir[-2:])),
+            ))
+
+        with pytest.MonkeyPatch.context() as patch:
+            _events_mode(patch)
+            patch.setattr(CsfqEdge, "_emit", logged_emit)
+            patch.setattr(CsfqEdge, "receive", logged_receive)
+            cloud, until = _decbit_core(
+                FlowPathSpec(7, weight=1.0, source=SourceSpec(kind="poisson", mean_rate=40.0)),
+                FlowPathSpec(8, weight=1.0, schedule=((2.0, 6.0), (9.0, 12.0))),
+            )
+            result = cloud.run(until=until, sample_interval=0.1)
+            logs.append((log, result_to_payload(result), cloud.sim.events_executed))
+    (chain_log, chain_payload, chain_events), (frame_log, frame_payload, frame_events) = logs
+    assert len(frame_log) == len(chain_log) > 3_000
+    for i, (got, want) in enumerate(zip(frame_log, chain_log)):
+        assert got == want, f"entry {i}"
+    assert frame_payload == chain_payload and frame_events == chain_events
+    receipts = [entry[5] for entry in frame_log if entry[0] == "receive"]
+    assert max(r[1] for r in receipts) > 0 and max(r[2] for r in receipts) > 0  # gaps, marks
+    assert any(entry[3] is False for entry in frame_log if entry[0] == "emit")  # parks
 
 
 class _ChainPacer(PacedSender):

@@ -512,9 +512,11 @@ def test_flow_scale_replay_byte_identical_across_optimizations():
 #: Corelite's event budget was 5.5 (4.9 measured) while a packet's last hop
 #: into its egress edge was an event; it is a ledger entry now
 #: (``repro.sim.link``, "Sinks"), one event less per delivered packet.
+#: CSFQ's was 5.0 (4.75 measured) until its egress booked every in-sequence
+#: delivery too (``CsfqEdge.quiet_for``).
 CHAIN_BUDGETS = {
     "corelite": (10.0, 4.0, 3.85, "3.90 / 3.57"),
-    "csfq": (30.0, 5.0, 3.7, "4.75 / 3.58"),
+    "csfq": (30.0, 4.0, 3.7, "3.78 / 3.58"),
 }
 
 
@@ -534,8 +536,10 @@ def _check_chain_event_budget(monkeypatch, scheme):
     artefacts, not model work.  A reintroduced per-wakeup or per-marker
     event, or a marker that is a packet of its own at every hop again,
     fails here with a count instead of somewhere else with a digest
-    mismatch.  CSFQ carries no markers; its chain gets the same tripwire
-    on wakeups, events and sends (``csfq_chain4`` in corebench)."""
+    mismatch.  A last hop into an egress edge is a ledger entry; a CSFQ
+    egress takes an event only for a delivery that sends LOSS_NOTIFY and
+    for each flow's first packet (``csfq_chain4`` in corebench)."""
+    from repro.csfq.edge import CsfqEdge
     from repro.experiments.builder import CloudBuilder
     from repro.experiments.scenarios import WEIGHTS_41, topology1_flows
     from repro.experiments.topospec import TopologySpec
@@ -543,7 +547,13 @@ def _check_chain_event_budget(monkeypatch, scheme):
     wakeups = []
     marker_events = []
     last_hop_events = []
+    loss_notifies = []
     schedule_at_fast = Simulator.schedule_at_fast
+    report_loss = CsfqEdge._report_loss
+
+    def reporting(edge, packet, gap, at):
+        loss_notifies.append(packet.flow_id)
+        report_loss(edge, packet, gap, at)
 
     def counting(sim, time, fn, *args):
         name = getattr(fn, "__name__", "")
@@ -557,6 +567,7 @@ def _check_chain_event_budget(monkeypatch, scheme):
         schedule_at_fast(sim, time, fn, *args)
 
     monkeypatch.setattr(Simulator, "schedule_at_fast", counting)
+    monkeypatch.setattr(CsfqEdge, "_report_loss", reporting)
     horizon, max_events, max_sends, measured = CHAIN_BUDGETS[scheme]
     builder = CloudBuilder(TopologySpec.chain(4), scheme=scheme, seed=0)
     builder.add_flows(topology1_flows(WEIGHTS_41, {}))
@@ -596,7 +607,14 @@ def _check_chain_event_budget(monkeypatch, scheme):
         f"(budget {max_sends}; events / sends were {measured} when this was written, "
         "5.46 sends with every marker a packet of its own at every hop)"
     )
-    if scheme != "corelite":
+    if scheme == "csfq":
+        assert len(loss_notifies) > 100  # the workload does lose packets
+        assert len(last_hop_events) <= len(loss_notifies) + len(result.flows), (
+            f"{len(last_hop_events)} delivery events scheduled toward an edge for "
+            f"{len(loss_notifies)} LOSS_NOTIFYs issued and {len(result.flows)} flows: "
+            "a CSFQ egress books every in-sequence delivery, only a gap (or each "
+            "flow's first packet) takes an event"
+        )
         return
     assert not last_hop_events, (
         f"{len(last_hop_events)} delivery events scheduled toward an edge, e.g. "

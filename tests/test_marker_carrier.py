@@ -96,9 +96,21 @@ def _selector_state(selector):
     return tuple(getattr(selector, name, None) for name in names)
 
 
+def _core_link_state(core, link_name):
+    """A Corelite core link's selector, or a CSFQ core link's admission state."""
+    if not hasattr(core, "machinery_for"):
+        state = core.state_for(link_name)
+        names = ("arrival_rate", "arrival_time", "arrival_pending", "accepted_rate",
+                 "accepted_time", "accepted_pending", "alpha", "tmp_alpha", "congested",
+                 "window_start", "prob_drops", "overflow_drops", "forwarded")
+        return tuple(getattr(state, name) for name in names)
+    return _selector_state(core.machinery_for(link_name).selector)
+
+
 def _observed(clouds, result):
     """What one run shows, as a dict of comparable sections.  ``clouds`` is
-    the serial cloud, or every partition's."""
+    the serial cloud, or every partition's, of either scheme (a CSFQ cloud
+    has no markers)."""
     seen = {
         "flows": {
             fid: (
@@ -125,6 +137,9 @@ def _observed(clouds, result):
     }
     for cloud in clouds:
         for edge in cloud.edges.values():
+            if not isinstance(edge, CoreliteEdge):
+                seen["rates"].update((f, edge.allotted_rate(f)) for f in edge.ingress_flow_ids())
+                continue
             for fid in edge.ingress_flow_ids():
                 seen["rates"][fid] = edge.allotted_rate(fid)
                 seen["markers"][fid, "injected"] = edge._ingress_state(
@@ -138,8 +153,7 @@ def _observed(clouds, result):
                 continue
             seen["unrouted"][name] = core.unrouted_drops
             for link_name in core.enabled_links():
-                machinery = core.machinery_for(link_name)
-                seen["selectors"][link_name] = _selector_state(machinery.selector)
+                seen["selectors"][link_name] = _core_link_state(core, link_name)
         for name, link in cloud.topology.links.items():
             stats = link.queue.stats
             seen["links"][name] = (
