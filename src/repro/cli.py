@@ -49,6 +49,9 @@ from repro.experiments.runner import RunResult
 __all__ = ["main"]
 
 _FIGNAMES = ("fig3_4", "fig5_6", "fig7_8", "fig9_10")
+#: Simulated seconds a comparison figure runs when ``--duration`` is not
+#: given (fig9_10's churn schedule needs twice the others').
+_FIG_DURATIONS = {"fig5_6": 80.0, "fig7_8": 80.0, "fig9_10": 160.0}
 _ABLATIONS = {
     "edge-epoch": sweep_edge_epoch,
     "core-epoch": sweep_core_epoch,
@@ -170,13 +173,12 @@ def _run_figure(args: argparse.Namespace) -> Dict:
         _export_csv(args, name, [("corelite", fig.result)])
         _export_svg(args, name, [("corelite", fig.result)])
         return {"figure": name, "corelite": _result_payload(fig.result, window)}
-    duration = args.duration
+    duration = _FIG_DURATIONS[name] if args.duration is None else args.duration
     if name == "fig5_6":
         cmp = figures.figure5_6(duration=duration, seed=args.seed)
     elif name == "fig7_8":
         cmp = figures.figure7_8(duration=duration, seed=args.seed)
     else:
-        duration = args.duration if args.duration != 80.0 else 160.0
         cmp = figures.figure9_10(duration=duration, seed=args.seed)
     window = (0.75 * duration, duration)
     _print_result(cmp.corelite, window, chart=not args.no_chart)
@@ -223,8 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _FIGNAMES:
         p = sub.add_parser(name, help=f"regenerate paper {name.replace('_', '/')}")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--duration", type=float, default=80.0,
-                       help="simulated seconds (figs 5-10)")
+        if name in _FIG_DURATIONS:
+            duration_help = f"simulated seconds (default {_FIG_DURATIONS[name]:g})"
+        else:
+            duration_help = "unused: fig3_4 is sized by --scale"
+        p.add_argument("--duration", type=float, default=None, help=duration_help)
         p.add_argument("--scale", type=float, default=0.25,
                        help="time compression for fig3_4 (1.0 = the paper's 800 s)")
         p.add_argument("--json", type=str, default=None, help="write results to a file")

@@ -83,12 +83,6 @@ class MarkerCacheFeedback:
         """Replay an uncongested epoch boundary skipped while parked: a
         no-op, since ``on_epoch(0, now)`` never mutates the cache."""
 
-    def quiescent(self) -> bool:
-        """An uncongested epoch boundary never mutates the cache
-        (``on_epoch(0, now)`` returns before touching anything), so the
-        router may always park an otherwise idle link's epoch timer."""
-        return True
-
     def flow_share(self, flow_id: int) -> float:
         """Fraction of cached markers belonging to ``flow_id`` (for tests)."""
         if not self._cache:

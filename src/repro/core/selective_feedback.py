@@ -150,21 +150,6 @@ class SelectiveFeedback:
             self.wav += self.config.wav_gain * (count - self.wav)
         self._epoch_marker_count -= count
 
-    def quiescent(self) -> bool:
-        """Whether an uncongested epoch boundary would leave this state
-        machine bit-identical (so the router may park the link's epoch
-        timer).  ``on_epoch(0, now)`` mutates nothing only when there is
-        no marker count to fold into ``wav``, no armed selection
-        probability and no outstanding deficit — and ``wav`` itself is
-        exactly zero, since folding a zero count into a non-zero average
-        decays it."""
-        return (
-            self.wav == 0.0
-            and self.pw == 0.0
-            and self.deficit == 0
-            and self._epoch_marker_count == 0
-        )
-
     def _send(self, flow_id: int, origin_edge: str, label: float) -> None:
         self.feedback_sent += 1
         self._emit(flow_id, origin_edge, label)

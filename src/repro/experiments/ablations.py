@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import math
 
@@ -23,7 +23,6 @@ from repro.aqm.fred import FredQueue
 from repro.aqm.red import RedQueue
 from repro.aqm.wfq import WfqQueue
 from repro.core.config import CoreliteConfig, FeedbackScheme
-from repro.errors import ConfigurationError
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.runner import RunResult
 from repro.experiments.scenarios import startup_flows
@@ -41,7 +40,6 @@ __all__ = [
     "sweep_k1",
     "sweep_alpha",
     "sweep_beta",
-    "grid_study",
     "compare_feedback_schemes",
     "compare_queue_disciplines",
     "compare_traffic_patterns",
@@ -178,40 +176,6 @@ def sweep_beta(
 ) -> List[AblationPoint]:
     """Per-marker decrease: throttle authority vs oscillation depth."""
     return _sweep_config_field("beta", values, duration, seed)
-
-
-def grid_study(
-    fields: Dict[str, Sequence[object]],
-    duration: float = 80.0,
-    seed: int = 0,
-    base: Optional[CoreliteConfig] = None,
-) -> List[AblationPoint]:
-    """Cartesian-product study over several ``CoreliteConfig`` fields.
-
-    Each point's ``value`` is a ``dict`` of the combination.  Use this for
-    interaction questions the single-field sweeps cannot answer (e.g. does
-    a short edge epoch stay drop-free if ``beta`` is raised with it?).
-    """
-    if not fields:
-        raise ConfigurationError("grid_study needs at least one field")
-    base_config = base if base is not None else CoreliteConfig()
-    window = (0.75 * duration, duration)
-    names = list(fields)
-    combos: List[Dict[str, object]] = [{}]
-    for name in names:
-        values = list(fields[name])
-        if not values:
-            raise ConfigurationError(f"field {name!r} has no values")
-        combos = [dict(c, **{name: v}) for c in combos for v in values]
-    points = []
-    for combo in combos:
-        config = dataclasses.replace(base_config, **combo)
-        result = run_startup_workload(
-            CloudBuilder(TopologySpec.chain(2), "corelite", seed=seed, config=config),
-            duration=duration,
-        )
-        points.append(_measure(result, window, "grid", dict(combo)))
-    return points
 
 
 def compare_feedback_schemes(

@@ -24,8 +24,8 @@ suite pins down:
   manually.
 
 Aggregation helpers at the bottom summarize a batch (mean / 95% CI of the
-weighted Jain index, per-metric spread, throughput envelopes across
-seeds) in the shapes the existing ``report`` / ``figures`` modules plot.
+weighted Jain index, per-metric spread across seeds) as the tables
+``corelite batch`` prints.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ __all__ = [
     "batch_metrics",
     "scalar_metrics",
     "mean_ci",
-    "throughput_envelope",
     "batch_summary_table",
 ]
 
@@ -582,54 +581,6 @@ def batch_metrics(
             f"{sorted((k, len(v)) for k, v in per_metric.items())}"
         )
     return summarize_metrics(per_metric)
-
-
-def throughput_envelope(
-    results: Sequence[BatchResult],
-    flow_id: int,
-    which: str = "throughput",
-) -> Dict[str, Series]:
-    """Per-sample lo/mean/hi of one flow's series across seeds.
-
-    ``which`` picks ``"rate"``, ``"throughput"`` or ``"cumulative"``.
-    The sample grid must agree across seeds (same scenario, same
-    ``sample_interval``), which a :class:`BatchRunner` sweep guarantees.
-    Returns ``{"lo": Series, "mean": Series, "hi": Series}`` ready for
-    :func:`repro.experiments.report.ascii_chart` or the SVG renderer.
-    """
-    if not results:
-        raise ConfigurationError("throughput_envelope needs at least one result")
-    attr = {
-        "rate": "rate_series",
-        "throughput": "throughput_series",
-        "cumulative": "cumulative_series",
-    }.get(which)
-    if attr is None:
-        raise ConfigurationError(
-            f"which must be rate/throughput/cumulative, got {which!r}"
-        )
-    all_series = []
-    for item in results:
-        record = item.result.record(flow_id)
-        all_series.append(getattr(record, attr))
-    times = list(all_series[0].times)
-    for series in all_series[1:]:
-        if list(series.times) != times:
-            raise ConfigurationError(
-                f"flow {flow_id}: sample grids differ across seeds; envelope "
-                "needs the same scenario and sample_interval in every task"
-            )
-    out = {
-        "lo": Series(f"{which}:{flow_id}:lo"),
-        "mean": Series(f"{which}:{flow_id}:mean"),
-        "hi": Series(f"{which}:{flow_id}:hi"),
-    }
-    for idx, t in enumerate(times):
-        column = [series.values[idx] for series in all_series]
-        out["lo"].append(t, min(column))
-        out["mean"].append(t, sum(column) / len(column))
-        out["hi"].append(t, max(column))
-    return out
 
 
 def batch_summary_table(summaries: Mapping[str, MetricSummary]) -> str:

@@ -2,25 +2,23 @@
 
 Single-seed results can be flattered by luck; the benchmarks assert on
 ``seed=0`` because runs are deterministic, but the scientific claim is
-"holds across seeds".  :func:`replicate` reruns an experiment under a
-list of seeds, extracts scalar metrics from each run, and reports
-mean / standard deviation / range per metric, so reviewers (and the
-replication tests) can check both the value and its stability.
+"holds across seeds".  :func:`summarize_metrics` turns metric name ->
+values-across-seeds into mean / standard deviation / range per metric,
+so reviewers (and the replication tests) can check both the value and
+its stability.  Multi-seed runs themselves go through ``corelite batch``
+(:class:`repro.experiments.parallel.BatchRunner`), whose
+:func:`~repro.experiments.parallel.batch_metrics` summarizes with it.
 """
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["MetricSummary", "replicate", "summarize_metrics"]
-
-#: Builds and runs one experiment for a seed, returning scalar metrics.
-RunFn = Callable[[int], Mapping[str, float]]
+__all__ = ["MetricSummary", "summarize_metrics"]
 
 
 @dataclass(frozen=True)
@@ -33,39 +31,6 @@ class MetricSummary:
     stdev: float
     lo: float
     hi: float
-
-    @property
-    def relative_spread(self) -> float:
-        """(hi - lo) / |mean|; inf when the mean is ~0 but values differ."""
-        if abs(self.mean) < 1e-12:
-            return 0.0 if self.hi == self.lo else math.inf
-        return (self.hi - self.lo) / abs(self.mean)
-
-
-def replicate(run: RunFn, seeds: Sequence[int]) -> Dict[str, MetricSummary]:
-    """Run ``run(seed)`` for every seed and summarize each metric.
-
-    Every run must return the same metric names; missing or extra keys
-    are an error (they usually mean the experiment silently changed).
-    """
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
-    per_metric: Dict[str, List[float]] = {}
-    expected_keys = None
-    for seed in seeds:
-        metrics = dict(run(seed))
-        if expected_keys is None:
-            expected_keys = set(metrics)
-            if not expected_keys:
-                raise ConfigurationError("run() returned no metrics")
-        elif set(metrics) != expected_keys:
-            raise ConfigurationError(
-                f"seed {seed} returned metrics {sorted(metrics)} but "
-                f"expected {sorted(expected_keys)}"
-            )
-        for name, value in metrics.items():
-            per_metric.setdefault(name, []).append(float(value))
-    return summarize_metrics(per_metric)
 
 
 def summarize_metrics(per_metric: Mapping[str, Sequence[float]]) -> Dict[str, MetricSummary]:

@@ -9,7 +9,7 @@ stack (the evaluation environment is offline).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.monitor import Series
@@ -18,9 +18,7 @@ __all__ = [
     "format_table",
     "ascii_chart",
     "rate_comparison_table",
-    "series_summary",
     "save_series_csv",
-    "save_result_json",
 ]
 
 
@@ -159,56 +157,3 @@ def save_series_csv(path: str, series: Mapping[str, Series]) -> int:
             fh.write(",".join(cells) + "\n")
             rows += 1
     return rows
-
-
-def save_result_json(path: str, result: "RunResult") -> None:
-    """Persist a RunResult's measurements (series, losses, delays) as JSON."""
-    import json
-
-    payload = {
-        "scheme": result.scheme,
-        "duration": result.duration,
-        "seed": result.seed,
-        "total_drops": result.total_drops,
-        "capacities": result.capacities,
-        "flows": {
-            str(fid): {
-                "weight": record.weight,
-                "schedule": [
-                    [start, None if math.isinf(stop) else stop]
-                    for start, stop in record.schedule
-                ],
-                "path_links": list(record.path_links),
-                "delivered": record.delivered,
-                "losses": record.losses,
-                "delay": record.delay,
-                "micro_delivered": {str(k): v for k, v in record.micro_delivered.items()},
-                "rate_series": record.rate_series.as_rows(),
-                "throughput_series": record.throughput_series.as_rows(),
-                "cumulative_series": record.cumulative_series.as_rows(),
-            }
-            for fid, record in result.flows.items()
-        },
-        "queue_series": {
-            name: series.as_rows() for name, series in result.queue_series.items()
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def series_summary(series: Series, buckets: int = 8) -> List[Tuple[float, float]]:
-    """Downsample a series to ``buckets`` (time, mean value) pairs."""
-    if buckets < 1:
-        raise ConfigurationError(f"buckets must be >= 1, got {buckets}")
-    if len(series) == 0:
-        return []
-    t0, t1 = series.times[0], series.times[-1]
-    span = (t1 - t0) / buckets if t1 > t0 else 1.0
-    out = []
-    for b in range(buckets):
-        lo, hi = t0 + b * span, t0 + (b + 1) * span
-        window = series.window(lo, hi)
-        if len(window):
-            out.append((lo, sum(window.values) / len(window)))
-    return out

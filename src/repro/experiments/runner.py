@@ -155,32 +155,6 @@ class RunResult:
             [self.flows[fid].weight for fid in active],
         )
 
-    # -- presentation -----------------------------------------------------
-
-    def summary_rows(
-        self, window: Tuple[float, float]
-    ) -> List[Tuple[int, float, float, float, int]]:
-        """Rows of (flow, weight, mean rate, expected rate, losses).
-
-        The expectation is evaluated at the window midpoint.
-        """
-        midpoint = (window[0] + window[1]) / 2.0
-        expected = self.expected_rates(at_time=midpoint)
-        rates = self.mean_rates(window)
-        rows = []
-        for fid in self.flow_ids:
-            record = self.flows[fid]
-            rows.append(
-                (
-                    fid,
-                    record.weight,
-                    rates.get(fid, 0.0),
-                    expected.get(fid, 0.0),
-                    record.losses,
-                )
-            )
-        return rows
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RunResult(scheme={self.scheme!r}, flows={len(self.flows)}, "

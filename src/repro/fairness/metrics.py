@@ -9,7 +9,6 @@ central Corelite-vs-CSFQ claim).
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -19,9 +18,7 @@ __all__ = [
     "jain_index",
     "weighted_jain_index",
     "mean_absolute_error",
-    "max_relative_error",
     "convergence_time",
-    "time_in_band",
     "weighted_jain_series",
     "reconvergence_time",
     "transient_dip",
@@ -76,24 +73,6 @@ def mean_absolute_error(
     return sum(abs(measured[key] - expected[key]) for key in expected) / len(expected)
 
 
-def max_relative_error(
-    measured: Mapping[object, float], expected: Mapping[object, float]
-) -> float:
-    """Max |measured - expected| / expected over keys with expected > 0."""
-    worst = 0.0
-    any_key = False
-    for key, value in expected.items():
-        if value <= 0:
-            continue
-        any_key = True
-        if key not in measured:
-            raise ConfigurationError(f"measured rates missing for {key!r}")
-        worst = max(worst, abs(measured[key] - value) / value)
-    if not any_key:
-        raise ConfigurationError("no positive expected values")
-    return worst
-
-
 def convergence_time(
     series: Series,
     target: float,
@@ -136,28 +115,6 @@ def convergence_time(
     if end_time - settle_at < hold:
         return None
     return settle_at
-
-
-def time_in_band(
-    series: Series,
-    target: float,
-    tolerance: float = 0.2,
-    t0: float = 0.0,
-    t1: float = math.inf,
-) -> float:
-    """Fraction of samples in ``[t0, t1]`` within ``tolerance * target``.
-
-    A robustness measure for churn scenarios (Figures 9/10), where a flow
-    repeatedly enters and leaves and "converged" is never permanent.
-    """
-    if target <= 0:
-        raise ConfigurationError(f"target must be positive, got {target}")
-    window = series.window(t0, t1)
-    if len(window) == 0:
-        return 0.0
-    band = tolerance * target
-    hits = sum(1 for v in window.values if abs(v - target) <= band)
-    return hits / len(window)
 
 
 # -- re-convergence after topology events ------------------------------

@@ -14,7 +14,7 @@ packets (:mod:`repro.sim.control`) and measurement helpers
 from repro.sim.control import ControlPlane
 from repro.sim.engine import EventHandle, PeriodicTask, Simulator
 from repro.sim.link import Link
-from repro.sim.monitor import CumulativeCounter, RateSampler, Series, ThroughputMeter
+from repro.sim.monitor import Series, ThroughputMeter
 from repro.sim.node import Node, Router
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue, QueueStats
@@ -38,7 +38,5 @@ __all__ = [
     "shortest_paths",
     "RngRegistry",
     "Series",
-    "RateSampler",
     "ThroughputMeter",
-    "CumulativeCounter",
 ]

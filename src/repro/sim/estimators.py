@@ -91,17 +91,6 @@ class ExponentialRateEstimator:
         self.updates += n
         return ladder
 
-    def reading(self, now: float) -> float:
-        """The rate estimate decayed to ``now`` without adding an arrival.
-
-        Equivalent to an update with ``size = 0`` but side-effect free, so
-        monitors can read a quiescent flow's decaying estimate.
-        """
-        gap = now - self._last_time
-        if gap <= 0.0:
-            return self.rate
-        return math.exp(-gap / self.k) * self.rate
-
     def restart(self, now: float) -> None:
         """Zero the estimate (flow restart)."""
         self.rate = 0.0

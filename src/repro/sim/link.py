@@ -100,7 +100,7 @@ path is tested against.
 installed — the common case in large sweeps — the per-packet path never
 iterates an empty listener list.  Installing a tap rebinds the instance
 attribute to the tapped variant.  Taps must therefore be installed before
-traffic flows (monitors and tracers attach at build time).
+traffic flows (only tests install taps).
 
 Trains
 ------

@@ -3,21 +3,20 @@
 The paper's figures plot two quantities per flow: the *allotted rate*
 ``bg(f)`` maintained by the ingress edge (Figures 3, 5–10) and the
 *cumulative service*, i.e. packets delivered to the egress edge
-(Figure 4).  :class:`Series` stores a sampled time series;
-:class:`RateSampler` samples arbitrary callables periodically;
+(Figure 4).  :class:`Series` stores a sampled time series and
 :class:`ThroughputMeter` converts egress delivery counts into windowed
-rates; :class:`CumulativeCounter` tracks cumulative delivered packets.
+rates.  ``Cloud.run``'s one periodic sampler fills every flow's rate,
+throughput and cumulative series from the edges.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
 
-__all__ = ["Series", "RateSampler", "ThroughputMeter", "CumulativeCounter"]
+__all__ = ["Series", "ThroughputMeter"]
 
 
 class Series:
@@ -94,29 +93,6 @@ class Series:
         return f"Series({self.name!r}, n={len(self)})"
 
 
-class RateSampler:
-    """Periodically samples ``fn()`` into a :class:`Series`."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        interval: float,
-        fn: Callable[[], float],
-        series: Optional[Series] = None,
-        name: str = "",
-    ) -> None:
-        self.series = series if series is not None else Series(name)
-        self._fn = fn
-        self._task = sim.every(interval, self._sample)
-        self._sim = sim
-
-    def _sample(self) -> None:
-        self.series.append(self._sim.now, self._fn())
-
-    def stop(self) -> None:
-        self._task.stop()
-
-
 class ThroughputMeter:
     """Turns discrete delivery events into an instantaneous rate.
 
@@ -144,18 +120,3 @@ class ThroughputMeter:
         if span <= 0.0:
             return 0.0
         return delta / span
-
-
-class CumulativeCounter:
-    """Cumulative delivered-packet counter with periodic snapshots."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def record(self, n: int = 1) -> None:
-        self.count += n
-
-    def value(self) -> float:
-        return float(self.count)

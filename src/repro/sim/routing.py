@@ -51,7 +51,6 @@ __all__ = [
     "shortest_path_tree",
     "shortest_paths",
     "reconstruct_path",
-    "path_cost",
     "equal_cost_next_hops",
 ]
 
@@ -162,14 +161,6 @@ def reconstruct_path(
         node = parent
     links.reverse()
     return links
-
-
-def path_cost(dist: Mapping[str, float], dest: str, source: str) -> float:
-    """Shortest-path cost to ``dest`` from the Dijkstra run rooted at ``source``."""
-    try:
-        return dist[dest]
-    except KeyError:
-        raise RoutingError(f"no path from {source!r} to {dest!r}") from None
 
 
 def equal_cost_next_hops(

@@ -1,12 +1,8 @@
 """Unit tests for the ablation machinery (short durations)."""
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.experiments.ablations import (
     AblationPoint,
     compare_feedback_schemes,
-    grid_study,
     sweep_alpha,
     sweep_beta,
     sweep_qthresh,
@@ -35,30 +31,3 @@ class TestSweeps:
     def test_feedback_comparison_labels(self):
         points = compare_feedback_schemes(duration=DURATION)
         assert {p.value for p in points} == {"marker_cache", "selective"}
-
-
-class TestGridStudy:
-    def test_cartesian_product(self):
-        points = grid_study(
-            {"qthresh": (4.0, 8.0), "fn_k": (0.0, 0.02)}, duration=DURATION
-        )
-        assert len(points) == 4
-        combos = {tuple(sorted(p.value.items())) for p in points}
-        assert (("fn_k", 0.0), ("qthresh", 4.0)) in combos
-
-    def test_empty_fields_rejected(self):
-        with pytest.raises(ConfigurationError):
-            grid_study({}, duration=DURATION)
-        with pytest.raises(ConfigurationError):
-            grid_study({"qthresh": ()}, duration=DURATION)
-
-    def test_interaction_example(self):
-        """A fast edge epoch (0.1 s) alone overruns the buffers; pairing
-        it with a stronger beta restores most of the losslessness —
-        the interaction the single-field sweeps cannot show."""
-        points = grid_study(
-            {"edge_epoch": (0.1,), "beta": (1.0, 3.0)}, duration=DURATION
-        )
-        weak, strong = points
-        assert weak.value["beta"] == 1.0
-        assert strong.drops < weak.drops

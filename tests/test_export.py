@@ -1,13 +1,12 @@
 """Tests for CSV/JSON export of run results."""
 
 import csv
-import json
 
 import pytest
 
 from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.errors import ConfigurationError
-from repro.experiments.report import save_result_json, save_series_csv
+from repro.experiments.report import save_series_csv
 from repro.sim.monitor import Series
 
 
@@ -48,20 +47,3 @@ class TestCsv:
         }
         rows = save_series_csv(str(path), series)
         assert rows == len(small_result.flows[1].rate_series)
-
-
-class TestJson:
-    def test_full_result_round_trip(self, tmp_path, small_result):
-        path = tmp_path / "run.json"
-        save_result_json(str(path), small_result)
-        payload = json.loads(path.read_text())
-        assert payload["scheme"] == "corelite"
-        assert payload["total_drops"] == small_result.total_drops
-        flow1 = payload["flows"]["1"]
-        assert flow1["weight"] == 1.0
-        assert flow1["schedule"] == [[0.0, None]]  # inf serialized as null
-        assert len(flow1["rate_series"]) == len(small_result.flows[1].rate_series)
-        flow2 = payload["flows"]["2"]
-        assert flow2["schedule"] == [[0.0, 8.0]]
-        assert "C1->C2" in payload["queue_series"]
-        assert flow1["delay"]["count"] > 0

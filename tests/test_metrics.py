@@ -8,9 +8,7 @@ from repro.errors import ConfigurationError
 from repro.fairness.metrics import (
     convergence_time,
     jain_index,
-    max_relative_error,
     mean_absolute_error,
-    time_in_band,
     weighted_jain_index,
 )
 from repro.sim.monitor import Series
@@ -66,12 +64,6 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             mean_absolute_error({1: 10.0}, {1: 10.0, 2: 5.0})
 
-    def test_max_relative_error(self):
-        err = max_relative_error({1: 11.0, 2: 40.0}, {1: 10.0, 2: 50.0})
-        assert err == pytest.approx(0.2)
-
-    def test_zero_expected_values_skipped(self):
-        assert max_relative_error({1: 5.0, 2: 5.0}, {1: 0.0, 2: 5.0}) == 0.0
 
 
 def ramp_series(settle_time=10.0, target=50.0, end=40.0):
@@ -120,28 +112,3 @@ class TestConvergence:
 
     def test_empty_series(self):
         assert convergence_time(Series("e"), target=10.0) is None
-
-
-class TestTimeInBand:
-    def test_full_band(self):
-        s = Series("x")
-        for t in range(10):
-            s.append(float(t), 50.0)
-        assert time_in_band(s, 50.0) == 1.0
-
-    def test_half_band(self):
-        s = Series("x")
-        for t in range(10):
-            s.append(float(t), 50.0 if t % 2 else 500.0)
-        assert time_in_band(s, 50.0) == pytest.approx(0.5)
-
-    def test_window_restriction(self):
-        s = Series("x")
-        for t in range(10):
-            s.append(float(t), 50.0 if t >= 5 else 0.0)
-        assert time_in_band(s, 50.0, t0=5.0) == 1.0
-
-    def test_empty_window(self):
-        s = Series("x")
-        s.append(0.0, 1.0)
-        assert time_in_band(s, 50.0, t0=100.0, t1=200.0) == 0.0

@@ -1,10 +1,9 @@
-"""Unit tests for series, samplers and throughput meters."""
+"""Unit tests for series and throughput meters."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
-from repro.sim.monitor import CumulativeCounter, RateSampler, Series, ThroughputMeter
+from repro.sim.monitor import Series, ThroughputMeter
 
 
 class TestSeries:
@@ -67,23 +66,6 @@ class TestSeries:
             s.value_at(-0.1)
 
 
-class TestRateSampler:
-    def test_samples_periodically(self):
-        sim = Simulator()
-        values = iter(range(100))
-        sampler = RateSampler(sim, 1.0, lambda: float(next(values)), name="v")
-        sim.run(until=3.5)
-        assert sampler.series.as_rows() == [(1.0, 0.0), (2.0, 1.0), (3.0, 2.0)]
-
-    def test_stop(self):
-        sim = Simulator()
-        sampler = RateSampler(sim, 1.0, lambda: 1.0)
-        sim.run(until=2.0)
-        sampler.stop()
-        sim.run(until=10.0)
-        assert len(sampler.series) == 2
-
-
 class TestThroughputMeter:
     def test_rate_over_interval(self):
         m = ThroughputMeter()
@@ -109,10 +91,3 @@ class TestThroughputMeter:
         m.record(2)
         m.record(3)
         assert m.count == 5
-
-
-def test_cumulative_counter():
-    c = CumulativeCounter()
-    c.record()
-    c.record(4)
-    assert c.value() == 5.0

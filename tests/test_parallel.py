@@ -28,7 +28,6 @@ from repro.experiments.parallel import (
     result_from_payload,
     result_to_payload,
     scalar_metrics,
-    throughput_envelope,
 )
 from repro.experiments.scenario_dsl import run_scenario
 from repro.sim.rng import derive_seed
@@ -300,28 +299,6 @@ def test_mean_ci():
     assert half == pytest.approx(4.303 / math.sqrt(3), rel=1e-3)
     with pytest.raises(ConfigurationError):
         mean_ci([])
-
-
-def test_throughput_envelope():
-    results = _batch()
-    env = throughput_envelope(results, flow_id=2, which="throughput")
-    assert set(env) == {"lo", "mean", "hi"}
-    assert len(env["mean"]) == len(env["lo"]) == len(env["hi"]) > 0
-    for (t_lo, lo), (t_m, m), (t_hi, hi) in zip(env["lo"], env["mean"], env["hi"]):
-        assert t_lo == t_m == t_hi
-        assert lo <= m + 1e-12 and m <= hi + 1e-12
-    with pytest.raises(ConfigurationError):
-        throughput_envelope(results, flow_id=2, which="nope")
-
-
-def test_throughput_envelope_rejects_mismatched_grids():
-    short = dict(TINY)
-    short["duration"] = 4.0
-    mixed = BatchRunner(workers=1).run(
-        [BatchTask(_spec(), 0), BatchTask(_spec(name="short", scenario=short), 0)]
-    )
-    with pytest.raises(ConfigurationError):
-        throughput_envelope(mixed, flow_id=1)
 
 
 def test_pool_map_matches_inline():

@@ -1,0 +1,241 @@
+"""Static reachability guard: no ``src/repro`` code that only tests reach.
+
+Two rules, checked on the source text (AST plus text search) without
+running any of it:
+
+* every module under ``src/repro`` has an importer outside ``tests/``;
+* every function or class a module lists in ``__all__`` is used outside
+  ``tests/``, counting neither its own definition nor its package
+  ``__init__`` re-exports.  A use is a reference in code, or a Sphinx
+  cross-reference (``:func:`name```) in another API's docstring — that
+  API's contract is stated in terms of it.  The module's own docstring
+  does not count.  Constants and aliases in ``__all__`` carry no code of
+  their own and are not checked.
+
+The consumers searched are the package itself, ``benchmarks/`` and
+``examples/``: the front doors a user or a benchmark runs.  Code that
+fails a rule runs only under its own tests; give it a front-door consumer
+or delete it with those tests.  A third test imports every module but
+``__main__`` and checks that each ``__all__`` name resolves.
+
+``ALLOWLIST`` names the few symbols that wait for a consumer already
+planned, each with that consumer.  An entry that is no longer needed
+(its symbol gained a consumer or was deleted) fails
+``test_allowlist_entries_are_still_needed``, so the list only shrinks.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import re
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Set
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+CONSUMER_DIRS = (SRC, ROOT / "benchmarks", ROOT / "examples")
+
+#: Modules that need no importer: ``python -m repro`` runs ``__main__``.
+ENTRY_MODULES = {"repro.__main__"}
+
+_THEORY = "ROADMAP item 3 (operating envelope) overlays the control-loop theory"
+_FLUID = "ROADMAP item 3 overlays the fluid LIMD trajectory on its sweep"
+
+#: dotted module or ``module.name`` -> why it stays without a consumer.
+ALLOWLIST: Dict[str, str] = {
+    "repro.core.theory": _THEORY,
+    "repro.core.theory.slow_start_exit": _THEORY,
+    "repro.core.theory.linear_climb_time": _THEORY,
+    "repro.core.theory.oscillation_band": _THEORY,
+    "repro.core.theory.loop_budget": _THEORY,
+    "repro.fairness.chiu_jain.simulate_fluid_limd": _FLUID,
+    "repro.fairness.chiu_jain.convergence_epochs": _FLUID,
+    "repro.experiments.scenario_dsl.build_network": (
+        "the public scenario -> Cloud entry: builds a cloud from a scenario "
+        "mapping without running it"
+    ),
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: A Sphinx cross-reference such as ``:func:`repro.sim.routing.shortest_paths```.
+_XREF = re.compile(r":[a-z]+:`~?([\w.]+)`")
+
+
+def _walk_skipping(tree: ast.AST, skip: Set[int]) -> Iterator[ast.AST]:
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+class Source:
+    """One Python file outside ``tests/``, parsed once."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        self.is_init = path.name == "__init__.py"
+        #: ``repro.a.b`` for a file under ``src/``, None elsewhere.
+        self.module: Optional[str] = None
+        if SRC in path.parents:
+            parts = list(path.relative_to(SRC).with_suffix("").parts)
+            if self.is_init:
+                parts.pop()
+            self.module = ".".join(parts)
+
+    @property
+    def package(self) -> str:
+        if self.module is None or self.is_init:
+            return self.module or ""
+        return self.module.rpartition(".")[0]
+
+    def docstring_node(self) -> Optional[ast.AST]:
+        body = self.tree.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            return body[0]
+        return None
+
+    def references(self, skip: Set[int] = frozenset()) -> Set[str]:
+        """Every name this file refers to outside the ``skip`` nodes.
+
+        A package ``__init__`` counts only references in code: importing a
+        name and listing it in ``__all__`` re-exports it, it does not use
+        it.  Elsewhere an imported name, a string equal to a name
+        (``getattr``) and a docstring cross-reference count too.
+        """
+        refs: Set[str] = set()
+        for node in _walk_skipping(self.tree, skip):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif self.is_init:
+                continue
+            elif isinstance(node, ast.ImportFrom):
+                refs.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add(node.value)
+                refs.update(
+                    target.rpartition(".")[2] for target in _XREF.findall(node.value)
+                )
+        return refs
+
+
+SOURCES = [
+    Source(path) for top in CONSUMER_DIRS for path in sorted(top.rglob("*.py"))
+]
+PACKAGE = [source for source in SOURCES if source.module is not None]
+#: Names each file refers to anywhere (the owner of a name is re-walked
+#: without its definition, see :func:`unused_exports`).
+REFERENCES = {source.path: source.references() for source in SOURCES}
+
+
+def _imported_modules(source: Source) -> Set[str]:
+    """Every dotted module ``source`` imports, by statement or by name
+    (``importlib.import_module("repro.x")``, PEP 562 export tables)."""
+    found: Set[str] = set()
+    for node in ast.walk(source.tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = source.package
+                for _ in range(node.level - 1):
+                    anchor = anchor.rpartition(".")[0]
+                base = f"{anchor}.{base}" if base else anchor
+            found.add(base)
+            # ``from pkg import mod`` imports the submodule ``pkg.mod``.
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.startswith("repro."):
+                found.add(node.value)
+    return found
+
+
+def unimported_modules() -> List[str]:
+    """src/repro modules that no file outside ``tests/`` imports."""
+    importers: Dict[str, Set[Path]] = {}
+    for source in SOURCES:
+        for module in _imported_modules(source):
+            importers.setdefault(module, set()).add(source.path)
+    return [
+        source.module
+        for source in PACKAGE
+        if not source.is_init
+        and source.module not in ENTRY_MODULES
+        and not importers.get(source.module, set()) - {source.path}
+    ]
+
+
+def unused_exports() -> List[str]:
+    """``module.name`` for every exported function or class only tests use."""
+    unused = []
+    for owner in PACKAGE:
+        if owner.is_init:
+            continue
+        all_stmt = next(
+            (
+                node
+                for node in owner.tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            ),
+            None,
+        )
+        if all_stmt is None:
+            continue
+        defs = {node.name: node for node in owner.tree.body if isinstance(node, _DEFS)}
+        for name in ast.literal_eval(all_stmt.value):
+            if name not in defs:
+                continue
+            # Neither the definition, the ``__all__`` entry nor the module
+            # docstring describing its own contents is a use.
+            own = {id(all_stmt), id(defs[name]), id(owner.docstring_node())}
+            if name in owner.references(own) or any(
+                name in REFERENCES[source.path] for source in SOURCES if source is not owner
+            ):
+                continue
+            unused.append(f"{owner.module}.{name}")
+    return unused
+
+
+def unresolved_exports() -> List[str]:
+    """``module.name`` for every ``__all__`` name its module does not bind."""
+    missing = []
+    for source in PACKAGE:
+        if source.module in ENTRY_MODULES:
+            continue
+        module = importlib.import_module(source.module)
+        missing.extend(
+            f"{source.module}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        )
+    return missing
+
+
+def _check(found: List[str], what: str) -> None:
+    bad = sorted(item for item in found if item not in ALLOWLIST)
+    assert not bad, f"{what}:\n  " + "\n  ".join(bad)
+
+
+def test_every_module_has_an_importer_outside_tests():
+    _check(unimported_modules(), "modules only tests import (delete, or add a consumer)")
+
+
+def test_every_export_is_used_outside_tests():
+    _check(unused_exports(), "exports only tests use (delete, or add a consumer)")
+
+
+def test_every_export_resolves():
+    _check(unresolved_exports(), "__all__ names that do not resolve")
+
+
+def test_allowlist_entries_are_still_needed():
+    flagged = set(unimported_modules()) | set(unused_exports())
+    assert sorted(set(ALLOWLIST) - flagged) == []
+    assert all(reason.strip() for reason in ALLOWLIST.values())

@@ -7,7 +7,6 @@ from repro.experiments.report import (
     ascii_chart,
     format_table,
     rate_comparison_table,
-    series_summary,
 )
 from repro.sim.monitor import Series
 
@@ -73,16 +72,3 @@ def test_rate_comparison_table():
     assert "flow" in out
     assert "24.00" in out
     assert "losses" in out
-
-
-def test_series_summary_buckets():
-    s = Series("x")
-    for t in range(100):
-        s.append(float(t), float(t))
-    rows = series_summary(s, buckets=4)
-    assert len(rows) == 4
-    assert rows[0][1] < rows[-1][1]
-
-
-def test_series_summary_empty():
-    assert series_summary(Series("x")) == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import RoutingError
-from repro.sim.routing import path_cost, reconstruct_path, shortest_paths
+from repro.sim.routing import reconstruct_path, shortest_paths
 
 
 def simple_adjacency():
@@ -73,13 +73,6 @@ def test_deterministic_tie_breaking_by_insertion():
     }
     _, prev = shortest_paths(adj, "A")
     assert reconstruct_path(prev, "A", "D") == ["A->B", "B->D"]
-
-
-def test_path_cost_helper():
-    dist, _ = shortest_paths(simple_adjacency(), "A")
-    assert path_cost(dist, "B", "A") == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(RoutingError):
-        path_cost(dist, "missing", "A")
 
 
 def test_chain_topology_costs():

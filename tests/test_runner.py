@@ -79,15 +79,6 @@ def test_fairness_at_weighted(result):
     assert result.fairness_at((0.0, 10.0)) == pytest.approx(1.0)
 
 
-def test_summary_rows(result):
-    rows = result.summary_rows((0.0, 10.0))
-    assert len(rows) == 2
-    fid, weight, measured, expected, losses = rows[0]
-    assert (fid, weight) == (1, 1.0)
-    assert measured == pytest.approx(25.0)
-    assert expected == pytest.approx(25.0)
-
-
 def test_record_unknown_flow(result):
     with pytest.raises(ConfigurationError):
         result.record(99)

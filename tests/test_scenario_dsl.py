@@ -211,13 +211,15 @@ class TestTopologyKey:
             ))
 
     def test_example_scenario_files_build(self):
+        import glob
         import os
 
         root = os.path.join(os.path.dirname(__file__), "..", "examples", "scenarios")
-        for fname in ("chain4.json", "parking_lot.json", "mesh.json"):
-            scenario = load_scenario_file(os.path.join(root, fname))
-            net = build_network(scenario)
-            assert net.flows, fname
+        paths = sorted(glob.glob(os.path.join(root, "*.json")))
+        assert len(paths) >= 5, paths
+        for path in paths:
+            net = build_network(load_scenario_file(path))
+            assert net.flows, path
 
 
 class TestRun:
