@@ -33,9 +33,13 @@ Hot frames
 A scalar packet costs one frame at each end: ``_emit`` builds it
 positionally with ``MarkerInjector.on_data`` and the single-path hit of
 ``Router.forward`` inline (``forward`` still serves multipath, unrouted
-packets and extra markers), and ``receive`` records it with the meter and
-``DelayTracker.record`` inline (``_deliver_local`` keeps markers, trains and
-unknown flows).  The egress only records, so the edge is a ``quiet_sink``
+packets and extra markers), and ``receive`` records it with the loss
+detector, the meter and ``DelayTracker.record`` inline.  A train costs the
+same: ``_emit_train`` builds its ``PacketTrain`` positionally, calls
+``MarkerInjector.on_train`` and takes the same inline route hit, and
+``receive`` records its ``n = count`` members in the same frame, through
+``DelayTracker.record_train`` (``_deliver_local`` keeps markers and unknown
+flows).  The egress only records, so the edge is a ``quiet_sink``
 (:mod:`repro.sim.link`, "Sinks"): ``receive`` is told the delivery instant
 and every read of egress state settles ``inbox`` first.  The call chains
 these frames replaced are the oracle in ``tests/test_egress_ledger.py``.
@@ -592,7 +596,9 @@ class CoreliteEdge(EdgeRouter):
         (``marker_count``, at most one per member).
         """
         att = state.attachment
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
+        name = self.name
         n = allowance
         micro_ids = None
         if state.mux is not None:
@@ -614,9 +620,7 @@ class CoreliteEdge(EdgeRouter):
             if backlog < n:
                 n = backlog
             state.backlog = backlog - n
-        train = PacketTrain.build(
-            att.flow_id, self.name, att.dst_edge, state.seq, n, now, sim=self.sim
-        )
+        train = PacketTrain(att.flow_id, name, att.dst_edge, state.seq, n, now, 0.0, sim)
         state.seq += n
         if micro_ids is not None:
             train.micro_ids = micro_ids
@@ -630,16 +634,19 @@ class CoreliteEdge(EdgeRouter):
                 rate = min(rate, state.rate_estimator.rate)
             label = max(0.0, rate - att.min_rate) / att.weight
             aboard = due if due <= n else n
-            train.origin_edge = self.name
+            train.origin_edge = name
             train.label = label
             train.marker_count = aboard
             for _ in range(due - aboard):
-                self.forward(
-                    Packet.marker(
-                        att.flow_id, self.name, att.dst_edge, label, now, sim=self.sim
-                    )
-                )
-        self.forward(train)
+                self.forward(Packet.marker(att.flow_id, name, att.dst_edge, label, now, sim=sim))
+        dst = att.dst_edge  # ``Router.forward``'s single-path hit, inline
+        link = self._routes.get(dst)
+        if link is None and dst in self._reach and dst != name:
+            link = self._uplink
+        if link is None or self.multipath:
+            self.forward(train)
+        else:
+            link.send(train)
         return n
 
     def _epoch(self) -> None:
@@ -661,9 +668,9 @@ class CoreliteEdge(EdgeRouter):
         """Delivered packets keyed by micro-flow id (0 = unaggregated)."""
         return dict(self._egress_state(flow_id).micro_delivered)
 
-    def _deliver_local(self, packet: Packet, link, at: float) -> None:
-        """What is addressed to this edge other than the scalar data packet
-        of an expected flow, which ``receive`` records itself."""
+    def _deliver_local(self, packet: Packet) -> None:
+        """What is addressed to this edge other than the data packets and
+        trains of an expected flow, which ``receive`` records itself."""
         slot = self._egress_index.get(packet.flow_id)
         if slot is None:
             raise FlowError(
@@ -672,33 +679,6 @@ class CoreliteEdge(EdgeRouter):
             )
         if packet.kind is _MARKER:
             self._egress_flows[slot].markers_received += 1
-        elif packet.kind is _DATA:
-            self._deliver_train(self._egress_flows[slot], packet, link, at)
-
-    def _deliver_train(self, state: _EgressFlow, train: Packet, link, at: float) -> None:
-        """Egress sweep for a whole train: one pass of bulk bookkeeping.
-
-        The loss detector works off the head sequence number exactly as it
-        would for the head member arriving alone, then advances past the
-        tail (members are contiguous, so no intra-train gap is possible).
-        """
-        n = train.count
-        if train.origin_edge is not None:
-            state.markers_received += train.marker_count
-        self._sequence_gap(state, train.seq, n)
-        state.meter.record(n)
-        # Members left the last link one serialization time apart (a train
-        # handed over without a link, in unit tests, has no spacing).
-        spacing = 0.0 if link is None else 1.0 / link.bandwidth_pps
-        state.delay.record_train(max(0.0, at - train.created_at), n, spacing)
-        micro_delivered = state.micro_delivered
-        micro_ids = train.micro_ids
-        if micro_ids is None:
-            micro = train.micro_id
-            micro_delivered[micro] = micro_delivered.get(micro, 0) + n
-        else:
-            for micro in micro_ids:
-                micro_delivered[micro] = micro_delivered.get(micro, 0) + 1
 
     # -- shared receive path -------------------------------------------------
 
@@ -712,15 +692,16 @@ class CoreliteEdge(EdgeRouter):
             at = self.sim.now
         if packet.dst == self.name:
             slot = self._egress_index.get(packet.flow_id)
-            if slot is None or packet.kind is not _DATA or packet.count != 1:
-                self._deliver_local(packet, link, at)
+            if slot is None or packet.kind is not _DATA:
+                self._deliver_local(packet)
                 return
-            # The egress record of a scalar data packet, in this frame.
+            # The egress record of a data packet or a train of ``n``
+            # contiguous members, in this frame.
             state = self._egress_flows[slot]
+            n = packet.count
             if packet.origin_edge is not None:
-                # A marker rode this data packet (``marker_count`` is 1 for
-                # every scalar packet; a one-member train can also land
-                # here and may carry exactly one).
+                # Markers rode this data packet (``marker_count`` is 1 for
+                # every scalar packet; a train may carry up to ``n``).
                 state.markers_received += packet.marker_count
             seq = packet.seq  # ``_sequence_gap``, inline
             expected = state.expected_seq
@@ -728,27 +709,38 @@ class CoreliteEdge(EdgeRouter):
                 expected = seq
             if seq >= expected:
                 state.lost += seq - expected
-                state.expected_seq = seq + 1
+                state.expected_seq = seq + n
             elif state.lost:
-                state.lost -= 1
-            state.meter.count += 1
+                state.lost = state.lost - n if state.lost > n else 0
+            state.meter.count += n
             delay = max(0.0, at - packet.created_at)
-            tracker = state.delay  # DelayTracker.record, inline
-            index = tracker.count
-            tracker.count = index + 1
-            tracker.total += delay
-            tracker.total_sq += delay * delay
-            if delay < tracker.min:
-                tracker.min = delay
-            if delay > tracker.max:
-                tracker.max = delay
-            if index >= tracker._next:
-                if index < tracker._capacity:
-                    tracker._reservoir.append(delay)
-                else:
-                    tracker._admit(index, delay)
+            micro_delivered = state.micro_delivered
+            if n == 1:
+                tracker = state.delay  # DelayTracker.record, inline
+                index = tracker.count
+                tracker.count = index + 1
+                tracker.total += delay
+                tracker.total_sq += delay * delay
+                if delay < tracker.min:
+                    tracker.min = delay
+                if delay > tracker.max:
+                    tracker.max = delay
+                if index >= tracker._next:
+                    if index < tracker._capacity:
+                        tracker._reservoir.append(delay)
+                    else:
+                        tracker._admit(index, delay)
+            else:
+                # Members left the last link one serialization time apart
+                # (a train handed over without a link has no spacing).
+                spacing = 0.0 if link is None else 1.0 / link.bandwidth_pps
+                state.delay.record_train(delay, n, spacing)
+                if packet.micro_ids is not None:
+                    for micro in packet.micro_ids:
+                        micro_delivered[micro] = micro_delivered.get(micro, 0) + 1
+                    return
             micro = packet.micro_id
-            state.micro_delivered[micro] = state.micro_delivered.get(micro, 0) + 1
+            micro_delivered[micro] = micro_delivered.get(micro, 0) + n
             return
         if packet.kind is _DATA:
             # Ingress role for external flows: host-originated packets are

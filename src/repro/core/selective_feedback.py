@@ -86,34 +86,64 @@ class SelectiveFeedback:
     def observe(
         self, flow_id: int, origin_edge: str, label: float, now: float, count: int = 1
     ) -> None:
-        """Process ``count`` markers of one label (a train's), each as if it
-        had arrived alone: update ``rav`` and maybe echo it."""
-        while count > 0:
-            count -= 1
-            self.markers_seen += 1
-            self._epoch_marker_count += 1
-            # Running average of the labelled normalized rate.  Seed with the
-            # first label so early epochs don't compare against an artificial 0.
-            if self.markers_seen == 1:
-                self.rav = label
-            else:
-                self.rav += self.config.rav_gain * (label - self.rav)
-
-            if self.pw <= 0.0:
-                continue
-            rng = self._rng
-            if rng is None:
-                rng = self._rng = self._take_rng()
-            selected = rng.random() < self.pw
-            above_average = label >= self.rav
-            if selected and above_average:
-                self._send(flow_id, origin_edge, label)
-            elif selected:
-                self.deficit += 1  # owed: re-spend on a future above-average marker
-            elif self.deficit > 0 and above_average:
-                self.deficit -= 1
-                self.swaps += 1
-                self._send(flow_id, origin_edge, label)
+        """Process ``count >= 1`` markers of one label (a train's), each as
+        if it had arrived alone: update ``rav`` and maybe echo it."""
+        if count > 1:
+            # A train's markers: the steps below, per marker, on locals.
+            seen = self.markers_seen
+            self.markers_seen = seen + count
+            self._epoch_marker_count += count
+            gain = self.config.rav_gain
+            rav = self.rav
+            pw = self.pw
+            draw = None
+            if pw > 0.0:
+                rng = self._rng
+                if rng is None:
+                    rng = self._rng = self._take_rng()
+                draw = rng.random
+            for _ in range(count):
+                if seen:
+                    rav += gain * (label - rav)
+                else:
+                    rav, seen = label, 1
+                if draw is None:
+                    continue
+                selected = draw() < pw
+                above_average = label >= rav
+                if selected and above_average:
+                    self._send(flow_id, origin_edge, label)
+                elif selected:
+                    self.deficit += 1
+                elif self.deficit > 0 and above_average:
+                    self.deficit -= 1
+                    self.swaps += 1
+                    self._send(flow_id, origin_edge, label)
+            self.rav = rav
+            return
+        self.markers_seen += 1
+        self._epoch_marker_count += 1
+        # Running average of the labelled normalized rate.  Seed with the
+        # first label so early epochs don't compare against an artificial 0.
+        if self.markers_seen == 1:
+            self.rav = label
+        else:
+            self.rav += self.config.rav_gain * (label - self.rav)
+        if self.pw <= 0.0:
+            return
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._take_rng()
+        selected = rng.random() < self.pw
+        above_average = label >= self.rav
+        if selected and above_average:
+            self._send(flow_id, origin_edge, label)
+        elif selected:
+            self.deficit += 1  # owed: re-spend on a future above-average marker
+        elif self.deficit > 0 and above_average:
+            self.deficit -= 1
+            self.swaps += 1
+            self._send(flow_id, origin_edge, label)
 
     def on_epoch(self, n_markers: int, now: float) -> None:
         """Epoch boundary: fold the epoch's marker count into ``wav`` and

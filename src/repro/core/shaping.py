@@ -18,11 +18,15 @@ Rate changes take effect immediately: the accumulated credit is re-priced
 at the new rate, so a throttled flow cannot burst on credit earned at its
 old, higher rate.
 
-The scalar firing (``_fire``) is one frame per packet: the float operations
-of ``_accrue`` and ``_delay_until_token`` in their order, the debit and the
-re-arm through ``Simulator.reschedule``.  Those helpers and ``_schedule``
-remain for ``set_rate``, ``kick``, ``credit()``, train mode and a firing
-whose emit callback re-armed the shaper, moved the clock or changed the rate.
+Hot frames: the scalar firing (``_fire``) is one frame per packet — the
+float operations of ``_accrue`` and ``_delay_until_token`` in their order,
+the debit and the re-arm through ``Simulator.reschedule`` — and the train
+firing (``_fire_train``) is one frame per train: ``_accrue`` inline, one call
+of the train-delay rule ``_train_delay`` (which does not accrue again), the
+debit and the same re-arm.  ``_accrue``, ``_delay_until_token`` and
+``_schedule`` remain for ``set_rate``, ``kick``, ``credit()``, a token that
+is not yet whole and a firing whose emit callback re-armed the shaper, moved
+the clock or (scalar) changed the rate.
 
 Train mode (opt-in)
 -------------------
@@ -237,8 +241,8 @@ class PacedSender:
     def _train_delay(self) -> float:
         """Delay until a train is worth firing: a full batch of tokens, or
         the coalescing horizon, whichever comes first — but never before a
-        single whole token exists (the firing would be empty)."""
-        self._accrue()
+        single whole token exists (the firing would be empty).  Every
+        caller has accrued credit up to ``now``."""
         rate = self._rate
         credit = self._credit
         target = float(self._train_batch)
@@ -314,14 +318,20 @@ class PacedSender:
             self._handle = sim.reschedule((1.0 - credit) / rate, self._fire_cb, fired)
 
     def _fire_train(self) -> None:
-        """Train-mode firing: emit up to ``min(batch, credit)`` packets as
-        one batch through ``train_emit`` and debit what was actually sent."""
+        """Train-mode firing, one frame per train (module docstring): emit
+        up to ``min(batch, credit)`` packets as one batch through
+        ``train_emit`` and debit what was actually sent."""
         fired = self._handle
         self._handle = None
         if not self._running:
             return
-        self._accrue()
+        sim = self._sim
+        now = sim.now
+        rate = self._rate
         credit = self._credit
+        if rate > 0 and now > self._last_accrual:
+            credit = self._credit = min(self.burst, credit + (now - self._last_accrual) * rate)
+        self._last_accrual = now
         if credit < 1.0 - _TOKEN_EPS:
             self._schedule(self._train_delay(), reuse=fired)
             return
@@ -336,9 +346,16 @@ class PacedSender:
             self.idle_parks += 1
             return
         self._credit = max(0.0, self._credit - sent)
-        self._last_emit = self._sim.now
+        self._last_emit = sim.now
         self.packets_sent += sent
-        self._schedule(self._train_delay(), reuse=fired)
+        if self._handle is not None or fired is None or sim.now != now:
+            # The callback re-armed the shaper or moved the clock.
+            self._accrue()
+            self._schedule(self._train_delay(), reuse=fired)
+            return
+        delay = self._train_delay()
+        if delay >= 0.0:
+            self._handle = sim.reschedule(delay, self._fire_cb, fired)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "running" if self._running else "stopped"

@@ -211,9 +211,7 @@ class CsfqEdge(EdgeRouter):
                 n = backlog
             state.backlog = backlog - n
         ladder = state.estimator.update_train(now, n)
-        train = PacketTrain.build(
-            att.flow_id, self.name, att.dst_edge, state.seq, n, now, sim=self.sim
-        )
+        train = PacketTrain(att.flow_id, self.name, att.dst_edge, state.seq, n, now, 0.0, self.sim)
         w = att.weight  # weighted CSFQ: labels are normalized by weight
         train.label = ladder[-1] / w
         train.member_labels = tuple(label / w for label in ladder)

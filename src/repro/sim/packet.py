@@ -49,6 +49,9 @@ class PacketKind(IntEnum):
     ACK = 4
 
 
+_DATA = PacketKind.DATA
+
+
 class Packet:
     """A packet in flight.
 
@@ -216,14 +219,6 @@ class Packet:
         self.label = 0.0
         return marker
 
-    @property
-    def is_data(self) -> bool:
-        return self.kind == PacketKind.DATA
-
-    @property
-    def is_marker(self) -> bool:
-        return self.kind == PacketKind.MARKER
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Packet(#{self.pid} {self.kind.name} flow={self.flow_id} "
@@ -277,16 +272,9 @@ class PacketTrain(Packet):
         label: float = 0.0,
         sim: Optional["Simulator"] = None,
     ) -> None:
-        super().__init__(
-            PacketKind.DATA,
-            flow_id,
-            src,
-            dst,
-            size=float(n),
-            seq=first_seq,
-            label=label,
-            created_at=created_at,
-            sim=sim,
+        # Positional: one frame per train, as an edge's scalar ``Packet``.
+        Packet.__init__(
+            self, _DATA, flow_id, src, dst, float(n), first_seq, None, label, created_at, sim
         )
         self.count = n
         self.marker_count = 0
@@ -294,21 +282,6 @@ class PacketTrain(Packet):
         #: Per-member CSFQ labels (the scalar estimator's label ladder);
         #: ``None`` means every member shares ``label`` on a split.
         self.member_labels: Optional[tuple] = None
-
-    @classmethod
-    def build(
-        cls,
-        flow_id: int,
-        src: str,
-        dst: str,
-        first_seq: int,
-        n: int,
-        now: float,
-        label: float = 0.0,
-        sim: Optional["Simulator"] = None,
-    ) -> "PacketTrain":
-        """Create a train of ``n`` DATA packets."""
-        return cls(flow_id, src, dst, first_seq, n, created_at=now, label=label, sim=sim)
 
     def split(self, sim: Optional["Simulator"] = None) -> list:
         """Materialize the scalar member packets and retire the train.

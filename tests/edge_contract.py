@@ -71,7 +71,7 @@ def arrive(edge, seq, n=1):
     if n == 1:
         packet = Packet.data(7, "EinX", "Ein1", seq=seq, now=0.0)
     else:
-        packet = PacketTrain.build(7, "EinX", "Ein1", seq, n, 0.0)
+        packet = PacketTrain(7, "EinX", "Ein1", seq, n, 0.0)
     edge.receive(packet, link=None)
 
 

@@ -174,7 +174,7 @@ class _Rig:
             elif n == 1:
                 packet = Packet.data(1, "Ein", "Eout", seq, now, label=label, sim=self.sim)
             else:
-                packet = PacketTrain.build(1, "Ein", "Eout", seq, n, now, label, sim=self.sim)
+                packet = PacketTrain(1, "Ein", "Eout", seq, n, now, label, sim=self.sim)
                 packet.member_labels = tuple(label * (i + 1) / n for i in range(n))
             seq += n
             self.router.receive(packet, None)

@@ -12,17 +12,21 @@ each way and everything a run shows must be ``==``, floats included, with
 The second half keeps the call chains the hot frames replaced —
 ``PacedSender._fire``, ``CoreliteEdge._emit`` and ``receive`` ->
 ``_deliver_local`` as they were at 00d76a9, ``CsfqEdge._emit`` and
-``receive`` as they were at a782f07 — and compares pacer, injector,
-estimator and egress state after every packet.
+``receive`` as they were at a782f07, the train frames ``_fire_train``,
+``_emit_train`` and ``receive`` -> ``_deliver_train`` as they were at
+9397da2 — and compares pacer, injector, estimator and egress state after
+every packet and every train.
 
 Mutants that must fail here (each checked by hand when it was written, and
 recorded in ``docs/PERF_LOG.md``): ``due <= now`` for the ``(due, seq)``
 rule in ``Simulator.settle``; ``receive`` not settling before an
-event-handed packet (either edge); ``_fire`` without the ``min(burst, .)``
-clamp; ``quiet_for`` answering ``seq <= fed + 1``, reading ``fed_seq`` after
-folding the packet in, folding a train in as one member or not folding an
-ECN-marked packet in; ``CsfqEdge.receive`` recording a booked delay at
-``sim.now``; a second feeder taking over a node whose feeder left.
+event-handed packet (either edge); ``_fire`` or ``_fire_train`` without the
+``min(burst, .)`` clamp; ``receive`` advancing a train's ``expected_seq`` by
+1 or recording it with ``record``; ``quiet_for`` answering
+``seq <= fed + 1``, reading ``fed_seq`` after folding the packet in, folding
+a train in as one member or not folding an ECN-marked packet in;
+``CsfqEdge.receive`` recording a booked delay at ``sim.now``; a second
+feeder taking over a node whose feeder left.
 """
 
 from __future__ import annotations
@@ -672,7 +676,7 @@ def test_csfq_quiet_for_never_vouches_for_a_packet_that_finds_a_gap(steps, secon
             if n == 1:
                 packet = Packet.data(1, via, "E", seq, sim.now, sim=sim)
             else:
-                packet = PacketTrain.build(1, via, "E", seq, n, sim.now, sim=sim)
+                packet = PacketTrain(1, via, "E", seq, n, sim.now, sim=sim)
             packet.ecn = ecn
             links[via].send(packet)
 
@@ -850,7 +854,7 @@ def _receive_chain(self, packet, link) -> None:
     if packet.kind is not _DATA:
         return
     if packet.count != 1:
-        self._deliver_train(state, packet, link, self.sim.now)
+        _deliver_train_chain(self, state, packet, link)
         return
     if packet.origin_edge is not None:
         state.markers_received += packet.marker_count
@@ -860,7 +864,91 @@ def _receive_chain(self, packet, link) -> None:
     state.micro_delivered[packet.micro_id] = state.micro_delivered.get(packet.micro_id, 0) + 1
 
 
+# -- the train frames' call chains, as they were at 9397da2 --------------------------
+
+
+def _fire_train_chain(self) -> None:
+    """``PacedSender._fire_train`` -> ``_accrue`` x2 -> ``_train_delay`` ->
+    ``_schedule`` -> ``reschedule``."""
+    fired = self._handle
+    self._handle = None
+    if not self._running:
+        return
+    self._accrue()
+    credit = self._credit
+    if credit < 1.0 - _TOKEN_EPS:
+        self._accrue()
+        self._schedule(self._train_delay(), reuse=fired)
+        return
+    sent = self._train_emit(min(int(credit + _TOKEN_EPS), self._train_batch))
+    if not self._running:
+        return
+    if not sent:
+        self.idle_parks += 1
+        return
+    self._credit = max(0.0, self._credit - sent)
+    self._last_emit = self._sim.now
+    self.packets_sent += sent
+    self._accrue()
+    self._schedule(self._train_delay(), reuse=fired)
+
+
+def _emit_train_chain(self, state, allowance) -> int:
+    """``CoreliteEdge._emit_train`` -> keyword ``PacketTrain``, ``on_train``,
+    ``forward``."""
+    att = state.attachment
+    now = self.sim.now
+    n, micro_ids = allowance, None
+    if state.mux is not None:
+        picked = []
+        while len(picked) < allowance and (micro := state.mux.pop()) is not None:
+            picked.append(micro)
+        if not picked:
+            return 0
+        n, micro_ids = len(picked), tuple(picked)
+    elif state.backlog is not None:
+        if state.backlog < 1:
+            return 0
+        n = min(n, state.backlog)
+        state.backlog -= n
+    train = PacketTrain(
+        att.flow_id, self.name, att.dst_edge, state.seq, n, created_at=now, sim=self.sim
+    )
+    state.seq += n
+    if micro_ids is not None:
+        train.micro_ids, train.micro_id = micro_ids, micro_ids[0]
+    if state.rate_estimator is not None:
+        state.rate_estimator.update(now, float(n))
+    due = state.injector.on_train(n)
+    if due:
+        rate = state.controller.rate
+        if state.rate_estimator is not None:
+            rate = min(rate, state.rate_estimator.rate)
+        label = max(0.0, rate - att.min_rate) / att.weight
+        train.origin_edge, train.label, train.marker_count = self.name, label, min(due, n)
+        for _ in range(due - min(due, n)):
+            self.forward(
+                Packet.marker(att.flow_id, self.name, att.dst_edge, label, now, sim=self.sim)
+            )
+    self.forward(train)
+    return n
+
+
+def _deliver_train_chain(self, state, train, link) -> None:
+    """``CoreliteEdge._deliver_train``: ``_sequence_gap``, ``record``, ``record_train``."""
+    n = train.count
+    if train.origin_edge is not None:
+        state.markers_received += train.marker_count
+    self._sequence_gap(state, train.seq, n)
+    state.meter.record(n)
+    spacing = 0.0 if link is None else 1.0 / link.bandwidth_pps
+    state.delay.record_train(max(0.0, self.sim.now - train.created_at), n, spacing)
+    for micro in train.micro_ids or (train.micro_id,) * n:
+        state.micro_delivered[micro] = state.micro_delivered.get(micro, 0) + 1
+
+
 _fire, _emit, _receive = PacedSender._fire, CoreliteEdge._emit, CoreliteEdge.receive
+_fire_train, _emit_train = PacedSender._fire_train, CoreliteEdge._emit_train
 
 
 def _pacer_view(pacer):
@@ -875,20 +963,25 @@ def _pacer_view(pacer):
 def _logged_frames(patch, chains):
     """Install the frames (the chains, or the source's) with a log line of
     everything they touch after every firing and every edge ``receive``."""
-    fire, emit, receive = (_fire_chain, _emit_chain, _receive_chain) if chains else (
-        _fire, _emit, _receive
-    )
+    frames = (_fire, _fire_train, _emit, _emit_train, _receive)
+    if chains:
+        frames = (_fire_chain, _fire_train_chain, _emit_chain, _emit_train_chain, _receive_chain)
+    fire, fire_train, emit, emit_train, receive = frames
     log = []
 
-    def logged_fire(pacer):
-        fire(pacer)
-        flow = pacer._emit.args[0]
-        injector, queue = flow.injector, flow.ext_queue
-        log.append((
-            "fire", pacer._sim.now, flow.attachment.flow_id, _pacer_view(pacer),
-            (injector._credit, injector.markers_emitted, injector.data_seen),
-            (flow.seq, flow.backlog, None if queue is None else len(queue), pacer._sim._next_pid),
-        ))
+    def logging(fire):
+        def logged_fire(pacer):
+            fire(pacer)
+            flow = pacer._emit.args[0]
+            injector, queue = flow.injector, flow.ext_queue
+            log.append((
+                "fire", pacer._sim.now, flow.attachment.flow_id, _pacer_view(pacer),
+                (injector._credit, injector.markers_emitted, injector.data_seen),
+                (flow.seq, flow.backlog, None if queue is None else len(queue),
+                 pacer._sim._next_pid),
+            ))
+
+        return logged_fire
 
     def logged_receive(edge, packet, link, *at):
         receive(edge, packet, link, *at)
@@ -896,25 +989,30 @@ def _logged_frames(patch, chains):
         if slot is not None:
             state, delay = edge._egress_flows[slot], edge._egress_flows[slot].delay
             log.append((
-                "receive", edge.sim.now, packet.flow_id, packet.pid,
+                "receive", edge.sim.now, packet.flow_id, packet.pid, packet.count,
                 (state.markers_received, state.expected_seq, state.lost, state.meter.count),
                 (delay.count, delay.total, delay.total_sq, delay.min, delay.max, delay._next,
                  tuple(delay._reservoir[-2:])),
                 tuple(sorted(state.micro_delivered.items())),
             ))
 
-    patch.setattr(PacedSender, "_fire", logged_fire)
+    patch.setattr(PacedSender, "_fire", logging(fire))
+    patch.setattr(PacedSender, "_fire_train", logging(fire_train))
     patch.setattr(CoreliteEdge, "_emit", emit)
+    patch.setattr(CoreliteEdge, "_emit_train", emit_train)
     patch.setattr(CoreliteEdge, "receive", logged_receive)
     return log
 
 
-def _every_flow_kind():
+def _every_flow_kind(train_batch=1):
     """Backlogged, deposit-fed, micro-flow mux, external (TCP), a ``min_rate``
     contract and sub-unit weights (several markers owed per packet), over a
-    bottleneck that drops."""
-    spec = TopologySpec.chain(2, capacity_pps=320.0, queue_capacity=6.0)
-    builder = CloudBuilder(spec, seed=11, config=CoreliteConfig(qthresh=3.0))
+    bottleneck that drops.  Trains slow-start up to whole batches (so accrual
+    meets the bucket's cap) into a buffer they fit in."""
+    buffer = 6.0 if train_batch == 1 else 12.0
+    spec = TopologySpec.chain(2, capacity_pps=320.0, queue_capacity=buffer)
+    config = CoreliteConfig(qthresh=3.0, ss_thresh=32.0 * train_batch)
+    builder = CloudBuilder(spec, seed=11, config=config, train_batch=train_batch)
     builder.add_flow(FlowPathSpec(1, weight=1.0))
     builder.add_flow(FlowPathSpec(2, weight=1.0, source=SourceSpec(kind="poisson", mean_rate=70.0)))
     builder.add_flow(
@@ -932,22 +1030,26 @@ def _every_flow_kind():
     return builder.build(), 10.0
 
 
-def test_frames_equal_their_call_chains_after_every_packet():
+@pytest.mark.parametrize("train_batch", [1, 8], ids=["scalar", "train-8"])
+def test_frames_equal_their_call_chains_after_every_packet(train_batch):
     """Run in event mode, where the old ``receive`` can read ``sim.now``; the
-    ledger's ``at`` is covered by every test above."""
+    ledger's ``at`` is covered by every test above.  Under ``train_batch=8``
+    every flow but the external one fires, emits and is recorded as trains."""
     logs = []
     for chains in (True, False):
         with pytest.MonkeyPatch.context() as patch:
             _events_mode(patch)
             log = _logged_frames(patch, chains)
-            cloud, until = _every_flow_kind()
+            cloud, until = _every_flow_kind(train_batch)
             result = cloud.run(until=until, sample_interval=0.1)
             logs.append((log, result_to_payload(result), cloud.sim.events_executed))
     (chain_log, chain_payload, chain_events), (frame_log, frame_payload, frame_events) = logs
-    assert len(frame_log) == len(chain_log) > 3_000
+    assert len(frame_log) == len(chain_log) > 2_000
     for i, (got, want) in enumerate(zip(frame_log, chain_log)):
         assert got == want, f"entry {i}"
     assert frame_payload == chain_payload and frame_events == chain_events
+    counts = {entry[4] for entry in frame_log if entry[0] == "receive"}
+    assert (max(counts) == 8) == (train_batch == 8) and 1 in counts
     fires = [entry for entry in frame_log if entry[0] == "fire"]
     assert {entry[2] for entry in fires} == set(range(1, 8))
     assert any(entry[3][6] for entry in fires)  # idle parks (deposit-fed flows ran dry)

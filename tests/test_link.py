@@ -487,7 +487,7 @@ class _Observed:
         elif size == 1:
             packet = Packet.data(1, "A", "B", seq=0, now=self.sim.now, sim=self.sim)
         else:
-            packet = PacketTrain.build(1, "A", "B", 0, size, now=self.sim.now, sim=self.sim)
+            packet = PacketTrain(1, "A", "B", 0, size, created_at=self.sim.now, sim=self.sim)
         if not self.link.send(packet):
             self.refused.append((self.sim.now, packet.pid))
 

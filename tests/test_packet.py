@@ -12,7 +12,6 @@ def test_data_packet_fields():
     assert p.seq == 3
     assert (p.src, p.dst) == ("Ein", "Eout")
     assert p.created_at == 1.5
-    assert p.is_data and not p.is_marker
     assert p.ecn is False
 
 
@@ -28,7 +27,6 @@ def test_marker_is_zero_size_and_carries_origin():
     assert m.size == 0.0
     assert m.origin_edge == "Ein3"
     assert m.label == 12.5
-    assert m.is_marker and not m.is_data
 
 
 def test_data_packet_can_carry_csfq_label():

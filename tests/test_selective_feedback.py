@@ -168,30 +168,44 @@ def test_expected_feedback_count_tracks_fn():
     assert per_epoch == pytest.approx(fn, rel=0.25)
 
 
-def test_observe_count_is_that_many_single_observes():
+@pytest.mark.parametrize("lazy", [False, True], ids=["stream", "lazy"])
+@pytest.mark.parametrize("count", [1, 2, 8])
+def test_observe_count_is_that_many_single_observes(count, lazy):
     """A train's markers go through one ``observe(..., count)`` call; the
-    per-marker ``rav`` fold, coin order and deficit logic must be the
-    sequence ``count`` standalone markers would have produced."""
+    per-marker ``rav`` fold, coin order and deficit logic must leave the
+    state ``count`` standalone markers would have left, after every call.
+    ``lazy``: the stream is a callable taken at the first draw, which falls
+    inside a ``count`` call (the first after ``pw`` is armed)."""
 
     def drive(batched):
-        sel, sent = make(rng=random.Random(11))
+        taken = []
+        stream = random.Random(11)
+        sel, sent = make(rng=(lambda: taken.append(sel.markers_seen) or stream) if lazy else stream)
         labels = random.Random(3)
+        states = []
         for epoch in range(40):
             for _ in range(12):
                 flow = labels.randrange(4)
                 label = labels.uniform(0.0, 20.0)
                 if batched:
-                    sel.observe(flow, f"E{flow}", label, epoch * 0.1, 5)
+                    sel.observe(flow, f"E{flow}", label, epoch * 0.1, count)
                 else:
-                    for _ in range(5):
+                    for _ in range(count):
                         sel.observe(flow, f"E{flow}", label, epoch * 0.1)
+                states.append((
+                    sel.rav, sel.wav, sel.pw, sel.deficit, sel.markers_seen,
+                    sel._epoch_marker_count, sel.feedback_sent, sel.swaps, len(sent),
+                ))
             sel.on_epoch(6, (epoch + 1) * 0.1)
-        return sel, sent
+        return sel, sent, states, taken
 
-    one, sent_one = drive(batched=False)
-    many, sent_many = drive(batched=True)
+    one, sent_one, states_one, taken_one = drive(batched=False)
+    many, sent_many, states_many, taken_many = drive(batched=True)
+    for i, (got, want) in enumerate(zip(states_many, states_one)):
+        assert got == want, f"call {i}"
     assert sent_many == sent_one and many.feedback_sent == one.feedback_sent > 0
     assert many.swaps == one.swaps > 0
-    assert (many.rav, many.wav, many.pw, many.deficit) == (one.rav, one.wav, one.pw, one.deficit)
-    assert many.markers_seen == one.markers_seen == 40 * 12 * 5
+    assert many.markers_seen == one.markers_seen == 40 * 12 * count
     assert many._rng.getstate() == one._rng.getstate()
+    # Taken once, by the first call after epoch 0 (``markers_seen`` counts it in).
+    assert (taken_many, taken_one) == (([13 * count], [12 * count + 1]) if lazy else ([], []))

@@ -149,7 +149,7 @@ def test_train_splits_at_non_fifo_queue(make_queue):
     sim = Simulator()
     link, c = _one_hop(sim, make_queue())
     assert not link._plain_fifo
-    train = PacketTrain.build(1, "A", "C", 0, 4, now=0.0, sim=sim)
+    train = PacketTrain(1, "A", "C", 0, 4, created_at=0.0, sim=sim)
     assert link.send(train)
     sim.run(until=1.0)
     assert len(c.packets) == 4
@@ -164,7 +164,7 @@ def test_train_stays_whole_through_plain_fifo():
     sim = Simulator()
     link, c = _one_hop(sim, DropTailQueue(capacity=50.0))
     assert link._plain_fifo
-    train = PacketTrain.build(1, "A", "C", 0, 4, now=0.0, sim=sim)
+    train = PacketTrain(1, "A", "C", 0, 4, created_at=0.0, sim=sim)
     assert link.send(train)
     sim.run(until=1.0)
     assert len(c.received) == 1
@@ -184,7 +184,7 @@ def test_dynamic_link_delivers_scalar_members():
     sim = Simulator()
     link, c = _one_hop(sim, DropTailQueue(capacity=50.0))
     link.enable_dynamics()
-    train = PacketTrain.build(1, "A", "C", 0, 4, now=0.0, sim=sim)
+    train = PacketTrain(1, "A", "C", 0, 4, created_at=0.0, sim=sim)
     assert link.send(train)
     sim.run(until=1.0)
     assert len(c.packets) == 4
@@ -197,7 +197,7 @@ def test_failure_strands_every_member_in_flight():
     sim = Simulator()
     link, c = _one_hop(sim, DropTailQueue(capacity=50.0))
     link.enable_dynamics()
-    train = PacketTrain.build(1, "A", "C", 0, 4, now=0.0, sim=sim)
+    train = PacketTrain(1, "A", "C", 0, 4, created_at=0.0, sim=sim)
     link.send(train)
     # 4 members serialize by 8 ms; first delivery fires at 12 ms.
     sim.run(until=0.009)
@@ -211,7 +211,7 @@ def test_send_train_while_down_counts_every_member():
     sim = Simulator()
     link, c = _one_hop(sim, DropTailQueue(capacity=50.0))
     link.fail()
-    train = PacketTrain.build(1, "A", "C", 0, 4, now=0.0, sim=sim)
+    train = PacketTrain(1, "A", "C", 0, 4, created_at=0.0, sim=sim)
     assert link.send(train) is False
     assert link.failure_drops == 4
 
