@@ -55,18 +55,10 @@ one object, one ``send``, one delivery.  It leaves its carrier
 would have fared differently from it: a scalar carrier the buffer refuses
 sends its marker on alone over the same link (``_tail_drop`` — never lost
 with its data packet), and the per-packet paths part the two on entry
-(``_send_split``, where a train is split).  A failed link loses both, as
-it lost both packets; markers aboard a *train* go where the train goes.
-
-*Riders.*  A zero-size packet — a parted marker, a TCP ACK — is due at
-``max(now, _free_at) + prop_delay``.  When that is the instant of the
-delivery event this link scheduled last, and that instant is still in the
-future (so the event cannot have fired), it is chained behind that event's
-last packet through ``Packet.trailer`` and delivered by the same event, in
-FIFO order, right after it; otherwise it gets its own event.  A marker
-trailing a data packet therefore costs no event at any hop.
-``_deliver_*`` clears ``trailer`` before handing a packet on, so no node
-ever sees one.
+(``_send_split``, where a train is split).  A parted marker — like any
+zero-size packet, a TCP ACK say — is then a packet like any other, with a
+delivery of its own.  A failed link loses both, as it lost both packets;
+markers aboard a *train* go where the train goes.
 
 *Sinks.*  A packet's last hop needs no event when the node it is addressed
 to only records it.  A node says so with ``quiet_sink`` (a Corelite edge;
@@ -74,17 +66,15 @@ a CSFQ edge, which sends LOSS_NOTIFY at a gap, also has ``quiet_for``: asked
 per packet handed over, it keeps each delivery it does not vouch for an
 event), and a departure-time link into it *books* ``(due, seq, packet)`` in
 a :class:`~repro.sim.engine.Ledger` — scalar packets, parted markers and
-trains alike, no riders — where it would have scheduled the delivery.  The
-first booking opens the ledger as the node's ``inbox``, and the node keeps
-that one feeder for life: another in-link finds it fed and stays on events,
-so a ledger is in ``(due, seq)`` order by construction.  Deliveries
-are settled — counted in ``delivered_*``, handed to ``receive(packet, link,
+trains alike — where it would have scheduled the delivery.  The first
+booking opens the ledger as the node's ``inbox``, and the node keeps that
+one feeder for life: another in-link finds it fed and stays on events, so
+a ledger is in ``(due, seq)`` order by construction.  Deliveries are
+settled — counted in ``delivered_*``, handed to ``receive(packet, link,
 due)`` — by the node before it reads the state they write or an event hands
 it a packet, by :meth:`Link.settle`, and by the push past the ledger's cap;
 which precede a reader is the engine's rule (:mod:`repro.sim.engine`).  A
-booked zero-size packet takes its own seq instead of riding, so against
-event delivery it can differ only for a reader at that exact float instant.
-A link that is tapped or armed leaves for good (``_unbook``): what precedes
+link that is tapped or armed leaves for good (``_unbook``): what precedes
 the caller is delivered, the rest become the events they would have been.
 
 Links that need a real queue keep it (``_send_queued`` →
@@ -126,7 +116,9 @@ delivery captures the generation current at send time, and
 link fails are dropped deterministically when their delivery event fires
 — even if the link has already recovered by then.  Static links never
 pay for this: without ``enable_dynamics`` the delivery callback stays
-the bare fast path and the per-packet cost is unchanged.
+the bare fast path and the per-packet cost is unchanged.  ``fail()`` on a
+link that was never armed arms it first, which is refused while packets
+wait in its departure-time ledger.
 """
 
 from __future__ import annotations
@@ -143,10 +135,6 @@ from repro.sim.queues import FifoQueue
 __all__ = ["Link", "BoundaryLink"]
 
 DropListener = Callable[[Packet, float], None]
-
-#: ``Packet.trailer`` of a ledger packet that :meth:`Link.fail` flushed:
-#: its delivery event is already scheduled and must deliver nothing.
-_FLUSHED = object()
 
 
 class Link:
@@ -172,8 +160,6 @@ class Link:
         "_sink",
         "_quiet_for",
         "_booked",
-        "_last_due",
-        "_tail",
         "_on_backlog",
         "_wake_pending",
         "_drop_listeners",
@@ -224,10 +210,6 @@ class Link:
         self._sink = self._sink_of(dst)
         self._quiet_for = getattr(dst, "quiet_for", None)
         self._booked: Optional[Ledger] = None
-        #: Departure-time path: instant of the delivery event scheduled
-        #: last, and the last packet that event delivers (rider chaining).
-        self._last_due = -1.0
-        self._tail: Optional[Packet] = None
         self._on_backlog: Optional[Callable[[], None]] = None
         self._wake_pending = False
         self._drop_listeners: list = []
@@ -277,7 +259,7 @@ class Link:
 
     def add_delivery_tap(self, tap: Callable[[Packet, float], None]) -> None:
         """Call ``tap(packet, now)`` when a packet reaches the far end
-        (observation only — used by tracing and monitors)."""
+        (observation only; only tests install one)."""
         self._delivery_taps.append(tap)
         self._unbook()
         self._rebind_deliver()
@@ -302,10 +284,11 @@ class Link:
         """Arm the link for scheduled failure/recovery.
 
         Must run before traffic flows (the dynamics layer calls it at
-        build time): deliveries scheduled earlier captured the unchecked
-        callback and would survive a failure, and a packet already
-        waiting in the departure-time ledger cannot move to the real
-        queue an armed link serves.
+        build time, :meth:`fail` on a link never armed): deliveries
+        scheduled earlier captured the unchecked callback and would
+        survive a failure, and a packet already waiting in the
+        departure-time ledger cannot move to the real queue an armed
+        link serves.
         """
         if self._dynamic:
             return
@@ -369,20 +352,19 @@ class Link:
         payload.  Idempotent while already down.  Returns the number of
         queued data packets flushed.
 
-        A link that was never armed may hold its waiting packets in the
-        departure-time ledger instead: they are flushed the same way and
-        their already-scheduled deliveries are voided.
+        A link that was never armed is armed first
+        (:meth:`enable_dynamics`), which raises ``SimulationError`` and
+        changes nothing while packets wait in its departure-time ledger.
         """
         if not self.up:
             return 0
+        self.enable_dynamics()
         now = self.sim.now
-        flushed = self._flush_ledger(now)
-        if not self._dynamic:
-            self.enable_dynamics()
         self.up = False
         self._gen += 1
         queue = self.queue
         stats = queue.stats
+        flushed = 0
         while True:
             packet = queue.pop(now)
             if packet is None:
@@ -400,29 +382,6 @@ class Link:
             self._free_at = now
         self._down_saved_send = self.send
         self.send = self._send_down
-        return flushed
-
-    def _flush_ledger(self, now: float) -> int:
-        """Drop every ledger packet that has not started serializing by
-        ``now``, as ``fail`` drops a queued one; returns how many."""
-        self.settle(now)
-        ledger = self._ledger
-        if not ledger:
-            return 0
-        queue = self.queue
-        queue._advance(now)
-        flushed = 0
-        for _start, size, count, packet in ledger:
-            queue._occupancy -= size
-            queue.stats.dropped_data += count
-            flushed += count
-            # Void the scheduled delivery, and any riders with it.
-            packet.trailer = _FLUSHED
-            for listener in self._drop_listeners:
-                listener(packet, now)
-        ledger.clear()
-        self._last_due = -1.0
-        self._tail = None
         return flushed
 
     def recover(self) -> None:
@@ -463,14 +422,7 @@ class Link:
             self.queue.stats.enqueued_control += 1
             due = (free_at if free_at > now else now) + self.prop_delay
             if packet.dst != self._sink or not self._book(due, packet):
-                if due == self._last_due and due > now:
-                    # Same instant as the pending delivery event scheduled
-                    # last: ride it, behind everything it already delivers.
-                    self._tail.trailer = packet
-                else:
-                    self._last_due = due
-                    sim.schedule_at_fast(due, self._deliver_cb, packet)
-                self._tail = packet
+                sim.schedule_at_fast(due, self._deliver_cb, packet)
             ledger = self._ledger
             if ledger and ledger[0][0] <= now:
                 self._settle(nextafter(now, inf))  # tie rule: an arrival kicks
@@ -523,8 +475,6 @@ class Link:
         due = free_at + self.prop_delay
         sink = self._sink
         if sink is None or packet.dst != sink or not self._book(due, packet):
-            self._last_due = due
-            self._tail = packet
             sim.schedule_at_fast(due, self._deliver_cb, packet)
         return True
 
@@ -709,36 +659,19 @@ class Link:
     # -- delivery -----------------------------------------------------------
 
     def _deliver_fast(self, packet: Packet) -> None:
-        """Hand ``packet`` to the far end, then the riders chained behind
-        it, in order (``trailer`` is cleared first: nothing downstream
-        ever sees one)."""
-        while True:
-            rider = packet.trailer
-            if rider is not None:
-                packet.trailer = None
-                if rider is _FLUSHED:
-                    return
-            if packet.size > 0.0:
-                self.delivered_data += packet.count
-            else:
-                self.delivered_control += 1
-            self.dst.receive(packet, self)
-            if rider is None:
-                return
-            packet = rider
+        """Hand ``packet`` to the far end."""
+        if packet.size > 0.0:
+            self.delivered_data += packet.count
+        else:
+            self.delivered_control += 1
+        self.dst.receive(packet, self)
 
     def _deliver_tapped(self, packet: Packet) -> None:
-        """``_deliver_fast`` with the delivery taps in front of every
-        packet of the event, riders included."""
+        """``_deliver_fast`` with the delivery taps in front."""
         now = self.sim.now
-        while packet is not None:
-            rider, packet.trailer = packet.trailer, None
-            if rider is _FLUSHED:
-                return
-            for tap in self._delivery_taps:
-                tap(packet, now)
-            self._deliver_fast(packet)
-            packet = rider
+        for tap in self._delivery_taps:
+            tap(packet, now)
+        self._deliver_fast(packet)
 
     # -- metrics --------------------------------------------------------
 

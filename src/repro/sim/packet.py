@@ -86,10 +86,6 @@ class Packet:
         echoed the marker (the edge reacts to the *max* over core routers).
     created_at:
         Virtual time at which the packet was created.
-    trailer:
-        Link-private: the next zero-size packet riding this packet's
-        delivery event on the link it is crossing.  ``None`` everywhere
-        outside :mod:`repro.sim.link`.
     """
 
     __slots__ = (
@@ -106,7 +102,6 @@ class Packet:
         "created_at",
         "ecn",
         "micro_id",
-        "trailer",
     )
 
     #: Number of data packets this object represents.  Plain packets are
@@ -151,11 +146,6 @@ class Packet:
         #: (paper §2: an edge-to-edge flow "can potentially comprise of
         #: several end to end micro flows"); 0 when not aggregated.
         self.micro_id = 0
-        #: Next zero-size packet riding this packet's delivery event on the
-        #: link it is crossing (see :mod:`repro.sim.link`); the link sets
-        #: it and clears it again before handing the packet on, so it is
-        #: ``None`` at every node.
-        self.trailer: Optional["Packet"] = None
 
     @classmethod
     def data(

@@ -116,6 +116,7 @@ def _fill_queue(link, n, now=0.0):
 def test_fail_flushes_queue_as_queue_drops(line_topology):
     topo, a, b, c = line_topology
     link = topo.links["A->B"]
+    link.enable_dynamics()  # as a scheduled failure arms it, at build time
     _fill_queue(link, 5)
     before = link.queue.stats.dropped_data
     flushed = link.fail()

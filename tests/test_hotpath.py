@@ -629,6 +629,6 @@ def _check_chain_event_budget(monkeypatch, scheme):
     assert marker_hops > 4_000  # the workload does carry markers
     assert len(marker_events) <= 0.01 * marker_hops, (
         f"{len(marker_events)} delivery events carried only a marker, of "
-        f"{marker_hops} marker hops: a marker trailing its data packet must "
-        "ride that packet's delivery event"
+        f"{marker_hops} marker hops: a marker aboard its carrier costs no "
+        "event, and only a marker parted from a dropped carrier costs one"
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.node import Node
@@ -147,7 +147,8 @@ def test_pipelining_multiple_packets_in_flight():
 
 
 # ---------------------------------------------------------------------------
-# Departure-time FIFO: riders, the tie rule, backlog watch, unarmed fail()
+# Departure-time FIFO: one delivery per packet, the tie rule, backlog watch,
+# unarmed fail()
 # ---------------------------------------------------------------------------
 
 
@@ -155,44 +156,16 @@ def marker():
     return Packet.marker(1, "A", "B", label=1.0, now=0.0)
 
 
-def test_two_markers_on_an_idle_link_share_one_event(rig):
+def test_a_marker_behind_its_carrier_arrives_in_fifo_order_on_its_own_event(rig):
     sim, link, sink = rig
-    first, second = marker(), marker()
-    link.send(first)
-    link.send(second)
-    sim.run()
-    assert [p for _, p in sink.arrivals] == [first, second]
-    assert [t for t, _ in sink.arrivals] == [0.05, 0.05]
-    assert sim.events_executed == 1
-    assert link.delivered_control == 2
-    assert first.trailer is None and second.trailer is None
-
-
-def test_rider_is_delivered_after_its_carrier_and_before_any_later_packet(rig):
-    sim, link, sink = rig
-    carrier, rider, later = data(0), marker(), data(1)
-    for packet in (carrier, rider, later):
+    carrier, parted, later = data(0), marker(), data(1)
+    for packet in (carrier, parted, later):
         link.send(packet)
-    assert carrier.trailer is rider
     sim.run()
-    assert [p for _, p in sink.arrivals] == [carrier, rider, later]
+    assert [p for _, p in sink.arrivals] == [carrier, parted, later]
     assert [t for t, _ in sink.arrivals] == pytest.approx([0.06, 0.06, 0.07])
-    assert sim.events_executed == 2  # one per data packet, none for the marker
-    assert carrier.trailer is None
-
-
-def test_delivery_taps_see_riders_too(rig):
-    sim, link, sink = rig
-    tapped = []
-    link.add_delivery_tap(lambda packet, now: tapped.append((now, packet)))
-    carrier, rider = data(0), marker()
-    link.send(carrier)
-    link.send(rider)
-    sim.run()
-    assert tapped == sink.arrivals
-    assert [p for _, p in tapped] == [carrier, rider]
-    assert sim.events_executed == 1
-    assert (link.delivered_data, link.delivered_control) == (1, 1)
+    assert sim.events_executed == 3  # one delivery per packet
+    assert (link.delivered_data, link.delivered_control) == (2, 1)
 
 
 def test_marker_behind_a_dropped_data_packet_travels_alone():
@@ -227,8 +200,8 @@ def test_marker_behind_a_dropped_data_packet_travels_alone():
 
 
 def test_marker_does_not_ride_an_event_due_now():
-    """prop_delay 0 on an idle link: the event scheduled last at this very
-    instant may already have fired, so the marker takes its own."""
+    """prop_delay 0 on an idle link: a marker sent at the instant the
+    previous one was delivered gets a delivery event of its own."""
     sim = Simulator()
     sink = Sink("B", sim)
     link = Link(sim, "A->B", "A", sink, bandwidth_pps=100.0, prop_delay=0.0,
@@ -329,8 +302,6 @@ def test_arming_a_watched_link_fires_the_watch(rig):
 
 
 def test_enable_dynamics_with_packets_waiting_is_refused(rig):
-    from repro.errors import SimulationError
-
     sim, link, sink = rig
     link.send(data(0))
     link.send(data(1))
@@ -338,30 +309,54 @@ def test_enable_dynamics_with_packets_waiting_is_refused(rig):
         link.enable_dynamics()
 
 
-def test_fail_on_unarmed_link_flushes_the_ledger_and_voids_deliveries(rig):
-    """Backlog held as departure times is still a queue to a failure:
-    every waiting packet is booked as a queue drop, the listeners hear of
-    it, and the deliveries already scheduled for them deliver nothing —
-    nor do the markers riding them."""
-    sim, link, sink = rig
+class QuietSink(Sink):
+    """A sink its feeding link books deliveries into ("Sinks")."""
+
+    quiet_sink = True
+
+    def receive(self, packet, link, at=None):
+        self.arrivals.append((self.sim.now if at is None else at, packet))
+
+
+def test_fail_on_unarmed_link_flushes_the_ledger_and_voids_deliveries():
+    """Whether an unarmed ``fail()`` flushes the ledger and voids the
+    deliveries: it does neither.  ``fail()`` arms a link that was never
+    armed, and arming is refused while packets wait in the departure-time
+    ledger: the failure raises and changes nothing — the link stays up, no
+    listener hears of a drop, the queue and both ledgers (waiting, booked)
+    are as they were, and every packet arrives.  Once idle, ``fail()`` arms
+    the link and fails it."""
+    sim = Simulator()
+    sink = QuietSink("B", sim)
+    link = Link(sim, "A->B", "A", sink, bandwidth_pps=100.0, prop_delay=0.05,
+                queue=DropTailQueue(4))
     dropped = []
-    link.add_drop_listener(lambda p, t: dropped.append((p.seq, t)))
-    packets = [data(i) for i in range(4)]
-    for packet in packets:
-        link.send(packet)
-    link.send(marker())  # rides the last waiting packet
+    link.add_drop_listener(lambda p, t: dropped.append(p.seq))
+    for i in range(4):
+        link.send(data(i))
     sim.run(until=0.015)  # packet 1 is now in service, 2 and 3 wait
-    assert link.fail() == 2
-    assert dropped == [(2, 0.015), (3, 0.015)]
-    stats = link.queue.stats
-    assert (stats.enqueued_data, stats.dequeued_data, stats.dropped_data) == (4, 2, 2)
-    assert link.queue.occupancy == 0
-    assert link.failure_drops == 0
+
+    def state():
+        link.settle()
+        stats = link.queue.stats
+        return (
+            link.up, link._dynamic, link.send.__func__, stats.as_dict(),
+            link.queue.occupancy, list(link._ledger), list(link._booked),
+        )
+
+    before = state()
+    assert len(before[5]) == 2 and len(before[6]) == 4  # waiting; booked, none due
+    with pytest.raises(SimulationError, match="before traffic"):
+        link.fail()
+    assert state() == before
     sim.run()
-    # Never armed, so what had left the buffer survives (documented).
-    assert [p.seq for _, p in sink.arrivals] == [0, 1]
-    assert link.delivered_control == 0
-    assert link.busy_time == pytest.approx(0.02)
+    link.settle()
+    assert [p.seq for _, p in sink.arrivals] == [0, 1, 2, 3]
+    assert dropped == [] and link.failure_drops == link.inflight_drops == 0
+
+    assert link.fail() == 0  # idle now: armed, then failed
+    assert link._dynamic and not link.up
+    assert link.send(data(4)) is False and link.failure_drops == 1
 
 
 def test_lazy_counters_read_current_without_an_explicit_settle():
@@ -389,54 +384,6 @@ def test_access_link_that_never_queues_allocates_no_ledger(rig):
         link.send(marker())
         sim.run()
     assert link._ledger is None
-
-
-def test_no_node_is_handed_a_packet_with_a_rider_attached():
-    """``trailer`` is link-private: on a cloud that has riders — 4-packet
-    buffers refuse data packets, and the marker aboard one travels on alone
-    behind the last admitted packet's delivery — every packet reaches
-    ``receive`` with it cleared."""
-    from repro.core.config import CoreliteConfig
-    from repro.experiments.builder import CloudBuilder
-    from repro.experiments.topospec import FlowPathSpec, TopologySpec
-
-    rides = []
-    original = Link._deliver_fast
-
-    def counting(self, packet):
-        if packet.trailer is not None:
-            rides.append(packet.pid)
-        original(self, packet)
-
-    handed = []
-
-    def checking(receive):
-        def wrapper(packet, link, *at):  # an egress edge is also handed the instant
-            assert packet.trailer is None, packet
-            handed.append(packet.pid)
-            receive(packet, link, *at)
-
-        return wrapper
-
-    # Links bind their delivery callback at construction: patch first.
-    Link._deliver_fast = counting
-    try:
-        builder = CloudBuilder(
-            TopologySpec.chain(2, capacity_pps=60.0, queue_capacity=4.0),
-            scheme="corelite",
-            seed=1,
-            config=CoreliteConfig(qthresh=2.0, initial_rate=30.0),
-        )
-        for fid in (1, 2, 3):
-            builder.add_flow(FlowPathSpec(fid, weight=float(fid)))
-        cloud = builder.build()
-        for node in cloud.topology.nodes.values():
-            node.receive = checking(node.receive)
-        cloud.run(until=12.0)
-    finally:
-        Link._deliver_fast = original
-    assert len(rides) > 100  # markers did ride data packets
-    assert len(handed) > len(rides)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +416,6 @@ class _Observed:
 
         class Recorder(Node):
             def receive(self, packet, link):
-                assert packet.trailer is None
                 outer.deliveries.append((sim.now, packet.pid))
 
         self.link = link = Link(
