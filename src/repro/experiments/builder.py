@@ -408,7 +408,6 @@ class Cloud:
         seed: int = 0,
         queue_factory: Optional[Callable[[], DropTailQueue]] = None,
         control_loss_prob: float = 0.0,
-        calendar: bool = True,
         vectorized: bool = False,
         train_batch: int = 1,
         partition=None,
@@ -418,9 +417,7 @@ class Cloud:
         queues) and takes precedence over per-link ``queue_capacity``
         overrides in the spec.  ``control_loss_prob`` injects random loss
         of control packets (feedback markers / loss notifications) for
-        robustness experiments.  ``calendar=False`` forces the simulator's
-        timer tier onto the pure binary heap — byte-identical (pinned by
-        replay tests) and only useful for those pins.
+        robustness experiments.
         ``vectorized=True`` batches the Corelite feedback: cores coalesce
         what one link selects during one congestion epoch into a single
         counted FEEDBACK packet per (flow, edge) — a control-plane choice,
@@ -459,7 +456,7 @@ class Cloud:
         #: partitioned run; ``None`` for the serial build.
         self.partition = partition
         self.config = strategy.make_config()
-        self.sim = Simulator(calendar=calendar)
+        self.sim = Simulator()
         self.rng = RngRegistry(seed)
         self.seed = seed
         self.topology = Topology(self.sim)
@@ -1005,7 +1002,6 @@ class CloudBuilder:
         config=None,
         queue_factory: Optional[Callable[[], DropTailQueue]] = None,
         control_loss_prob: float = 0.0,
-        calendar: bool = True,
         vectorized: bool = False,
         train_batch: int = 1,
         partitions: int = 1,
@@ -1030,7 +1026,6 @@ class CloudBuilder:
         self.config = config
         self.queue_factory = queue_factory
         self.control_loss_prob = control_loss_prob
-        self.calendar = calendar
         self.vectorized = vectorized
         self.train_batch = train_batch
         self.partitions = partitions
@@ -1071,7 +1066,6 @@ class CloudBuilder:
             seed=self.seed,
             queue_factory=self.queue_factory,
             control_loss_prob=self.control_loss_prob,
-            calendar=self.calendar,
             vectorized=self.vectorized,
             train_batch=self.train_batch,
         )
@@ -1100,7 +1094,6 @@ class CloudBuilder:
             mode=self.pdes_mode,
             queue_factory=self.queue_factory,
             control_loss_prob=self.control_loss_prob,
-            calendar=self.calendar,
             vectorized=self.vectorized,
             train_batch=self.train_batch,
         )

@@ -54,7 +54,7 @@ def channel_delay_matrix(
     """Minimum message delay per ordered partition pair.
 
     ``channels`` enumerates every way one partition can put an event on
-    another's calendar — a directed cut link carrying data traffic, or a
+    another's event heap — a directed cut link carrying data traffic, or a
     control channel (feedback / loss-notify) whose delivery is computed
     as a shadow-path delay.  The matrix entry ``D[i][j]`` is the minimum
     over all channels from ``i`` to ``j`` (``inf`` when no channel

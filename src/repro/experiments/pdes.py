@@ -206,7 +206,6 @@ class _PartitionWorker:
         self.config = payload["config"]
         self.plan: PartitionPlan = payload["plan"]
         self.index: int = payload["index"]
-        self.calendar: bool = payload["calendar"]
         self.vectorized: bool = payload["vectorized"]
         self.train_batch: int = payload.get("train_batch", 1)
         self.queue_factory = payload["queue_factory"]
@@ -233,7 +232,6 @@ class _PartitionWorker:
             strategy,
             seed=self.seed,
             queue_factory=self.queue_factory,
-            calendar=self.calendar,
             vectorized=self.vectorized,
             train_batch=self.train_batch,
             partition=self,
@@ -490,7 +488,7 @@ class _PartitionWorker:
 
     def peek(self) -> Optional[float]:
         """Lookahead promise: time of the earliest pending local event
-        (``None`` when the calendar is empty)."""
+        (``None`` when nothing is pending)."""
         return self.cloud.sim.peek_time()
 
     def take_out(self) -> Dict[int, Tuple]:
@@ -706,7 +704,6 @@ class ParallelCloud:
         mode: str = "process",
         queue_factory=None,
         control_loss_prob: float = 0.0,
-        calendar: bool = True,
         vectorized: bool = False,
         train_batch: int = 1,
     ) -> None:
@@ -763,7 +760,6 @@ class ParallelCloud:
         self.plan = plan
         self.mode = mode
         self.queue_factory = queue_factory
-        self.calendar = calendar
         self.vectorized = vectorized
         self.train_batch = train_batch
         #: Conservative static window: min cut-link propagation delay
@@ -854,7 +850,6 @@ class ParallelCloud:
                 "config": self.config,
                 "plan": self.plan,
                 "index": index,
-                "calendar": self.calendar,
                 "vectorized": self.vectorized,
                 "train_batch": self.train_batch,
                 "queue_factory": self.queue_factory,
@@ -891,7 +886,7 @@ class ParallelCloud:
         #: executed (or provably cannot exist).
         clock = [0.0] * num
         #: Cached lookahead promises; ``known[j]`` distinguishes "never
-        #: heard from j" from "j reported an empty calendar" (inf).
+        #: heard from j" from "j reported nothing pending" (inf).
         peek = [0.0] * num
         known = [False] * num
         sched_pending = [True] * num

@@ -88,7 +88,6 @@ def flow_scaling_cloud(
     scheme: str,
     flows: int,
     *,
-    calendar: bool = True,
     vectorized: bool = False,
     aggregate: int = 1,
     train_batch: int = 1,
@@ -117,7 +116,6 @@ def flow_scaling_cloud(
         spec,
         scheme=scheme,
         seed=0,
-        calendar=calendar,
         vectorized=vectorized,
         train_batch=train_batch,
     )

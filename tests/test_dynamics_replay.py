@@ -1,12 +1,21 @@
 """Replay pins for runs with topology dynamics.
 
 A run with a mid-run link failure and recovery must be byte-identical
-across repeats and across the calendar-tier toggle — topology churn
-may not introduce any ordering nondeterminism (the acceptance pin for the dynamics subsystem, in the
-style of test_hotpath.py's static pins).
+across repeats and to the values pinned below — topology churn may not
+introduce any ordering nondeterminism (the acceptance pin for the dynamics
+subsystem, in the style of test_hotpath.py's static pins).
+
+The pins compared the engine's bucket-ring tier on and off until the ring
+was deleted.  Each is now the SHA-256 of the run's fingerprint, the packet
+id counter and the executed-event count, recorded on the two-level store
+(equal both ways) just before: the ring only chose where an event was
+stored, never its ``(time, seq)`` firing order, so the single heap must
+replay these runs exactly.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.scenarios import parking_lot_flows
@@ -40,12 +49,16 @@ def _fingerprint(cloud, result):
         drops,
         result.total_drops,
         tuple((t, e.kind, e.pair) for t, e in cloud.dynamics.applied),
-        cloud.sim._next_pid,
-        cloud.sim.events_executed,
     )
 
 
-def _chain_failure_run(*, calendar):
+def _pin(fingerprint, cloud):
+    """``(digest of the fingerprint, packet id counter, events executed)``."""
+    digest = hashlib.sha256(repr(fingerprint).encode()).hexdigest()
+    return digest, cloud.sim._next_pid, cloud.sim.events_executed
+
+
+def _chain_failure_run():
     spec = TopologySpec.chain(
         3,
         events=(
@@ -53,7 +66,7 @@ def _chain_failure_run(*, calendar):
             NetworkEvent(time=12.0, kind="link_up", a="C1", b="C2"),
         ),
     )
-    builder = CloudBuilder(spec, scheme="corelite", seed=5, calendar=calendar)
+    builder = CloudBuilder(spec, scheme="corelite", seed=5)
     builder.add_flow(
         FlowPathSpec(flow_id=1, weight=1.0, ingress_core="C1", egress_core="C3")
     )
@@ -62,19 +75,24 @@ def _chain_failure_run(*, calendar):
     )
     cloud = builder.build()
     result = cloud.run(until=20.0)
-    return _fingerprint(cloud, result)
+    fingerprint = _fingerprint(cloud, result)
+    return fingerprint, _pin(fingerprint, cloud)
 
 
 def test_chain_failure_replay_byte_identical_across_optimizations():
-    base = _chain_failure_run(calendar=True)
-    assert _chain_failure_run(calendar=True) == base
-    assert _chain_failure_run(calendar=False) == base
+    base, pin = _chain_failure_run()
+    assert _chain_failure_run() == (base, pin)
+    assert pin == (
+        "e1eb781cb0837ae79060fe5dea3646f3576ac93e814ed54972d0d9bd580812ef",
+        2380,
+        7805,
+    )
     # The failure actually did something (the pin is not vacuous).
     assert base[3] > 0
     assert len(base[4]) == 2
 
 
-def _parking_lot_failure_run(*, calendar):
+def _parking_lot_failure_run():
     spec = TopologySpec.parking_lot(
         hops=3,
         events=(
@@ -82,19 +100,23 @@ def _parking_lot_failure_run(*, calendar):
             NetworkEvent(time=14.0, kind="link_up", a="C2", b="C3"),
         ),
     )
-    builder = CloudBuilder(spec, scheme="corelite", seed=11, calendar=calendar)
+    builder = CloudBuilder(spec, scheme="corelite", seed=11)
     builder.add_flows(parking_lot_flows(hops=3))
     cloud = builder.build()
     result = cloud.run(until=24.0)
-    return _fingerprint(cloud, result)
+    return _pin(_fingerprint(cloud, result), cloud)
 
 
 def test_parking_lot_failure_replay_byte_identical_across_optimizations():
     """The parking-lot shape exercises the PR 5 epoch-parking machinery
     together with a failure on a parked-adjacent hop."""
-    base = _parking_lot_failure_run(calendar=True)
-    assert _parking_lot_failure_run(calendar=True) == base
-    assert _parking_lot_failure_run(calendar=False) == base
+    pin = _parking_lot_failure_run()
+    assert _parking_lot_failure_run() == pin
+    assert pin == (
+        "09659eaf643ae0ac5046f59ae0c7aaf21224f8b41d0ae4d81744882cb671d141",
+        10183,
+        30575,
+    )
 
 
 def test_static_spec_produces_no_dynamics_payload():

@@ -1,9 +1,14 @@
 """Unit tests for the discrete-event engine."""
 
+import weakref
+from math import inf, nan
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
+from repro.sim.engine import _LEDGER_CAP, Simulator
 
 
 def test_initial_time_is_zero(sim):
@@ -69,6 +74,42 @@ def test_schedule_at_in_past_raises(sim):
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(0.5, lambda: None)
+
+
+def _noop():
+    pass
+
+
+#: Every way to put a time into the engine, each handed NaN.  ``not t >= now``
+#: is false for NaN as well, so none may slip past the past-check.
+NAN_CALLS = {
+    "schedule": lambda sim, fired: sim.schedule(nan, _noop),
+    "schedule_at": lambda sim, fired: sim.schedule_at(nan, _noop),
+    "schedule_fast": lambda sim, fired: sim.schedule_fast(nan, _noop),
+    "schedule_at_fast": lambda sim, fired: sim.schedule_at_fast(nan, _noop),
+    "reschedule": lambda sim, fired: sim.reschedule(nan, _noop, fired),
+    "inject": lambda sim, fired: sim.inject(nan, _noop),
+    "every(interval)": lambda sim, fired: sim.every(nan, _noop),
+    "every(first_delay)": lambda sim, fired: sim.every(1.0, _noop, first_delay=nan),
+    "every(first_at)": lambda sim, fired: sim.every(1.0, _noop, first_at=nan),
+    "run_window": lambda sim, fired: sim.run_window(nan),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAN_CALLS))
+def test_nan_time_is_rejected_and_leaves_the_clock_alone(sim, entry):
+    order = []
+    fired = sim.schedule(0.5, order.append, "fired")
+    sim.schedule(2.0, order.append, "later")
+    sim.run(until=1.0)
+    with pytest.raises(SimulationError):
+        NAN_CALLS[entry](sim, fired)
+    assert sim.now == 1.0
+    assert sim.peek_time() == 2.0
+    sim.run()
+    assert order == ["fired", "later"]
+    assert sim.now == 2.0
+    assert sim.events_executed == 2
 
 
 def test_cancel_prevents_execution(sim):
@@ -307,17 +348,16 @@ class TestWindowInjectEdgeCases:
         sim.run_window(2.0)
         assert fired == ["boundary", "later"]
 
-    def test_inject_beyond_the_calendar_horizon(self, sim):
-        # Populate past the calendar activation floor so near events live
-        # in the calendar tier, then inject far beyond its horizon (the
-        # heap tier) and in between: dispatch order must be global.
+    def test_injected_events_join_the_scheduled_time_order(self, sim):
+        # Injected events land before, between and after 400 scheduled
+        # ones: dispatch order is the global time order.
         fired = []
         for index in range(400):
-            sim.schedule_at(0.001 * index, fired.append, ("cal", index))
+            sim.schedule_at(0.001 * index, fired.append, ("sched", index))
         sim.inject(10.0, fired.append, ("far", 0))
         sim.inject(0.0005, fired.append, ("near", 0))
         sim.run(until=20.0)
-        assert fired[0] == ("cal", 0)
+        assert fired[0] == ("sched", 0)
         assert fired[1] == ("near", 0)
         assert fired[-1] == ("far", 0)
         assert len(fired) == 402
@@ -353,3 +393,243 @@ class TestWindowInjectEdgeCases:
         sim.run_window(3.0)
         assert sim.now == 3.0
         assert sim.peek_time() == 9.0
+
+
+# ---------------------------------------------------------------------------
+# event order: the heap against a reference model
+# ---------------------------------------------------------------------------
+
+
+class _Token:
+    """The one argument of a scheduled test event.  Only the engine's entry
+    holds it, so its weakref dies exactly when the engine drops the entry."""
+
+    __slots__ = ("label", "child", "handle", "__weakref__")
+
+    def __init__(self, label, child):
+        self.label = label
+        self.child = child
+        self.handle = None
+
+
+class _Reference:
+    """Everything pending in one dict keyed ``(time, seq)``, fired in
+    ``sorted()`` order with cancelled entries skipped.  Items are
+    ``("event", label, child, owner)``, ``("task", label, interval)`` and
+    ``("booked", label, ledger)``; a fired event applies its child the way
+    the test's callback does."""
+
+    def __init__(self):
+        self.seq = 0
+        self.now = 0.0
+        self.items = {}
+        self.cancelled = set()
+        self.current = {}  # cancel target label -> key of its latest entry
+        self.fires_left = {}  # task label -> firings before it stops itself
+        self.last_due = [0.0, 0.0]
+        self.log = []
+        self.events = 0
+
+    def push(self, time, item, owner=None):
+        self.seq += 1
+        self.items[(time, self.seq)] = item
+        if owner is not None:
+            self.current[owner] = (time, self.seq)
+
+    def book(self, ledger, due, label):
+        self.last_due[ledger] = due = max(due, self.last_due[ledger])
+        self.push(due, ("booked", label, ledger))
+
+    def head(self):
+        return min((key for key in self.items if key not in self.cancelled), default=None)
+
+    def fire(self, key):
+        item = self.items.pop(key)
+        self.now = key[0]
+        self.log.append(item[1])
+        if item[0] == "booked":
+            return
+        self.events += 1
+        if item[0] == "task":
+            label = item[1]
+            self.fires_left[label] -= 1
+            if self.fires_left[label]:
+                self.push(self.now + item[2], item, owner=label)
+            return
+        _kind, label, (child, dt), owner = item
+        if child == "book":
+            self.book(1, self.now + dt, "b" + label)
+        elif child == "reschedule":
+            if owner is not None:
+                self.push(self.now + dt, ("event", label + "r", (None, 0.0), owner), owner)
+        elif child is not None:
+            owner = label + "c" if child in ("schedule", "schedule_at") else None
+            self.push(self.now + dt, ("event", label + "c", (None, 0.0), owner), owner)
+
+    def step(self):
+        # Like any reader, a step first hands over what is already due.
+        while (key := self.head()) and self.items[key][0] == "booked" and key[0] <= self.now:
+            self.fire(key)
+        if key is None:
+            return False
+        self.fire(key)
+        return True
+
+    def run(self, until=inf):
+        while (key := self.head()) is not None and key[0] <= until:
+            self.fire(key)
+        if until != inf and until > self.now:
+            self.now = until
+
+
+def _grouped(log):
+    """``log`` with each run of booked deliveries as one sorted tuple: a
+    settle hands over what precedes the reader ledger by ledger, so only
+    the set between two events is ordered, not the sequence inside it."""
+    out, group = [], []
+    for label in log:
+        if label.startswith("b"):
+            group.append(label)
+            continue
+        if group:
+            out.append(tuple(sorted(group)))
+            group = []
+        out.append(label)
+    if group:
+        out.append(tuple(sorted(group)))
+    return out
+
+
+_DT = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 2.0))
+_CHILDREN = (None, "schedule", "schedule_at", "schedule_fast", "schedule_at_fast",
+             "reschedule", "book")
+_OPS = st.one_of(
+    st.tuples(
+        st.just("event"),
+        st.sampled_from(["schedule", "schedule_at", "schedule_fast", "schedule_at_fast",
+                         "inject"]),
+        _DT,
+        st.tuples(st.sampled_from(_CHILDREN), _DT),
+    ),
+    st.tuples(
+        st.just("every"),
+        st.sampled_from([0.25, 0.3, 1.0]),
+        st.sampled_from(["interval", "first_delay", "first_at"]),
+        _DT,
+        st.integers(1, 4),
+    ),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("book"), st.integers(0, 1), _DT),
+    st.tuples(st.just("run"), _DT),
+    st.tuples(st.just("step")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_OPS, max_size=40))
+def test_heap_fires_in_reference_order(ops):
+    """Every entry point, interleaved: the firing sequence is ``sorted()``
+    over ``(time, seq)`` less the cancelled entries, each event sees exactly
+    the booked deliveries before it, ``run(until=)`` runs what lies at
+    ``until`` and drops cancelled heads beyond it."""
+    sim = Simulator()
+    ref = _Reference()
+    log = []
+    targets = {}  # cancel target label -> EventHandle / PeriodicTask
+    tokens = {}  # event label -> weakref of its token
+    ledgers = [sim.open_ledger(lambda label, due: log.append(label)) for _ in range(2)]
+    last_due = [0.0, 0.0]
+
+    def book(ledger, due, label):
+        last_due[ledger] = due = max(due, last_due[ledger])
+        sim.book(ledgers[ledger], due, label)
+
+    def schedule(kind, label, dt, child):
+        token = _Token(label, child)
+        when = sim.now + dt if kind in ("schedule_at", "schedule_at_fast", "inject") else dt
+        token.handle = getattr(sim, kind)(when, fire, token)
+        if token.handle is not None:
+            targets[label] = token.handle
+        tokens[label] = weakref.ref(token)
+
+    def fire(token):
+        for ledger in ledgers:
+            sim.settle(ledger)
+        log.append(token.label)
+        child, dt = token.child
+        if child == "book":
+            book(1, sim.now + dt, "b" + token.label)
+        elif child == "reschedule":
+            if token.handle is not None:
+                again = _Token(token.label + "r", (None, 0.0))
+                again.handle = sim.reschedule(dt, fire, token.handle, again)
+                tokens[again.label] = weakref.ref(again)
+        elif child is not None:
+            schedule(child, token.label + "c", dt, (None, 0.0))
+
+    def every(label, interval, first, dt, stop_after):
+        fired = [0]
+
+        def tick():
+            for ledger in ledgers:
+                sim.settle(ledger)
+            log.append(label)
+            fired[0] += 1
+            if fired[0] == stop_after:
+                task.stop()
+
+        kwargs = {"interval": {}, "first_delay": {"first_delay": dt},
+                  "first_at": {"first_at": sim.now + dt}}[first]
+        task = targets[label] = sim.every(interval, tick, **kwargs)
+
+    for index, op in enumerate(ops):
+        if op[0] == "event":
+            _, kind, dt, child = op
+            label = f"e{index}"
+            schedule(kind, label, dt, child)
+            owner = label if kind in ("schedule", "schedule_at") else None
+            ref.push(ref.now + dt, ("event", label, child, owner), owner)
+        elif op[0] == "every":
+            _, interval, first, dt, stop_after = op
+            label = f"t{index}"
+            every(label, interval, first, dt, stop_after)
+            ref.fires_left[label] = stop_after
+            delay = interval if first == "interval" else dt
+            ref.push(ref.now + delay, ("task", label, interval), owner=label)
+        elif op[0] == "cancel" and targets:
+            label = sorted(targets)[op[1] % len(targets)]
+            target = targets[label]
+            if hasattr(target, "cancel"):
+                target.cancel()
+            else:  # a PeriodicTask
+                target.stop()
+            ref.cancelled.add(ref.current[label])
+        elif op[0] == "book":
+            # Outside run() a settle hands over all that is due by ``now``,
+            # even behind a same-time event a step left pending; the cap's
+            # settle must not fire here (inside run() it is exact).
+            _, ledger, dt = op
+            if len(ledgers[ledger]) < _LEDGER_CAP:
+                book(ledger, sim.now + dt, f"b{index}")
+                ref.book(ledger, ref.now + dt, f"b{index}")
+        elif op[0] == "run":
+            until = sim.now + op[1]
+            sim.run(until=until)
+            ref.run(until)
+            head = ref.head() or (inf, inf)
+            for key, item in ref.items.items():
+                if key in ref.cancelled and key < head and item[0] == "event":
+                    assert tokens[item[1]]() is None, f"cancelled {item[1]} not drained"
+            peek = sim.peek_time()
+            assert peek is None or peek > until
+        elif op[0] == "step":
+            assert sim.step() == ref.step()
+        assert sim.now == ref.now
+
+    sim.run()
+    ref.run()
+    assert sim.now == ref.now
+    sim.peek_time()  # hands over what the drain left booked
+    assert _grouped(log) == _grouped(ref.log)
+    assert sim.events_executed == ref.events
+    assert sim.pending() == 0

@@ -2,6 +2,8 @@
 bounded-run heap hygiene, the rebindable link datapath, and the flow-scale
 replay pins."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import SimulationError
@@ -307,104 +309,26 @@ def test_cloud_run_never_touches_global_packet_counter(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# calendar timer tier
+# engine: same-timestamp ties, the periodic grid
 # ---------------------------------------------------------------------------
 
 
-def _scrambled_times(n=600):
-    """Deterministic non-monotonic near-future timestamps (no RNG: the
-    engine's ordering guarantee must not depend on one)."""
-    times = []
-    t = 0.0
-    for _ in range(n):
-        t = (t + 0.0137) % 1.9
-        times.append(round(t + 0.001, 6))
-    return times
-
-
-def test_calendar_engages_above_density_threshold():
+def test_same_timestamp_ties_follow_scheduling_order():
     sim = Simulator()
     order = []
-    # Prime the pending population past _CAL_MIN_EVENTS so near-future
-    # inserts start landing in the ring.
-    for i in range(300):
-        sim.schedule_fast(5.0 + i * 1e-4, order.append, ("prime", i))
-    for i, t in enumerate(_scrambled_times()):
-        sim.schedule_at_fast(t, order.append, (t, i))
-    assert sim._cal_count > 0
-    sim.run(until=10.0)
-    fired = [entry for entry in order if entry[0] != "prime"]
-    assert fired == sorted(fired)  # global (time, insertion-seq) order
-    assert sim.events_executed == 900
-
-
-def test_calendar_off_forces_pure_heap():
-    sim = Simulator(calendar=False)
-    for _ in range(300):
-        sim.schedule_fast(5.0, lambda: None)
-    for _ in range(300):
-        sim.schedule_fast(0.001, lambda: None)
-    assert sim._cal_count == 0
-    sim.run(until=10.0)
-    assert sim.events_executed == 600
-
-
-def test_calendar_and_heap_fire_identically():
-    """The calendar is pure placement: the exact firing sequence (and the
-    event count) must match the single-heap engine."""
-
-    def drive(calendar):
-        sim = Simulator(calendar=calendar)
-        order = []
-        for i in range(280):
-            sim.schedule_fast(3.0 + (i % 7) * 0.25, order.append, ("far", i))
-        for i, t in enumerate(_scrambled_times()):
-            sim.schedule_at_fast(t, order.append, ("near", i, t))
-        sim.run(until=10.0)
-        return order, sim.events_executed
-
-    assert drive(True) == drive(False)
-
-
-def test_calendar_same_timestamp_ties_follow_scheduling_order():
-    def drive(calendar):
-        sim = Simulator(calendar=calendar)
-        order = []
-        for i in range(280):
-            sim.schedule_fast(2.0, order.append, ("ballast", i))
-        for i in range(40):
-            # Alternate the fast and handle paths at one shared timestamp:
-            # both tiers draw from the same sequence counter.
-            if i % 2:
-                sim.schedule_at_fast(1.0, order.append, ("fast", i))
-            else:
-                sim.schedule_at(1.0, order.append, ("handle", i))
-        sim.run(until=3.0)
-        return order
-
-    on = drive(True)
-    assert on == drive(False)
-    ties = [entry for entry in on if entry[0] != "ballast"]
+    for i in range(280):  # a deep heap of later ties for the 40 to sift past
+        sim.schedule_fast(2.0, order.append, ("ballast", i))
+    for i in range(40):
+        # Alternate the fast and handle paths at one shared timestamp:
+        # both tiers draw from the same sequence counter.
+        if i % 2:
+            sim.schedule_at_fast(1.0, order.append, ("fast", i))
+        else:
+            sim.schedule_at(1.0, order.append, ("handle", i))
+    sim.run(until=3.0)
+    ties = [entry for entry in order if entry[0] != "ballast"]
     assert [entry[1] for entry in ties] == list(range(40))
-
-
-def test_calendar_ring_wrap_reuses_slots():
-    """A reschedule chain crossing the ring horizon twice: exhausted
-    buckets must be recycled, not mistaken for live future ones."""
-    sim = Simulator()
-    for _ in range(280):
-        sim.schedule_fast(20.0, lambda: None)  # ballast keeps density up
-    state = {"count": 0}
-
-    def tick():
-        state["count"] += 1
-        if state["count"] < 1200:
-            sim.schedule_fast(0.004, tick)
-
-    sim.schedule_fast(0.004, tick)  # 1200 x 4 ms = 4.8 s ~ 2.3 ring spans
-    sim.run(until=21.0)
-    assert state["count"] == 1200
-    assert sim.events_executed == 280 + 1200
+    assert [entry[1] for entry in order[40:]] == list(range(280))
 
 
 def test_periodic_task_first_at_pins_the_grid():
@@ -471,8 +395,15 @@ def test_selective_fold_epoch_replays_wav_exactly():
 # ---------------------------------------------------------------------------
 
 
-def _flow_scaling_fingerprint(*, calendar):
-    cloud = flow_scaling_cloud("corelite", 512, calendar=calendar)
+def test_flow_scale_replay_byte_identical_across_optimizations():
+    """512 flows: figure-level outputs, every queue's counters, the packet
+    id counter and the executed-event count.  This compared the engine's
+    bucket-ring tier on and off until the ring was deleted; the digest and
+    both counters were recorded on the two-level store (equal both ways)
+    just before, so the single heap must replay that run exactly — the ring
+    only ever changed where an event was stored, never its ``(time, seq)``
+    firing order."""
+    cloud = flow_scaling_cloud("corelite", 512)
     result = cloud.run(until=4.0, sample_interval=1.0)
     flows = tuple(
         (
@@ -488,15 +419,11 @@ def _flow_scaling_fingerprint(*, calendar):
         (name, tuple(sorted(link.queue.stats.as_dict().items())))
         for name, link in sorted(cloud.topology.links.items())
     )
-    return flows, queues, cloud.sim._next_pid, cloud.sim.events_executed
-
-
-def test_flow_scale_replay_byte_identical_across_optimizations():
-    """512 flows: figure-level outputs, every queue's counters, the packet
-    id counter and the executed-event count must not move when the
-    calendar tier is toggled."""
-    assert _flow_scaling_fingerprint(calendar=False) == _flow_scaling_fingerprint(
-        calendar=True
+    digest = hashlib.sha256(repr((flows, queues)).encode()).hexdigest()
+    assert (digest, cloud.sim._next_pid, cloud.sim.events_executed) == (
+        "85be7a0fd40638018677c38ea44988ad3a96b89eac7970c35fba56ed45b45062",
+        7948,
+        27049,
     )
 
 

@@ -298,13 +298,7 @@ class TestTwoPartitionChainEquivalence:
         assert_identical(serial, parallel)
 
     def test_byte_identical_toggles_still_match(self):
-        serial, parallel = run_pair(
-            TopologySpec.chain(4),
-            chain_flows(),
-            "corelite",
-            20.0,
-            calendar=False,
-        )
+        serial, parallel = run_pair(TopologySpec.chain(4), chain_flows(), "corelite", 20.0)
         assert_identical(serial, parallel)
 
     def test_process_mode_matches_serial_exactly(self):
