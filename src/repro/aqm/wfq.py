@@ -124,11 +124,6 @@ class WfqQueue(FifoQueue):
             self._per_flow.setdefault(packet.flow_id, []).append((packet, finish))
             self._advance(now)
             self._occupancy += packet.size
-            self.stats.enqueued_data += 1
-            if self._occupancy > self.stats.peak_occupancy:
-                self.stats.peak_occupancy = self._occupancy
-        else:
-            self.stats.enqueued_control += 1
         return True
 
     def pop(self, now: float) -> Optional[Packet]:
@@ -148,7 +143,6 @@ class WfqQueue(FifoQueue):
                         self._finish.pop(packet.flow_id, None)
                 self._advance(now)
                 self._occupancy -= packet.size
-                self.stats.dequeued_data += 1
                 self.served[packet.flow_id] = (
                     self.served.get(packet.flow_id, 0.0) + packet.size
                 )

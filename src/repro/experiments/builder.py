@@ -933,8 +933,8 @@ class Cloud:
         sampler = self.sim.every(sample_interval, sample)
         self.sim.run(until=until)
         sampler.stop()
-        # Departure-time links book dequeues lazily; leave every link's
-        # ``queue.stats`` current for whoever inspects the cloud next.
+        # Departure-time links book buffer releases and egress deliveries
+        # lazily; leave every link current for whoever inspects the cloud.
         for link in self.topology.links.values():
             link.settle()
 

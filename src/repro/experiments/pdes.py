@@ -504,7 +504,7 @@ class _PartitionWorker:
             self._sampler = None
         cloud = self.cloud
         for link in cloud.topology.links.values():
-            link.settle()  # as Cloud.run: leave queue.stats current
+            link.settle()  # as Cloud.run: leave every link current
         flows: Dict[int, Dict] = {}
         for fid, entry in self._records.items():
             spec = entry["spec"]

@@ -96,7 +96,7 @@ class LinkSpec:
                 f"link {self.a!r}-{self.b!r}: capacity_pps must be a "
                 f"positive finite value, got {self.capacity_pps!r}"
             )
-        if self.prop_delay < 0 or math.isinf(self.prop_delay):
+        if not self.prop_delay >= 0 or math.isinf(self.prop_delay):
             raise TopologyError(
                 f"link {self.a!r}-{self.b!r}: prop_delay must be a "
                 f"non-negative finite value, got {self.prop_delay!r}"
@@ -217,15 +217,15 @@ class TopologySpec:
                     f"{link.a!r}-{link.b!r}"
                 )
             pairs.add(pair)
-        if not (self.access_capacity_pps > 0):
+        if not (self.access_capacity_pps > 0) or math.isinf(self.access_capacity_pps):
             raise TopologyError(
-                f"topology {self.name!r}: access_capacity_pps must be > 0, "
-                f"got {self.access_capacity_pps!r}"
+                f"topology {self.name!r}: access_capacity_pps must be a "
+                f"positive finite value, got {self.access_capacity_pps!r}"
             )
-        if self.access_prop_delay < 0:
+        if not self.access_prop_delay >= 0 or math.isinf(self.access_prop_delay):
             raise TopologyError(
-                f"topology {self.name!r}: access_prop_delay must be >= 0, "
-                f"got {self.access_prop_delay!r}"
+                f"topology {self.name!r}: access_prop_delay must be a "
+                f"non-negative finite value, got {self.access_prop_delay!r}"
             )
         if not (self.queue_capacity > 0):
             raise TopologyError(
@@ -255,7 +255,7 @@ class TopologySpec:
                 f"topology {self.name!r}: ecmp_flowlet_n_packets must be "
                 f">= 1, got {self.ecmp_flowlet_n_packets!r}"
             )
-        if self.reroute_latency < 0 or math.isinf(self.reroute_latency):
+        if not self.reroute_latency >= 0 or math.isinf(self.reroute_latency):
             raise TopologyError(
                 f"topology {self.name!r}: reroute_latency must be a "
                 f"non-negative finite value, got {self.reroute_latency!r}"

@@ -23,19 +23,18 @@ objects.
 
 *Ledger.*  What the buffer has to remember is only when each waiting
 packet stops occupying it.  A packet that must wait is appended to the
-link's ledger as ``(start, size, count, packet)``; ``_settle(now)``
-replays, in start order, exactly what ``FifoQueue.pop`` and
-``_transmit_from`` would have done at each ``start`` — advance the
-occupancy integral to ``start``, release the occupancy, count the
-dequeue, charge ``busy_time`` — so ``qavg``, drop-tail admission and
-every counter are those of a real queue.  Settling is lazy: the next
-arrival does it, and so does every read (``Link.settle()``,
-``busy_time``, and the queue's ``occupancy`` / ``time_average`` /
+link's ledger as ``(start, size)``; ``_settle(now)`` replays, in start
+order, what ``FifoQueue.pop`` would have done to the buffer at each
+``start`` — advance the occupancy integral to ``start``, release the
+occupancy — so ``qavg`` and drop-tail admission are those of a real
+queue.  A link counts only what a result reads: its drops
+(``queue.stats.dropped_data``, ``failure_drops``, ``inflight_drops``);
+the occupancy integral and every delivery instant are the state above.
+Settling is lazy: the next arrival does it, and so does every read
+(``Link.settle()`` and the queue's ``occupancy`` / ``time_average`` /
 ``take_window_average`` / ``reset_window`` / ``len`` through
-``FifoQueue._port``).  ``busy_time`` is charged when a serialization
-starts, not when the packet is admitted, so a horizon that cuts a
-backlog reads the same as with a real queue.  The ledger is allocated on
-a link's first backlog; an access link that never queues carries none.
+``FifoQueue._port``).  The ledger is allocated on a link's first
+backlog; an access link that never queues carries none.
 
 *Tie rule.*  A read or an arrival at ``now`` first replays the starts
 strictly before ``now``: **a packet whose serialization starts exactly
@@ -70,12 +69,12 @@ trains alike — where it would have scheduled the delivery.  The first
 booking opens the ledger as the node's ``inbox``, and the node keeps that
 one feeder for life: another in-link finds it fed and stays on events, so
 a ledger is in ``(due, seq)`` order by construction.  Deliveries are
-settled — counted in ``delivered_*``, handed to ``receive(packet, link,
-due)`` — by the node before it reads the state they write or an event hands
-it a packet, by :meth:`Link.settle`, and by the push past the ledger's cap;
-which precede a reader is the engine's rule (:mod:`repro.sim.engine`).  A
-link that is tapped or armed leaves for good (``_unbook``): what precedes
-the caller is delivered, the rest become the events they would have been.
+settled — handed to ``receive(packet, link, due)`` — by the node before it
+reads the state they write or an event hands it a packet, by
+:meth:`Link.settle`, and by the push past the ledger's cap; which precede
+a reader is the engine's rule (:mod:`repro.sim.engine`).  A link that is
+tapped or armed leaves for good (``_unbook``): what precedes the caller is
+delivered, the rest become the events they would have been.
 
 Links that need a real queue keep it (``_send_queued`` →
 ``FifoQueue.push`` / ``pop``, ``_transmit_from``, one ``_wake`` per
@@ -97,14 +96,14 @@ Trains
 A :class:`~repro.sim.packet.PacketTrain` (opt-in ``train_batch`` datapath)
 traverses a plain-FIFO link as **one** packet whose size is the member
 count: occupancy, admission and serialization charge the whole train in a
-single arithmetic step, and one delivery event carries all members.
-Per-member counters charge ``packet.count``; nothing is written per
-member (the egress edge spaces member delays by ``1 / bandwidth_pps`` of
-the link that hands it the train).  Any path that needs per-packet
-decisions splits the train into its scalar members first: bypass-free
-queues (WFQ/RED/FRED/DECbit), arrival taps, dynamics-enabled links
-(failure drop taxonomy + reroutes), boundary links (partition cuts
-serialize scalars) — and, before the link, a CSFQ core's admission.
+single arithmetic step, and one delivery event carries all members.  A
+drop charges ``packet.count``; nothing is written per member (the egress
+edge spaces member delays by ``1 / bandwidth_pps`` of the link that hands
+it the train).  Any path that needs per-packet decisions splits the train
+into its scalar members first: bypass-free queues (WFQ/RED/FRED/DECbit),
+arrival taps, dynamics-enabled links (failure drop taxonomy + reroutes),
+boundary links (partition cuts serialize scalars) — and, before the link,
+a CSFQ core's admission.
 
 Dynamics
 --------
@@ -148,9 +147,6 @@ class Link:
         "bandwidth_pps",
         "prop_delay",
         "queue",
-        "delivered_data",
-        "delivered_control",
-        "_busy_time",
         "send",
         "_send_base",
         "_plain_fifo",
@@ -183,9 +179,9 @@ class Link:
         prop_delay: float,
         queue: FifoQueue,
     ) -> None:
-        if bandwidth_pps <= 0:
+        if not bandwidth_pps > 0:
             raise ConfigurationError(f"link bandwidth must be positive, got {bandwidth_pps}")
-        if prop_delay < 0:
+        if not prop_delay >= 0:
             raise ConfigurationError(f"propagation delay must be >= 0, got {prop_delay}")
         self.sim = sim
         self.name = name
@@ -194,16 +190,13 @@ class Link:
         self.bandwidth_pps = bandwidth_pps
         self.prop_delay = prop_delay
         self.queue = queue
-        self.delivered_data = 0
-        self.delivered_control = 0
-        self._busy_time = 0.0
         #: Absolute time the transmitter has served everything admitted so
         #: far (departure-time path) / finishes its current serialization
         #: (queued path).
         self._free_at = 0.0
-        #: Departure-time path: ``(start, size, count, packet)`` of admitted
-        #: packets whose serialization start has not been replayed yet;
-        #: allocated on the first backlog.
+        #: Departure-time path: ``(start, size)`` of admitted packets whose
+        #: serialization start has not been replayed yet; allocated on the
+        #: first backlog.
         self._ledger: Optional[deque] = None
         #: "Sinks": the far end's name if it is a quiet sink, its
         #: ``quiet_for``, and the deliveries booked for it (opened by the first).
@@ -343,7 +336,7 @@ class Link:
         """Take the link down; returns the number of data packets lost.
 
         Deterministic loss semantics: the output queue is flushed (each
-        data packet re-booked as a queue drop, so it shows up in
+        data packet booked as a queue drop, so it shows up in
         ``stats.dropped_data`` and the drop listeners fire), everything
         already in the propagation pipe is stranded by the generation
         bump (counted in :attr:`inflight_drops` when its delivery event
@@ -370,8 +363,6 @@ class Link:
             if packet is None:
                 break
             if packet.size > 0.0:
-                # Re-book the pop as a drop: the packet never transmitted.
-                stats.dequeued_data -= packet.count
                 stats.dropped_data += packet.count
                 flushed += packet.count
                 for listener in self._drop_listeners:
@@ -419,7 +410,6 @@ class Link:
         free_at = self._free_at
         size = packet.size
         if size <= 0.0:
-            self.queue.stats.enqueued_control += 1
             due = (free_at if free_at > now else now) + self.prop_delay
             if packet.dst != self._sink or not self._book(due, packet):
                 sim.schedule_at_fast(due, self._deliver_cb, packet)
@@ -430,22 +420,14 @@ class Link:
         if self._ledger:
             self._settle(now)
         queue = self.queue
-        stats = queue.stats
-        count = packet.count
         if now >= free_at:
             # Idle transmitter, hence an empty buffer: the packet would be
-            # pushed and popped again at once.  Book both in one step.
+            # pushed and popped again at once.
             if not queue.admit(packet, now):
                 return self._tail_drop(packet, now)
-            stats.enqueued_data += count
-            stats.dequeued_data += count
-            if size > stats.peak_occupancy:
-                stats.peak_occupancy = size
             if now > queue._last_time:  # zero-width occupancy spike: the
                 queue._last_time = now  # integral only advances its clock
-            tx = size / self.bandwidth_pps
-            self._busy_time += tx
-            free_at = now + tx
+            free_at = now + size / self.bandwidth_pps
         else:
             # The packet waits until ``free_at``: book the push now, leave
             # the pop to ``_settle``.
@@ -459,15 +441,11 @@ class Link:
             if now > last:
                 queue._integral += queue._occupancy * (now - last)
                 queue._last_time = now
-            occupancy = queue._occupancy + size
-            queue._occupancy = occupancy
-            stats.enqueued_data += count
-            if occupancy > stats.peak_occupancy:
-                stats.peak_occupancy = occupancy
+            queue._occupancy += size
             ledger = self._ledger
             if ledger is None:
                 ledger = self._ledger = deque()
-            ledger.append((free_at, size, count, packet))
+            ledger.append((free_at, size))
             if ledger[0][0] <= now:
                 self._settle(nextafter(now, inf))  # tie rule: an arrival kicks
             free_at = free_at + size / self.bandwidth_pps
@@ -503,10 +481,6 @@ class Link:
         return True
 
     def _deliver_booked(self, packet: Packet, due: float) -> None:
-        if packet.size > 0.0:
-            self.delivered_data += packet.count
-        else:
-            self.delivered_control += 1
         self.dst.receive(packet, self, due)
 
     def _unbook(self) -> None:
@@ -530,27 +504,21 @@ class Link:
 
     def _settle(self, before: float) -> None:
         """Replay every serialization start strictly before ``before``, in
-        start order: ``FifoQueue.pop`` at ``start``, then
-        ``_transmit_from``'s ``busy_time`` charge."""
+        start order: ``FifoQueue.pop``'s release of the buffer at ``start``."""
         ledger = self._ledger
         queue = self.queue
-        stats = queue.stats
-        bandwidth = self.bandwidth_pps
         while ledger and ledger[0][0] < before:
-            start, size, count, _packet = ledger.popleft()
+            start, size = ledger.popleft()
             last = queue._last_time
             if start > last:
                 queue._integral += queue._occupancy * (start - last)
                 queue._last_time = start
             queue._occupancy -= size
-            stats.dequeued_data += count
-            self._busy_time += size / bandwidth
 
     def settle(self, now: Optional[float] = None) -> None:
         """Bring the lazily booked state — queue occupancy and its
-        integral, ``stats.dequeued_data``, ``busy_time`` — up to ``now``
-        (default: the current instant), and settle the sink's booked
-        deliveries.  A no-op on the queued path."""
+        integral — up to ``now`` (default: the current instant), and settle
+        the sink's booked deliveries.  A no-op on the queued path."""
         if self._ledger:
             self._settle(self.sim.now if now is None else now)
         if self._booked:
@@ -636,7 +604,6 @@ class Link:
                 # and keep popping — they never hold the transmitter.
                 schedule_at(start + prop, self._deliver_cb, packet)
                 continue
-            self._busy_time += tx
             free_at = start + tx
             self._free_at = free_at
             if len(queue) and not self._wake_pending:
@@ -660,10 +627,6 @@ class Link:
 
     def _deliver_fast(self, packet: Packet) -> None:
         """Hand ``packet`` to the far end."""
-        if packet.size > 0.0:
-            self.delivered_data += packet.count
-        else:
-            self.delivered_control += 1
         self.dst.receive(packet, self)
 
     def _deliver_tapped(self, packet: Packet) -> None:
@@ -676,21 +639,9 @@ class Link:
     # -- metrics --------------------------------------------------------
 
     @property
-    def busy_time(self) -> float:
-        """Seconds the transmitter has spent serializing so far."""
-        self.settle()
-        return self._busy_time
-
-    @property
     def busy(self) -> bool:
         """Whether the transmitter is serializing a packet right now."""
         return self.sim.now < self._free_at
-
-    def utilization(self, now: float) -> float:
-        """Fraction of elapsed time the transmitter has been busy."""
-        if now <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.name}, {self.bandwidth_pps:.0f} pps, {self.prop_delay * 1e3:.0f} ms)"
@@ -716,7 +667,7 @@ class _RemotePort:
 class BoundaryLink(Link):
     """The cut-crossing flavor of :class:`Link` for partitioned clouds.
 
-    Queueing, serialization and stats are the plain link's; the far end
+    Queueing, serialization and drops are the plain link's; the far end
     is remote, so instead of scheduling a local delivery event the link
     *emits* ``(deliver_time, packet)`` into the partition's outbox at
     transmit start.  That timing is the whole trick: the emission happens
@@ -729,8 +680,8 @@ class BoundaryLink(Link):
     The departure-time path stays off (``send`` is the queued path): it
     schedules a local delivery event, which a cut does not have — the
     capture point is the pop loop at transmit start.  The queued path
-    produces identical timestamps, stats and drops — only the local event
-    count differs.
+    produces identical timestamps and drops — only the local event count
+    differs.
 
     :class:`~repro.sim.packet.PacketTrain` carriers cross the cut whole
     when the underlying queue is a plain FIFO (``_train_whole``, captured
@@ -739,10 +690,6 @@ class BoundaryLink(Link):
     otherwise, matching the serial per-packet disciplines.  The wire
     format serializes the train fields, so the far side reconstructs the
     identical carrier.
-
-    ``delivered_data``/``delivered_control`` count at *emission* rather
-    than delivery, so the final in-flight window may count a packet the
-    horizon then cuts off; both counters are informational only.
     """
 
     __slots__ = ("_emit", "_train_whole")
@@ -806,15 +753,12 @@ class BoundaryLink(Link):
                 return
             tx = packet.size / self.bandwidth_pps
             if tx == 0.0:
-                self.delivered_control += 1
                 emit(start + prop, packet)
                 continue
-            self._busy_time += tx
             free_at = start + tx
             self._free_at = free_at
             if len(queue) and not self._wake_pending:
                 self._wake_pending = True
                 self.sim.schedule_at_fast(free_at, self._wake)
-            self.delivered_data += packet.count
             emit(free_at + prop, packet)
             return

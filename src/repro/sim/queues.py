@@ -12,12 +12,13 @@ as the paper assumes.  Markers do keep their FIFO position so that the
 marker stream observed downstream preserves the interleaving of the flows.
 
 A static drop-tail link never calls :meth:`FifoQueue.push` / ``pop``: it
-fixes departure times at arrival and books this queue's occupancy,
-integral and counters itself, the dequeues lazily (the "Hot path" notes
+fixes departure times at arrival and books this queue's occupancy and its
+integral itself, each release of the buffer lazily (the "Hot path" notes
 of :mod:`repro.sim.link`).  Every read here first asks that link
 (``_port``) to settle, so what a reader sees is what a real queue would
-show.  ``push`` / ``pop`` serve the links that need packet objects in a
-queue, and the disciplines that override them.
+show.  The one counter is ``stats.dropped_data``.  ``push`` / ``pop``
+serve the links that need packet objects in a queue, and the disciplines
+that override them.
 """
 
 from __future__ import annotations
@@ -34,24 +35,9 @@ __all__ = ["QueueStats", "FifoQueue", "DropTailQueue"]
 
 @dataclass
 class QueueStats:
-    """Counters accumulated by a queue over its lifetime."""
+    """What a queue dropped over its lifetime (``Topology.total_drops``)."""
 
-    enqueued_data: int = 0
-    dequeued_data: int = 0
     dropped_data: int = 0
-    enqueued_control: int = 0
-    dropped_control: int = 0
-    peak_occupancy: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "enqueued_data": self.enqueued_data,
-            "dequeued_data": self.dequeued_data,
-            "dropped_data": self.dropped_data,
-            "enqueued_control": self.enqueued_control,
-            "dropped_control": self.dropped_control,
-            "peak_occupancy": self.peak_occupancy,
-        }
 
 
 class FifoQueue:
@@ -78,7 +64,7 @@ class FifoQueue:
     )
 
     def __init__(self, capacity: float) -> None:
-        if capacity <= 0:
+        if not capacity > 0:
             raise ConfigurationError(f"queue capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._items: Deque[Packet] = deque()
@@ -89,15 +75,13 @@ class FifoQueue:
         self._last_time = 0.0
         self._window_start = 0.0
         #: The departure-time link serving this queue, if any.  Such a
-        #: link books a waiting packet's dequeue lazily (see the "Hot
-        #: path" notes in :mod:`repro.sim.link`), so every read below
-        #: asks it to settle first; ``stats.dequeued_data`` is the one
-        #: lazily booked counter that is a plain attribute —
-        #: ``Link.settle()`` (or any read here) brings it up to date.
+        #: link books a waiting packet's release of the buffer lazily (see
+        #: the "Hot path" notes in :mod:`repro.sim.link`), so every read
+        #: below asks it to settle first.
         self._port = None
 
     def _sync(self, now: Optional[float] = None) -> None:
-        """Have the serving link book every dequeue that is due by ``now``."""
+        """Have the serving link book every release that is due by ``now``."""
         if self._port is not None:
             self._port.settle(now)
 
@@ -158,7 +142,6 @@ class FifoQueue:
         """Enqueue ``packet``; returns False if it was dropped."""
         if packet.size <= 0.0:
             self._items.append(packet)
-            self.stats.enqueued_control += 1
             return True
         if not self.admit(packet, now):
             # ``packet.count`` is 1 for every plain packet; a PacketTrain
@@ -168,9 +151,6 @@ class FifoQueue:
         self._advance(now)
         self._items.append(packet)
         self._occupancy += packet.size
-        self.stats.enqueued_data += packet.count
-        if self._occupancy > self.stats.peak_occupancy:
-            self.stats.peak_occupancy = self._occupancy
         return True
 
     def pop(self, now: float) -> Optional[Packet]:
@@ -181,7 +161,6 @@ class FifoQueue:
         if packet.size > 0.0:
             self._advance(now)
             self._occupancy -= packet.size
-            self.stats.dequeued_data += packet.count
         return packet
 
     @property

@@ -96,7 +96,7 @@ class Topology:
                 f"link {src!r}->{dst!r}: bandwidth_pps must be positive, "
                 f"got {bandwidth_pps!r}"
             )
-        if prop_delay < 0:
+        if not prop_delay >= 0:
             raise TopologyError(
                 f"link {src!r}->{dst!r}: prop_delay must be >= 0, got {prop_delay!r}"
             )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import Counter
 from typing import List, Tuple
 
 import pytest
@@ -13,6 +14,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.topospec import FlowPathSpec, TopologySpec
 from repro.sim.engine import Simulator
+from repro.sim.link import Link
 from repro.sim.node import Router
 from repro.sim.packet import Packet
 from repro.sim.topology import Topology
@@ -43,6 +45,29 @@ class CollectorNode(Router):
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+@pytest.fixture
+def admitted(monkeypatch) -> Counter:
+    """Data packets each link admitted, by link name (a train counts its
+    members).  Links count only drops, so this wraps both ``send`` paths;
+    links bind them at construction, so build after requesting it."""
+    counts: Counter = Counter()
+
+    def counting(send):
+        def wrapped(link, packet):
+            before = counts[link.name]
+            accepted = send(link, packet)
+            # A split re-enters the wrapper per piece; count each once.
+            if accepted and packet.size > 0.0 and counts[link.name] == before:
+                counts[link.name] += packet.count
+            return accepted
+
+        return wrapped
+
+    for name in ("_send_fast", "_send_via_queue"):
+        monkeypatch.setattr(Link, name, counting(getattr(Link, name)))
+    return counts
 
 
 @pytest.fixture

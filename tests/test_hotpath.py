@@ -241,7 +241,6 @@ def test_link_busy_property_tracks_serialization(sim):
     assert link.busy is True  # serializing for 0.1 s
     sim.run()
     assert link.busy is False
-    assert link.busy_time == pytest.approx(0.1)
 
 
 def test_link_same_instant_send_races_wakeup(sim):
@@ -396,13 +395,16 @@ def test_selective_fold_epoch_replays_wav_exactly():
 
 
 def test_flow_scale_replay_byte_identical_across_optimizations():
-    """512 flows: figure-level outputs, every queue's counters, the packet
+    """512 flows: figure-level outputs, every link's drop counts, the packet
     id counter and the executed-event count.  This compared the engine's
-    bucket-ring tier on and off until the ring was deleted; the digest and
-    both counters were recorded on the two-level store (equal both ways)
-    just before, so the single heap must replay that run exactly — the ring
-    only ever changed where an event was stored, never its ``(time, seq)``
-    firing order."""
+    bucket-ring tier on and off until the ring was deleted; both counters
+    were recorded on the two-level store (equal both ways) just before, so
+    the single heap must replay that run exactly — the ring only ever
+    changed where an event was stored, never its ``(time, seq)`` firing
+    order.  The digest hashed each queue's whole ``QueueStats`` until links
+    stopped counting anything but drops; it was re-recorded over
+    ``dropped_data`` / ``failure_drops`` / ``inflight_drops`` on the commit
+    before the other counters were deleted."""
     cloud = flow_scaling_cloud("corelite", 512)
     result = cloud.run(until=4.0, sample_interval=1.0)
     flows = tuple(
@@ -416,12 +418,12 @@ def test_flow_scale_replay_byte_identical_across_optimizations():
         for fid, rec in sorted(result.flows.items())
     )
     queues = tuple(
-        (name, tuple(sorted(link.queue.stats.as_dict().items())))
+        (name, link.queue.stats.dropped_data, link.failure_drops, link.inflight_drops)
         for name, link in sorted(cloud.topology.links.items())
     )
     digest = hashlib.sha256(repr((flows, queues)).encode()).hexdigest()
     assert (digest, cloud.sim._next_pid, cloud.sim.events_executed) == (
-        "85be7a0fd40638018677c38ea44988ad3a96b89eac7970c35fba56ed45b45062",
+        "c7bff3a0cb4817d40f65e419b10342cfe3bee257cd1a35f91315abb016578dc7",
         7948,
         27049,
     )

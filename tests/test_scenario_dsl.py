@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.experiments.builder import Cloud
 from repro.experiments.scenario_dsl import (
     build_network,
@@ -156,6 +156,15 @@ class TestBuild:
         )
         with pytest.raises(ConfigurationError, match=names):
             run_scenario(basic_scenario(**overrides))
+
+    def test_nan_link_delay_dies_before_the_build(self, monkeypatch):
+        """JSON ``NaN`` reads as a number; the spec refuses it before any
+        cloud exists (it used to schedule into the past at t = 0.042)."""
+        monkeypatch.setattr(
+            Cloud, "__init__", lambda *a, **k: pytest.fail("a cloud was built")
+        )
+        with pytest.raises(TopologyError, match=r"prop_delay.*nan"):
+            run_scenario(basic_scenario(network=json.loads('{"prop_delay": NaN}')))
 
     def test_vectorized_flag_is_accepted_by_every_scheme(self):
         for scheme in ("corelite", "csfq", "fifo"):

@@ -45,6 +45,8 @@ class TestLinkSpec:
     def test_bad_delay_named_in_error(self):
         with pytest.raises(TopologyError, match=r"prop_delay.*-0.1"):
             LinkSpec("A", "B", 500.0, -0.1)
+        with pytest.raises(TopologyError, match=r"prop_delay.*nan"):
+            LinkSpec("A", "B", 500.0, math.nan)
 
     def test_empty_core_name_rejected(self):
         with pytest.raises(TopologyError, match="non-empty core name"):
@@ -83,6 +85,20 @@ class TestTopologySpec:
     def test_empty_links_rejected(self):
         with pytest.raises(TopologyError, match="at least one"):
             TopologySpec(links=())
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("access_capacity_pps", math.nan),
+            ("access_capacity_pps", math.inf),
+            ("access_prop_delay", math.nan),
+            ("access_prop_delay", -0.01),
+            ("reroute_latency", math.nan),
+        ],
+    )
+    def test_bad_access_link_or_latency_named_in_error(self, key, value):
+        with pytest.raises(TopologyError, match=key):
+            TopologySpec.chain(2, **{key: value})
 
     def test_require_core_names_context_and_candidates(self):
         spec = TopologySpec.chain(3)
@@ -223,3 +239,5 @@ class TestTopologyLinkValidation:
         topo = self._topo()
         with pytest.raises(TopologyError, match=r"prop_delay.*-0.01"):
             topo.add_link("A", "B", 500.0, -0.01)
+        with pytest.raises(TopologyError, match=r"prop_delay.*nan"):
+            topo.add_link("A", "B", 500.0, math.nan)

@@ -143,7 +143,7 @@ def _one_hop(sim, queue):
     ],
     ids=["wfq", "red"],
 )
-def test_train_splits_at_non_fifo_queue(make_queue):
+def test_train_splits_at_non_fifo_queue(make_queue, admitted):
     """WFQ scheduling and RED's per-arrival drop coin are per-packet
     semantics: a train offered to such a hop must arrive as scalars."""
     sim = Simulator()
@@ -155,12 +155,12 @@ def test_train_splits_at_non_fifo_queue(make_queue):
     assert len(c.packets) == 4
     assert all(type(p) is Packet and p.count == 1 for p in c.packets)
     assert sorted(p.seq for p in c.packets) == [0, 1, 2, 3]
-    assert link.queue.stats.enqueued_data == 4
+    assert admitted == {"A->C": 4}
 
 
-def test_train_stays_whole_through_plain_fifo():
+def test_train_stays_whole_through_plain_fifo(admitted):
     """The contrast case: a drop-tail FIFO hop carries the train as one
-    event — single delivery, whole-train counters."""
+    event — single delivery, admitted as one whole train."""
     sim = Simulator()
     link, c = _one_hop(sim, DropTailQueue(capacity=50.0))
     assert link._plain_fifo
@@ -170,7 +170,7 @@ def test_train_stays_whole_through_plain_fifo():
     assert len(c.received) == 1
     (arrival, packet), = c.received
     assert type(packet) is PacketTrain and packet.count == 4
-    assert link.delivered_data == 4
+    assert admitted == {"A->C": 4}
     # Serialized as one 4-packet lump: 4/500 s + 10 ms propagation.
     assert arrival == pytest.approx(4.0 / 500.0 + 0.010)
 
