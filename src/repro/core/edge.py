@@ -41,8 +41,9 @@ same: ``_emit_train`` builds its ``PacketTrain`` positionally, calls
 ``DelayTracker.record_train`` (``_deliver_local`` keeps markers and unknown
 flows).  The egress only records, so the edge is a ``quiet_sink``
 (:mod:`repro.sim.link`, "Sinks"): ``receive`` is told the delivery instant
-and every read of egress state settles ``inbox`` first.  The call chains
-these frames replaced are the oracle in ``tests/test_egress_ledger.py``.
+and every read of egress state settles ``inbox`` first.  What these frames
+produce is pinned by the contract table (``tests/contract``); the train
+frames' old call chains are the oracle in ``tests/test_egress_ledger.py``.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ inline: ``_emit`` (estimator, ``Packet``, ``Router.forward``'s route hit) and
 ``receive`` (loss detector, meter, delay; ``_deliver_local`` keeps the rest).
 ``quiet_for`` tells the feeding link which deliveries send no LOSS_NOTIFY:
 those are booked (:mod:`repro.sim.link`, "Sinks"), and one that finds a loss
-raises.  The old call chains are the oracle in ``tests/test_egress_ledger.py``.
+raises.  What the frames produce is pinned by the contract table's CSFQ rows
+(``tests/contract``).
 """
 
 from __future__ import annotations

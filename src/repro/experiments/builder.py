@@ -393,6 +393,17 @@ SCHEME_STRATEGIES: Dict[str, type] = {
 }
 
 
+def check_run_arguments(until: float, sample_interval: float) -> None:
+    """A run needs a finite, positive horizon and sampling period (NaN is
+    neither: an infinite or NaN horizon never ends)."""
+    if not 0 < until < math.inf:
+        raise ConfigurationError(f"run duration must be finite and > 0, got {until}")
+    if not 0 < sample_interval < math.inf:
+        raise ConfigurationError(
+            f"sample interval must be finite and > 0, got {sample_interval}"
+        )
+
+
 class Cloud:
     """One runnable cloud built from a :class:`TopologySpec`.
 
@@ -876,12 +887,7 @@ class Cloud:
         queue occupancy into the result (useful for studying the
         congestion-control dynamics rather than just the rates).
         """
-        if until <= 0:
-            raise ConfigurationError(f"run duration must be positive, got {until}")
-        if sample_interval <= 0:
-            raise ConfigurationError(
-                f"sample interval must be positive, got {sample_interval}"
-            )
+        check_run_arguments(until, sample_interval)
         if self.partition is not None:
             raise ConfigurationError(
                 "a partition sub-cloud cannot run standalone; drive it "

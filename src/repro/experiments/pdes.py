@@ -76,7 +76,7 @@ from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, RoutingError, SimulationError, TopologyError
-from repro.experiments.builder import SCHEME_STRATEGIES, Cloud
+from repro.experiments.builder import SCHEME_STRATEGIES, Cloud, check_run_arguments
 from repro.experiments.partition import (
     PartitionPlan,
     ShadowGraph,
@@ -872,12 +872,7 @@ class ParallelCloud:
         record_queues: bool = False,
     ) -> RunResult:
         """Drive the window barrier loop on a started session and merge."""
-        if until <= 0:
-            raise ConfigurationError(f"run duration must be positive, got {until}")
-        if sample_interval <= 0:
-            raise ConfigurationError(
-                f"sample interval must be positive, got {sample_interval}"
-            )
+        check_run_arguments(until, sample_interval)
         num = self.plan.num_partitions
         self.barriers = 0
         self.rounds = 0

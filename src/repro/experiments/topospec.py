@@ -666,13 +666,14 @@ class FlowPathSpec:
     aggregate: int = 1
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
+        # NaN-safe comparisons: a NaN weight or rate fails every one.
+        if not 0 < self.weight < math.inf:
             raise FlowError(
-                f"flow {self.flow_id}: weight must be > 0, got {self.weight}"
+                f"flow {self.flow_id}: weight must be finite and > 0, got {self.weight}"
             )
-        if self.min_rate < 0:
+        if not 0 <= self.min_rate < math.inf:
             raise FlowError(
-                f"flow {self.flow_id}: min_rate must be >= 0, "
+                f"flow {self.flow_id}: min_rate must be finite and >= 0, "
                 f"got {self.min_rate}"
             )
         if self.ingress_core == self.egress_core:
@@ -680,11 +681,18 @@ class FlowPathSpec:
                 f"flow {self.flow_id}: ingress and egress core must differ "
                 f"(both are {self.ingress_core!r})"
             )
+        previous_stop = 0.0
         for start, stop in self.schedule:
-            if start < 0 or stop <= start:
+            # Finite starts, in time order, disjoint: the flow stops at each
+            # period's end, so an overlapping period would count it active
+            # (``FlowRecord.active_at``) while it sends nothing.
+            if not previous_stop <= start < math.inf or not stop > start:
                 raise FlowError(
-                    f"flow {self.flow_id}: bad schedule period ({start}, {stop})"
+                    f"flow {self.flow_id}: bad schedule period ({start}, {stop}); "
+                    "periods need a finite start >= 0 and stop > start, in "
+                    "time order, not overlapping"
                 )
+            previous_stop = stop
         if self.transport not in ("shaped", "tcp"):
             raise FlowError(
                 f"flow {self.flow_id}: unknown transport {self.transport!r} "

@@ -89,18 +89,19 @@ def data_packet(flow_id: int = 1, src: str = "A", dst: str = "C", seq: int = 0, 
     return Packet.data(flow_id, src, dst, seq=seq, now=now)
 
 
-def run_python(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter that can import what this one
-    can (``repro`` and ``tests.conftest`` included): for checks on a whole
-    process — its peak RSS, the modules it ends up importing."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that can import what this
+    one can (``repro`` and ``tests.conftest`` included): for checks on a
+    whole process — its peak RSS, the modules it ends up importing, its
+    exit code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     return subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
 
 
 # ---------------------------------------------------------------------------
-# scale clouds shared by the replay / fingerprint tests
+# scale clouds shared by the contract table and the scale tests
 # ---------------------------------------------------------------------------
 
 #: Train batch of the aggregated scale rungs.  K = 8 keeps the coalescing
@@ -126,9 +127,9 @@ def flow_scaling_cloud(
     divide evenly), keeping the same total weight profile: bucket ``b``
     carries the weight class ``1 + (b % 4)`` for all of its members.
 
-    Fingerprints in ``test_vectorized`` and ``test_hotpath`` pin this exact
-    recipe (seed 0 included); corebench's ``workloads.py`` carries its own
-    copy so that neither moves with the other.
+    The contract table's ``flow-scaling-256`` and ``flow-scaling-512`` rows
+    pin this exact recipe (seed 0 included); corebench's ``workloads.py``
+    carries its own copy so that neither moves with the other.
     """
     if aggregate < 1 or flows % aggregate:
         raise ConfigurationError(

@@ -328,7 +328,7 @@ def test_4096_flow_scalar_build_stays_under_400_mb_and_10_s():
         "assert rss_mb <= 400, f'ru_maxrss {rss_mb:.0f} MB > 400 MB'\n"
         "assert seconds <= 10, f'build took {seconds:.1f} s > 10 s'\n"
     )
-    proc = run_python(script)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -9,18 +9,16 @@ patched to answer ``None`` — and is the oracle: every cloud below runs once
 each way and everything a run shows must be ``==``, floats included, with
 ``events_executed`` apart by exactly the last-hop delivery events.
 
-The second half keeps the call chains the hot frames replaced —
-``PacedSender._fire``, ``CoreliteEdge._emit`` and ``receive`` ->
-``_deliver_local`` as they were at 00d76a9, ``CsfqEdge._emit`` and
-``receive`` as they were at a782f07, the train frames ``_fire_train``,
-``_emit_train`` and ``receive`` -> ``_deliver_train`` as they were at
-9397da2 — and compares pacer, injector, estimator and egress state after
-every packet and every train.
+The second half keeps the call chains the train frames replaced —
+``_fire_train``, ``_emit_train`` and ``receive`` -> ``_deliver_train`` as
+they were at 9397da2 — and compares pacer, injector and egress state after
+every packet and every train.  The scalar frames' chains are retired: the
+contract table (``tests/contract``) pins what they produced.
 
 Mutants that must fail here (each checked by hand when it was written, and
 recorded in ``docs/PERF_LOG.md``): ``due <= now`` for the ``(due, seq)``
 rule in ``Simulator.settle``; ``receive`` not settling before an
-event-handed packet (either edge); ``_fire`` or ``_fire_train`` without the
+event-handed packet (either edge); ``_fire_train`` without the
 ``min(burst, .)`` clamp; ``receive`` advancing a train's ``expected_seq`` by
 1 or recording it with ``record``; ``quiet_for`` answering
 ``seq <= fed + 1``, reading ``fed_seq`` after folding the packet in, folding
@@ -32,8 +30,7 @@ feeder taking over a node whose feeder left.
 from __future__ import annotations
 
 import tracemalloc
-from collections import deque
-from math import exp, nextafter
+from math import nextafter
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +39,7 @@ from hypothesis import strategies as st
 from repro.aqm.decbit import DecbitQueue
 from repro.aqm.red import RedQueue
 from repro.core.config import CoreliteConfig
-from repro.core.edge import CoreliteEdge, EdgeRouter, _DATA, _MARKER
+from repro.core.edge import CoreliteEdge, EdgeRouter, _DATA
 from repro.core.shaping import _TOKEN_EPS, PacedSender
 from repro.csfq.config import CsfqConfig
 from repro.csfq.edge import CsfqEdge
@@ -63,12 +60,8 @@ from repro.sim.packet import Packet, PacketTrain
 from repro.sim.queues import DropTailQueue
 from repro.sim.sources import SourceSpec
 
-from .test_marker_carrier import (
-    SERIAL_CLOUDS,
-    _conservation_builder,
-    _inline_chain4,
-    _observed,
-)
+from .contract import SERIAL_CLOUDS, _cloud
+from .test_marker_carrier import _conservation_builder
 
 # -- the switch, and everything a run shows ---------------------------------------
 
@@ -122,8 +115,75 @@ class _Census:
         patch.setattr(CsfqEdge, "quiet_for", noting_first)
 
 
+def _selector_state(selector):
+    names = ("rav", "wav", "pw", "deficit", "markers_seen", "feedback_sent", "swaps")
+    return tuple(getattr(selector, name, None) for name in names)
+
+
+def _core_link_state(core, link_name):
+    """A Corelite core link's selector, or a CSFQ core link's admission state."""
+    if not hasattr(core, "machinery_for"):
+        state = core.state_for(link_name)
+        names = ("arrival_rate", "arrival_time", "arrival_pending", "accepted_rate",
+                 "accepted_time", "accepted_pending", "alpha", "tmp_alpha", "congested",
+                 "window_start", "prob_drops", "overflow_drops", "forwarded")
+        return tuple(getattr(state, name) for name in names)
+    return _selector_state(core.machinery_for(link_name).selector)
+
+
 def _show(clouds, result):
-    seen = _observed(clouds, result)
+    """What one run shows, as a dict of comparable sections.  ``clouds`` is
+    the serial cloud, or every partition's, of either scheme (a CSFQ cloud
+    has no markers)."""
+    seen = {
+        "flows": {
+            fid: (
+                record.delivered,
+                record.losses,
+                tuple(record.rate_series.values),
+                tuple(record.throughput_series.values),
+                tuple(record.cumulative_series.values),
+                tuple(sorted(record.micro_delivered.items())),
+            )
+            for fid, record in sorted(result.flows.items())
+        },
+        "total_drops": result.total_drops,
+        "dynamics": None
+        if result.dynamics is None
+        else (result.dynamics["reroutes"], result.dynamics["failure_drops"]),
+        "events": [cloud.sim.events_executed for cloud in clouds],
+        "rates": {},
+        "markers": {},
+        "selectors": {},
+        "links": {},
+        "unrouted": {},
+        "tcp": {},
+    }
+    for cloud in clouds:
+        for edge in cloud.edges.values():
+            if not isinstance(edge, CoreliteEdge):
+                seen["rates"].update((f, edge.allotted_rate(f)) for f in edge.ingress_flow_ids())
+                continue
+            for fid in edge.ingress_flow_ids():
+                seen["rates"][fid] = edge.allotted_rate(fid)
+                seen["markers"][fid, "injected"] = edge._ingress_state(
+                    fid
+                ).injector.markers_emitted
+            for fid, slot in edge._egress_index.items():
+                seen["markers"][fid, "received"] = edge._egress_flows[slot].markers_received
+        for name in cloud.core_names:
+            core = cloud.topology.nodes.get(name)
+            if core is None:
+                continue
+            seen["unrouted"][name] = core.unrouted_drops
+            for link_name in core.enabled_links():
+                seen["selectors"][link_name] = _core_link_state(core, link_name)
+        for name, link in cloud.topology.links.items():
+            seen["links"][name] = (
+                link.queue.stats.dropped_data, link.failure_drops, link.inflight_drops
+            )
+        for fid, (sender, receiver) in cloud.tcp_hosts.items():
+            seen["tcp"][fid] = (sender.timeouts, receiver.delivered, receiver.duplicates)
     seen["payload"] = result_to_payload(result)
     seen["control_plane"] = [
         (cloud.control.delivered, cloud.control.lost, cloud.control.unroutable)
@@ -198,6 +258,14 @@ def both(run, ledgered="all"):
 def test_ledger_equals_event_delivery(name):
     # RED / WFQ on every link: no departure-time link, nothing to book.
     both(lambda: _run_cloud(SERIAL_CLOUDS[name]), "none" if name in ("red", "wfq") else "all")
+
+
+def _inline_chain4():
+    builder = CloudBuilder(TopologySpec.chain(4), seed=7)
+    builder.add_flows(topology1_flows(WEIGHTS_41, {}))
+    builder.partitions = 2
+    builder.pdes_mode = "inline"
+    return builder.build_parallel(), 10.0
 
 
 def test_ledger_equals_event_delivery_across_a_partition_cut():
@@ -490,12 +558,7 @@ def test_one_flow_arriving_over_two_links(second):
 
 
 def _csfq(spec, flows, until, seed=3, **kw):
-    def make():
-        builder = CloudBuilder(spec, scheme="csfq", seed=seed, **kw)
-        builder.add_flows(flows)
-        return builder.build(), until
-
-    return make
+    return _cloud(spec, flows, until, seed, scheme="csfq", **kw)
 
 
 def _fabric_flows():
@@ -751,99 +814,6 @@ def test_a_run_nobody_reads_holds_a_bounded_ledger(monkeypatch):
     assert end - warm < 256 * 1024, (warm, end)  # 40k held packets would be ~10 MB
 
 
-# -- frame oracles: the call chains as they were at 00d76a9 ------------------------
-
-
-def _fire_chain(self) -> None:
-    """``PacedSender._fire`` -> ``_accrue`` x2 -> ``_delay_until_token`` ->
-    ``_schedule`` -> ``reschedule``."""
-    fired = self._handle
-    self._handle = None
-    if not self._running:
-        return
-    self._accrue()
-    if self._credit < 1.0 - _TOKEN_EPS:
-        self._schedule(self._delay_until_token(), reuse=fired)
-        return
-    sent = self._emit()
-    if not self._running:
-        return
-    if sent is False:
-        self.idle_parks += 1
-        return
-    self._credit = max(0.0, self._credit - 1.0)
-    self._last_emit = self._sim.now
-    self.packets_sent += 1
-    self._schedule(self._delay_until_token(), reuse=fired)
-
-
-def _emit_chain(self, state) -> bool:
-    """``CoreliteEdge._emit`` -> ``Packet.data``, ``on_data``, ``forward``."""
-    att = state.attachment
-    now = self.sim.now
-    if state.ext_queue is not None:
-        if not state.ext_queue:
-            return False
-        packet = state.ext_queue.popleft()
-    else:
-        micro_id = 0
-        if state.mux is not None:
-            picked = state.mux.pop()
-            if picked is None:
-                return False
-            micro_id = picked
-        elif state.backlog is not None:
-            if state.backlog < 1:
-                return False
-            state.backlog -= 1
-        packet = Packet.data(
-            att.flow_id, self.name, att.dst_edge, seq=state.seq, now=now, sim=self.sim
-        )
-        packet.micro_id = micro_id
-        state.seq += 1
-    if state.rate_estimator is not None:
-        state.rate_estimator.update(now, packet.size)
-    due = state.injector.on_data(packet.size)
-    if due:
-        rate = state.controller.rate
-        if state.rate_estimator is not None:
-            rate = min(rate, state.rate_estimator.rate)
-        label = max(0.0, rate - att.min_rate) / att.weight
-        packet.origin_edge = self.name
-        packet.label = label
-        for _ in range(due - 1):
-            self.forward(
-                Packet.marker(att.flow_id, self.name, att.dst_edge, label, now, sim=self.sim)
-            )
-    self.forward(packet)
-    return True
-
-
-def _receive_chain(self, packet, link) -> None:
-    """``CoreliteEdge.receive`` -> ``_deliver_local`` -> ``record`` x2; the
-    transit half below it has not changed and is the source's."""
-    if packet.dst != self.name:
-        return _receive(self, packet, link)
-    slot = self._egress_index.get(packet.flow_id)
-    state = self._egress_flows[slot] if slot is not None else None
-    if state is None:
-        raise FlowError(f"{self.name}: packet for unexpected flow {packet.flow_id}")
-    if packet.kind is _MARKER:
-        state.markers_received += 1
-        return
-    if packet.kind is not _DATA:
-        return
-    if packet.count != 1:
-        _deliver_train_chain(self, state, packet, link)
-        return
-    if packet.origin_edge is not None:
-        state.markers_received += packet.marker_count
-    self._sequence_gap(state, packet.seq)
-    state.meter.record()
-    state.delay.record(max(0.0, self.sim.now - packet.created_at))
-    state.micro_delivered[packet.micro_id] = state.micro_delivered.get(packet.micro_id, 0) + 1
-
-
 # -- the train frames' call chains, as they were at 9397da2 --------------------------
 
 
@@ -927,8 +897,20 @@ def _deliver_train_chain(self, state, train, link) -> None:
         state.micro_delivered[micro] = state.micro_delivered.get(micro, 0) + 1
 
 
-_fire, _emit, _receive = PacedSender._fire, CoreliteEdge._emit, CoreliteEdge.receive
 _fire_train, _emit_train = PacedSender._fire_train, CoreliteEdge._emit_train
+_receive = CoreliteEdge.receive
+
+
+def _receive_train_chain(self, packet, link, *at) -> None:
+    """``CoreliteEdge.receive`` -> ``_deliver_train`` for a train at its
+    egress; every other packet takes the source's frame."""
+    if packet.dst == self.name and packet.kind is _DATA and packet.count != 1:
+        slot = self._egress_index.get(packet.flow_id)
+        if slot is None:
+            raise FlowError(f"{self.name}: packet for unexpected flow {packet.flow_id}")
+        _deliver_train_chain(self, self._egress_flows[slot], packet, link)
+        return
+    _receive(self, packet, link, *at)
 
 
 def _pacer_view(pacer):
@@ -943,10 +925,11 @@ def _pacer_view(pacer):
 def _logged_frames(patch, chains):
     """Install the frames (the chains, or the source's) with a log line of
     everything they touch after every firing and every edge ``receive``."""
-    frames = (_fire, _fire_train, _emit, _emit_train, _receive)
+    fire_train, emit_train, receive = (_fire_train, _emit_train, _receive)
     if chains:
-        frames = (_fire_chain, _fire_train_chain, _emit_chain, _emit_train_chain, _receive_chain)
-    fire, fire_train, emit, emit_train, receive = frames
+        fire_train, emit_train, receive = (
+            _fire_train_chain, _emit_train_chain, _receive_train_chain
+        )
     log = []
 
     def logging(fire):
@@ -976,23 +959,21 @@ def _logged_frames(patch, chains):
                 tuple(sorted(state.micro_delivered.items())),
             ))
 
-    patch.setattr(PacedSender, "_fire", logging(fire))
+    patch.setattr(PacedSender, "_fire", logging(PacedSender._fire))
     patch.setattr(PacedSender, "_fire_train", logging(fire_train))
-    patch.setattr(CoreliteEdge, "_emit", emit)
     patch.setattr(CoreliteEdge, "_emit_train", emit_train)
     patch.setattr(CoreliteEdge, "receive", logged_receive)
     return log
 
 
-def _every_flow_kind(train_batch=1):
+def _every_flow_kind():
     """Backlogged, deposit-fed, micro-flow mux, external (TCP), a ``min_rate``
     contract and sub-unit weights (several markers owed per packet), over a
-    bottleneck that drops.  Trains slow-start up to whole batches (so accrual
-    meets the bucket's cap) into a buffer they fit in."""
-    buffer = 6.0 if train_batch == 1 else 12.0
-    spec = TopologySpec.chain(2, capacity_pps=320.0, queue_capacity=buffer)
-    config = CoreliteConfig(qthresh=3.0, ss_thresh=32.0 * train_batch)
-    builder = CloudBuilder(spec, seed=11, config=config, train_batch=train_batch)
+    bottleneck that drops, as trains of up to 8.  They slow-start up to whole
+    batches (so accrual meets the bucket's cap) into a buffer they fit in."""
+    spec = TopologySpec.chain(2, capacity_pps=320.0, queue_capacity=12.0)
+    config = CoreliteConfig(qthresh=3.0, ss_thresh=256.0)
+    builder = CloudBuilder(spec, seed=11, config=config, train_batch=8)
     builder.add_flow(FlowPathSpec(1, weight=1.0))
     builder.add_flow(FlowPathSpec(2, weight=1.0, source=SourceSpec(kind="poisson", mean_rate=70.0)))
     builder.add_flow(
@@ -1010,17 +991,17 @@ def _every_flow_kind(train_batch=1):
     return builder.build(), 10.0
 
 
-@pytest.mark.parametrize("train_batch", [1, 8], ids=["scalar", "train-8"])
+@pytest.mark.parametrize("train_batch", [8], ids=["train-8"])
 def test_frames_equal_their_call_chains_after_every_packet(train_batch):
     """Run in event mode, where the old ``receive`` can read ``sim.now``; the
-    ledger's ``at`` is covered by every test above.  Under ``train_batch=8``
-    every flow but the external one fires, emits and is recorded as trains."""
+    ledger's ``at`` is covered by every test above.  Every flow but the
+    external one fires, emits and is recorded as trains."""
     logs = []
     for chains in (True, False):
         with pytest.MonkeyPatch.context() as patch:
             _events_mode(patch)
             log = _logged_frames(patch, chains)
-            cloud, until = _every_flow_kind(train_batch)
+            cloud, until = _every_flow_kind()
             result = cloud.run(until=until, sample_interval=0.1)
             logs.append((log, result_to_payload(result), cloud.sim.events_executed))
     (chain_log, chain_payload, chain_events), (frame_log, frame_payload, frame_events) = logs
@@ -1029,186 +1010,10 @@ def test_frames_equal_their_call_chains_after_every_packet(train_batch):
         assert got == want, f"entry {i}"
     assert frame_payload == chain_payload and frame_events == chain_events
     counts = {entry[4] for entry in frame_log if entry[0] == "receive"}
-    assert (max(counts) == 8) == (train_batch == 8) and 1 in counts
+    assert max(counts) == train_batch and 1 in counts
     fires = [entry for entry in frame_log if entry[0] == "fire"]
     assert {entry[2] for entry in fires} == set(range(1, 8))
     assert any(entry[3][6] for entry in fires)  # idle parks (deposit-fed flows ran dry)
     assert max(entry[4][1] for entry in fires if entry[2] == 7) > 2 * max(
         entry[4][2] for entry in fires if entry[2] == 7
     )  # weight 0.3: more than two markers per packet
-
-
-def _csfq_emit_chain(self, state) -> bool:
-    """``CsfqEdge._emit`` -> keyword ``Packet(...)`` and ``forward``."""
-    if state.backlog is not None:
-        if state.backlog < 1:
-            return False
-        state.backlog -= 1
-    att = state.attachment
-    now = self.sim.now
-    est = state.estimator
-    gap = now - est._last_time
-    if gap > 0.0:
-        weight = exp(-gap / est.k)
-        load = est._pending + 1.0
-        est._pending = 0.0
-        est._last_time = now
-        rate = est.rate = (1.0 - weight) * (load / gap) + weight * est.rate
-        est.updates += 1
-    elif gap == 0.0:
-        est._pending += 1.0
-        rate = est.rate
-    else:
-        raise SimulationError(f"rate estimator saw time go backwards ({gap})")
-    label = rate / att.weight
-    packet = Packet(
-        _DATA, att.flow_id, self.name, att.dst_edge,
-        seq=state.seq, label=label, created_at=now, sim=self.sim,
-    )
-    state.seq += 1
-    self.forward(packet)
-    return True
-
-
-def _csfq_receive_chain(self, packet, link) -> None:
-    """``CsfqEdge.receive`` -> ``_deliver_local`` -> ``_sequence_gap``,
-    ``record`` x2 (``_report_loss`` has since gained ``at``)."""
-    if packet.dst != self.name:
-        self.forward(packet)
-        return
-    slot = self._egress_index.get(packet.flow_id)
-    state = self._egress_flows[slot] if slot is not None else None
-    if state is None:
-        raise FlowError(f"{self.name}: packet for unexpected flow {packet.flow_id}")
-    if packet.kind is not _DATA:
-        return
-    if packet.count != 1:
-        self._deliver_train(state, packet, link, None)
-        return
-    gap = self._sequence_gap(state, packet.seq)
-    if gap:
-        self._report_loss(packet, gap, None)
-    if packet.ecn:
-        state.ecn_marks += 1
-        self._report_loss(packet, 1, None)
-    state.meter.record()
-    state.delay.record(max(0.0, self.sim.now - packet.created_at))
-
-
-def test_csfq_frames_equal_their_call_chains_after_every_packet():
-    """Backlogged, deposit-fed and on/off flows over a DECbit core (gaps and
-    ECN marks), in event mode as above; estimator and egress state ``==``
-    after every emission and every delivery."""
-    logs = []
-    for chains in (True, False):
-        emit, receive = (_csfq_emit_chain, _csfq_receive_chain) if chains else (
-            CsfqEdge._emit, CsfqEdge.receive
-        )
-        log = []
-
-        def logged_emit(edge, state, emit=emit, log=log):
-            sent = emit(edge, state)
-            est = state.estimator
-            log.append((
-                "emit", edge.sim.now, state.attachment.flow_id, sent, state.seq, state.backlog,
-                (est.rate, est._pending, est._last_time, est.updates), edge.sim._next_pid,
-            ))
-            return sent
-
-        def logged_receive(edge, packet, link, *at, receive=receive, log=log):
-            receive(edge, packet, link, *at)
-            state = edge._egress_flows[edge._egress_index[packet.flow_id]]
-            delay = state.delay
-            log.append((
-                "receive", edge.sim.now, packet.flow_id, packet.pid, edge.sim._next_pid,
-                (state.expected_seq, state.lost, state.ecn_marks, state.meter.count),
-                (delay.count, delay.total, delay.total_sq, delay.min, delay.max, delay._next,
-                 tuple(delay._reservoir[-2:])),
-            ))
-
-        with pytest.MonkeyPatch.context() as patch:
-            _events_mode(patch)
-            patch.setattr(CsfqEdge, "_emit", logged_emit)
-            patch.setattr(CsfqEdge, "receive", logged_receive)
-            cloud, until = _decbit_core(
-                FlowPathSpec(7, weight=1.0, source=SourceSpec(kind="poisson", mean_rate=40.0)),
-                FlowPathSpec(8, weight=1.0, schedule=((2.0, 6.0), (9.0, 12.0))),
-            )
-            result = cloud.run(until=until, sample_interval=0.1)
-            logs.append((log, result_to_payload(result), cloud.sim.events_executed))
-    (chain_log, chain_payload, chain_events), (frame_log, frame_payload, frame_events) = logs
-    assert len(frame_log) == len(chain_log) > 3_000
-    for i, (got, want) in enumerate(zip(frame_log, chain_log)):
-        assert got == want, f"entry {i}"
-    assert frame_payload == chain_payload and frame_events == chain_events
-    receipts = [entry[5] for entry in frame_log if entry[0] == "receive"]
-    assert max(r[1] for r in receipts) > 0 and max(r[2] for r in receipts) > 0  # gaps, marks
-    assert any(entry[3] is False for entry in frame_log if entry[0] == "emit")  # parks
-
-
-class _ChainPacer(PacedSender):
-    _fire = _fire_chain
-
-
-ACTIONS = st.sampled_from(
-    ["send"] * 6 + ["park", "none", "stop", "restart", "kick", "slower", "faster", "zero", "same"]
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    rate=st.sampled_from([0.0, 3.0, 40.0, 1000.0]),
-    burst=st.sampled_from([1.0, 1.0, 2.5, 6.0]),
-    script=st.lists(ACTIONS, max_size=40),
-    outside=st.lists(
-        st.tuples(
-            st.sampled_from([0.0, 0.001, 0.025, 0.4]),
-            st.sampled_from(["kick", "slower", "faster", "zero", "stop", "start"]),
-        ),
-        max_size=12,
-    ),
-)
-def test_fire_equals_its_call_chain_under_reentrant_callbacks(rate, burst, script, outside):
-    """``set_rate`` / ``stop`` / ``kick`` issued from inside the emit callback
-    (and between firings): the inlined firing falls back to the general
-    re-arm exactly where the chain would have behaved differently."""
-
-    def drive(cls):
-        sim = Simulator()
-        todo = deque(script)
-        views = []
-
-        def act(what):
-            if what == "kick":
-                pacer.kick()
-            elif what == "slower":
-                pacer.set_rate(pacer.rate * 0.5)
-            elif what == "faster":
-                pacer.set_rate(pacer.rate * 3.0 + 1.0)
-            elif what == "zero":
-                pacer.set_rate(0.0)
-            elif what == "same":
-                pacer.set_rate(pacer.rate)
-            elif what == "stop":
-                pacer.stop()
-            elif what in ("start", "restart"):
-                pacer.stop()
-                pacer.start()
-
-        def emit():
-            what = todo.popleft() if todo else "send"
-            act(what)
-            views.append((sim.now, what, _pacer_view(pacer)))
-            return False if what == "park" else None if what == "none" else True
-
-        pacer = cls(sim, rate, emit, burst=burst)
-        pacer.start()
-        at = 0.0
-        for gap, what in outside:
-            at += gap
-            sim.schedule_at(at, act, what)
-        sim.run(until=at + 1.0)
-        views.append((sim.now, "end", _pacer_view(pacer), pacer.credit(), sim.events_executed))
-        return views
-
-    assert drive(PacedSender) == drive(_ChainPacer)

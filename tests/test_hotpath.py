@@ -1,8 +1,6 @@
 """Tests for the hot-path overhaul: fast-path scheduling, handle reuse,
-bounded-run heap hygiene, the rebindable link datapath, and the flow-scale
-replay pins."""
-
-import hashlib
+bounded-run heap hygiene, the rebindable link datapath, and the §4.1 chain's
+event budget (the flow-scale replay pin is a contract-table row)."""
 
 import pytest
 
@@ -12,8 +10,6 @@ from repro.sim.link import Link
 from repro.sim.node import Node
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue
-
-from .conftest import flow_scaling_cloud
 
 
 # ---------------------------------------------------------------------------
@@ -387,46 +383,6 @@ def test_selective_fold_epoch_replays_wav_exactly():
     assert parked.rav == live.rav
     assert parked._epoch_marker_count == live._epoch_marker_count == 0
     assert parked.pw == live.pw == 0.0
-
-
-# ---------------------------------------------------------------------------
-# flow-scale replay pins (PR 5 acceptance)
-# ---------------------------------------------------------------------------
-
-
-def test_flow_scale_replay_byte_identical_across_optimizations():
-    """512 flows: figure-level outputs, every link's drop counts, the packet
-    id counter and the executed-event count.  This compared the engine's
-    bucket-ring tier on and off until the ring was deleted; both counters
-    were recorded on the two-level store (equal both ways) just before, so
-    the single heap must replay that run exactly — the ring only ever
-    changed where an event was stored, never its ``(time, seq)`` firing
-    order.  The digest hashed each queue's whole ``QueueStats`` until links
-    stopped counting anything but drops; it was re-recorded over
-    ``dropped_data`` / ``failure_drops`` / ``inflight_drops`` on the commit
-    before the other counters were deleted."""
-    cloud = flow_scaling_cloud("corelite", 512)
-    result = cloud.run(until=4.0, sample_interval=1.0)
-    flows = tuple(
-        (
-            fid,
-            rec.delivered,
-            rec.losses,
-            tuple(rec.rate_series.values),
-            tuple(rec.throughput_series.values),
-        )
-        for fid, rec in sorted(result.flows.items())
-    )
-    queues = tuple(
-        (name, link.queue.stats.dropped_data, link.failure_drops, link.inflight_drops)
-        for name, link in sorted(cloud.topology.links.items())
-    )
-    digest = hashlib.sha256(repr((flows, queues)).encode()).hexdigest()
-    assert (digest, cloud.sim._next_pid, cloud.sim.events_executed) == (
-        "c7bff3a0cb4817d40f65e419b10342cfe3bee257cd1a35f91315abb016578dc7",
-        7948,
-        27049,
-    )
 
 
 # ---------------------------------------------------------------------------

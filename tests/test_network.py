@@ -122,14 +122,19 @@ class TestConstruction:
 
 class TestRunValidation:
     def test_bad_duration(self):
+        """A NaN or infinite horizon would never end."""
         builder = CloudBuilder(TopologySpec.chain(2), "corelite")
-        with pytest.raises(ConfigurationError):
-            builder.add_flow(FlowSpec(flow_id=1)).run(until=0.0)
+        builder.add_flow(FlowSpec(flow_id=1))
+        for until in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match=f"duration.*{until}"):
+                builder.run(until=until)
 
     def test_bad_sample_interval(self):
         builder = CloudBuilder(TopologySpec.chain(2), "corelite")
-        with pytest.raises(ConfigurationError):
-            builder.add_flow(FlowSpec(flow_id=1)).run(until=1.0, sample_interval=0.0)
+        builder.add_flow(FlowSpec(flow_id=1))
+        for interval in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match=f"interval.*{interval}"):
+                builder.run(until=1.0, sample_interval=interval)
 
     def test_short_run_produces_result(self):
         builder = CloudBuilder(TopologySpec.chain(2), "corelite")

@@ -292,13 +292,17 @@ class _FlowCountingQueue(DropTailQueue):
 
 @st.composite
 def _small_cloud(draw):
-    """A random small Corelite cloud plus a random flow set."""
+    """A random small Corelite cloud, a datapath mode (default, batched
+    control or trains of 8) and a random flow set."""
     num_cores = draw(st.integers(2, 3))
     capacity = draw(st.floats(60.0, 200.0))
     # CoreliteConfig requires its congestion threshold (qthresh = 8) to sit
     # below the queue capacity, so stay above it.
     queue_cap = draw(st.integers(10, 25))
     seed = draw(st.integers(0, 2**16))
+    mode = draw(
+        st.sampled_from([{}, {"vectorized": True}, {"train_batch": 8}])
+    )
     n_flows = draw(st.integers(1, 4))
     flows = []
     for fid in range(1, n_flows + 1):
@@ -316,7 +320,7 @@ def _small_cloud(draw):
                 schedule=((0.0, 4.0),),
             )
         )
-    return num_cores, capacity, queue_cap, seed, flows
+    return num_cores, capacity, queue_cap, seed, mode, flows
 
 
 @given(_small_cloud())
@@ -331,7 +335,7 @@ def test_per_flow_packet_conservation(cloud):
     per flow by a recording drop-tail subclass; feedback markers are
     size-0 control packets and never enter the data accounting.
     """
-    num_cores, capacity, queue_cap, seed, flows = cloud
+    num_cores, capacity, queue_cap, seed, mode, flows = cloud
     queues = []
 
     def factory():
@@ -342,7 +346,7 @@ def test_per_flow_packet_conservation(cloud):
     topology = TopologySpec.chain(
         num_cores, capacity, access_capacity_pps=capacity, queue_capacity=float(queue_cap)
     )
-    builder = CloudBuilder(topology, "corelite", seed=seed, queue_factory=factory)
+    builder = CloudBuilder(topology, "corelite", seed=seed, queue_factory=factory, **mode)
     net = builder.add_flows(flows).build()
     net.run(until=8.0)  # flows stop at 4.0; 4 s of drain is ample
 

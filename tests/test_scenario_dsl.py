@@ -144,6 +144,15 @@ class TestBuild:
             ({"flows": [{"id": 1, "source": {"kind": "poisson"}}]}, r"missing 'mean_rate'"),
             ({"network": {"core_links": [["A", "B", 500]]}}, r"'core_links' row.*500"),
             ({"flows": [{"id": 1, "micro_flows": [[7]]}]}, r"'micro_flows' entry.*7"),
+            # JSON NaN / Infinity parse as numbers.
+            ({"flows": [{"id": 1, "source": {"kind": "poisson", "mean_rate": math.nan}}]},
+             r"mean_rate.*nan"),
+            ({"flows": [{"id": 1, "source": {"kind": "onoff", "peak_rate": 50,
+                                             "mean_on": math.nan, "mean_off": 1}}]},
+             r"mean_on.*nan"),
+            ({"flows": [{"id": 1, "source": {"kind": "transfer", "total_packets": 9,
+                                             "peak_rate": math.inf}}]},
+             r"peak_rate.*inf"),
         ],
     )
     def test_malformed_values_die_before_the_build(self, overrides, names, monkeypatch):

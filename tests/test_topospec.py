@@ -216,6 +216,20 @@ class TestFlowPathSpec:
             FlowPathSpec(flow_id=9, ingress_core="C1", egress_core="C1")
         with pytest.raises(FlowError, match=r"flow 9.*transport 'udp'"):
             FlowPathSpec(flow_id=9, transport="udp")
+        # Non-finite values and overlapping or unordered periods: JSON
+        # ``NaN`` / ``Infinity`` parse as numbers.
+        for kw, shown in [
+            ({"weight": math.nan}, r"weight.*nan"),
+            ({"weight": math.inf}, r"weight.*inf"),
+            ({"min_rate": math.nan}, r"min_rate.*nan"),
+            ({"schedule": ((math.nan, 4.0),)}, r"period \(nan, 4.0\)"),
+            ({"schedule": ((0.0, 4.0), (2.0, 5.0))}, r"period \(2.0, 5.0\)"),
+            ({"schedule": ((5.0, 9.0), (1.0, 4.0))}, r"period \(1.0, 4.0\)"),
+            ({"schedule": ((0.0, math.inf), (5.0, 9.0))}, r"period \(5.0, 9.0\)"),
+        ]:
+            with pytest.raises(FlowError, match=rf"flow 9.*{shown}"):
+                FlowPathSpec(flow_id=9, **kw)
+        assert FlowPathSpec(flow_id=9, schedule=((0.0, 4.0), (4.0, 8.0))).schedule
 
 
 class TestTopologyLinkValidation:
