@@ -98,15 +98,15 @@ class EdgeConfig:
             "alpha", "beta", "edge_epoch", "queue_capacity", "ss_thresh",
             "ss_double_interval", "initial_rate", "max_rate",
         )
-        if self.min_rate < 0:
-            raise ConfigurationError(f"min_rate must be >= 0, got {self.min_rate}")
+        if not 0.0 <= self.min_rate < math.inf:
+            raise ConfigurationError(f"min_rate must be finite and >= 0, got {self.min_rate}")
         if self.min_rate > self.max_rate:
             raise ConfigurationError(
                 f"min_rate ({self.min_rate}) exceeds max_rate ({self.max_rate})"
             )
-        if self.shaper_burst < 1.0:
+        if not 1.0 <= self.shaper_burst < math.inf:
             raise ConfigurationError(
-                f"shaper_burst must be >= 1 packet, got {self.shaper_burst}"
+                f"shaper_burst must be finite and >= 1 packet, got {self.shaper_burst}"
             )
 
     def _require_positive(self, *names: str) -> None:
@@ -165,14 +165,14 @@ class CoreliteConfig(EdgeConfig):
         super().__post_init__()
         self._require_positive("k1", "core_epoch", "linear_gain")
         for name, value in (("qthresh", self.qthresh), ("fn_k", self.fn_k)):
-            if value < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {value}")
-        if self.qthresh >= self.queue_capacity:
+            if not 0.0 <= value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+        if not self.qthresh < self.queue_capacity:
             raise ConfigurationError(
                 f"qthresh ({self.qthresh}) must be below queue_capacity "
                 f"({self.queue_capacity}) or congestion is detected only at loss"
             )
-        if self.marker_cache_size < 1:
+        if not 1 <= self.marker_cache_size < math.inf:
             raise ConfigurationError(
                 f"marker_cache_size must be >= 1, got {self.marker_cache_size}"
             )

@@ -34,7 +34,9 @@ A scalar packet costs one frame at each end: ``_emit`` builds it
 positionally with ``MarkerInjector.on_data`` and the single-path hit of
 ``Router.forward`` inline (``forward`` still serves multipath, unrouted
 packets and extra markers), and ``receive`` records it with the loss
-detector, the meter and ``DelayTracker.record`` inline.  A train costs the
+detector, the meter and ``DelayTracker.record`` inline; only a mux flow's
+packet adds to a micro-flow tally (``delivered_by_micro`` derives micro-flow
+0 from the meter), and no builtin ``min`` / ``max`` runs.  A train costs the
 same: ``_emit_train`` builds its ``PacketTrain`` positionally, calls
 ``MarkerInjector.on_train`` and takes the same inline route hit, and
 ``receive`` records its ``n = count`` members in the same frame, through
@@ -200,7 +202,7 @@ class _EgressFlow:
         self.markers_received = 0
         self.expected_seq: Optional[int] = None
         self.lost = 0
-        #: Delivered data packets per micro-flow id (0 = unaggregated).
+        #: Delivered data packets per micro-flow id >= 1 (mux flows only).
         self.micro_delivered: Dict[int, int] = {}
         #: One-way delay statistics (ingress shaping to egress delivery).
         self.delay = DelayTracker()
@@ -527,10 +529,9 @@ class CoreliteEdge(EdgeRouter):
         else:
             micro_id = 0
             if state.mux is not None:
-                picked = state.mux.pop()
-                if picked is None:
+                micro_id = state.mux.pop()
+                if micro_id is None:
                     return False  # the whole aggregate is idle
-                micro_id = picked
             elif state.backlog is not None:
                 if state.backlog < 1:
                     return False  # nothing deposited yet
@@ -538,13 +539,13 @@ class CoreliteEdge(EdgeRouter):
             packet = Packet(
                 _DATA, att.flow_id, name, att.dst_edge, 1.0, state.seq, None, 0.0, now, sim
             )
-            packet.micro_id = micro_id
+            if micro_id:  # a mux never hands out 0, ``Packet``'s default
+                packet.micro_id = micro_id
             state.seq += 1
         size = packet.size
         if state.rate_estimator is not None:
             state.rate_estimator.update(now, size)
         injector = state.injector
-        injector.data_seen += 1
         credit = injector._credit + size
         interval = injector.interval
         due = 0
@@ -563,9 +564,9 @@ class CoreliteEdge(EdgeRouter):
             # Non-backlogged flows can transmit below bg, so their actual
             # (measured) rate is what the marker must reflect.
             rate = state.controller.rate
-            if state.rate_estimator is not None:
-                rate = min(rate, state.rate_estimator.rate)
-            label = max(0.0, rate - att.min_rate) / att.weight
+            if state.rate_estimator is not None and state.rate_estimator.rate < rate:
+                rate = state.rate_estimator.rate
+            label = (rate - att.min_rate if rate > att.min_rate else 0.0) / att.weight
             # The marker is a field of its data packet (``origin_edge``
             # doubles as the "marker aboard" flag), parted from it only
             # where the two could fare differently (``repro.sim.link``).
@@ -631,9 +632,9 @@ class CoreliteEdge(EdgeRouter):
         due = state.injector.on_train(n)
         if due:
             rate = state.controller.rate
-            if state.rate_estimator is not None:
-                rate = min(rate, state.rate_estimator.rate)
-            label = max(0.0, rate - att.min_rate) / att.weight
+            if state.rate_estimator is not None and state.rate_estimator.rate < rate:
+                rate = state.rate_estimator.rate
+            label = (rate - att.min_rate if rate > att.min_rate else 0.0) / att.weight
             aboard = due if due <= n else n
             train.origin_edge = name
             train.label = label
@@ -667,7 +668,12 @@ class CoreliteEdge(EdgeRouter):
 
     def delivered_by_micro(self, flow_id: int) -> Dict[int, int]:
         """Delivered packets keyed by micro-flow id (0 = unaggregated)."""
-        return dict(self._egress_state(flow_id).micro_delivered)
+        state = self._egress_state(flow_id)
+        tally = dict(state.micro_delivered)
+        unaggregated = state.meter.count - sum(tally.values())
+        if unaggregated > 0:
+            tally[0] = unaggregated
+        return tally
 
     def _deliver_local(self, packet: Packet) -> None:
         """What is addressed to this edge other than the data packets and
@@ -714,8 +720,7 @@ class CoreliteEdge(EdgeRouter):
             elif state.lost:
                 state.lost = state.lost - n if state.lost > n else 0
             state.meter.count += n
-            delay = max(0.0, at - packet.created_at)
-            micro_delivered = state.micro_delivered
+            delay = at - packet.created_at if at > packet.created_at else 0.0
             if n == 1:
                 tracker = state.delay  # DelayTracker.record, inline
                 index = tracker.count
@@ -737,11 +742,13 @@ class CoreliteEdge(EdgeRouter):
                 spacing = 0.0 if link is None else 1.0 / link.bandwidth_pps
                 state.delay.record_train(delay, n, spacing)
                 if packet.micro_ids is not None:
+                    micro_delivered = state.micro_delivered
                     for micro in packet.micro_ids:
                         micro_delivered[micro] = micro_delivered.get(micro, 0) + 1
                     return
             micro = packet.micro_id
-            micro_delivered[micro] = micro_delivered.get(micro, 0) + n
+            if micro:  # micro-flow 0 is ``delivered_by_micro``'s remainder
+                state.micro_delivered[micro] = state.micro_delivered.get(micro, 0) + n
             return
         if packet.kind is _DATA:
             # Ingress role for external flows: host-originated packets are
@@ -758,7 +765,8 @@ class CoreliteEdge(EdgeRouter):
             if out_slot is not None:
                 egress_state = self._egress_flows[out_slot]
                 egress_state.meter.record(packet.count)
-                egress_state.delay.record(max(0.0, at - packet.created_at))
+                created = packet.created_at
+                egress_state.delay.record(at - created if at > created else 0.0)
                 if packet.origin_edge is not None:
                     # The marker aboard ends here; the host gets bare data.
                     egress_state.markers_received += 1

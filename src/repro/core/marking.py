@@ -22,7 +22,7 @@ __all__ = ["MarkerInjector"]
 class MarkerInjector:
     """Decides, per data packet, whether a marker follows it."""
 
-    __slots__ = ("interval", "_credit", "markers_emitted", "data_seen")
+    __slots__ = ("interval", "_credit", "markers_emitted")
 
     def __init__(self, interval: float) -> None:
         if interval <= 0:
@@ -30,7 +30,6 @@ class MarkerInjector:
         self.interval = interval
         self._credit = 0.0
         self.markers_emitted = 0
-        self.data_seen = 0
 
     def on_data(self, size: float = 1.0) -> int:
         """Account one transmitted data packet of ``size`` units.
@@ -43,7 +42,6 @@ class MarkerInjector:
         """
         if size < 0:
             raise ConfigurationError(f"size must be >= 0, got {size}")
-        self.data_seen += 1
         self._credit += size
         markers = 0
         while self._credit >= self.interval:
@@ -61,7 +59,6 @@ class MarkerInjector:
         """
         if n < 0:
             raise ConfigurationError(f"n must be >= 0, got {n}")
-        self.data_seen += n
         credit = self._credit + n
         markers = int(credit // self.interval)
         if markers:
@@ -75,7 +72,4 @@ class MarkerInjector:
         self._credit = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MarkerInjector(Nw={self.interval}, data={self.data_seen}, "
-            f"markers={self.markers_emitted})"
-        )
+        return f"MarkerInjector(Nw={self.interval}, markers={self.markers_emitted})"

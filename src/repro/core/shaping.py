@@ -23,10 +23,13 @@ float operations of ``_accrue`` and ``_delay_until_token`` in their order,
 the debit and the re-arm through ``Simulator.reschedule`` — and the train
 firing (``_fire_train``) is one frame per train: ``_accrue`` inline, one call
 of the train-delay rule ``_train_delay`` (which does not accrue again), the
-debit and the same re-arm.  ``_accrue``, ``_delay_until_token`` and
-``_schedule`` remain for ``set_rate``, ``kick``, ``credit()``, a token that
-is not yet whole and a firing whose emit callback re-armed the shaper, moved
-the clock or (scalar) changed the rate.
+debit and the same re-arm.  Each does only what a result reads: the burst
+clamp and the debit are conditionals with ``min`` / ``max``'s semantics, not
+builtin calls, and no send is counted (an edge's ingress ``seq`` is that
+count).  ``_accrue``, ``_delay_until_token`` and ``_schedule`` remain for
+``set_rate``, ``kick``, ``credit()``, a token that is not yet whole and a
+firing whose emit callback re-armed the shaper, moved the clock or (scalar)
+changed the rate.
 
 Train mode (opt-in)
 -------------------
@@ -80,7 +83,6 @@ class PacedSender:
         "_running",
         "_handle",
         "_last_emit",
-        "packets_sent",
         "idle_parks",
         "_fire_cb",
         "_train_batch",
@@ -123,7 +125,6 @@ class PacedSender:
         self._running = False
         self._handle: Optional[EventHandle] = None
         self._last_emit = -float("inf")
-        self.packets_sent = 0
         #: Times the shaper parked because the flow had nothing to send.
         self.idle_parks = 0
 
@@ -293,7 +294,8 @@ class PacedSender:
         rate = self._rate
         credit = self._credit
         if rate > 0 and now > self._last_accrual:
-            credit = self._credit = min(self.burst, credit + (now - self._last_accrual) * rate)
+            credit += (now - self._last_accrual) * rate
+            credit = self._credit = credit if credit < self.burst else self.burst
         self._last_accrual = now
         if credit < 1.0 - _TOKEN_EPS:
             self._schedule(self._delay_until_token(), reuse=fired)
@@ -306,9 +308,8 @@ class PacedSender:
             # (None counts as sent so plain callbacks need no return.)
             self.idle_parks += 1
             return
-        credit = self._credit = max(0.0, self._credit - 1.0)
+        credit = self._credit = self._credit - 1.0 if self._credit > 1.0 else 0.0
         self._last_emit = sim.now
-        self.packets_sent += 1
         if self._handle is not None or fired is None or sim.now != now or self._rate != rate:
             # The callback re-armed the shaper, moved the clock or changed the rate.
             self._schedule(self._delay_until_token(), reuse=fired)
@@ -330,7 +331,8 @@ class PacedSender:
         rate = self._rate
         credit = self._credit
         if rate > 0 and now > self._last_accrual:
-            credit = self._credit = min(self.burst, credit + (now - self._last_accrual) * rate)
+            credit += (now - self._last_accrual) * rate
+            credit = self._credit = credit if credit < self.burst else self.burst
         self._last_accrual = now
         if credit < 1.0 - _TOKEN_EPS:
             self._schedule(self._train_delay(), reuse=fired)
@@ -345,9 +347,8 @@ class PacedSender:
             # Nothing to send: park until a deposit kicks us.
             self.idle_parks += 1
             return
-        self._credit = max(0.0, self._credit - sent)
+        self._credit = self._credit - sent if self._credit > sent else 0.0
         self._last_emit = sim.now
-        self.packets_sent += sent
         if self._handle is not None or fired is None or sim.now != now:
             # The callback re-armed the shaper or moved the clock.
             self._accrue()
@@ -359,7 +360,4 @@ class PacedSender:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "running" if self._running else "stopped"
-        return (
-            f"PacedSender(rate={self._rate:.2f} pps, burst={self.burst}, "
-            f"{state}, sent={self.packets_sent})"
-        )
+        return f"PacedSender(rate={self._rate:.2f} pps, burst={self.burst}, {state})"

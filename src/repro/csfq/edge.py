@@ -166,7 +166,6 @@ class CsfqEdge(EdgeRouter):
             est._pending = 0.0
             est._last_time = now
             rate = est.rate = (1.0 - weight) * (load / gap) + weight * est.rate
-            est.updates += 1
         elif gap == 0.0:
             est._pending += 1.0
             rate = est.rate
@@ -344,7 +343,7 @@ class CsfqEdge(EdgeRouter):
         elif state.lost:
             state.lost -= 1
         state.meter.count += 1
-        delay = max(0.0, now - packet.created_at)
+        delay = now - packet.created_at if now > packet.created_at else 0.0
         tracker = state.delay  # DelayTracker.record, inline
         index = tracker.count
         tracker.count = index + 1

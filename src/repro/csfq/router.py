@@ -69,7 +69,6 @@ class CsfqLinkState:
         "window_start",
         "prob_drops",
         "overflow_drops",
-        "forwarded",
         "coin",
     )
 
@@ -86,7 +85,6 @@ class CsfqLinkState:
         self.window_start = now
         self.prob_drops = 0
         self.overflow_drops = 0
-        self.forwarded = 0
         #: The link's drop coin, bound by the first flip: a link that never
         #: drops (idle access links) never seeds a stream.
         self.coin: Optional[Callable[[], float]] = None
@@ -232,9 +230,7 @@ class CsfqCoreRouter(Router):
             return
         if prob > 0.0 and alpha < label:
             packet.label = alpha
-        if out_link.send(packet):
-            state.forwarded += 1
-        else:
+        if not out_link.send(packet):
             # Buffer overflow: the filter was too permissive -> shrink alpha.
             state.overflow_drops += 1
             state.alpha *= self.config.overflow_alpha_decay

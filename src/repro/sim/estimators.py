@@ -24,7 +24,7 @@ __all__ = ["ExponentialRateEstimator"]
 class ExponentialRateEstimator:
     """The CSFQ exponential averaging rate estimator."""
 
-    __slots__ = ("k", "rate", "_last_time", "_pending", "updates")
+    __slots__ = ("k", "rate", "_last_time", "_pending")
 
     def __init__(self, k: float, start_time: float = 0.0, initial_rate: float = 0.0) -> None:
         if k <= 0:
@@ -35,7 +35,6 @@ class ExponentialRateEstimator:
         self.rate = initial_rate
         self._last_time = start_time
         self._pending = 0.0
-        self.updates = 0
 
     def update(self, now: float, size: float = 1.0) -> float:
         """Fold one arrival of ``size`` packets at time ``now``; returns rate."""
@@ -52,7 +51,6 @@ class ExponentialRateEstimator:
         self._last_time = now
         weight = math.exp(-gap / self.k)
         self.rate = (1.0 - weight) * (load / gap) + weight * self.rate
-        self.updates += 1
         return self.rate
 
     def update_train(self, now: float, n: int) -> list:
@@ -88,7 +86,6 @@ class ExponentialRateEstimator:
             ladder.append(rate)
         self.rate = rate
         self._last_time = now
-        self.updates += n
         return ladder
 
     def restart(self, now: float) -> None:

@@ -19,7 +19,7 @@ an admitted packet leaves, so its serialization start
 bandwidth_pps`` and its delivery at ``_free_at + prop_delay`` are fixed
 at arrival and the **one** event of the hop, the delivery, is scheduled
 there and then.  There is no transmitter wakeup and no queue of packet
-objects.
+objects, and admission is ``DropTailQueue.admit``'s test written out.
 
 *Ledger.*  What the buffer has to remember is only when each waiting
 packet stops occupying it.  A packet that must wait is appended to the
@@ -78,8 +78,8 @@ delivered, the rest become the events they would have been.
 
 Links that need a real queue keep it (``_send_queued`` →
 ``FifoQueue.push`` / ``pop``, ``_transmit_from``, one ``_wake`` per
-serialization gap): disciplines with their own push/pop (WFQ, RED, FRED,
-DECbit), :class:`BoundaryLink`, and links armed by
+serialization gap): disciplines with their own push, pop or admit (WFQ, RED,
+FRED, DECbit), :class:`BoundaryLink`, and links armed by
 :meth:`Link.enable_dynamics`, whose failures flush packet objects.  The
 choice is made from what the link observes (``_plain_fifo``,
 ``_dynamic``); the queued path is also the oracle the departure-time
@@ -129,7 +129,7 @@ from typing import Callable, Optional
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Ledger, Simulator
 from repro.sim.packet import Packet
-from repro.sim.queues import FifoQueue
+from repro.sim.queues import DropTailQueue, FifoQueue
 
 __all__ = ["Link", "BoundaryLink"]
 
@@ -217,12 +217,14 @@ class Link:
         self._dynamic = False
         self._gen = 0
         self._down_saved_send: Optional[Callable[[Packet], bool]] = None
-        # ``_send_fast`` replays FifoQueue's push/pop bookkeeping without
-        # ever calling them, so it is only sound when the discipline *is*
-        # plain FIFO.  Queues with their own scheduling or accounting
-        # (WFQ, RED, FRED, DECbit) must see every packet through push/pop.
+        # ``_send_fast`` replays FifoQueue's push/pop and DropTailQueue's admit
+        # without calling them: sound only for a plain drop-tail FIFO.  Queues
+        # with their own scheduling, admission or accounting (WFQ, RED, FRED,
+        # DECbit, a subclass's ``admit``) must see every packet through push/pop.
+        kind = type(queue)
         self._plain_fifo = (
-            type(queue).push is FifoQueue.push and type(queue).pop is FifoQueue.pop
+            kind.push is FifoQueue.push and kind.pop is FifoQueue.pop
+            and kind.admit is DropTailQueue.admit
         )
         # Rebindable entry points: start on the tap-free fast paths.
         if self._plain_fifo:
@@ -422,8 +424,8 @@ class Link:
         queue = self.queue
         if now >= free_at:
             # Idle transmitter, hence an empty buffer: the packet would be
-            # pushed and popped again at once.
-            if not queue.admit(packet, now):
+            # pushed and popped again at once.  ``DropTailQueue.admit``, inline.
+            if not queue._occupancy + size <= queue.capacity:
                 return self._tail_drop(packet, now)
             if now > queue._last_time:  # zero-width occupancy spike: the
                 queue._last_time = now  # integral only advances its clock
@@ -435,7 +437,7 @@ class Link:
             if callback is not None:
                 self._on_backlog = None
                 callback()
-            if not queue.admit(packet, now):
+            if not queue._occupancy + size <= queue.capacity:
                 return self._tail_drop(packet, now)
             last = queue._last_time
             if now > last:

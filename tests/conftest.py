@@ -52,6 +52,11 @@ def admitted(monkeypatch) -> Counter:
     """Data packets each link admitted, by link name (a train counts its
     members).  Links count only drops, so this wraps both ``send`` paths;
     links bind them at construction, so build after requesting it."""
+    return count_admitted(monkeypatch)
+
+
+def count_admitted(patch) -> Counter:
+    """The ``admitted`` fixture's counter, installed through ``patch``."""
     counts: Counter = Counter()
 
     def counting(send):
@@ -66,7 +71,7 @@ def admitted(monkeypatch) -> Counter:
         return wrapped
 
     for name in ("_send_fast", "_send_via_queue"):
-        monkeypatch.setattr(Link, name, counting(getattr(Link, name)))
+        patch.setattr(Link, name, counting(getattr(Link, name)))
     return counts
 
 

@@ -1,6 +1,7 @@
 """Unit tests for CoreliteConfig validation, and the EdgeConfig both schemes share."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -47,6 +48,12 @@ def test_marker_interval():
         ("rav_gain", 1.5),
         ("wav_gain", -0.1),
         ("marker_cache_size", 0),
+        # NaN passes every plain ``<`` test; infinity is no setting either.
+        ("qthresh", math.nan),
+        ("fn_k", math.nan),
+        ("fn_k", math.inf),
+        ("marker_cache_size", math.nan),
+        ("marker_cache_size", math.inf),
     ],
 )
 def test_invalid_values_rejected(field, value):
@@ -88,6 +95,10 @@ def test_fn_k_zero_is_allowed():
         ("min_rate", -1.0, 1.0),
         ("max_rate", 0.0, 100.0),
         ("shaper_burst", 0.5, 4.0),
+        ("min_rate", math.nan, 1.0),
+        ("min_rate", math.inf, 1.0),
+        ("shaper_burst", math.nan, 4.0),
+        ("shaper_burst", math.inf, 4.0),
     ],
 )
 def test_edge_config_fields_are_validated_once_for_both_schemes(config_cls, field, bad, good):

@@ -30,6 +30,7 @@ feeder taking over a node whose feeder left.
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 from math import nextafter
 
 import pytest
@@ -60,6 +61,7 @@ from repro.sim.packet import Packet, PacketTrain
 from repro.sim.queues import DropTailQueue
 from repro.sim.sources import SourceSpec
 
+from .conftest import count_admitted
 from .contract import SERIAL_CLOUDS, _cloud
 from .test_marker_carrier import _conservation_builder
 
@@ -76,11 +78,13 @@ class _Census:
     ledger hands over, and the delivery events of packets for the edge they
     reach.  Of those events, ``loud`` counts the ones a CSFQ egress must
     take: a delivery that sends LOSS_NOTIFY, or a flow's first packet off
-    its feeder (``first``)."""
+    its feeder (``first``).  ``admitted`` counts each link's admitted data
+    packets, which no mode may move."""
 
     def __init__(self, patch):
         self.booked = self.last_hop_events = self.loud = self.reports = 0
         self.first = set()
+        self.admitted = count_admitted(patch)
         deliver_booked, deliver_fast = Link._deliver_booked, Link._deliver_fast
         report_loss, quiet_for = CsfqEdge._report_loss, CsfqEdge.quiet_for
         census = self
@@ -126,7 +130,7 @@ def _core_link_state(core, link_name):
         state = core.state_for(link_name)
         names = ("arrival_rate", "arrival_time", "arrival_pending", "accepted_rate",
                  "accepted_time", "accepted_pending", "alpha", "tmp_alpha", "congested",
-                 "window_start", "prob_drops", "overflow_drops", "forwarded")
+                 "window_start", "prob_drops", "overflow_drops")
         return tuple(getattr(state, name) for name in names)
     return _selector_state(core.machinery_for(link_name).selector)
 
@@ -234,6 +238,7 @@ def both(run, ledgered="all"):
         _events_mode(patch)
         events = run()
     assert oracle_census.booked == 0
+    assert census.admitted == oracle_census.admitted
     for section in events:
         if section != "events":
             assert ledger[section] == events[section], section
@@ -838,7 +843,6 @@ def _fire_train_chain(self) -> None:
         return
     self._credit = max(0.0, self._credit - sent)
     self._last_emit = self._sim.now
-    self.packets_sent += sent
     self._accrue()
     self._schedule(self._train_delay(), reuse=fired)
 
@@ -885,7 +889,8 @@ def _emit_train_chain(self, state, allowance) -> int:
 
 
 def _deliver_train_chain(self, state, train, link) -> None:
-    """``CoreliteEdge._deliver_train``: ``_sequence_gap``, ``record``, ``record_train``."""
+    """``CoreliteEdge._deliver_train``: ``_sequence_gap``, ``record``, ``record_train``
+    (micro-flow 0 left to ``delivered_by_micro``, as in the source)."""
     n = train.count
     if train.origin_edge is not None:
         state.markers_received += train.marker_count
@@ -893,7 +898,7 @@ def _deliver_train_chain(self, state, train, link) -> None:
     state.meter.record(n)
     spacing = 0.0 if link is None else 1.0 / link.bandwidth_pps
     state.delay.record_train(max(0.0, self.sim.now - train.created_at), n, spacing)
-    for micro in train.micro_ids or (train.micro_id,) * n:
+    for micro in train.micro_ids or ():
         state.micro_delivered[micro] = state.micro_delivered.get(micro, 0) + 1
 
 
@@ -917,20 +922,30 @@ def _pacer_view(pacer):
     handle = pacer._handle
     return (
         pacer._rate, pacer._credit, pacer._last_accrual, pacer._last_emit, pacer._running,
-        pacer.packets_sent, pacer.idle_parks,
+        pacer.idle_parks,
         None if handle is None else (handle.time, handle.cancelled),
     )
 
 
 def _logged_frames(patch, chains):
     """Install the frames (the chains, or the source's) with a log line of
-    everything they touch after every firing and every edge ``receive``."""
+    everything they touch after every firing and every edge ``receive``,
+    and each flow's sends so far as the emit callbacks report them."""
     fire_train, emit_train, receive = (_fire_train, _emit_train, _receive)
     if chains:
         fire_train, emit_train, receive = (
             _fire_train_chain, _emit_train_chain, _receive_train_chain
         )
     log = []
+    sent = Counter()
+
+    def counting(emit):
+        def counted(edge, state, *allowance):
+            n = emit(edge, state, *allowance)  # True / False, or a train's count
+            sent[state.attachment.flow_id] += n
+            return n
+
+        return counted
 
     def logging(fire):
         def logged_fire(pacer):
@@ -939,7 +954,7 @@ def _logged_frames(patch, chains):
             injector, queue = flow.injector, flow.ext_queue
             log.append((
                 "fire", pacer._sim.now, flow.attachment.flow_id, _pacer_view(pacer),
-                (injector._credit, injector.markers_emitted, injector.data_seen),
+                (injector._credit, injector.markers_emitted, sent[flow.attachment.flow_id]),
                 (flow.seq, flow.backlog, None if queue is None else len(queue),
                  pacer._sim._next_pid),
             ))
@@ -961,7 +976,8 @@ def _logged_frames(patch, chains):
 
     patch.setattr(PacedSender, "_fire", logging(PacedSender._fire))
     patch.setattr(PacedSender, "_fire_train", logging(fire_train))
-    patch.setattr(CoreliteEdge, "_emit_train", emit_train)
+    patch.setattr(CoreliteEdge, "_emit", counting(CoreliteEdge._emit))
+    patch.setattr(CoreliteEdge, "_emit_train", counting(emit_train))
     patch.setattr(CoreliteEdge, "receive", logged_receive)
     return log
 
@@ -1013,7 +1029,7 @@ def test_frames_equal_their_call_chains_after_every_packet(train_batch):
     assert max(counts) == train_batch and 1 in counts
     fires = [entry for entry in frame_log if entry[0] == "fire"]
     assert {entry[2] for entry in fires} == set(range(1, 8))
-    assert any(entry[3][6] for entry in fires)  # idle parks (deposit-fed flows ran dry)
+    assert any(entry[3][5] for entry in fires)  # idle parks (deposit-fed flows ran dry)
     assert max(entry[4][1] for entry in fires if entry[2] == 7) > 2 * max(
         entry[4][2] for entry in fires if entry[2] == 7
     )  # weight 0.3: more than two markers per packet

@@ -9,7 +9,7 @@ from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.node import Node
 from repro.sim.packet import Packet, PacketTrain
-from repro.sim.queues import DropTailQueue
+from repro.sim.queues import DropTailQueue, FifoQueue
 
 
 class Sink(Node):
@@ -266,6 +266,24 @@ def test_watch_backlog_refused_off_the_departure_time_path():
     armed = Link(sim, "A->B", "A", sink, 100.0, 0.05, DropTailQueue(4))
     armed.enable_dynamics()
     assert armed.watch_backlog(lambda: None) is False
+
+
+def test_a_fifo_with_its_own_admit_keeps_it():
+    """The departure-time path inlines ``DropTailQueue.admit``; a FIFO that
+    overrides only ``admit`` takes the queued path, where its rule decides."""
+
+    class HalfBuffer(FifoQueue):
+        def admit(self, packet, now):
+            return self._occupancy + packet.size <= self.capacity / 2
+
+    sim = Simulator()
+    sink = Sink("B", sim)
+    link = Link(sim, "A->B", "A", sink, 100.0, 0.05, HalfBuffer(4))
+    # One in service, two waiting fill half of 4; drop-tail would take all five.
+    assert [link.send(data(i)) for i in range(5)] == [True, True, True, False, False]
+    sim.run()
+    assert link.queue.stats.dropped_data == 2
+    assert [p.seq for _, p in sink.arrivals] == [0, 1, 2]
 
 
 def test_arming_a_watched_link_fires_the_watch(rig):

@@ -31,11 +31,14 @@ def test_fractional_interval_long_run_ratio():
 
 
 def test_counters():
+    """Ten packets owe five markers, each counted once, and leave no
+    credit; a train of ten owes the same."""
     inj = MarkerInjector(2.0)
-    for _ in range(10):
-        inj.on_data()
-    assert inj.data_seen == 10
-    assert inj.markers_emitted == 5
+    assert [inj.on_data() for _ in range(10)] == [0, 1] * 5
+    assert inj.markers_emitted == 5 and inj._credit == 0.0
+    train = MarkerInjector(2.0)
+    assert train.on_train(10) == 5
+    assert train.markers_emitted == 5 and train._credit == 0.0
 
 
 def test_reset_clears_credit():

@@ -98,6 +98,23 @@ class TestEndToEnd:
         lo, hi = min(micro.values()), max(micro.values())
         assert hi <= lo * 1.05  # equal split within 5%
 
+    @pytest.mark.parametrize("train_batch", [1, 8])
+    def test_micro_tally_has_no_unaggregated_key_and_sums_to_delivered(self, train_batch):
+        net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0, train_batch=train_batch)
+        net.add_flow(FlowSpec(
+            flow_id=1, weight=2.0,
+            micro_flows=tuple((m, poisson_source(200.0)) for m in (1, 2, 3)),
+        ))
+        net.add_flow(FlowSpec(flow_id=2, weight=1.0))
+        cloud = net.build()
+        res = cloud.run(until=20.0)
+        micro = res.flows[1].micro_delivered
+        assert set(micro) == {1, 2, 3}
+        assert sum(micro.values()) == res.flows[1].delivered > 0
+        # Micro-flow 0 is the remainder: all of a flow that is not a mux.
+        egress = cloud.edges[cloud.flows[2].egress_edge]
+        assert egress.delivered_by_micro(2) == {0: res.flows[2].delivered}
+
     def test_aggregate_gets_weighted_share_as_one_flow(self):
         net = CloudBuilder(TopologySpec.chain(2), "corelite", seed=0)
         net.add_flow(FlowSpec(

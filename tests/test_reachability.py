@@ -22,6 +22,11 @@ or delete it with those tests.  A third test imports every module but
 planned, each with that consumer.  An entry that is no longer needed
 (its symbol gained a consumer or was deleted) fails
 ``test_allowlist_entries_are_still_needed``, so the list only shrinks.
+
+A fourth test keeps write-only counters off the per-packet path: an
+attribute ``+=``'d in a per-packet frame (``PER_PACKET_FRAMES``) must be
+read somewhere in ``src/`` outside a ``__repr__``, or be one of
+``WRITE_ONLY_COUNTERS``, each with the reason it stays.
 """
 
 from __future__ import annotations
@@ -239,3 +244,64 @@ def test_allowlist_entries_are_still_needed():
     flagged = set(unimported_modules()) | set(unused_exports())
     assert sorted(set(ALLOWLIST) - flagged) == []
     assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+#: The functions that run once per packet (or per train) on some datapath.
+PER_PACKET_FRAMES = {
+    "_fire", "_fire_train", "_emit", "_emit_train", "receive", "_send_fast",
+    "_csfq_admit", "observe", "on_data", "on_train", "update", "update_train",
+    "record", "record_train",
+}
+_CONSERVATION = "tests/test_marker_carrier.py's marker-conservation check reads it"
+_RUN_STATS = "a rare branch, not one per packet; an input to ROADMAP item 4's RunStats"
+_TCP = "the TCP end host's transport statistics: host-side, not the cloud's datapath"
+
+#: attribute -> why it is bumped per packet although ``src/`` never reads it.
+WRITE_ONLY_COUNTERS: Dict[str, str] = {
+    "markers_emitted": _CONSERVATION,
+    "markers_received": _CONSERVATION,
+    "idle_parks": _RUN_STATS,
+    "swaps": _RUN_STATS,
+    "overflow_drops": _RUN_STATS,
+    "acks_received": _TCP,
+    "duplicates": _TCP,
+}
+
+
+def write_only_counters() -> Set[str]:
+    """Attributes ``+=``'d in a per-packet frame that no code in ``src/``
+    loads outside a ``__repr__``."""
+    bumped: Set[str] = set()
+    loaded: Set[str] = set()
+
+    def visit(node: ast.AST, frame: Optional[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "__repr__":
+                return
+            frame = node.name
+        if (
+            frame in PER_PACKET_FRAMES
+            and isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.Add)
+            and isinstance(node.target, ast.Attribute)
+        ):
+            bumped.add(node.target.attr)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, frame)
+
+    for source in PACKAGE:
+        visit(source.tree, None)
+    return bumped - loaded
+
+
+def test_no_write_only_counter_on_the_per_packet_path():
+    found = write_only_counters()
+    assert sorted(found - set(WRITE_ONLY_COUNTERS)) == [], (
+        "counters bumped per packet that nothing in src/ reads: derive them "
+        "at read time instead"
+    )
+    # The allowlist only shrinks: an entry the scan no longer flags goes.
+    assert sorted(set(WRITE_ONLY_COUNTERS) - found) == []
+    assert all(reason.strip() for reason in WRITE_ONLY_COUNTERS.values())

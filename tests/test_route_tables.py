@@ -485,7 +485,7 @@ def test_corelite_core_with_one_live_out_link_still_emits_feedback():
     assert {fb.feedback_from for fb in feedback} == {"C->D"}
 
 
-def test_csfq_core_with_one_live_out_link_still_drops_probabilistically():
+def test_csfq_core_with_one_live_out_link_still_drops_probabilistically(admitted):
     topology, core, spare = _stub_core_topology(
         lambda sim: CsfqCoreRouter("C", sim, CsfqConfig(), RngRegistry(0))
     )
@@ -501,4 +501,6 @@ def test_csfq_core_with_one_live_out_link_still_drops_probabilistically():
             )
 
     _cycle_the_spare(topology, core, spare, pump, lambda: state.prob_drops)
-    assert state.forwarded > 0
+    # Every pumped packet was dropped by the coin or the buffer, or admitted.
+    offered = 3 * 8 * 40
+    assert admitted["C->D"] == offered - state.prob_drops - state.overflow_drops > 0

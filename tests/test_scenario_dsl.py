@@ -153,6 +153,12 @@ class TestBuild:
             ({"flows": [{"id": 1, "source": {"kind": "transfer", "total_packets": 9,
                                              "peak_rate": math.inf}}]},
              r"peak_rate.*inf"),
+            ({"config": {"qthresh": math.nan}}, r"qthresh.*nan"),
+            ({"config": {"fn_k": math.nan}}, r"fn_k.*nan"),
+            ({"config": {"min_rate": math.nan}}, r"min_rate.*nan"),
+            ({"config": {"shaper_burst": math.nan}}, r"shaper_burst.*nan"),
+            ({"scheme": "csfq", "config": {"min_rate": math.nan}}, r"min_rate.*nan"),
+            ({"scheme": "csfq", "config": {"shaper_burst": math.nan}}, r"shaper_burst.*nan"),
         ],
     )
     def test_malformed_values_die_before_the_build(self, overrides, names, monkeypatch):

@@ -92,10 +92,14 @@ def test_negative_rate_rejected(rig):
 
 
 def test_packets_sent_counter(rig):
+    """Every send debits exactly one token: four sends by 0.35 s, and the
+    credit is what accrued since the last one (an edge counts its sends as
+    the ingress ``seq``; the shaper keeps no counter)."""
     sim, sender, times = rig
     sender.start()
     sim.run(until=0.35)
-    assert sender.packets_sent == len(times) == 4
+    assert times == pytest.approx([0.0, 0.1, 0.2, 0.3])
+    assert sender.credit() == pytest.approx(0.5)
 
 
 def test_emit_may_stop_sender_mid_callback():
