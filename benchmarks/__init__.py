@@ -1,6 +1,7 @@
-"""Benchmark package: one module per paper figure plus ablations.
+"""Benchmark package: the corebench suite plus two pytest benches.
 
-Run with ``pytest benchmarks/ --benchmark-only``.  Reports are written to
-``benchmarks/results/``; set ``REPRO_BENCH_SCALE=1.0`` to rerun the §4.1
-scenario at the paper's full 800-second duration.
+``benchmarks/corebench/`` is the end-to-end and per-layer benchmark
+(``python3 benchmarks/corebench/run.py``); ``bench_micro.py`` and
+``bench_parallel.py`` measure the simulator's components and the batch
+executor.  None of them checks a paper claim: ``corelite report`` does.
 """

@@ -3,7 +3,7 @@
 Not paper figures: these measure the substrate itself (event-loop
 throughput, link forwarding, the CSFQ estimator, the max-min solver) so
 performance regressions in the simulator are caught independently of the
-scenario benches.
+paper-claim report (``corelite report``).
 """
 
 import random

@@ -1,63 +1,18 @@
 """Shared benchmark fixtures.
 
-Every figure bench writes its paper-vs-measured report into
-``benchmarks/results/<name>.txt`` (in addition to asserting the paper's
-shape claims), so the reproduction evidence survives pytest's output
-capture.  Scale knobs honor the ``REPRO_BENCH_SCALE`` environment variable:
-1.0 reruns the paper's full durations, the default keeps the suite fast.
-``REPRO_BENCH_WORKERS`` (default 1) opts the multi-seed / multi-point
-benches into process-pool execution via
-:mod:`repro.experiments.parallel`.
+A bench writes its report into ``benchmarks/results/<name>.txt`` so the
+numbers survive pytest's output capture.  The paper's claims are not
+benches: they live in ``repro.experiments.validation`` (``corelite
+report``).
 """
 
 from __future__ import annotations
 
-import math
-import os
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def bench_scale(default: float = 0.25) -> float:
-    """Time-compression factor for the long (800 s) scenario.
-
-    Rejects a malformed ``REPRO_BENCH_SCALE`` up front with a message that
-    names the variable, instead of the deep-in-run crash a bad schedule
-    scale used to produce.
-    """
-    raw = os.environ.get("REPRO_BENCH_SCALE")
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise pytest.UsageError(
-            f"REPRO_BENCH_SCALE={raw!r} is not a number; use e.g. 0.25 or 1.0"
-        ) from None
-    if not math.isfinite(value) or value <= 0:
-        raise pytest.UsageError(
-            f"REPRO_BENCH_SCALE={raw!r} must be a finite value > 0"
-        )
-    return value
-
-
-def bench_workers(default: int = 1) -> int:
-    """Process-pool size for the batch-capable benches."""
-    raw = os.environ.get("REPRO_BENCH_WORKERS")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise pytest.UsageError(
-            f"REPRO_BENCH_WORKERS={raw!r} is not an integer"
-        ) from None
-    if value < 1:
-        raise pytest.UsageError(f"REPRO_BENCH_WORKERS={raw!r} must be >= 1")
-    return value
 
 
 @pytest.fixture(scope="session")
@@ -76,28 +31,6 @@ def write_report(results_dir):
         print(f"\n[report saved to {path}]\n{text}")
 
     return write
-
-
-@pytest.fixture
-def save_figure_svg(results_dir):
-    """Returns save(name, result, title): renders a run's rate series as a
-    paper-like SVG chart next to the text reports."""
-    from repro.experiments.svg import save_series_svg
-
-    def save(name: str, result, title: str) -> None:
-        path = results_dir / f"{name}.svg"
-        save_series_svg(
-            str(path),
-            {
-                f"flow {fid} (w={result.flows[fid].weight:g})":
-                result.flows[fid].rate_series
-                for fid in result.flow_ids
-            },
-            title=title,
-        )
-        print(f"[figure saved to {path}]")
-
-    return save
 
 
 def once(benchmark, fn):

@@ -9,7 +9,7 @@ figures or ablations from the terminal::
     corelite ablation feedback
     corelite run my_scenario.json        # declarative DSL
     corelite batch my_scenario.json --num-seeds 4 --workers 4
-    corelite report                      # verify all paper claims
+    corelite report                      # verify all paper claims (exit 1 if one fails)
 
 Each figure command prints the paper-style measured-vs-expected table and
 an ASCII rendition of the figure's rate curves; ``--csv-dir``/``--svg-dir``
@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser(
         "report",
-        help="rerun every experiment and print a paper-vs-measured markdown report",
+        help="rerun every experiment and print a paper-vs-measured markdown "
+             "report; exit 1 if a claim fails",
     )
     rp.add_argument("--seed", type=int, default=0)
     rp.add_argument("--scale", type=float, default=0.25,
@@ -446,6 +447,8 @@ def main(argv: Optional[list] = None) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
         print(f"\nwrote {args.json}")
+    if args.command == "report" and not payload["all_passed"]:
+        return 1  # a failed paper claim fails the command; CI gates on it
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import math
 
@@ -44,6 +44,7 @@ __all__ = [
     "compare_queue_disciplines",
     "compare_traffic_patterns",
     "compare_congestion_estimators",
+    "sweep_core_state",
 ]
 
 
@@ -62,8 +63,15 @@ class AblationPoint:
         return (self.value, self.drops, self.losses, self.weighted_jain, self.mae_vs_expected)
 
 
-def _measure(result: RunResult, window: Tuple[float, float], label: str, value) -> AblationPoint:
-    rates = result.mean_rates(window)
+def _startup_weight(fid: int) -> float:
+    """The §4.2 workload's weights: flow i has weight ceil(i/2)."""
+    return float(math.ceil(fid / 2))
+
+
+def _measure(result: RunResult, window: Tuple[float, float], label: str, value,
+             throughput: bool = False) -> AblationPoint:
+    """One point; ``throughput`` scores delivered rather than allotted rates."""
+    rates = (result.mean_throughputs if throughput else result.mean_rates)(window)
     expected = result.expected_rates(at_time=sum(window) / 2)
     weights = result.weights()
     flow_ids = sorted(expected)
@@ -219,12 +227,7 @@ def compare_queue_disciplines(
         ("fifo-red", "fifo", lambda: RedQueue(capacity=40.0)),
         ("fifo-fred", "fifo", lambda: FredQueue(capacity=40.0)),
         ("fifo-decbit", "fifo", lambda: DecbitQueue(capacity=40.0)),
-        # The §4.2 workload's weights: flow i has weight ceil(i/2).
-        (
-            "fifo-wfq",
-            "fifo",
-            lambda: WfqQueue(capacity=40.0, weight_of=lambda fid: float(math.ceil(fid / 2))),
-        ),
+        ("fifo-wfq", "fifo", lambda: WfqQueue(capacity=40.0, weight_of=_startup_weight)),
     ]
     points = []
     for name, scheme, queue_factory in candidates:
@@ -248,16 +251,7 @@ def compare_congestion_estimators(
     paper's M/M/1+cubic formula and under a plain linear detector must
     reach the same weighted-fair allocation (queue dynamics may differ).
     """
-    window = (0.75 * duration, duration)
-    points = []
-    for name in ("mm1", "linear"):
-        config = CoreliteConfig(congestion_estimator=name)
-        result = run_startup_workload(
-            CloudBuilder(TopologySpec.chain(2), "corelite", seed=seed, config=config),
-            duration=duration,
-        )
-        points.append(_measure(result, window, "congestion_estimator", name))
-    return points
+    return _sweep_config_field("congestion_estimator", ("mm1", "linear"), duration, seed)
 
 
 def _traffic_pattern_flows(pattern: str) -> List[FlowSpec]:
@@ -297,20 +291,61 @@ def compare_traffic_patterns(
     for pattern in ("backlogged", "poisson", "onoff"):
         builder = CloudBuilder(TopologySpec.chain(2), "corelite", seed=seed)
         result = builder.add_flows(_traffic_pattern_flows(pattern)).run(until=duration)
-        measured = result.mean_throughputs(window)
-        expected = result.expected_rates(at_time=sum(window) / 2)
-        weights = result.weights()
-        flow_ids = sorted(expected)
-        points.append(
-            AblationPoint(
-                label="traffic",
-                value=pattern,
-                drops=result.total_drops,
-                losses=result.total_losses(),
-                weighted_jain=weighted_jain_index(
-                    [measured[f] for f in flow_ids], [weights[f] for f in flow_ids]
-                ),
-                mae_vs_expected=mean_absolute_error(measured, expected),
-            )
-        )
+        points.append(_measure(result, window, "traffic", pattern, throughput=True))
     return points
+
+
+def _peak_core_state(design: str, num_flows: int, duration: float, seed: int) -> int:
+    """Peak per-flow state entries at C1's bottleneck, sampled every 50 ms."""
+    scheme, kwargs = {
+        "corelite-selective": ("corelite", {}),
+        "corelite-cache": (
+            "corelite",
+            {"config": CoreliteConfig(feedback_scheme=FeedbackScheme.MARKER_CACHE)},
+        ),
+        "csfq": ("csfq", {}),
+        "wfq": ("fifo", {"queue_factory": lambda: WfqQueue(40.0, weight_of=_startup_weight)}),
+        "fred": ("fifo", {"queue_factory": lambda: FredQueue(capacity=40.0)}),
+    }[design]
+    net = CloudBuilder(TopologySpec.chain(2), scheme, seed=seed, **kwargs).add_flows(
+        startup_flows(num_flows)
+    ).build()
+    queue = net.topology.links["C1->C2"].queue
+    state = {
+        "wfq": lambda: queue.per_flow_state_size,
+        "fred": lambda: queue.active_flows,
+    }.get(design, net.core_router("C1").flow_state_entries)
+    peak = 0
+
+    def sample() -> None:
+        nonlocal peak
+        peak = max(peak, state())
+
+    net.sim.every(0.05, sample)
+    net.run(until=duration)
+    return peak
+
+
+#: The designs :func:`sweep_core_state` compares, in table order.
+_STATE_DESIGNS = ("corelite-selective", "corelite-cache", "csfq", "wfq", "fred")
+
+
+def sweep_core_state(
+    flow_counts: Sequence[int] = (4, 8, 16, 32),
+    duration: float = 30.0,
+    seed: int = 0,
+) -> Dict[str, List[int]]:
+    """STATE — the §1 core-stateless thesis, measured.
+
+    Runs the §4.2 workload with each of ``flow_counts`` flows under five
+    designs and records the peak per-flow state entries at the
+    bottleneck: Corelite's selective scheme and weighted CSFQ keep
+    per-link scalars only, Corelite's marker cache a history bounded by
+    its configured size, and WFQ (finish tags + backlogs) and FRED at the
+    core an entry per buffered flow.  Returns design -> one peak per flow
+    count.
+    """
+    return {
+        design: [_peak_core_state(design, n, duration, seed) for n in flow_counts]
+        for design in _STATE_DESIGNS
+    }

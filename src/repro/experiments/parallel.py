@@ -430,12 +430,7 @@ class BatchRunner:
         ]
         started = time.perf_counter()
         if inputs:
-            if self.workers == 1:
-                outputs = [_execute_task(inp) for inp in inputs]
-            else:
-                ctx = multiprocessing.get_context(self.start_method)
-                with ctx.Pool(processes=min(self.workers, len(inputs))) as pool:
-                    outputs = pool.map(_execute_task, inputs, chunksize=1)
+            outputs = pool_map(_execute_task, inputs, self.workers, self.start_method)
             for i, payload in zip(pending, outputs):
                 self._cache_store(keys[i], tasks[i], payload)
                 payloads[i] = payload

@@ -20,7 +20,7 @@ Downstream users shouldn't need to write harness code to try a topology:
 
 Arbitrary clouds use the declarative ``"topology"`` key instead of the
 ``"network"`` shape knobs — a canned shape or a custom link list
-(:meth:`repro.experiments.topospec.TopologySpec.from_dict`)::
+(:func:`parse_topology`)::
 
     {
       "scheme": "csfq",
@@ -46,10 +46,11 @@ docs/REPRODUCING.md; accepted and inert for csfq/fifo), a top-level
 ``"train": K`` opts the datapath into packet trains of up to K members
 (also statistically pinned; the default ``train: 1`` is
 byte-identical), and a per-flow ``"aggregate": N`` makes one flow entry
-stand for a bucket of N identical member flows.  Every value is
-read through one typed reader: a quoted ``"false"`` or ``"4"``, a missing
-``mean_rate`` or a short ``core_links`` row is a ``ConfigurationError``
-naming the key and the value, raised before any cloud is built.
+stand for a bucket of N identical member flows.  Every value, the
+``"topology"`` section's included, is read through one typed reader: a
+quoted ``"false"`` or ``"4"``, a missing ``mean_rate`` or a short
+``core_links`` row is a ``ConfigurationError`` naming the key and the
+value, raised before any cloud is built.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ import math
 from typing import Dict, Mapping, Tuple
 
 from repro.core.config import FeedbackScheme
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.experiments.builder import SCHEME_STRATEGIES, Cloud, CloudBuilder
 from repro.experiments.runner import RunResult
-from repro.experiments.topospec import FlowSpec, TopologySpec
+from repro.experiments.topospec import CANNED_TOPOLOGIES, FlowSpec, TopologySpec
+from repro.sim.dynamics import NetworkEvent
 from repro.sim.sources import SourceSpec, onoff_source, poisson_source, transfer_source
 from repro.units import ms_to_s
 
@@ -79,6 +81,20 @@ _FLOW_KEYS = {"id", "weight", "ingress", "egress", "schedule", "min_rate",
               "source", "transport", "micro_flows", "aggregate"}
 _SOURCE_KEYS = {"kind", "mean_rate", "peak_rate", "mean_on", "mean_off",
                 "total_packets"}
+#: ``"topology"`` keys every kind reads, with their JSON kind.
+_TOPOLOGY_VALUES = {"name": "str", "access_capacity_pps": "number",
+                    "access_prop_delay": "number", "queue_capacity": "number",
+                    "routing_mode": "str", "ecmp_flowlet_n_packets": "int",
+                    "reroute_latency": "number"}
+#: Canned ``"topology"`` kind -> its integer size keys and their defaults.
+_TOPOLOGY_SIZES = {"chain": (("num_cores", 4),), "parking_lot": (("hops", 3),),
+                   "star": (("spokes", 3),), "leaf_spine": (("leaves", 3), ("spines", 2)),
+                   "fat_tree": (("k", 2),)}
+_TOPOLOGY_KEYS = {"kind", "cores", "links", "events", "capacity_pps", "prop_delay",
+                  "num_cores", "hops", "spokes", "leaves", "spines", "k",
+                  *_TOPOLOGY_VALUES}
+#: A custom ``"topology"`` link row: [a, b, capacity_pps, prop_delay(, queue)].
+_LINK_ROW = ("str", "str", "number", "number", "number")
 
 #: JSON kind -> (accepted Python types, how an error names the kind).
 _KINDS = {
@@ -237,6 +253,71 @@ def _network_topology(raw: Mapping) -> TopologySpec:
     )
 
 
+def parse_event(raw) -> NetworkEvent:
+    """One ``{"time": t, "kind": k, "link": [a, b]}`` entry of a topology's
+    ``"events"`` (also :meth:`NetworkEvent.from_dict`)."""
+    where = "network event"
+    spec = _section(raw, {"time", "kind", "link"}, where)
+    link = _row(_read(spec, "link", "list", where), 2, f"{where}: 'link'")
+    return NetworkEvent(
+        time=_read(spec, "time", "number", where),
+        kind=_read(spec, "kind", "str", where),
+        a=_typed(link[0], "str", f"{where}: 'link'"),
+        b=_typed(link[1], "str", f"{where}: 'link'"),
+    )
+
+
+def parse_topology(raw) -> TopologySpec:
+    """The ``"topology"`` section (also :meth:`TopologySpec.from_dict`): a
+    canned ``kind`` with its size knobs, or a ``"custom"`` graph of
+    ``"links"`` rows.  A mis-typed value is a ConfigurationError naming
+    its key; an unknown key or kind, or a custom graph without links, a
+    TopologyError."""
+    if not isinstance(raw, Mapping):
+        raise TopologyError(f"topology: expected a mapping, got {type(raw).__name__}")
+    unknown = set(raw) - _TOPOLOGY_KEYS
+    if unknown:
+        raise TopologyError(
+            f"topology: unknown keys {sorted(unknown)} (known: {sorted(_TOPOLOGY_KEYS)})"
+        )
+    common = {key: _read(raw, key, value_kind, "topology")
+              for key, value_kind in _TOPOLOGY_VALUES.items() if key in raw}
+    if "events" in raw:
+        common["events"] = tuple(
+            parse_event(entry) for entry in _read(raw, "events", "list", "topology")
+        )
+    kind = _read(raw, "kind", "str", "topology", "custom")
+    if kind in CANNED_TOPOLOGIES:
+        sizes = [_read(raw, key, "int", "topology", default)
+                 for key, default in _TOPOLOGY_SIZES.get(kind, ())]
+        sized = {key: _read(raw, key, "number", "topology")
+                 for key in ("capacity_pps", "prop_delay") if key in raw}
+        return CANNED_TOPOLOGIES[kind](*sizes, **sized, **common)
+    if kind != "custom":
+        raise TopologyError(
+            f"topology: unknown kind {kind!r} "
+            f"(known: {sorted(CANNED_TOPOLOGIES) + ['custom']})"
+        )
+    if "links" not in raw:
+        raise TopologyError(
+            "topology: a custom topology needs a 'links' list of "
+            "[a, b, capacity_pps, prop_delay] rows"
+        )
+    if "cores" in raw:
+        common["cores"] = tuple(
+            _typed(core, "str", "topology: 'cores' entry")
+            for core in _read(raw, "cores", "list", "topology")
+        )
+    where = "topology: 'links' row [a, b, capacity_pps, prop_delay(, queue_capacity)]"
+    rows = []
+    for row in _read(raw, "links", "list", "topology"):
+        if len(_typed(row, "list", where)) not in (4, 5):
+            raise ConfigurationError(f"{where} must have 4 or 5 elements, got {row!r}")
+        rows.append([_typed(value, value_kind, where)
+                     for value, value_kind in zip(row, _LINK_ROW)])
+    return TopologySpec.from_core_links(rows, **common)
+
+
 def _parse(scenario: Mapping) -> Tuple[CloudBuilder, Dict[str, object]]:
     """Validate the whole scenario into a loaded builder and
     :meth:`Cloud.run`'s keywords.  No cloud exists yet: a malformed value
@@ -281,7 +362,7 @@ def _parse(scenario: Mapping) -> Tuple[CloudBuilder, Dict[str, object]]:
                 f"scenario: 'topology' and network shape keys {clashing} are "
                 "mutually exclusive — describe the graph in one place"
             )
-        topology = TopologySpec.from_dict(scenario["topology"])
+        topology = parse_topology(scenario["topology"])
     else:
         topology = _network_topology(network)
     flows = top("flows", "list", ())

@@ -115,14 +115,6 @@ class LinkSpec:
         return row
 
 
-_TOPOLOGY_KEYS = {
-    "kind", "name", "num_cores", "hops", "spokes", "leaves", "spines", "k",
-    "capacity_pps", "prop_delay", "cores", "links", "access_capacity_pps",
-    "access_prop_delay", "queue_capacity", "events", "routing_mode",
-    "ecmp_flowlet_n_packets", "reroute_latency",
-}
-
-
 @dataclass(frozen=True)
 class TopologySpec:
     """A declarative, scheme-agnostic description of one cloud's graph.
@@ -475,69 +467,12 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "TopologySpec":
-        """Build a spec from a JSON-compatible mapping.
+        """Build a spec from the JSON shape :meth:`to_dict` renders: the
+        scenario DSL's ``"topology"`` section, read by its one typed
+        reader (:func:`repro.experiments.scenario_dsl.parse_topology`)."""
+        from repro.experiments.scenario_dsl import parse_topology
 
-        ``{"kind": "chain" | "parking_lot" | "star" | "mesh" | "custom"}``
-        selects a canned shape (with its size/capacity knobs) or a custom
-        graph given as ``"links": [[a, b, capacity_pps, prop_delay], ...]``.
-        Unknown keys are rejected by name.
-        """
-        if not isinstance(raw, Mapping):
-            raise TopologyError(
-                f"topology: expected a mapping, got {type(raw).__name__}"
-            )
-        unknown = set(raw) - _TOPOLOGY_KEYS
-        if unknown:
-            raise TopologyError(
-                f"topology: unknown keys {sorted(unknown)} "
-                f"(known: {sorted(_TOPOLOGY_KEYS)})"
-            )
-        kind = raw.get("kind", "custom")
-        common = {}
-        for key in ("name", "access_capacity_pps", "access_prop_delay",
-                    "queue_capacity", "routing_mode"):
-            if key in raw:
-                common[key] = raw[key]
-        if "events" in raw:
-            common["events"] = tuple(
-                NetworkEvent.from_dict(entry) for entry in raw["events"]
-            )
-        if "ecmp_flowlet_n_packets" in raw:
-            common["ecmp_flowlet_n_packets"] = int(raw["ecmp_flowlet_n_packets"])
-        if "reroute_latency" in raw:
-            common["reroute_latency"] = float(raw["reroute_latency"])
-        sized = {}
-        for key in ("capacity_pps", "prop_delay"):
-            if key in raw:
-                sized[key] = float(raw[key])
-        if kind == "chain":
-            return cls.chain(int(raw.get("num_cores", 4)), **sized, **common)
-        if kind == "parking_lot":
-            return cls.parking_lot(int(raw.get("hops", 3)), **sized, **common)
-        if kind == "star":
-            return cls.star(int(raw.get("spokes", 3)), **sized, **common)
-        if kind == "mesh":
-            return cls.mesh(**sized, **common)
-        if kind == "leaf_spine":
-            return cls.leaf_spine(
-                int(raw.get("leaves", 3)), int(raw.get("spines", 2)),
-                **sized, **common,
-            )
-        if kind == "fat_tree":
-            return cls.fat_tree(int(raw.get("k", 2)), **sized, **common)
-        if kind == "custom":
-            if "links" not in raw:
-                raise TopologyError(
-                    "topology: a custom topology needs a 'links' list of "
-                    "[a, b, capacity_pps, prop_delay] rows"
-                )
-            if "cores" in raw:
-                common["cores"] = tuple(str(c) for c in raw["cores"])
-            return cls.from_core_links(raw["links"], **common)
-        raise TopologyError(
-            f"topology: unknown kind {kind!r} "
-            f"(known: {sorted(CANNED_TOPOLOGIES) + ['custom']})"
-        )
+        return parse_topology(raw)
 
     def to_dict(self) -> Dict:
         """Render as the JSON shape :meth:`from_dict` accepts."""

@@ -99,31 +99,12 @@ class NetworkEvent:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "NetworkEvent":
-        """Build from ``{"time": t, "kind": k, "link": [a, b]}``."""
-        if not isinstance(raw, Mapping):
-            raise ConfigurationError(
-                f"network event: expected a mapping, got {type(raw).__name__}"
-            )
-        unknown = set(raw) - {"time", "kind", "link"}
-        if unknown:
-            raise ConfigurationError(
-                f"network event: unknown keys {sorted(unknown)} "
-                "(known: ['kind', 'link', 'time'])"
-            )
-        for key in ("time", "kind", "link"):
-            if key not in raw:
-                raise ConfigurationError(f"network event: missing key {key!r}")
-        link = raw["link"]
-        if not isinstance(link, Sequence) or isinstance(link, str) or len(link) != 2:
-            raise ConfigurationError(
-                f"network event: 'link' must be a [a, b] pair, got {link!r}"
-            )
-        return cls(
-            time=float(raw["time"]),
-            kind=str(raw["kind"]),
-            a=str(link[0]),
-            b=str(link[1]),
-        )
+        """Build from ``{"time": t, "kind": k, "link": [a, b]}`` through the
+        scenario DSL's typed reader
+        (:func:`repro.experiments.scenario_dsl.parse_event`)."""
+        from repro.experiments.scenario_dsl import parse_event
+
+        return parse_event(raw)
 
     def to_dict(self) -> Dict:
         return {"time": self.time, "kind": self.kind, "link": [self.a, self.b]}

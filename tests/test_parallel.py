@@ -111,7 +111,8 @@ def test_expand_tasks_rejects_bad_count():
 
 def test_scenario_path_matches_harness_built_network():
     """The scenario-dict rendering of figure5_6's corelite network is the
-    same network: bench_replication's batch rewrite relies on this."""
+    same network: the report's REPL row, which runs it through the batch
+    runner, relies on this."""
     duration, seed, num_flows = 12.0, 3, 10
     harness = figure5_6(duration=duration, num_flows=num_flows, seed=seed).corelite
     scenario = {

@@ -159,6 +159,21 @@ class TestBuild:
             ({"config": {"shaper_burst": math.nan}}, r"shaper_burst.*nan"),
             ({"scheme": "csfq", "config": {"min_rate": math.nan}}, r"min_rate.*nan"),
             ({"scheme": "csfq", "config": {"shaper_burst": math.nan}}, r"shaper_burst.*nan"),
+            # The "topology" section goes through the same reader.
+            ({"topology": {"kind": "chain", "num_cores": "3"}}, r"topology: 'num_cores'.*'3'"),
+            ({"topology": {"kind": "chain", "num_cores": 2.9}}, r"topology: 'num_cores'.*2\.9"),
+            ({"topology": {"kind": "parking_lot", "hops": "3"}}, r"topology: 'hops'.*'3'"),
+            ({"topology": {"kind": "mesh", "reroute_latency": "0.1"}},
+             r"topology: 'reroute_latency'.*'0\.1'"),
+            ({"topology": {"kind": "mesh", "events": [
+                {"time": "5", "kind": "link_down", "link": ["A", "B"]}]}},
+             r"network event: 'time'.*'5'"),
+            ({"topology": {"kind": "custom", "links": [["C1", "C2", "500", 0.02]]}},
+             r"'links' row.*'500'"),
+            ({"topology": {"kind": "chain", "capacity_pps": "fast"}},
+             r"topology: 'capacity_pps'.*'fast'"),
+            ({"topology": {"kind": "chain", "queue_capacity": "40"}},
+             r"topology: 'queue_capacity'.*'40'"),
         ],
     )
     def test_malformed_values_die_before_the_build(self, overrides, names, monkeypatch):

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import cli
 from repro.errors import ConfigurationError
+from repro.experiments import validation
 from repro.experiments.validation import CheckResult, ReproReport, build_report
 
 
@@ -25,6 +27,14 @@ class TestReproReport:
         assert "| FIG1 | something holds | it did | yes |" in md
         assert "**NO**" in md
 
+    def test_a_row_with_one_failing_condition_fails(self):
+        report = ReproReport()
+        report.add("X", "all hold", "m", True, True, True)
+        report.add("Y", "one fails", "m", True, False, True)
+        report.add("Z", "first fails", "m", False, True)
+        assert [c.passed for c in report.checks] == [True, False, False]
+        assert not report.all_passed
+
     def test_empty_report_passes_vacuously(self):
         report = ReproReport()
         assert report.all_passed
@@ -41,3 +51,19 @@ def test_build_report_validation():
 def test_checkresult_fields():
     c = CheckResult("E", "claim", "meas", True)
     assert (c.experiment, c.claim, c.measured, c.passed) == ("E", "claim", "meas", True)
+
+
+@pytest.mark.parametrize("passed, status", [(True, 0), (False, 1)])
+def test_report_command_exits_1_on_a_failed_claim(monkeypatch, tmp_path, capsys,
+                                                   passed, status):
+    def fake_report(**kwargs):
+        report = ReproReport()
+        report.add("FIG0", "a claim", "measured", True)
+        report.add("FIG0", "another claim", "measured", True, passed)
+        return report
+
+    monkeypatch.setattr(validation, "build_report", fake_report)
+    out = tmp_path / "claims.md"
+    assert cli.main(["report", "--out", str(out)]) == status
+    assert ("**NO**" in out.read_text(encoding="utf-8")) is not passed
+    assert f"{1 + passed}/2 paper claims verified" in capsys.readouterr().out
