@@ -24,6 +24,7 @@ import sys
 from typing import Dict, Optional
 
 from repro._version import __version__
+from repro.errors import ConfigurationError, FlowError, TopologyError
 from repro.experiments import figures
 from repro.experiments.ablations import (
     compare_congestion_estimators,
@@ -442,11 +443,16 @@ def main(argv: Optional[list] = None) -> int:
         print("figures:   " + "  ".join(_FIGNAMES))
         print("ablations: " + "  ".join(sorted(_ABLATIONS)))
         return 0
-    payload = args.handler(args)
-    if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"\nwrote {args.json}")
+    try:
+        payload = args.handler(args)
+        if getattr(args, "json", None):
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2)
+            print(f"\nwrote {args.json}")
+    except (ConfigurationError, TopologyError, FlowError, OSError) as exc:
+        # Bad input, reported as argparse reports a bad argument.  A
+        # SimulationError is a bug and keeps its traceback.
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     if args.command == "report" and not payload["all_passed"]:
         return 1  # a failed paper claim fails the command; CI gates on it
     return 0

@@ -213,11 +213,14 @@ class EdgeRouter(Router):
     but the congestion signal.  A subclass supplies ``egress_flow`` (its
     per-flow egress record: ``meter``, ``expected_seq``, ``lost``, ``delay``
     plus its own), ``attach_flow`` (build its ingress record, hand it to
-    :meth:`_attach`), ``start_flow``, the shaper callbacks ``_emit(state)``
-    / ``_emit_train(state, allowance)``, ``_epoch`` and ``receive``.
+    :meth:`_attach`), ``start_flow``, the shaper callback ``_emit(state)``,
+    ``_epoch`` and ``receive``.
     """
 
     egress_flow: type
+    #: Members per shaper firing: 1, the scalar datapath, but at a
+    #: :class:`CoreliteEdge` built with ``train_batch``.
+    train_batch = 1
 
     def __init__(
         self,
@@ -225,23 +228,14 @@ class EdgeRouter(Router):
         sim: Simulator,
         config: EdgeConfig,
         epoch_offset: Optional[float] = None,
-        train_batch: int = 1,
     ) -> None:
         """``epoch_offset`` staggers this edge's first adaptation tick so
         that edges created together do not adapt in lockstep (see
-        :meth:`repro.sim.engine.Simulator.every`).
-
-        ``train_batch = K > 1`` turns on the packet-train datapath: each
-        shaper firing emits up to K back-to-back packets as one
-        :class:`~repro.sim.packet.PacketTrain` (statistically pinned;
-        K = 1 keeps the scalar per-packet emission byte-identical)."""
+        :meth:`repro.sim.engine.Simulator.every`)."""
         super().__init__(name)
-        if train_batch < 1:
-            raise FlowError(f"train_batch must be >= 1, got {train_batch}")
         self.sim = sim
         self.config = config
         self._epoch_offset = epoch_offset
-        self._train_batch = int(train_batch)
         # Slot-indexed flow tables: the id -> slot maps are touched once
         # per control-plane packet, while the per-epoch adaptation sweep
         # and the per-packet egress path index dense lists.  Slots are
@@ -272,8 +266,9 @@ class EdgeRouter(Router):
             rate_scale=scale,
         )
 
-    def _attach(self, state, train_batch: int) -> None:
-        """Give a new ingress record its shaper and slot (it starts stopped)."""
+    def _attach(self, state, train_batch: int = 1) -> None:
+        """Give a new ingress record its shaper and slot (it starts stopped);
+        ``train_batch > 1`` wires the shaper to ``_emit_train``."""
         flow_id = state.attachment.flow_id
         if flow_id in self._ingress_index:
             raise FlowError(f"flow {flow_id} already attached at {self.name}")
@@ -410,10 +405,16 @@ class CoreliteEdge(EdgeRouter):
         epoch_offset: Optional[float] = None,
         train_batch: int = 1,
     ) -> None:
-        """See :class:`EdgeRouter`.  External (host-originated) flows stay
-        scalar under ``train_batch`` — their packets pre-exist with
-        transport-owned sequence numbers."""
-        super().__init__(name, sim, config, epoch_offset, train_batch)
+        """See :class:`EdgeRouter`.  ``train_batch = K > 1`` turns on the
+        packet-train datapath: each shaper firing emits up to K back-to-back
+        packets as one :class:`~repro.sim.packet.PacketTrain` (statistically
+        pinned; K = 1 keeps the scalar per-packet emission byte-identical).
+        External (host-originated) flows stay scalar under it — their
+        packets pre-exist with transport-owned sequence numbers."""
+        super().__init__(name, sim, config, epoch_offset)
+        if train_batch < 1:
+            raise FlowError(f"train_batch must be >= 1, got {train_batch}")
+        self.train_batch = int(train_batch)
         #: Feedback packets that arrived for unknown/stopped flows.
         self.stray_feedback = 0
         #: External packets that arrived while their flow was stopped.
@@ -432,7 +433,7 @@ class CoreliteEdge(EdgeRouter):
         state = _IngressFlow(attachment, self._controller(attachment), injector)
         # Train datapath: internally-sourced flows coalesce departures;
         # external flows keep scalar emission (their packets pre-exist).
-        self._attach(state, 1 if attachment.external else self._train_batch)
+        self._attach(state, 1 if attachment.external else self.train_batch)
 
     def start_flow(self, flow_id: int) -> None:
         """(Re)start a flow: fresh slow-start, pacing begins immediately."""

@@ -39,7 +39,7 @@ from repro.sim.delay import DelayTracker
 from repro.sim.engine import Simulator
 from repro.sim.estimators import ExponentialRateEstimator
 from repro.sim.monitor import ThroughputMeter
-from repro.sim.packet import Packet, PacketKind, PacketTrain
+from repro.sim.packet import Packet, PacketKind
 
 __all__ = ["CsfqEdge"]
 
@@ -89,7 +89,7 @@ class _EgressFlow:
         self.ecn_marks = 0
         #: One-way delay statistics (ingress shaping to egress delivery).
         self.delay = DelayTracker()
-        #: Max ``seq + count`` the feeding link has handed over (``quiet_for``).
+        #: Max ``seq + 1`` the feeding link has handed over (``quiet_for``).
         self.fed_seq: Optional[int] = None
 
 
@@ -106,11 +106,10 @@ class CsfqEdge(EdgeRouter):
         sim: Simulator,
         config: CsfqConfig,
         epoch_offset: Optional[float] = None,
-        train_batch: int = 1,
     ) -> None:
-        """See :class:`~repro.core.edge.EdgeRouter`; a train is labeled per
-        member (:meth:`_emit_train`)."""
-        super().__init__(name, sim, config, epoch_offset, train_batch)
+        """See :class:`~repro.core.edge.EdgeRouter`; every flow is scalar
+        (a CSFQ core decides per packet, so a train would split there)."""
+        super().__init__(name, sim, config, epoch_offset)
         #: Set by ``CsfqStrategy.make_edge``: ships loss notifications upstream.
         self.loss_channel: Optional[LossChannel] = None
         self.stray_notifications = 0
@@ -125,7 +124,7 @@ class CsfqEdge(EdgeRouter):
             )
         estimator = ExponentialRateEstimator(self.config.k_flow, start_time=self.sim.now)
         state = _IngressFlow(attachment, self._controller(attachment), estimator)
-        self._attach(state, self._train_batch)
+        self._attach(state)
 
     def start_flow(self, flow_id: int) -> None:
         state = self._ingress_state(flow_id)
@@ -184,41 +183,6 @@ class CsfqEdge(EdgeRouter):
             link.send(packet)
         return True
 
-    def _emit_train(self, state: _IngressFlow, allowance: int) -> int:
-        """Train-mode pacer callback: emit up to ``allowance`` packets as
-        one :class:`PacketTrain`.  Returns the member count actually sent
-        (0 parks the shaper until a deposit kicks it).
-
-        The rate estimator folds the batch as ``n`` evenly-spaced unit
-        arrivals ending at ``now`` (:meth:`update_train`): the endpoint
-        equals one lump fold (the exponential average is linear in
-        load), and the intermediate rungs become per-member labels via
-        ``member_labels``.  CSFQ cores drop against a window-lagged
-        fair-share estimate, so during rate ramps each member must
-        carry the label a scalar emitter would have stamped at its
-        slot, or the whole train sees the ramp's largest label step and
-        drop statistics skew high.  A split at a CSFQ admission point
-        hands each member its own ladder rung.
-        """
-        att = state.attachment
-        now = self.sim.now
-        n = allowance
-        if state.backlog is not None:
-            backlog = state.backlog
-            if backlog < 1:
-                return 0
-            if backlog < n:
-                n = backlog
-            state.backlog = backlog - n
-        ladder = state.estimator.update_train(now, n)
-        train = PacketTrain(att.flow_id, self.name, att.dst_edge, state.seq, n, now, 0.0, self.sim)
-        w = att.weight  # weighted CSFQ: labels are normalized by weight
-        train.label = ladder[-1] / w
-        train.member_labels = tuple(label / w for label in ladder)
-        state.seq += n
-        self.forward(train)
-        return n
-
     def _epoch(self) -> None:
         now = self.sim.now
         for state in self._active_flows():
@@ -242,8 +206,8 @@ class CsfqEdge(EdgeRouter):
             return True
         state = self._egress_flows[slot]
         seq, fed = packet.seq, state.fed_seq
-        if fed is None or seq + packet.count > fed:
-            state.fed_seq = seq + packet.count
+        if fed is None or seq >= fed:
+            state.fed_seq = seq + 1
         return fed is not None and seq <= fed and not packet.ecn
 
     def _deliver_local(self, packet: Packet, link, at: Optional[float]) -> None:
@@ -257,9 +221,6 @@ class CsfqEdge(EdgeRouter):
         if packet.kind is not _DATA:
             return
         state = self._egress_flows[slot]
-        if packet.count != 1:
-            self._deliver_train(state, packet, link, at)
-            return
         gap = self._sequence_gap(state, packet.seq)
         if gap:
             self._report_loss(packet, gap, at)
@@ -270,27 +231,6 @@ class CsfqEdge(EdgeRouter):
             self._report_loss(packet, 1, at)
         state.meter.record()
         state.delay.record(max(0.0, (self.sim.now if at is None else at) - packet.created_at))
-
-    def _deliver_train(self, state: _EgressFlow, train: Packet, link, at) -> None:
-        """Egress sweep for a whole train: one pass of bulk bookkeeping.
-
-        The loss detector works off the head sequence number exactly as
-        it would for the head member arriving alone (one LOSS_NOTIFY with
-        the gap count), then advances past the tail — members are
-        contiguous, so no intra-train gap is possible.  ECN-capable AQMs
-        are non-plain-FIFO queues, so marked packets always arrive as
-        scalars; trains never carry ``ecn``.
-        """
-        n = train.count
-        gap = self._sequence_gap(state, train.seq, n)
-        if gap:
-            self._report_loss(train, gap, at)
-        state.meter.record(n)
-        # Members left the last link one serialization time apart (a train
-        # handed over without a link, in unit tests, has no spacing).
-        spacing = 0.0 if link is None else 1.0 / link.bandwidth_pps
-        now = self.sim.now if at is None else at
-        state.delay.record_train(max(0.0, now - train.created_at), n, spacing)
 
     def _report_loss(self, packet: Packet, gap: int, at: Optional[float]) -> None:
         if at is not None:  # booked: ``quiet_for`` vouched for it
@@ -326,7 +266,7 @@ class CsfqEdge(EdgeRouter):
             self.forward(packet)
             return
         slot = self._egress_index.get(packet.flow_id)
-        if slot is None or packet.kind is not _DATA or packet.count != 1 or packet.ecn:
+        if slot is None or packet.kind is not _DATA or packet.ecn:
             self._deliver_local(packet, link, at)
             return
         # The egress record of a scalar data packet, in this frame.

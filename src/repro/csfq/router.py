@@ -147,17 +147,6 @@ class CsfqCoreRouter(Router):
         self._csfq_admit(state, out_link, packet)
 
     def _csfq_admit(self, state: CsfqLinkState, out_link: Link, packet: Packet) -> None:
-        if packet.count != 1:
-            # CSFQ admission is a per-packet mechanism end to end: the
-            # drop coin, the relabel and the alpha estimation all operate
-            # packet by packet (SIGCOMM'98), so a CSFQ-enabled link is a
-            # train split boundary.  Members admitted back-to-back at one
-            # instant fold into the arrival estimator as pending load —
-            # exactly one lump of ``n`` — and re-serialize individually
-            # on the output link, so downstream hops see scalar traffic.
-            for member in packet.split(self.sim):
-                self._csfq_admit(state, out_link, member)
-            return
         now = self.sim.now
         label = packet.label
         size = packet.size

@@ -118,20 +118,14 @@ class SchemeStrategy:
     def make_edge(self, cloud: "Cloud", name: str):
         raise NotImplementedError
 
-    def _new_edge(self, edge_cls: type, cloud: "Cloud", name: str):
+    def _new_edge(self, edge_cls: type, cloud: "Cloud", name: str, **kwargs):
         """An :class:`~repro.core.edge.EdgeRouter` whose first adaptation
         tick is drawn from the edge's own stream, so edges built together
         do not adapt in lockstep."""
         offset = cloud.rng.stream(f"edge-epoch:{name}").uniform(
             0.0, cloud.config.edge_epoch
         )
-        return edge_cls(
-            name,
-            cloud.sim,
-            cloud.config,
-            epoch_offset=offset,
-            train_batch=cloud.train_batch,
-        )
+        return edge_cls(name, cloud.sim, cloud.config, epoch_offset=offset, **kwargs)
 
     def attach_ingress(self, cloud: "Cloud", edge, spec: FlowPathSpec) -> None:
         raise NotImplementedError
@@ -219,7 +213,7 @@ class CoreliteStrategy(SchemeStrategy):
     def make_edge(self, cloud: "Cloud", name: str):
         from repro.core.edge import CoreliteEdge
 
-        return self._new_edge(CoreliteEdge, cloud, name)
+        return self._new_edge(CoreliteEdge, cloud, name, train_batch=cloud.train_batch)
 
     def attach_ingress(self, cloud: "Cloud", edge, spec: FlowPathSpec) -> None:
         from repro.core.edge import FlowAttachment
@@ -436,12 +430,14 @@ class Cloud:
         epoch, so results are statistically equivalent (pinned by Jain/per-flow
         tolerance tests) but not byte-identical to the default; CSFQ and
         FIFO have no marker traffic, so for them the flag is inert.
-        ``train_batch = K > 1`` turns on the packet-train datapath: edge
-        shapers emit up to K packets per firing as one
+        ``train_batch = K > 1`` turns on the packet-train datapath: Corelite
+        edge shapers emit up to K packets per firing as one
         :class:`~repro.sim.packet.PacketTrain` that links transmit as a
         single event, splitting back into scalars at any per-packet
         decision boundary; like ``vectorized``, train runs are pinned
-        statistically, and the default K = 1 stays byte-identical.
+        statistically, and the default K = 1 stays byte-identical.  A CSFQ
+        core decides per packet, so CSFQ and FIFO edges stay scalar and
+        the flag is inert for them too.
 
         ``partition`` (internal; set by :mod:`repro.experiments.pdes`)
         restricts the build to one domain of a partitioned cloud: only
@@ -836,7 +832,7 @@ class Cloud:
                 tuple(range(1, spec.aggregate + 1)),
                 spec.source.mean_rate,
                 kind="poisson",
-                batch=self.train_batch,
+                batch=ingress.train_batch,
             )
             mux = self.strategy.attach_bucket(self, ingress, spec)
             if mux is not None:

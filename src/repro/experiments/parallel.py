@@ -500,13 +500,9 @@ def mean_ci(values: Sequence[float]) -> Tuple[float, float]:
     n = len(values)
     if n == 1:
         return mean, 0.0
-    df = n - 1
-    if df in _T95:
-        t = _T95[df]
-    elif df < 30:
-        t = _T95[min(k for k in _T95 if k >= df)]  # next tabulated df (conservative)
-    else:
-        t = 1.960
+    # The largest tabulated df <= df: a smaller df has the larger t, so an
+    # untabulated df (every df > 30 too) errs wide, never narrow.
+    t = _T95[max(k for k in _T95 if k <= n - 1)]
     stderr = statistics.stdev(values) / math.sqrt(n)
     return mean, t * stderr
 

@@ -153,9 +153,7 @@ class _OutBatch:
             )
         )
         if type(packet) is not Packet:
-            self.trains.append(
-                (row, packet.count, packet.marker_count, packet.micro_ids, packet.member_labels)
-            )
+            self.trains.append((row, packet.count, packet.marker_count, packet.micro_ids))
 
     def payload(self) -> Tuple:
         return (self.n, self.min_deliver, self.nums, self.objs, self.trains)
@@ -440,7 +438,7 @@ class _PartitionWorker:
                 )
                 packet.micro_id = int(nums[base + 9])
             else:
-                _row, count, marker_count, micro_ids, member_labels = extra
+                _row, count, marker_count, micro_ids = extra
                 if dst == objs[obase]:
                     # The egress edge spaces member delays by the link that
                     # delivers the train; cuts join cores, so that hop is local.
@@ -461,7 +459,6 @@ class _PartitionWorker:
                 packet.origin_edge = objs[obase + 4]
                 packet.marker_count = marker_count
                 packet.micro_ids = micro_ids
-                packet.member_labels = member_labels
                 packet.micro_id = int(nums[base + 9])
             packet.feedback_from = objs[obase + 5]
             packet.ecn = nums[base + 8] != 0.0

@@ -43,10 +43,11 @@ Scale knobs: a top-level ``"vectorized": true`` batches the Corelite
 control plane — cores coalesce the feedback a link selects over one
 congestion epoch (statistically equivalent, not byte-identical — see
 docs/REPRODUCING.md; accepted and inert for csfq/fifo), a top-level
-``"train": K`` opts the datapath into packet trains of up to K members
-(also statistically pinned; the default ``train: 1`` is
-byte-identical), and a per-flow ``"aggregate": N`` makes one flow entry
-stand for a bucket of N identical member flows.  Every value, the
+``"train": K`` opts Corelite's datapath into packet trains of up to K
+members (also statistically pinned; the default ``train: 1`` is
+byte-identical; inert for csfq/fifo, whose edges stay scalar), and a
+per-flow ``"aggregate": N`` makes one flow entry stand for a bucket of N
+identical member flows.  Every value, the
 ``"topology"`` section's included, is read through one typed reader: a
 quoted ``"false"`` or ``"4"``, a missing ``mean_rate`` or a short
 ``core_links`` row is a ``ConfigurationError`` naming the key and the

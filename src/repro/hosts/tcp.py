@@ -16,7 +16,7 @@ Host-originated (``external``) flows never join the packet-train
 datapath: their packets pre-exist in the edge's shaper buffer, each one
 an individual TCP segment whose loss/ACK accounting is per-packet, so
 the ingress edge pins ``train_batch = 1`` for them even when the cloud
-is built with ``train_batch > 1`` (see ``repro.core.edge.attach_flow``).
+is built with ``train_batch > 1`` (see ``CoreliteEdge.attach_flow``).
 """
 
 from __future__ import annotations

@@ -53,41 +53,6 @@ class ExponentialRateEstimator:
         self.rate = (1.0 - weight) * (load / gap) + weight * self.rate
         return self.rate
 
-    def update_train(self, now: float, n: int) -> list:
-        """Fold ``n`` unit arrivals evenly spaced across the gap since the
-        last update, ending exactly at ``now``; returns the per-arrival
-        estimate ladder.
-
-        This is the label sequence a scalar emitter pacing ``n`` packets
-        over the same interval would have stamped — the endpoint equals a
-        single ``update(now, n)`` lump (the exponential average is linear
-        in load), but the intermediate rungs let a coalesced train carry
-        each member's own label.  CSFQ's drop probability compares labels
-        against a window-lagged fair-share estimate, so during rate ramps
-        the label *distribution* inside the gap, not just its endpoint,
-        determines the drop statistics.
-        """
-        if n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {n}")
-        gap = now - self._last_time
-        if gap < 0:
-            raise SimulationError(f"rate estimator saw time go backwards ({gap})")
-        if gap == 0.0:
-            self._pending += n
-            return [self.rate] * n
-        step = gap / n
-        weight = math.exp(-step / self.k)
-        gain = (1.0 - weight) / step
-        rate = weight * self.rate + gain * (self._pending + 1.0)
-        self._pending = 0.0
-        ladder = [rate]
-        for _ in range(n - 1):
-            rate = weight * rate + gain
-            ladder.append(rate)
-        self.rate = rate
-        self._last_time = now
-        return ladder
-
     def restart(self, now: float) -> None:
         """Zero the estimate (flow restart)."""
         self.rate = 0.0

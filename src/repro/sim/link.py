@@ -93,17 +93,18 @@ traffic flows (only tests install taps).
 
 Trains
 ------
-A :class:`~repro.sim.packet.PacketTrain` (opt-in ``train_batch`` datapath)
-traverses a plain-FIFO link as **one** packet whose size is the member
-count: occupancy, admission and serialization charge the whole train in a
-single arithmetic step, and one delivery event carries all members.  A
+A :class:`~repro.sim.packet.PacketTrain` (Corelite's opt-in ``train_batch``
+datapath) traverses a plain-FIFO link as **one** packet whose size is the
+member count: occupancy, admission and serialization charge the whole train
+in a single arithmetic step, and one delivery event carries all members.  A
 drop charges ``packet.count``; nothing is written per member (the egress
 edge spaces member delays by ``1 / bandwidth_pps`` of the link that hands
 it the train).  Any path that needs per-packet decisions splits the train
 into its scalar members first: bypass-free queues (WFQ/RED/FRED/DECbit),
 arrival taps, dynamics-enabled links (failure drop taxonomy + reroutes),
-boundary links (partition cuts serialize scalars) — and, before the link,
-a CSFQ core's admission.
+boundary links (partition cuts serialize scalars).  CSFQ and FIFO edges
+emit no trains: a CSFQ core decides per packet, so a train would split at
+the first one.
 
 Dynamics
 --------

@@ -243,13 +243,13 @@ class PacketTrain(Packet):
       egress edge places member ``i`` ``(count - 1 - i) / bandwidth``
       earlier, the last link's serialization spacing.
 
-    Trains only ever exist on the opt-in ``train_batch > 1`` datapath and
-    are pinned *statistically* (Jain ratio, per-flow rates), never
-    byte-identically — splitting and bulk charging reorder work relative
-    to the scalar schedule.
+    Trains only ever exist on Corelite's opt-in ``train_batch > 1``
+    datapath and are pinned *statistically* (Jain ratio, per-flow rates),
+    never byte-identically — splitting and bulk charging reorder work
+    relative to the scalar schedule.
     """
 
-    __slots__ = ("count", "marker_count", "micro_ids", "member_labels")
+    __slots__ = ("count", "marker_count", "micro_ids")
 
     def __init__(
         self,
@@ -269,18 +269,14 @@ class PacketTrain(Packet):
         self.count = n
         self.marker_count = 0
         self.micro_ids: Optional[tuple] = None
-        #: Per-member CSFQ labels (the scalar estimator's label ladder);
-        #: ``None`` means every member shares ``label`` on a split.
-        self.member_labels: Optional[tuple] = None
 
     def split(self, sim: Optional["Simulator"] = None) -> list:
         """Materialize the scalar member packets and retire the train.
 
         Called at any boundary that needs per-packet decisions (non-FIFO
-        queues, arrival taps, dynamic links, partition cuts).  Markers
-        attach to the first ``marker_count`` members; a label on a
-        markerless train (the CSFQ per-packet rate estimate) is copied to
-        every member.  The caller drops the train afterwards.
+        queues, arrival taps, dynamic links, partition cuts).  Markers, and
+        the label they carry, attach to the first ``marker_count`` members.
+        The caller drops the train afterwards.
         """
         head = self.seq
         created = self.created_at
@@ -288,17 +284,11 @@ class PacketTrain(Packet):
         origin = self.origin_edge
         markers = self.marker_count if origin is not None else 0
         micro_ids = self.micro_ids
-        member_labels = self.member_labels
-        label_all = origin is None
         members = []
         for i in range(self.count):
-            if member_labels is not None:
-                member_label = member_labels[i]
-            else:
-                member_label = label if (label_all or i < markers) else 0.0
             pkt = Packet.data(
                 self.flow_id, self.src, self.dst, head + i, created,
-                label=member_label, sim=sim,
+                label=label if i < markers else 0.0, sim=sim,
             )
             if i < markers:
                 pkt.origin_edge = origin

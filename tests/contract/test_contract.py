@@ -28,3 +28,10 @@ def test_regeneration_without_a_cause_writes_nothing(argv):
     proc = run_python("-m", "tests.contract", *argv)
     assert proc.returncode != 0 and "--cause is required" in proc.stderr
     assert GOLDEN_PATH.read_bytes() == before
+
+
+@pytest.mark.parametrize("cloud", ["chain4-csfq", "parking-lot-aggregate-csfq"])
+def test_train_batch_is_inert_for_csfq(cloud, golden):
+    """Trains are Corelite's datapath: a CSFQ edge stays scalar, so its
+    ``train_batch = 8`` row is its scalar row, field for field."""
+    assert golden[f"{cloud}/vectorized-train-8"] == golden[f"{cloud}/vectorized"]

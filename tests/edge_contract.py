@@ -2,7 +2,9 @@
 
 One body per case, both edges as inputs: ``test_corelite_edge.py`` and
 ``test_csfq_edge.py`` import the cases below and run them on their own ``rig``
-fixture (``sim, cfg, edge, catcher`` with a route to ``"Eout1"``), and
+fixture (``sim, cfg, edge, catcher`` with a route to ``"Eout1"``) and their
+own ``n`` fixture (the arrival sizes the edge takes: scalar packets, and at
+a Corelite edge trains of four as well — CSFQ edges receive no trains), and
 ``test_edge_cases.py`` runs :class:`LifecycleContract` once per edge class.
 The input arrives through the importing module rather than through
 ``parametrize`` so that every case keeps the id it has always had under the
@@ -80,10 +82,6 @@ def expected_seq(edge):
     return edge._egress_flows[edge._egress_index[7]].expected_seq
 
 
-#: Scalar packets, and trains of four.
-sizes = pytest.mark.parametrize("n", [1, 4], ids=["scalar", "train"])
-
-
 class EgressContract:
     def test_delivery_metering(self, rig):
         sim, cfg, edge, catcher = rig
@@ -114,7 +112,6 @@ class EgressContract:
         sim.run(until=2.0)
         assert edge.take_throughput(7) == pytest.approx(5.0)
 
-    @sizes
     def test_adjacent_swap_is_not_a_loss(self, rig, n):
         """Eight arrivals, the fifth and sixth swapped (multipath): the one
         that was overtaken is late, not lost."""
@@ -128,7 +125,6 @@ class EgressContract:
         assert edge.losses(7) == 0
         assert seen == sorted(seen)  # never moves back
 
-    @sizes
     def test_late_arrival_gives_back_at_most_what_was_booked(self, rig, n):
         _, _, edge, _ = rig
         edge.expect_flow(7)

@@ -3,10 +3,13 @@
 import json
 import pstats
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+TINY = Path(__file__).parents[1] / "examples" / "scenarios" / "tiny.json"
 
 
 def test_list_includes_new_ablations(capsys):
@@ -29,9 +32,37 @@ def test_report_parser_defaults():
     assert args.handler is not None
 
 
-def test_run_command_requires_existing_file(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        main(["run", str(tmp_path / "missing.json")])
+def _exits_with_an_error(argv, capsys) -> str:
+    """Run ``main(argv)``: it must exit 2 with one ``corelite: error:`` line
+    on stderr, as argparse does for a bad argument, and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("corelite: error: ") and "Traceback" not in err
+    return err
+
+
+def test_run_command_requires_existing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert str(missing) in _exits_with_an_error(["run", str(missing)], capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["batch", "{tiny}", "--num-seeds", "0"], "num_seeds"),
+        (["fig5_6", "--duration", "-5", "--no-chart"], "duration"),
+        (["ablation", "alpha", "--duration", "0"], "duration"),
+        (["run", "{scenario}"], "'weight' must be a number, got 'x'"),
+    ],
+    ids=["batch-num-seeds", "fig5_6-duration", "ablation-duration", "run-weight"],
+)
+def test_bad_input_is_an_error_message_not_a_traceback(argv, message, tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"scheme": "corelite", "flows": [{"id": 1, "weight": "x"}]}))
+    argv = [arg.format(scenario=scenario, tiny=TINY) for arg in argv]
+    assert message in _exits_with_an_error(argv, capsys)
 
 
 def test_run_command_with_json_output(tmp_path, capsys):

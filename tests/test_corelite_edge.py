@@ -40,6 +40,12 @@ def rig():
     return sim, cfg, edge, catcher
 
 
+@pytest.fixture(params=[1, 4], ids=["scalar", "train"])
+def n(request):
+    """Egress arrival sizes: scalar packets, and trains of four."""
+    return request.param
+
+
 def attach(edge, flow_id=1, weight=2.0, min_rate=0.0):
     edge.attach_flow(FlowAttachment(flow_id, weight, "Eout1", min_rate=min_rate))
 

@@ -40,6 +40,12 @@ def rig():
     return sim, cfg, edge, catcher
 
 
+@pytest.fixture(params=[1], ids=["scalar"])
+def n(request):
+    """Egress arrival sizes: scalar packets only (CSFQ edges emit no trains)."""
+    return request.param
+
+
 def test_emitted_packets_carry_normalized_labels(rig):
     sim, cfg, edge, catcher = rig
     edge.attach_flow(FlowAttachment(1, weight=2.0, dst_edge="Eout1"))

@@ -10,6 +10,7 @@ never the worker) forever.
 import json
 import math
 import os
+import statistics
 
 import pytest
 
@@ -298,6 +299,12 @@ def test_mean_ci():
     assert mean == pytest.approx(2.0)
     # t(df=2, 95%) = 4.303; stdev = 1; n = 3
     assert half == pytest.approx(4.303 / math.sqrt(3), rel=1e-3)
+    # An untabulated df takes the largest tabulated df below it, whose t is
+    # the larger (conservative): df 16 -> t(15), df 39 -> t(30).
+    for n, t in ((17, 2.131), (40, 2.042)):
+        values = [float(i % 2) for i in range(n)]
+        _, half = mean_ci(values)
+        assert half == pytest.approx(t * statistics.stdev(values) / math.sqrt(n), rel=1e-9)
     with pytest.raises(ConfigurationError):
         mean_ci([])
 

@@ -11,9 +11,11 @@ Three layers of protection:
   and failures see scalar members, never whole trains: per-packet
   decisions stay per-packet.
 * **Equivalence contract** — ``train_batch=1`` is the default path (the
-  contract table's ``default`` rows), and train mode holds the
+  contract table's ``default`` rows), and Corelite's train mode holds the
   statistical pins (Jain ratio within 1%, per-flow delivered within 10%)
-  on chain4 / parking-lot / mesh under both corelite and csfq.
+  on chain4 / parking-lot / mesh.  Trains are Corelite's datapath: under
+  csfq and fifo ``train_batch`` is inert, so their train runs equal the
+  scalar runs exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 
 from repro.core.shaping import PacedSender, TRAIN_HORIZON
 from repro.experiments.builder import CloudBuilder
+from repro.experiments.parallel import result_to_payload
 from repro.experiments.scenarios import (
     WEIGHTS_41,
     mesh_flows,
@@ -220,7 +223,7 @@ def test_send_train_while_down_counts_every_member():
 
 #: (topology factory, flow-set factory, run horizon, seed) per pinned
 #: scenario — the same workloads test_vectorized pins, parameterized over
-#: scheme so each runs under corelite *and* csfq.
+#: scheme so each runs under corelite *and* csfq (chain4 under fifo too).
 _SCENARIOS = {
     "chain4": (
         lambda: TopologySpec.chain(4),
@@ -278,12 +281,29 @@ def _mean_outcome(name, scheme, train_batch):
     return delivered, sum(jains) / len(jains), weights
 
 
-@pytest.mark.parametrize("scheme", ["corelite", "csfq"])
-@pytest.mark.parametrize("name", sorted(_SCENARIOS))
+@pytest.mark.parametrize(
+    "name, scheme",
+    [(name, scheme) for name in sorted(_SCENARIOS) for scheme in ("corelite", "csfq")]
+    + [("chain4", "fifo")],
+    ids=lambda value: value,
+)
 def test_train_mode_is_statistically_equivalent(name, scheme):
-    """Train runs reorder work (K-deep bursts, bulk charges) so they are
-    pinned statistically: weighted Jain ratio within 1% of the scalar
-    runs and per-flow delivered within 10%, averaged over seeds."""
+    """Corelite train runs reorder work (K-deep bursts, bulk charges) so
+    they are pinned statistically: weighted Jain ratio within 1% of the
+    scalar runs and per-flow delivered within 10%, averaged over seeds.
+    A CSFQ core decides per packet, so csfq and fifo edges stay scalar:
+    their train runs are the scalar runs, result for result."""
+    if scheme != "corelite":
+        for seed in range(_SCENARIOS[name][3], _SCENARIOS[name][3] + _PIN_SEEDS):
+            scalar, train = (
+                result_to_payload(cloud.run(until=until))
+                for cloud, until in (
+                    _build(name, scheme, 1, seed),
+                    _build(name, scheme, TRAIN_RUNG_BATCH, seed),
+                )
+            )
+            assert train == scalar, seed
+        return
     scalar_delivered, scalar_jain, _ = _mean_outcome(name, scheme, 1)
     train_delivered, train_jain, _ = _mean_outcome(
         name, scheme, TRAIN_RUNG_BATCH
