@@ -23,23 +23,27 @@ Two scheduling tiers exist:
   same-time ordering deterministic.
 
 Both tiers push ``(time, seq, handle, fn, args)`` onto one heap, and the
-run loop pops it in ``(time, seq)`` order; a cancelled entry stays in place
-until it reaches the head and is dropped there.  Every scheduler rejects a
-time that is not ``>= now`` — NaN included — with a
-:class:`~repro.errors.SimulationError`.
+run loop pops it in ``(time, seq)`` order (a cancelled entry is dropped,
+one past ``run(until=)`` pushed back).  Every scheduler rejects a time
+that is not ``>= now`` — NaN included — with a
+:class:`~repro.errors.SimulationError`.  The one writer of heap entries
+outside this module, the departure-time link (:mod:`repro.sim.link`, "Hot
+path"), pushes as :meth:`Simulator.schedule_at_fast` does, written out.
 
 Ledgers
 -------
 A delivery that sends and schedules nothing (a packet's last hop, into an
 egress that only records it) needs no event: it is *booked* in a
-:class:`Ledger` under the seq an event would have taken and handed over
-before anything reads the state it changes.  The ordering rule lives here:
-the run loop publishes the running event's seq (``_cur_seq``), a reader
-running as event ``(T, r)`` sees exactly the booked deliveries with ``(due,
-s) < (T, r)``, and one outside ``run()`` (``_cur_seq`` is ``inf``) those due
-by ``now``.  Booked deliveries count in :meth:`pending` / :meth:`peek_time`,
-:meth:`step` steps onto them, a draining ``run()`` ends with the clock on
-the last; ``events_executed`` does not count them.
+:class:`Ledger` under the seq an event would have taken and handed over —
+``deliver(packet, source, due)``, the receiver and its in-link given when
+the ledger was opened — before anything reads the state it changes.  The
+ordering rule lives here: the run loop publishes the running event's seq
+(``_cur_seq``), a reader running as event ``(T, r)`` sees exactly the
+booked deliveries with ``(due, s) < (T, r)``, and one outside ``run()``
+(``_cur_seq`` is ``inf``) those due by ``now``.  Booked deliveries count
+in :meth:`pending` / :meth:`peek_time`, :meth:`step` steps onto them, a
+draining ``run()`` ends with the clock on the last; ``events_executed``
+does not count them.
 """
 
 from __future__ import annotations
@@ -61,9 +65,9 @@ _LEDGER_CAP = 32
 
 class Ledger(deque):
     """Booked deliveries ``(due, seq, packet)``, in that order, and the
-    ``deliver(packet, due)`` that hands one over (module docstring)."""
+    ``deliver(packet, source, due)`` that hands one over (module docstring)."""
 
-    __slots__ = ("deliver",)
+    __slots__ = ("deliver", "source")
 
 
 class EventHandle:
@@ -184,22 +188,15 @@ class Simulator:
         self._heap: List[Any] = []
         self._seq = 0
         self._running = False
+        #: The last packet id handed out; ``Packet`` bumps it.  Owning the
+        #: counter per simulator, not per process, makes packet ids a pure
+        #: function of the simulation: a cloud built and run twice in one
+        #: process, or in parallel workers, sees the same ids both times.
         self._next_pid = 0
         #: Total number of events executed so far (for micro-benchmarks).
         self.events_executed = 0
         self._cur_seq: float = inf  # seq of the running event ("Ledgers")
         self._ledgers: List[Ledger] = []
-
-    def next_packet_id(self) -> int:
-        """Allocate the next packet id (1, 2, ...) for this simulation.
-
-        Owning the counter per simulator — rather than per process — makes
-        packet ids a pure function of the simulation itself: a cloud built
-        and run twice in one process, or in parallel workers, sees the
-        same ids both times.
-        """
-        self._next_pid += 1
-        return self._next_pid
 
     # Each scheduler is its past-check, a seq bump and one push, written out
     # in full: one Python frame per event is real money at millions of
@@ -307,13 +304,12 @@ class Simulator:
         executed = 0
         try:
             while heap:
-                time, seq, handle, fn, args = heap[0]
+                time, seq, handle, fn, args = pop(heap)
                 if handle is not None and handle.cancelled:
-                    pop(heap)
                     continue
                 if time > stop:
+                    heapq.heappush(heap, (time, seq, handle, fn, args))
                     break
-                pop(heap)
                 self.now = time
                 self._cur_seq = seq
                 executed += 1
@@ -422,10 +418,11 @@ class Simulator:
 
     # -- ledgers (module docstring) ---------------------------------------------
 
-    def open_ledger(self, deliver: Callable[[Any, float], None]) -> Ledger:
-        """A new ledger; ``deliver(packet, due)`` hands a delivery over."""
+    def open_ledger(self, deliver: Callable[[Any, Any, float], None], source: Any) -> Ledger:
+        """A new ledger; ``deliver(packet, source, due)`` hands a delivery over."""
         ledger = Ledger()
         ledger.deliver = deliver
+        ledger.source = source
         self._ledgers.append(ledger)
         return ledger
 
@@ -438,22 +435,22 @@ class Simulator:
 
     def settle(self, ledger: Ledger) -> None:
         """Hand over every booked delivery that precedes the caller."""
-        now, seq, deliver = self.now, self._cur_seq, ledger.deliver
+        now, seq, deliver, source = self.now, self._cur_seq, ledger.deliver, ledger.source
         while ledger:
             head = ledger[0]
             due = head[0]
             if due >= now and (due > now or head[1] >= seq):
                 return
             ledger.popleft()
-            deliver(head[2], due)
+            deliver(head[2], source, due)
 
-    def close_ledger(self, ledger: Ledger, fn: Callable[[Any], None]) -> None:
-        """Retire ``ledger``: settle it, then schedule ``fn(packet)`` at its
-        instant for each delivery still booked."""
+    def close_ledger(self, ledger: Ledger) -> None:
+        """Retire ``ledger``: settle it, then schedule ``deliver(packet,
+        source)`` at its instant for each delivery still booked."""
         self.settle(ledger)
         self._ledgers.remove(ledger)
         for due, _seq, packet in ledger:
-            self.schedule_at_fast(due, fn, packet)
+            self.schedule_at_fast(due, ledger.deliver, packet, ledger.source)
         ledger.clear()
 
     def pending(self) -> int:

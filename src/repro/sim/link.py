@@ -20,6 +20,9 @@ bandwidth_pps`` and its delivery at ``_free_at + prop_delay`` are fixed
 at arrival and the **one** event of the hop, the delivery, is scheduled
 there and then.  There is no transmitter wakeup and no queue of packet
 objects, and admission is ``DropTailQueue.admit``'s test written out.
+That event is the far end's ``receive(packet, link)`` (``_deliver_cb``),
+pushed as :meth:`~repro.sim.engine.Simulator.schedule_at_fast` would (same
+past-check and seq bump) without its frame or a trampoline of the link's.
 
 *Ledger.*  What the buffer has to remember is only when each waiting
 packet stops occupying it.  A packet that must wait is appended to the
@@ -66,15 +69,16 @@ per packet handed over, it keeps each delivery it does not vouch for an
 event), and a departure-time link into it *books* ``(due, seq, packet)`` in
 a :class:`~repro.sim.engine.Ledger` — scalar packets, parted markers and
 trains alike — where it would have scheduled the delivery.  The first
-booking opens the ledger as the node's ``inbox``, and the node keeps that
-one feeder for life: another in-link finds it fed and stays on events, so
-a ledger is in ``(due, seq)`` order by construction.  Deliveries are
-settled — handed to ``receive(packet, link, due)`` — by the node before it
-reads the state they write or an event hands it a packet, by
-:meth:`Link.settle`, and by the push past the ledger's cap; which precede
-a reader is the engine's rule (:mod:`repro.sim.engine`).  A link that is
-tapped or armed leaves for good (``_unbook``): what precedes the caller is
-delivered, the rest become the events they would have been.
+booking opens the ledger, on the node's ``receive`` with the link as its
+source, as the node's ``inbox``, and the node keeps that one feeder for
+life: another in-link finds it fed and stays on events, so a ledger is in
+``(due, seq)`` order by construction.  Deliveries are settled — the engine
+calls ``receive(packet, link, due)`` — by the node before it reads the
+state they write or an event hands it a packet, by :meth:`Link.settle`,
+and by the push past the ledger's cap; which precede a reader is the
+engine's rule (:mod:`repro.sim.engine`).  A link that is tapped or armed
+leaves for good (``_unbook``): what precedes the caller is delivered, the
+rest become the events they would have been.
 
 Links that need a real queue keep it (``_send_queued`` →
 ``FifoQueue.push`` / ``pop``, ``_transmit_from``, one ``_wake`` per
@@ -115,15 +119,15 @@ delivery captures the generation current at send time, and
 :meth:`Link.fail` bumps the generation, so packets in flight when the
 link fails are dropped deterministically when their delivery event fires
 — even if the link has already recovered by then.  Static links never
-pay for this: without ``enable_dynamics`` the delivery callback stays
-the bare fast path and the per-packet cost is unchanged.  ``fail()`` on a
-link that was never armed arms it first, which is refused while packets
-wait in its departure-time ledger.
+pay for this: their delivery callback stays the far end's ``receive``.
+``fail()`` on a link that was never armed arms it first, which is refused
+while packets wait in its departure-time ledger.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from math import inf, nextafter
 from typing import Callable, Optional
 
@@ -234,7 +238,7 @@ class Link:
         else:
             self._send_base = self._send_queued
         self.send = self._send_base
-        self._deliver_cb = self._deliver_fast
+        self._deliver_cb = dst.receive
 
     # -- observation hooks ------------------------------------------------
 
@@ -320,18 +324,18 @@ class Link:
         scheduled before the failure sees a stale generation and drops.
         :meth:`recover` rebinds a fresh closure for post-recovery sends.
         """
-        base = self._deliver_tapped if self._delivery_taps else self._deliver_fast
+        base = self._deliver_tapped if self._delivery_taps else self.dst.receive
         if not self._dynamic:
             self._deliver_cb = base
             return
         gen = self._gen
 
-        def deliver_checked(packet: Packet) -> None:
+        def deliver_checked(packet: Packet, link: "Link") -> None:
             if self._gen != gen:
                 if packet.size > 0.0:
                     self.inflight_drops += packet.count
                 return
-            base(packet)
+            base(packet, link)
 
         self._deliver_cb = deliver_checked
 
@@ -414,49 +418,51 @@ class Link:
         size = packet.size
         if size <= 0.0:
             due = (free_at if free_at > now else now) + self.prop_delay
-            if packet.dst != self._sink or not self._book(due, packet):
-                sim.schedule_at_fast(due, self._deliver_cb, packet)
             ledger = self._ledger
             if ledger and ledger[0][0] <= now:
                 self._settle(nextafter(now, inf))  # tie rule: an arrival kicks
-            return True
-        if self._ledger:
-            self._settle(now)
-        queue = self.queue
-        if now >= free_at:
-            # Idle transmitter, hence an empty buffer: the packet would be
-            # pushed and popped again at once.  ``DropTailQueue.admit``, inline.
-            if not queue._occupancy + size <= queue.capacity:
-                return self._tail_drop(packet, now)
-            if now > queue._last_time:  # zero-width occupancy spike: the
-                queue._last_time = now  # integral only advances its clock
-            free_at = now + size / self.bandwidth_pps
         else:
-            # The packet waits until ``free_at``: book the push now, leave
-            # the pop to ``_settle``.
-            callback = self._on_backlog
-            if callback is not None:
-                self._on_backlog = None
-                callback()
-            if not queue._occupancy + size <= queue.capacity:
-                return self._tail_drop(packet, now)
-            last = queue._last_time
-            if now > last:
-                queue._integral += queue._occupancy * (now - last)
-                queue._last_time = now
-            queue._occupancy += size
-            ledger = self._ledger
-            if ledger is None:
-                ledger = self._ledger = deque()
-            ledger.append((free_at, size))
-            if ledger[0][0] <= now:
-                self._settle(nextafter(now, inf))  # tie rule: an arrival kicks
-            free_at = free_at + size / self.bandwidth_pps
-        self._free_at = free_at
-        due = free_at + self.prop_delay
+            if self._ledger:
+                self._settle(now)
+            queue = self.queue
+            if now >= free_at:
+                # Idle transmitter, hence an empty buffer: the packet would be
+                # pushed and popped again at once.  ``DropTailQueue.admit``, inline.
+                if not queue._occupancy + size <= queue.capacity:
+                    return self._tail_drop(packet, now)
+                if now > queue._last_time:  # zero-width occupancy spike: the
+                    queue._last_time = now  # integral only advances its clock
+                free_at = now + size / self.bandwidth_pps
+            else:
+                # The packet waits until ``free_at``: book the push now, leave
+                # the pop to ``_settle``.
+                callback = self._on_backlog
+                if callback is not None:
+                    self._on_backlog = None
+                    callback()
+                if not queue._occupancy + size <= queue.capacity:
+                    return self._tail_drop(packet, now)
+                last = queue._last_time
+                if now > last:
+                    queue._integral += queue._occupancy * (now - last)
+                    queue._last_time = now
+                queue._occupancy += size
+                ledger = self._ledger
+                if ledger is None:
+                    ledger = self._ledger = deque()
+                ledger.append((free_at, size))
+                if ledger[0][0] <= now:
+                    self._settle(nextafter(now, inf))  # tie rule: an arrival kicks
+                free_at = free_at + size / self.bandwidth_pps
+            self._free_at = free_at
+            due = free_at + self.prop_delay
         sink = self._sink
         if sink is None or packet.dst != sink or not self._book(due, packet):
-            sim.schedule_at_fast(due, self._deliver_cb, packet)
+            # ``Simulator.schedule_at_fast``, inline ("Hot path").
+            if not due >= now:
+                raise SimulationError(f"cannot schedule into the past (t={due} < now={now})")
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (due, seq, None, self._deliver_cb, (packet, self)))
         return True
 
     # -- sinks: deliveries booked, not scheduled -------------------------------
@@ -476,15 +482,12 @@ class Link:
             if dst.inbox is not None:
                 self._sink = None
                 return False
-            booked = self._booked = dst.inbox = self.sim.open_ledger(self._deliver_booked)
+            booked = self._booked = dst.inbox = self.sim.open_ledger(dst.receive, self)
         quiet_for = self._quiet_for
         if quiet_for is not None and not quiet_for(packet):
             return False
         self.sim.book(booked, due, packet)
         return True
-
-    def _deliver_booked(self, packet: Packet, due: float) -> None:
-        self.dst.receive(packet, self, due)
 
     def _unbook(self) -> None:
         """Leave the ledger for good: what is booked becomes the events it
@@ -493,7 +496,7 @@ class Link:
         self._sink = None
         booked, self._booked = self._booked, None
         if booked is not None:
-            self.sim.close_ledger(booked, self._deliver_fast)
+            self.sim.close_ledger(booked)
 
     def _tail_drop(self, packet: Packet, now: float) -> bool:
         self.queue.stats.dropped_data += packet.count
@@ -605,14 +608,14 @@ class Link:
             if tx == 0.0:
                 # Markers serialize instantaneously: deliver straight away
                 # and keep popping — they never hold the transmitter.
-                schedule_at(start + prop, self._deliver_cb, packet)
+                schedule_at(start + prop, self._deliver_cb, packet, self)
                 continue
             free_at = start + tx
             self._free_at = free_at
             if len(queue) and not self._wake_pending:
                 self._wake_pending = True
                 schedule_at(free_at, self._wake)
-            schedule_at(free_at + prop, self._deliver_cb, packet)
+            schedule_at(free_at + prop, self._deliver_cb, packet, self)
             return
 
     def _wake(self) -> None:
@@ -628,16 +631,12 @@ class Link:
 
     # -- delivery -----------------------------------------------------------
 
-    def _deliver_fast(self, packet: Packet) -> None:
-        """Hand ``packet`` to the far end."""
-        self.dst.receive(packet, self)
-
-    def _deliver_tapped(self, packet: Packet) -> None:
-        """``_deliver_fast`` with the delivery taps in front."""
+    def _deliver_tapped(self, packet: Packet, link: "Link") -> None:
+        """``dst.receive`` with the delivery taps in front."""
         now = self.sim.now
         for tap in self._delivery_taps:
             tap(packet, now)
-        self._deliver_fast(packet)
+        self.dst.receive(packet, link)
 
     # -- metrics --------------------------------------------------------
 

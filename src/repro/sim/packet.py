@@ -129,7 +129,10 @@ class Packet:
         created_at: float = 0.0,
         sim: Optional["Simulator"] = None,
     ) -> None:
-        self.pid = next(_packet_ids) if sim is None else sim.next_packet_id()
+        if sim is None:
+            self.pid = next(_packet_ids)
+        else:
+            self.pid = sim._next_pid = sim._next_pid + 1
         self.kind = kind
         self.flow_id = flow_id
         self.size = size

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 from repro.aqm.decbit import DecbitQueue
 from repro.aqm.red import RedQueue
 from repro.core.config import CoreliteConfig
-from repro.core.edge import CoreliteEdge, EdgeRouter, _DATA
+from repro.core.edge import CoreliteEdge, _DATA
 from repro.core.shaping import _TOKEN_EPS, PacedSender
 from repro.csfq.config import CsfqConfig
 from repro.csfq.edge import CsfqEdge
@@ -74,32 +74,35 @@ def _events_mode(patch):
 
 
 class _Census:
-    """Counts, from outside, the deliveries the two modes trade: those the
-    ledger hands over, and the delivery events of packets for the edge they
-    reach.  Of those events, ``loud`` counts the ones a CSFQ egress must
-    take: a delivery that sends LOSS_NOTIFY, or a flow's first packet off
-    its feeder (``first``).  ``admitted`` counts each link's admitted data
-    packets, which no mode may move."""
+    """Counts, from outside, the deliveries the two modes trade, where the
+    edge receives them: those the ledger hands over (``receive`` told the
+    instant ``at``), and the delivery events of packets for the edge they
+    reach (a link hands them over at ``now``).  Of those events, ``loud``
+    counts the ones a CSFQ egress must take: a delivery that sends
+    LOSS_NOTIFY, or a flow's first packet off its feeder (``first``).
+    ``admitted`` counts each link's admitted data packets, which no mode
+    may move."""
 
     def __init__(self, patch):
         self.booked = self.last_hop_events = self.loud = self.reports = 0
         self.first = set()
         self.admitted = count_admitted(patch)
-        deliver_booked, deliver_fast = Link._deliver_booked, Link._deliver_fast
         report_loss, quiet_for = CsfqEdge._report_loss, CsfqEdge.quiet_for
         census = self
 
-        def counting_booked(link, packet, due):
-            census.booked += 1
-            deliver_booked(link, packet, due)
+        def counting(receive):
+            def counting_receive(edge, packet, link, at=None):
+                if at is not None:
+                    census.booked += 1
+                    receive(edge, packet, link, at)
+                    return
+                reports = census.reports
+                receive(edge, packet, link)
+                if link is not None and packet.dst == edge.name:
+                    census.last_hop_events += 1
+                    census.loud += census.reports > reports or packet.pid in census.first
 
-        def counting_fast(link, packet):
-            last_hop = isinstance(link.dst, EdgeRouter) and packet.dst == link.dst.name
-            reports = census.reports
-            deliver_fast(link, packet)
-            if last_hop:
-                census.last_hop_events += 1
-                census.loud += census.reports > reports or packet.pid in census.first
+            return counting_receive
 
         def counting_reports(edge, packet, gap, at):
             census.reports += 1
@@ -111,10 +114,10 @@ class _Census:
                 census.first.add(packet.pid)
             return quiet_for(edge, packet)
 
-        # Links bind ``_deliver_fast`` and ``quiet_for`` at construction:
+        # Links bind ``dst.receive`` and ``quiet_for`` at construction:
         # patched before any build.
-        patch.setattr(Link, "_deliver_booked", counting_booked)
-        patch.setattr(Link, "_deliver_fast", counting_fast)
+        for edge_class in (CoreliteEdge, CsfqEdge):
+            patch.setattr(edge_class, "receive", counting(edge_class.receive))
         patch.setattr(CsfqEdge, "_report_loss", counting_reports)
         patch.setattr(CsfqEdge, "quiet_for", noting_first)
 

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import _LEDGER_CAP, Simulator
+from repro.sim.link import Link
+from repro.sim.node import Node
+from repro.sim.packet import Packet
+from repro.sim.queues import DropTailQueue
 
 
 def test_initial_time_is_zero(sim):
@@ -80,7 +84,15 @@ def _noop():
     pass
 
 
-#: Every way to put a time into the engine, each handed NaN.  ``not t >= now``
+def _offer_to_a_link_free_at_nan(sim, fired):
+    """A departure-time link pushes its delivery onto the heap itself: a
+    transmitter free at NaN makes a NaN delivery time, which it must refuse."""
+    link = Link(sim, "A->B", "A", Node("B"), 10.0, 0.0, DropTailQueue(10))
+    link._free_at = nan
+    link.send(Packet.data(1, "A", "B", seq=0, now=sim.now, sim=sim))
+
+
+#: Every way to put a time onto the heap, each handed NaN.  ``not t >= now``
 #: is false for NaN as well, so none may slip past the past-check.
 NAN_CALLS = {
     "schedule": lambda sim, fired: sim.schedule(nan, _noop),
@@ -93,6 +105,7 @@ NAN_CALLS = {
     "every(first_delay)": lambda sim, fired: sim.every(1.0, _noop, first_delay=nan),
     "every(first_at)": lambda sim, fired: sim.every(1.0, _noop, first_at=nan),
     "run_window": lambda sim, fired: sim.run_window(nan),
+    "departure-time link": _offer_to_a_link_free_at_nan,
 }
 
 
@@ -537,7 +550,9 @@ def test_heap_fires_in_reference_order(ops):
     log = []
     targets = {}  # cancel target label -> EventHandle / PeriodicTask
     tokens = {}  # event label -> weakref of its token
-    ledgers = [sim.open_ledger(lambda label, due: log.append(label)) for _ in range(2)]
+    ledgers = [
+        sim.open_ledger(lambda label, source, due: log.append(label), None) for _ in range(2)
+    ]
     last_due = [0.0, 0.0]
 
     def book(ledger, due, label):

@@ -1,6 +1,8 @@
 """Tests for the hot-path overhaul: fast-path scheduling, handle reuse,
 bounded-run heap hygiene, the rebindable link datapath, and the §4.1 chain's
-event budget (the flow-scale replay pin is a contract-table row)."""
+event and frame budgets (the flow-scale replay pin is a contract-table row)."""
+
+import sys
 
 import pytest
 
@@ -413,6 +415,16 @@ def test_paper_chain_event_budget_csfq(monkeypatch):
     _check_chain_event_budget(monkeypatch, "csfq")
 
 
+def _paper_chain(scheme):
+    from repro.experiments.builder import CloudBuilder
+    from repro.experiments.scenarios import WEIGHTS_41, topology1_flows
+    from repro.experiments.topospec import TopologySpec
+
+    builder = CloudBuilder(TopologySpec.chain(4), scheme=scheme, seed=0)
+    builder.add_flows(topology1_flows(WEIGHTS_41, {}))
+    return builder.build()
+
+
 def _check_chain_event_budget(monkeypatch, scheme):
     """§4.1 chain, 20 flows (the counts repeat exactly per seed).
 
@@ -423,11 +435,15 @@ def _check_chain_event_budget(monkeypatch, scheme):
     fails here with a count instead of somewhere else with a digest
     mismatch.  A last hop into an egress edge is a ledger entry; a CSFQ
     egress takes an event only for a delivery that sends LOSS_NOTIFY and
-    for each flow's first packet (``csfq_chain4`` in corebench)."""
+    for each flow's first packet (``csfq_chain4`` in corebench).
+
+    Deliveries are seen where the datapath cannot bypass them, at the
+    receiving node (wrapped before the build: links bind ``receive``): an
+    event hands the packet over with no ``at``, the ledger with one."""
+    from repro.core.edge import CoreliteEdge
+    from repro.core.router import CoreliteCoreRouter
     from repro.csfq.edge import CsfqEdge
-    from repro.experiments.builder import CloudBuilder
-    from repro.experiments.scenarios import WEIGHTS_41, topology1_flows
-    from repro.experiments.topospec import TopologySpec
+    from repro.csfq.router import CsfqCoreRouter
 
     wakeups = []
     marker_events = []
@@ -441,22 +457,27 @@ def _check_chain_event_budget(monkeypatch, scheme):
         report_loss(edge, packet, gap, at)
 
     def counting(sim, time, fn, *args):
-        name = getattr(fn, "__name__", "")
-        if name == "_wake":
+        if getattr(fn, "__name__", "") == "_wake":
             wakeups.append(fn.__self__.name)
-        elif name.startswith("_deliver"):
-            if args[0].size <= 0.0:
-                marker_events.append(fn.__self__.name)
-            if args[0].dst == fn.__self__.dst.name:
-                last_hop_events.append(fn.__self__.name)
         schedule_at_fast(sim, time, fn, *args)
+
+    def observed(receive):
+        def observing(node, packet, link, *at):
+            if not at:
+                if packet.size <= 0.0:
+                    marker_events.append(link.name)
+                if packet.dst == node.name:
+                    last_hop_events.append(link.name)
+            receive(node, packet, link, *at)
+
+        return observing
 
     monkeypatch.setattr(Simulator, "schedule_at_fast", counting)
     monkeypatch.setattr(CsfqEdge, "_report_loss", reporting)
+    for node_class in (CoreliteEdge, CoreliteCoreRouter, CsfqEdge, CsfqCoreRouter):
+        monkeypatch.setattr(node_class, "receive", observed(node_class.receive))
     horizon, max_events, max_sends, measured = CHAIN_BUDGETS[scheme]
-    builder = CloudBuilder(TopologySpec.chain(4), scheme=scheme, seed=0)
-    builder.add_flows(topology1_flows(WEIGHTS_41, {}))
-    cloud = builder.build()
+    cloud = _paper_chain(scheme)
     links = cloud.topology.links.values()
     assert all(link.send.__func__ is Link._send_fast for link in links)
     sends = []
@@ -477,6 +498,33 @@ def _check_chain_event_budget(monkeypatch, scheme):
         f"links, e.g. {sorted(set(wakeups))[:3]}: departure times are known "
         "at arrival, no link of this cloud needs one"
     )
+    # The per-kind counts come first: each names its regression before the
+    # aggregate budgets below can.
+    if scheme == "csfq":
+        assert len(loss_notifies) > 100  # the workload does lose packets
+        assert len(last_hop_events) <= len(loss_notifies) + len(result.flows), (
+            f"{len(last_hop_events)} delivery events scheduled toward an edge for "
+            f"{len(loss_notifies)} LOSS_NOTIFYs issued and {len(result.flows)} flows: "
+            "a CSFQ egress books every in-sequence delivery, only a gap (or each "
+            "flow's first packet) takes an event"
+        )
+    else:
+        assert not last_hop_events, (
+            f"{len(last_hop_events)} delivery events scheduled toward an edge, e.g. "
+            f"{sorted(set(last_hop_events))[:3]}: a Corelite egress only records, "
+            "its in-link books the delivery instead"
+        )
+        marker_hops = sum(
+            core.machinery_for(name).selector.markers_seen
+            for core in map(cloud.core_router, cloud.core_names)
+            for name in core.enabled_links()
+        )
+        assert marker_hops > 4_000  # the workload does carry markers
+        assert len(marker_events) <= 0.01 * marker_hops, (
+            f"{len(marker_events)} delivery events carried only a marker, of "
+            f"{marker_hops} marker hops: a marker aboard its carrier costs no "
+            "event, and only a marker parted from a dropped carrier costs one"
+        )
     delivered = sum(record.delivered for record in result.flows.values())
     per_packet = cloud.sim.events_executed / delivered
     assert per_packet <= max_events, (
@@ -492,28 +540,39 @@ def _check_chain_event_budget(monkeypatch, scheme):
         f"(budget {max_sends}; events / sends were {measured} when this was written, "
         "5.46 sends with every marker a packet of its own at every hop)"
     )
-    if scheme == "csfq":
-        assert len(loss_notifies) > 100  # the workload does lose packets
-        assert len(last_hop_events) <= len(loss_notifies) + len(result.flows), (
-            f"{len(last_hop_events)} delivery events scheduled toward an edge for "
-            f"{len(loss_notifies)} LOSS_NOTIFYs issued and {len(result.flows)} flows: "
-            "a CSFQ egress books every in-sequence delivery, only a gap (or each "
-            "flow's first packet) takes an event"
-        )
-        return
-    assert not last_hop_events, (
-        f"{len(last_hop_events)} delivery events scheduled toward an edge, e.g. "
-        f"{sorted(set(last_hop_events))[:3]}: a Corelite egress only records, "
-        "its in-link books the delivery instead"
-    )
-    marker_hops = sum(
-        core.machinery_for(name).selector.markers_seen
-        for core in map(cloud.core_router, cloud.core_names)
-        for name in core.enabled_links()
-    )
-    assert marker_hops > 4_000  # the workload does carry markers
-    assert len(marker_events) <= 0.01 * marker_hops, (
-        f"{len(marker_events)} delivery events carried only a marker, of "
-        f"{marker_hops} marker hops: a marker aboard its carrier costs no "
-        "event, and only a marker parted from a dropped carrier costs one"
+
+
+
+#: Python frames entered per delivered packet while the §4.1 chain runs to
+#: ``CHAIN_BUDGETS``' horizon, seed 0.  Measured 20.73 (Corelite) and 20.89
+#: (CSFQ) when this was written; 27.91 and 28.13 while every core hop ran a
+#: link trampoline and a ``schedule_at_fast`` frame and every last hop a
+#: ledger trampoline (``repro.sim.link``, "Hot path").
+CHAIN_FRAME_BUDGET = 22.0
+
+
+@pytest.mark.parametrize("scheme", sorted(CHAIN_BUDGETS))
+def test_paper_chain_frame_budget(scheme):
+    """A hop costs the receiving node's frame and nothing in between: a
+    reintroduced per-hop trampoline fails here with a frame count, which no
+    event or send count sees."""
+    cloud = _paper_chain(scheme)
+    frames = 0
+
+    def counting(frame, event, arg):
+        nonlocal frames
+        if event == "call":
+            frames += 1
+
+    sys.setprofile(counting)
+    try:
+        result = cloud.run(until=CHAIN_BUDGETS[scheme][0])
+    finally:
+        sys.setprofile(None)
+    delivered = sum(record.delivered for record in result.flows.values())
+    per_packet = frames / delivered
+    assert per_packet <= CHAIN_FRAME_BUDGET, (
+        f"{frames} Python frames for {delivered} delivered packets = "
+        f"{per_packet:.2f} per packet (budget {CHAIN_FRAME_BUDGET}; 20.73 Corelite / "
+        "20.89 CSFQ when this was written, ~28 with a trampoline per hop)"
     )
