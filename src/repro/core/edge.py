@@ -58,14 +58,14 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.microflows import MicroFlowMux
 
-from repro.core.adaptation import RateController
+from repro.core.adaptation import Phase, RateController
 from repro.core.config import CoreliteConfig, EdgeConfig
 from repro.core.marking import MarkerInjector
 from repro.core.shaping import PacedSender
 from repro.errors import FlowError
 from repro.sim.delay import DelayTracker
 from repro.sim.estimators import ExponentialRateEstimator
-from repro.sim.engine import PeriodicTask, Simulator
+from repro.sim.engine import EventHandle, PeriodicTask, Simulator
 from repro.sim.monitor import ThroughputMeter
 from repro.sim.node import Router
 from repro.sim.packet import Packet, PacketKind, PacketTrain
@@ -75,6 +75,7 @@ __all__ = ["FlowAttachment", "EdgeRouter", "CoreliteEdge"]
 #: Localized enum members for the per-packet egress tests.
 _DATA = PacketKind.DATA
 _MARKER = PacketKind.MARKER
+_SLOW_START = Phase.SLOW_START
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,7 @@ class _IngressFlow:
         "mux",
         "ext_queue",
         "shaper_drops",
+        "fence",
     )
     #: The flow's shaper, wired by ``EdgeRouter._attach``.
     pacer: PacedSender
@@ -183,6 +185,8 @@ class _IngressFlow:
         self.ext_queue: Optional[deque] = deque() if attachment.external else None
         #: External packets dropped because the shaper buffer was full.
         self.shaper_drops = 0
+        #: The shaper ``fence`` it takes when it leaves slow start (``_epoch``).
+        self.fence: Optional[EventHandle] = None
 
 
 class _EgressFlow:
@@ -286,6 +290,31 @@ class EdgeRouter(Router):
             self._epoch_task = self.sim.every(
                 self.config.edge_epoch, self._epoch, first_delay=self._epoch_offset
             )
+
+    def _release_fence(self, state) -> Optional[EventHandle]:
+        """The shaper ``fence`` of a starting flow (:mod:`repro.core.shaping`,
+        "Releases"): this edge's epoch handle for a scalar, always-backlogged,
+        unaggregated flow that is the only ingress flow of this single-path
+        edge and whose first hop sends ahead (``Link.sends_ahead``); else
+        ``None``.  The flow keeps it as ``state.fence`` and its shaper takes
+        it in the first epoch past slow start: there every flow's rate is the
+        initial rate times a power of two, one float for all, so flows that
+        start on a common grid fire at the same instants, and which of two
+        such first-hop deliveries a core takes first is the order of the
+        firings that sent them, which a release does not keep."""
+        att = state.attachment
+        if (
+            state.backlog is not None
+            or att.aggregate > 1
+            or self.train_batch > 1
+            or self.multipath
+            or len(self._ingress_flows) > 1
+        ):
+            return None
+        link = self.route_for(att.dst_edge)
+        if link is None or not link.sends_ahead():
+            return None
+        return self._epoch_task.handle
 
     def stop_flow(self, flow_id: int) -> None:
         """Stop a flow; its allowed-rate state is discarded on restart."""
@@ -449,6 +478,8 @@ class CoreliteEdge(EdgeRouter):
         state.feedback.clear()
         state.feedback_peak = 0
         state.pacer.set_rate(state.controller.rate)
+        state.pacer.fence = None  # slow start: see ``_release_fence``
+        state.fence = self._release_fence(state)
         state.pacer.start()
 
     def receive_feedback(self, packet: Packet) -> None:
@@ -664,6 +695,8 @@ class CoreliteEdge(EdgeRouter):
                 state.feedback_peak = 0
             new_rate = state.controller.on_epoch(m, now)
             state.pacer.set_rate(new_rate)
+            if state.fence is not None and state.controller.phase is not _SLOW_START:
+                state.pacer.fence, state.fence = state.fence, None
 
     # -- egress role -----------------------------------------------------
 

@@ -18,18 +18,47 @@ Rate changes take effect immediately: the accumulated credit is re-priced
 at the new rate, so a throttled flow cannot burst on credit earned at its
 old, higher rate.
 
-Hot frames: the scalar firing (``_fire``) is one frame per packet — the
+Hot frames: the scalar firing (``_fire``) is one frame per release — the
 float operations of ``_accrue`` and ``_delay_until_token`` in their order,
-the debit and the re-arm through ``Simulator.reschedule`` — and the train
-firing (``_fire_train``) is one frame per train: ``_accrue`` inline, one call
-of the train-delay rule ``_train_delay`` (which does not accrue again), the
-debit and the same re-arm.  Each does only what a result reads: the burst
-clamp and the debit are conditionals with ``min`` / ``max``'s semantics, not
-builtin calls, and no send is counted (an edge's ingress ``seq`` is that
-count).  ``_accrue``, ``_delay_until_token`` and ``_schedule`` remain for
-``set_rate``, ``kick``, ``credit()``, a token that is not yet whole and a
-firing whose emit callback re-armed the shaper, moved the clock or (scalar)
-changed the rate.
+the debit and, last, the re-arm through ``Simulator.reschedule`` — and the
+train firing (``_fire_train``) is one frame per train: ``_accrue`` inline,
+one call of the train-delay rule ``_train_delay`` (which does not accrue
+again), the debit and the same re-arm.  Each does only what a result reads:
+the burst clamp and the debit are conditionals with ``min`` / ``max``'s
+semantics, not builtin calls, and no send is counted (an edge's ingress
+``seq`` is that count).  ``_accrue``, ``_delay_until_token`` and
+``_schedule`` remain for ``set_rate``, ``kick``, ``credit()``, a token that
+is not yet whole and a firing whose emit callback re-armed the shaper, moved
+the clock or (scalar) changed the rate.
+
+Releases
+--------
+A flow's rate changes only when its edge's epoch runs (paper §2.2, step 3),
+so between two epochs an always-backlogged flow's departure times are fixed.
+The scalar ``_fire`` is therefore a loop: after each emission it computes the
+next firing time exactly as the re-arm would, and while that time is
+strictly before the flow's *fence* it runs that firing at once, with the
+simulator's clock set to the firing's instant (restored when the loop
+ends); it then re-arms at the first firing on or past the fence.  The fence
+is the earliest of the edge epoch's next firing (the ``time`` of the epoch
+task's handle, held in ``fence``), the bound of the running ``run`` and the
+next instant registered with ``Simulator.add_fence`` — flow on/off
+transitions, network events and their reroutes — as
+:meth:`~repro.sim.engine.Simulator.fence` gives it.  A shaper whose
+``fence`` is ``None`` runs the loop once: one firing per packet.
+
+Only the edge sets ``fence`` (``EdgeRouter._release_fence``), for a flow
+whose release touches nothing another event reads or writes before the
+fence: the shaper's credit and clock, the flow's rate, injector and ``seq``,
+and a first-hop link and route of its own.  Each packet then leaves at the
+float instant a firing per packet gives it; only its first-hop delivery's
+heap seq is assigned earlier.  That matters only where two deliveries reach
+one node at the same float instant — two flows pacing on one grid, which in
+slow start (every rate the initial rate times a power of two) is the rule
+for flows started on a common grid — so a flow releases only once its
+controller has left slow start.  A ``set_rate``, ``stop`` or ``kick`` that
+lands before the last release is a change the fence did not know about, and
+raises :class:`~repro.errors.SimulationError`.
 
 Train mode (opt-in)
 -------------------
@@ -54,7 +83,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import EventHandle, Simulator
 
 __all__ = ["PacedSender", "TRAIN_HORIZON"]
@@ -87,6 +116,7 @@ class PacedSender:
         "_fire_cb",
         "_train_batch",
         "_train_emit",
+        "fence",
     )
 
     def __init__(
@@ -127,6 +157,9 @@ class PacedSender:
         self._last_emit = -float("inf")
         #: Times the shaper parked because the flow had nothing to send.
         self.idle_parks = 0
+        #: When the scalar firing may release ahead ("Releases"): the handle
+        #: of the task whose next firing may change the rate (the edge's epoch).
+        self.fence: Optional[EventHandle] = None
 
     @property
     def rate(self) -> float:
@@ -155,6 +188,8 @@ class PacedSender:
 
     def stop(self) -> None:
         """Stop shaping; a pending emission is cancelled."""
+        if self._sim.now < self._last_emit:
+            self._refuse()
         self._running = False
         if self._handle is not None:
             self._handle.cancel()
@@ -179,6 +214,8 @@ class PacedSender:
         """
         if rate < 0:
             raise ConfigurationError(f"rate must be >= 0, got {rate}")
+        if self._sim.now < self._last_emit:
+            self._refuse()
         if rate == self._rate:
             return
         now = self._sim.now
@@ -209,6 +246,8 @@ class PacedSender:
         is a send pattern the scalar datapath cannot produce.  Waking
         from a park therefore clamps credit to the scalar idle cap.
         """
+        if self._sim.now < self._last_emit:
+            self._refuse()
         if not self._running or self._handle is not None:
             return
         if self._train_batch > 1:
@@ -218,6 +257,14 @@ class PacedSender:
         self._schedule(self._next_delay())
 
     # -- internals --------------------------------------------------------
+
+    def _refuse(self) -> None:
+        """A change before the last release ("Releases")."""
+        raise SimulationError(
+            f"shaper changed at t={self._sim.now} before its last release at "
+            f"t={self._last_emit}: register the change's instant with "
+            "Simulator.add_fence where it is scheduled"
+        )
 
     def _accrue(self) -> None:
         now = self._sim.now
@@ -284,39 +331,57 @@ class PacedSender:
             self._handle = self._sim.schedule(delay, self._fire_cb)
 
     def _fire(self) -> None:
-        """Scalar firing, one frame per packet (module docstring)."""
+        """Scalar firing: one frame per release, which is one packet when
+        ``fence`` is ``None`` (module docstring)."""
         fired = self._handle
         self._handle = None
         if not self._running:
             return
         sim = self._sim
-        now = sim.now
-        rate = self._rate
-        credit = self._credit
-        if rate > 0 and now > self._last_accrual:
-            credit += (now - self._last_accrual) * rate
-            credit = self._credit = credit if credit < self.burst else self.burst
-        self._last_accrual = now
-        if credit < 1.0 - _TOKEN_EPS:
-            self._schedule(self._delay_until_token(), reuse=fired)
-            return
-        sent = self._emit()
-        if not self._running:
-            return  # the emit callback tore the flow down
-        if sent is False:
-            # Explicitly nothing to send: park until a deposit kicks us.
-            # (None counts as sent so plain callbacks need no return.)
-            self.idle_parks += 1
-            return
-        credit = self._credit = self._credit - 1.0 if self._credit > 1.0 else 0.0
-        self._last_emit = sim.now
-        if self._handle is not None or fired is None or sim.now != now or self._rate != rate:
-            # The callback re-armed the shaper, moved the clock or changed the rate.
-            self._schedule(self._delay_until_token(), reuse=fired)
-        elif credit >= 1.0 - _TOKEN_EPS:
-            self._handle = sim.reschedule(0.0, self._fire_cb, fired)
-        elif rate > 0.0:
-            self._handle = sim.reschedule((1.0 - credit) / rate, self._fire_cb, fired)
+        start = now = sim.now
+        fence = self.fence
+        fence = now if fence is None else sim.fence(fence.time)
+        try:
+            while True:
+                rate = self._rate
+                credit = self._credit
+                if rate > 0 and now > self._last_accrual:
+                    credit += (now - self._last_accrual) * rate
+                    credit = self._credit = credit if credit < self.burst else self.burst
+                self._last_accrual = now
+                if credit < 1.0 - _TOKEN_EPS:
+                    if fired is None or rate <= 0.0:
+                        self._schedule(self._delay_until_token(), reuse=fired)
+                        return
+                    delay = (1.0 - credit) / rate
+                else:
+                    sent = self._emit()
+                    if not self._running:
+                        return  # the emit callback tore the flow down
+                    if sent is False:
+                        # Explicitly nothing to send: park until a deposit kicks
+                        # us.  (None counts as sent so plain callbacks need no return.)
+                        self.idle_parks += 1
+                        return
+                    credit = self._credit = self._credit - 1.0 if self._credit > 1.0 else 0.0
+                    self._last_emit = sim.now
+                    if self._handle is not None or fired is None or sim.now != now or self._rate != rate:
+                        # The callback re-armed the shaper, moved the clock or changed the rate.
+                        self._schedule(self._delay_until_token(), reuse=fired)
+                        return
+                    if credit >= 1.0 - _TOKEN_EPS:
+                        delay = 0.0
+                    elif rate > 0.0:
+                        delay = (1.0 - credit) / rate
+                    else:
+                        return  # dormant until the rate rises
+                time = now + delay
+                if not time < fence:
+                    self._handle = sim.reschedule(delay, self._fire_cb, fired)
+                    return
+                sim.now = now = time  # release the next firing at its instant
+        finally:
+            sim.now = start
 
     def _fire_train(self) -> None:
         """Train-mode firing, one frame per train (module docstring): emit

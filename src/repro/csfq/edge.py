@@ -30,13 +30,13 @@ from __future__ import annotations
 from math import exp
 from typing import Callable, Optional
 
-from repro.core.adaptation import RateController
+from repro.core.adaptation import Phase, RateController
 from repro.core.edge import EdgeRouter, FlowAttachment
 from repro.core.shaping import PacedSender
 from repro.csfq.config import CsfqConfig
 from repro.errors import FlowError, SimulationError
 from repro.sim.delay import DelayTracker
-from repro.sim.engine import Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.estimators import ExponentialRateEstimator
 from repro.sim.monitor import ThroughputMeter
 from repro.sim.packet import Packet, PacketKind
@@ -44,6 +44,7 @@ from repro.sim.packet import Packet, PacketKind
 __all__ = ["CsfqEdge"]
 
 _DATA = PacketKind.DATA
+_SLOW_START = Phase.SLOW_START
 
 #: Ships a LOSS_NOTIFY packet toward the ingress edge named in packet.dst.
 LossChannel = Callable[[Packet], None]
@@ -59,6 +60,7 @@ class _IngressFlow:
         "losses",
         "active",
         "backlog",
+        "fence",
     )
     #: The flow's shaper, wired by ``EdgeRouter._attach``.
     pacer: PacedSender
@@ -77,6 +79,8 @@ class _IngressFlow:
         self.active = False
         #: None = always backlogged; otherwise packets awaiting shaping.
         self.backlog: Optional[int] = None if attachment.backlogged else 0
+        #: The shaper ``fence`` it takes when it leaves slow start (``_epoch``).
+        self.fence: Optional[EventHandle] = None
 
 
 class _EgressFlow:
@@ -136,6 +140,8 @@ class CsfqEdge(EdgeRouter):
         state.estimator.restart(self.sim.now)
         state.losses = 0
         state.pacer.set_rate(state.controller.rate)
+        state.pacer.fence = None  # slow start: see ``EdgeRouter._release_fence``
+        state.fence = self._release_fence(state)
         state.pacer.start()
 
     def receive_loss_notify(self, packet: Packet) -> None:
@@ -190,6 +196,8 @@ class CsfqEdge(EdgeRouter):
             state.losses = 0
             new_rate = state.controller.on_epoch(losses, now)
             state.pacer.set_rate(new_rate)
+            if state.fence is not None and state.controller.phase is not _SLOW_START:
+                state.pacer.fence, state.fence = state.fence, None
 
     # -- egress role -----------------------------------------------------
 

@@ -857,6 +857,7 @@ class Cloud:
         tcp_sender = self.tcp_hosts.get(fid, (None, None))[0]
         for start, stop in spec.schedule:
             if start <= until:
+                self.sim.add_fence(start)  # no shaper release runs past it
                 self.sim.schedule_at(start, ingress.start_flow, fid)
                 for model, deposit, source_rng in generators:
                     self.sim.schedule_at(
@@ -865,6 +866,7 @@ class Cloud:
                 if tcp_sender is not None:
                     self.sim.schedule_at(start, tcp_sender.start)
             if math.isfinite(stop) and stop <= until:
+                self.sim.add_fence(stop)
                 self.sim.schedule_at(stop, ingress.stop_flow, fid)
                 for model, _deposit, _rng in generators:
                     self.sim.schedule_at(stop, model.stop)

@@ -162,6 +162,9 @@ class NetworkDynamics:
         """Arm every event with ``time <= until`` on the simulator."""
         for event in self.events:
             if event.time <= until:
+                # No shaper release runs past the event or its reroute.
+                self.sim.add_fence(event.time)
+                self.sim.add_fence(event.time + self.reroute_latency)
                 self.sim.schedule_at(event.time, self._execute, event)
 
     # -- execution -------------------------------------------------------

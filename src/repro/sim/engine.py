@@ -44,6 +44,20 @@ booked deliveries with ``(due, s) < (T, r)``, and one outside ``run()``
 in :meth:`pending` / :meth:`peek_time`, :meth:`step` steps onto them, a
 draining ``run()`` ends with the clock on the last; ``events_executed``
 does not count them.
+
+Releases
+--------
+One writer of the clock lives outside the run loop: a releasing shaper
+(:mod:`repro.core.shaping`, "Releases").  A flow whose departure times are
+fixed until its next rate change runs the firings it owes before that
+instant at once, with ``now`` set to each firing's instant and restored
+after.  Its bound is :meth:`Simulator.fence`: the earliest of the instant
+it names (its edge's next epoch), the bound of the running :meth:`run` (so
+nothing is released past what a caller reads between runs or windows; a
+:meth:`step` releases nothing) and the next instant registered with
+:meth:`add_fence` at or after ``now``.  Whoever schedules a change to what
+a release touches — a flow's on/off transition, a network event, its
+reroute — registers its instant there as it schedules it.
 """
 
 from __future__ import annotations
@@ -159,6 +173,12 @@ class PeriodicTask:
     def stopped(self) -> bool:
         return self._stopped
 
+    @property
+    def handle(self) -> EventHandle:
+        """The one handle the task re-arms for its lifetime: its ``time`` is
+        the next firing (while the task runs, the current one)."""
+        return self._handle
+
 
 class Simulator:
     """Virtual clock plus event heap.
@@ -179,11 +199,14 @@ class Simulator:
         "events_executed",
         "_cur_seq",
         "_ledgers",
+        "_until",
+        "_fences",
     )
 
     def __init__(self) -> None:
         #: Current virtual time in seconds.  Read-mostly; components must
-        #: never assign it — only the run loop advances the clock.
+        #: never assign it — only the run loop advances the clock, and a
+        #: releasing shaper moves it through a release and back ("Releases").
         self.now = 0.0
         self._heap: List[Any] = []
         self._seq = 0
@@ -197,6 +220,8 @@ class Simulator:
         self.events_executed = 0
         self._cur_seq: float = inf  # seq of the running event ("Ledgers")
         self._ledgers: List[Ledger] = []
+        self._until = -inf  # bound of the running run(), -inf outside ("Releases")
+        self._fences: List[float] = []  # heap of instants from add_fence
 
     # Each scheduler is its past-check, a seq bump and one push, written out
     # in full: one Python frame per event is real money at millions of
@@ -301,6 +326,7 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         stop = inf if until is None else until
+        self._until = stop
         executed = 0
         try:
             while heap:
@@ -320,6 +346,7 @@ class Simulator:
                 self.now = until
         finally:
             self._cur_seq = inf
+            self._until = -inf
             self.events_executed += executed
             self._running = False
 
@@ -415,6 +442,27 @@ class Simulator:
                 continue
             return heap[0]
         return None
+
+    # -- releases (module docstring) --------------------------------------------
+
+    def add_fence(self, time: float) -> None:
+        """Register ``time`` as an instant no release may reach: something
+        scheduled then may change what a release touches."""
+        if not time >= self.now:
+            raise SimulationError(f"cannot fence the past (t={time} < now={self.now})")
+        heapq.heappush(self._fences, time)
+
+    def fence(self, time: float) -> float:
+        """The earliest of ``time``, the bound of the running :meth:`run`
+        and the next instant registered with :meth:`add_fence` at or after
+        ``now``: a release runs only the firings strictly before it."""
+        fences = self._fences
+        now = self.now
+        while fences and fences[0] < now:
+            heapq.heappop(fences)
+        if fences and fences[0] < time:
+            time = fences[0]
+        return time if time < self._until else self._until
 
     # -- ledgers (module docstring) ---------------------------------------------
 

@@ -278,6 +278,19 @@ class Link:
         self._on_backlog = callback
         return True
 
+    def sends_ahead(self) -> bool:
+        """Whether its one sender may send on this link ahead of the clock
+        (:mod:`repro.core.shaping`, "Releases"): a departure-time FIFO,
+        neither tapped nor armed, whose deliveries are events (its far end
+        is no quiet sink), so a send changes nothing another node reads
+        before the delivery's instant."""
+        return (
+            self._send_base.__func__ is Link._send_fast
+            and not self._arrival_taps
+            and not self._delivery_taps
+            and self._sink is None
+        )
+
     # -- dynamics (failure / recovery) ------------------------------------
 
     def enable_dynamics(self) -> None:

@@ -393,18 +393,25 @@ def test_selective_fold_epoch_replays_wav_exactly():
 
 
 #: scheme -> (sim-s, events and link sends allowed per delivered packet, what
-#: they read when the budget was written).  CSFQ's loss-driven sources are
-#: still in slow start at 10 s (1,570 packets, timers dominate); by 30 s the
-#: ratios are those of corebench's 100 s ``csfq_chain4`` (4.74 / 3.58).
+#: they read when the budget was written).  Both run 30 s: a flow releases
+#: its shaper firings only past slow start (``repro.core.shaping``,
+#: "Releases"), which the §4.1 flows leave near 6 s, and CSFQ's loss-driven
+#: sources are still in slow start at 10 s (1,570 packets, timers dominate).
 #: Corelite's event budget was 5.5 (4.9 measured) while a packet's last hop
 #: into its egress edge was an event; it is a ledger entry now
 #: (``repro.sim.link``, "Sinks"), one event less per delivered packet.
 #: CSFQ's was 5.0 (4.75 measured) until its egress booked every in-sequence
-#: delivery too (``CsfqEdge.quiet_for``).
+#: delivery too (``CsfqEdge.quiet_for``).  Both were 4.0 (3.71 / 3.78
+#: measured at 30 s) while every paced packet took a shaper firing of its own.
 CHAIN_BUDGETS = {
-    "corelite": (10.0, 4.0, 3.85, "3.90 / 3.57"),
-    "csfq": (30.0, 4.0, 3.7, "3.78 / 3.58"),
+    "corelite": (30.0, 3.2, 3.85, "2.87 / 3.52"),
+    "csfq": (30.0, 3.0, 3.7, "2.85 / 3.58"),
 }
+
+#: Shaper firings the engine dispatches per delivered packet on the §4.1
+#: chain: 1.01 (Corelite) / 1.04 (CSFQ) with a firing per packet; one per
+#: flow per edge epoch past slow start, 0.173 / 0.116 when this was written.
+CHAIN_FIRING_BUDGET = 0.2
 
 
 def test_paper_chain_event_budget(monkeypatch):
@@ -435,15 +442,24 @@ def _check_chain_event_budget(monkeypatch, scheme):
     fails here with a count instead of somewhere else with a digest
     mismatch.  A last hop into an egress edge is a ledger entry; a CSFQ
     egress takes an event only for a delivery that sends LOSS_NOTIFY and
-    for each flow's first packet (``csfq_chain4`` in corebench).
+    for each flow's first packet (``csfq_chain4`` in corebench).  A flow's
+    shaper fires once per edge epoch, not once per packet.
 
     Deliveries are seen where the datapath cannot bypass them, at the
     receiving node (wrapped before the build: links bind ``receive``): an
     event hands the packet over with no ``at``, the ledger with one."""
     from repro.core.edge import CoreliteEdge
     from repro.core.router import CoreliteCoreRouter
+    from repro.core.shaping import PacedSender
     from repro.csfq.edge import CsfqEdge
     from repro.csfq.router import CsfqCoreRouter
+
+    firings = [0]
+    fire = PacedSender._fire
+
+    def firing(pacer):
+        firings[0] += 1
+        fire(pacer)
 
     wakeups = []
     marker_events = []
@@ -472,6 +488,7 @@ def _check_chain_event_budget(monkeypatch, scheme):
 
         return observing
 
+    monkeypatch.setattr(PacedSender, "_fire", firing)  # bound as each shaper's callback
     monkeypatch.setattr(Simulator, "schedule_at_fast", counting)
     monkeypatch.setattr(CsfqEdge, "_report_loss", reporting)
     for node_class in (CoreliteEdge, CoreliteCoreRouter, CsfqEdge, CsfqCoreRouter):
@@ -500,6 +517,14 @@ def _check_chain_event_budget(monkeypatch, scheme):
     )
     # The per-kind counts come first: each names its regression before the
     # aggregate budgets below can.
+    delivered = sum(record.delivered for record in result.flows.values())
+    assert firings[0] <= CHAIN_FIRING_BUDGET * delivered, (
+        f"{firings[0]} shaper firings dispatched for {delivered} delivered packets "
+        f"= {firings[0] / delivered:.3f} per packet (budget {CHAIN_FIRING_BUDGET}; "
+        "0.173 Corelite / 0.116 CSFQ when this was written, 1.01 / 1.04 with a "
+        "firing per packet): a flow whose rate holds until its next epoch "
+        "releases every packet due before it in one firing"
+    )
     if scheme == "csfq":
         assert len(loss_notifies) > 100  # the workload does lose packets
         assert len(last_hop_events) <= len(loss_notifies) + len(result.flows), (
@@ -525,13 +550,12 @@ def _check_chain_event_budget(monkeypatch, scheme):
             f"{marker_hops} marker hops: a marker aboard its carrier costs no "
             "event, and only a marker parted from a dropped carrier costs one"
         )
-    delivered = sum(record.delivered for record in result.flows.values())
     per_packet = cloud.sim.events_executed / delivered
     assert per_packet <= max_events, (
         f"{cloud.sim.events_executed} events for {delivered} delivered packets "
         f"= {per_packet:.2f} per packet (budget {max_events}; events / sends were "
-        f"{measured} when this was written, ~8 events with a wakeup per gap and "
-        "an event per marker hop)"
+        f"{measured} when this was written, ~3.7 events with a shaper firing per "
+        "packet, ~8 with a wakeup per gap and an event per marker hop)"
     )
     sends_per_packet = len(sends) / delivered
     assert sends_per_packet <= max_sends, (
@@ -543,12 +567,14 @@ def _check_chain_event_budget(monkeypatch, scheme):
 
 
 
-#: Python frames entered per delivered packet while the §4.1 chain runs to
-#: ``CHAIN_BUDGETS``' horizon, seed 0.  Measured 20.73 (Corelite) and 20.89
-#: (CSFQ) when this was written; 27.91 and 28.13 while every core hop ran a
-#: link trampoline and a ``schedule_at_fast`` frame and every last hop a
-#: ledger trampoline (``repro.sim.link``, "Hot path").
-CHAIN_FRAME_BUDGET = 22.0
+#: scheme -> Python frames entered per delivered packet while the §4.1 chain
+#: runs to ``CHAIN_BUDGETS``' horizon, seed 0.  Measured 17.58 (Corelite) and
+#: 19.14 (CSFQ) when this was written; 19.17 and 20.89 with a shaper firing
+#: frame per packet (budget 22 for both), 27.91 (Corelite, then at 10 s) and
+#: 28.13 while every core hop ran a link trampoline and a
+#: ``schedule_at_fast`` frame and every last hop a ledger trampoline
+#: (``repro.sim.link``, "Hot path").
+CHAIN_FRAME_BUDGETS = {"corelite": 18.5, "csfq": 20.0}
 
 
 @pytest.mark.parametrize("scheme", sorted(CHAIN_BUDGETS))
@@ -571,8 +597,10 @@ def test_paper_chain_frame_budget(scheme):
         sys.setprofile(None)
     delivered = sum(record.delivered for record in result.flows.values())
     per_packet = frames / delivered
-    assert per_packet <= CHAIN_FRAME_BUDGET, (
+    budget = CHAIN_FRAME_BUDGETS[scheme]
+    assert per_packet <= budget, (
         f"{frames} Python frames for {delivered} delivered packets = "
-        f"{per_packet:.2f} per packet (budget {CHAIN_FRAME_BUDGET}; 20.73 Corelite / "
-        "20.89 CSFQ when this was written, ~28 with a trampoline per hop)"
+        f"{per_packet:.2f} per packet (budget {budget}; 17.58 Corelite / 19.14 CSFQ "
+        "when this was written, 19.17 / 20.89 with a shaper firing per packet, "
+        "~28 with a trampoline per hop)"
     )

@@ -1,0 +1,356 @@
+"""Shaper releases (``repro.core.shaping``, "Releases"): a flow whose rate is
+fixed until its edge's next epoch runs every firing due before that instant in
+one frame, with the clock set to each firing's instant.
+
+The oracle is the same run with releases off — ``EdgeRouter._release_fence``
+patched to give every flow ``None``, one firing per packet — which must
+produce the contract table's fingerprint, link sends and packet ids exactly.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.aqm.red import RedQueue
+from repro.aqm.wfq import WfqQueue
+from repro.core.adaptation import Phase
+from repro.core.config import CoreliteConfig
+from repro.core.edge import CoreliteEdge, EdgeRouter, FlowAttachment
+from repro.csfq.config import CsfqConfig
+from repro.csfq.edge import CsfqEdge
+from repro.errors import SimulationError
+from repro.experiments.builder import CloudBuilder
+from repro.experiments.topospec import FlowPathSpec, TopologySpec
+from repro.sim.dynamics import NetworkEvent
+from repro.sim.engine import Simulator
+from repro.sim.link import Link
+from repro.sim.node import Node
+from repro.sim.queues import DropTailQueue
+
+from .contract import fingerprint
+
+# -- the oracle -----------------------------------------------------------------
+
+
+def _replay(make, releases, schedule=None):
+    """Build with ``make()``, run, and return (fingerprint, link sends, packet
+    ids, events, fenced flows, result); ``schedule(cloud)`` adds events before
+    the run."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not releases:
+            patch.setattr(EdgeRouter, "_release_fence", lambda edge, state: None)
+        cloud, until = make()
+        cloud.finalize()
+        sends = [0]
+
+        def counted(send):
+            def counting(packet):
+                sends[0] += 1
+                return send(packet)
+
+            return counting
+
+        for link in cloud.topology.links.values():
+            link.send = counted(link.send)
+        if schedule is not None:
+            schedule(cloud)
+        result = cloud.run(until=until)
+    fenced = sum(
+        state.pacer.fence is not None
+        for edge in cloud.edges.values()
+        for state in edge._ingress_flows
+    )
+    return (
+        fingerprint(cloud, result),
+        sends[0],
+        cloud.sim._next_pid,
+        cloud.sim.events_executed,
+        fenced,
+        result,
+    )
+
+
+def _assert_releases_replay(make, schedule=None):
+    released = _replay(make, True, schedule)
+    per_packet = _replay(make, False, schedule)
+    assert released[:3] == per_packet[:3], "releasing ahead moved what the run produced"
+    assert per_packet[4] == 0
+    assert released[4] > 0, "no flow released: the oracle compared nothing"
+    assert released[3] <= per_packet[3]
+
+
+_MESH_PAIRS = (("A", "B"), ("B", "D"), ("A", "C"), ("C", "D"), ("B", "C"))
+
+
+def _spec(shape, cores_n, **kwargs):
+    """A ``TopologySpec`` of ``shape``, its cores and its core-to-core pairs."""
+    if shape == "mesh":
+        return TopologySpec.mesh(**kwargs), ["A", "B", "C", "D"], _MESH_PAIRS
+    cores = [f"C{i}" for i in range(1, cores_n + 1)]
+    if shape == "chain":
+        spec = TopologySpec.chain(cores_n, **kwargs)
+    else:
+        spec = TopologySpec.parking_lot(cores_n - 1, **kwargs)
+    return spec, cores, list(zip(cores, cores[1:]))
+
+
+@st.composite
+def _clouds(draw):
+    scheme = draw(st.sampled_from(("corelite", "csfq")))
+    shape = draw(st.sampled_from(("chain", "parking_lot", "mesh")))
+    cores_n = draw(st.integers(2, 4))
+    _, cores, pairs = _spec(shape, cores_n)
+    flows = []
+    for fid in range(1, draw(st.integers(1, 4)) + 1):
+        ingress, egress = draw(st.permutations(cores))[:2]
+        schedule = ((0.0, float("inf")),)
+        if fid > 1 and draw(st.booleans()):  # flow 1 lives past slow start
+            start = draw(st.integers(0, 30)) / 10
+            stop = start + draw(st.integers(20, 120)) / 10
+            schedule = ((start, stop),)
+            if draw(st.booleans()):
+                schedule += ((stop + draw(st.integers(1, 20)) / 10, float("inf")),)
+        weight = draw(st.sampled_from((0.5, 1.0, 2.0, 3.0)))
+        flows.append(FlowPathSpec(fid, weight, ingress, egress, schedule=schedule))
+    events = ()
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(pairs))
+        down = draw(st.integers(40, 120)) / 10
+        up = down + draw(st.integers(5, 30)) / 10
+        events = (
+            NetworkEvent(time=down, kind="link_down", a=a, b=b),
+            NetworkEvent(time=up, kind="link_up", a=a, b=b),
+        )
+    return scheme, shape, cores_n, tuple(flows), events, draw(st.integers(0, 99))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_clouds())
+def test_releasing_ahead_equals_firing_per_packet(case):
+    """Chain, parking-lot and mesh clouds of either scheme, random weights
+    and on/off schedules on a 0.1 s grid, at most one link failure and its
+    recovery."""
+    scheme, shape, cores_n, flows, events, seed = case
+    spec = _spec(shape, cores_n, events=events)[0]
+
+    def make():
+        builder = CloudBuilder(spec, scheme=scheme, seed=seed)
+        builder.add_flows(flows)
+        return builder.build(), 16.0
+
+    _assert_releases_replay(make)
+
+
+def test_releasing_in_slow_start_would_reorder_ties():
+    """Why a flow releases only past slow start (``EdgeRouter._release_fence``).
+
+    Flows 1 and 2 both pace at the initial rate on the 0.25 s grid, so their
+    packets reach C1 at the same instants.  Per packet, the one whose firing
+    was armed first goes first; a release sends flow 2's ahead of it.  The
+    queue then serves them in the other order: the delays the pair sees move
+    (so the digest does), what was sent, delivered and lost does not."""
+    flows = [
+        FlowPathSpec(1, 0.5, schedule=((2.0, 4.8),)),
+        FlowPathSpec(2, 3.0),
+        FlowPathSpec(3, 2.0),
+    ]
+
+    def make():
+        builder = CloudBuilder(TopologySpec.chain(2), seed=82)
+        builder.add_flows(flows)
+        return builder.build(), 8.0
+
+    def totals(run):
+        return [(r.delivered, r.losses) for r in run[5].flows.values()]
+
+    per_packet = _replay(make, False)
+    assert _replay(make, True)[:3] == per_packet[:3]
+    start_flow = CoreliteEdge.start_flow
+
+    def releasing_at_once(edge, flow_id):
+        start_flow(edge, flow_id)
+        state = edge._ingress_state(flow_id)
+        state.pacer.fence = state.fence
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CoreliteEdge, "start_flow", releasing_at_once)
+        in_slow_start = _replay(make, True)
+    assert in_slow_start[0] != per_packet[0]
+    assert in_slow_start[1:3] == per_packet[1:3]
+    assert totals(in_slow_start) == totals(per_packet)
+
+
+# -- a change the fence missed ------------------------------------------------------
+
+
+def _one_flow():
+    builder = CloudBuilder(TopologySpec.chain(2), scheme="corelite", seed=3)
+    builder.add_flow(FlowPathSpec(1, weight=2.0))
+    return builder.build(), 12.0
+
+
+def _stop_mid_epoch(fenced):
+    """Stop flow 1 half an edge epoch after its 31st epoch (past slow start,
+    which it leaves near 7 s), raw or fenced."""
+
+    def schedule(cloud):
+        edge = cloud.edges[cloud.flows[1].ingress_edge]
+        task = edge._epoch_task
+        at = task.handle.time + 30.5 * task.interval
+        if fenced:
+            cloud.sim.add_fence(at)
+        cloud.sim.schedule_at(at, edge.stop_flow, 1)
+
+    return schedule
+
+
+def test_a_stop_the_fence_missed_raises():
+    """A stop scheduled without registering its instant lands inside a
+    released span: the shaper refuses it instead of going back in time."""
+    with pytest.raises(SimulationError, match="before its last release"):
+        _replay(_one_flow, True, _stop_mid_epoch(fenced=False))
+
+
+def test_a_fenced_stop_replays_per_packet():
+    _assert_releases_replay(_one_flow, _stop_mid_epoch(fenced=True))
+
+
+def test_a_rate_change_before_the_last_release_raises():
+    cloud, _ = _one_flow()
+    cloud.run(until=1.0)
+    edge = cloud.edges[cloud.flows[1].ingress_edge]
+    pacer = edge._ingress_state(1).pacer
+    pacer._last_emit = cloud.sim.now + 0.01  # as if released past now
+    for change in (lambda: pacer.set_rate(1.0), pacer.stop, pacer.kick):
+        with pytest.raises(SimulationError, match="before its last release"):
+            change()
+
+
+# -- which flows release ------------------------------------------------------------
+
+
+class _Core(Node):
+    def receive(self, packet, link):
+        pass
+
+
+def _rig(edge_cls=CoreliteEdge, queue=None, far_end=None, **edge_kwargs):
+    sim = Simulator()
+    config = CsfqConfig() if edge_cls is CsfqEdge else CoreliteConfig()
+    edge = edge_cls("Ein1", sim, config, **edge_kwargs)
+    queue = DropTailQueue(100) if queue is None else queue
+    link = Link(sim, "Ein1->C1", "Ein1", far_end or _Core("C1"), 1_000.0, 0.01, queue)
+    edge.set_route("Eout1", link)
+    return sim, edge, link
+
+
+def _fence_of(edge, flow_id=1):
+    """What ``_release_fence`` gave the flow when it started."""
+    return edge._ingress_state(flow_id).fence
+
+
+@pytest.mark.parametrize("edge_cls", [CoreliteEdge, CsfqEdge], ids=["corelite", "csfq"])
+def test_a_lone_backlogged_flow_releases_once_past_slow_start(edge_cls):
+    sim, edge, _ = _rig(edge_cls)
+    edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
+    edge.start_flow(1)
+    state = edge._ingress_state(1)
+    handle = edge._epoch_task.handle
+    assert state.fence is handle and state.pacer.fence is None
+    while state.controller.phase is Phase.SLOW_START:
+        sim.run(until=sim.now + edge.config.edge_epoch)
+    sim.run(until=sim.now + edge.config.edge_epoch)
+    assert state.pacer.fence is handle and state.fence is None
+    edge.stop_flow(1)
+    edge.start_flow(1)  # a restart is in slow start again
+    assert state.fence is handle and state.pacer.fence is None
+
+
+def _two_ingress_flows(edge, link):
+    edge.attach_flow(FlowAttachment(2, 1.0, "Eout1"))
+    edge.start_flow(2)
+    assert _fence_of(edge, 2) is None
+
+
+@pytest.mark.parametrize(
+    "rig, setup",
+    [
+        ({}, _two_ingress_flows),
+        ({"queue": RedQueue(capacity=40.0)}, None),
+        ({"queue": WfqQueue(capacity=40.0)}, None),
+        ({}, lambda edge, link: link.add_arrival_tap(lambda packet, now: None)),
+        ({}, lambda edge, link: link.add_delivery_tap(lambda packet, now: None)),
+        ({}, lambda edge, link: link.enable_dynamics()),
+        ({"train_batch": 8}, None),
+        ({"far_end": CoreliteEdge("Eout1", Simulator(), CoreliteConfig())}, None),
+    ],
+    ids=[
+        "two-ingress-flows",
+        "red-first-hop",
+        "wfq-first-hop",
+        "arrival-tapped-first-hop",
+        "delivery-tapped-first-hop",
+        "armed-first-hop",
+        "train-batch-8",
+        "first-hop-into-a-sink",
+    ],
+)
+def test_no_fence_where_a_release_could_be_seen(rig, setup):
+    sim, edge, link = _rig(**rig)
+    edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
+    if setup is not None:
+        setup(edge, link)
+    edge.start_flow(1)
+    assert _fence_of(edge) is None
+
+
+@pytest.mark.parametrize(
+    "attachment",
+    [
+        FlowAttachment(1, 1.0, "Eout1", backlogged=False),
+        FlowAttachment(1, 1.0, "Eout1", backlogged=False, external=True),
+        FlowAttachment(1, 2.0, "Eout1", aggregate=2),
+    ],
+    ids=["sourced", "host-fed", "aggregate"],
+)
+def test_no_fence_for_a_flow_that_is_not_plainly_backlogged(attachment):
+    _, edge, _ = _rig()
+    edge.attach_flow(attachment)
+    edge.start_flow(1)
+    assert _fence_of(edge) is None
+
+
+# -- the engine's side ----------------------------------------------------------------
+
+
+def test_no_release_passes_the_run_bound_or_a_step():
+    sim, edge, link = _rig()
+    sent = []
+    link.add_arrival_tap(lambda packet, now: sent.append(now))  # no fence now
+    edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
+    edge.start_flow(1)
+    edge._ingress_state(1).pacer.fence = edge._epoch_task.handle  # release anyway
+    sim.run(until=1.0)
+    assert sent and max(sent) <= 1.0 == sim.now
+    count = len(sent)
+    while sim.step() and sim.now < 1.5:
+        assert len(sent) - count <= 1  # a step runs one firing
+        count = len(sent)
+
+
+def test_fence_is_the_earliest_of_the_bound_the_registry_and_the_task():
+    sim = Simulator()
+    sim.add_fence(3.0)
+    sim.add_fence(1.0)
+    with pytest.raises(SimulationError):
+        sim.add_fence(float("nan"))
+    assert sim.fence(2.0) == -float("inf")  # outside run(): no release at all
+    seen = []
+    sim.schedule_at(0.5, lambda: seen.append(sim.fence(2.0)))
+    sim.schedule_at(1.5, lambda: seen.append(sim.fence(2.0)))
+    sim.schedule_at(2.5, lambda: seen.append(sim.fence(9.0)))
+    sim.schedule_at(3.0, lambda: seen.append(sim.fence(9.0)))
+    sim.run(until=4.0)
+    assert seen == [1.0, 2.0, 3.0, 3.0]
+    with pytest.raises(SimulationError):
+        sim.add_fence(3.5)
