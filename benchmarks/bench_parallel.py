@@ -40,7 +40,7 @@ def _sweep_spec() -> ScenarioSpec:
         scenario={
             "scheme": "corelite",
             "duration": DURATION,
-            "network": {"num_cores": 2},
+            "topology": {"kind": "chain", "num_cores": 2},
             "flows": [
                 {"id": i, "weight": float((i + 1) // 2)}
                 for i in range(1, NUM_FLOWS + 1)

@@ -18,7 +18,7 @@ SCENARIO = {
     "scheme": "corelite",
     "seed": 2,
     "duration": 150.0,
-    "network": {"num_cores": 2, "core_capacity_pps": 500.0},
+    "topology": {"kind": "chain", "num_cores": 2, "capacity_pps": 500.0},
     "config": {"edge_epoch": 0.3},
     "flows": [
         {"id": 1, "weight": 2.0},

@@ -29,7 +29,6 @@ from repro.core.cache_feedback import MarkerCacheFeedback
 from repro.core.config import CoreliteConfig, FeedbackScheme
 from repro.core.congestion import (
     CongestionDetector,
-    CongestionEstimator,
     LinearCongestionEstimator,
     Mm1CongestionEstimator,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "RateController",
     "Phase",
     "CongestionDetector",
-    "CongestionEstimator",
     "Mm1CongestionEstimator",
     "LinearCongestionEstimator",
     "MarkerCacheFeedback",

@@ -26,7 +26,11 @@ from enum import Enum
 from repro.core.config import EdgeConfig
 from repro.errors import ConfigurationError
 
-__all__ = ["Phase", "RateController"]
+__all__ = ["INITIAL_RATE", "Phase", "RateController"]
+
+#: Rate at which a freshly (re)started flow begins slow-start, pkt/s:
+#: chosen (the paper gives none).
+INITIAL_RATE = 1.0
 
 
 class Phase(Enum):
@@ -77,7 +81,7 @@ class RateController:
         *aggregate bucket* of N identical flows: the bucket must probe N
         times faster (alpha_scale=N — each member still sees +alpha per
         epoch) and start/cap at N times the per-flow rate (rate_scale=N
-        scales ``initial_rate`` and the ``max_rate`` ceiling).  ``beta``
+        scales :data:`INITIAL_RATE` and the ``max_rate`` ceiling).  ``beta``
         is NOT scaled: feedback arrives in proportion to the bucket's
         total normalized rate, so the multiplicative decrease already
         scales with N through the feedback count itself.  The defaults
@@ -94,7 +98,7 @@ class RateController:
             raise ConfigurationError(f"min_rate must be >= 0, got {self.min_rate}")
         self._alpha_scale = alpha_scale
         self._rate_scale = rate_scale
-        self.rate = max(config.initial_rate * rate_scale, self.min_rate)
+        self.rate = max(INITIAL_RATE * rate_scale, self.min_rate)
         self.phase = Phase.SLOW_START
         self._last_double = start_time
         self.increases = 0
@@ -104,7 +108,7 @@ class RateController:
 
     def restart(self, now: float) -> None:
         """Reset to a fresh slow-start (a flow re-entering the network)."""
-        self.rate = max(self.config.initial_rate * self._rate_scale, self.min_rate)
+        self.rate = max(INITIAL_RATE * self._rate_scale, self.min_rate)
         self.phase = Phase.SLOW_START
         self._last_double = now
 

@@ -22,7 +22,11 @@ from typing import Callable, Deque, Tuple
 from repro.errors import ConfigurationError
 from repro.sim.rng import RngSource
 
-__all__ = ["MarkerCacheFeedback"]
+__all__ = ["MARKER_CACHE_SIZE", "MarkerCacheFeedback"]
+
+#: Markers a core's cache holds per output link: chosen (the paper gives
+#: no size); it bounds the cache variant's state (claim row STATE).
+MARKER_CACHE_SIZE = 128
 
 #: (flow_id, origin_edge, label) — everything needed to echo a marker.
 CachedMarker = Tuple[int, str, float]

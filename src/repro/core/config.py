@@ -1,12 +1,14 @@
 """Corelite configuration.
 
 All constants named in the paper's evaluation (§4) are defaults here:
-``K1 = 1``, ``alpha = beta = 1``, queue capacity 40 packets, congestion
-threshold ``qthresh = 8`` packets, 100 ms epochs, slow-start threshold
-32 pkt/s.  Constants the paper leaves unspecified (marker-cache size, the
-``rav``/``wav`` running-average gains, the ``Fn`` self-correction constant
-``k``) are documented fields with sensible defaults and are swept by the
-ablation benchmarks.
+``K1 = 1``, ``alpha = beta = 1``, congestion threshold ``qthresh = 8``
+packets, 100 ms epochs, slow-start threshold 32 pkt/s.  The buffer size
+(40 packets) belongs to the topology (``TopologySpec.queue_capacity``).
+Of the constants the paper leaves unspecified, only the ``Fn``
+self-correction ``k`` is a field (the ABL-K ablation sweeps it); the
+others (marker-cache size, the ``rav``/``wav`` running-average gains, the
+initial slow-start rate, the linear detector's gain) are module constants
+at their one reader, listed in docs/PARAMETERS.md.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class FeedbackScheme(Enum):
 @dataclass
 class EdgeConfig:
     """What the edge of either scheme is configured by: the source agents'
-    slow-start + LIMD constants, the shaper and the buffer size.  The paper
+    slow-start + LIMD constants and the shaper.  The paper
     uses "similar rate adaptation schemes" for Corelite and CSFQ (§4), so
     :class:`CoreliteConfig` and :class:`repro.csfq.config.CsfqConfig` inherit
     these fields and :class:`repro.core.adaptation.RateController` reads
@@ -59,16 +61,12 @@ class EdgeConfig:
         pressure (``alpha * flows / edge_epoch``) outrun the feedback
         loop's authority and produce limit-cycle buffer overruns; the
         ABL-EPOCH ablation sweeps this.
-    queue_capacity:
-        Output buffer size in packets (paper §4: 40).
     ss_thresh:
         Slow-start exit threshold in pkt/s (paper §4: 32): when the doubled
         rate exceeds it, the rate is halved and the flow goes linear.
     ss_double_interval:
         Slow-start doubling period in seconds (paper: "doubling the sending
         rate every second").
-    initial_rate:
-        Rate at which a freshly (re)started flow begins slow-start, pkt/s.
     min_rate:
         Floor on the allowed rate; the paper's ``max(0, ...)`` corresponds
         to ``0.0``.  A small positive floor keeps a fully throttled flow
@@ -85,18 +83,16 @@ class EdgeConfig:
     alpha: float = 1.0
     beta: float = 1.0
     edge_epoch: float = 0.3
-    queue_capacity: float = 40.0
     ss_thresh: float = 32.0
     ss_double_interval: float = 1.0
-    initial_rate: float = 1.0
     min_rate: float = 0.0
     max_rate: float = math.inf
     shaper_burst: float = 1.0
 
     def __post_init__(self) -> None:
         self._require_positive(
-            "alpha", "beta", "edge_epoch", "queue_capacity", "ss_thresh",
-            "ss_double_interval", "initial_rate", "max_rate",
+            "alpha", "beta", "edge_epoch", "ss_thresh", "ss_double_interval",
+            "max_rate",
         )
         if not 0.0 <= self.min_rate < math.inf:
             raise ConfigurationError(f"min_rate must be finite and >= 0, got {self.min_rate}")
@@ -119,7 +115,7 @@ class EdgeConfig:
 @dataclass
 class CoreliteConfig(EdgeConfig):
     """Tunables for the Corelite edge and core mechanisms (the edge's
-    adaptation, shaper and buffer fields are :class:`EdgeConfig`'s).
+    adaptation and shaper fields are :class:`EdgeConfig`'s).
 
     Attributes
     ----------
@@ -130,20 +126,14 @@ class CoreliteConfig(EdgeConfig):
         Core congestion-detection period in seconds (paper §4: 100 ms).
     qthresh:
         Incipient-congestion threshold on the epoch-averaged queue length,
-        in packets (paper §4: 8).
+        in packets (paper §4: 8); it must lie below every Corelite link's
+        buffer.
     fn_k:
         The "small but non-zero" self-correcting constant ``k`` multiplying
         ``(qavg - qthresh)^3`` in the ``Fn`` formula (§3.1).  ``0`` disables
         the correction term (ablated in ABL-K).
     feedback_scheme:
         Which marker-selection mechanism the core routers run.
-    marker_cache_size:
-        Circular marker-cache capacity (MARKER_CACHE scheme only).
-    rav_gain:
-        Gain of the exponential running average of marker labels (``rav``,
-        SELECTIVE scheme).  Per-marker update ``rav += gain * (rn - rav)``.
-    wav_gain:
-        Gain of the running average of markers observed per epoch (``wav``).
     """
 
     k1: float = 1.0
@@ -151,34 +141,17 @@ class CoreliteConfig(EdgeConfig):
     qthresh: float = 8.0
     fn_k: float = 0.02
     feedback_scheme: FeedbackScheme = FeedbackScheme.SELECTIVE
-    marker_cache_size: int = 128
-    rav_gain: float = 0.05
-    wav_gain: float = 0.25
     #: Which congestion-detection formula the cores run: "mm1" (the
     #: paper's §3.1 M/M/1 + cubic) or "linear" (Fn = gain*(qavg-qthresh),
     #: the §3.1 "replaceable module" demonstration).
     congestion_estimator: str = "mm1"
-    #: Marker gain of the linear estimator (markers per excess packet).
-    linear_gain: float = 1.0
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self._require_positive("k1", "core_epoch", "linear_gain")
+        self._require_positive("k1", "core_epoch")
         for name, value in (("qthresh", self.qthresh), ("fn_k", self.fn_k)):
             if not 0.0 <= value < math.inf:
                 raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
-        if not self.qthresh < self.queue_capacity:
-            raise ConfigurationError(
-                f"qthresh ({self.qthresh}) must be below queue_capacity "
-                f"({self.queue_capacity}) or congestion is detected only at loss"
-            )
-        if not 1 <= self.marker_cache_size < math.inf:
-            raise ConfigurationError(
-                f"marker_cache_size must be >= 1, got {self.marker_cache_size}"
-            )
-        for name, gain in (("rav_gain", self.rav_gain), ("wav_gain", self.wav_gain)):
-            if not 0.0 < gain <= 1.0:
-                raise ConfigurationError(f"{name} must be in (0, 1], got {gain}")
         if self.congestion_estimator not in ("mm1", "linear"):
             raise ConfigurationError(
                 f"congestion_estimator must be 'mm1' or 'linear', "

@@ -28,11 +28,14 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "CongestionDetector",
-    "CongestionEstimator",
     "Mm1CongestionEstimator",
     "LinearCongestionEstimator",
     "make_estimator",
 ]
+
+#: Markers per excess packet of :class:`LinearCongestionEstimator`:
+#: chosen (the linear detector is ours, not the paper's).
+LINEAR_GAIN = 1.0
 
 
 class CongestionDetector:
@@ -109,7 +112,7 @@ class Mm1CongestionEstimator(CongestionDetector):
 class LinearCongestionEstimator(CongestionDetector):
     """A drop-in replacement detector: markers linear in the excess queue.
 
-    ``Fn = gain * (qavg - qthresh)`` — no traffic model at all.  Exists to
+    ``Fn = LINEAR_GAIN * (qavg - qthresh)`` — no traffic model at all.  Exists to
     demonstrate §3.1's modularity claim: swapping the estimator leaves
     shaping, marking, selection and adaptation untouched, and the system
     still converges to weighted fairness (ABL-ESTIMATOR), with somewhat
@@ -124,11 +127,8 @@ class LinearCongestionEstimator(CongestionDetector):
         cfg = self.config
         if qavg <= cfg.qthresh:
             return 0.0
-        return cfg.linear_gain * (qavg - cfg.qthresh)
+        return LINEAR_GAIN * (qavg - cfg.qthresh)
 
-
-#: Backward-compatible name for the paper's default detector.
-CongestionEstimator = Mm1CongestionEstimator
 
 _ESTIMATORS = {
     "mm1": Mm1CongestionEstimator,

@@ -8,7 +8,7 @@ Once per congestion epoch, each Corelite-enabled output link:
 
 1. reads the epoch's time-averaged queue length ``qavg`` and resets the
    averaging window,
-2. asks the :class:`~repro.core.congestion.CongestionEstimator` for the
+2. asks the :class:`~repro.core.congestion.CongestionDetector` for the
    number of feedback markers ``Fn`` (0 when ``qavg <= qthresh``),
 3. hands ``Fn`` to the marker-selection mechanism — the marker cache sends
    feedback immediately from its history; the selective scheme arms its
@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.core.cache_feedback import MarkerCacheFeedback
+from repro.core.cache_feedback import MARKER_CACHE_SIZE, MarkerCacheFeedback
 from repro.core.config import CoreliteConfig, FeedbackScheme
 from repro.core.congestion import CongestionDetector, make_estimator
 from repro.core.selective_feedback import SelectiveFeedback
@@ -131,6 +131,12 @@ class CoreliteCoreRouter(Router):
             )
         if link.name in self._machinery:
             raise ConfigurationError(f"{self.name}: {link.name} already enabled")
+        if not self.config.qthresh < link.queue.capacity:
+            raise ConfigurationError(
+                f"{self.name}: qthresh ({self.config.qthresh}) must be below "
+                f"{link.name}'s queue capacity ({link.queue.capacity}) or "
+                "congestion is detected only at loss"
+            )
         estimator = make_estimator(self.config, link.bandwidth_pps)
         emit = self._make_emitter(link.name)
         selector: Selector
@@ -139,13 +145,12 @@ class CoreliteCoreRouter(Router):
         # third of a dense cloud's ``RngRegistry.stream`` calls.
         if self.config.feedback_scheme is FeedbackScheme.MARKER_CACHE:
             selector = MarkerCacheFeedback(
-                self.config.marker_cache_size,
+                MARKER_CACHE_SIZE,
                 partial(self._rng.stream, f"cache:{link.name}"),
                 emit,
             )
         else:
             selector = SelectiveFeedback(
-                self.config,
                 partial(self._rng.stream, f"selective:{link.name}"),
                 emit,
             )
@@ -181,7 +186,7 @@ class CoreliteCoreRouter(Router):
         for machinery in self._machinery.values():
             selector = machinery.selector
             if isinstance(selector, MarkerCacheFeedback):
-                total += len(selector)  # bounded by marker_cache_size
+                total += len(selector)  # bounded by MARKER_CACHE_SIZE
         return total
 
     def enabled_links(self) -> Tuple[str, ...]:

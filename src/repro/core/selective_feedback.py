@@ -36,7 +36,6 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from repro.core.config import CoreliteConfig
 from repro.errors import ConfigurationError
 from repro.sim.rng import RngSource
 
@@ -44,12 +43,18 @@ __all__ = ["SelectiveFeedback"]
 
 EmitFeedback = Callable[[int, str, float], None]
 
+#: Gain of the exponential running average of marker labels (``rav``): per
+#: marker, ``rav += RAV_GAIN * (rn - rav)``.  Chosen; the paper says only
+#: "running average".
+RAV_GAIN = 0.05
+#: Gain of the running average of markers observed per epoch (``wav``): chosen.
+WAV_GAIN = 0.25
+
 
 class SelectiveFeedback:
     """Per-output-link selective marker feedback state machine."""
 
     __slots__ = (
-        "config",
         "_rng",
         "_take_rng",
         "_emit",
@@ -63,8 +68,7 @@ class SelectiveFeedback:
         "swaps",
     )
 
-    def __init__(self, config: CoreliteConfig, rng: RngSource, emit: EmitFeedback) -> None:
-        self.config = config
+    def __init__(self, rng: RngSource, emit: EmitFeedback) -> None:
         if isinstance(rng, random.Random):
             self._rng, self._take_rng = rng, None
         else:
@@ -93,7 +97,6 @@ class SelectiveFeedback:
             seen = self.markers_seen
             self.markers_seen = seen + count
             self._epoch_marker_count += count
-            gain = self.config.rav_gain
             rav = self.rav
             pw = self.pw
             draw = None
@@ -104,7 +107,7 @@ class SelectiveFeedback:
                 draw = rng.random
             for _ in range(count):
                 if seen:
-                    rav += gain * (label - rav)
+                    rav += RAV_GAIN * (label - rav)
                 else:
                     rav, seen = label, 1
                 if draw is None:
@@ -128,7 +131,7 @@ class SelectiveFeedback:
         if self.markers_seen == 1:
             self.rav = label
         else:
-            self.rav += self.config.rav_gain * (label - self.rav)
+            self.rav += RAV_GAIN * (label - self.rav)
         if self.pw <= 0.0:
             return
         rng = self._rng
@@ -150,11 +153,10 @@ class SelectiveFeedback:
         arm the selection probability ``pw = Fn / wav`` for the next epoch."""
         if n_markers < 0:
             raise ConfigurationError(f"n_markers must be >= 0, got {n_markers}")
-        gain = self.config.wav_gain
         if self.wav == 0.0:
             self.wav = float(self._epoch_marker_count)
         else:
-            self.wav += gain * (self._epoch_marker_count - self.wav)
+            self.wav += WAV_GAIN * (self._epoch_marker_count - self.wav)
         self._epoch_marker_count = 0
         self.deficit = 0
         if n_markers > 0 and self.wav > 0.0:
@@ -177,7 +179,7 @@ class SelectiveFeedback:
         if self.wav == 0.0:
             self.wav = float(count)
         else:
-            self.wav += self.config.wav_gain * (count - self.wav)
+            self.wav += WAV_GAIN * (count - self.wav)
         self._epoch_marker_count -= count
 
     def _send(self, flow_id: int, origin_edge: str, label: float) -> None:

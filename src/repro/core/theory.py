@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.core.adaptation import INITIAL_RATE
 from repro.core.config import CoreliteConfig
 from repro.errors import ConfigurationError
 
@@ -42,10 +43,10 @@ def slow_start_exit(config: CoreliteConfig, weight: float) -> Tuple[float, float
     """When and at what rate a feedback-free slow-start flow goes linear.
 
     Returns ``(exit_time_after_start, exit_rate)``.  The controller
-    doubles from ``initial_rate`` until the *normalized* rate exceeds
-    ``ss_thresh``, then halves — so the exit normalized rate lands in
-    ``(ss_thresh/2, ss_thresh]`` depending on where the powers of two
-    fall for the flow's weight.  Doubling is evaluated only at edge-epoch
+    doubles from :data:`~repro.core.adaptation.INITIAL_RATE` until the
+    *normalized* rate exceeds ``ss_thresh``, then halves — so the exit
+    normalized rate lands in ``(ss_thresh/2, ss_thresh]`` depending on
+    where the powers of two fall for the flow's weight.  Doubling is evaluated only at edge-epoch
     ticks, so the effective doubling period is ``ss_double_interval``
     rounded up to a whole number of epochs.
     """
@@ -53,7 +54,7 @@ def slow_start_exit(config: CoreliteConfig, weight: float) -> Tuple[float, float
         raise ConfigurationError(f"weight must be positive, got {weight}")
     epochs_per_double = math.ceil(config.ss_double_interval / config.edge_epoch)
     double_period = epochs_per_double * config.edge_epoch
-    rate = max(config.initial_rate, config.min_rate)
+    rate = max(INITIAL_RATE, config.min_rate)
     doubles = 0
     # The doubled rate is also clamped by max_rate, which can end the
     # phase early (the normalized threshold is then never crossed).

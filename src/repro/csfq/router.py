@@ -44,6 +44,13 @@ __all__ = ["CsfqCoreRouter", "CsfqLinkState"]
 
 _DATA = PacketKind.DATA
 
+#: Averaging constant of the aggregate arrival (``A``) and accepted (``F``)
+#: rate estimators, seconds: chosen, the same order as ``K`` and ``Klink``.
+K_ALPHA = 0.1
+#: Factor ``alpha`` is multiplied by when the buffer overflows despite the
+#: probabilistic filter (SIGCOMM'98: "a small fixed percentage").
+OVERFLOW_ALPHA_DECAY = 0.99
+
 
 class CsfqLinkState:
     """Aggregate (flow-stateless) CSFQ state for one output link.
@@ -56,7 +63,6 @@ class CsfqLinkState:
     __slots__ = (
         "link",
         "capacity",
-        "k",
         "arrival_rate",
         "arrival_time",
         "arrival_pending",
@@ -72,10 +78,9 @@ class CsfqLinkState:
         "coin",
     )
 
-    def __init__(self, link: Link, config: CsfqConfig, now: float) -> None:
+    def __init__(self, link: Link, now: float) -> None:
         self.link = link
         self.capacity = link.bandwidth_pps
-        self.k = config.k_alpha
         self.arrival_rate = self.accepted_rate = 0.0
         self.arrival_time = self.accepted_time = now
         self.arrival_pending = self.accepted_pending = 0.0
@@ -112,7 +117,7 @@ class CsfqCoreRouter(Router):
             )
         if link.name in self._states:
             raise ConfigurationError(f"{self.name}: {link.name} already enabled")
-        state = CsfqLinkState(link, self.config, self.sim.now)
+        state = CsfqLinkState(link, self.sim.now)
         self._states[link.name] = state
         return state
 
@@ -164,7 +169,7 @@ class CsfqCoreRouter(Router):
         clock = state.arrival_time
         gap = now - clock
         if gap > 0.0:
-            weight = exp(-gap / state.k)
+            weight = exp(-gap / K_ALPHA)
             load = state.arrival_pending + size
             state.arrival_pending = 0.0
             state.arrival_time = now
@@ -181,7 +186,7 @@ class CsfqCoreRouter(Router):
         if not dropped:
             if state.accepted_time != clock:
                 gap = now - state.accepted_time
-                weight = exp(-gap / state.k)
+                weight = exp(-gap / K_ALPHA)
             if gap > 0.0:
                 load = state.accepted_pending + size
                 state.accepted_pending = 0.0
@@ -222,4 +227,4 @@ class CsfqCoreRouter(Router):
         if not out_link.send(packet):
             # Buffer overflow: the filter was too permissive -> shrink alpha.
             state.overflow_drops += 1
-            state.alpha *= self.config.overflow_alpha_decay
+            state.alpha *= OVERFLOW_ALPHA_DECAY

@@ -106,7 +106,6 @@ class SchemeStrategy:
         config = cloud.config
         if config is None:
             return
-        config.queue_capacity = cloud.queue_capacity
         config.max_rate = min(config.max_rate, cloud.access_capacity_pps)
         config.__post_init__()  # re-validate after the in-place clamp
 
@@ -454,11 +453,11 @@ class Cloud:
         strategy.bind(self)
         self.scheme = strategy.scheme
         self.vectorized = vectorized
-        if train_batch < 1:
+        if type(train_batch) is not int or train_batch < 1:
             raise ConfigurationError(
-                f"train_batch must be >= 1, got {train_batch}"
+                f"train_batch must be a positive integer, got {train_batch!r}"
             )
-        self.train_batch = int(train_batch)
+        self.train_batch = train_batch
         #: Partition runtime when this cloud is one domain of a
         #: partitioned run; ``None`` for the serial build.
         self.partition = partition
@@ -483,7 +482,6 @@ class Cloud:
             self.control = partition.make_control_plane(self)
         self.access_capacity_pps = spec.access_capacity_pps
         self.prop_delay = spec.access_prop_delay
-        self.queue_capacity = spec.queue_capacity
         self.core_names: List[str] = list(spec.cores)
         self.edges: Dict[str, object] = {}
         self.flows: Dict[int, FlowPathSpec] = {}

@@ -21,10 +21,8 @@ FIG9/10  §4.3 — same but each flow lives 60 s, stops, restarts 5 s
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.core.config import CoreliteConfig
-from repro.csfq.config import CsfqConfig
 from repro.errors import ConfigurationError
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.runner import RunResult
@@ -87,7 +85,6 @@ def figure3_4(
     scale: float = 1.0,
     seed: int = 0,
     sample_interval: float = 1.0,
-    config: Optional[CoreliteConfig] = None,
 ) -> Fig34Result:
     """Figures 3 ("Instantaneous Rate") and 4 ("Cumulative Service").
 
@@ -96,7 +93,7 @@ def figure3_4(
     """
     schedules = fig3_schedule(scale)
     specs = topology1_flows(WEIGHTS_41, schedules)
-    builder = CloudBuilder(TopologySpec.chain(4), "corelite", seed=seed, config=config)
+    builder = CloudBuilder(TopologySpec.chain(4), "corelite", seed=seed)
     duration = 800.0 * scale
     result = builder.add_flows(specs).run(until=duration, sample_interval=sample_interval)
 
@@ -118,18 +115,16 @@ def _compare(
     num_cores: int,
     flows: Sequence[FlowSpec],
     seed: int,
-    corelite_config: Optional[CoreliteConfig],
-    csfq_config: Optional[CsfqConfig],
     duration: float,
     sample_interval: float,
     expected_at: float,
 ) -> ComparisonResult:
     """The same chain and flows under Corelite, then under CSFQ."""
     corelite, csfq = [
-        CloudBuilder(TopologySpec.chain(num_cores), scheme, seed=seed, config=config)
+        CloudBuilder(TopologySpec.chain(num_cores), scheme, seed=seed)
         .add_flows(flows)
         .run(until=duration, sample_interval=sample_interval)
-        for scheme, config in (("corelite", corelite_config), ("csfq", csfq_config))
+        for scheme in ("corelite", "csfq")
     ]
     return ComparisonResult(
         corelite=corelite,
@@ -143,13 +138,11 @@ def figure5_6(
     num_flows: int = 10,
     seed: int = 0,
     sample_interval: float = 1.0,
-    corelite_config: Optional[CoreliteConfig] = None,
-    csfq_config: Optional[CsfqConfig] = None,
 ) -> ComparisonResult:
     """Figures 5/6: simultaneous startup of 10 flows, weight ceil(i/2)."""
     return _compare(
-        2, startup_flows(num_flows), seed, corelite_config, csfq_config,
-        duration, sample_interval, expected_at=duration / 2,
+        2, startup_flows(num_flows), seed, duration, sample_interval,
+        expected_at=duration / 2,
     )
 
 
@@ -158,15 +151,12 @@ def figure7_8(
     gap: float = 1.0,
     seed: int = 0,
     sample_interval: float = 1.0,
-    corelite_config: Optional[CoreliteConfig] = None,
-    csfq_config: Optional[CsfqConfig] = None,
 ) -> ComparisonResult:
     """Figures 7/8: 20 Topology-1 flows entering ``gap`` seconds apart."""
     schedules = staggered_schedule(num_flows=20, gap=gap)
     specs = topology1_flows(WEIGHTS_43, schedules)
     return _compare(
-        4, specs, seed, corelite_config, csfq_config,
-        duration, sample_interval, expected_at=duration - 1.0,
+        4, specs, seed, duration, sample_interval, expected_at=duration - 1.0,
     )
 
 
@@ -177,8 +167,6 @@ def figure9_10(
     restart_after: float = 5.0,
     seed: int = 0,
     sample_interval: float = 1.0,
-    corelite_config: Optional[CoreliteConfig] = None,
-    csfq_config: Optional[CsfqConfig] = None,
 ) -> ComparisonResult:
     """Figures 9/10: the §4.3 churn — live 60 s, stop, restart 5 s later."""
     schedules = churn_schedule(
@@ -186,6 +174,5 @@ def figure9_10(
     )
     specs = topology1_flows(WEIGHTS_43, schedules)
     return _compare(
-        4, specs, seed, corelite_config, csfq_config,
-        duration, sample_interval, expected_at=duration - 1.0,
+        4, specs, seed, duration, sample_interval, expected_at=duration - 1.0,
     )

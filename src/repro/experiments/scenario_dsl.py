@@ -8,7 +8,7 @@ Downstream users shouldn't need to write harness code to try a topology:
       "scheme": "corelite",
       "seed": 3,
       "duration": 120,
-      "network": {"num_cores": 2, "core_capacity_pps": 500},
+      "topology": {"kind": "chain", "num_cores": 2, "capacity_pps": 500},
       "config": {"edge_epoch": 0.3},
       "flows": [
         {"id": 1, "weight": 1},
@@ -18,9 +18,9 @@ Downstream users shouldn't need to write harness code to try a topology:
       ]
     }
 
-Arbitrary clouds use the declarative ``"topology"`` key instead of the
-``"network"`` shape knobs — a canned shape or a custom link list
-(:func:`parse_topology`)::
+``"topology"`` is the one description of the graph: a canned shape or a
+custom link list (:func:`parse_topology`); without it the cloud is a
+2-core chain (``TopologySpec.chain(2)``)::
 
     {
       "scheme": "csfq",
@@ -34,10 +34,9 @@ Arbitrary clouds use the declarative ``"topology"`` key instead of the
     "topology": {"kind": "custom",
                  "links": [["A", "B", 500, 0.02], ["B", "C", 250, 0.02]]}
 
-``"topology"`` and the ``"network"`` shape keys are mutually exclusive
-(``control_loss_prob`` is still allowed under ``"network"``).  Unknown
-keys are rejected (silent typos in experiment definitions are the
-classic way to benchmark the wrong thing).
+A top-level ``"control_loss_prob"`` drops control packets at random
+(failure injection).  Unknown keys are rejected (silent typos in
+experiment definitions are the classic way to benchmark the wrong thing).
 
 Scale knobs: a top-level ``"vectorized": true`` batches the Corelite
 control plane — cores coalesce the feedback a link selects over one
@@ -50,7 +49,7 @@ per-flow ``"aggregate": N`` makes one flow entry stand for a bucket of N
 identical member flows.  Every value, the
 ``"topology"`` section's included, is read through one typed reader: a
 quoted ``"false"`` or ``"4"``, a missing ``mean_rate`` or a short
-``core_links`` row is a ``ConfigurationError`` naming the key and the
+``links`` row is a ``ConfigurationError`` naming the key and the
 value, raised before any cloud is built.
 """
 
@@ -65,19 +64,15 @@ from repro.core.config import FeedbackScheme
 from repro.errors import ConfigurationError, TopologyError
 from repro.experiments.builder import SCHEME_STRATEGIES, Cloud, CloudBuilder
 from repro.experiments.runner import RunResult
-from repro.experiments.topospec import CANNED_TOPOLOGIES, FlowSpec, TopologySpec
+from repro.experiments.topospec import CANNED_TOPOLOGIES, FlowSpec, LinkSpec, TopologySpec
 from repro.sim.dynamics import NetworkEvent
 from repro.sim.sources import SourceSpec, onoff_source, poisson_source, transfer_source
-from repro.units import ms_to_s
 
 __all__ = ["build_network", "run_scenario", "load_scenario_file"]
 
 _TOP_KEYS = {"scheme", "seed", "duration", "sample_interval", "record_queues",
-             "network", "topology", "config", "flows", "description",
-             "vectorized", "train"}
-_NETWORK_KEYS = {"num_cores", "core_capacity_pps", "access_capacity_pps",
-                 "prop_delay", "queue_capacity", "control_loss_prob",
-                 "core_links"}
+             "topology", "config", "flows", "description", "vectorized", "train",
+             "control_loss_prob"}
 _FLOW_KEYS = {"id", "weight", "ingress", "egress", "schedule", "min_rate",
               "source", "transport", "micro_flows", "aggregate"}
 _SOURCE_KEYS = {"kind", "mean_rate", "peak_rate", "mean_on", "mean_off",
@@ -216,42 +211,9 @@ def _parse_config(raw, config_cls):
                 )
             kwargs[name] = FeedbackScheme(raw[name])
         else:
-            kind = {int: "int", str: "str"}.get(type(default), "number")
+            kind = "str" if isinstance(default, str) else "number"
             kwargs[name] = _read(raw, name, kind, "config")
     return config_cls(**kwargs)
-
-
-def _network_topology(raw: Mapping) -> TopologySpec:
-    """The ``"network"`` shape keys as a spec: the ``core_links`` graph
-    when given (``num_cores`` / ``core_capacity_pps`` are then ignored),
-    else a chain of ``num_cores`` (default 2).  ``prop_delay`` is the
-    delay of the core links and of the access links alike."""
-
-    def number(key: str, default: float) -> float:
-        return _read(raw, key, "number", "network", default)
-
-    prop_delay = number("prop_delay", ms_to_s(40.0))
-    access = {
-        "access_capacity_pps": number("access_capacity_pps", 500.0),
-        "access_prop_delay": prop_delay,
-        "queue_capacity": number("queue_capacity", 40.0),
-    }
-    if "core_links" in raw:
-        where = "network: 'core_links' row [a, b, capacity_pps, prop_delay]"
-        rows = [
-            (str(a), str(b), _typed(capacity, "number", where), _typed(delay, "number", where))
-            for a, b, capacity, delay in (
-                _row(row, 4, where)
-                for row in _read(raw, "core_links", "list", "network")
-            )
-        ]
-        return TopologySpec.from_core_links(rows, **access)
-    return TopologySpec.chain(
-        _read(raw, "num_cores", "int", "network", 2),
-        number("core_capacity_pps", 500.0),
-        prop_delay,
-        **access,
-    )
 
 
 def parse_event(raw) -> NetworkEvent:
@@ -310,13 +272,13 @@ def parse_topology(raw) -> TopologySpec:
             for core in _read(raw, "cores", "list", "topology")
         )
     where = "topology: 'links' row [a, b, capacity_pps, prop_delay(, queue_capacity)]"
-    rows = []
+    links = []
     for row in _read(raw, "links", "list", "topology"):
         if len(_typed(row, "list", where)) not in (4, 5):
             raise ConfigurationError(f"{where} must have 4 or 5 elements, got {row!r}")
-        rows.append([_typed(value, value_kind, where)
-                     for value, value_kind in zip(row, _LINK_ROW)])
-    return TopologySpec.from_core_links(rows, **common)
+        links.append(LinkSpec(*(_typed(value, value_kind, where)
+                                for value, value_kind in zip(row, _LINK_ROW))))
+    return TopologySpec(links=tuple(links), **common)
 
 
 def _parse(scenario: Mapping) -> Tuple[CloudBuilder, Dict[str, object]]:
@@ -324,6 +286,11 @@ def _parse(scenario: Mapping) -> Tuple[CloudBuilder, Dict[str, object]]:
     :meth:`Cloud.run`'s keywords.  No cloud exists yet: a malformed value
     dies here as a ConfigurationError naming its key (an impossible graph
     or flow as its spec's own TopologyError / FlowError)."""
+    if "network" in _typed(scenario, "object", "scenario"):
+        raise ConfigurationError(
+            "scenario: there is no 'network' section; describe the graph under "
+            "'topology' and give 'control_loss_prob' at the top level"
+        )
     _section(scenario, _TOP_KEYS, "scenario")
     scheme = scenario.get("scheme", "corelite")
     if scheme not in SCHEME_STRATEGIES:
@@ -351,21 +318,11 @@ def _parse(scenario: Mapping) -> Tuple[CloudBuilder, Dict[str, object]]:
     if scenario.get("config"):
         config_cls = SCHEME_STRATEGIES[scheme]().config_cls
         build_kwargs["config"] = _parse_config(scenario["config"], config_cls)
-    network = _section(scenario.get("network", {}), _NETWORK_KEYS, "network")
-    build_kwargs["control_loss_prob"] = _read(
-        network, "control_loss_prob", "number", "network", 0.0
+    build_kwargs["control_loss_prob"] = top("control_loss_prob", "number", 0.0)
+    topology = (
+        parse_topology(scenario["topology"]) if "topology" in scenario
+        else TopologySpec.chain(2)
     )
-    if "topology" in scenario:
-        # Every "network" key but this one describes the graph shape.
-        clashing = sorted(set(network) - {"control_loss_prob"})
-        if clashing:
-            raise ConfigurationError(
-                f"scenario: 'topology' and network shape keys {clashing} are "
-                "mutually exclusive — describe the graph in one place"
-            )
-        topology = parse_topology(scenario["topology"])
-    else:
-        topology = _network_topology(network)
     flows = top("flows", "list", ())
     if not flows:
         raise ConfigurationError("scenario needs at least one flow")

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import FlowError, TopologyError
 from repro.sim.dynamics import NetworkEvent
@@ -436,33 +436,6 @@ class TopologySpec:
         kwargs.setdefault("routing_mode", "ecmp")
         return cls(links=tuple(links), cores=tuple(cores), **kwargs)
 
-    @classmethod
-    def from_core_links(
-        cls,
-        core_links: Sequence[Sequence],
-        **kwargs,
-    ) -> "TopologySpec":
-        """Build from ``(core_a, core_b, capacity_pps, prop_delay)`` rows
-        (the scenario DSL's ``"core_links"`` spelling)."""
-        rows = list(core_links)
-        if not rows:
-            raise TopologyError(
-                "topology: core_links must contain at least one edge"
-            )
-        links = []
-        for row in rows:
-            if len(row) not in (4, 5):
-                raise TopologyError(
-                    "topology: each core link must be "
-                    f"[a, b, capacity_pps, prop_delay], got {list(row)!r}"
-                )
-            a, b, capacity, delay = row[0], row[1], row[2], row[3]
-            queue = float(row[4]) if len(row) == 5 else None
-            links.append(
-                LinkSpec(str(a), str(b), float(capacity), float(delay), queue)
-            )
-        return cls(links=tuple(links), **kwargs)
-
     # -- JSON round trip -------------------------------------------------
 
     @classmethod
@@ -652,10 +625,10 @@ class FlowPathSpec:
                         f"flow {self.flow_id}: micro-flow {mid} needs a "
                         "finite-rate source"
                     )
-        if self.aggregate < 1:
+        if type(self.aggregate) is not int or self.aggregate < 1:
             raise FlowError(
-                f"flow {self.flow_id}: aggregate must be >= 1, "
-                f"got {self.aggregate}"
+                f"flow {self.flow_id}: aggregate must be a positive integer, "
+                f"got {self.aggregate!r}"
             )
         if self.aggregate > 1:
             if self.micro_flows:

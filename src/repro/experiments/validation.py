@@ -16,7 +16,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
-from repro.core.config import CoreliteConfig
+from repro.core.cache_feedback import MARKER_CACHE_SIZE
 from repro.errors import ConfigurationError
 from repro.experiments.ablations import (
     compare_congestion_estimators,
@@ -416,8 +416,8 @@ def _state_checks(report: ReproReport, seed: int) -> None:
         + ", ".join(f"{name} {counts[0]} -> {counts[-1]}" for name, counts in peak.items()),
         peak["corelite-selective"] == [0] * len(flow_counts),
         peak["csfq"] == [0] * len(flow_counts),
-        # Two enabled directions, each bounded by the configured cache size.
-        peak["corelite-cache"][-1] <= 2 * CoreliteConfig().marker_cache_size,
+        # Two enabled directions, each bounded by the cache size.
+        peak["corelite-cache"][-1] <= 2 * MARKER_CACHE_SIZE,
         peak["wfq"][-1] >= 0.5 * large,
         peak["wfq"][-1] > 2 * peak["wfq"][0] - 2,
         peak["fred"][-1] > peak["fred"][0],
@@ -431,7 +431,6 @@ def _startup_scenario(scheme: str, duration: float) -> ScenarioSpec:
         scenario={
             "scheme": scheme,
             "duration": duration,
-            "network": {"num_cores": 2},
             "flows": [{"id": i, "weight": float(math.ceil(i / 2))} for i in range(1, 11)],
         },
     )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptation import Phase, RateController
+from repro.core.adaptation import INITIAL_RATE, Phase, RateController
 from repro.core.config import CoreliteConfig
 from repro.errors import ConfigurationError
 
@@ -17,7 +17,7 @@ def make(weight=1.0, **cfg_kwargs):
 def test_starts_in_slow_start_at_initial_rate():
     c = make()
     assert c.phase is Phase.SLOW_START
-    assert c.rate == 1.0
+    assert c.rate == INITIAL_RATE == 1.0
 
 
 def test_doubles_every_interval_without_feedback():

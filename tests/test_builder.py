@@ -1,6 +1,8 @@
 """Unit tests for the spec-driven cloud builder (layer 2 of the
-pipeline): strategies, validation, and the equivalence of the three ways
-a scenario can spell one chain."""
+pipeline): strategies, validation, and the equivalence of three ways
+to spell one chain."""
+
+import math
 
 import pytest
 
@@ -22,8 +24,8 @@ from .conftest import run_python
 
 
 class TestOneCloudThreeSpellings:
-    """A scenario's legacy ``"network"`` section, the same chain under
-    ``"topology"`` and a direct ``CloudBuilder`` are one cloud."""
+    """A scenario's canned ``"topology"`` chain, the same chain as a custom
+    link list and a direct ``CloudBuilder`` are one cloud."""
 
     @pytest.mark.parametrize("scheme", sorted(SCHEME_STRATEGIES))
     def test_network_topology_and_builder_agree(self, scheme):
@@ -40,9 +42,10 @@ class TestOneCloudThreeSpellings:
         builder.add_flow(flow_id=1, weight=1.0, ingress_core="C1", egress_core="C4")
         builder.add_flow(flow_id=2, weight=2.0, ingress_core="C2", egress_core="C3")
         direct = result_to_payload(builder.run(until=12.0))
+        links = [[f"C{i}", f"C{i + 1}", 500.0, 0.04] for i in range(1, 4)]
         for section in (
-            {"network": {"num_cores": 4}},
             {"topology": {"kind": "chain", "num_cores": 4}},
+            {"topology": {"kind": "custom", "name": "chain-4", "links": links}},
         ):
             assert result_to_payload(run_scenario({**scenario, **section})) == direct
 
@@ -78,6 +81,15 @@ class TestCloudValidation:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigurationError, match="quantum"):
             CloudBuilder(TopologySpec.chain(2), scheme="quantum")
+
+    @pytest.mark.parametrize("train_batch", [2.5, math.nan, True])
+    def test_train_batch_must_be_a_positive_integer(self, train_batch):
+        """``int()`` would run 2.5 as 2 and ``True`` as 1, and NaN would be
+        a bare ValueError: each is a ConfigurationError naming the value."""
+        builder = CloudBuilder(TopologySpec.chain(2), train_batch=train_batch)
+        builder.add_flow(flow_id=1)
+        with pytest.raises(ConfigurationError, match=rf"train_batch.*{train_batch!r}"):
+            builder.build()
 
     def test_unknown_ingress_core_named_in_error(self):
         builder = CloudBuilder(TopologySpec.chain(2), scheme="corelite")

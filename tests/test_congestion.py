@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import congestion
 from repro.core.config import CoreliteConfig
 from repro.core.congestion import (
-    CongestionEstimator,
     LinearCongestionEstimator,
     Mm1CongestionEstimator,
     make_estimator,
@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError
 
 def make(fn_k=0.02, qthresh=8.0, core_epoch=0.1, service=500.0):
     cfg = CoreliteConfig(fn_k=fn_k, qthresh=qthresh, core_epoch=core_epoch)
-    return CongestionEstimator(cfg, service_rate_pps=service)
+    return Mm1CongestionEstimator(cfg, service_rate_pps=service)
 
 
 def test_no_congestion_below_threshold():
@@ -57,7 +57,7 @@ def test_negative_qavg_rejected():
 
 def test_invalid_service_rate():
     with pytest.raises(ConfigurationError):
-        CongestionEstimator(CoreliteConfig(), service_rate_pps=0.0)
+        Mm1CongestionEstimator(CoreliteConfig(), service_rate_pps=0.0)
 
 
 class TestMarkersForEpoch:
@@ -89,9 +89,6 @@ class TestMarkersForEpoch:
 
 
 class TestPluggableEstimators:
-    def test_default_alias_is_mm1(self):
-        assert CongestionEstimator is Mm1CongestionEstimator
-
     def test_factory_builds_by_name(self):
         cfg = CoreliteConfig(congestion_estimator="linear")
         est = make_estimator(cfg, 500.0)
@@ -102,17 +99,17 @@ class TestPluggableEstimators:
     def test_unknown_name_rejected_by_config(self):
         with pytest.raises(ConfigurationError):
             CoreliteConfig(congestion_estimator="psychic")
-        with pytest.raises(ConfigurationError):
-            CoreliteConfig(linear_gain=0.0)
 
-    def test_linear_formula(self):
-        cfg = CoreliteConfig(congestion_estimator="linear", linear_gain=2.0)
+    def test_linear_formula(self, monkeypatch):
+        monkeypatch.setattr(congestion, "LINEAR_GAIN", 2.0)
+        cfg = CoreliteConfig(congestion_estimator="linear")
         est = LinearCongestionEstimator(cfg, 500.0)
         assert est.fn(8.0) == 0.0
         assert est.fn(13.0) == pytest.approx(10.0)
 
-    def test_linear_shares_carry_machinery(self):
-        cfg = CoreliteConfig(congestion_estimator="linear", linear_gain=0.3)
+    def test_linear_shares_carry_machinery(self, monkeypatch):
+        monkeypatch.setattr(congestion, "LINEAR_GAIN", 0.3)
+        cfg = CoreliteConfig(congestion_estimator="linear")
         est = LinearCongestionEstimator(cfg, 500.0)
         total = sum(est.markers_for_epoch(9.0) for _ in range(100))
         assert total == pytest.approx(100 * 0.3, abs=1.0)

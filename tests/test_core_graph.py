@@ -4,6 +4,7 @@ import pytest
 
 from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.errors import TopologyError
+from repro.experiments.topospec import LinkSpec
 from repro.fairness.metrics import weighted_jain_index
 
 
@@ -16,21 +17,26 @@ def star_links(capacity=500.0, delay=0.02):
     ]
 
 
+def graph(rows):
+    """A custom spec from ``(a, b, capacity_pps, prop_delay)`` rows."""
+    return TopologySpec(links=tuple(LinkSpec(*row) for row in rows))
+
+
 class TestConstruction:
     def test_core_names_derived_from_edges(self):
-        spec = TopologySpec.from_core_links(star_links())
+        spec = graph(star_links())
         net = CloudBuilder(spec, "corelite").build(finalize=False)
         assert set(net.core_names) == {"H", "A", "B", "C"}
 
     def test_links_built_duplex(self):
-        spec = TopologySpec.from_core_links(star_links())
+        spec = graph(star_links())
         net = CloudBuilder(spec, "corelite").build(finalize=False)
         assert "H->A" in net.topology.links
         assert "A->H" in net.topology.links
 
     def test_empty_graph_rejected(self):
         with pytest.raises(TopologyError):  # the spec's guard; the shim's own is gone
-            CloudBuilder(TopologySpec.from_core_links([]), "corelite")
+            CloudBuilder(graph([]), "corelite")
 
     def test_ring_routing_takes_shortest_arc(self):
         ring = [
@@ -39,7 +45,7 @@ class TestConstruction:
             ("C3", "C4", 500.0, 0.01),
             ("C4", "C1", 500.0, 0.01),
         ]
-        builder = CloudBuilder(TopologySpec.from_core_links(ring), "corelite")
+        builder = CloudBuilder(graph(ring), "corelite")
         builder.add_flow(FlowSpec(flow_id=1, ingress_core="C1", egress_core="C2"))
         path = builder.build().flow_path_links(1)
         # direct arc, not the long way around
@@ -51,7 +57,7 @@ class TestFairnessOnAStar:
     def test_weighted_fairness_through_a_hub(self):
         """Three flows cross the hub toward the same spoke: the shared
         H->C link is the bottleneck and is split by weight."""
-        net = CloudBuilder(TopologySpec.from_core_links(star_links()), "corelite", seed=0)
+        net = CloudBuilder(graph(star_links()), "corelite", seed=0)
         net.add_flow(FlowSpec(flow_id=1, weight=1.0, ingress_core="A", egress_core="C"))
         net.add_flow(FlowSpec(flow_id=2, weight=1.0, ingress_core="B", egress_core="C"))
         net.add_flow(FlowSpec(flow_id=3, weight=2.0, ingress_core="A", egress_core="C"))
@@ -67,7 +73,7 @@ class TestFairnessOnAStar:
         assert wj > 0.97
 
     def test_cross_traffic_on_disjoint_spokes_does_not_interfere(self):
-        net = CloudBuilder(TopologySpec.from_core_links(star_links()), "corelite", seed=0)
+        net = CloudBuilder(graph(star_links()), "corelite", seed=0)
         net.add_flow(FlowSpec(flow_id=1, ingress_core="A", egress_core="B"))
         net.add_flow(FlowSpec(flow_id=2, ingress_core="B", egress_core="C"))
         res = net.run(until=150.0)

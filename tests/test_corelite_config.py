@@ -8,6 +8,10 @@ import pytest
 from repro.core.config import CoreliteConfig, EdgeConfig, FeedbackScheme
 from repro.csfq.config import CsfqConfig
 from repro.errors import ConfigurationError
+from repro.experiments.builder import CloudBuilder
+from repro.experiments.topospec import LinkSpec, TopologySpec
+from repro.sim.engine import Simulator
+from repro.sim.queues import DropTailQueue
 
 
 def test_defaults_match_paper_constants():
@@ -17,7 +21,6 @@ def test_defaults_match_paper_constants():
     assert cfg.beta == 1.0
     assert cfg.core_epoch == pytest.approx(0.1)
     assert cfg.qthresh == 8.0
-    assert cfg.queue_capacity == 40.0
     assert cfg.ss_thresh == 32.0
     assert cfg.feedback_scheme is FeedbackScheme.SELECTIVE
 
@@ -37,23 +40,15 @@ def test_marker_interval():
         ("beta", 0.0),
         ("edge_epoch", 0.0),
         ("core_epoch", -0.1),
-        ("queue_capacity", 0.0),
         ("ss_thresh", 0.0),
         ("ss_double_interval", 0.0),
-        ("initial_rate", 0.0),
         ("qthresh", -1.0),
         ("fn_k", -0.5),
         ("min_rate", -1.0),
-        ("rav_gain", 0.0),
-        ("rav_gain", 1.5),
-        ("wav_gain", -0.1),
-        ("marker_cache_size", 0),
         # NaN passes every plain ``<`` test; infinity is no setting either.
         ("qthresh", math.nan),
         ("fn_k", math.nan),
         ("fn_k", math.inf),
-        ("marker_cache_size", math.nan),
-        ("marker_cache_size", math.inf),
     ],
 )
 def test_invalid_values_rejected(field, value):
@@ -61,9 +56,30 @@ def test_invalid_values_rejected(field, value):
         CoreliteConfig(**{field: value})
 
 
+def _run(spec, **kwargs):
+    builder = CloudBuilder(spec, "corelite", **kwargs)
+    builder.add_flow(flow_id=1, ingress_core="C1", egress_core="C3").run(until=1.0)
+
+
 def test_qthresh_must_be_below_capacity():
-    with pytest.raises(ConfigurationError):
-        CoreliteConfig(qthresh=40.0, queue_capacity=40.0)
+    with pytest.raises(ConfigurationError, match=r"qthresh \(40.0\).*\(40.0\)"):
+        _run(TopologySpec.chain(3), config=CoreliteConfig(qthresh=40.0))
+    _run(TopologySpec.chain(3, queue_capacity=41.0), config=CoreliteConfig(qthresh=40.0))
+
+
+def test_qthresh_is_checked_against_each_link_buffer(monkeypatch):
+    """A per-link buffer override and a ``queue_factory`` buffer are checked
+    too, when the cores enable their links: before the first event."""
+    monkeypatch.setattr(
+        Simulator, "run", lambda *a, **k: pytest.fail("the simulator ran")
+    )
+    small = TopologySpec(
+        links=(LinkSpec("C1", "C2", 500.0, 0.04), LinkSpec("C2", "C3", 500.0, 0.04, 4.0)),
+    )
+    with pytest.raises(ConfigurationError, match=r"C2->C3's queue capacity \(4.0\)"):
+        _run(small)
+    with pytest.raises(ConfigurationError, match=r"qthresh \(8.0\)"):
+        _run(TopologySpec.chain(3), queue_factory=lambda: DropTailQueue(capacity=6.0))
 
 
 def test_min_rate_cannot_exceed_max_rate():
@@ -88,10 +104,8 @@ def test_fn_k_zero_is_allowed():
         ("alpha", 0.0, 2.0),
         ("beta", -1.0, 0.5),
         ("edge_epoch", 0.0, 0.1),
-        ("queue_capacity", 0.0, 60.0),
         ("ss_thresh", 0.0, 16.0),
         ("ss_double_interval", -1.0, 0.5),
-        ("initial_rate", 0.0, 2.0),
         ("min_rate", -1.0, 1.0),
         ("max_rate", 0.0, 100.0),
         ("shaper_burst", 0.5, 4.0),

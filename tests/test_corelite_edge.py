@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.adaptation import INITIAL_RATE
 from repro.core.config import CoreliteConfig
 from repro.core.edge import CoreliteEdge, FlowAttachment
 from repro.sim.engine import Simulator
@@ -129,7 +130,7 @@ def test_restart_resets_to_slow_start(rig):
     edge.stop_flow(1)
     sim.run(until=9.0)
     edge.start_flow(1)
-    assert edge.allotted_rate(1) == cfg.initial_rate
+    assert edge.allotted_rate(1) == INITIAL_RATE
 
 
 def test_feedback_for_stopped_flow_is_stray(rig):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.adaptation import INITIAL_RATE
 from repro.csfq.config import CsfqConfig
 from repro.core.edge import FlowAttachment
 from repro.csfq.edge import CsfqEdge
@@ -165,4 +166,4 @@ def test_restart_resets_estimator_and_controller(rig):
     edge.stop_flow(1)
     sim.run(until=7.0)
     edge.start_flow(1)
-    assert edge.allotted_rate(1) == cfg.initial_rate
+    assert edge.allotted_rate(1) == INITIAL_RATE

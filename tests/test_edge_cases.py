@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CloudBuilder, FlowSpec, TopologySpec
+from repro.core.adaptation import INITIAL_RATE
 from repro.core.config import CoreliteConfig
 from repro.core.edge import CoreliteEdge, FlowAttachment
 from repro.csfq.config import CsfqConfig
@@ -56,7 +57,7 @@ class TestEdgeLifecycle(LifecycleContract):
         edge.receive_feedback(fb)
         assert edge.stray_feedback == 1
         edge.start_flow(1)  # restart unaffected by the stray feedback
-        assert edge.allotted_rate(1) == CoreliteConfig().initial_rate
+        assert edge.allotted_rate(1) == INITIAL_RATE
 
     def test_external_packets_while_stopped_are_dropped(self):
         sim, edge, catcher = self.make_edge()

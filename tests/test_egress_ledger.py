@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 
 from repro.aqm.decbit import DecbitQueue
 from repro.aqm.red import RedQueue
+from repro.core import adaptation
 from repro.core.config import CoreliteConfig
 from repro.core.edge import CoreliteEdge, _DATA
 from repro.core.shaping import _TOKEN_EPS, PacedSender
@@ -320,7 +321,7 @@ def test_ledger_equals_event_delivery_on_random_chains(
     )
 
     def make():
-        config = CoreliteConfig(qthresh=min(8.0, buffer / 2), initial_rate=24.0)
+        config = CoreliteConfig(qthresh=min(8.0, buffer / 2))
         builder = CloudBuilder(spec, seed=seed, config=config)
         for fid, weight in enumerate(weights, start=1):
             builder.add_flow(
@@ -333,7 +334,10 @@ def test_ledger_equals_event_delivery_on_random_chains(
             )
         return builder.build(), 6.0
 
-    both(lambda: _run_cloud(make, sample_interval))
+    # Flows start at 24 pkt/s, so they load these short runs.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adaptation, "INITIAL_RATE", 24.0)
+        both(lambda: _run_cloud(make, sample_interval))
 
 
 # -- ties at an exact float instant ------------------------------------------------

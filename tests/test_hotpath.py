@@ -365,12 +365,10 @@ def test_idle_core_links_park_their_epoch_timers():
 def test_selective_fold_epoch_replays_wav_exactly():
     import random
 
-    from repro.core.config import CoreliteConfig
     from repro.core.selective_feedback import SelectiveFeedback
 
-    config = CoreliteConfig()
-    live = SelectiveFeedback(config, random.Random(1), lambda *a: None)
-    parked = SelectiveFeedback(config, random.Random(1), lambda *a: None)
+    live = SelectiveFeedback(random.Random(1), lambda *a: None)
+    parked = SelectiveFeedback(random.Random(1), lambda *a: None)
     counts = [3, 0, 0, 5, 1, 0]
     now = 0.0
     for count in counts:

@@ -36,7 +36,7 @@ from repro.sim.rng import derive_seed
 TINY = {
     "scheme": "corelite",
     "duration": 6.0,
-    "network": {"num_cores": 2},
+    "topology": {"kind": "chain", "num_cores": 2},
     "flows": [
         {"id": 1, "weight": 1},
         {"id": 2, "weight": 2},
@@ -120,7 +120,7 @@ def test_scenario_path_matches_harness_built_network():
         "scheme": "corelite",
         "duration": duration,
         "seed": seed,
-        "network": {"num_cores": 2},
+        "topology": {"kind": "chain", "num_cores": 2},
         "flows": [
             {"id": i, "weight": float(math.ceil(i / 2))}
             for i in range(1, num_flows + 1)

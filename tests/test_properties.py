@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro import CloudBuilder, FlowSpec, TopologySpec
 from repro.aqm.wfq import WfqQueue
-from repro.core.config import CoreliteConfig
 from repro.core.selective_feedback import SelectiveFeedback
 from repro.fairness.maxmin import (
     FlowDemand,
@@ -172,9 +171,7 @@ def test_link_conserves_packets(n_packets, capacity):
 @settings(max_examples=40, deadline=None)
 def test_selective_feedback_invariants(labels, fn, seed):
     sent = []
-    sel = SelectiveFeedback(
-        CoreliteConfig(), random.Random(seed), emit=lambda f, e, l: sent.append(l)
-    )
+    sel = SelectiveFeedback(random.Random(seed), emit=lambda f, e, l: sent.append(l))
     # one warmup epoch to seed wav, then an armed epoch
     for label in labels:
         sel.observe(1, "E", label, 0.0)
@@ -296,8 +293,8 @@ def _small_cloud(draw):
     control or trains of 8) and a random flow set."""
     num_cores = draw(st.integers(2, 3))
     capacity = draw(st.floats(60.0, 200.0))
-    # CoreliteConfig requires its congestion threshold (qthresh = 8) to sit
-    # below the queue capacity, so stay above it.
+    # A Corelite core requires its congestion threshold (qthresh = 8) to sit
+    # below each link's queue capacity, so stay above it.
     queue_cap = draw(st.integers(10, 25))
     seed = draw(st.integers(0, 2**16))
     mode = draw(

@@ -27,12 +27,21 @@ A fourth test keeps write-only counters off the per-packet path: an
 attribute ``+=``'d in a per-packet frame (``PER_PACKET_FRAMES``) must be
 read somewhere in ``src/`` outside a ``__repr__``, or be one of
 ``WRITE_ONLY_COUNTERS``, each with the reason it stays.
+
+A fifth keeps knobs no caller turns out of the scheme configs: every field
+of ``EdgeConfig``, ``CoreliteConfig`` and ``CsfqConfig`` must be set
+outside ``tests/`` (see :func:`set_config_fields`) or be one of
+``CONFIG_ALLOWLIST``, each with the paper section or DESIGN.md row its
+value comes from.  A value only tests vary is a module constant at its
+reader instead.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import json
 import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set
@@ -305,3 +314,101 @@ def test_no_write_only_counter_on_the_per_packet_path():
     # The allowlist only shrinks: an entry the scan no longer flags goes.
     assert sorted(set(WRITE_ONLY_COUNTERS) - found) == []
     assert all(reason.strip() for reason in WRITE_ONLY_COUNTERS.values())
+
+
+_PAPER = "a constant the paper names, kept a field beside its siblings"
+
+#: config field -> where its value comes from, although nothing outside
+#: ``tests/`` sets it.
+CONFIG_ALLOWLIST: Dict[str, str] = {
+    "ss_thresh": f"§4: slow-start threshold 32 pkt/s; {_PAPER}",
+    "ss_double_interval": f"§4: 'doubling the sending rate every second'; {_PAPER}",
+    "min_rate": f"§4/§6: the rate floor of the max(0, ...) decrease; {_PAPER}",
+    "k_flow": f"§4: CSFQ's K = 100 ms; {_PAPER}",
+    "k_window": f"§4: CSFQ's Klink = 100 ms; {_PAPER}",
+    "shaper_burst": "DESIGN.md S19: token-bucket depth; 1 is the paper's pure pacing",
+}
+
+#: Calls whose keywords set config fields.
+_CONFIG_CALLS = {"EdgeConfig", "CoreliteConfig", "CsfqConfig", "replace"}
+
+
+def config_fields() -> Set[str]:
+    from repro.core.config import CoreliteConfig, EdgeConfig
+    from repro.csfq.config import CsfqConfig
+
+    return {
+        field.name
+        for cls in (EdgeConfig, CoreliteConfig, CsfqConfig)
+        for field in dataclasses.fields(cls)
+    }
+
+
+def _name(node: ast.AST) -> str:
+    return getattr(node, "id", None) or getattr(node, "attr", "")
+
+
+def set_config_fields() -> Set[str]:
+    """Names code outside ``tests/`` sets as config fields: a keyword of a
+    config constructor or ``dataclasses.replace``, a string handed to a
+    ``*sweep*`` function, an assignment to ``config.<field>`` that reads the
+    field it writes (a clamp; an overwrite that ignores it makes the field
+    a copy, not an input), or a key of a scenario's ``"config"`` object,
+    in a Python dict or a JSON scenario file."""
+    found: Set[str] = set()
+    for source in SOURCES:
+        for node in ast.walk(source.tree):
+            if isinstance(node, ast.Call):
+                name = _name(node.func)
+                if name in _CONFIG_CALLS:
+                    found.update(keyword.arg for keyword in node.keywords if keyword.arg)
+                elif "sweep" in name:
+                    found.update(
+                        arg.value for arg in node.args
+                        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                    )
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and _name(target.value) == "config"
+                        and any(
+                            isinstance(read, ast.Attribute)
+                            and read.attr == target.attr
+                            and _name(read.value) == "config"
+                            for read in ast.walk(node.value)
+                        )
+                    ):
+                        found.add(target.attr)
+            elif isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if (
+                        isinstance(key, ast.Constant)
+                        and key.value == "config"
+                        and isinstance(value, ast.Dict)
+                    ):
+                        found.update(
+                            field.value for field in value.keys
+                            if isinstance(field, ast.Constant)
+                        )
+    for top in CONSUMER_DIRS:
+        for path in sorted(top.rglob("*.json")):
+            scenario = json.loads(path.read_text(encoding="utf-8"))
+            if isinstance(scenario, dict) and "flows" in scenario:
+                found.update(scenario.get("config", {}))
+    return found
+
+
+def unset_config_fields() -> Set[str]:
+    """Config fields nothing outside ``tests/`` sets."""
+    return config_fields() - set_config_fields()
+
+
+def test_every_config_field_is_set_outside_tests():
+    found = unset_config_fields()
+    assert sorted(found - set(CONFIG_ALLOWLIST)) == [], (
+        "config fields only tests set: make each a module constant at its reader"
+    )
+    # The allowlist only shrinks: an entry that is set, or no field, goes.
+    assert sorted(set(CONFIG_ALLOWLIST) - found) == []
+    assert all(reason.strip() for reason in CONFIG_ALLOWLIST.values())

@@ -43,14 +43,14 @@ class TestBuild:
             build_network(basic_scenario(scheme="quantum"))
 
     def test_network_parameters(self):
-        net = build_network(basic_scenario(network={"num_cores": 3,
-                                                    "core_capacity_pps": 250.0}))
+        net = build_network(basic_scenario(topology={"kind": "chain", "num_cores": 3,
+                                                     "capacity_pps": 250.0}))
         assert net.core_names == ["C1", "C2", "C3"]
         assert net.topology.links["C1->C2"].bandwidth_pps == 250.0
 
     def test_core_links_graph(self):
         scenario = basic_scenario(
-            network={"core_links": [["H", "A", 500, 0.02], ["H", "B", 500, 0.02]]},
+            topology={"links": [["H", "A", 500, 0.02], ["H", "B", 500, 0.02]]},
             flows=[{"id": 1, "ingress": "A", "egress": "B"}],
         )
         net = build_network(scenario)
@@ -100,7 +100,7 @@ class TestBuild:
         with pytest.raises(ConfigurationError):
             build_network(basic_scenario(tyop=1))
         with pytest.raises(ConfigurationError):
-            build_network(basic_scenario(network={"cores": 3}))
+            build_network(basic_scenario(config={"cores": 3}))
         with pytest.raises(ConfigurationError):
             build_network(basic_scenario(flows=[{"id": 1, "wieght": 2}]))
         with pytest.raises(ConfigurationError):
@@ -137,12 +137,12 @@ class TestBuild:
             ({"seed": "s"}, r"'seed'.*'s'"),
             ({"duration": "long"}, r"'duration'.*'long'"),
             ({"sample_interval": "x"}, r"'sample_interval'.*'x'"),
-            ({"network": {"num_cores": "4"}}, r"network: 'num_cores'.*'4'"),
+            ({"network": {"num_cores": 4}}, r"no 'network' section.*'topology'"),
             ({"config": {"alpha": "big"}}, r"config: 'alpha'.*'big'"),
             ({"flows": 5}, r"'flows'.*5"),
             ({"flows": [3]}, r"flows entry.*3"),
             ({"flows": [{"id": 1, "source": {"kind": "poisson"}}]}, r"missing 'mean_rate'"),
-            ({"network": {"core_links": [["A", "B", 500]]}}, r"'core_links' row.*500"),
+            ({"topology": {"links": [["A", "B", 500]]}}, r"'links' row.*500"),
             ({"flows": [{"id": 1, "micro_flows": [[7]]}]}, r"'micro_flows' entry.*7"),
             # JSON NaN / Infinity parse as numbers.
             ({"flows": [{"id": 1, "source": {"kind": "poisson", "mean_rate": math.nan}}]},
@@ -174,6 +174,8 @@ class TestBuild:
              r"topology: 'capacity_pps'.*'fast'"),
             ({"topology": {"kind": "chain", "queue_capacity": "40"}},
              r"topology: 'queue_capacity'.*'40'"),
+            # The buffer is the topology's: a config that names it is a typo.
+            ({"config": {"queue_capacity": 20}}, r"config: unknown keys \['queue_capacity'\]"),
         ],
     )
     def test_malformed_values_die_before_the_build(self, overrides, names, monkeypatch):
@@ -194,7 +196,9 @@ class TestBuild:
             Cloud, "__init__", lambda *a, **k: pytest.fail("a cloud was built")
         )
         with pytest.raises(TopologyError, match=r"prop_delay.*nan"):
-            run_scenario(basic_scenario(network=json.loads('{"prop_delay": NaN}')))
+            run_scenario(basic_scenario(
+                topology={"kind": "chain", "prop_delay": json.loads("NaN")}
+            ))
 
     def test_vectorized_flag_is_accepted_by_every_scheme(self):
         for scheme in ("corelite", "csfq", "fifo"):
@@ -226,17 +230,18 @@ class TestTopologyKey:
         assert net.core_names == ["A", "B", "C"]
         assert net.topology.links["B->C"].bandwidth_pps == 250.0
 
-    def test_topology_and_shape_keys_are_exclusive(self):
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            build_network(basic_scenario(
-                topology={"kind": "mesh"},
-                network={"num_cores": 3},
-            ))
+    def test_network_section_names_topology(self):
+        """The graph has one spelling: beside ``"topology"`` too, a
+        ``"network"`` section is refused, pointing at ``"topology"`` (and at
+        the top-level ``control_loss_prob``)."""
+        for network in ({"num_cores": 3}, {"control_loss_prob": 0.1}):
+            with pytest.raises(ConfigurationError, match="'topology'.*'control_loss_prob'"):
+                build_network(basic_scenario(topology={"kind": "mesh"}, network=network))
 
     def test_control_loss_prob_still_allowed_with_topology(self):
         net = build_network(basic_scenario(
             topology={"kind": "chain", "num_cores": 2},
-            network={"control_loss_prob": 0.1},
+            control_loss_prob=0.1,
         ))
         assert net.control.loss_prob == 0.1
 

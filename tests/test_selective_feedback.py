@@ -5,8 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.config import CoreliteConfig
-from repro.core.selective_feedback import SelectiveFeedback
+from repro.core.selective_feedback import RAV_GAIN, WAV_GAIN, SelectiveFeedback
 from repro.errors import ConfigurationError
 
 
@@ -23,11 +22,10 @@ class ForcedRandom(random.Random):
         return 0.5
 
 
-def make(rng=None, **cfg_kwargs):
+def make(rng=None):
     sent = []
-    cfg = CoreliteConfig(**cfg_kwargs)
     sel = SelectiveFeedback(
-        cfg, rng if rng is not None else random.Random(0),
+        rng if rng is not None else random.Random(0),
         emit=lambda fid, edge, label: sent.append((fid, edge, label)),
     )
     return sel, sent
@@ -42,19 +40,23 @@ def test_no_selection_while_uncongested():
 
 
 def test_rav_seeds_with_first_label_then_averages():
-    sel, _ = make(rav_gain=0.5)
+    sel, _ = make()
     sel.observe(1, "E", 10.0, 0.0)
     assert sel.rav == pytest.approx(10.0)
     sel.observe(1, "E", 20.0, 0.0)
-    assert sel.rav == pytest.approx(15.0)
+    assert sel.rav == pytest.approx(10.0 + RAV_GAIN * 10.0)
 
 
 def test_wav_tracks_markers_per_epoch():
-    sel, _ = make(wav_gain=1.0)
+    sel, _ = make()
     for _ in range(8):
         sel.observe(1, "E", 1.0, 0.0)
     sel.on_epoch(0, 0.1)
     assert sel.wav == pytest.approx(8.0)
+    for _ in range(4):
+        sel.observe(1, "E", 1.0, 0.2)
+    sel.on_epoch(0, 0.2)
+    assert sel.wav == pytest.approx(8.0 + WAV_GAIN * (4.0 - 8.0))
 
 
 def test_pw_is_fn_over_wav():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.errors import FlowError, TopologyError
+from repro.errors import ConfigurationError, FlowError, TopologyError
 from repro.experiments.topospec import (
     CANNED_TOPOLOGIES,
     FlowPathSpec,
@@ -139,15 +139,20 @@ class TestTopologySpec:
         assert caps[frozenset(("B", "C"))] == 375.0
 
     def test_from_core_links_legacy_rows(self):
-        spec = TopologySpec.from_core_links(
-            [("H", "A", 500, 0.02), ["H", "B", 250, 0.03, 80]]
+        """Custom ``links`` rows, with and without a buffer override, are
+        read by the one typed reader."""
+        spec = TopologySpec.from_dict(
+            {"links": [["H", "A", 500, 0.02], ["H", "B", 250, 0.03, 80]]}
         )
         assert spec.cores == ("H", "A", "B")
-        assert spec.links[1].queue_capacity == 80.0
-        with pytest.raises(TopologyError, match="at least one edge"):
-            TopologySpec.from_core_links([])
-        with pytest.raises(TopologyError, match="each core link"):
-            TopologySpec.from_core_links([("A", "B", 500)])
+        assert spec.links == (
+            LinkSpec("H", "A", 500.0, 0.02),
+            LinkSpec("H", "B", 250.0, 0.03, 80.0),
+        )
+        with pytest.raises(TopologyError, match="at least one"):
+            TopologySpec.from_dict({"links": []})
+        with pytest.raises(ConfigurationError, match="4 or 5 elements"):
+            TopologySpec.from_dict({"links": [["A", "B", 500]]})
 
 
 class TestJsonRoundTrip:
@@ -184,7 +189,7 @@ class TestJsonRoundTrip:
         for original in (
             TopologySpec.mesh(),
             TopologySpec.chain(3),
-            TopologySpec.from_core_links([("A", "B", 500, 0.02, 60)]),
+            TopologySpec(links=(LinkSpec("A", "B", 500.0, 0.02, 60.0),)),
         ):
             rebuilt = TopologySpec.from_dict(original.to_dict())
             assert rebuilt.cores == original.cores
@@ -230,6 +235,13 @@ class TestFlowPathSpec:
             with pytest.raises(FlowError, match=rf"flow 9.*{shown}"):
                 FlowPathSpec(flow_id=9, **kw)
         assert FlowPathSpec(flow_id=9, schedule=((0.0, 4.0), (4.0, 8.0))).schedule
+
+    @pytest.mark.parametrize("aggregate", [2.5, math.nan, True])
+    def test_aggregate_must_be_a_positive_integer(self, aggregate):
+        """A bucket has a whole number of members: 2.5 used to build a
+        2.5-member bucket and NaN to fail later, naming an access link."""
+        with pytest.raises(FlowError, match=rf"flow 9: aggregate.*{aggregate!r}"):
+            FlowPathSpec(flow_id=9, aggregate=aggregate)
 
 
 class TestTopologyLinkValidation:
