@@ -316,6 +316,19 @@ class EdgeRouter(Router):
             return None
         return self._epoch_task.handle
 
+    def _adapt(self, state, rate: float) -> None:
+        """An active flow's epoch tail under either scheme: its shaper takes
+        the new ``rate``; a flow leaving slow start takes its release fence,
+        and a shaper parked on this epoch releases up to the next one
+        (:mod:`repro.core.shaping`, "Releases")."""
+        pacer = state.pacer
+        pacer.set_rate(rate)
+        if pacer.fence is not None:
+            # The float ``PeriodicTask`` re-arms this epoch to.
+            pacer.release(self.sim.now + self._epoch_task.interval)
+        elif state.fence is not None and state.controller.phase is not _SLOW_START:
+            pacer.fence, state.fence = state.fence, None
+
     def stop_flow(self, flow_id: int) -> None:
         """Stop a flow; its allowed-rate state is discarded on restart."""
         state = self._ingress_state(flow_id)
@@ -693,10 +706,7 @@ class CoreliteEdge(EdgeRouter):
             if m:
                 state.feedback.clear()
                 state.feedback_peak = 0
-            new_rate = state.controller.on_epoch(m, now)
-            state.pacer.set_rate(new_rate)
-            if state.fence is not None and state.controller.phase is not _SLOW_START:
-                state.pacer.fence, state.fence = state.fence, None
+            self._adapt(state, state.controller.on_epoch(m, now))
 
     # -- egress role -----------------------------------------------------
 

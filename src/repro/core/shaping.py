@@ -20,16 +20,16 @@ old, higher rate.
 
 Hot frames: the scalar firing (``_fire``) is one frame per release — the
 float operations of ``_accrue`` and ``_delay_until_token`` in their order,
-the debit and, last, the re-arm through ``Simulator.reschedule`` — and the
-train firing (``_fire_train``) is one frame per train: ``_accrue`` inline,
-one call of the train-delay rule ``_train_delay`` (which does not accrue
-again), the debit and the same re-arm.  Each does only what a result reads:
-the burst clamp and the debit are conditionals with ``min`` / ``max``'s
-semantics, not builtin calls, and no send is counted (an edge's ingress
-``seq`` is that count).  ``_accrue``, ``_delay_until_token`` and
-``_schedule`` remain for ``set_rate``, ``kick``, ``credit()``, a token that
-is not yet whole and a firing whose emit callback re-armed the shaper, moved
-the clock or (scalar) changed the rate.
+the debit and, last, the re-arm through ``Simulator.reschedule`` or the
+park on the epoch ("Releases") — and the train firing (``_fire_train``) is
+one frame per train: ``_accrue`` inline, one call of the train-delay rule
+``_train_delay`` (which does not accrue again), the debit and the same
+re-arm.  Each does only what a result reads: the burst clamp and the debit
+are conditionals with ``min`` / ``max``'s semantics, not builtin calls, and
+no send is counted (an edge's ingress ``seq`` is that count).  ``_accrue``,
+``_delay_until_token`` and ``_schedule`` remain for ``set_rate``, ``kick``,
+``credit()``, a train whose token is not yet whole and a firing whose emit
+callback re-armed the shaper, moved the clock or (scalar) changed the rate.
 
 Releases
 --------
@@ -39,13 +39,25 @@ The scalar ``_fire`` is therefore a loop: after each emission it computes the
 next firing time exactly as the re-arm would, and while that time is
 strictly before the flow's *fence* it runs that firing at once, with the
 simulator's clock set to the firing's instant (restored when the loop
-ends); it then re-arms at the first firing on or past the fence.  The fence
-is the earliest of the edge epoch's next firing (the ``time`` of the epoch
-task's handle, held in ``fence``), the bound of the running ``run`` and the
-next instant registered with ``Simulator.add_fence`` — flow on/off
-transitions, network events and their reroutes — as
-:meth:`~repro.sim.engine.Simulator.fence` gives it.  A shaper whose
-``fence`` is ``None`` runs the loop once: one firing per packet.
+ends).  The fence is the earliest of the edge epoch's next firing (the
+``time`` of the epoch task's handle, held in ``fence``), the bound of the
+running ``run`` and the next instant registered with
+``Simulator.add_fence`` — flow on/off transitions, network events and their
+reroutes — as :meth:`~repro.sim.engine.Simulator.fence` gives it.  A shaper
+whose ``fence`` is ``None`` runs the loop once: one firing per packet.
+
+The first firing on or past the fence takes a timer only when it comes
+before the epoch's next firing (a run or window bound, a registered
+instant).  One on or past the epoch's takes none: the shaper *parks on its
+epoch*, keeping that firing's float in ``_due``.  The epoch runs first, as
+it would before such a timer, whose heap entry it precedes
+(``EdgeRouter._adapt``): ``set_rate`` re-prices ``_due`` exactly as the
+re-arm it replaces would (``now`` plus the delay to a whole token), or
+leaves it when the rate holds, and :meth:`release` runs the loop in place
+from ``_due``, fenced by the epoch's next instant as ``PeriodicTask``
+re-arms it (``now + interval``) and capped by ``Simulator.fence``.  A run
+ending or a flow stopping between two epochs finds no timer to cancel:
+``stop`` drops ``_due`` and ``kick`` leaves a parked shaper be.
 
 Only the edge sets ``fence`` (``EdgeRouter._release_fence``), for a flow
 whose release touches nothing another event reads or writes before the
@@ -81,6 +93,7 @@ engageable form of the same rule.)
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError, SimulationError
@@ -117,6 +130,7 @@ class PacedSender:
         "_train_batch",
         "_train_emit",
         "fence",
+        "_due",
     )
 
     def __init__(
@@ -160,6 +174,9 @@ class PacedSender:
         #: When the scalar firing may release ahead ("Releases"): the handle
         #: of the task whose next firing may change the rate (the edge's epoch).
         self.fence: Optional[EventHandle] = None
+        #: The instant of the next firing of a shaper parked on its epoch
+        #: ("Releases"), which has no timer; ``None`` when not parked.
+        self._due: Optional[float] = None
 
     @property
     def rate(self) -> float:
@@ -191,6 +208,7 @@ class PacedSender:
         if self._sim.now < self._last_emit:
             self._refuse()
         self._running = False
+        self._due = None
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
@@ -233,7 +251,12 @@ class PacedSender:
         self._rate = rate
         self._credit = min(self.burst, waited * rate, accrued_cap) if rate > 0 else 0.0
         self._last_accrual = now
-        if self._running:
+        if self._due is not None:
+            # Parked on the epoch calling this, which releases it next: the
+            # instant is re-priced as the re-arm below would price it.
+            delay = self._delay_until_token()
+            self._due = now + delay if delay >= 0 else None
+        elif self._running:
             self._schedule(self._next_delay())
 
     def kick(self) -> None:
@@ -248,13 +271,20 @@ class PacedSender:
         """
         if self._sim.now < self._last_emit:
             self._refuse()
-        if not self._running or self._handle is not None:
+        if not self._running or self._handle is not None or self._due is not None:
             return
         if self._train_batch > 1:
             self._accrue()
             if self._credit > 1.0:
                 self._credit = 1.0
         self._schedule(self._next_delay())
+
+    def release(self, epoch: float) -> None:
+        """The edge epoch's call, after :meth:`set_rate`: a shaper parked on
+        it runs its firings before ``epoch``, the epoch's next instant, in
+        place ("Releases")."""
+        if self._due is not None:
+            self._fire(epoch)
 
     # -- internals --------------------------------------------------------
 
@@ -330,17 +360,36 @@ class PacedSender:
         else:
             self._handle = self._sim.schedule(delay, self._fire_cb)
 
-    def _fire(self) -> None:
+    def _fire(self, epoch: Optional[float] = None) -> None:
         """Scalar firing: one frame per release, which is one packet when
-        ``fence`` is ``None`` (module docstring)."""
-        fired = self._handle
-        self._handle = None
-        if not self._running:
-            return
+        ``fence`` is ``None`` (module docstring).  The engine calls it as a
+        timer; :meth:`release` with the parking epoch's next instant."""
         sim = self._sim
-        start = now = sim.now
-        fence = self.fence
-        fence = now if fence is None else sim.fence(fence.time)
+        start = sim.now
+        if epoch is None:
+            fired = self._handle
+            self._handle = None
+            if not self._running:
+                return
+            now = start
+            fence = self.fence
+            if fence is None:
+                bound, epoch = now, inf
+            else:
+                epoch = fence.time
+                bound = sim.fence(epoch)
+        else:
+            fired = None
+            now = self._due
+            self._due = None
+            bound = sim.fence(epoch)
+            if not now < bound:  # a run or window bound, a registered instant
+                if now < epoch:
+                    self._handle = sim.schedule_at(now, self._fire_cb)
+                else:
+                    self._due = now
+                return
+            sim.now = now
         try:
             while True:
                 rate = self._rate
@@ -350,9 +399,8 @@ class PacedSender:
                     credit = self._credit = credit if credit < self.burst else self.burst
                 self._last_accrual = now
                 if credit < 1.0 - _TOKEN_EPS:
-                    if fired is None or rate <= 0.0:
-                        self._schedule(self._delay_until_token(), reuse=fired)
-                        return
+                    if rate <= 0.0:
+                        return  # dormant until the rate rises
                     delay = (1.0 - credit) / rate
                 else:
                     sent = self._emit()
@@ -365,7 +413,7 @@ class PacedSender:
                         return
                     credit = self._credit = self._credit - 1.0 if self._credit > 1.0 else 0.0
                     self._last_emit = sim.now
-                    if self._handle is not None or fired is None or sim.now != now or self._rate != rate:
+                    if self._handle is not None or sim.now != now or self._rate != rate:
                         # The callback re-armed the shaper, moved the clock or changed the rate.
                         self._schedule(self._delay_until_token(), reuse=fired)
                         return
@@ -376,8 +424,13 @@ class PacedSender:
                     else:
                         return  # dormant until the rate rises
                 time = now + delay
-                if not time < fence:
-                    self._handle = sim.reschedule(delay, self._fire_cb, fired)
+                if not time < bound:
+                    if time >= epoch:
+                        self._due = time  # parked: the epoch runs first ("Releases")
+                    elif fired is None:
+                        self._handle = sim.schedule(delay, self._fire_cb)
+                    else:
+                        self._handle = sim.reschedule(delay, self._fire_cb, fired)
                     return
                 sim.now = now = time  # release the next firing at its instant
         finally:

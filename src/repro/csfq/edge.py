@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import exp
 from typing import Callable, Optional
 
-from repro.core.adaptation import Phase, RateController
+from repro.core.adaptation import RateController
 from repro.core.edge import EdgeRouter, FlowAttachment
 from repro.core.shaping import PacedSender
 from repro.csfq.config import CsfqConfig
@@ -44,7 +44,6 @@ from repro.sim.packet import Packet, PacketKind
 __all__ = ["CsfqEdge"]
 
 _DATA = PacketKind.DATA
-_SLOW_START = Phase.SLOW_START
 
 #: Ships a LOSS_NOTIFY packet toward the ingress edge named in packet.dst.
 LossChannel = Callable[[Packet], None]
@@ -194,10 +193,7 @@ class CsfqEdge(EdgeRouter):
         for state in self._active_flows():
             losses = state.losses
             state.losses = 0
-            new_rate = state.controller.on_epoch(losses, now)
-            state.pacer.set_rate(new_rate)
-            if state.fence is not None and state.controller.phase is not _SLOW_START:
-                state.pacer.fence, state.fence = state.fence, None
+            self._adapt(state, state.controller.on_epoch(losses, now))
 
     # -- egress role -----------------------------------------------------
 

@@ -466,13 +466,16 @@ def pool_map(
     ``fn`` must be a module-level function and each item picklable (spawn
     semantics).  ``workers<=1`` runs inline — same code path the batch
     runner uses, same determinism argument: results depend only on the
-    items, never on scheduling.
+    items, never on scheduling.  The pool holds at most one process per
+    CPU: a spawned worker spends ~0.25 s of CPU starting (the interpreter
+    and ``import repro.experiments``) before its first item, and one beyond
+    the CPU count adds that and no parallelism.
     """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     ctx = multiprocessing.get_context(start_method)
-    with ctx.Pool(processes=min(workers, len(items))) as pool:
+    with ctx.Pool(processes=min(workers, len(items), os.cpu_count() or 1)) as pool:
         return pool.map(fn, items, chunksize=1)
 
 

@@ -50,7 +50,8 @@ Releases
 One writer of the clock lives outside the run loop: a releasing shaper
 (:mod:`repro.core.shaping`, "Releases").  A flow whose departure times are
 fixed until its next rate change runs the firings it owes before that
-instant at once, with ``now`` set to each firing's instant and restored
+instant at once — from its own timer, or from inside its edge's epoch when
+it parked there — with ``now`` set to each firing's instant and restored
 after.  Its bound is :meth:`Simulator.fence`: the earliest of the instant
 it names (its edge's next epoch), the bound of the running :meth:`run` (so
 nothing is released past what a caller reads between runs or windows; a

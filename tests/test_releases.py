@@ -1,6 +1,7 @@
 """Shaper releases (``repro.core.shaping``, "Releases"): a flow whose rate is
 fixed until its edge's next epoch runs every firing due before that instant in
-one frame, with the clock set to each firing's instant.
+one frame, with the clock set to each firing's instant, and then parks on that
+epoch, which releases it in place.
 
 The oracle is the same run with releases off — ``EdgeRouter._release_fence``
 patched to give every flow ``None``, one firing per packet — which must
@@ -16,6 +17,7 @@ from repro.aqm.wfq import WfqQueue
 from repro.core.adaptation import Phase
 from repro.core.config import CoreliteConfig
 from repro.core.edge import CoreliteEdge, EdgeRouter, FlowAttachment
+from repro.core.shaping import PacedSender
 from repro.csfq.config import CsfqConfig
 from repro.csfq.edge import CsfqEdge
 from repro.errors import SimulationError
@@ -32,11 +34,26 @@ from .contract import fingerprint
 # -- the oracle -----------------------------------------------------------------
 
 
+def _counting_epoch_releases(patch):
+    """Patch ``PacedSender.release`` to count the epochs that found their
+    shaper parked; returns the one-element count."""
+    parked = [0]
+    release = PacedSender.release
+
+    def counting(pacer, epoch):
+        parked[0] += pacer._due is not None
+        release(pacer, epoch)
+
+    patch.setattr(PacedSender, "release", counting)
+    return parked
+
+
 def _replay(make, releases, schedule=None):
     """Build with ``make()``, run, and return (fingerprint, link sends, packet
-    ids, events, fenced flows, result); ``schedule(cloud)`` adds events before
-    the run."""
+    ids, events, fenced flows, result, epochs that released a parked shaper);
+    ``schedule(cloud)`` adds events before the run."""
     with pytest.MonkeyPatch.context() as patch:
+        parked = _counting_epoch_releases(patch)
         if not releases:
             patch.setattr(EdgeRouter, "_release_fence", lambda edge, state: None)
         cloud, until = make()
@@ -67,6 +84,7 @@ def _replay(make, releases, schedule=None):
         cloud.sim.events_executed,
         fenced,
         result,
+        parked[0],
     )
 
 
@@ -74,9 +92,11 @@ def _assert_releases_replay(make, schedule=None):
     released = _replay(make, True, schedule)
     per_packet = _replay(make, False, schedule)
     assert released[:3] == per_packet[:3], "releasing ahead moved what the run produced"
-    assert per_packet[4] == 0
+    assert per_packet[4] == per_packet[6] == 0
     assert released[4] > 0, "no flow released: the oracle compared nothing"
+    assert released[6] > 0, "no epoch released a parked shaper: its path went unchecked"
     assert released[3] <= per_packet[3]
+    return released
 
 
 _MESH_PAIRS = (("A", "B"), ("B", "D"), ("A", "C"), ("C", "D"), ("B", "C"))
@@ -354,3 +374,174 @@ def test_fence_is_the_earliest_of_the_bound_the_registry_and_the_task():
     assert seen == [1.0, 2.0, 3.0, 3.0]
     with pytest.raises(SimulationError):
         sim.add_fence(3.5)
+
+
+# -- a shaper parked on its epoch ------------------------------------------------------
+
+
+class _Scripted:
+    """A controller past slow start that takes the next of ``rates`` each
+    epoch (and keeps the last)."""
+
+    phase = Phase.LINEAR
+
+    def __init__(self, rates):
+        self.rates = list(rates)
+        self.rate = self.rates.pop(0)
+
+    def on_epoch(self, feedback, now):
+        if self.rates:
+            self.rate = self.rates.pop(0)
+        return self.rate
+
+    def restart(self, now):
+        pass
+
+
+def _epoch_instants(edge, n):
+    """The floats of the edge's next ``n`` epochs, summed as its task re-arms."""
+    task = edge._epoch_task
+    instants = [task.handle.time]
+    while len(instants) < n:
+        instants.append(instants[-1] + task.interval)
+    return instants
+
+
+def _lone_flow(releases, rates, events=None, until=(6.0,)):
+    """Every send (instant, seq, size) of a lone flow on the rig's first hop,
+    its controller scripted to ``rates``, and the epochs that released its
+    parked shaper.  ``events(sim, edge, epochs)`` schedules changes before
+    the run, which is split at each instant of ``until``."""
+    with pytest.MonkeyPatch.context() as patch:
+        parked = _counting_epoch_releases(patch)
+        if not releases:
+            patch.setattr(EdgeRouter, "_release_fence", lambda edge, state: None)
+        sim, edge, link = _rig()
+        sends = []
+        send = link.send
+
+        def recording(packet):
+            sends.append((sim.now, packet.seq, packet.size))
+            return send(packet)
+
+        link.send = recording
+        edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
+        edge.start_flow(1)
+        edge._ingress_state(1).controller = _Scripted(rates)
+        if events is not None:
+            events(sim, edge, _epoch_instants(edge, 20))
+        for bound in until:
+            sim.run(until=bound)
+    return sends, parked[0]
+
+
+def _fenced(sim, t, fn, *args):
+    sim.add_fence(t)
+    sim.schedule_at(t, fn, *args)
+
+
+def _stop_and_start_at_epochs(sim, edge, epochs):
+    _fenced(sim, epochs[5], edge.stop_flow, 1)
+    _fenced(sim, epochs[9], edge.start_flow, 1)
+
+
+def _stop_and_start_mid_epoch(sim, edge, epochs):
+    _fenced(sim, epochs[5] + 0.1, edge.stop_flow, 1)
+    _fenced(sim, epochs[9] + 0.2, edge.start_flow, 1)
+
+
+def _kicks(sim, edge, epochs):
+    pacer = edge._ingress_state(1).pacer
+    for t in epochs[2:12]:
+        _fenced(sim, t + 0.15, pacer.kick)
+
+
+_VARYING = [20.0, 33.3, 7.7, 51.0, 1.5, 1.5, 26.0, 13.1, 40.0]
+
+
+@pytest.mark.parametrize(
+    "rates, events, until",
+    [
+        ([20.0], None, (6.0,)),
+        (_VARYING, None, (6.0,)),
+        ([20.0, 0.0, 0.0, 18.5, 0.0, 40.0], None, (6.0,)),
+        (_VARYING, _stop_and_start_at_epochs, (6.0,)),
+        (_VARYING, _stop_and_start_mid_epoch, (6.0,)),
+        (_VARYING, _kicks, (6.0,)),
+        (_VARYING, None, "epochs"),
+        (_VARYING, None, (1.05, 1.62, 2.5, 6.0)),
+    ],
+    ids=[
+        "rate-held",
+        "rate-moves",
+        "dormant-and-back",
+        "stop-and-start-at-epoch-instants",
+        "stop-and-start-mid-epoch",
+        "kick-while-parked",
+        "runs-ending-on-epoch-instants",
+        "runs-ending-mid-epoch",
+    ],
+)
+def test_a_parked_shaper_sends_as_a_firing_per_packet(rates, events, until):
+    """Rates held, moving (1.5 pkt/s pushes the next firing past the next
+    epoch: the shaper stays parked through it), 0 and back; stop, start and
+    kick; runs split on and between epoch instants."""
+    if until == "epochs":
+        sim, edge, _ = _rig()
+        edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
+        until = tuple(_epoch_instants(edge, 12)[3::4]) + (6.0,)
+    released, parked = _lone_flow(True, rates, events, until)
+    per_packet, _ = _lone_flow(False, rates, events, until)
+    assert released == per_packet
+    assert len(released) > 40 and parked > 3
+
+
+def test_a_parked_shaper_has_no_timer_and_holds_through_kick_and_stop():
+    """At 1.5 pkt/s a firing is often due past the next epoch, so a run that
+    ends between epochs can leave the shaper parked rather than armed."""
+    sim, edge, _ = _rig()
+    edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
+    edge.start_flow(1)
+    state = edge._ingress_state(1)
+    state.controller = _Scripted([1.5])
+    pacer = state.pacer
+    for epoch in _epoch_instants(edge, 20)[4:]:
+        sim.run(until=epoch + 0.01)
+        if pacer._due is not None:
+            break
+    assert pacer.fence is edge._epoch_task.handle
+    assert pacer._handle is None and pacer._due >= edge._epoch_task.handle.time
+    assert not [entry for entry in sim._heap if getattr(entry[3], "__self__", None) is pacer]
+    due = pacer._due
+    pacer.kick()  # a parked shaper is not an idle one
+    assert pacer._handle is None and pacer._due == due
+    edge.stop_flow(1)
+    assert pacer._due is None and not pacer.running
+    seq = state.seq
+    sim.run(until=sim.now + 3.0)
+    assert state.seq == seq
+
+
+def test_a_network_event_and_a_flow_on_off_at_epoch_instants_replay_per_packet():
+    """A mesh flow whose first core's out-link fails and recovers, and which
+    stops and restarts, each at exactly an instant its ingress edge adapts."""
+
+    def build(events=(), schedule=((0.0, float("inf")),)):
+        builder = CloudBuilder(TopologySpec.mesh(events=events), scheme="corelite", seed=5)
+        builder.add_flow(FlowPathSpec(1, 2.0, "A", "D", schedule=schedule))
+        return builder.build()
+
+    probe = build()
+    probe.finalize()
+    epochs = _epoch_instants(probe.edges[probe.flows[1].ingress_edge], 60)
+    events = (
+        NetworkEvent(time=epochs[30], kind="link_down", a="A", b="B"),
+        NetworkEvent(time=epochs[40], kind="link_up", a="A", b="B"),
+    )
+    on_off = ((0.0, epochs[34]), (epochs[37], float("inf")))
+
+    def make():
+        return build(events, on_off), 26.0
+
+    released = _assert_releases_replay(make)
+    assert released[5].dynamics["reroutes"] >= 2
