@@ -22,6 +22,14 @@ process per task; with the pool capped at one process per CPU it takes
 0.63-0.79 s (0.58-0.88x), and this bench reads 0.90-1.10x (0.66-0.78x
 before the cap).  The simulator has sped up several-fold since the bound
 was written (docs/PERF_LOG.md); spawn start-up has not.
+
+A first pool in a process sometimes runs slower than later ones (1.17 s
+and 0.80 s against 0.4-0.6 s).  Its workers then use the CPU time later
+pools' workers use but take twice it in wall time: they wait for a CPU.
+Compiling ``repro`` is not the cause.  A tree with no bytecode costs each
+worker of every pool ~0.1 s more CPU to import (0.11-0.15 s against
+0.04-0.06 s from ``.pyc`` files), the first pool and later ones alike, and
+where bytecode writing is on the serial pass writes what the workers load.
 """
 
 import json

@@ -293,23 +293,18 @@ class EdgeRouter(Router):
 
     def _release_fence(self, state) -> Optional[EventHandle]:
         """The shaper ``fence`` of a starting flow (:mod:`repro.core.shaping`,
-        "Releases"): this edge's epoch handle for a scalar, always-backlogged,
-        unaggregated flow that is the only ingress flow of this single-path
-        edge and whose first hop sends ahead (``Link.sends_ahead``); else
-        ``None``.  The flow keeps it as ``state.fence`` and its shaper takes
-        it in the first epoch past slow start: there every flow's rate is the
-        initial rate times a power of two, one float for all, so flows that
-        start on a common grid fire at the same instants, and which of two
-        such first-hop deliveries a core takes first is the order of the
-        firings that sent them, which a release does not keep."""
+        "Releases"): this edge's epoch handle for an always-backlogged flow
+        (scalar or train, one flow or an aggregate bucket) that is the only
+        ingress flow of this single-path edge and whose first hop sends ahead
+        (``Link.sends_ahead``); else ``None``.  The flow keeps it as
+        ``state.fence`` and its shaper takes it in the first epoch past slow
+        start: there every flow's rate is the initial rate times a power of
+        two, one float for all, so flows that start on a common grid fire at
+        the same instants, and which of two such first-hop deliveries a core
+        takes first is the order of the firings that sent them, which a
+        release does not keep."""
         att = state.attachment
-        if (
-            state.backlog is not None
-            or att.aggregate > 1
-            or self.train_batch > 1
-            or self.multipath
-            or len(self._ingress_flows) > 1
-        ):
+        if state.backlog is not None or self.multipath or len(self._ingress_flows) > 1:
             return None
         link = self.route_for(att.dst_edge)
         if link is None or not link.sends_ahead():

@@ -18,33 +18,36 @@ Rate changes take effect immediately: the accumulated credit is re-priced
 at the new rate, so a throttled flow cannot burst on credit earned at its
 old, higher rate.
 
-Hot frames: the scalar firing (``_fire``) is one frame per release — the
-float operations of ``_accrue`` and ``_delay_until_token`` in their order,
-the debit and, last, the re-arm through ``Simulator.reschedule`` or the
-park on the epoch ("Releases") — and the train firing (``_fire_train``) is
-one frame per train: ``_accrue`` inline, one call of the train-delay rule
-``_train_delay`` (which does not accrue again), the debit and the same
-re-arm.  Each does only what a result reads: the burst clamp and the debit
-are conditionals with ``min`` / ``max``'s semantics, not builtin calls, and
-no send is counted (an edge's ingress ``seq`` is that count).  ``_accrue``,
-``_delay_until_token`` and ``_schedule`` remain for ``set_rate``, ``kick``,
-``credit()``, a train whose token is not yet whole and a firing whose emit
-callback re-armed the shaper, moved the clock or (scalar) changed the rate.
+Hot frames: a firing (``_fire``) is one frame per release, scalar or
+train — the float operations of ``_accrue`` and ``_delay_until_token`` in
+their order (in train mode, one call of the train-delay rule
+``_train_delay``, which does not accrue again), the debit and, last, the
+re-arm through ``Simulator.reschedule`` or the park on the epoch
+("Releases").  Only its emission step branches on the mode: one packet
+through ``emit``, or a train through ``train_emit``.  It does only what a
+result reads: the burst clamp and the debit are conditionals with ``min`` /
+``max``'s semantics, not builtin calls, and no send is counted (an edge's
+ingress ``seq`` is that count).  ``_accrue``, ``_delay_until_token`` and
+``_schedule`` remain for ``set_rate``, ``kick``, ``credit()`` and a firing
+whose emit callback re-armed the shaper, moved the clock or changed the
+rate.
 
 Releases
 --------
 A flow's rate changes only when its edge's epoch runs (paper §2.2, step 3),
 so between two epochs an always-backlogged flow's departure times are fixed.
-The scalar ``_fire`` is therefore a loop: after each emission it computes the
-next firing time exactly as the re-arm would, and while that time is
-strictly before the flow's *fence* it runs that firing at once, with the
-simulator's clock set to the firing's instant (restored when the loop
-ends).  The fence is the earliest of the edge epoch's next firing (the
-``time`` of the epoch task's handle, held in ``fence``), the bound of the
-running ``run`` and the next instant registered with
-``Simulator.add_fence`` — flow on/off transitions, network events and their
-reroutes — as :meth:`~repro.sim.engine.Simulator.fence` gives it.  A shaper
-whose ``fence`` is ``None`` runs the loop once: one firing per packet.
+``_fire`` is therefore a loop, in either mode: after each emission (a packet
+or a train) it computes the next firing time exactly as the re-arm would,
+and while that time is strictly before the flow's *fence* it runs that
+firing at once, with the simulator's clock set to the firing's instant
+(restored when the loop ends).  The fence is the earliest of the edge
+epoch's next firing (the ``time`` of the epoch task's handle, held in
+``fence``), the bound of the running ``run`` and the next instant
+registered with ``Simulator.add_fence`` — flow on/off transitions, network
+events and their reroutes — as :meth:`~repro.sim.engine.Simulator.fence`
+gives it.  A shaper
+whose ``fence`` is ``None`` runs the loop once: one firing per packet, or
+per train.
 
 The first firing on or past the fence takes a timer only when it comes
 before the epoch's next firing (a run or window bound, a registered
@@ -52,25 +55,29 @@ instant).  One on or past the epoch's takes none: the shaper *parks on its
 epoch*, keeping that firing's float in ``_due``.  The epoch runs first, as
 it would before such a timer, whose heap entry it precedes
 (``EdgeRouter._adapt``): ``set_rate`` re-prices ``_due`` exactly as the
-re-arm it replaces would (``now`` plus the delay to a whole token), or
-leaves it when the rate holds, and :meth:`release` runs the loop in place
-from ``_due``, fenced by the epoch's next instant as ``PeriodicTask``
-re-arms it (``now + interval``) and capped by ``Simulator.fence``.  A run
-ending or a flow stopping between two epochs finds no timer to cancel:
-``stop`` drops ``_due`` and ``kick`` leaves a parked shaper be.
+re-arm it replaces would (``now`` plus ``_next_delay``: the delay to a whole
+token, or in train mode to a train), or leaves it when the rate holds; train
+mode's idle cap counts a parked shaper as armed, as it would its timer.
+:meth:`release` then runs the loop in place from ``_due``, fenced by the
+epoch's next instant as ``PeriodicTask`` re-arms it (``now + interval``)
+and capped by ``Simulator.fence``.  A run ending or a flow stopping between
+two epochs finds no timer to cancel: ``stop`` drops ``_due`` and ``kick``
+leaves a parked shaper be.
 
 Only the edge sets ``fence`` (``EdgeRouter._release_fence``), for a flow
 whose release touches nothing another event reads or writes before the
 fence: the shaper's credit and clock, the flow's rate, injector and ``seq``,
-and a first-hop link and route of its own.  Each packet then leaves at the
-float instant a firing per packet gives it; only its first-hop delivery's
-heap seq is assigned earlier.  That matters only where two deliveries reach
-one node at the same float instant — two flows pacing on one grid, which in
-slow start (every rate the initial rate times a power of two) is the rule
-for flows started on a common grid — so a flow releases only once its
-controller has left slow start.  A ``set_rate``, ``stop`` or ``kick`` that
-lands before the last release is a change the fence did not know about, and
-raises :class:`~repro.errors.SimulationError`.
+and a first-hop link and route of its own — a train and an aggregate
+bucket's extra markers included, which leave in their firing.  Each packet
+(or train) then leaves at the float instant a firing per packet (or per
+train) gives it; only its first-hop delivery's heap seq is assigned
+earlier.  That matters only where two deliveries reach one node at the same
+float instant — two flows pacing on one grid, which in slow start (every
+rate the initial rate times a power of two) is the rule for flows started
+on a common grid — so a flow releases only once its controller has left
+slow start.  A ``set_rate``, ``stop`` or ``kick`` that lands before the
+last release is a change the fence did not know about, and raises
+:class:`~repro.errors.SimulationError`.
 
 Train mode (opt-in)
 -------------------
@@ -81,7 +88,9 @@ the ``train_emit(allowance) -> sent`` callback — the edge wraps the batch
 in a single :class:`~repro.sim.packet.PacketTrain`.  The long-run rate is
 unchanged (tokens still accrue at ``bg``); what changes is the burst
 structure: up to K packets leave back-to-back, which is why train mode is
-pinned statistically rather than byte-identically.  The horizon cap keeps
+pinned statistically rather than byte-identically.  A train is one firing
+of the same ``_fire`` loop, so past slow start a train shaper releases and
+parks on its epoch like a scalar one ("Releases").  The horizon cap keeps
 slow flows responsive — a flow at rate ``r`` coalesces
 ``min(K, r * TRAIN_HORIZON)`` packets, so coalescing fades out exactly
 where per-event overhead no longer dominates.  (The literal paper-world
@@ -126,7 +135,6 @@ class PacedSender:
         "_handle",
         "_last_emit",
         "idle_parks",
-        "_fire_cb",
         "_train_batch",
         "_train_emit",
         "fence",
@@ -160,9 +168,6 @@ class PacedSender:
         if train_batch > 1:
             # The bucket must be able to hold a whole batch of tokens.
             burst = max(burst, float(train_batch))
-            self._fire_cb: Callable[[], None] = self._fire_train
-        else:
-            self._fire_cb = self._fire
         self.burst = burst
         self._credit = 1.0  # a fresh flow may send immediately
         self._last_accrual = 0.0
@@ -241,10 +246,12 @@ class PacedSender:
         if self._train_batch > 1:
             self._accrue()
             accrued_cap = max(self._credit, 1.0)
-            if self._handle is None:
-                # Parked (or dormant): the scalar idle cap applies — see
+            if self._handle is None and self._due is None:
+                # Idle (or dormant): the scalar idle cap applies — see
                 # :meth:`kick`.  Credit above one token here was banked
-                # while idle, not accumulated mid-coalesce.
+                # while idle, not accumulated mid-coalesce.  A shaper parked
+                # on its epoch ("Releases") is armed: it holds the firing
+                # a timer would.
                 accrued_cap = 1.0
         else:
             accrued_cap = float("inf")
@@ -254,7 +261,7 @@ class PacedSender:
         if self._due is not None:
             # Parked on the epoch calling this, which releases it next: the
             # instant is re-priced as the re-arm below would price it.
-            delay = self._delay_until_token()
+            delay = self._next_delay()
             self._due = now + delay if delay >= 0 else None
         elif self._running:
             self._schedule(self._next_delay())
@@ -356,14 +363,16 @@ class PacedSender:
         if reuse is not None:
             # ``reuse`` is the handle whose heap entry just fired — re-arm
             # it in place instead of allocating a fresh one per emission.
-            self._handle = self._sim.reschedule(delay, self._fire_cb, reuse)
+            self._handle = self._sim.reschedule(delay, self._fire, reuse)
         else:
-            self._handle = self._sim.schedule(delay, self._fire_cb)
+            self._handle = self._sim.schedule(delay, self._fire)
 
     def _fire(self, epoch: Optional[float] = None) -> None:
-        """Scalar firing: one frame per release, which is one packet when
-        ``fence`` is ``None`` (module docstring).  The engine calls it as a
-        timer; :meth:`release` with the parking epoch's next instant."""
+        """One frame per release, which is one firing when ``fence`` is
+        ``None`` (module docstring): a packet, or in train mode a train of
+        ``min(train_batch, credit)`` through ``train_emit``.  The engine
+        calls it as a timer; :meth:`release` with the parking epoch's next
+        instant."""
         sim = self._sim
         start = sim.now
         if epoch is None:
@@ -385,11 +394,12 @@ class PacedSender:
             bound = sim.fence(epoch)
             if not now < bound:  # a run or window bound, a registered instant
                 if now < epoch:
-                    self._handle = sim.schedule_at(now, self._fire_cb)
+                    self._handle = sim.schedule_at(now, self._fire)
                 else:
                     self._due = now
                 return
             sim.now = now
+        batch = self._train_batch
         try:
             while True:
                 rate = self._rate
@@ -401,23 +411,34 @@ class PacedSender:
                 if credit < 1.0 - _TOKEN_EPS:
                     if rate <= 0.0:
                         return  # dormant until the rate rises
-                    delay = (1.0 - credit) / rate
+                    delay = (1.0 - credit) / rate if batch == 1 else self._train_delay()
                 else:
-                    sent = self._emit()
+                    if batch == 1:
+                        sent = self._emit()
+                        if sent is not False:
+                            # None counts as sent so plain callbacks need no return.
+                            sent = 1
+                    else:
+                        sent = int(credit + _TOKEN_EPS)
+                        sent = self._train_emit(sent if sent < batch else batch)
                     if not self._running:
                         return  # the emit callback tore the flow down
-                    if sent is False:
-                        # Explicitly nothing to send: park until a deposit kicks
-                        # us.  (None counts as sent so plain callbacks need no return.)
+                    if not sent:
+                        # Nothing to send: park until a deposit kicks us.
                         self.idle_parks += 1
                         return
-                    credit = self._credit = self._credit - 1.0 if self._credit > 1.0 else 0.0
+                    credit = self._credit = self._credit - sent if self._credit > sent else 0.0
                     self._last_emit = sim.now
                     if self._handle is not None or sim.now != now or self._rate != rate:
                         # The callback re-armed the shaper, moved the clock or changed the rate.
-                        self._schedule(self._delay_until_token(), reuse=fired)
+                        self._accrue()
+                        self._schedule(self._next_delay(), reuse=fired)
                         return
-                    if credit >= 1.0 - _TOKEN_EPS:
+                    if batch != 1:
+                        delay = self._train_delay()
+                        if delay < 0.0:
+                            return  # dormant until the rate rises
+                    elif credit >= 1.0 - _TOKEN_EPS:
                         delay = 0.0
                     elif rate > 0.0:
                         delay = (1.0 - credit) / rate
@@ -428,53 +449,13 @@ class PacedSender:
                     if time >= epoch:
                         self._due = time  # parked: the epoch runs first ("Releases")
                     elif fired is None:
-                        self._handle = sim.schedule(delay, self._fire_cb)
+                        self._handle = sim.schedule(delay, self._fire)
                     else:
-                        self._handle = sim.reschedule(delay, self._fire_cb, fired)
+                        self._handle = sim.reschedule(delay, self._fire, fired)
                     return
                 sim.now = now = time  # release the next firing at its instant
         finally:
             sim.now = start
-
-    def _fire_train(self) -> None:
-        """Train-mode firing, one frame per train (module docstring): emit
-        up to ``min(batch, credit)`` packets as one batch through
-        ``train_emit`` and debit what was actually sent."""
-        fired = self._handle
-        self._handle = None
-        if not self._running:
-            return
-        sim = self._sim
-        now = sim.now
-        rate = self._rate
-        credit = self._credit
-        if rate > 0 and now > self._last_accrual:
-            credit += (now - self._last_accrual) * rate
-            credit = self._credit = credit if credit < self.burst else self.burst
-        self._last_accrual = now
-        if credit < 1.0 - _TOKEN_EPS:
-            self._schedule(self._train_delay(), reuse=fired)
-            return
-        allowance = int(credit + _TOKEN_EPS)
-        if allowance > self._train_batch:
-            allowance = self._train_batch
-        sent = self._train_emit(allowance)
-        if not self._running:
-            return  # the emit callback tore the flow down
-        if not sent:
-            # Nothing to send: park until a deposit kicks us.
-            self.idle_parks += 1
-            return
-        self._credit = self._credit - sent if self._credit > sent else 0.0
-        self._last_emit = sim.now
-        if self._handle is not None or fired is None or sim.now != now:
-            # The callback re-armed the shaper or moved the clock.
-            self._accrue()
-            self._schedule(self._train_delay(), reuse=fired)
-            return
-        delay = self._train_delay()
-        if delay >= 0.0:
-            self._handle = sim.reschedule(delay, self._fire_cb, fired)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "running" if self._running else "stopped"

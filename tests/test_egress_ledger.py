@@ -10,15 +10,17 @@ each way and everything a run shows must be ``==``, floats included, with
 ``events_executed`` apart by exactly the last-hop delivery events.
 
 The second half keeps the call chains the train frames replaced —
-``_fire_train``, ``_emit_train`` and ``receive`` -> ``_deliver_train`` as
-they were at 9397da2 — and compares pacer, injector and egress state after
-every packet and every train.  The scalar frames' chains are retired: the
-contract table (``tests/contract``) pins what they produced.
+``_fire_train`` (since folded into ``_fire``), ``_emit_train`` and
+``receive`` -> ``_deliver_train`` as they were at 9397da2 — and compares
+pacer, injector and egress state after every packet and every train, with
+releases off (a firing per train, as the chains fire).  The scalar frames'
+chains are retired: the contract table (``tests/contract``) pins what they
+produced.
 
 Mutants that must fail here (each checked by hand when it was written, and
 recorded in ``docs/PERF_LOG.md``): ``due <= now`` for the ``(due, seq)``
 rule in ``Simulator.settle``; ``receive`` not settling before an
-event-handed packet (either edge); ``_fire_train`` without the
+event-handed packet (either edge); a train firing without the
 ``min(burst, .)`` clamp; ``receive`` advancing a train's ``expected_seq`` by
 1 or recording it with ``record``; ``quiet_for`` answering
 ``seq <= fed + 1``, reading ``fed_seq`` after folding the packet in or not
@@ -41,7 +43,7 @@ from repro.aqm.decbit import DecbitQueue
 from repro.aqm.red import RedQueue
 from repro.core import adaptation
 from repro.core.config import CoreliteConfig
-from repro.core.edge import CoreliteEdge, _DATA
+from repro.core.edge import CoreliteEdge, EdgeRouter, _DATA
 from repro.core.shaping import _TOKEN_EPS, PacedSender
 from repro.csfq.config import CsfqConfig
 from repro.csfq.edge import CsfqEdge
@@ -907,7 +909,7 @@ def _deliver_train_chain(self, state, train, link) -> None:
         state.micro_delivered[micro] = state.micro_delivered.get(micro, 0) + 1
 
 
-_fire_train, _emit_train = PacedSender._fire_train, CoreliteEdge._emit_train
+_fire, _emit_train = PacedSender._fire, CoreliteEdge._emit_train
 _receive = CoreliteEdge.receive
 
 
@@ -935,8 +937,9 @@ def _pacer_view(pacer):
 def _logged_frames(patch, chains):
     """Install the frames (the chains, or the source's) with a log line of
     everything they touch after every firing and every edge ``receive``,
-    and each flow's sends so far as the emit callbacks report them."""
-    fire_train, emit_train, receive = (_fire_train, _emit_train, _receive)
+    and each flow's sends so far as the emit callbacks report them.  One
+    ``_fire`` serves both modes: a train shaper's firing takes the chain."""
+    fire_train, emit_train, receive = (_fire, _emit_train, _receive)
     if chains:
         fire_train, emit_train, receive = (
             _fire_train_chain, _emit_train_chain, _receive_train_chain
@@ -952,19 +955,16 @@ def _logged_frames(patch, chains):
 
         return counted
 
-    def logging(fire):
-        def logged_fire(pacer):
-            fire(pacer)
-            flow = pacer._emit.args[0]
-            injector, queue = flow.injector, flow.ext_queue
-            log.append((
-                "fire", pacer._sim.now, flow.attachment.flow_id, _pacer_view(pacer),
-                (injector._credit, injector.markers_emitted, sent[flow.attachment.flow_id]),
-                (flow.seq, flow.backlog, None if queue is None else len(queue),
-                 pacer._sim._next_pid),
-            ))
-
-        return logged_fire
+    def logged_fire(pacer, *epoch):
+        (fire_train if pacer._train_batch > 1 else _fire)(pacer, *epoch)
+        flow = pacer._emit.args[0]
+        injector, queue = flow.injector, flow.ext_queue
+        log.append((
+            "fire", pacer._sim.now, flow.attachment.flow_id, _pacer_view(pacer),
+            (injector._credit, injector.markers_emitted, sent[flow.attachment.flow_id]),
+            (flow.seq, flow.backlog, None if queue is None else len(queue),
+             pacer._sim._next_pid),
+        ))
 
     def logged_receive(edge, packet, link, *at):
         receive(edge, packet, link, *at)
@@ -979,8 +979,7 @@ def _logged_frames(patch, chains):
                 tuple(sorted(state.micro_delivered.items())),
             ))
 
-    patch.setattr(PacedSender, "_fire", logging(PacedSender._fire))
-    patch.setattr(PacedSender, "_fire_train", logging(fire_train))
+    patch.setattr(PacedSender, "_fire", logged_fire)
     patch.setattr(CoreliteEdge, "_emit", counting(CoreliteEdge._emit))
     patch.setattr(CoreliteEdge, "_emit_train", counting(emit_train))
     patch.setattr(CoreliteEdge, "receive", logged_receive)
@@ -1016,11 +1015,13 @@ def _every_flow_kind():
 def test_frames_equal_their_call_chains_after_every_packet(train_batch):
     """Run in event mode, where the old ``receive`` can read ``sim.now``; the
     ledger's ``at`` is covered by every test above.  Every flow but the
-    external one fires, emits and is recorded as trains."""
+    external one fires, emits and is recorded as trains, one firing per
+    train: releases (``repro.core.shaping``) are off, as in the chains."""
     logs = []
     for chains in (True, False):
         with pytest.MonkeyPatch.context() as patch:
             _events_mode(patch)
+            patch.setattr(EdgeRouter, "_release_fence", lambda edge, state: None)
             log = _logged_frames(patch, chains)
             cloud, until = _every_flow_kind()
             result = cloud.run(until=until, sample_interval=0.1)

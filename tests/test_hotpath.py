@@ -409,18 +409,21 @@ CHAIN_BUDGETS = {
     "csfq": (30.0, 3.0, 3.7, "2.76 / 3.58"),
 }
 
-#: scheme -> shaper firings the engine dispatches per delivered packet on the
+#: leg -> shaper firings the engine dispatches per delivered packet on the
 #: §4.1 chain.  Past slow start a shaper parks on its edge epoch, which
 #: releases it in place, so nearly all of them are slow-start firings:
 #: 0.104 (Corelite) / 0.021 (CSFQ) when this was written, budgets ~15 % and
 #: ~40 % above.  They read 0.173 / 0.116 with a timer per flow per edge epoch
-#: and 1.01 / 1.04 with a firing per packet.
-CHAIN_FIRING_BUDGETS = {"corelite": 0.12, "csfq": 0.03}
+#: and 1.01 / 1.04 with a firing per packet.  Trains of 8 (``train-8``) fire
+#: once per train in slow start: 0.0825 when this was written, budget ~15 %
+#: above, and 0.588 while a train shaper past slow start fired by timer too.
+CHAIN_FIRING_BUDGETS = {"corelite": 0.12, "csfq": 0.03, "corelite-train-8": 0.095}
 
 #: Cancelled shaper entries the engine pops per delivered packet on the §4.1
-#: chain: 0.0062 (Corelite) / 0.0048 (CSFQ) when this was written, 0.074 /
-#: 0.100 while each edge epoch's ``set_rate`` cancelled the shaper timer the
-#: release before it had armed at the epoch fence.
+#: chain: 0.0062 (Corelite) / 0.0048 (CSFQ) / 0.0063 (trains of 8) when
+#: this was written; 0.074 / 0.100 while each edge epoch's ``set_rate``
+#: cancelled the shaper timer the release before it had armed at the epoch
+#: fence, 0.075 while it cancelled a train shaper's timer.
 CHAIN_DEAD_ENTRY_BUDGET = 0.01
 
 
@@ -432,12 +435,12 @@ def test_paper_chain_event_budget_csfq(monkeypatch):
     _check_chain_event_budget(monkeypatch, "csfq")
 
 
-def _paper_chain(scheme):
+def _paper_chain(scheme, train_batch=1):
     from repro.experiments.builder import CloudBuilder
     from repro.experiments.scenarios import WEIGHTS_41, topology1_flows
     from repro.experiments.topospec import TopologySpec
 
-    builder = CloudBuilder(TopologySpec.chain(4), scheme=scheme, seed=0)
+    builder = CloudBuilder(TopologySpec.chain(4), scheme=scheme, seed=0, train_batch=train_batch)
     builder.add_flows(topology1_flows(WEIGHTS_41, {}))
     return builder.build()
 
@@ -559,24 +562,20 @@ def _check_chain_event_budget(monkeypatch, scheme):
     )
 
 
-@pytest.mark.parametrize("scheme", sorted(CHAIN_BUDGETS))
-def test_paper_chain_shaper_budget(monkeypatch, scheme):
-    """Past slow start a flow's shaper arms no timer: it parks on its edge
-    epoch, which re-prices and releases it in place (``repro.core.shaping``,
-    "Releases").  A reintroduced timer per flow per epoch fails here with a
-    count of engine-dispatched firings and of the cancelled entries the
-    epoch's ``set_rate`` leaves in the heap."""
+@pytest.mark.parametrize("leg", sorted(CHAIN_FIRING_BUDGETS))
+def test_paper_chain_shaper_budget(monkeypatch, leg):
+    """Past slow start a flow's shaper arms no timer, scalar or train: it
+    parks on its edge epoch, which re-prices and releases it in place
+    (``repro.core.shaping``, "Releases").  A reintroduced timer per flow per
+    epoch fails here with a count of engine-dispatched firings and of the
+    cancelled entries the epoch's ``set_rate`` leaves in the heap, both seen
+    as the engine pops shaper entries."""
     from repro.core.shaping import PacedSender
     from repro.sim import engine
 
+    scheme, _, batch = leg.partition("-train-")
+    horizon = CHAIN_BUDGETS[scheme][0]
     firings = [0]
-    fire = PacedSender._fire
-
-    def firing(pacer, *epoch):
-        if not epoch:  # dispatched by the engine, not released by an epoch
-            firings[0] += 1
-        fire(pacer, *epoch)
-
     dead_entries = [0]
     heappop = heapq.heappop
 
@@ -585,28 +584,31 @@ def test_paper_chain_shaper_budget(monkeypatch, scheme):
         if (
             type(entry) is tuple  # not an ``add_fence`` instant
             and entry[2] is not None
-            and entry[2].cancelled
             and isinstance(getattr(entry[3], "__self__", None), PacedSender)
         ):
-            dead_entries[0] += 1
+            if entry[2].cancelled:
+                dead_entries[0] += 1
+            elif entry[0] <= horizon:  # not the one a bounded run pushes back
+                firings[0] += 1
         return entry
 
-    monkeypatch.setattr(PacedSender, "_fire", firing)  # bound as each shaper's callback
     monkeypatch.setattr(engine, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=popping))
-    result = _paper_chain(scheme).run(until=CHAIN_BUDGETS[scheme][0])
+    result = _paper_chain(scheme, int(batch or 1)).run(until=horizon)
     delivered = sum(record.delivered for record in result.flows.values())
-    budget = CHAIN_FIRING_BUDGETS[scheme]
+    budget = CHAIN_FIRING_BUDGETS[leg]
     assert firings[0] <= budget * delivered, (
         f"{firings[0]} shaper firings dispatched for {delivered} delivered packets "
         f"= {firings[0] / delivered:.3f} per packet (budget {budget}; 0.104 "
-        "Corelite / 0.021 CSFQ when this was written, 0.173 / 0.116 with a timer "
-        "per flow per edge epoch, 1.01 / 1.04 with a firing per packet)"
+        "Corelite / 0.021 CSFQ / 0.0825 trains of 8 when this was written, "
+        "0.173 / 0.116 / 0.588 with a timer per flow per edge epoch, "
+        "1.01 / 1.04 with a firing per packet)"
     )
     assert dead_entries[0] <= CHAIN_DEAD_ENTRY_BUDGET * delivered, (
         f"{dead_entries[0]} cancelled shaper entries popped for {delivered} delivered "
         f"packets = {dead_entries[0] / delivered:.4f} per packet (budget "
-        f"{CHAIN_DEAD_ENTRY_BUDGET}; 0.0062 Corelite / 0.0048 CSFQ when this was "
-        "written, 0.074 / 0.100 with a shaper timer re-armed at each epoch fence)"
+        f"{CHAIN_DEAD_ENTRY_BUDGET}; 0.0062 Corelite / 0.0048 CSFQ / 0.0063 trains "
+        "of 8 when this was written, 0.074 / 0.100 / 0.075 with a shaper "
+        "timer re-armed at each epoch fence)"
     )
 
 

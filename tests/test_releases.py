@@ -36,12 +36,15 @@ from .contract import fingerprint
 
 def _counting_epoch_releases(patch):
     """Patch ``PacedSender.release`` to count the epochs that found their
-    shaper parked; returns the one-element count."""
-    parked = [0]
+    shaper parked; returns the count and, second, how many of those shapers
+    fire trains."""
+    parked = [0, 0]
     release = PacedSender.release
 
     def counting(pacer, epoch):
-        parked[0] += pacer._due is not None
+        if pacer._due is not None:
+            parked[0] += 1
+            parked[1] += pacer._train_batch > 1
         release(pacer, epoch)
 
     patch.setattr(PacedSender, "release", counting)
@@ -50,8 +53,9 @@ def _counting_epoch_releases(patch):
 
 def _replay(make, releases, schedule=None):
     """Build with ``make()``, run, and return (fingerprint, link sends, packet
-    ids, events, fenced flows, result, epochs that released a parked shaper);
-    ``schedule(cloud)`` adds events before the run."""
+    ids, events, fenced flows, result, epochs that released a parked shaper,
+    those that released a parked train shaper); ``schedule(cloud)`` adds
+    events before the run."""
     with pytest.MonkeyPatch.context() as patch:
         parked = _counting_epoch_releases(patch)
         if not releases:
@@ -85,6 +89,7 @@ def _replay(make, releases, schedule=None):
         fenced,
         result,
         parked[0],
+        parked[1],
     )
 
 
@@ -92,7 +97,7 @@ def _assert_releases_replay(make, schedule=None):
     released = _replay(make, True, schedule)
     per_packet = _replay(make, False, schedule)
     assert released[:3] == per_packet[:3], "releasing ahead moved what the run produced"
-    assert per_packet[4] == per_packet[6] == 0
+    assert per_packet[4] == per_packet[6] == per_packet[7] == 0
     assert released[4] > 0, "no flow released: the oracle compared nothing"
     assert released[6] > 0, "no epoch released a parked shaper: its path went unchecked"
     assert released[3] <= per_packet[3]
@@ -117,6 +122,7 @@ def _spec(shape, cores_n, **kwargs):
 @st.composite
 def _clouds(draw):
     scheme = draw(st.sampled_from(("corelite", "csfq")))
+    train_batch = draw(st.sampled_from((1, 8)))  # Corelite only: inert for CSFQ
     shape = draw(st.sampled_from(("chain", "parking_lot", "mesh")))
     cores_n = draw(st.integers(2, 4))
     _, cores, pairs = _spec(shape, cores_n)
@@ -130,8 +136,14 @@ def _clouds(draw):
             schedule = ((start, stop),)
             if draw(st.booleans()):
                 schedule += ((stop + draw(st.integers(1, 20)) / 10, float("inf")),)
-        weight = draw(st.sampled_from((0.5, 1.0, 2.0, 3.0)))
-        flows.append(FlowPathSpec(fid, weight, ingress, egress, schedule=schedule))
+        aggregate = draw(st.sampled_from((1, 1, 3)))
+        # A bucket's members weigh under one: each owes a standalone extra
+        # marker beside the one its packet carries.
+        weights = (0.25, 0.5) if aggregate > 1 else (0.5, 1.0, 2.0, 3.0)
+        weight = draw(st.sampled_from(weights))
+        flows.append(
+            FlowPathSpec(fid, weight, ingress, egress, schedule=schedule, aggregate=aggregate)
+        )
     events = ()
     if draw(st.booleans()):
         a, b = draw(st.sampled_from(pairs))
@@ -141,24 +153,27 @@ def _clouds(draw):
             NetworkEvent(time=down, kind="link_down", a=a, b=b),
             NetworkEvent(time=up, kind="link_up", a=a, b=b),
         )
-    return scheme, shape, cores_n, tuple(flows), events, draw(st.integers(0, 99))
+    seed = draw(st.integers(0, 99))
+    return scheme, train_batch, shape, cores_n, tuple(flows), events, seed
 
 
 @settings(max_examples=50, deadline=None)
 @given(_clouds())
 def test_releasing_ahead_equals_firing_per_packet(case):
-    """Chain, parking-lot and mesh clouds of either scheme, random weights
-    and on/off schedules on a 0.1 s grid, at most one link failure and its
-    recovery."""
-    scheme, shape, cores_n, flows, events, seed = case
+    """Chain, parking-lot and mesh clouds of either scheme, scalar or trains
+    of 8, random weights, aggregate buckets of sub-unit members and on/off
+    schedules on a 0.1 s grid, at most one link failure and its recovery."""
+    scheme, train_batch, shape, cores_n, flows, events, seed = case
     spec = _spec(shape, cores_n, events=events)[0]
 
     def make():
-        builder = CloudBuilder(spec, scheme=scheme, seed=seed)
+        builder = CloudBuilder(spec, scheme=scheme, seed=seed, train_batch=train_batch)
         builder.add_flows(flows)
         return builder.build(), 16.0
 
-    _assert_releases_replay(make)
+    released = _assert_releases_replay(make)
+    if scheme == "corelite" and train_batch > 1:
+        assert released[7] > 0, "no epoch released a parked train shaper"
 
 
 def test_releasing_in_slow_start_would_reorder_ties():
@@ -301,7 +316,6 @@ def _two_ingress_flows(edge, link):
         ({}, lambda edge, link: link.add_arrival_tap(lambda packet, now: None)),
         ({}, lambda edge, link: link.add_delivery_tap(lambda packet, now: None)),
         ({}, lambda edge, link: link.enable_dynamics()),
-        ({"train_batch": 8}, None),
         ({"far_end": CoreliteEdge("Eout1", Simulator(), CoreliteConfig())}, None),
     ],
     ids=[
@@ -311,7 +325,6 @@ def _two_ingress_flows(edge, link):
         "arrival-tapped-first-hop",
         "delivery-tapped-first-hop",
         "armed-first-hop",
-        "train-batch-8",
         "first-hop-into-a-sink",
     ],
 )
@@ -329,15 +342,32 @@ def test_no_fence_where_a_release_could_be_seen(rig, setup):
     [
         FlowAttachment(1, 1.0, "Eout1", backlogged=False),
         FlowAttachment(1, 1.0, "Eout1", backlogged=False, external=True),
-        FlowAttachment(1, 2.0, "Eout1", aggregate=2),
     ],
-    ids=["sourced", "host-fed", "aggregate"],
+    ids=["sourced", "host-fed"],
 )
 def test_no_fence_for_a_flow_that_is_not_plainly_backlogged(attachment):
     _, edge, _ = _rig()
     edge.attach_flow(attachment)
     edge.start_flow(1)
     assert _fence_of(edge) is None
+
+
+@pytest.mark.parametrize(
+    "rig, attachment",
+    [
+        ({"train_batch": 8}, FlowAttachment(1, 1.0, "Eout1")),
+        ({}, FlowAttachment(1, 2.0, "Eout1", aggregate=4)),
+        ({"train_batch": 8}, FlowAttachment(1, 2.0, "Eout1", aggregate=4)),
+    ],
+    ids=["train-batch-8", "aggregate", "aggregate-train-batch-8"],
+)
+def test_a_backlogged_train_or_aggregate_flow_takes_the_fence(rig, attachment):
+    """A train is a firing, and a bucket's extra markers leave in their
+    packet's firing: neither touches anything another event reads."""
+    _, edge, _ = _rig(**rig)
+    edge.attach_flow(attachment)
+    edge.start_flow(1)
+    assert _fence_of(edge) is edge._epoch_task.handle
 
 
 # -- the engine's side ----------------------------------------------------------------
@@ -407,21 +437,21 @@ def _epoch_instants(edge, n):
     return instants
 
 
-def _lone_flow(releases, rates, events=None, until=(6.0,)):
-    """Every send (instant, seq, size) of a lone flow on the rig's first hop,
-    its controller scripted to ``rates``, and the epochs that released its
-    parked shaper.  ``events(sim, edge, epochs)`` schedules changes before
-    the run, which is split at each instant of ``until``."""
+def _lone_flow(releases, rates, events=None, until=(6.0,), train_batch=1):
+    """Every send (instant, seq, size, members) of a lone flow on the rig's
+    first hop, its controller scripted to ``rates``, and the epochs that
+    released its parked shaper.  ``events(sim, edge, epochs)`` schedules
+    changes before the run, which is split at each instant of ``until``."""
     with pytest.MonkeyPatch.context() as patch:
         parked = _counting_epoch_releases(patch)
         if not releases:
             patch.setattr(EdgeRouter, "_release_fence", lambda edge, state: None)
-        sim, edge, link = _rig()
+        sim, edge, link = _rig(train_batch=train_batch)
         sends = []
         send = link.send
 
         def recording(packet):
-            sends.append((sim.now, packet.seq, packet.size))
+            sends.append((sim.now, packet.seq, packet.size, packet.count))
             return send(packet)
 
         link.send = recording
@@ -458,18 +488,27 @@ def _kicks(sim, edge, epochs):
 
 _VARYING = [20.0, 33.3, 7.7, 51.0, 1.5, 1.5, 26.0, 13.1, 40.0]
 
+#: Train rates: whole trains of 8 (200 pkt/s and up), trains the coalescing
+#: horizon cuts short (77, 131) and single packets (15, under one token per
+#: horizon), whose next firing can fall past the next epoch.
+_TRAIN_VARYING = [200.0, 333.0, 77.0, 510.0, 15.0, 15.0, 260.0, 131.0, 400.0]
+
 
 @pytest.mark.parametrize(
-    "rates, events, until",
+    "rates, events, until, train_batch",
     [
-        ([20.0], None, (6.0,)),
-        (_VARYING, None, (6.0,)),
-        ([20.0, 0.0, 0.0, 18.5, 0.0, 40.0], None, (6.0,)),
-        (_VARYING, _stop_and_start_at_epochs, (6.0,)),
-        (_VARYING, _stop_and_start_mid_epoch, (6.0,)),
-        (_VARYING, _kicks, (6.0,)),
-        (_VARYING, None, "epochs"),
-        (_VARYING, None, (1.05, 1.62, 2.5, 6.0)),
+        ([20.0], None, (6.0,), 1),
+        (_VARYING, None, (6.0,), 1),
+        ([20.0, 0.0, 0.0, 18.5, 0.0, 40.0], None, (6.0,), 1),
+        (_VARYING, _stop_and_start_at_epochs, (6.0,), 1),
+        (_VARYING, _stop_and_start_mid_epoch, (6.0,), 1),
+        (_VARYING, _kicks, (6.0,), 1),
+        (_VARYING, None, "epochs", 1),
+        (_VARYING, None, (1.05, 1.62, 2.5, 6.0), 1),
+        (_TRAIN_VARYING, None, (6.0,), 8),
+        ([200.0, 0.0, 0.0, 185.0, 0.0, 400.0], None, (6.0,), 8),
+        (_TRAIN_VARYING, _stop_and_start_mid_epoch, (6.0,), 8),
+        (_TRAIN_VARYING, None, (1.05, 1.62, 2.5, 6.0), 8),
     ],
     ids=[
         "rate-held",
@@ -480,20 +519,51 @@ _VARYING = [20.0, 33.3, 7.7, 51.0, 1.5, 1.5, 26.0, 13.1, 40.0]
         "kick-while-parked",
         "runs-ending-on-epoch-instants",
         "runs-ending-mid-epoch",
+        "trains-rate-moves",
+        "trains-dormant-and-back",
+        "trains-stop-and-start-mid-epoch",
+        "trains-runs-ending-mid-epoch",
     ],
 )
-def test_a_parked_shaper_sends_as_a_firing_per_packet(rates, events, until):
+def test_a_parked_shaper_sends_as_a_firing_per_packet(rates, events, until, train_batch):
     """Rates held, moving (1.5 pkt/s pushes the next firing past the next
     epoch: the shaper stays parked through it), 0 and back; stop, start and
-    kick; runs split on and between epoch instants."""
+    kick; runs split on and between epoch instants; scalar and trains of 8
+    (a firing per train)."""
     if until == "epochs":
         sim, edge, _ = _rig()
         edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
         until = tuple(_epoch_instants(edge, 12)[3::4]) + (6.0,)
-    released, parked = _lone_flow(True, rates, events, until)
-    per_packet, _ = _lone_flow(False, rates, events, until)
+    released, parked = _lone_flow(True, rates, events, until, train_batch)
+    per_packet, _ = _lone_flow(False, rates, events, until, train_batch)
     assert released == per_packet
     assert len(released) > 40 and parked > 3
+    if train_batch > 1:
+        assert max(send[3] for send in released) == train_batch
+
+
+def test_set_rate_gives_a_train_shaper_parked_on_its_epoch_an_armed_shapers_credit():
+    """In train mode ``set_rate`` caps the re-priced credit at one token for
+    an idle shaper (``PacedSender.kick``) but keeps what an armed one has
+    accrued mid-coalesce.  A shaper parked on its epoch holds the firing its
+    timer would: it is armed."""
+
+    def shaper(parked):
+        sim = Simulator()
+        pacer = PacedSender(sim, 40.0, lambda: True, train_batch=8, train_emit=lambda n: n)
+        pacer.start()
+        sim.run(until=0.06)  # trains of 1 at 0 and of 2 at 0.05; the next is due at 0.1
+        if parked:  # as a release leaves it: no timer, the firing's instant in ``_due``
+            pacer._due = pacer._handle.time
+            pacer._handle.cancel()
+            pacer._handle = None
+        sim.schedule_at(0.09, pacer.set_rate, 80.0)
+        sim.run(until=0.095)
+        return pacer
+
+    armed, parked = shaper(False), shaper(True)
+    assert armed._credit == parked._credit > 1.0  # 0.04 s at 40 pkt/s accrued
+    assert parked._handle is None and parked._due == armed._handle.time
 
 
 def test_a_parked_shaper_has_no_timer_and_holds_through_kick_and_stop():
