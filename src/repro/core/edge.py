@@ -44,8 +44,8 @@ same: ``_emit_train`` builds its ``PacketTrain`` positionally, calls
 flows).  The egress only records, so the edge is a ``quiet_sink``
 (:mod:`repro.sim.link`, "Sinks"): ``receive`` is told the delivery instant
 and every read of egress state settles ``inbox`` first.  What these frames
-produce is pinned by the contract table (``tests/contract``); the train
-frames' old call chains are the oracle in ``tests/test_egress_ledger.py``.
+produce is pinned by the contract table (``tests/contract``), which
+replays under the per-packet reference (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -225,6 +225,8 @@ class EdgeRouter(Router):
     #: Members per shaper firing: 1, the scalar datapath, but at a
     #: :class:`CoreliteEdge` built with ``train_batch``.
     train_batch = 1
+    #: Whether an aggregate bucket may release (``_release_fence``).
+    releases_buckets = True
 
     def __init__(
         self,
@@ -305,6 +307,8 @@ class EdgeRouter(Router):
         release does not keep."""
         att = state.attachment
         if state.backlog is not None or self.multipath or len(self._ingress_flows) > 1:
+            return None
+        if att.aggregate > 1 and not self.releases_buckets:
             return None
         link = self.route_for(att.dst_edge)
         if link is None or not link.sends_ahead():

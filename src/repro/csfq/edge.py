@@ -102,6 +102,11 @@ class CsfqEdge(EdgeRouter):
     #: The egress only records, but for gaps and ECN marks (``quiet_for``).
     quiet_sink = True
     egress_flow = _EgressFlow
+    #: Past slow start a bucket of N still paces at a small multiple of N
+    #: pkt/s (it steps by N each epoch without a loss, and a loss is rare at
+    #: its few pkt/s), so two buckets' firings meet at equal floats, whose
+    #: order a release would change (``EdgeRouter._release_fence``).
+    releases_buckets = False
 
     def __init__(
         self,

@@ -43,6 +43,8 @@ from ..conftest import flow_scaling_cloud
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 FIELDS = ("digest", "events", "sends", "pids")
+#: The fields an exact fast path keeps (it may take fewer events).
+EXACT = ("digest", "sends", "pids")
 SCENARIO_DIR = Path(__file__).parents[2] / "examples" / "scenarios"
 
 #: Mode name -> the builder keywords it adds.
@@ -110,9 +112,27 @@ _MICRO_FLOWS = [
     FlowPathSpec(3, weight=1.0, source=SourceSpec(kind="poisson", mean_rate=60.0)),
 ]
 
-#: Every cloud kind a Corelite run can take, each in the default mode; the
-#: egress-ledger oracle runs them on event delivery too.
-SERIAL_CLOUDS = {
+#: Backlogged, deposit-fed (under its allowed rate: it runs dry), micro-flow
+#: mux, external (TCP), a ``min_rate`` contract, sub-unit weights (several
+#: markers owed per packet) and on/off, over a bottleneck that drops; with
+#: trains, they slow-start up to whole batches (so accrual meets the
+#: bucket's cap) into a buffer they fit in.
+_EVERY_FLOW_KIND = [
+    FlowPathSpec(1, weight=1.0),
+    FlowPathSpec(2, weight=1.0, source=SourceSpec(kind="poisson", mean_rate=15.0)),
+    FlowPathSpec(
+        3,
+        weight=2.0,
+        micro_flows=tuple((mid, SourceSpec(kind="poisson", mean_rate=50.0)) for mid in (1, 2, 3)),
+    ),
+    FlowPathSpec(4, weight=1.0, transport="tcp"),
+    FlowPathSpec(5, weight=1.0, min_rate=60.0),
+    FlowPathSpec(6, weight=0.4),
+    FlowPathSpec(7, weight=0.3, schedule=((1.0, 4.0), (5.0, 9.0))),
+]
+
+#: Every cloud kind a Corelite run can take, and the CSFQ and failure clouds.
+CLOUDS = {
     "chain4-selective": _cloud(*_CHAIN4),
     "chain4-marker-cache": _cloud(
         *_CHAIN4, config=CoreliteConfig(feedback_scheme=FeedbackScheme.MARKER_CACHE)
@@ -178,10 +198,13 @@ SERIAL_CLOUDS = {
         8,
     ),
     "micro-flow-mux": _cloud(TopologySpec.chain(2, capacity_pps=300.0), _MICRO_FLOWS, 15.0, 10),
-}
-
-CLOUDS = {
-    **SERIAL_CLOUDS,
+    "every-flow-kind": _cloud(
+        TopologySpec.chain(2, capacity_pps=320.0, queue_capacity=12.0),
+        _EVERY_FLOW_KIND,
+        10.0,
+        11,
+        config=CoreliteConfig(qthresh=3.0, ss_thresh=256.0),
+    ),
     "chain4-csfq": _cloud(*_CHAIN4, scheme="csfq"),
     "chain2-csfq": _cloud(
         TopologySpec.chain(2),
@@ -226,7 +249,7 @@ _OPT_IN_ONLY = ("chain4-csfq", "parking-lot-aggregate", "parking-lot-aggregate-c
 ROWS = {f"{cloud}/default": (cloud, "default") for cloud in CLOUDS if cloud not in _OPT_IN_ONLY}
 ROWS.update(
     (f"{cloud}/{mode}", (cloud, mode))
-    for cloud in ("chain4-selective", *_OPT_IN_ONLY)
+    for cloud in ("chain4-selective", "every-flow-kind", *_OPT_IN_ONLY)
     for mode in ("vectorized", "vectorized-train-8")
 )
 
@@ -254,7 +277,12 @@ def fingerprint(cloud, result) -> str:
 def run_row(name: str) -> dict:
     """Run one row; its four fields."""
     cloud_name, mode = ROWS[name]
-    cloud, until = CLOUDS[cloud_name](**MODES[mode])
+    return replay(*CLOUDS[cloud_name](**MODES[mode]))
+
+
+def replay(cloud, until, sample_interval=1.0, schedule=None) -> dict:
+    """Run a built cloud to ``until``; the four fields of a row.
+    ``schedule(cloud)`` adds events before the run."""
     # ``send`` is rebound per link once finalize has settled, as the
     # benchmark's tracer does: a router that captured it earlier sends
     # uncounted, and the row says so.
@@ -270,7 +298,9 @@ def run_row(name: str) -> dict:
 
     for link in cloud.topology.links.values():
         link.send = counted(link.send)
-    result = cloud.run(until=until)
+    if schedule is not None:
+        schedule(cloud)
+    result = cloud.run(until=until, sample_interval=sample_interval)
     return {
         "digest": fingerprint(cloud, result),
         "events": cloud.sim.events_executed,

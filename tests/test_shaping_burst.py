@@ -72,6 +72,16 @@ class TestTokenBucket:
         sim.run(until=0.52)
         assert len(times) == 3
 
+    def test_an_emit_that_changes_the_rate_re_arms_at_the_new_rate(self):
+        """The callback's ``set_rate`` arms a timer mid-firing; the firing
+        re-arms in its place (``_schedule(..., reuse=...)``)."""
+        sim, sender, times, _ = self.make(rate=10.0)
+        emit = sender._emit
+        sender._emit = lambda: emit() and (sender.set_rate(20.0) or True)
+        sender.start()
+        sim.run(until=0.12)
+        assert times == pytest.approx([0.0, 0.05, 0.1])
+
     def test_invalid_burst(self):
         sim = Simulator()
         with pytest.raises(ConfigurationError):
