@@ -60,9 +60,9 @@ def count_admitted(patch) -> Counter:
     counts: Counter = Counter()
 
     def counting(send):
-        def wrapped(link, packet):
+        def wrapped(link, packet, *at):  # ``at``: a hop handed over ahead ("Pass-through")
             before = counts[link.name]
-            accepted = send(link, packet)
+            accepted = send(link, packet, *at)
             # A split re-enters the wrapper per piece; count each once.
             if accepted and packet.size > 0.0 and counts[link.name] == before:
                 counts[link.name] += packet.count

@@ -290,9 +290,9 @@ def replay(cloud, until, sample_interval=1.0, schedule=None) -> dict:
     sends = [0]
 
     def counted(send):
-        def counting(packet):
+        def counting(packet, *at):  # ``at``: a hop handed over ahead ("Pass-through")
             sends[0] += 1
-            return send(packet)
+            return send(packet, *at)
 
         return counting
 

@@ -1,11 +1,13 @@
 """The paper's per-packet datapath, switched back on for a test.
 
 Each exact fast path starts at one eligibility predicate, and
-:func:`reference` answers all three "no": ``EdgeRouter._release_fence``
+:func:`reference` answers all four "no": ``EdgeRouter._release_fence``
 gives ``None`` (no shaper releases or parks on its epoch: "Releases" in
 :mod:`repro.core.shaping`), ``Link._sink_of`` gives ``None`` (no egress
-ledger, no CSFQ ``quiet_for``) and ``Link.watch_backlog`` gives ``False``
-(no idle core link parks its epoch).  Departure-time links stay on:
+ledger, no CSFQ ``quiet_for``), ``Link.watch_backlog`` gives ``False``
+(no idle core link parks its epoch) and ``Link.pass_through`` gives
+``False`` (every last core hop is an event: "Pass-through" in
+:mod:`repro.sim.link`).  Departure-time links stay on:
 the real queue splits markers off their carriers and trains at the link,
 which moves sends and ids by design (``tests/test_link.py`` holds that path).
 """
@@ -24,13 +26,14 @@ from .contract import EXACT, replay
 
 @contextmanager
 def reference():
-    """Patch the three predicates for the ``with`` block; a cloud built
+    """Patch the four predicates for the ``with`` block; a cloud built
     inside it runs the per-packet datapath (links read ``_sink_of`` when
-    they are built)."""
+    they are built, the builder asks ``pass_through`` at finalize)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(EdgeRouter, "_release_fence", lambda edge, state: None)
         patch.setattr(Link, "_sink_of", staticmethod(lambda dst: None))
         patch.setattr(Link, "watch_backlog", lambda link, callback: False)
+        patch.setattr(Link, "pass_through", lambda link, egress: False)
         yield
 
 

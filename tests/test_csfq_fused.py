@@ -50,9 +50,9 @@ class _Rig:
         self.labels = []
         send = self.out.send
 
-        def recording(packet):
+        def recording(packet, *at):  # ``send`` takes an optional instant
             self.labels.append(packet.label)
-            return send(packet)
+            return send(packet, *at)
 
         self.out.send = recording
 

@@ -326,9 +326,9 @@ def _lone_flow(releases, rates, events=None, until=(6.0,), train_batch=1):
         sends = []
         send = link.send
 
-        def recording(packet):
+        def recording(packet, *at):  # ``send`` takes an optional instant
             sends.append((sim.now, packet.seq, packet.size, packet.count))
-            return send(packet)
+            return send(packet, *at)
 
         link.send = recording
         edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
