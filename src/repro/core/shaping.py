@@ -77,7 +77,7 @@ rate the initial rate times a power of two) is the rule for flows started
 on a common grid — so a flow releases only once its controller has left
 slow start.  A ``set_rate``, ``stop`` or ``kick`` that lands before the
 last release is a change the fence did not know about, and raises
-:class:`~repro.errors.SimulationError`.
+:class:`~repro.errors.FenceError`.
 
 Train mode (opt-in)
 -------------------
@@ -105,7 +105,7 @@ from __future__ import annotations
 from math import inf
 from typing import Callable, Optional
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, FenceError
 from repro.sim.engine import EventHandle, Simulator
 
 __all__ = ["PacedSender", "TRAIN_HORIZON"]
@@ -297,7 +297,7 @@ class PacedSender:
 
     def _refuse(self) -> None:
         """A change before the last release ("Releases")."""
-        raise SimulationError(
+        raise FenceError(
             f"shaper changed at t={self._sim.now} before its last release at "
             f"t={self._last_emit}: register the change's instant with "
             "Simulator.add_fence where it is scheduled"

@@ -14,6 +14,10 @@ class SimulationError(ReproError):
     """An inconsistency was detected while running the event loop."""
 
 
+class FenceError(SimulationError):
+    """A mid-run change no ``Simulator.add_fence`` announced before traffic passed it."""
+
+
 class ConfigurationError(ReproError):
     """A component was configured with invalid or inconsistent parameters."""
 

@@ -648,3 +648,24 @@ def test_heap_fires_in_reference_order(ops):
     assert _grouped(log) == _grouped(ref.log)
     assert sim.events_executed == ref.events
     assert sim.pending() == 0
+
+
+def test_a_booking_past_a_full_ledger_none_due_becomes_its_event():
+    """A ledger at the cap that its settle cannot shorten (every delivery
+    booked ahead of the clock) takes no more: the next booking leaves as an
+    event under the seq it took, so the receiver, settling before it handles
+    an event, still gets every delivery in ``(due, seq)`` order."""
+    sim = Simulator()
+    got = []
+
+    def deliver(label, source, due=None):
+        if due is None:
+            sim.settle(ledger)
+        got.append(label)
+
+    ledger = sim.open_ledger(deliver, None)
+    for label in range(_LEDGER_CAP + 1):
+        sim.book(ledger, 1.0 + label, label)
+    assert len(ledger) == _LEDGER_CAP and sim.pending() == _LEDGER_CAP + 1
+    sim.run()
+    assert got == list(range(_LEDGER_CAP + 1)) and sim.events_executed == 1
