@@ -22,9 +22,14 @@ blames for CSFQ's transient misbehaviour (§4.2): underestimate ``alpha``
 and flows below fair share lose packets; overestimate it and queues build
 until tail drop.  The implementation here keeps those dynamics.
 
-All of it is one function per packet, :meth:`CsfqCoreRouter._csfq_admit`;
-``A`` and ``F`` are :class:`repro.sim.estimators.ExponentialRateEstimator`
-written out against the link state's own fields, arithmetic unchanged.
+All of it is one frame per packet, :meth:`CsfqCoreRouter.receive`; ``A`` and
+``F`` are :class:`repro.sim.estimators.ExponentialRateEstimator` written out
+against the link state's own fields, arithmetic unchanged.  A flow's last
+core hop may reach ``receive`` at its in-link's send, its instant as ``at``
+(:mod:`repro.sim.link`, "Pass-through"): the estimator clocks, the alpha
+window and the send on run at ``at``.  Only that hop's arrivals read its
+egress link's state, and its one feeder hands them over in order, so every
+coin of the link's stream is drawn in the same order.
 """
 
 from __future__ import annotations
@@ -105,27 +110,32 @@ class CsfqCoreRouter(Router):
         self.sim = sim
         self.config = config
         self._rng = rng
-        self._states: Dict[str, CsfqLinkState] = {}
+        self._states: Dict[Link, CsfqLinkState] = {}
 
     # -- setup -----------------------------------------------------------
 
     def enable_on_link(self, link: Link) -> CsfqLinkState:
-        """Run CSFQ admission on an output link of this router."""
+        """Run CSFQ admission on an output link of this router: only its
+        arrivals read the link's state, so it has no epoch to park."""
         if link.src_name != self.name:
             raise ConfigurationError(
                 f"{self.name}: link {link.name} does not originate here"
             )
-        if link.name in self._states:
+        if link in self._states:
             raise ConfigurationError(f"{self.name}: {link.name} already enabled")
-        state = CsfqLinkState(link, self.sim.now)
-        self._states[link.name] = state
+        state = self._states[link] = CsfqLinkState(link, self.sim.now)
+        link.epochless = True
         return state
 
+    def enabled_on(self, link: Link) -> bool:
+        """Whether ``link`` runs CSFQ admission here (``Link.pass_through``)."""
+        return link in self._states
+
     def state_for(self, link_name: str) -> Optional[CsfqLinkState]:
-        return self._states.get(link_name)
+        return next((s for link, s in self._states.items() if link.name == link_name), None)
 
     def enabled_links(self) -> Tuple[str, ...]:
-        return tuple(self._states)
+        return tuple(link.name for link in self._states)
 
     def flow_state_entries(self) -> int:
         """Per-flow state entries held by this router: none.  CSFQ keeps
@@ -134,7 +144,7 @@ class CsfqCoreRouter(Router):
 
     # -- data path --------------------------------------------------------
 
-    def receive(self, packet: Packet, link: Link) -> None:
+    def receive(self, packet: Packet, link: Link, at: Optional[float] = None) -> None:
         if self.multipath:
             out_link = self.route_for_packet(packet)
         else:
@@ -145,14 +155,11 @@ class CsfqCoreRouter(Router):
         if out_link is None:
             self.forward(packet)  # raises (or drop-counts) appropriately
             return
-        state = self._states.get(out_link.name)
+        state = self._states.get(out_link)
         if state is None or packet.kind is not _DATA:
-            out_link.send(packet)
+            out_link.send(packet, at)
             return
-        self._csfq_admit(state, out_link, packet)
-
-    def _csfq_admit(self, state: CsfqLinkState, out_link: Link, packet: Packet) -> None:
-        now = self.sim.now
+        now = self.sim.now if at is None else at
         label = packet.label
         size = packet.size
         alpha = state.alpha
@@ -224,7 +231,7 @@ class CsfqCoreRouter(Router):
             return
         if prob > 0.0 and alpha < label:
             packet.label = alpha
-        if not out_link.send(packet):
+        if not out_link.send(packet, at):
             # Buffer overflow: the filter was too permissive -> shrink alpha.
             state.overflow_drops += 1
             state.alpha *= OVERFLOW_ALPHA_DECAY

@@ -673,7 +673,7 @@ class Cloud:
             tcp = {spec.egress_edge for spec in self.flows.values() if spec.transport == "tcp"}
             for egress, in_link in last_hops.items():
                 if in_link.src_name in self.core_names and egress.dst.name not in tcp:
-                    if egress in getattr(in_link.dst, "_machinery", ()):
+                    if in_link.dst.enabled_on(egress):
                         in_link.pass_through(egress)
         if self.spec.events:
             self.dynamics = NetworkDynamics(

@@ -82,19 +82,23 @@ rest become the events they would have been.
 
 *Pass-through.*  A packet's last core hop needs no event either when its
 outcome is fixed at its in-link's send.  At serial finalize the builder asks
-:meth:`Link.pass_through` of the core link feeding a flow's own egress link at
-a single-path Corelite core; it calls the core's ``receive(packet, link,
-due)`` at the send, in place of the event, while the egress's epoch is parked
-(``_on_backlog``), its transmitter idle at ``due``, ``due`` before the run's
-bound and the next ``add_fence`` instant, and no earlier hop to it waits as an
-event (``now > _hold``, which a fallback raises).  The core sends on with
-``send(packet, at)``.  Until ``due`` nothing else touches the egress (one
-feeder, a parked epoch, an idle transmitter) and its sink's booking settles by
-the real clock: exact, but for the booking's seq, taken early — a reader at
-the egress edge scheduled in between, at exactly the delivery's float instant,
-would see it (the differential property has found none).  A tap, drop
-listener or arming ends it for good; mid-run, on either link, it needs an
-``add_fence`` before traffic can pass its instant, or raises ``FenceError``.
+:meth:`Link.pass_through` of the core link feeding a flow's own egress link
+where its single-path core runs its scheme on the egress (``enabled_on``:
+Corelite or CSFQ, not FIFO); it calls the core's ``receive(packet, link,
+due)`` at the send, in place of the event, while no core reads the egress
+before ``due`` (its Corelite epoch parked, ``_on_backlog``, or ``epochless``:
+CSFQ's state is read by arrivals only), its transmitter is idle at ``due``,
+``due`` is before the run's bound and the next ``add_fence`` instant, and no
+earlier hop to it waits as an event (``now > _hold``, which a fallback
+raises).  The core admits at ``due`` and sends on with ``send(packet, at)``.
+Until ``due`` nothing else touches the egress (one feeder, no reader, an idle
+transmitter) and its sink's booking settles by the real clock: exact, but for
+the seq of the booking (or of the event, at a CSFQ edge that reports a loss),
+taken early — a reader at the egress edge scheduled in between, at exactly the
+delivery's float instant, would see it (the differential property has found
+none).  A tap, drop listener or arming ends it for good; mid-run, on either
+link, it needs an ``add_fence`` before traffic can pass its instant, or raises
+``FenceError``.
 
 Links that need a real queue keep it (``_send_queued`` →
 ``FifoQueue.push`` / ``pop``, ``_transmit_from``, one ``_wake`` per
@@ -181,6 +185,7 @@ class Link:
         "_hold",
         "_passed",
         "_on_backlog",
+        "epochless",
         "_wake_pending",
         "_drop_listeners",
         "_arrival_taps",
@@ -232,6 +237,9 @@ class Link:
         self._hold = -inf
         self._passed = -inf
         self._on_backlog: Optional[Callable[[], None]] = None
+        #: Whether only arrivals read what its core keeps for it (CSFQ's
+        #: admission state): no epoch reads it on a clock ("Pass-through").
+        self.epochless = False
         self._wake_pending = False
         self._drop_listeners: list = []
         self._arrival_taps: list = []
@@ -511,7 +519,8 @@ class Link:
             if egress is not None:
                 fences = sim._fences
                 if (
-                    egress._on_backlog is not None
+                    # No core reads the egress before ``due``.
+                    (egress._on_backlog is not None or egress.epochless)
                     and due >= egress._free_at
                     and now > egress._hold
                     and due < sim._until

@@ -167,3 +167,18 @@ def test_restart_resets_estimator_and_controller(rig):
     sim.run(until=7.0)
     edge.start_flow(1)
     assert edge.allotted_rate(1) == INITIAL_RATE
+
+
+def test_a_restarted_flow_forgets_losses_its_last_epoch_had_not_folded(rig):
+    """Losses reported after the last edge epoch of a flow's previous run are
+    that run's: restarted, the flow begins slow start as a new flow does."""
+    sim, cfg, edge, catcher = rig
+    edge.attach_flow(FlowAttachment(1, weight=1.0, dst_edge="Eout1"))
+    edge.start_flow(1)
+    sim.run(until=3.0)
+    notify = Packet(PacketKind.LOSS_NOTIFY, 1, src="Eout1", dst="Ein1", size=0.0, label=3.0)
+    edge.receive_loss_notify(notify)
+    edge.stop_flow(1)
+    edge.start_flow(1)
+    sim.run(until=3.0 + cfg.edge_epoch + 0.01)
+    assert edge.allotted_rate(1) >= INITIAL_RATE

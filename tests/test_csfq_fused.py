@@ -1,10 +1,11 @@
 """The fused CSFQ core admission: what the contract table cannot see.
 
-``CsfqCoreRouter._csfq_admit`` writes both rate estimators out against flat
+``CsfqCoreRouter.receive`` writes both rate estimators out against flat
 ``CsfqLinkState`` fields.  What it produces on whole clouds is pinned by the
 contract table's CSFQ rows (``tests/contract``); here, its clock guard and
-the FIFO scheme's bypass, and the one branch no contract row reaches:
-congestion before the first uncongested window has closed.
+the FIFO scheme's bypass, and the branches no contract row reads:
+congestion before the first uncongested window has closed, and the end of
+a congestion.
 """
 
 import random
@@ -80,12 +81,41 @@ def test_first_congestion_seeds_alpha_from_the_labels_seen():
     assert rig.state.alpha == label
 
 
+def test_a_congested_link_below_capacity_again_opens_an_uncongested_window():
+    """A congested link whose arrival rate falls below capacity leaves the
+    congested state at that arrival: its window restarts there, and the
+    labels seen before the congestion no longer count towards alpha."""
+    rig = _Rig()
+    rig.router.receive(Packet.data(1, "Ein", "Eout", 0, 0.0, label=50.0), None)
+    for seq in range(1, 40):
+        now = 0.003 * seq  # 333 pkt/s into 100
+        rig.sim.run(until=now)
+        rig.router.receive(Packet.data(1, "Ein", "Eout", seq, now, label=9.0), None)
+        if rig.state.congested:
+            break
+    assert rig.state.congested and rig.state.tmp_alpha == 50.0
+    now += 0.05
+    rig.sim.run(until=now)
+    rig.router.receive(Packet.data(1, "Ein", "Eout", 99, now, label=9.0), None)
+    assert rig.state.arrival_rate < rig.state.capacity
+    assert (rig.state.congested, rig.state.window_start, rig.state.tmp_alpha) == (False, now, 0.0)
+
+
 def test_fifo_core_never_touches_link_state(monkeypatch):
-    """A core with no CSFQ-enabled link (the FIFO scheme) only forwards."""
-    monkeypatch.delattr(CsfqCoreRouter, "_csfq_admit")
+    """A core with no CSFQ-enabled link (the FIFO scheme) only forwards: it
+    builds no link state, runs no rate estimator, draws no coin and leaves
+    every label as it came."""
+
+    def estimating(x):
+        raise AssertionError("a FIFO core ran a CSFQ rate estimator")
+
     monkeypatch.delattr(CsfqLinkState, "__init__")
+    monkeypatch.setattr("repro.csfq.router.exp", estimating)
     rig = _Rig(enable=False)
     for seq in range(5):
-        rig.router.receive(Packet.data(1, "Ein", "Eout", seq, 0.0, label=50.0), None)
+        now = 0.01 * seq
+        rig.sim.run(until=now)
+        rig.router.receive(Packet.data(1, "Ein", "Eout", seq, now, label=50.0), None)
     assert rig.router.enabled_links() == () and rig.router.state_for(rig.out.name) is None
+    assert not rig.router.enabled_on(rig.out) and not rig.out.epochless
     assert rig.labels == [50.0] * 5 and rig.rng.draws == 0

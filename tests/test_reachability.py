@@ -258,7 +258,7 @@ def test_allowlist_entries_are_still_needed():
 #: The functions that run once per packet (or per train) on some datapath.
 PER_PACKET_FRAMES = {
     "_fire", "_emit", "_emit_train", "receive", "_send_fast",
-    "_csfq_admit", "observe", "on_data", "on_train", "update",
+    "observe", "on_data", "on_train", "update",
     "record", "record_train",
 }
 _CONSERVATION = "tests/test_marker_carrier.py's marker-conservation check reads it"

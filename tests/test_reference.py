@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from repro.core.config import CoreliteConfig
 from repro.core.router import CoreliteCoreRouter
+from repro.csfq.config import CsfqConfig
+from repro.csfq.router import CsfqCoreRouter, CsfqLinkState
 from repro.errors import FenceError
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.topospec import FlowPathSpec, TopologySpec
@@ -42,48 +44,63 @@ def test_row_replays_under_the_reference(row):
     assert now["events"] >= pinned["events"]
 
 
+def _engaged(cloud_name, core_class):
+    """Run ``cloud_name``'s contract cloud; count booked deliveries, parked
+    core epochs, hops handed over to ``core_class`` at their instants (each
+    where it happens) and fenced shapers."""
+    counts = {"booked": 0, "parked": 0, "handed over": 0}
+    book, watch, receive = Simulator.book, Link.watch_backlog, core_class.receive
+
+    def booking(sim, ledger, due, packet):
+        counts["booked"] += 1
+        book(sim, ledger, due, packet)
+
+    def watching(link, callback):
+        parked = watch(link, callback)
+        counts["parked"] += parked
+        return parked
+
+    def receiving(core, packet, link, *at):
+        counts["handed over"] += bool(at)
+        receive(core, packet, link, *at)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulator, "book", booking)
+        patch.setattr(Link, "watch_backlog", watching)
+        patch.setattr(core_class, "receive", receiving)
+        cloud, until = CLOUDS[cloud_name]()
+        cloud.run(until=until)
+    counts["fenced"] = sum(
+        state.pacer.fence is not None
+        for edge in cloud.edges.values()
+        for state in edge._ingress_flows
+    )
+    return counts
+
+
+_NONE = {"booked": 0, "parked": 0, "handed over": 0, "fenced": 0}
+
+
 def test_the_reference_turns_every_fast_path_off():
     """On ``chain4-selective``: booked deliveries, fenced shapers, parked
-    core epochs and hops handed over at their instants, each counted where
-    it happens, are all engaged without the reference and all absent inside
-    it."""
-
-    def engaged():
-        counts = {"booked": 0, "parked": 0, "handed over": 0}
-        book, watch = Simulator.book, Link.watch_backlog
-        receive = CoreliteCoreRouter.receive
-
-        def booking(sim, ledger, due, packet):
-            counts["booked"] += 1
-            book(sim, ledger, due, packet)
-
-        def watching(link, callback):
-            parked = watch(link, callback)
-            counts["parked"] += parked
-            return parked
-
-        def receiving(core, packet, link, *at):
-            counts["handed over"] += bool(at)
-            receive(core, packet, link, *at)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Simulator, "book", booking)
-            patch.setattr(Link, "watch_backlog", watching)
-            patch.setattr(CoreliteCoreRouter, "receive", receiving)
-            cloud, until = CLOUDS["chain4-selective"]()
-            cloud.run(until=until)
-        counts["fenced"] = sum(
-            state.pacer.fence is not None
-            for edge in cloud.edges.values()
-            for state in edge._ingress_flows
-        )
-        return counts
-
-    fast = engaged()
+    core epochs and hops handed over at their instants are all engaged
+    without the reference and all absent inside it."""
+    fast = _engaged("chain4-selective", CoreliteCoreRouter)
     with reference():
-        slow = engaged()
+        slow = _engaged("chain4-selective", CoreliteCoreRouter)
     assert all(fast.values()), fast
-    assert slow == {"booked": 0, "parked": 0, "handed over": 0, "fenced": 0}
+    assert slow == _NONE
+
+
+def test_the_reference_turns_the_csfq_hand_over_off():
+    """On ``chain2-csfq``: booked deliveries, fenced shapers and hops handed
+    over to a CSFQ core at their instants are engaged without the reference
+    and absent inside it (a CSFQ link has no epoch to park)."""
+    fast = _engaged("chain2-csfq", CsfqCoreRouter)
+    with reference():
+        slow = _engaged("chain2-csfq", CsfqCoreRouter)
+    assert fast["parked"] == 0 and all(fast[k] for k in ("booked", "handed over", "fenced")), fast
+    assert slow == _NONE
 
 
 # -- the property ---------------------------------------------------------------------
@@ -219,8 +236,9 @@ def test_an_unparked_core_link_holds_the_selector_of_one_never_parked():
 
 
 class _Sink(Node):
-    """An egress that only records ``(seq, size, instant)``, as a Corelite
-    edge does: a quiet sink, its booked deliveries settled before an event's."""
+    """An egress that only records ``(seq, size, label, instant)``, as a
+    Corelite edge does: a quiet sink, its booked deliveries settled before an
+    event's."""
 
     quiet_sink = True
 
@@ -234,21 +252,28 @@ class _Sink(Node):
             if self.inbox:
                 self.sim.settle(self.inbox)
             at = self.sim.now
-        self.got.append((packet.seq, packet.size, at))
+        self.got.append((packet.seq, packet.size, packet.label, at))
 
 
-def _hop(script, until, bandwidth=40.0, egress_bandwidth=None, egress_capacity=40.0):
-    """``C1 -> C2 -> Eout``: a core link feeding a Corelite core whose one
-    egress link, wired as the builder wires it, leads to a quiet sink.
-    ``script(sim, send, feeder, egress)`` drives it before the run to
-    ``until`` (``send(t, seq)`` offers the core link a data packet with a
-    marker aboard at ``t``, ``send(t, seq, alone=True)`` a marker alone)
-    and returns what it observed.  Returns that,
-    what the sink got, the egress selector as a never-parked link holds it,
-    the egress's refusals, and per hop whether it was handed over."""
+def _hop(
+    script, until, bandwidth=40.0, egress_bandwidth=None, egress_capacity=40.0,
+    scheme="corelite",
+):
+    """``C1 -> C2 -> Eout``: a core link feeding a Corelite (or CSFQ) core
+    whose one egress link, wired as the builder wires it, leads to a quiet
+    sink.  ``script(sim, send, feeder, egress)`` drives it before the run to
+    ``until`` (``send(t, seq)`` offers the core link a data packet at ``t``,
+    with a marker aboard at a Corelite core, labelled ``label``, by default
+    ``10 + seq``; ``send(t, seq, alone=True)`` a marker alone) and returns
+    what it observed.  Returns that, what the sink got, the egress selector
+    as a never-parked link holds it (the CSFQ link state), the egress's
+    refusals, and per hop whether it was handed over."""
     sim = Simulator()
-    config = CoreliteConfig(qthresh=0.25)  # below the smallest egress buffer here
-    core = CoreliteCoreRouter("C2", sim, config, RngRegistry(0), lambda packet: None)
+    if scheme == "csfq":
+        core = CsfqCoreRouter("C2", sim, CsfqConfig(), RngRegistry(0))
+    else:
+        config = CoreliteConfig(qthresh=0.25)  # below the smallest egress buffer here
+        core = CoreliteCoreRouter("C2", sim, config, RngRegistry(0), lambda packet: None)
     sink = _Sink(sim)
     feeder = Link(sim, "C1->C2", "C1", core, bandwidth, 0.3, DropTailQueue(40.0))
     egress = Link(
@@ -267,22 +292,29 @@ def _hop(script, until, bandwidth=40.0, egress_bandwidth=None, egress_capacity=4
 
     feeder._deliver_cb = delivering
 
-    def send(t, seq, alone=False):
+    def send(t, seq, alone=False, label=None):
+        label = 10.0 + seq if label is None else label
         if alone:
-            packet = Packet.marker(1, "Ein1", "Eout", 10.0 + seq, t, sim=sim)
+            packet = Packet.marker(1, "Ein1", "Eout", label, t, sim=sim)
             packet.seq = seq
         else:
-            packet = Packet.data(1, "Ein1", "Eout", seq, t, label=10.0 + seq, sim=sim)
-            packet.origin_edge = "Ein1"
+            packet = Packet.data(1, "Ein1", "Eout", seq, t, label=label, sim=sim)
+            if scheme != "csfq":
+                packet.origin_edge = "Ein1"
         sim.schedule_at(t, feeder.send, packet)
 
     seen = script(sim, send, feeder, egress)
     sim.run(until=until)
     egress.settle()
-    if machinery.parked:
-        core._unpark(machinery)  # replays the epochs it skipped
-    selector = machinery.selector
-    state = [getattr(selector, n) for n in ("rav", "wav", "pw", "deficit", "_epoch_marker_count")]
+    if scheme == "csfq":
+        names = [n for n in CsfqLinkState.__slots__ if n not in ("link", "coin")]
+        state = [getattr(machinery, n) for n in names]
+    else:
+        if machinery.parked:
+            core._unpark(machinery)  # replays the epochs it skipped
+        selector = machinery.selector
+        names = ("rav", "wav", "pw", "deficit", "_epoch_marker_count")
+        state = [getattr(selector, n) for n in names]
     return seen, sink.got, state, egress.failure_drops, handed
 
 
@@ -373,6 +405,36 @@ def test_a_marker_alone_is_handed_over_at_its_instant():
 
     handed = _guarded(script, until=6.0)
     assert handed == [(0, True), (10, True), (1, True), (11, True), (2, True), (12, True)]
+
+
+def test_a_csfq_hop_is_admitted_at_its_instant_while_its_egress_is_congested():
+    """A burst of 15 congests the CSFQ egress link (all but its first are
+    events: the egress is busy), which seeds alpha; the lone packets sent
+    once the burst's last hop is past are handed over, each admitted at its
+    instant: both rate estimators, the end of the congestion, the alpha
+    window and a coin per label above alpha."""
+
+    def script(sim, send, feeder, egress):
+        for seq in range(15):
+            send(1.0, seq, label=10.0)
+        for seq in range(15, 30):
+            send(1.7 + 0.05 * (seq - 15), seq, label=40.0)
+
+    handed = _guarded(script, bandwidth=1000.0, egress_bandwidth=100.0, scheme="csfq")
+    assert [seq for seq, at in handed if at] == [0, *range(15, 30)], handed
+
+
+def test_a_csfq_hop_its_egress_drops_decays_alpha_at_its_instant():
+    """Under one packet of buffer the CSFQ egress drops every packet handed
+    over to it: alpha, set as each uncongested window closes at a hop's
+    instant, decays there, and the next hops draw coins against it."""
+
+    def script(sim, send, feeder, egress):
+        for seq in range(8):
+            send(1.0 + 0.25 * seq, seq, label=20.0 + seq % 3)
+
+    handed = _guarded(script, until=6.0, egress_capacity=0.5, scheme="csfq")
+    assert all(at for _seq, at in handed) and len(handed) > 4, handed
 
 
 def _arrival_tap(sim, feeder, egress, seen):
