@@ -15,7 +15,8 @@ class SimulationError(ReproError):
 
 
 class FenceError(SimulationError):
-    """A mid-run change no ``Simulator.add_fence`` announced before traffic passed it."""
+    """A change to a releasing shaper that no ``Simulator.add_fence`` announced
+    before the shaper released past it (links change only before traffic flows)."""
 
 
 class ConfigurationError(ReproError):

@@ -58,7 +58,9 @@ nothing is released past what a caller reads between runs or windows; a
 :meth:`step` releases nothing) and the next instant registered with
 :meth:`add_fence` at or after ``now``.  Whoever schedules a change to what
 a release touches — a flow's on/off transition, a network event, its
-reroute — registers its instant there as it schedules it.
+reroute — registers its instant there as it schedules it.  A link needs none:
+its taps, drop listeners and arming are wired before traffic flows
+(:mod:`repro.sim.link`).
 """
 
 from __future__ import annotations
@@ -497,15 +499,6 @@ class Simulator:
                 return
             ledger.popleft()
             deliver(head[2], source, due)
-
-    def close_ledger(self, ledger: Ledger) -> None:
-        """Retire ``ledger``: settle it, then schedule ``deliver(packet,
-        source)`` at its instant for each delivery still booked."""
-        self.settle(ledger)
-        self._ledgers.remove(ledger)
-        for due, _seq, packet in ledger:
-            self.schedule_at_fast(due, ledger.deliver, packet, ledger.source)
-        ledger.clear()
 
     def pending(self) -> int:
         """Stored entries (lazily-cancelled ones included) plus the booked

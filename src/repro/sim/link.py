@@ -76,9 +76,8 @@ life: another in-link finds it fed and stays on events, so a ledger is in
 calls ``receive(packet, link, due)`` — by the node before it reads the
 state they write or an event hands it a packet, by :meth:`Link.settle`,
 and by the push past the ledger's cap; which precede a reader is the
-engine's rule (:mod:`repro.sim.engine`).  A link that is tapped or armed
-leaves for good (``_unbook``): what precedes the caller is delivered, the
-rest become the events they would have been.
+engine's rule (:mod:`repro.sim.engine`).  A tap, drop listener or arming,
+wired before traffic flows (``_wire``), keeps the link on events.
 
 *Pass-through.*  A packet's last core hop needs no event either when its
 outcome is fixed at its in-link's send.  At serial finalize the builder asks
@@ -88,17 +87,16 @@ Corelite or CSFQ, not FIFO); it calls the core's ``receive(packet, link,
 due)`` at the send, in place of the event, while no core reads the egress
 before ``due`` (its Corelite epoch parked, ``_on_backlog``, or ``epochless``:
 CSFQ's state is read by arrivals only), its transmitter is idle at ``due``,
-``due`` is before the run's bound and the next ``add_fence`` instant, and no
-earlier hop to it waits as an event (``now > _hold``, which a fallback
-raises).  The core admits at ``due`` and sends on with ``send(packet, at)``.
-Until ``due`` nothing else touches the egress (one feeder, no reader, an idle
-transmitter) and its sink's booking settles by the real clock: exact, but for
-the seq of the booking (or of the event, at a CSFQ edge that reports a loss),
-taken early — a reader at the egress edge scheduled in between, at exactly the
-delivery's float instant, would see it (the differential property has found
-none).  A tap, drop listener or arming ends it for good; mid-run, on either
-link, it needs an ``add_fence`` before traffic can pass its instant, or raises
-``FenceError``.
+``due`` is before the run's bound, and no earlier hop to it waits as an
+event (``now > _hold``, which a fallback raises).  The core admits at ``due``
+and sends on with ``send(packet, at)``.  Until ``due`` nothing else touches
+the egress (one feeder, no reader, an idle transmitter, no change to either
+link: taps, drop listeners and arming are wired before traffic flows, and
+end it for good) and its sink's booking settles by the real clock: exact,
+but for the seq of the booking (or of the event, at a CSFQ edge that
+reports a loss), taken early — a reader at the egress edge scheduled in
+between, at exactly the delivery's float instant, would see it (the
+differential property has found none).
 
 Links that need a real queue keep it (``_send_queued`` →
 ``FifoQueue.push`` / ``pop``, ``_transmit_from``, one ``_wake`` per
@@ -112,8 +110,7 @@ path is tested against.
 ``send`` and the delivery callback are *rebindable*: with no taps
 installed — the common case in large sweeps — the per-packet path never
 iterates an empty listener list.  Installing a tap rebinds the instance
-attribute to the tapped variant.  Taps must therefore be installed before
-traffic flows (only tests install taps).
+attribute to the tapped variant.
 
 Trains
 ------
@@ -140,8 +137,9 @@ delivery captures the generation current at send time, and
 link fails are dropped deterministically when their delivery event fires
 — even if the link has already recovered by then.  Static links never
 pay for this: their delivery callback stays the far end's ``receive``.
-``fail()`` on a link that was never armed arms it first, which is refused
-while packets wait in its departure-time ledger.
+Arming is wired before traffic flows (``fail()`` arms a link never armed,
+so on one it is refused once traffic has flowed); an armed link fails and
+recovers mid-run.
 """
 
 from __future__ import annotations
@@ -151,7 +149,7 @@ from heapq import heappush
 from math import inf, nextafter
 from typing import Callable, Optional
 
-from repro.errors import ConfigurationError, FenceError, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Ledger, Simulator
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue, FifoQueue
@@ -183,7 +181,7 @@ class Link:
         "_booked",
         "_through",
         "_hold",
-        "_passed",
+        "_carried",
         "_on_backlog",
         "epochless",
         "_wake_pending",
@@ -232,10 +230,11 @@ class Link:
         self._sink = self._sink_of(dst)
         self._quiet_for = getattr(dst, "quiet_for", None)
         self._booked: Optional[Ledger] = None
-        #: "Pass-through": egress links by destination; as one, last fallback, last pass.
+        #: "Pass-through": egress links by destination; as one, last fallback.
         self._through: Optional[dict] = None
         self._hold = -inf
-        self._passed = -inf
+        #: Whether the link was offered a packet (``_wire``: traffic has flowed).
+        self._carried = False
         self._on_backlog: Optional[Callable[[], None]] = None
         #: Whether only arrivals read what its core keeps for it (CSFQ's
         #: admission state): no epoch reads it on a clock ("Pass-through").
@@ -274,8 +273,9 @@ class Link:
     # -- observation hooks ------------------------------------------------
 
     def add_drop_listener(self, listener: DropListener) -> None:
-        """Call ``listener(packet, now)`` at each drop (mid-run, see "Pass-through")."""
-        self._end_pass_through()
+        """Call ``listener(packet, now)`` at each drop.  Build-time: raises
+        ``SimulationError`` once traffic has flowed (``_wire``)."""
+        self._wire("a drop listener")
         self._drop_listeners.append(listener)
 
     def add_arrival_tap(self, tap: Callable[[Packet, float], Optional[bool]]) -> None:
@@ -284,16 +284,16 @@ class Link:
         A tap may *consume* the packet by returning ``True`` (only tests
         install one, to lose chosen packets; CSFQ's drop is in its router).
         Returning ``None``/``False`` lets the packet continue to the queue.
-        Mid-run it needs ``add_fence`` before traffic can pass it.
+        Build-time: raises ``SimulationError`` once traffic has flowed.
         """
-        self._unbook()
+        self._wire("an arrival tap")
         self._arrival_taps.append(tap)
         self.send = self._send_tapped
 
     def add_delivery_tap(self, tap: Callable[[Packet, float], None]) -> None:
         """Call ``tap(packet, now)`` when a packet reaches the far end (only tests
-        install one).  Mid-run it needs ``add_fence`` before traffic can pass it."""
-        self._unbook()
+        install one).  Build-time: raises ``SimulationError`` once traffic has flowed."""
+        self._wire("a delivery tap")
         self._delivery_taps.append(tap)
         self._rebind_deliver()
 
@@ -336,24 +336,14 @@ class Link:
     # -- dynamics (failure / recovery) ------------------------------------
 
     def enable_dynamics(self) -> None:
-        """Arm the link for scheduled failure/recovery.
+        """Arm the link for scheduled failure/recovery (a no-op once armed).
 
-        Must run before traffic flows (the dynamics layer calls it at
-        build time, :meth:`fail` on a link never armed): deliveries
-        scheduled earlier captured the unchecked callback and would
-        survive a failure, and a packet already waiting in the
-        departure-time ledger cannot move to the real queue an armed
-        link serves.  Mid-run it needs ``add_fence`` before traffic can pass it.
+        Build-time, as the dynamics layer calls it (and :meth:`fail` on a link
+        never armed): it raises ``SimulationError`` once traffic has flowed.
         """
         if self._dynamic:
             return
-        self.settle()
-        if self._ledger:
-            raise SimulationError(
-                f"link {self.name}: enable_dynamics() with packets waiting; "
-                "arm the link before traffic flows"
-            )
-        self._unbook()
+        self._wire("arming")
         self._dynamic = True
         # Failures flush packet objects and split trains (the drop
         # taxonomy — queue flush / in-flight stranding / send-while-down —
@@ -365,10 +355,6 @@ class Link:
             if rebind_send:
                 self.send = self._send_base
             self.queue._port = None
-            if self._on_backlog is not None:
-                # Nothing on the queued path would ever fire it.
-                callback, self._on_backlog = self._on_backlog, None
-                callback()
         self._rebind_deliver()
 
     def _rebind_deliver(self) -> None:
@@ -407,9 +393,9 @@ class Link:
         payload.  Idempotent while already down.  Returns the number of
         queued data packets flushed.
 
-        A link never armed is armed first (:meth:`enable_dynamics`): it raises
-        ``SimulationError``, changing nothing, while packets wait in its ledger,
-        and ``FenceError`` without an ``add_fence`` before traffic could pass it.
+        A link never armed is armed first (:meth:`enable_dynamics`), which is
+        build-time: once traffic has flowed it raises ``SimulationError`` and
+        changes nothing.
         """
         if not self.up:
             return 0
@@ -470,6 +456,7 @@ class Link:
         """
         sim = self.sim
         now = sim.now if at is None else at
+        self._carried = True
         free_at = self._free_at
         size = packet.size
         if size <= 0.0:
@@ -517,16 +504,13 @@ class Link:
             through = self._through
             egress = through and through.get(packet.dst)
             if egress is not None:
-                fences = sim._fences
                 if (
                     # No core reads the egress before ``due``.
                     (egress._on_backlog is not None or egress.epochless)
                     and due >= egress._free_at
                     and now > egress._hold
                     and due < sim._until
-                    and (not fences or due < fences[0] or due < sim.fence(inf))
                 ):
-                    egress._passed = due
                     self._deliver_cb(packet, self, due)
                     return True
                 if egress._hold < due:
@@ -562,23 +546,19 @@ class Link:
         self.sim.book(booked, due, packet)
         return True
 
-    def _end_pass_through(self) -> None:
-        """End "Pass-through" here for good; raise past a hop no fence held back."""
-        passed = max([self._passed] + [e._passed for e in (self._through or {}).values()])
-        if passed >= self.sim.now:
-            raise FenceError(f"link {self.name} changed at t={self.sim.now} before a hop "
-                             f"handed over at t={passed}: register it with add_fence")
+    def _wire(self, change: str) -> None:
+        """A build-time change: refused once traffic has flowed — an event has
+        run, or this link has carried a packet — else it ends "Sinks" and
+        "Pass-through" here for good."""
+        sim = self.sim
+        if sim._running or sim.events_executed or self._carried:
+            raise SimulationError(
+                f"link {self.name}: {change} is wired before traffic flows, "
+                "and traffic has flowed"
+            )
+        self._sink = None
         self._through = None
         self._hold = inf
-
-    def _unbook(self) -> None:
-        """Leave the ledger and pass-through for good: what is booked becomes the
-        events it would have been.  The empty ledger stays the node's ``inbox``."""
-        self._end_pass_through()
-        self._sink = None
-        booked, self._booked = self._booked, None
-        if booked is not None:
-            self.sim.close_ledger(booked)
 
     def _tail_drop(self, packet: Packet, now: float, at: Optional[float] = None) -> bool:
         self.queue.stats.dropped_data += packet.count
@@ -636,6 +616,7 @@ class Link:
         if packet.origin_edge is not None and packet.size > 0.0 and type(packet) is Packet:
             return self._send_split(packet, self._send_via_queue)
         now = self.sim.now
+        self._carried = True
         if not self.queue.push(packet, now):
             for listener in self._drop_listeners:
                 listener(packet, now)

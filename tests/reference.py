@@ -10,6 +10,8 @@ ledger, no CSFQ ``quiet_for``), ``Link.watch_backlog`` gives ``False``
 :mod:`repro.sim.link`).  Departure-time links stay on:
 the real queue splits markers off their carriers and trains at the link,
 which moves sends and ids by design (``tests/test_link.py`` holds that path).
+Taps, drop listeners and arming are wired before traffic flows
+(:mod:`repro.sim.link`), so none lands under a fast path mid-run.
 """
 
 from __future__ import annotations
@@ -37,21 +39,14 @@ def reference():
         yield
 
 
-def differential(make, sample_interval=1.0, schedule=None):
+def differential(make, sample_interval=1.0):
     """Run ``make()``'s cloud with the fast paths and inside
     :func:`reference`: the contract's exact fields equal, fewer events.
-    ``schedule(cloud)`` adds events before each run; returns the fast
-    run's cloud."""
+    Returns the fast run's cloud."""
     clouds = []
-
-    def scheduling(cloud):
-        clouds.append(cloud)
-        if schedule is not None:
-            schedule(cloud)
-
-    fast = replay(*make(), sample_interval, scheduling)
+    fast = replay(*make(), sample_interval, clouds.append)
     with reference():
-        slow = replay(*make(), sample_interval, scheduling)
+        slow = replay(*make(), sample_interval)
     assert {f: fast[f] for f in EXACT} == {f: slow[f] for f in EXACT}, (fast, slow)
     assert fast["events"] < slow["events"]
     return clouds[0]

@@ -5,12 +5,13 @@ a packet addressed to that edge instead of scheduling it (``repro.sim.link``,
 "Sinks"; the ordering rule is ``repro.sim.engine``, "Ledgers") — every
 delivery into a Corelite edge, every one a CSFQ edge's ``quiet_for`` vouches
 sends nothing.  Event delivery survives as a switch — ``Link._sink_of``
-patched to answer ``None`` — for the rigs below, which pin the tie rule, a
-link leaving the ledger and ``quiet_for`` packet by packet.  Whole clouds
-meet the per-packet datapath (``tests/reference.py``): the contract table's
-under ``tests/test_reference.py``, and here the ones it does not hold — a
-link leaving mid-run, a partition cut, CSFQ flowlet fabrics and a DECbit
-core — and random chains with only the ledger off.
+patched to answer ``None`` — for the rigs below, which pin the tie rule and
+``quiet_for`` packet by packet.  Whole clouds meet the per-packet datapath
+(``tests/reference.py``): the contract table's under
+``tests/test_reference.py``, and here the ones it does not hold — a
+partition cut, CSFQ flowlet fabrics and a DECbit core — and random chains
+with only the ledger off.  A link is tapped or armed before traffic flows, so
+it never leaves a ledger (``test_reference.test_a_link_is_wired_before_traffic_flows``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.core.config import CoreliteConfig
 from repro.core.edge import CoreliteEdge
 from repro.csfq.config import CsfqConfig
 from repro.csfq.edge import CsfqEdge
-from repro.errors import FenceError, SimulationError
+from repro.errors import SimulationError
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.parallel import result_to_payload
 from repro.experiments.scenarios import WEIGHTS_41, topology1_flows
@@ -40,7 +41,7 @@ from repro.sim.link import Link
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
 
-from .contract import _SMALL_BUFFERS, CLOUDS, EXACT, _cloud, replay
+from .contract import CLOUDS, EXACT, _cloud, replay
 from .reference import differential, reference
 
 # -- the switch, and whole clouds against the reference ----------------------------
@@ -255,109 +256,6 @@ def test_step_steps_onto_each_delivery_in_order(rig, events):
     assert rig.sim.events_executed == (3 if events else 1)
 
 
-# -- leaving the ledger -----------------------------------------------------------
-
-
-def _leaver(action, at=5.0137):
-    """Mid-run, on every link into an edge: ``action(link)``; then (for
-    ``fail``) recovery a little later.  The change's instant is registered
-    with ``add_fence``, as a mid-run change to a link a hop may be handed
-    over to must be (``repro.sim.link``, "Pass-through")."""
-
-    def during(cloud):
-        sink_links = [
-            link for link in cloud.topology.links.values() if link.dst.name in cloud.edges
-        ]
-
-        def leave():
-            for link in sink_links:
-                try:
-                    action(link)
-                except FenceError:
-                    raise
-                except SimulationError:  # packets waiting: refused both ways
-                    pass
-
-        cloud.sim.add_fence(at)
-        cloud.sim.schedule_at(at, leave)
-        cloud.sim.schedule_at(at + 0.5, lambda: [link.recover() for link in sink_links])
-
-    return during
-
-
-_SMALL_CHAIN = TopologySpec.chain(3, capacity_pps=120.0, queue_capacity=3.0)
-
-
-def _refused(cloud):
-    """Data packets refused by links while down."""
-    return sum(link.failure_drops for link in cloud.topology.links.values())
-
-
-@pytest.mark.parametrize(
-    "action",
-    [
-        Link.fail,
-        Link.enable_dynamics,
-        lambda link: link.add_delivery_tap(lambda packet, now: None),
-        lambda link: link.add_arrival_tap(lambda packet, now: None),
-    ],
-    ids=["fail", "enable_dynamics", "delivery_tap", "arrival_tap"],
-)
-def test_a_link_leaves_the_ledger_as_its_events_would_have_fared(action):
-    small_chain = _cloud(
-        _SMALL_CHAIN, _SMALL_BUFFERS[:6], 8.0, 9, config=CoreliteConfig(qthresh=1.0)
-    )
-    cloud = differential(small_chain, 0.1, _leaver(action))
-    assert sum(cloud.edges[s.egress_edge].delivered(f) for f, s in cloud.flows.items()) > 300
-    if action is Link.fail:
-        assert _refused(cloud) > 10
-
-
-def test_left_ledger_strands_what_was_booked_and_goes_back_to_events():
-    rig = _Rig()
-    tapped = []
-    for seq in range(3):
-        rig.send(seq)
-    rig.sim.run(until=DUE)  # 0 delivered; 1 and 2 booked, not due
-    assert rig.edge.delivered(1) == 1
-    assert len(rig.link._booked) == 2 and rig.edge.inbox is rig.link._booked
-    rig.link.add_delivery_tap(lambda packet, now: tapped.append(packet.seq))
-    # The node keeps its emptied inbox: it takes no other feeder.
-    assert rig.link._booked is None and not rig.edge.inbox and not rig.sim._ledgers
-    assert rig.edge.delivered(1) == 1
-    rig.send(3)
-    before = rig.sim.events_executed
-    rig.sim.run()
-    assert rig.sim.events_executed == before + 3  # two stranded, one new
-    assert rig.edge.delivered(1) == 4
-    assert tapped == [3]  # the stranded two were sent untapped
-
-
-def test_fail_on_an_unarmed_sink_link_voids_what_waited_and_spares_what_had_left():
-    """``tests/test_link.py``'s unarmed-``fail()`` case, into a sink: with
-    packets waiting, a link that was never armed voids nothing, in either
-    mode.  Arming is refused, so ``fail()`` raises, the link stays up, and
-    what waited arrives as what had left does."""
-    outcomes = []
-    for events in (False, True):
-        with pytest.MonkeyPatch.context() as patch:
-            if events:
-                _events_mode(patch)
-            rig = _Rig(DropTailQueue(4))
-            for seq in range(4):
-                rig.send(seq)
-            rig.sim.run(until=0.015)  # 1 in service; 2 and 3 wait
-            with pytest.raises(SimulationError, match="before traffic"):
-                rig.link.fail()
-            assert rig.link.up and not rig.link._dynamic
-            rig.sim.run()
-            outcomes.append(
-                (rig.edge.delivered(1), rig.edge.losses(1), rig.link.inflight_drops,
-                 rig.link.queue.stats.dropped_data, rig.link.queue.occupancy)
-            )
-    assert outcomes[0] == outcomes[1] == (4, 0, 0, 0, 0.0)
-
-
 # -- more than one in-link ---------------------------------------------------------
 
 
@@ -484,14 +382,6 @@ def test_csfq_ledger_equals_event_delivery_across_a_partition_cut():
     both_partitioned(lambda: _inline_chain4("csfq", 20.0))
 
 
-def test_csfq_fail_on_an_unarmed_egress_link_leaves_the_ledger_as_events_would():
-    """A failure arms the link, which leaves the ledger for good: what was
-    handed to ``quiet_for`` before it arrives as the events it would have
-    been, and nothing booked after it can find a hole the failure made."""
-    small_chain = _csfq(_SMALL_CHAIN, _SMALL_BUFFERS[:6], 16.0, 9)
-    assert _refused(differential(small_chain, 0.1, _leaver(Link.fail, 10.0137))) > 10
-
-
 def test_csfq_a_booked_delivery_that_finds_a_gap_raises(monkeypatch):
     """Never a LOSS_NOTIFY stamped at settle time: a wrong ``quiet_for`` fails
     the run at the booked packet, by name."""
@@ -522,7 +412,7 @@ def test_csfq_quiet_for_never_vouches_for_a_packet_that_finds_a_gap(steps, secon
     has handed over before; each arrives in order or late, and the run
     equals event delivery.  (The
     feeder never fails here: ``fail()`` on a link that was never armed is
-    refused while packets wait, and an armed link books nothing.)"""
+    refused once traffic has flowed, and an armed link books nothing.)"""
 
     def run():
         sim = Simulator()

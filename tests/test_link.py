@@ -286,16 +286,6 @@ def test_a_fifo_with_its_own_admit_keeps_it():
     assert [p.seq for _, p in sink.arrivals] == [0, 1, 2]
 
 
-def test_arming_a_watched_link_fires_the_watch(rig):
-    """The queued path never reports a backlog, so arming the link hands
-    the watcher back its timer instead of leaving it parked forever."""
-    sim, link, sink = rig
-    seen = []
-    assert link.watch_backlog(lambda: seen.append(True))
-    link.enable_dynamics()
-    assert seen == [True]
-
-
 def test_enable_dynamics_with_packets_waiting_is_refused(rig):
     sim, link, sink = rig
     link.send(data(0))
@@ -316,17 +306,14 @@ class QuietSink(Sink):
 def test_fail_on_unarmed_link_flushes_the_ledger_and_voids_deliveries():
     """Whether an unarmed ``fail()`` flushes the ledger and voids the
     deliveries: it does neither.  ``fail()`` arms a link that was never
-    armed, and arming is refused while packets wait in the departure-time
-    ledger: the failure raises and changes nothing — the link stays up, no
-    listener hears of a drop, the queue and both ledgers (waiting, booked)
-    are as they were, and every packet arrives.  Once idle, ``fail()`` arms
-    the link and fails it."""
+    armed, and arming is wired before traffic flows: the failure raises and
+    changes nothing — the link stays up, nothing is dropped, the queue and
+    both ledgers (waiting, booked) are as they were, and every packet
+    arrives.  Idle again, the link is still refused."""
     sim = Simulator()
     sink = QuietSink("B", sim)
     link = Link(sim, "A->B", "A", sink, bandwidth_pps=100.0, prop_delay=0.05,
                 queue=DropTailQueue(4))
-    dropped = []
-    link.add_drop_listener(lambda p, t: dropped.append(p.seq))
     for i in range(4):
         link.send(data(i))
     sim.run(until=0.015)  # packet 1 is now in service, 2 and 3 wait
@@ -347,11 +334,10 @@ def test_fail_on_unarmed_link_flushes_the_ledger_and_voids_deliveries():
     sim.run()
     link.settle()
     assert [p.seq for _, p in sink.arrivals] == [0, 1, 2, 3]
-    assert dropped == [] and link.failure_drops == link.inflight_drops == 0
-
-    assert link.fail() == 0  # idle now: armed, then failed
-    assert link._dynamic and not link.up
-    assert link.send(data(4)) is False and link.failure_drops == 1
+    assert link.queue.stats.dropped_data == link.failure_drops == link.inflight_drops == 0
+    with pytest.raises(SimulationError, match="A->B"):
+        link.fail()
+    assert link.up and not link._dynamic
 
 
 def test_lazy_counters_read_current_without_an_explicit_settle():

@@ -19,7 +19,7 @@ from repro.core.config import CoreliteConfig
 from repro.core.router import CoreliteCoreRouter
 from repro.csfq.config import CsfqConfig
 from repro.csfq.router import CsfqCoreRouter, CsfqLinkState
-from repro.errors import FenceError
+from repro.errors import SimulationError
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.topospec import FlowPathSpec, TopologySpec
 from repro.sim.dynamics import NetworkEvent
@@ -355,14 +355,15 @@ def test_a_hop_into_an_unparked_egress_is_an_event():
 
 
 def test_a_hop_due_past_the_run_bound_is_an_event():
-    """A run to 1.9 leaves the hop due at 1.975 an event; the egress fails
-    between the runs and refuses it, as it would with every hop an event."""
+    """A run to 1.9 leaves the hop due at 1.975 an event: between the runs
+    the egress has not been sent it (its transmitter frees when the first
+    hop's packet is through), as with every hop an event."""
 
     def script(sim, send, feeder, egress):
         send(1.0, 0)
         send(1.65, 1)
         sim.run(until=1.9)
-        egress.fail()
+        return [egress._free_at]
 
     assert _guarded(script) == [(0, True), (1, False)]
 
@@ -481,44 +482,89 @@ def test_a_tap_or_arming_after_the_build_ends_the_pass_through(change):
     assert not any(at for _seq, at in handed)
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        _arrival_tap,
-        _delivery_tap,
-        _drop_listener,
-        lambda sim, feeder, egress, seen: egress.enable_dynamics(),
-        lambda sim, feeder, egress, seen: seen.append(egress.fail()),
-        _feeder_delivery_tap,
-        lambda sim, feeder, egress, seen: seen.append(feeder.fail()),
-    ],
-    ids=[
-        "arrival-tap", "delivery-tap", "drop-listener", "dynamics", "fail",
-        "feeder-delivery-tap", "feeder-fail",
-    ],
-)
-def test_a_change_to_either_link_mid_run_takes_a_fence(change):
-    """A hop is handed over at its send, ahead of the clock; a change to
-    either link before that hop's instant would have seen it (the egress
-    drops it: its listener hears the drop).  Such a change must be
-    registered with ``Simulator.add_fence`` before traffic can be handed
-    over past it; unregistered, it raises ``FenceError``, which a caller
-    refusing a busy link (a ``SimulationError``) can tell apart."""
+#: Each build-time change, as one call on a link.
+_WIRINGS = {
+    "drop-listener": lambda link: link.add_drop_listener(lambda packet, now: None),
+    "arrival-tap": lambda link: link.add_arrival_tap(lambda packet, now: None),
+    "delivery-tap": lambda link: link.add_delivery_tap(lambda packet, now: None),
+    "dynamics": Link.enable_dynamics,
+    "fail": Link.fail,
+}
 
-    def script(fence):
+
+def _wiring(link):
+    """What a build-time change moves on ``link``."""
+    observers = [*link._drop_listeners, *link._arrival_taps, *link._delivery_taps]
+    return (
+        link.send, link._deliver_cb, link._sink, link._through, link._hold,
+        link._dynamic, link.up, link.queue._port, observers,
+    )
+
+
+@pytest.mark.parametrize("when", ["pre-run-send", "mid-run"])
+@pytest.mark.parametrize("role", ["sink", "feeder", "egress"])
+@pytest.mark.parametrize("change", sorted(_WIRINGS))
+def test_a_link_is_wired_before_traffic_flows(change, role, when):
+    """Taps, a drop listener and arming (``fail`` arms a link never armed) are
+    build-time.  Once traffic has flowed — an event has run (mid-run: here
+    after a hop was handed over ahead of the clock), or the link has carried
+    a packet (a send before the run) — each raises, naming the link, and
+    leaves it as it was: the run equals one where it was never tried.  The
+    links are a hand-over's feeder and egress and a link into a quiet sink
+    that is neither."""
+
+    def script(attempt):
         def drive(sim, send, feeder, egress):
-            seen = []
-            send(1.0, 0)
-            if fence:
-                sim.add_fence(1.2)
-            sim.schedule_at(1.2, change, sim, feeder, egress, seen)
-            return seen
+            sink = Link(sim, "C3->Eout", "C3", _Sink(sim), 40.0, 0.01, DropTailQueue(40.0))
+            link = {"sink": sink, "feeder": feeder, "egress": egress}[role]
+            refused = []
+
+            def wire():
+                before = _wiring(link)
+                with pytest.raises(SimulationError, match=link.name):
+                    _WIRINGS[change](link)
+                refused.append(_wiring(link) == before)
+
+            if when == "pre-run-send":
+                link.send(Packet.data(3, "C3", "Eout", 0, 0.0, sim=sim))
+                if attempt:
+                    wire()
+            else:
+                send(1.0, 0)
+                if attempt:
+                    sim.schedule_at(1.2, wire)
+            send(1.5, 1)
+            return refused
 
         return drive
 
-    with pytest.raises(FenceError, match="add_fence"):
-        _hop(script(fence=False), 3.0, egress_capacity=0.5)
-    assert _guarded(script(fence=True), egress_capacity=0.5) == [(0, False)]
+    refused, *run = _hop(script(attempt=True), 3.0)
+    assert refused == [True]
+    assert run == list(_hop(script(attempt=False), 3.0))[1:]
+
+
+def test_a_hop_due_past_a_flow_on_off_instant_is_handed_over():
+    """No link changes mid-run, so a flow starting or stopping — an
+    ``add_fence`` instant, read by shaper releases only — holds back no hop:
+    on ``every-flow-kind`` some hop is handed over across one."""
+    fences, across = [], []
+    add_fence, receive = Simulator.add_fence, CoreliteCoreRouter.receive
+
+    def fencing(sim, time):
+        fences.append(time)
+        add_fence(sim, time)
+
+    def receiving(core, packet, link, *at):
+        if at and any(core.sim.now < fence <= at[0] for fence in fences):
+            across.append(packet.pid)
+        receive(core, packet, link, *at)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulator, "add_fence", fencing)
+        patch.setattr(CoreliteCoreRouter, "receive", receiving)
+        cloud, until = CLOUDS["every-flow-kind"]()
+        cloud.run(until=until)
+    assert fences and across, (fences, across)
 
 
 def test_a_tcp_flows_egress_link_is_not_handed_over_to():
