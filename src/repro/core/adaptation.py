@@ -40,6 +40,9 @@ class Phase(Enum):
     LINEAR = "linear"
 
 
+_SLOW_START = Phase.SLOW_START
+
+
 class RateController:
     """Slow-start + weighted-LIMD controller for one flow's allowed rate.
 
@@ -113,15 +116,28 @@ class RateController:
         self._last_double = now
 
     def on_epoch(self, feedback_count: int, now: float) -> float:
-        """Apply one epoch of adaptation; returns the new allowed rate."""
+        """Apply one epoch of adaptation; returns the new allowed rate.
+
+        One frame per flow-epoch past slow start: the linear step and the
+        clamp are written out with the builtin ``min`` / ``max`` semantics of
+        :meth:`_clamp`, which slow start keeps calling."""
         if feedback_count < 0:
             raise ConfigurationError(f"feedback_count must be >= 0, got {feedback_count}")
         self.feedback_total += feedback_count
-        if self.phase is Phase.SLOW_START:
+        if self.phase is _SLOW_START:
             self._slow_start_epoch(feedback_count, now)
+            return self.rate
+        if feedback_count == 0:
+            rate = self.rate + self.config.alpha * self._alpha_scale
+            self.increases += 1
         else:
-            self._linear_epoch(feedback_count)
-        return self.rate
+            rate = self.rate - self.config.beta * feedback_count
+            self.decreases += 1
+        rate = rate if rate > 0.0 else 0.0  # ``_clamp``: max, max, then min
+        rate = rate if rate > self.min_rate else self.min_rate
+        ceiling = self.config.max_rate * self._rate_scale
+        self.rate = rate = rate if rate < ceiling else ceiling
+        return rate
 
     # -- phases ----------------------------------------------------------
 
@@ -145,15 +161,6 @@ class RateController:
                 # fair share rates".
                 self.rate = self._clamp(self.rate / 2.0)
                 self._exit_slow_start()
-
-    def _linear_epoch(self, feedback_count: int) -> None:
-        cfg = self.config
-        if feedback_count == 0:
-            self.rate = self._clamp(self.rate + cfg.alpha * self._alpha_scale)
-            self.increases += 1
-        else:
-            self.rate = self._clamp(self.rate - cfg.beta * feedback_count)
-            self.decreases += 1
 
     def _exit_slow_start(self) -> None:
         self.phase = Phase.LINEAR

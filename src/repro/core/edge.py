@@ -46,6 +46,15 @@ flows).  The egress only records, so the edge is a ``quiet_sink``
 and every read of egress state settles ``inbox`` first.  What these frames
 produce is pinned by the contract table (``tests/contract``), which
 replays under the per-packet reference (``tests/reference.py``).
+
+Epoch frames
+------------
+A flow-epoch is one pass of ``EdgeRouter._epoch``, both schemes' sweep:
+it takes the flow's ``signal`` (here the max per-link marker count, at a
+CSFQ edge the loss count) and calls ``RateController.on_epoch`` (one frame
+past slow start), ``PacedSender.set_rate`` (which re-prices a parked shaper
+inline) and, only for a shaper parked on this epoch, ``release``; the
+active list and the fence hand-off are read and taken in the sweep itself.
 """
 
 from __future__ import annotations
@@ -139,7 +148,7 @@ class _IngressFlow:
         "injector",
         "seq",
         "feedback",
-        "feedback_peak",
+        "signal",
         "active",
         "started_times",
         "backlog",
@@ -162,12 +171,13 @@ class _IngressFlow:
         self.controller = controller
         self.injector = injector
         self.seq = 0
-        #: feedback marker counts in the current epoch, keyed by core link.
+        #: feedback marker counts in the current epoch, keyed by core link;
+        #: stale while ``signal`` is 0 (``receive_feedback`` clears it then).
         self.feedback: Dict[str, int] = {}
-        #: Running max of the epoch's per-link counts, so the adaptation
-        #: sweep never rebuilds or scans the dict (counts only grow within
-        #: an epoch, so the running max equals ``max(feedback.values())``).
-        self.feedback_peak = 0
+        #: The epoch's ``m(f)``, the bottleneck's count (§2.2): the running max
+        #: of its per-link counts (they only grow within an epoch, so it equals
+        #: ``max(feedback.values())`` and the sweep never scans the dict).
+        self.signal = 0
         self.active = False
         self.started_times = 0
         #: None = always backlogged; otherwise packets awaiting shaping.
@@ -217,8 +227,9 @@ class EdgeRouter(Router):
     but the congestion signal.  A subclass supplies ``egress_flow`` (its
     per-flow egress record: ``meter``, ``expected_seq``, ``lost``, ``delay``
     plus its own), ``attach_flow`` (build its ingress record, hand it to
-    :meth:`_attach`), ``start_flow``, the shaper callback ``_emit(state)``,
-    ``_epoch`` and ``receive``.
+    :meth:`_attach`), ``start_flow``, the shaper callback ``_emit(state)``
+    and ``receive``; its ingress record counts the epoch's signal in
+    ``signal``, which the shared ``_epoch`` reads and zeroes.
     """
 
     egress_flow: type
@@ -315,18 +326,27 @@ class EdgeRouter(Router):
             return None
         return self._epoch_task.handle
 
-    def _adapt(self, state, rate: float) -> None:
-        """An active flow's epoch tail under either scheme: its shaper takes
-        the new ``rate``; a flow leaving slow start takes its release fence,
-        and a shaper parked on this epoch releases up to the next one
-        (:mod:`repro.core.shaping`, "Releases")."""
-        pacer = state.pacer
-        pacer.set_rate(rate)
-        if pacer.fence is not None:
-            # The float ``PeriodicTask`` re-arms this epoch to.
-            pacer.release(self.sim.now + self._epoch_task.interval)
-        elif state.fence is not None and state.controller.phase is not _SLOW_START:
-            pacer.fence, state.fence = state.fence, None
+    def _epoch(self) -> None:
+        """The edge epoch of either scheme (paper §2.2, step 3; module
+        docstring, "Epoch frames"; :mod:`repro.core.shaping`, "Releases")."""
+        if self._active_dirty:
+            # Attach order, not start order: the sweep visits flows as a
+            # full-table scan would, so replays keep their event sequence.
+            self._active_ingress = [s for s in self._ingress_flows if s.active]
+            self._active_dirty = False
+        now = self.sim.now
+        epoch = now + self._epoch_task.interval  # the float ``PeriodicTask`` re-arms to
+        for state in self._active_ingress:
+            m = state.signal
+            if m:
+                state.signal = 0
+            pacer = state.pacer
+            pacer.set_rate(state.controller.on_epoch(m, now))
+            if pacer.fence is not None:
+                if pacer._due is not None:  # parked on this epoch
+                    pacer.release(epoch)
+            elif state.fence is not None and state.controller.phase is not _SLOW_START:
+                pacer.fence, state.fence = state.fence, None
 
     def stop_flow(self, flow_id: int) -> None:
         """Stop a flow; its allowed-rate state is discarded on restart."""
@@ -367,15 +387,6 @@ class EdgeRouter(Router):
     def backlog_of(self, flow_id: int) -> Optional[int]:
         """Pending packets awaiting shaping (None = always backlogged)."""
         return self._ingress_state(flow_id).backlog
-
-    def _active_flows(self) -> list:
-        """The active ingress flows for this epoch's sweep.  Attach order,
-        not start order: the sweep must visit flows in the same order a
-        full-table scan would, so replays keep their event sequence."""
-        if self._active_dirty:
-            self._active_ingress = [s for s in self._ingress_flows if s.active]
-            self._active_dirty = False
-        return self._active_ingress
 
     # -- egress role -----------------------------------------------------
 
@@ -487,8 +498,7 @@ class CoreliteEdge(EdgeRouter):
         if state.started_times > 1:
             state.controller.restart(self.sim.now)
             state.injector.reset()
-        state.feedback.clear()
-        state.feedback_peak = 0
+        state.signal = 0
         state.pacer.set_rate(state.controller.rate)
         state.pacer.fence = None  # slow start: see ``_release_fence``
         state.fence = self._release_fence(state)
@@ -504,12 +514,15 @@ class CoreliteEdge(EdgeRouter):
             self.stray_feedback += 1
             return
         source = packet.feedback_from or "?"
+        feedback = state.feedback
+        if not state.signal:  # the first feedback since an epoch took the count
+            feedback.clear()
         # A batched feedback packet (core epoch coalescing) carries its
         # logical marker count in ``seq``; per-marker feedback has seq 0.
-        count = state.feedback.get(source, 0) + (packet.seq if packet.seq > 0 else 1)
-        state.feedback[source] = count
-        if count > state.feedback_peak:
-            state.feedback_peak = count
+        count = feedback.get(source, 0) + (packet.seq if packet.seq > 0 else 1)
+        feedback[source] = count
+        if count > state.signal:
+            state.signal = count
 
     def attach_microflows(self, flow_id: int, mux: "MicroFlowMux") -> "MicroFlowMux":
         """Turn a non-backlogged flow into an aggregate of micro-flows.
@@ -694,18 +707,6 @@ class CoreliteEdge(EdgeRouter):
         else:
             link.send(train)
         return n
-
-    def _epoch(self) -> None:
-        """Edge epoch: run rate adaptation on every active ingress flow."""
-        now = self.sim.now
-        for state in self._active_flows():
-            # React to the bottleneck: the max feedback from any single
-            # core link, not the sum across congested hops (paper §2.2).
-            m = state.feedback_peak
-            if m:
-                state.feedback.clear()
-                state.feedback_peak = 0
-            self._adapt(state, state.controller.on_epoch(m, now))
 
     # -- egress role -----------------------------------------------------
 

@@ -46,8 +46,10 @@ FeedbackSender = Callable[[Packet], None]
 
 Selector = Union[MarkerCacheFeedback, SelectiveFeedback]
 
-#: Localized enum member: this test runs once per received packet.
+#: Localized enum members: this test runs once per received packet, and a
+#: per-marker feedback packet is built once per selected marker.
 _DATA = PacketKind.DATA
+_FEEDBACK = PacketKind.FEEDBACK
 
 
 class _LinkMachinery:
@@ -366,17 +368,12 @@ class CoreliteCoreRouter(Router):
             return emit_batched
 
         def emit(flow_id: int, origin_edge: str, label: float) -> None:
+            # Positional, as an edge's ``_emit`` builds its data packet; the
+            # closure holds no more cells than ``self`` and ``link_name``.
+            sim = self.sim
             feedback = Packet(
-                PacketKind.FEEDBACK,
-                flow_id,
-                src=self.name,
-                dst=origin_edge,
-                size=0.0,
-                label=label,
-                created_at=self.sim.now,
-                sim=self.sim,
+                _FEEDBACK, flow_id, self.name, origin_edge, 0.0, 0, origin_edge, label, sim.now, sim
             )
-            feedback.origin_edge = origin_edge
             feedback.feedback_from = link_name
             self.feedback_emitted += 1
             self._send_feedback(feedback)

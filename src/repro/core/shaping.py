@@ -27,10 +27,12 @@ re-arm through ``Simulator.reschedule`` or the park on the epoch
 through ``emit``, or a train through ``train_emit``.  It does only what a
 result reads: the burst clamp and the debit are conditionals with ``min`` /
 ``max``'s semantics, not builtin calls, and no send is counted (an edge's
-ingress ``seq`` is that count).  ``_accrue``, ``_delay_until_token`` and
-``_schedule`` remain for ``set_rate``, ``kick``, ``credit()`` and a firing
-whose emit callback re-armed the shaper, moved the clock or changed the
-rate.
+ingress ``seq`` is that count).  ``set_rate`` is one frame too in scalar
+mode: it re-prices the credit and prices the next firing inline (train
+mode calls ``_train_delay``), calling ``_schedule`` only for an armed
+shaper.  ``_accrue``, ``_delay_until_token`` and ``_schedule`` remain for
+``kick``, ``credit()`` and a firing whose emit callback re-armed the
+shaper, moved the clock or changed the rate.
 
 Releases
 --------
@@ -54,15 +56,15 @@ before the epoch's next firing (a run or window bound, a registered
 instant).  One on or past the epoch's takes none: the shaper *parks on its
 epoch*, keeping that firing's float in ``_due``.  The epoch runs first, as
 it would before such a timer, whose heap entry it precedes
-(``EdgeRouter._adapt``): ``set_rate`` re-prices ``_due`` exactly as the
-re-arm it replaces would (``now`` plus ``_next_delay``: the delay to a whole
-token, or in train mode to a train), or leaves it when the rate holds; train
-mode's idle cap counts a parked shaper as armed, as it would its timer.
-:meth:`release` then runs the loop in place from ``_due``, fenced by the
-epoch's next instant as ``PeriodicTask`` re-arms it (``now + interval``)
-and capped by ``Simulator.fence``.  A run ending or a flow stopping between
-two epochs finds no timer to cancel: ``stop`` drops ``_due`` and ``kick``
-leaves a parked shaper be.
+(``EdgeRouter._epoch``): ``set_rate`` re-prices ``_due`` exactly as the
+re-arm it replaces would (``now`` plus the delay to a whole token, or in
+train mode to a train), or leaves it when the rate holds; train mode's idle
+cap counts a parked shaper as armed, as it would its timer.  The epoch
+calls :meth:`release` only while ``_due`` is set, and it runs the loop in
+place from ``_due``, fenced by the epoch's next instant as ``PeriodicTask``
+re-arms it (``now + interval``) and capped by ``Simulator.fence``.  A run
+ending or a flow stopping between two epochs finds no timer to cancel:
+``stop`` drops ``_due`` and ``kick`` leaves a parked shaper be.
 
 Only the edge sets ``fence`` (``EdgeRouter._release_fence``), for a flow
 whose release touches nothing another event reads or writes before the
@@ -173,7 +175,7 @@ class PacedSender:
         self._last_accrual = 0.0
         self._running = False
         self._handle: Optional[EventHandle] = None
-        self._last_emit = -float("inf")
+        self._last_emit = -inf
         #: Times the shaper parked because the flow had nothing to send.
         self.idle_parks = 0
         #: When the scalar firing may release ahead ("Releases"): the handle
@@ -242,7 +244,7 @@ class PacedSender:
         if rate == self._rate:
             return
         now = self._sim.now
-        waited = now - self._last_emit if self._last_emit > -float("inf") else float("inf")
+        waited = now - self._last_emit if self._last_emit > -inf else inf
         if self._train_batch > 1:
             self._accrue()
             accrued_cap = max(self._credit, 1.0)
@@ -254,17 +256,24 @@ class PacedSender:
                 # a timer would.
                 accrued_cap = 1.0
         else:
-            accrued_cap = float("inf")
+            accrued_cap = inf
         self._rate = rate
-        self._credit = min(self.burst, waited * rate, accrued_cap) if rate > 0 else 0.0
+        self._credit = credit = min(self.burst, waited * rate, accrued_cap) if rate > 0 else 0.0
         self._last_accrual = now
+        if self._due is None and not self._running:
+            return
+        if self._train_batch > 1:
+            delay = self._train_delay()
+        elif credit >= 1.0 - _TOKEN_EPS:  # ``_delay_until_token``, accrued to now
+            delay = 0.0
+        else:
+            delay = -1.0 if rate <= 0.0 else (1.0 - credit) / rate
         if self._due is not None:
             # Parked on the epoch calling this, which releases it next: the
             # instant is re-priced as the re-arm below would price it.
-            delay = self._next_delay()
             self._due = now + delay if delay >= 0 else None
-        elif self._running:
-            self._schedule(self._next_delay())
+        else:
+            self._schedule(delay)
 
     def kick(self) -> None:
         """Wake a parked shaper: the flow's backlog became non-empty.

@@ -56,7 +56,7 @@ class _IngressFlow:
         "pacer",
         "estimator",
         "seq",
-        "losses",
+        "signal",
         "active",
         "backlog",
         "fence",
@@ -74,7 +74,8 @@ class _IngressFlow:
         self.controller = controller
         self.estimator = estimator
         self.seq = 0
-        self.losses = 0
+        #: Losses notified this epoch: the controller's ``m(f)``.
+        self.signal = 0
         self.active = False
         #: None = always backlogged; otherwise packets awaiting shaping.
         self.backlog: Optional[int] = None if attachment.backlogged else 0
@@ -142,7 +143,7 @@ class CsfqEdge(EdgeRouter):
         self._active_dirty = True
         state.controller.restart(self.sim.now)
         state.estimator.restart(self.sim.now)
-        state.losses = 0
+        state.signal = 0
         state.pacer.set_rate(state.controller.rate)
         state.pacer.fence = None  # slow start: see ``EdgeRouter._release_fence``
         state.fence = self._release_fence(state)
@@ -157,7 +158,7 @@ class CsfqEdge(EdgeRouter):
         if state is None or not state.active:
             self.stray_notifications += 1
             return
-        state.losses += int(packet.label)
+        state.signal += int(packet.label)
 
     def _emit(self, state: _IngressFlow) -> bool:
         if state.backlog is not None:
@@ -192,13 +193,6 @@ class CsfqEdge(EdgeRouter):
         else:
             link.send(packet)
         return True
-
-    def _epoch(self) -> None:
-        now = self.sim.now
-        for state in self._active_flows():
-            losses = state.losses
-            state.losses = 0
-            self._adapt(state, state.controller.on_epoch(losses, now))
 
     # -- egress role -----------------------------------------------------
 

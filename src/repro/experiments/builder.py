@@ -894,6 +894,10 @@ class Cloud:
         ``record_queues`` additionally samples every core-to-core link's
         queue occupancy into the result (useful for studying the
         congestion-control dynamics rather than just the rates).
+
+        The sampler resolves each flow's ingress state and egress meter once
+        per run (not at finalize), and settles each egress inbox once per flow
+        per sample.
         """
         check_run_arguments(until, sample_interval)
         if self.partition is not None:
@@ -931,16 +935,21 @@ class Cloud:
                     queue_series[link.name] = Series(f"queue:{link.name}")
                     core_links.append(link)
 
+        sim = self.sim
+        sampled = []
+        for fid, spec in self.flows.items():
+            egress = self.edges[spec.egress_edge]
+            state = self.edges[spec.ingress_edge]._ingress_state(fid)
+            sampled.append((records[fid], state, egress, egress._egress_state(fid).meter))
+
         def sample() -> None:
-            now = self.sim.now
-            for fid, spec in self.flows.items():
-                ingress = self.edges[spec.ingress_edge]
-                egress = self.edges[spec.egress_edge]
-                record = records[fid]
-                rate = ingress.allotted_rate(fid) if ingress.flow_active(fid) else 0.0
-                record.rate_series.append(now, rate)
-                record.throughput_series.append(now, egress.take_throughput(fid))
-                record.cumulative_series.append(now, float(egress.delivered(fid)))
+            now = sim.now
+            for record, state, egress, meter in sampled:
+                if egress.inbox:  # booked deliveries first, as every egress read
+                    sim.settle(egress.inbox)
+                record.rate_series.append(now, state.controller.rate if state.active else 0.0)
+                record.throughput_series.append(now, meter.take_rate(now))
+                record.cumulative_series.append(now, float(meter.count))
             for link in core_links:
                 queue_series[link.name].append(now, link.queue.occupancy)
 

@@ -163,8 +163,9 @@ def flow_scaling_cloud(
     return builder.build()
 
 
-def pdes_scaling_builder(flows: int, partitions: int) -> CloudBuilder:
-    """An 8-core chain workload built to partition evenly.
+def pdes_scaling_builder(flows: int, partitions: int, scheme: str = "corelite") -> CloudBuilder:
+    """An 8-core chain workload built to partition evenly (``dense_scalar``'s
+    shape, scaled to ``flows``; serial at ``partitions = 1``).
 
     Four two-core groups each carry a quarter of the local flows
     (``C1->C2``, ``C3->C4``, ``C5->C6``, ``C7->C8``), plus ``flows/16``
@@ -178,7 +179,7 @@ def pdes_scaling_builder(flows: int, partitions: int) -> CloudBuilder:
     spec = TopologySpec.chain(
         8, capacity_pps=8.0 * (flows // 4), name=f"pdes-scaling-{flows}"
     )
-    builder = CloudBuilder(spec, scheme="corelite", seed=0, partitions=partitions)
+    builder = CloudBuilder(spec, scheme=scheme, seed=0, partitions=partitions)
     cross = flows // 16
     fid = 0
     for index in range(flows - cross):

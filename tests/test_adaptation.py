@@ -111,6 +111,13 @@ def test_max_rate_cap():
     for t in range(1, 10):
         c.on_epoch(0, float(t))
     assert c.rate <= 20.0
+    # Past slow start the linear increase stops at the cap too.
+    c = make(max_rate=20.0)
+    c.on_epoch(1, 1.0)
+    assert c.phase is Phase.LINEAR
+    for t in range(2, 200):
+        c.on_epoch(0, float(t))
+    assert c.rate == 20.0
 
 
 def test_restart_returns_to_slow_start():

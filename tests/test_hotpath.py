@@ -1,6 +1,7 @@
 """Tests for the hot-path overhaul: fast-path scheduling, handle reuse,
-bounded-run heap hygiene, the rebindable link datapath, and the §4.1 chain's
-event and frame budgets (the flow-scale replay pin is a contract-table row)."""
+bounded-run heap hygiene, the rebindable link datapath, the §4.1 chain's
+event and frame budgets and the dense chain's frame budget (the flow-scale
+replay pin is a contract-table row)."""
 
 import heapq
 import sys
@@ -14,6 +15,8 @@ from repro.sim.link import Link
 from repro.sim.node import Node
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue
+
+from .conftest import pdes_scaling_builder
 
 
 # ---------------------------------------------------------------------------
@@ -618,22 +621,30 @@ def test_paper_chain_shaper_budget(monkeypatch, leg):
 
 
 #: scheme -> Python frames entered per delivered packet while the §4.1 chain
-#: runs to ``CHAIN_BUDGETS``' horizon, seed 0.  Measured 17.33 (Corelite) and
-#: 18.78 (CSFQ) when this was written; 17.58 and 19.14 with a shaper timer per
-#: flow per edge epoch, 19.17 and 20.89 with a shaper firing
-#: frame per packet (budget 22 for both), 27.91 (Corelite, then at 10 s) and
-#: 28.13 while every core hop ran a link trampoline and a
+#: runs to ``CHAIN_BUDGETS``' horizon, seed 0.  Measured 16.56 (Corelite) and
+#: 15.24 (CSFQ) when this was written; 17.40 and 16.31 with a frame per
+#: flow-epoch for each of the LIMD step, its clamp, the epoch tail, the
+#: active list and the shaper's re-pricing helpers; 17.33 and 18.78 before
+#: a flow's last core hop was handed over; 17.58 and 19.14 with a
+#: shaper timer per flow per edge epoch, 19.17 and 20.89 with a shaper
+#: firing frame per packet (budget 22 for both), 27.91 (Corelite, then at
+#: 10 s) and 28.13 while every core hop ran a link trampoline and a
 #: ``schedule_at_fast`` frame and every last hop a ledger trampoline
 #: (``repro.sim.link``, "Hot path").
-CHAIN_FRAME_BUDGETS = {"corelite": 18.5, "csfq": 20.0}
+CHAIN_FRAME_BUDGETS = {"corelite": 17.0, "csfq": 16.0}
+
+#: scheme -> Python frames entered per delivered packet on ``dense_scalar``'s
+#: shape scaled to 64 flows (an 8-core chain, four local groups plus 1/16 of
+#: the flows crossing C1 -> C8), 12 s at seed 0, where a flow-epoch costs
+#: more than a packet hop.  Measured 26.10 (Corelite) and 23.58 (CSFQ) when
+#: this was written; 31.03 and 29.23 with ~14 frames per flow-epoch (the
+#: LIMD step, its clamp, the epoch tail, the active list and the shaper's
+#: re-pricing helpers each a frame) and ~10 per flow per 1 s sample.
+DENSE_FRAME_BUDGETS = {"corelite": 27.0, "csfq": 25.0}
 
 
-@pytest.mark.parametrize("scheme", sorted(CHAIN_BUDGETS))
-def test_paper_chain_frame_budget(scheme):
-    """A hop costs the receiving node's frame and nothing in between: a
-    reintroduced per-hop trampoline fails here with a frame count, which no
-    event or send count sees."""
-    cloud = _paper_chain(scheme)
+def _frames_per_packet(cloud, until):
+    """Python frames entered per delivered packet while ``cloud`` runs."""
     frames = 0
 
     def counting(frame, event, arg):
@@ -643,15 +654,41 @@ def test_paper_chain_frame_budget(scheme):
 
     sys.setprofile(counting)
     try:
-        result = cloud.run(until=CHAIN_BUDGETS[scheme][0])
+        result = cloud.run(until=until)
     finally:
         sys.setprofile(None)
     delivered = sum(record.delivered for record in result.flows.values())
+    return frames, delivered
+
+
+@pytest.mark.parametrize("scheme", sorted(CHAIN_BUDGETS))
+def test_paper_chain_frame_budget(scheme):
+    """A hop costs the receiving node's frame and nothing in between: a
+    reintroduced per-hop trampoline fails here with a frame count, which no
+    event or send count sees."""
+    frames, delivered = _frames_per_packet(_paper_chain(scheme), CHAIN_BUDGETS[scheme][0])
     per_packet = frames / delivered
     budget = CHAIN_FRAME_BUDGETS[scheme]
     assert per_packet <= budget, (
         f"{frames} Python frames for {delivered} delivered packets = "
-        f"{per_packet:.2f} per packet (budget {budget}; 17.33 Corelite / 18.78 CSFQ "
-        "when this was written, 19.17 / 20.89 with a shaper firing per packet, "
-        "~28 with a trampoline per hop)"
+        f"{per_packet:.2f} per packet (budget {budget}; 16.56 Corelite / 15.24 CSFQ "
+        "when this was written, 17.40 / 16.31 with ~14 frames per flow-epoch, "
+        "19.17 / 20.89 with a shaper firing per packet, ~28 with a trampoline per hop)"
+    )
+
+
+@pytest.mark.parametrize("scheme", sorted(DENSE_FRAME_BUDGETS))
+def test_dense_chain_frame_budget(scheme):
+    """An edge epoch and a sample are one pass per flow: a reintroduced
+    per-flow trampoline in the epoch sweep, the LIMD step or the sampler
+    fails here with a frame count, at results the contract table pins."""
+    cloud = pdes_scaling_builder(64, 1, scheme=scheme).build()
+    frames, delivered = _frames_per_packet(cloud, 12.0)
+    per_packet = frames / delivered
+    budget = DENSE_FRAME_BUDGETS[scheme]
+    assert per_packet <= budget, (
+        f"{frames} Python frames for {delivered} delivered packets = "
+        f"{per_packet:.2f} per packet (budget {budget}; 26.10 Corelite / 23.58 CSFQ "
+        "when this was written, 31.03 / 29.23 with ~14 frames per flow-epoch "
+        "and ~10 per flow per sample)"
     )

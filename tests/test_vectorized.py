@@ -136,13 +136,13 @@ class TestBatchedControl:
 
         edge.receive_feedback(feedback(3, "C1->C2"))
         state = edge._ingress_state(1)
-        assert state.feedback_peak == 3
+        assert state.signal == 3
         # Unbatched feedback (seq 0) from the same link adds one.
         edge.receive_feedback(feedback(0, "C1->C2"))
-        assert state.feedback_peak == 4
+        assert state.signal == 4
         # The edge reacts to the max over core links, not the sum.
         edge.receive_feedback(feedback(2, "C2->C1"))
-        assert state.feedback_peak == 4
+        assert state.signal == 4
         assert state.feedback == {"C1->C2": 4, "C2->C1": 2}
 
     def test_receive_feedback_guards(self):
