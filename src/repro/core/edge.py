@@ -62,6 +62,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from math import inf
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -195,7 +196,7 @@ class _IngressFlow:
         self.ext_queue: Optional[deque] = deque() if attachment.external else None
         #: External packets dropped because the shaper buffer was full.
         self.shaper_drops = 0
-        #: The shaper ``fence`` it takes when it leaves slow start (``_epoch``).
+        #: The shaper ``fence`` the plan gives a release candidate (``_epoch``).
         self.fence: Optional[EventHandle] = None
 
 
@@ -236,8 +237,6 @@ class EdgeRouter(Router):
     #: Members per shaper firing: 1, the scalar datapath, but at a
     #: :class:`CoreliteEdge` built with ``train_batch``.
     train_batch = 1
-    #: Whether an aggregate bucket may release (``_release_fence``).
-    releases_buckets = True
 
     def __init__(
         self,
@@ -304,28 +303,6 @@ class EdgeRouter(Router):
                 self.config.edge_epoch, self._epoch, first_delay=self._epoch_offset
             )
 
-    def _release_fence(self, state) -> Optional[EventHandle]:
-        """The shaper ``fence`` of a starting flow (:mod:`repro.core.shaping`,
-        "Releases"): this edge's epoch handle for an always-backlogged flow
-        (scalar or train, one flow or an aggregate bucket) that is the only
-        ingress flow of this single-path edge and whose first hop sends ahead
-        (``Link.sends_ahead``); else ``None``.  The flow keeps it as
-        ``state.fence`` and its shaper takes it in the first epoch past slow
-        start: there every flow's rate is the initial rate times a power of
-        two, one float for all, so flows that start on a common grid fire at
-        the same instants, and which of two such first-hop deliveries a core
-        takes first is the order of the firings that sent them, which a
-        release does not keep."""
-        att = state.attachment
-        if state.backlog is not None or self.multipath or len(self._ingress_flows) > 1:
-            return None
-        if att.aggregate > 1 and not self.releases_buckets:
-            return None
-        link = self.route_for(att.dst_edge)
-        if link is None or not link.sends_ahead():
-            return None
-        return self._epoch_task.handle
-
     def _epoch(self) -> None:
         """The edge epoch of either scheme (paper §2.2, step 3; module
         docstring, "Epoch frames"; :mod:`repro.core.shaping`, "Releases")."""
@@ -346,7 +323,9 @@ class EdgeRouter(Router):
                 if pacer._due is not None:  # parked on this epoch
                     pacer.release(epoch)
             elif state.fence is not None and state.controller.phase is not _SLOW_START:
-                pacer.fence, state.fence = state.fence, None
+                link = self.route_for(state.attachment.dst_edge)  # ``Link._wire`` voids it
+                if link is None or link._hold < inf:
+                    pacer.fence = state.fence
 
     def stop_flow(self, flow_id: int) -> None:
         """Stop a flow; its allowed-rate state is discarded on restart."""
@@ -500,8 +479,7 @@ class CoreliteEdge(EdgeRouter):
             state.injector.reset()
         state.signal = 0
         state.pacer.set_rate(state.controller.rate)
-        state.pacer.fence = None  # slow start: see ``_release_fence``
-        state.fence = self._release_fence(state)
+        state.pacer.fence = None  # slow start (:mod:`repro.core.shaping`, "Releases")
         state.pacer.start()
 
     def receive_feedback(self, packet: Packet) -> None:

@@ -174,10 +174,6 @@ class CoreliteCoreRouter(Router):
         )
         return machinery
 
-    def enabled_on(self, link: Link) -> bool:
-        """Whether ``link`` runs Corelite machinery here (``Link.pass_through``)."""
-        return link in self._machinery
-
     def machinery_for(self, link_name: str) -> Optional[_LinkMachinery]:
         """The estimator/selector pair of an enabled link (for tests)."""
         return next((m for link, m in self._machinery.items() if link.name == link_name), None)

@@ -66,7 +66,8 @@ re-arms it (``now + interval``) and capped by ``Simulator.fence``.  A run
 ending or a flow stopping between two epochs finds no timer to cancel:
 ``stop`` drops ``_due`` and ``kick`` leaves a parked shaper be.
 
-Only the edge sets ``fence`` (``EdgeRouter._release_fence``), for a flow
+Only the edge sets ``fence`` (``EdgeRouter._epoch``), for a flow the
+fast-path plan (:mod:`repro.experiments.fastpaths`) made a candidate: one
 whose release touches nothing another event reads or writes before the
 fence: the shaper's credit and clock, the flow's rate, injector and ``seq``,
 and a first-hop link and route of its own — a train and an aggregate

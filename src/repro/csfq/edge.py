@@ -79,7 +79,7 @@ class _IngressFlow:
         self.active = False
         #: None = always backlogged; otherwise packets awaiting shaping.
         self.backlog: Optional[int] = None if attachment.backlogged else 0
-        #: The shaper ``fence`` it takes when it leaves slow start (``_epoch``).
+        #: The shaper ``fence`` the plan gives a release candidate (``_epoch``).
         self.fence: Optional[EventHandle] = None
 
 
@@ -103,11 +103,6 @@ class CsfqEdge(EdgeRouter):
     #: The egress only records, but for gaps and ECN marks (``quiet_for``).
     quiet_sink = True
     egress_flow = _EgressFlow
-    #: Past slow start a bucket of N still paces at a small multiple of N
-    #: pkt/s (it steps by N each epoch without a loss, and a loss is rare at
-    #: its few pkt/s), so two buckets' firings meet at equal floats, whose
-    #: order a release would change (``EdgeRouter._release_fence``).
-    releases_buckets = False
 
     def __init__(
         self,
@@ -145,8 +140,7 @@ class CsfqEdge(EdgeRouter):
         state.estimator.restart(self.sim.now)
         state.signal = 0
         state.pacer.set_rate(state.controller.rate)
-        state.pacer.fence = None  # slow start: see ``EdgeRouter._release_fence``
-        state.fence = self._release_fence(state)
+        state.pacer.fence = None  # slow start (:mod:`repro.core.shaping`, "Releases")
         state.pacer.start()
 
     def receive_loss_notify(self, packet: Packet) -> None:

@@ -127,10 +127,6 @@ class CsfqCoreRouter(Router):
         link.epochless = True
         return state
 
-    def enabled_on(self, link: Link) -> bool:
-        """Whether ``link`` runs CSFQ admission here (``Link.pass_through``)."""
-        return link in self._states
-
     def state_for(self, link_name: str) -> Optional[CsfqLinkState]:
         return next((s for link, s in self._states.items() if link.name == link_name), None)
 

@@ -29,6 +29,7 @@ import math
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, FlowError, RoutingError, TopologyError
+from repro.experiments import fastpaths
 from repro.experiments.runner import FlowRecord, RunResult
 from repro.experiments.topospec import FlowPathSpec, LinkSpec, TopologySpec
 from repro.fairness.maxmin import FlowDemand, weighted_maxmin
@@ -641,14 +642,20 @@ class Cloud:
             self.add_flow(spec)
 
     def finalize(self) -> None:
-        """Compute routes, enable the scheme, and admit contracts."""
+        """Compute routes, enable the scheme, admit contracts, and plan the
+        fast paths (:func:`repro.experiments.fastpaths.plan`) last."""
         if self._finalized:
             return
+        links = self.topology.links
         if self.partition is not None:
             # Routes, core-link enablement and admission run against the
             # runtime's global shadow graph, so every partition installs
-            # the same forwarding decisions the serial build would.
+            # the same forwarding decisions the serial build would.  No hop
+            # is handed over in a partition.
             self.partition.finalize_cloud(self)
+            names = (f"{spec.egress_core}->{spec.egress_edge}" for spec in self.flows.values())
+            last_hops = {links[name]: None for name in names if name in links}
+            fastpaths.plan(links.values(), self.edges.values(), last_hops)
             self._finalized = True
             return
         if not self.flows:
@@ -667,14 +674,6 @@ class Cloud:
         last_hops = self._check_routability()
         self.strategy.enable_core_links(self)
         self._admit_contracts()
-        if not self.spec.events and self.topology.routing_mode == "static":
-            # ``repro.sim.link``, "Pass-through".  A TCP flow's data is addressed
-            # past its egress edge: it would not hold back the markers sent there.
-            tcp = {spec.egress_edge for spec in self.flows.values() if spec.transport == "tcp"}
-            for egress, in_link in last_hops.items():
-                if in_link.src_name in self.core_names and egress.dst.name not in tcp:
-                    if in_link.dst.enabled_on(egress):
-                        in_link.pass_through(egress)
         if self.spec.events:
             self.dynamics = NetworkDynamics(
                 self.sim,
@@ -688,6 +687,8 @@ class Cloud:
             for node in self.topology.nodes.values():
                 if isinstance(node, Router):
                     node.drop_unrouted = True
+        fixed = not self.spec.events and self.topology.routing_mode == "static"
+        fastpaths.plan(links.values(), self.edges.values(), last_hops, fixed)
         self._finalized = True
 
     def _check_routability(self) -> dict:

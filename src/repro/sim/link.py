@@ -66,37 +66,34 @@ markers aboard a *train* go where the train goes.
 to only records it.  A node says so with ``quiet_sink`` (a Corelite edge;
 a CSFQ edge, which sends LOSS_NOTIFY at a gap, also has ``quiet_for``: asked
 per packet handed over, it keeps each delivery it does not vouch for an
-event), and a departure-time link into it *books* ``(due, seq, packet)`` in
-a :class:`~repro.sim.engine.Ledger` — scalar packets, parted markers and
-trains alike — where it would have scheduled the delivery.  The first
-booking opens the ledger, on the node's ``receive`` with the link as its
-source, as the node's ``inbox``, and the node keeps that one feeder for
-life: another in-link finds it fed and stays on events, so a ledger is in
-``(due, seq)`` order by construction.  Deliveries are settled — the engine
-calls ``receive(packet, link, due)`` — by the node before it reads the
-state they write or an event hands it a packet, by :meth:`Link.settle`,
-and by the push past the ledger's cap; which precede a reader is the
-engine's rule (:mod:`repro.sim.engine`).  A tap, drop listener or arming,
-wired before traffic flows (``_wire``), keeps the link on events.
+event).  The link the plan names (:mod:`repro.experiments.fastpaths`: a
+flow's own egress link, its node's one feeder) *books* ``(due, seq,
+packet)`` in a :class:`~repro.sim.engine.Ledger` — scalar packets, parted
+markers and trains alike — where it would have scheduled the delivery, in
+``(due, seq)`` order by construction; the first booking opens it, on the
+node's ``receive`` with the link as its source, as the node's ``inbox``.
+Deliveries are settled — the engine calls ``receive(packet, link, due)`` —
+by the node before it reads the state they write or an event hands it a
+packet, by :meth:`Link.settle`, and by the push past the ledger's cap;
+which precede a reader is the engine's rule (:mod:`repro.sim.engine`).
 
 *Pass-through.*  A packet's last core hop needs no event either when its
-outcome is fixed at its in-link's send.  At serial finalize the builder asks
-:meth:`Link.pass_through` of the core link feeding a flow's own egress link
-where its single-path core runs its scheme on the egress (``enabled_on``:
-Corelite or CSFQ, not FIFO); it calls the core's ``receive(packet, link,
-due)`` at the send, in place of the event, while no core reads the egress
-before ``due`` (its Corelite epoch parked, ``_on_backlog``, or ``epochless``:
-CSFQ's state is read by arrivals only), its transmitter is idle at ``due``,
-``due`` is before the run's bound, and no earlier hop to it waits as an
-event (``now > _hold``, which a fallback raises).  The core admits at ``due``
-and sends on with ``send(packet, at)``.  Until ``due`` nothing else touches
-the egress (one feeder, no reader, an idle transmitter, no change to either
-link: taps, drop listeners and arming are wired before traffic flows, and
-end it for good) and its sink's booking settles by the real clock: exact,
-but for the seq of the booking (or of the event, at a CSFQ edge that
-reports a loss), taken early — a reader at the egress edge scheduled in
-between, at exactly the delivery's float instant, would see it (the
-differential property has found none).
+outcome is fixed at its in-link's send.  The core link the plan names as
+an egress link's feeder (``_through``) calls the core's ``receive(packet,
+link, due)`` at the send, in place of the event, while no core reads the
+egress before ``due`` (its Corelite epoch parked, ``_on_backlog``, or
+``epochless``: CSFQ's state is read by arrivals only), its transmitter is
+idle at ``due``, ``due`` is before the run's bound, and no earlier hop to it
+waits as an event (``now > _hold``, which a fallback raises).  The core
+admits at ``due`` and sends on with ``send(packet, at)``.  Until ``due``
+nothing else touches the egress (one feeder, no reader, an idle
+transmitter, no change to either link: taps, drop listeners and arming are
+wired before traffic flows, and void the plan's entries for good) and its
+sink's booking settles by the real clock: exact, but for the seq of the
+booking (or of the event, at a CSFQ edge that reports a loss), taken early
+— a reader at the egress edge scheduled in between, at exactly the
+delivery's float instant, would see it (the differential property has
+found none).
 
 Links that need a real queue keep it (``_send_queued`` →
 ``FifoQueue.push`` / ``pop``, ``_transmit_from``, one ``_wake`` per
@@ -225,14 +222,16 @@ class Link:
         #: serialization start has not been replayed yet; allocated on the
         #: first backlog.
         self._ledger: Optional[deque] = None
-        #: "Sinks": the far end's name if it is a quiet sink, its
+        #: "Sinks": the far end's name where the plan books for it, its
         #: ``quiet_for``, and the deliveries booked for it (opened by the first).
-        self._sink = self._sink_of(dst)
-        self._quiet_for = getattr(dst, "quiet_for", None)
+        self._sink: Optional[str] = None
+        self._quiet_for: Optional[Callable[[Packet], bool]] = None
         self._booked: Optional[Ledger] = None
-        #: "Pass-through": egress links by destination; as one, last fallback.
+        #: "Pass-through": egress links by destination, where the plan hands over.
         self._through: Optional[dict] = None
-        self._hold = -inf
+        #: No fast path touches the link at or before ``_hold`` (``inf``: not
+        #: planned, or wired since); an egress's last hop left as an event then.
+        self._hold = inf
         #: Whether the link was offered a packet (``_wire``: traffic has flowed).
         self._carried = False
         self._on_backlog: Optional[Callable[[], None]] = None
@@ -302,35 +301,13 @@ class Link:
         that has to wait for the transmitter is admitted.
 
         Until it runs the buffer provably stays empty, which is what lets
-        an idle Corelite link park its epoch timer.  Only a departure-time
-        link with nothing waiting can promise that; any other link
+        an idle Corelite link park its epoch timer.  Only a link the plan
+        gives fast paths, with nothing waiting, can promise that; any other
         returns ``False`` and arms nothing.
         """
-        if not self._plain_fifo or self._dynamic or self.backlog():
+        if self._hold == inf or self.backlog():
             return False
         self._on_backlog = callback
-        return True
-
-    def sends_ahead(self) -> bool:
-        """Whether its one sender may send on this link ahead of the clock
-        (:mod:`repro.core.shaping`, "Releases"): a departure-time FIFO,
-        neither tapped nor armed, whose deliveries are events (its far end
-        is no quiet sink), so a send changes nothing another node reads
-        before the delivery's instant."""
-        return (
-            self._send_base.__func__ is Link._send_fast
-            and not self._arrival_taps
-            and not self._delivery_taps
-            and self._sink is None
-        )
-
-    def pass_through(self, egress: "Link") -> bool:
-        """Whether this link, ``egress``'s only feeder, hands its hops over ("Pass-through")."""
-        if any(link._send_base.__func__ is not Link._send_fast or link._arrival_taps
-               or link._delivery_taps or link._drop_listeners for link in (self, egress)):
-            return False
-        self._through = self._through or {}
-        self._through[egress.dst.name] = egress
         return True
 
     # -- dynamics (failure / recovery) ------------------------------------
@@ -524,21 +501,12 @@ class Link:
 
     # -- sinks: deliveries booked, not scheduled -------------------------------
 
-    @staticmethod
-    def _sink_of(dst) -> Optional[str]:
-        """``dst``'s name if it is a quiet sink, else ``None``."""
-        return dst.name if getattr(dst, "quiet_sink", False) else None
-
     def _book(self, due: float, packet: Packet) -> bool:
         """Book the delivery (False: schedule it).  The first booking opens
-        the ledger — unless the node already has a feeder: then this link
-        cedes for good.  A feeder books what ``quiet_for`` (if any) vouches."""
+        the ledger; it books what ``quiet_for`` (if any) vouches."""
         booked = self._booked
         if booked is None:
             dst = self.dst
-            if dst.inbox is not None:
-                self._sink = None
-                return False
             booked = self._booked = dst.inbox = self.sim.open_ledger(dst.receive, self)
         quiet_for = self._quiet_for
         if quiet_for is not None and not quiet_for(packet):
@@ -548,8 +516,8 @@ class Link:
 
     def _wire(self, change: str) -> None:
         """A build-time change: refused once traffic has flowed — an event has
-        run, or this link has carried a packet — else it ends "Sinks" and
-        "Pass-through" here for good."""
+        run, or this link has carried a packet — else it voids the link's
+        entries in the fast-path plan for good."""
         sim = self.sim
         if sim._running or sim.events_executed or self._carried:
             raise SimulationError(
@@ -785,8 +753,8 @@ class BoundaryLink(Link):
         self._train_whole = self._plain_fifo
         # Force the queued path: messages are captured in the pop loop,
         # which the departure-time path does not have.  This also keeps
-        # Corelite's epoch parking off this link (``watch_backlog`` is
-        # gated on ``_plain_fifo``), which is results-invariant by design.
+        # every fast path off this link (the plan reads ``_plain_fifo``),
+        # which is results-invariant by design.
         self._plain_fifo = False
         queue._port = None
         self._send_base = self._send_queued

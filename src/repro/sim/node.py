@@ -67,7 +67,7 @@ class Node:
     """Anything attachable to a link's receiving end."""
 
     #: True declares that receiving a packet addressed to this node sends
-    #: and schedules nothing: an in-link may book those deliveries in
+    #: and schedules nothing: the in-link the plan names books those in
     #: ``inbox`` (:mod:`repro.sim.link`, "Sinks"), the node settles it before
     #: that state is read, and ``receive`` takes the instant as ``at``.
     quiet_sink = False

@@ -4,9 +4,9 @@ A departure-time link whose far end is an egress edge books the delivery of
 a packet addressed to that edge instead of scheduling it (``repro.sim.link``,
 "Sinks"; the ordering rule is ``repro.sim.engine``, "Ledgers") — every
 delivery into a Corelite edge, every one a CSFQ edge's ``quiet_for`` vouches
-sends nothing.  Event delivery survives as a switch — ``Link._sink_of``
-patched to answer ``None`` — for the rigs below, which pin the tie rule and
-``quiet_for`` packet by packet.  Whole clouds meet the per-packet datapath
+sends nothing.  Event delivery survives as a switch — no edge a quiet sink,
+so the plan books for no link — for the rigs below, which pin the tie rule
+and ``quiet_for`` packet by packet.  Whole clouds meet the per-packet datapath
 (``tests/reference.py``): the contract table's under
 ``tests/test_reference.py``, and here the ones it does not hold — a
 partition cut, CSFQ flowlet fabrics and a DECbit core — and random chains
@@ -31,6 +31,7 @@ from repro.core.edge import CoreliteEdge
 from repro.csfq.config import CsfqConfig
 from repro.csfq.edge import CsfqEdge
 from repro.errors import SimulationError
+from repro.experiments import fastpaths
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.parallel import result_to_payload
 from repro.experiments.scenarios import WEIGHTS_41, topology1_flows
@@ -48,8 +49,9 @@ from .reference import differential, reference
 
 
 def _events_mode(patch):
-    """Every delivery an event again, as before the ledger."""
-    patch.setattr(Link, "_sink_of", staticmethod(lambda dst: None))
+    """Every delivery an event again: no edge is a quiet sink, so the plan books for none."""
+    for edge_cls in (CoreliteEdge, CsfqEdge):
+        patch.setattr(edge_cls, "quiet_sink", False)
 
 
 def both_partitioned(make):
@@ -176,6 +178,7 @@ class _Rig:
         self.edge = CoreliteEdge("E", self.sim, CoreliteConfig())
         self.edge.expect_flow(1)
         self.link = Link(self.sim, "A->E", "A", self.edge, 100.0, prop, queue or DropTailQueue(8))
+        fastpaths.plan((self.link,), last_hops={self.link: None})
         self.seen = []
 
     def send(self, seq=0):
@@ -261,9 +264,9 @@ def test_step_steps_onto_each_delivery_in_order(rig, events):
 
 @pytest.mark.parametrize("second", ["plain", "red"])
 def test_one_flow_arriving_over_two_links(second):
-    """One feeder per node: the first in-link to book keeps the ledger, the
-    other delivers by events, and an event-handed packet settles what was
-    booked before it — the edge sees the arrivals in ``(due, seq)`` order
+    """One feeder per node: the plan names ``A->E``, which keeps the ledger,
+    the other delivers by events, and an event-handed packet settles what
+    was booked before it — the edge sees the arrivals in ``(due, seq)`` order
     either way (the delay reservoir keeps that order), and the reordering
     across the two links reads as no loss."""
 
@@ -425,6 +428,7 @@ def test_csfq_quiet_for_never_vouches_for_a_packet_that_finds_a_gap(steps, secon
             "A": Link(sim, "A->E", "A", edge, 100.0, 0.05, DropTailQueue(4)),
             "B": Link(sim, "B->E", "B", edge, 100.0, 0.013, queue),
         }
+        fastpaths.plan(links.values(), last_hops={links["A"]: None})
         top = 0
 
         def offer(via, seq, ecn):

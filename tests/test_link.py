@@ -5,6 +5,7 @@ from math import nan
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments import fastpaths
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.node import Node
@@ -240,6 +241,8 @@ def test_tie_rule_an_admitted_arrival_kicks_the_start_at_now():
 def test_watch_backlog_fires_once_before_the_first_waiting_data_packet(rig):
     sim, link, sink = rig
     seen = []
+    assert link.watch_backlog(lambda: None) is False  # until the plan turns it on
+    fastpaths.plan((link,))
     assert link.watch_backlog(lambda: seen.append(link.queue.occupancy))
     link.send(marker())  # zero size: never waits
     link.send(data(0))  # idle transmitter: does not wait
@@ -262,10 +265,10 @@ def test_watch_backlog_refused_off_the_departure_time_path():
     sim = Simulator()
     sink = Sink("B", sim)
     red = Link(sim, "A->B", "A", sink, 100.0, 0.05, RedQueue(capacity=50.0))
-    assert red.watch_backlog(lambda: None) is False
     armed = Link(sim, "A->B", "A", sink, 100.0, 0.05, DropTailQueue(4))
     armed.enable_dynamics()
-    assert armed.watch_backlog(lambda: None) is False
+    fastpaths.plan((red, armed))  # neither is a departure-time link
+    assert not any(link.watch_backlog(lambda: None) for link in (red, armed))
 
 
 def test_a_fifo_with_its_own_admit_keeps_it():
@@ -314,6 +317,7 @@ def test_fail_on_unarmed_link_flushes_the_ledger_and_voids_deliveries():
     sink = QuietSink("B", sim)
     link = Link(sim, "A->B", "A", sink, bandwidth_pps=100.0, prop_delay=0.05,
                 queue=DropTailQueue(4))
+    fastpaths.plan((link,), last_hops={link: None})
     for i in range(4):
         link.send(data(i))
     sim.run(until=0.015)  # packet 1 is now in service, 2 and 3 wait

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from repro.core.config import CoreliteConfig
 from repro.core.router import CoreliteCoreRouter
+from repro.core.shaping import PacedSender
 from repro.csfq.config import CsfqConfig
 from repro.csfq.router import CsfqCoreRouter, CsfqLinkState
 from repro.errors import SimulationError
-from repro.experiments.builder import CloudBuilder
+from repro.experiments import fastpaths
+from repro.experiments.builder import Cloud, CloudBuilder
 from repro.experiments.topospec import FlowPathSpec, TopologySpec
 from repro.sim.dynamics import NetworkEvent
 from repro.sim.engine import Simulator
@@ -30,7 +32,7 @@ from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
 from repro.sim.rng import RngRegistry
 
-from .contract import CLOUDS, EXACT, ROWS, load_golden, run_row
+from .contract import CLOUDS, EXACT, ROWS, load_golden, replay, run_row
 from .reference import differential, reference
 
 
@@ -44,63 +46,80 @@ def test_row_replays_under_the_reference(row):
     assert now["events"] >= pinned["events"]
 
 
-def _engaged(cloud_name, core_class):
-    """Run ``cloud_name``'s contract cloud; count booked deliveries, parked
-    core epochs, hops handed over to ``core_class`` at their instants (each
-    where it happens) and fenced shapers."""
-    counts = {"booked": 0, "parked": 0, "handed over": 0}
-    book, watch, receive = Simulator.book, Link.watch_backlog, core_class.receive
-
-    def booking(sim, ledger, due, packet):
-        counts["booked"] += 1
-        book(sim, ledger, due, packet)
+def _engaged(cloud_name):
+    """Run ``cloud_name``'s contract cloud and check that the plan chose each
+    link that opened a ledger, parked a core epoch or handed a hop over, and
+    each shaper an epoch released; count them, and the plan's entries."""
+    seen = {"booked": set(), "parked": set(), "handed over": set(), "released": set()}
+    watch, release = Link.watch_backlog, PacedSender.release
 
     def watching(link, callback):
-        parked = watch(link, callback)
-        counts["parked"] += parked
-        return parked
+        if watch(link, callback):
+            seen["parked"].add(link)
+            return True
+        return False
 
-    def receiving(core, packet, link, *at):
-        counts["handed over"] += bool(at)
-        receive(core, packet, link, *at)
+    def receiving(receive):
+        def handing(core, packet, link, at=None):
+            if at is not None:
+                seen["handed over"].add((link, packet.dst))
+            receive(core, packet, link, at)
+
+        return handing
+
+    def releasing(pacer, epoch):
+        seen["released"].add(pacer)
+        release(pacer, epoch)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Simulator, "book", booking)
         patch.setattr(Link, "watch_backlog", watching)
-        patch.setattr(core_class, "receive", receiving)
+        patch.setattr(PacedSender, "release", releasing)
+        for core_class in (CoreliteCoreRouter, CsfqCoreRouter):
+            patch.setattr(core_class, "receive", receiving(core_class.receive))
         cloud, until = CLOUDS[cloud_name]()
         cloud.run(until=until)
-    counts["fenced"] = sum(
-        state.pacer.fence is not None
-        for edge in cloud.edges.values()
-        for state in edge._ingress_flows
-    )
-    return counts
+    links = cloud.topology.links.values()
+    flows = [state for edge in cloud.edges.values() for state in edge._ingress_flows]
+    seen["booked"] = {link for link in links if link._booked is not None}
+    assert all(link._sink == link.dst.name for link in seen["booked"])
+    assert all(link._hold < inf for link in seen["parked"])
+    assert all(link._through[dst]._hold < inf for link, dst in seen["handed over"])
+    assert all(state.fence for state in flows if state.pacer in seen["released"])
+    planned = [link for link in links if link._hold < inf or link._sink or link._through]
+    planned += [state for state in flows if state.fence]
+    return {path: len(each) for path, each in seen.items()}, planned
 
 
-_NONE = {"booked": 0, "parked": 0, "handed over": 0, "fenced": 0}
+_NONE = {"booked": 0, "parked": 0, "handed over": 0, "released": 0}
+
+
+@pytest.mark.parametrize("name", sorted(CLOUDS))
+def test_the_plan_is_the_only_gate(name):
+    """Every link that opened a ledger, parked its core epoch or handed a hop
+    over, and every shaper an epoch released, is one the plan chose; inside
+    the reference the plan is empty and nothing engages."""
+    _engaged(name)
+    with reference():
+        assert _engaged(name) == (_NONE, [])
 
 
 def test_the_reference_turns_every_fast_path_off():
-    """On ``chain4-selective``: booked deliveries, fenced shapers, parked
+    """On ``chain4-selective``: booked deliveries, released shapers, parked
     core epochs and hops handed over at their instants are all engaged
     without the reference and all absent inside it."""
-    fast = _engaged("chain4-selective", CoreliteCoreRouter)
+    assert all(_engaged("chain4-selective")[0].values())
     with reference():
-        slow = _engaged("chain4-selective", CoreliteCoreRouter)
-    assert all(fast.values()), fast
-    assert slow == _NONE
+        assert _engaged("chain4-selective")[0] == _NONE
 
 
 def test_the_reference_turns_the_csfq_hand_over_off():
-    """On ``chain2-csfq``: booked deliveries, fenced shapers and hops handed
+    """On ``chain2-csfq``: booked deliveries, released shapers and hops handed
     over to a CSFQ core at their instants are engaged without the reference
     and absent inside it (a CSFQ link has no epoch to park)."""
-    fast = _engaged("chain2-csfq", CsfqCoreRouter)
+    fast, _ = _engaged("chain2-csfq")
+    assert fast["parked"] == 0 and all(fast[k] for k in ("booked", "handed over", "released")), fast
     with reference():
-        slow = _engaged("chain2-csfq", CsfqCoreRouter)
-    assert fast["parked"] == 0 and all(fast[k] for k in ("booked", "handed over", "fenced")), fast
-    assert slow == _NONE
+        assert _engaged("chain2-csfq")[0] == _NONE
 
 
 # -- the property ---------------------------------------------------------------------
@@ -260,7 +279,7 @@ def _hop(
     scheme="corelite",
 ):
     """``C1 -> C2 -> Eout``: a core link feeding a Corelite (or CSFQ) core
-    whose one egress link, wired as the builder wires it, leads to a quiet
+    whose one egress link, planned as the builder plans it, leads to a quiet
     sink.  ``script(sim, send, feeder, egress)`` drives it before the run to
     ``until`` (``send(t, seq)`` offers the core link a data packet at ``t``,
     with a marker aboard at a Corelite core, labelled ``label``, by default
@@ -282,7 +301,7 @@ def _hop(
     )
     core.set_route("Eout", egress)
     machinery = core.enable_on_link(egress)
-    feeder.pass_through(egress)
+    fastpaths.plan((feeder, egress), last_hops={egress: feeder}, routes_fixed=True)
     handed = []
     deliver = feeder._deliver_cb
 
@@ -438,57 +457,13 @@ def test_a_csfq_hop_its_egress_drops_decays_alpha_at_its_instant():
     assert all(at for _seq, at in handed) and len(handed) > 4, handed
 
 
-def _arrival_tap(sim, feeder, egress, seen):
-    egress.add_arrival_tap(lambda packet, now: seen.append((packet.seq, now, sim.now)))
-
-
-def _delivery_tap(sim, feeder, egress, seen):
-    egress.add_delivery_tap(lambda packet, now: seen.append((packet.seq, now, sim.now)))
-
-
-def _feeder_delivery_tap(sim, feeder, egress, seen):
-    feeder.add_delivery_tap(lambda packet, now: seen.append((packet.seq, now, sim.now)))
-
-
-def _drop_listener(sim, feeder, egress, seen):
-    egress.add_drop_listener(lambda packet, now: seen.append((packet.seq, now, sim.now)))
-
-
-@pytest.mark.parametrize(
-    "change",
-    [
-        _arrival_tap,
-        _delivery_tap,
-        _feeder_delivery_tap,
-        _drop_listener,
-        lambda sim, feeder, egress, seen: egress.enable_dynamics(),
-    ],
-    ids=["arrival-tap", "delivery-tap", "feeder-delivery-tap", "drop-listener", "dynamics"],
-)
-def test_a_tap_or_arming_after_the_build_ends_the_pass_through(change):
-    """Added after the build, a tap or arming sees every hop as it would with
-    every hop an event, and none is handed over again.  Past half a packet
-    of buffer the egress drops every data packet (its listener hears each
-    drop at its instant); the markers aboard travel on alone."""
-
-    def script(sim, send, feeder, egress):
-        seen = []
-        change(sim, feeder, egress, seen)
-        for seq in range(4):
-            send(1.0 + seq, seq)
-        return seen
-
-    handed = _guarded(script, until=6.0, egress_capacity=0.5)
-    assert not any(at for _seq, at in handed)
-
-
-#: Each build-time change, as one call on a link.
+#: Each build-time change, as one call on a link; a tap or listener calls ``observe``.
 _WIRINGS = {
-    "drop-listener": lambda link: link.add_drop_listener(lambda packet, now: None),
-    "arrival-tap": lambda link: link.add_arrival_tap(lambda packet, now: None),
-    "delivery-tap": lambda link: link.add_delivery_tap(lambda packet, now: None),
-    "dynamics": Link.enable_dynamics,
-    "fail": Link.fail,
+    "drop-listener": Link.add_drop_listener,
+    "arrival-tap": Link.add_arrival_tap,
+    "delivery-tap": Link.add_delivery_tap,
+    "dynamics": lambda link, observe: link.enable_dynamics(),
+    "fail": lambda link, observe: link.fail(),
 }
 
 
@@ -516,13 +491,14 @@ def test_a_link_is_wired_before_traffic_flows(change, role, when):
     def script(attempt):
         def drive(sim, send, feeder, egress):
             sink = Link(sim, "C3->Eout", "C3", _Sink(sim), 40.0, 0.01, DropTailQueue(40.0))
+            fastpaths.plan((sink,), last_hops={sink: None})
             link = {"sink": sink, "feeder": feeder, "egress": egress}[role]
             refused = []
 
             def wire():
                 before = _wiring(link)
                 with pytest.raises(SimulationError, match=link.name):
-                    _WIRINGS[change](link)
+                    _WIRINGS[change](link, lambda packet, now: None)
                 refused.append(_wiring(link) == before)
 
             if when == "pre-run-send":
@@ -541,6 +517,40 @@ def test_a_link_is_wired_before_traffic_flows(change, role, when):
     refused, *run = _hop(script(attempt=True), 3.0)
     assert refused == [True]
     assert run == list(_hop(script(attempt=False), 3.0))[1:]
+
+
+#: On ``every-flow-kind``: flow 1's first hop (it releases), the core link
+#: feeding its egress (a sink too), and TCP flow 4's egress, only a sink.
+_ROLES = {"first-hop": "Ein1->C1", "feeder": "C1->C2", "egress": "C2->Eout1", "sink": "C2->Eout4"}
+
+
+@pytest.mark.parametrize("role", sorted(_ROLES))
+@pytest.mark.parametrize("change", sorted(set(_WIRINGS) - {"fail"}))
+def test_wired_after_finalize_equals_wired_before(change, role):
+    """Wired after the plan, a tap, drop listener or arming voids the link's
+    entries (``Link._wire``): the run — and what the tap or listener sees,
+    at which instants — equals the one with it wired before ``finalize``,
+    events included, and the reference's, and takes more events than none."""
+
+    def run(wired=True, before=False):
+        with pytest.MonkeyPatch.context() as patch:
+            if before:
+                patch.setattr(Cloud, "finalize", lambda cloud: None)
+            cloud, until = CLOUDS["every-flow-kind"]()
+        seen = []
+        if wired:
+            _WIRINGS[change](
+                cloud.topology.links[_ROLES[role]],
+                lambda p, now: seen.append((p.flow_id, p.seq, p.kind, now, cloud.sim.now)),
+            )
+        return replay(cloud, until), seen
+
+    after = run()
+    assert after == run(before=True)
+    with reference():
+        row, seen = run()
+    assert ({f: row[f] for f in EXACT}, seen) == ({f: after[0][f] for f in EXACT}, after[1])
+    assert after[0]["events"] > run(wired=False)[0]["events"]
 
 
 def test_a_hop_due_past_a_flow_on_off_instant_is_handed_over():
@@ -570,19 +580,11 @@ def test_a_hop_due_past_a_flow_on_off_instant_is_handed_over():
 def test_a_tcp_flows_egress_link_is_not_handed_over_to():
     """A TCP flow's data is addressed to its receiver host, past its egress
     edge, while its lone markers are addressed to that edge: the data would
-    never hold back a marker handed over ahead of it, so its egress link is
-    not wired.  A shaped flow beside it is."""
-    handed = {1: 0, 2: 0}
-    receive = CoreliteCoreRouter.receive
-
-    def receiving(core, packet, link, *at):
-        handed[packet.flow_id] += bool(at)
-        receive(core, packet, link, *at)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(CoreliteCoreRouter, "receive", receiving)
-        builder = CloudBuilder(TopologySpec.chain(3, capacity_pps=100.0), seed=3)
-        builder.add_flow(FlowPathSpec(1, weight=0.25, ingress_core="C1", transport="tcp"))
-        builder.add_flow(FlowPathSpec(2, ingress_core="C1"))
-        builder.build().run(until=10.0)
-    assert handed[1] == 0 and handed[2] > 0, handed
+    never hold back a marker handed over ahead of it, so the plan does not
+    name its egress link (``test_the_plan_is_the_only_gate``: nothing else
+    is handed over).  A shaped flow beside it is named."""
+    builder = CloudBuilder(TopologySpec.chain(3, capacity_pps=100.0), seed=3)
+    builder.add_flow(FlowPathSpec(1, weight=0.25, ingress_core="C1", transport="tcp"))
+    builder.add_flow(FlowPathSpec(2, ingress_core="C1"))
+    links = builder.build().topology.links
+    assert links["C1->C2"]._through == {"Eout2": links["C2->Eout2"]}

@@ -4,11 +4,12 @@ one frame, with the clock set to each firing's instant, and then parks on that
 epoch, which releases it in place.
 
 Drawn clouds meet the per-packet datapath in ``tests/test_reference.py``,
-and here one firing per packet alone — ``EdgeRouter._release_fence`` patched
-to give every flow ``None`` — with flows and parked shapers counted, so a
-draw that releases nothing shows.  Also here: which flows take a fence, a
-change the fence missed, the engine's bound, and a shaper parked on its
-epoch against one firing per packet (or per train) on a rig.
+and here one firing per packet alone — every flow's planned ``fence``
+withdrawn — with flows and parked shapers counted, so a draw that releases
+nothing shows.  Also here: which flows the plan (``repro.experiments.
+fastpaths``) makes release candidates, a change the fence missed, the
+engine's bound, and a shaper parked on its epoch against one firing per
+packet (or per train) on a rig.
 """
 
 import pytest
@@ -18,11 +19,12 @@ from repro.aqm.red import RedQueue
 from repro.aqm.wfq import WfqQueue
 from repro.core.adaptation import Phase
 from repro.core.config import CoreliteConfig
-from repro.core.edge import CoreliteEdge, EdgeRouter, FlowAttachment
+from repro.core.edge import CoreliteEdge, FlowAttachment
 from repro.core.shaping import PacedSender
 from repro.csfq.config import CsfqConfig
 from repro.csfq.edge import CsfqEdge
 from repro.errors import SimulationError
+from repro.experiments import fastpaths
 from repro.experiments.builder import CloudBuilder
 from repro.experiments.topospec import FlowPathSpec, TopologySpec
 from repro.sim.engine import Simulator
@@ -41,9 +43,11 @@ def _released(make, sample_interval, releases):
     released a parked shaper (scalar, train) counted after the run."""
     with pytest.MonkeyPatch.context() as patch:
         parked = _counting_epoch_releases(patch)
-        if not releases:
-            patch.setattr(EdgeRouter, "_release_fence", lambda edge, state: None)
         cloud, until = make()
+        if not releases:
+            for edge in cloud.edges.values():
+                for state in edge._ingress_flows:
+                    state.fence = None
         row = replay(cloud, until, sample_interval)
     row["fenced"] = sum(
         state.pacer.fence is not None
@@ -58,8 +62,8 @@ def _released(make, sample_interval, releases):
 @given(_clouds())
 def test_releasing_ahead_equals_firing_per_packet(case):
     """The property's draws (``tests/test_reference.py``) with only releases
-    switched off.  Flow 1 runs to the end: unless it is a CSFQ bucket
-    (``CsfqEdge.releases_buckets``), it releases and parks on its epoch."""
+    switched off.  Flow 1 runs to the end: unless it is a CSFQ bucket (the
+    plan makes none a candidate), it releases and parks on its epoch."""
     scheme, train_batch, shape, cores_n, flows, events, sample_interval, buffer, seed = case
     spec = _spec(shape, cores_n, events=events, queue_capacity=buffer)[0]
     config = CoreliteConfig(qthresh=min(8.0, buffer / 2)) if scheme == "corelite" else None
@@ -138,43 +142,38 @@ def _rig(edge_cls=CoreliteEdge, queue=None, far_end=None, **edge_kwargs):
     return sim, edge, link
 
 
-def _fence_of(edge, flow_id=1):
-    """What ``_release_fence`` gave the flow when it started."""
+def _planned(edge, link, flow_id=1):
+    """Plan the rig's objects and start the flow; the fence the plan gave it."""
+    fastpaths.plan((link,), (edge,))
+    edge.start_flow(flow_id)
     return edge._ingress_state(flow_id).fence
 
 
 @pytest.mark.parametrize("edge_cls", [CoreliteEdge, CsfqEdge], ids=["corelite", "csfq"])
 def test_a_lone_backlogged_flow_releases_once_past_slow_start(edge_cls):
-    sim, edge, _ = _rig(edge_cls)
+    sim, edge, link = _rig(edge_cls)
     edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
-    edge.start_flow(1)
-    state = edge._ingress_state(1)
-    handle = edge._epoch_task.handle
-    assert state.fence is handle and state.pacer.fence is None
+    handle, state = edge._epoch_task.handle, edge._ingress_state(1)
+    assert _planned(edge, link) is handle and state.pacer.fence is None
     while state.controller.phase is Phase.SLOW_START:
         sim.run(until=sim.now + edge.config.edge_epoch)
     sim.run(until=sim.now + edge.config.edge_epoch)
-    assert state.pacer.fence is handle and state.fence is None
+    assert state.pacer.fence is handle and state.fence is handle
     edge.stop_flow(1)
     edge.start_flow(1)  # a restart is in slow start again
     assert state.fence is handle and state.pacer.fence is None
 
 
-def _two_ingress_flows(edge, link):
-    edge.attach_flow(FlowAttachment(2, 1.0, "Eout1"))
-    edge.start_flow(2)
-    assert _fence_of(edge, 2) is None
-
-
 @pytest.mark.parametrize(
     "rig, setup",
     [
-        ({}, _two_ingress_flows),
+        ({}, lambda edge, link: edge.attach_flow(FlowAttachment(2, 1.0, "Eout1"))),
         ({"queue": RedQueue(capacity=40.0)}, None),
         ({"queue": WfqQueue(capacity=40.0)}, None),
         ({}, lambda edge, link: link.add_arrival_tap(lambda packet, now: None)),
         ({}, lambda edge, link: link.add_delivery_tap(lambda packet, now: None)),
         ({}, lambda edge, link: link.enable_dynamics()),
+        ({}, lambda edge, link: link.add_drop_listener(lambda packet, now: None)),
         ({"far_end": CoreliteEdge("Eout1", Simulator(), CoreliteConfig())}, None),
     ],
     ids=[
@@ -184,6 +183,7 @@ def _two_ingress_flows(edge, link):
         "arrival-tapped-first-hop",
         "delivery-tapped-first-hop",
         "armed-first-hop",
+        "drop-listened-first-hop",
         "first-hop-into-a-sink",
     ],
 )
@@ -192,8 +192,7 @@ def test_no_fence_where_a_release_could_be_seen(rig, setup):
     edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
     if setup is not None:
         setup(edge, link)
-    edge.start_flow(1)
-    assert _fence_of(edge) is None
+    assert _planned(edge, link) is None
 
 
 @pytest.mark.parametrize(
@@ -205,10 +204,9 @@ def test_no_fence_where_a_release_could_be_seen(rig, setup):
     ids=["sourced", "host-fed"],
 )
 def test_no_fence_for_a_flow_that_is_not_plainly_backlogged(attachment):
-    _, edge, _ = _rig()
+    _, edge, link = _rig()
     edge.attach_flow(attachment)
-    edge.start_flow(1)
-    assert _fence_of(edge) is None
+    assert _planned(edge, link) is None
 
 
 @pytest.mark.parametrize(
@@ -223,10 +221,9 @@ def test_no_fence_for_a_flow_that_is_not_plainly_backlogged(attachment):
 def test_a_backlogged_train_or_aggregate_flow_takes_the_fence(rig, attachment):
     """A train is a firing, and a bucket's extra markers leave in their
     packet's firing: neither touches anything another event reads."""
-    _, edge, _ = _rig(**rig)
+    _, edge, link = _rig(**rig)
     edge.attach_flow(attachment)
-    edge.start_flow(1)
-    assert _fence_of(edge) is edge._epoch_task.handle
+    assert _planned(edge, link) is edge._epoch_task.handle
 
 
 # -- the engine's side ----------------------------------------------------------------
@@ -320,8 +317,6 @@ def _lone_flow(releases, rates, events=None, until=(6.0,), train_batch=1):
     changes before the run, which is split at each instant of ``until``."""
     with pytest.MonkeyPatch.context() as patch:
         parked = _counting_epoch_releases(patch)
-        if not releases:
-            patch.setattr(EdgeRouter, "_release_fence", lambda edge, state: None)
         sim, edge, link = _rig(train_batch=train_batch)
         sends = []
         send = link.send
@@ -332,6 +327,8 @@ def _lone_flow(releases, rates, events=None, until=(6.0,), train_batch=1):
 
         link.send = recording
         edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
+        if releases:
+            fastpaths.plan((link,), (edge,))
         edge.start_flow(1)
         edge._ingress_state(1).controller = _Scripted(rates)
         if events is not None:
@@ -445,9 +442,9 @@ def test_set_rate_gives_a_train_shaper_parked_on_its_epoch_an_armed_shapers_cred
 def test_a_parked_shaper_has_no_timer_and_holds_through_kick_and_stop():
     """At 1.5 pkt/s a firing is often due past the next epoch, so a run that
     ends between epochs can leave the shaper parked rather than armed."""
-    sim, edge, _ = _rig()
+    sim, edge, link = _rig()
     edge.attach_flow(FlowAttachment(1, 1.0, "Eout1"))
-    edge.start_flow(1)
+    _planned(edge, link)
     state = edge._ingress_state(1)
     state.controller = _Scripted([1.5])
     pacer = state.pacer
