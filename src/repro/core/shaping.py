@@ -45,8 +45,8 @@ firing at once, with the simulator's clock set to the firing's instant
 (restored when the loop ends).  The fence is the earliest of the edge
 epoch's next firing (the ``time`` of the epoch task's handle, held in
 ``fence``), the bound of the running ``run`` and the next instant
-registered with ``Simulator.add_fence`` — flow on/off transitions, network
-events and their reroutes — as :meth:`~repro.sim.engine.Simulator.fence`
+registered with ``Simulator.add_fence`` — flow on/off transitions and
+network events — as :meth:`~repro.sim.engine.Simulator.fence`
 gives it.  A shaper
 whose ``fence`` is ``None`` runs the loop once: one firing per packet, or
 per train.

@@ -412,7 +412,6 @@ class Cloud:
         *,
         seed: int = 0,
         queue_factory: Optional[Callable[[], DropTailQueue]] = None,
-        control_loss_prob: float = 0.0,
         vectorized: bool = False,
         train_batch: int = 1,
         partition=None,
@@ -420,9 +419,7 @@ class Cloud:
         """``queue_factory`` overrides the default drop-tail buffer on
         every link (used by the AQM ablations to swap in RED or DECbit
         queues) and takes precedence over per-link ``queue_capacity``
-        overrides in the spec.  ``control_loss_prob`` injects random loss
-        of control packets (feedback markers / loss notifications) for
-        robustness experiments.
+        overrides in the spec.
         ``vectorized=True`` batches the Corelite feedback: cores coalesce
         what one link selects during one congestion epoch into a single
         counted FEEDBACK packet per (flow, edge) — a control-plane choice,
@@ -468,18 +465,8 @@ class Cloud:
         self.seed = seed
         self.topology = Topology(self.sim)
         if partition is None:
-            self.control = ControlPlane(
-                self.sim,
-                self.topology,
-                loss_prob=control_loss_prob,
-                rng=self.rng.stream("control-loss") if control_loss_prob > 0 else None,
-            )
+            self.control = ControlPlane(self.sim, self.topology)
         else:
-            if control_loss_prob > 0:
-                raise ConfigurationError(
-                    "partitioned clouds do not support control_loss_prob "
-                    "(the lossy control plane draws from one shared stream)"
-                )
             self.control = partition.make_control_plane(self)
         self.access_capacity_pps = spec.access_capacity_pps
         self.prop_delay = spec.access_prop_delay
@@ -680,7 +667,6 @@ class Cloud:
                 self.topology,
                 self.spec.events,
                 control=self.control,
-                reroute_latency=self.spec.reroute_latency,
             )
             # A failure may legally partition the graph mid-run: table
             # misses become counted drops instead of crashes.
@@ -736,6 +722,11 @@ class Cloud:
     # -- flow paths, capacities, reference allocation ---------------------
 
     def flow_path_links(self, flow_id: int) -> Tuple[str, ...]:
+        """The links of the flow's static shortest path, ingress edge to
+        egress edge, over the current tables (after a link event, the
+        rerouted path).  The reference, admission and feedback delay all
+        read this one path; ECMP and flowlet routing may send the flow's
+        packets elsewhere."""
         spec = self.flows[flow_id]
         links = self.topology.path_links(spec.ingress_edge, spec.egress_edge)
         return tuple(link.name for link in links)
@@ -747,7 +738,8 @@ class Cloud:
         """Weighted max-min reference allocation for every flow.
 
         Finalizes the cloud (computing routes) if needed, then water-fills
-        the actual link capacities over every flow's actual path with
+        the actual link capacities over every flow's static shortest path
+        (:meth:`flow_path_links`) with
         :func:`repro.fairness.maxmin.weighted_maxmin`.  Schedules are
         ignored — this is the steady-state reference when all flows are
         on; for instant-by-instant expectations over a run use
@@ -1025,7 +1017,6 @@ class CloudBuilder:
         seed: int = 0,
         config=None,
         queue_factory: Optional[Callable[[], DropTailQueue]] = None,
-        control_loss_prob: float = 0.0,
         vectorized: bool = False,
         train_batch: int = 1,
         partitions: int = 1,
@@ -1049,7 +1040,6 @@ class CloudBuilder:
         self.seed = seed
         self.config = config
         self.queue_factory = queue_factory
-        self.control_loss_prob = control_loss_prob
         self.vectorized = vectorized
         self.train_batch = train_batch
         self.partitions = partitions
@@ -1089,7 +1079,6 @@ class CloudBuilder:
             strategy,
             seed=self.seed,
             queue_factory=self.queue_factory,
-            control_loss_prob=self.control_loss_prob,
             vectorized=self.vectorized,
             train_batch=self.train_batch,
         )
@@ -1117,7 +1106,6 @@ class CloudBuilder:
             plan=self.partition_plan,
             mode=self.pdes_mode,
             queue_factory=self.queue_factory,
-            control_loss_prob=self.control_loss_prob,
             vectorized=self.vectorized,
             train_batch=self.train_batch,
         )

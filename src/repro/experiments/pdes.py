@@ -700,7 +700,6 @@ class ParallelCloud:
         plan: Optional[PartitionPlan] = None,
         mode: str = "process",
         queue_factory=None,
-        control_loss_prob: float = 0.0,
         vectorized: bool = False,
         train_batch: int = 1,
     ) -> None:
@@ -716,11 +715,6 @@ class ParallelCloud:
             raise ConfigurationError(
                 "partitioned runs do not support topology dynamics yet "
                 "(coordinated cross-partition reroutes are future work)"
-            )
-        if control_loss_prob > 0:
-            raise ConfigurationError(
-                "partitioned clouds do not support control_loss_prob "
-                "(the lossy control plane draws from one shared stream)"
             )
         if not flows:
             raise ConfigurationError("no flows added")

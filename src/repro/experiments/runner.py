@@ -127,8 +127,10 @@ class RunResult:
         """Weighted max-min expectation for the flows active at ``at_time``.
 
         This reproduces the paper's §4.1 expected-rate computation: only
-        the flows transmitting at that instant compete, each on its actual
-        path, and capacity is split max-min in proportion to weights.
+        the flows transmitting at that instant compete, each on its static
+        shortest path (``path_links``, :meth:`Cloud.flow_path_links` as
+        the run began), and capacity is split max-min in proportion to
+        weights.
         """
         demands = [
             FlowDemand(fid, record.weight, record.path_links, demand=record.demand)

@@ -34,9 +34,8 @@ custom link list (:func:`parse_topology`); without it the cloud is a
     "topology": {"kind": "custom",
                  "links": [["A", "B", 500, 0.02], ["B", "C", 250, 0.02]]}
 
-A top-level ``"control_loss_prob"`` drops control packets at random
-(failure injection).  Unknown keys are rejected (silent typos in
-experiment definitions are the classic way to benchmark the wrong thing).
+Unknown keys are rejected (silent typos in experiment definitions are
+the classic way to benchmark the wrong thing).
 
 Scale knobs: a top-level ``"vectorized": true`` batches the Corelite
 control plane — cores coalesce the feedback a link selects over one
@@ -71,8 +70,7 @@ from repro.sim.sources import SourceSpec, onoff_source, poisson_source, transfer
 __all__ = ["build_network", "run_scenario", "load_scenario_file"]
 
 _TOP_KEYS = {"scheme", "seed", "duration", "sample_interval", "record_queues",
-             "topology", "config", "flows", "description", "vectorized", "train",
-             "control_loss_prob"}
+             "topology", "config", "flows", "description", "vectorized", "train"}
 _FLOW_KEYS = {"id", "weight", "ingress", "egress", "schedule", "min_rate",
               "source", "transport", "micro_flows", "aggregate"}
 _SOURCE_KEYS = {"kind", "mean_rate", "peak_rate", "mean_on", "mean_off",
@@ -80,14 +78,12 @@ _SOURCE_KEYS = {"kind", "mean_rate", "peak_rate", "mean_on", "mean_off",
 #: ``"topology"`` keys every kind reads, with their JSON kind.
 _TOPOLOGY_VALUES = {"name": "str", "access_capacity_pps": "number",
                     "access_prop_delay": "number", "queue_capacity": "number",
-                    "routing_mode": "str", "ecmp_flowlet_n_packets": "int",
-                    "reroute_latency": "number"}
+                    "routing_mode": "str", "ecmp_flowlet_n_packets": "int"}
 #: Canned ``"topology"`` kind -> its integer size keys and their defaults.
 _TOPOLOGY_SIZES = {"chain": (("num_cores", 4),), "parking_lot": (("hops", 3),),
-                   "star": (("spokes", 3),), "leaf_spine": (("leaves", 3), ("spines", 2)),
-                   "fat_tree": (("k", 2),)}
+                   "leaf_spine": (("leaves", 3), ("spines", 2)), "fat_tree": (("k", 2),)}
 _TOPOLOGY_KEYS = {"kind", "cores", "links", "events", "capacity_pps", "prop_delay",
-                  "num_cores", "hops", "spokes", "leaves", "spines", "k",
+                  "num_cores", "hops", "leaves", "spines", "k",
                   *_TOPOLOGY_VALUES}
 #: A custom ``"topology"`` link row: [a, b, capacity_pps, prop_delay(, queue)].
 _LINK_ROW = ("str", "str", "number", "number", "number")
@@ -289,7 +285,7 @@ def _parse(scenario: Mapping) -> Tuple[CloudBuilder, Dict[str, object]]:
     if "network" in _typed(scenario, "object", "scenario"):
         raise ConfigurationError(
             "scenario: there is no 'network' section; describe the graph under "
-            "'topology' and give 'control_loss_prob' at the top level"
+            "'topology'"
         )
     _section(scenario, _TOP_KEYS, "scenario")
     scheme = scenario.get("scheme", "corelite")
@@ -318,7 +314,6 @@ def _parse(scenario: Mapping) -> Tuple[CloudBuilder, Dict[str, object]]:
     if scenario.get("config"):
         config_cls = SCHEME_STRATEGIES[scheme]().config_cls
         build_kwargs["config"] = _parse_config(scenario["config"], config_cls)
-    build_kwargs["control_loss_prob"] = top("control_loss_prob", "number", 0.0)
     topology = (
         parse_topology(scenario["topology"]) if "topology" in scenario
         else TopologySpec.chain(2)

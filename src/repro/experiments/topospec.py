@@ -16,7 +16,6 @@ Canned shapes cover the workloads the fairness literature argues about:
   (Topology 1 is ``chain(4)``);
 * :meth:`TopologySpec.parking_lot` — a chain consumed by one long flow
   against per-hop cross traffic (the classic weighted max-min stressor);
-* :meth:`TopologySpec.star` — a hub-and-spoke cloud;
 * :meth:`TopologySpec.mesh` — a multi-bottleneck diamond-plus-chord mesh
   with heterogeneous link capacities;
 * :meth:`TopologySpec.leaf_spine` — a 2-tier Clos fabric where every
@@ -26,8 +25,7 @@ Canned shapes cover the workloads the fairness literature argues about:
 
 A spec may also carry *dynamics*: a schedule of
 :class:`~repro.sim.dynamics.NetworkEvent` link failures/recoveries
-(``events``), the control-plane convergence delay between an event and
-the reroute (``reroute_latency``), and the multipath knobs
+(``events``, each rerouting at its own instant), and the multipath knobs
 (``routing_mode``, ``ecmp_flowlet_n_packets``).
 
 Validation errors always name the offending field and value, so a typo in
@@ -144,10 +142,6 @@ class TopologySpec:
         data packets).
     ecmp_flowlet_n_packets:
         Flowlet length in data packets for ``ecmp_flowlet`` mode.
-    reroute_latency:
-        Seconds between a topology event and the route-table swap
-        (control-plane convergence delay); 0 means atomic rerouting at
-        the event timestamp.
     """
 
     links: Tuple[LinkSpec, ...]
@@ -159,7 +153,6 @@ class TopologySpec:
     events: Tuple[NetworkEvent, ...] = ()
     routing_mode: str = "static"
     ecmp_flowlet_n_packets: int = 32
-    reroute_latency: float = 0.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.links, tuple):
@@ -247,11 +240,6 @@ class TopologySpec:
                 f"topology {self.name!r}: ecmp_flowlet_n_packets must be "
                 f">= 1, got {self.ecmp_flowlet_n_packets!r}"
             )
-        if not self.reroute_latency >= 0 or math.isinf(self.reroute_latency):
-            raise TopologyError(
-                f"topology {self.name!r}: reroute_latency must be a "
-                f"non-negative finite value, got {self.reroute_latency!r}"
-            )
 
     # -- canned shapes ---------------------------------------------------
 
@@ -301,26 +289,6 @@ class TopologySpec:
             **{"name": f"parking-lot-{hops}", **kwargs},
         )
         return spec
-
-    @classmethod
-    def star(
-        cls,
-        spokes: int = 3,
-        capacity_pps: float = 500.0,
-        prop_delay: float = ms_to_s(20.0),
-        **kwargs,
-    ) -> "TopologySpec":
-        """Hub-and-spoke: ``H`` in the middle, ``S1..Sn`` around it."""
-        if spokes < 2:
-            raise TopologyError(
-                f"topology 'star': spokes must be >= 2, got {spokes}"
-            )
-        links = tuple(
-            LinkSpec("H", f"S{i}", capacity_pps, prop_delay)
-            for i in range(1, spokes + 1)
-        )
-        kwargs.setdefault("name", f"star-{spokes}")
-        return cls(links=links, **kwargs)
 
     @classmethod
     def mesh(
@@ -463,8 +431,6 @@ class TopologySpec:
         if self.routing_mode != "static":
             raw["routing_mode"] = self.routing_mode
             raw["ecmp_flowlet_n_packets"] = self.ecmp_flowlet_n_packets
-        if self.reroute_latency > 0.0:
-            raw["reroute_latency"] = self.reroute_latency
         return raw
 
     # -- queries ---------------------------------------------------------
@@ -507,7 +473,6 @@ class TopologySpec:
 CANNED_TOPOLOGIES = {
     "chain": TopologySpec.chain,
     "parking_lot": TopologySpec.parking_lot,
-    "star": TopologySpec.star,
     "mesh": TopologySpec.mesh,
     "leaf_spine": TopologySpec.leaf_spine,
     "fat_tree": TopologySpec.fat_tree,

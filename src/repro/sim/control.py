@@ -7,18 +7,15 @@ the simulator delivers them directly after the *reverse-path propagation
 delay* — the component of the feedback latency that actually shapes the
 control loop (see DESIGN.md §3 for the substitution rationale).
 
-For robustness experiments the control plane can drop packets with a
-configured probability (``loss_prob``): real feedback markers are plain
-datagrams with no delivery guarantee, so the control loop must degrade
-gracefully when some are lost.
+Delivery is reliable, as in the paper's §4 evaluation: a control packet
+is lost only when a link failure has cut its reverse path.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import RoutingError
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.topology import Topology
@@ -29,26 +26,12 @@ __all__ = ["ControlPlane"]
 class ControlPlane:
     """Propagation-delay-accurate delivery of control packets."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        topology: Topology,
-        loss_prob: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if not 0.0 <= loss_prob < 1.0:
-            raise ConfigurationError(f"loss_prob must be in [0, 1), got {loss_prob}")
-        if loss_prob > 0.0 and rng is None:
-            raise ConfigurationError("a lossy control plane needs an rng")
+    def __init__(self, sim: Simulator, topology: Topology) -> None:
         self.sim = sim
         self.topology = topology
-        self.loss_prob = loss_prob
-        self._rng = rng
         self._delay_cache: Dict[Tuple[str, str], float] = {}
         #: Total control packets delivered (for accounting/tests).
         self.delivered = 0
-        #: Control packets lost by the injected fault model.
-        self.lost = 0
         #: Control packets that found no reverse path (network partition).
         self.unroutable = 0
 
@@ -75,14 +58,10 @@ class ControlPlane:
     ) -> None:
         """Deliver ``packet`` to ``deliver`` after the src->dst path delay.
 
-        With a configured ``loss_prob`` the packet may silently vanish
-        instead (counted in :attr:`lost`).  A packet whose endpoints a
-        link failure has partitioned is counted in :attr:`unroutable`
-        and dropped — real feedback datagrams die the same way.
+        A packet whose endpoints a link failure has partitioned is counted
+        in :attr:`unroutable` and dropped — real feedback datagrams die the
+        same way.
         """
-        if self.loss_prob > 0.0 and self._rng.random() < self.loss_prob:
-            self.lost += 1
-            return
         try:
             delay = self.delay(src, dst)
         except RoutingError:

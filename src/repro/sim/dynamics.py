@@ -20,17 +20,8 @@ Determinism contract (replays must stay byte-identical):
   the link recovered before the delivery event fired.
 * Route recomputation is a full deterministic Dijkstra re-run over the
   surviving adjacency followed by an atomic table swap
-  (:meth:`repro.sim.topology.Topology.rebuild_routes`); no packet ever
-  sees a half-updated table.
-
-``reroute_latency`` models the control-plane convergence delay between a
-topology change and the moment the new tables are installed: with a
-non-zero latency the network keeps forwarding on the stale tables (and
-dropping at the dead link) until the reroute fires, which is exactly the
-transient the re-convergence metrics measure.  Each event schedules its
-own reroute, so a recovery that lands before a failure's pending reroute
-simply results in two recomputations over whatever the adjacency is at
-each fire time — recomputation is idempotent.
+  (:meth:`repro.sim.topology.Topology.rebuild_routes`), at the event's own
+  instant; no packet ever sees a half-updated table.
 """
 
 from __future__ import annotations
@@ -125,16 +116,10 @@ class NetworkDynamics:
         topology: Topology,
         events: Sequence[NetworkEvent],
         control=None,
-        reroute_latency: float = 0.0,
     ) -> None:
-        if reroute_latency < 0:
-            raise ConfigurationError(
-                f"reroute_latency must be >= 0, got {reroute_latency!r}"
-            )
         self.sim = sim
         self.topology = topology
         self.control = control
-        self.reroute_latency = reroute_latency
         self.events: Tuple[NetworkEvent, ...] = tuple(events)
         #: Executed events as ``(fire_time, event)`` in execution order.
         self.applied: List[Tuple[float, NetworkEvent]] = []
@@ -162,9 +147,8 @@ class NetworkDynamics:
         """Arm every event with ``time <= until`` on the simulator."""
         for event in self.events:
             if event.time <= until:
-                # No shaper release runs past the event or its reroute.
+                # No shaper release runs past the event and its reroute.
                 self.sim.add_fence(event.time)
-                self.sim.add_fence(event.time + self.reroute_latency)
                 self.sim.schedule_at(event.time, self._execute, event)
 
     # -- execution -------------------------------------------------------
@@ -178,14 +162,6 @@ class NetworkDynamics:
             for link in links:
                 link.recover()
         self.applied.append((self.sim.now, event))
-        if self.reroute_latency > 0.0:
-            self.sim.schedule_at(
-                self.sim.now + self.reroute_latency, self._reroute
-            )
-        else:
-            self._reroute()
-
-    def _reroute(self) -> None:
         self.topology.rebuild_routes()
         if self.control is not None:
             self.control.invalidate_paths()

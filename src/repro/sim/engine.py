@@ -57,10 +57,10 @@ it names (its edge's next epoch), the bound of the running :meth:`run` (so
 nothing is released past what a caller reads between runs or windows; a
 :meth:`step` releases nothing) and the next instant registered with
 :meth:`add_fence` at or after ``now``.  Whoever schedules a change to what
-a release touches — a flow's on/off transition, a network event, its
-reroute — registers its instant there as it schedules it.  A link needs none:
-its taps, drop listeners and arming are wired before traffic flows
-(:mod:`repro.sim.link`).
+a release touches — a flow's on/off transition, a network event (which
+reroutes at its own instant) — registers its instant there as it schedules
+it.  A link needs none: its taps, drop listeners and arming are wired
+before traffic flows (:mod:`repro.sim.link`).
 """
 
 from __future__ import annotations

@@ -19,8 +19,10 @@ from repro.experiments.parallel import result_to_payload
 from repro.experiments.scenario_dsl import run_scenario
 from repro.experiments.topospec import FlowSpec, LinkSpec, TopologySpec
 from repro.sim.node import Router
+from repro.sim.packet import PacketKind
 
 from .conftest import run_python
+from .contract import CLOUDS
 
 
 class TestOneCloudThreeSpellings:
@@ -164,6 +166,47 @@ class TestReferenceRates:
         assert ref[1] == pytest.approx(250.0)
         for fid in range(2, 8):
             assert ref[fid] == pytest.approx(125.0)
+
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_every_data_packet_crosses_the_reference_path(self, name):
+        """The reference scores each flow on ``flow_path_links``, the static
+        shortest path; every data packet of the flow takes that path (a
+        packet dropped on the way, a prefix of it), on every contract cloud
+        whose paths do not move."""
+        if name in _MOVING_PATHS:
+            pytest.skip(_MOVING_PATHS[name])
+        cloud, until = CLOUDS[name]()
+        cloud.finalize()
+        hosts = {h for spec in cloud.flows.values() for h in (spec.sender_host, spec.receiver_host)}
+        hops = {}  # pid -> (flow id, [link name, ...])
+
+        def tap(name):
+            def record(packet, _now):
+                if packet.kind is PacketKind.DATA:
+                    hops.setdefault(packet.pid, (packet.flow_id, []))[1].append(name)
+
+            return record
+
+        for link in cloud.topology.links.values():
+            if not {link.src_name, link.dst.name} & hosts:
+                link.add_arrival_tap(tap(link.name))
+        paths = {fid: list(cloud.flow_path_links(fid)) for fid in cloud.flows}
+        cloud.run(until=until)
+        assert hops
+        for fid, crossed in hops.values():
+            assert crossed == paths[fid][: len(crossed)], (fid, crossed)
+        # Every flow that sent has a packet that crossed the whole path.
+        sent = {fid for fid, _ in hops.values()}
+        assert {fid for fid, crossed in hops.values() if crossed == paths[fid]} == sent
+
+
+#: Contract clouds whose packets do not all take one static path.
+_MOVING_PATHS = {
+    "leaf-spine-flowlets": "flowlets split each flow over both spines, the reference scores "
+    "one: at seed 0 this fabric's flows read 50.8-51.9 pkt/s per unit weight over 60-90 s "
+    "against 29.4 (ROADMAP item 8); multipath waits for its row",
+    "failover-mesh": "its A-B link fails at t = 40 and the flows reroute onto the detour",
+}
 
 
 class TestOneFlowPerEdge:

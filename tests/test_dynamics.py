@@ -83,12 +83,10 @@ def test_spec_events_round_trip_through_dict():
             NetworkEvent(time=80.0, kind="link_up", a="A", b="B"),
         ),
         routing_mode="ecmp",
-        reroute_latency=0.5,
     )
     again = TopologySpec.from_dict(spec.to_dict())
     assert again.events == spec.events
     assert again.routing_mode == "ecmp"
-    assert again.reroute_latency == 0.5
 
 
 def test_dynamics_rejects_event_for_missing_topology_link():
@@ -213,8 +211,8 @@ def test_router_drop_unrouted_counts_data_only(line_topology):
 # ---------------------------------------------------------------------------
 
 
-def _chain_cloud(events, *, scheme="corelite", seed=5, **spec_kwargs):
-    spec = TopologySpec.chain(3, events=events, **spec_kwargs)
+def _chain_cloud(events, *, scheme="corelite", seed=5):
+    spec = TopologySpec.chain(3, events=events)
     builder = CloudBuilder(spec, scheme=scheme, seed=seed)
     builder.add_flow(FlowPathSpec(flow_id=1, weight=1.0, ingress_core="C1", egress_core="C3"))
     builder.add_flow(FlowPathSpec(flow_id=2, weight=2.0, ingress_core="C2", egress_core="C3"))
@@ -274,42 +272,6 @@ def test_same_timestamp_events_execute_in_declaration_order():
     # Net state after the tie: C1-C2 back up, C2-C3 still down.
     assert cloud.topology.links["C1->C2"].up
     assert not cloud.topology.links["C2->C3"].up
-
-
-def test_reroute_latency_delays_table_swap():
-    cloud = _chain_cloud(
-        (NetworkEvent(time=8.0, kind="link_down", a="C1", b="C2"),),
-        reroute_latency=2.0,
-    )
-    captured = {}
-
-    def probe():
-        if cloud.sim.now not in captured:
-            captured[cloud.sim.now] = cloud.dynamics.reroutes
-
-    cloud.sim.schedule_at(9.0, probe)
-    cloud.sim.schedule_at(11.0, probe)
-    cloud.run(until=12.0)
-    assert captured[9.0] == 0  # failed, but tables not yet swapped
-    assert captured[11.0] == 1  # reroute fired at t=10
-
-
-def test_recovery_before_pending_reroute_completes():
-    """With a reroute latency, a recovery can land before the failure's
-    reroute fires.  Both reroutes still execute (recomputation is
-    idempotent) and the final tables route over the recovered link."""
-    cloud = _chain_cloud(
-        (
-            NetworkEvent(time=8.0, kind="link_down", a="C1", b="C2"),
-            NetworkEvent(time=9.0, kind="link_up", a="C1", b="C2"),
-        ),
-        reroute_latency=3.0,  # failure reroute at t=11, recovery's at t=12
-    )
-    result = cloud.run(until=24.0)
-    assert cloud.dynamics.reroutes == 2
-    assert cloud.topology.links["C1->C2"].up
-    tail = result.record(1).throughput_series.window(16.0, 24.0)
-    assert min(tail.values) > 0.0
 
 
 def test_failed_link_with_parked_epoch_timer_is_woken_first():

@@ -636,10 +636,6 @@ class TestRestrictions:
         with pytest.raises(ConfigurationError, match="TCP"):
             ParallelCloud(TopologySpec.chain(4), "corelite", flows, partitions=2)
 
-    def test_control_loss_rejected(self):
-        with pytest.raises(ConfigurationError, match="control_loss_prob"):
-            self.make(control_loss_prob=0.1)
-
     def test_queue_factory_needs_inline_mode(self):
         from repro.sim.queues import DropTailQueue
 

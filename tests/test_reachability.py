@@ -34,6 +34,13 @@ outside ``tests/`` (see :func:`set_config_fields`) or be one of
 ``CONFIG_ALLOWLIST``, each with the paper section or DESIGN.md row its
 value comes from.  A value only tests vary is a module constant at its
 reader instead.
+
+A sixth does the same one level up, for the inputs of a cloud: every
+keyword of ``CloudBuilder``, every field of ``TopologySpec`` and
+``FlowPathSpec`` and every key of the scenario DSL must be set outside
+``tests/`` (see :func:`set_inputs`) or be one of ``INPUT_ALLOWLIST``, each
+with the reason it stays.  An input only tests set selects code only tests
+run: delete it with that code.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import re
 from pathlib import Path
@@ -53,8 +61,8 @@ CONSUMER_DIRS = (SRC, ROOT / "benchmarks", ROOT / "examples")
 #: Modules that need no importer: ``python -m repro`` runs ``__main__``.
 ENTRY_MODULES = {"repro.__main__"}
 
-_THEORY = "ROADMAP item 3 (operating envelope) overlays the control-loop theory"
-_FLUID = "ROADMAP item 3 overlays the fluid LIMD trajectory on its sweep"
+_THEORY = "ROADMAP item 6 (operating envelope) overlays the control-loop theory"
+_FLUID = "ROADMAP item 6 overlays the fluid LIMD trajectory on its sweep"
 
 #: dotted module or ``module.name`` -> why it stays without a consumer.
 ALLOWLIST: Dict[str, str] = {
@@ -145,6 +153,12 @@ PACKAGE = [source for source in SOURCES if source.module is not None]
 #: Names each file refers to anywhere (the owner of a name is re-walked
 #: without its definition, see :func:`unused_exports`).
 REFERENCES = {source.path: source.references() for source in SOURCES}
+_JSON = [
+    json.loads(path.read_text(encoding="utf-8"))
+    for top in CONSUMER_DIRS for path in sorted(top.rglob("*.json"))
+]
+#: The scenario files outside ``tests/``: JSON objects with ``"flows"``.
+SCENARIO_FILES = [data for data in _JSON if isinstance(data, dict) and "flows" in data]
 
 
 def _imported_modules(source: Source) -> Set[str]:
@@ -391,11 +405,8 @@ def set_config_fields() -> Set[str]:
                             field.value for field in value.keys
                             if isinstance(field, ast.Constant)
                         )
-    for top in CONSUMER_DIRS:
-        for path in sorted(top.rglob("*.json")):
-            scenario = json.loads(path.read_text(encoding="utf-8"))
-            if isinstance(scenario, dict) and "flows" in scenario:
-                found.update(scenario.get("config", {}))
+    for scenario in SCENARIO_FILES:
+        found.update(scenario.get("config", {}))
     return found
 
 
@@ -412,3 +423,172 @@ def test_every_config_field_is_set_outside_tests():
     # The allowlist only shrinks: an entry that is set, or no field, goes.
     assert sorted(set(CONFIG_ALLOWLIST) - found) == []
     assert all(reason.strip() for reason in CONFIG_ALLOWLIST.values())
+
+
+#: A scenario key -> the builder keyword, spec field or ``run`` keyword it
+#: spells, where the names differ: one input, set when either spelling is.
+DSL_SPELLINGS = {"topology": "spec", "train": "train_batch", "duration": "until",
+                 "id": "flow_id", "ingress": "ingress_core", "egress": "egress_core"}
+
+_MULTIPATH = (
+    "ECMP / flowlet multipath and its fabrics: ROADMAP item 8 scores or deletes "
+    "them once item 1(a) makes setup_s GC-proof (deleting the routers' "
+    "multipath dicts doubles dense_scalar's setup_s at identical results)"
+)
+_PDES = "the partitioned runtime: deleted with it (ROADMAP item 3)"
+
+#: input -> why it stays although nothing outside ``tests/`` sets it.
+INPUT_ALLOWLIST: Dict[str, str] = {
+    **dict.fromkeys(("routing_mode", "ecmp_flowlet_n_packets", "leaves", "spines", "k"),
+                    _MULTIPATH),
+    "partition_plan": _PDES,
+    "pdes_mode": _PDES,
+    "partitions": f"{_PDES}; corebench's pdes_w2 hands it on through `_dense(partitions)`",
+    "total_packets": "finite transfers: S20's §4.3 short-flow claim waits for its row (item 8)",
+    "queue_capacity": "§4 / Figure 2: the 40-packet core buffer, the default",
+    "prop_delay": "Figure 2: 40 ms core links (240 / 400 ms RTTs), the chain's default",
+    "access_prop_delay": "Figure 2: 40 ms access links, the default",
+}
+
+#: Calls whose keywords set inputs; their positions are not mapped.
+_KEYWORDS_ONLY = ("add_flow", "run", "replace")
+
+
+def _input_calls() -> Dict[str, object]:
+    """Callee name -> the callable whose parameters a call's arguments set."""
+    from repro.experiments.builder import CloudBuilder
+    from repro.experiments.topospec import CANNED_TOPOLOGIES, FlowPathSpec, TopologySpec
+    from repro.sim import sources
+
+    calls = {name: getattr(TopologySpec, name) for name in CANNED_TOPOLOGIES}
+    calls.update(CloudBuilder=CloudBuilder, TopologySpec=TopologySpec,
+                 FlowPathSpec=FlowPathSpec, FlowSpec=FlowPathSpec)
+    for name in ("SourceSpec", "poisson_source", "onoff_source", "transfer_source"):
+        calls[name] = getattr(sources, name)
+    return {**calls, **dict.fromkeys(_KEYWORDS_ONLY)}
+
+
+def inputs() -> Set[str]:
+    """Every input of a cloud, a scenario key under the name it spells."""
+    from repro.experiments import scenario_dsl as dsl
+    from repro.experiments.builder import CloudBuilder
+    from repro.experiments.topospec import FlowPathSpec, TopologySpec
+
+    keys = dsl._TOP_KEYS | dsl._FLOW_KEYS | dsl._SOURCE_KEYS | dsl._TOPOLOGY_KEYS
+    return (
+        set(inspect.signature(CloudBuilder.__init__).parameters) - {"self"}
+        | {field.name for cls in (TopologySpec, FlowPathSpec) for field in dataclasses.fields(cls)}
+        | {DSL_SPELLINGS.get(key, key) for key in keys}
+    )
+
+
+def _passed_on(name: str, value: ast.AST, params: Set[str]) -> bool:
+    """A value handed on under its own name sets nothing: an attribute
+    (``seed=self.seed``) or a parameter of an enclosing function."""
+    if isinstance(value, ast.Attribute):
+        return value.attr == name
+    return isinstance(value, ast.Name) and value.id == name and name in params
+
+
+def _plain(node: ast.AST, params: Set[str]):
+    """A dict or list literal read as JSON would be (passed-on entries left
+    out, a comprehension as its element); any other node as it is."""
+    if isinstance(node, ast.Dict):
+        return {
+            key.value: _plain(value, params) for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant) and not _passed_on(key.value, value, params)
+        }
+    if isinstance(node, ast.ListComp):
+        return [_plain(node.elt, params)]
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return [_plain(elt, params) for elt in node.elts]
+    return node
+
+
+def _scenario_keys(scenario: dict) -> Set[str]:
+    """The keys of a scenario's top level, ``"topology"``, flows and sources."""
+    def section(value) -> dict:
+        return value if isinstance(value, dict) else {}
+
+    def entries(value) -> list:
+        return value if isinstance(value, list) else []
+
+    keys = set(scenario) | set(section(scenario.get("topology")))
+    for flow in map(section, entries(scenario.get("flows"))):
+        keys |= set(flow) | set(section(flow.get("source")))
+        for micro in entries(flow.get("micro_flows")):
+            keys.update(*map(section, entries(micro)[1:]))
+    return keys
+
+
+def _call_sets(node: ast.Call, calls: Dict[str, object], params: Set[str]) -> List[str]:
+    """The parameters a call to one of ``calls`` sets, by position or
+    keyword; a canned shape counts only when called on its class."""
+    name = _name(node.func)
+    if name not in calls or (
+        isinstance(node.func, ast.Attribute) and name not in _KEYWORDS_ONLY
+        and _name(node.func.value) not in ("TopologySpec", "cls")
+    ):
+        return []
+    found = [kw.arg for kw in node.keywords if kw.arg and not _passed_on(kw.arg, kw.value, params)]
+    if name not in _KEYWORDS_ONLY:
+        positions = [
+            param.name for param in inspect.signature(calls[name]).parameters.values()
+            if param.kind is param.POSITIONAL_OR_KEYWORD and param.name not in ("self", "cls")
+        ]
+        for param, arg in zip(positions, node.args):
+            if isinstance(arg, ast.Starred):
+                break
+            if not _passed_on(param, arg, params):
+                found.append(param)
+    return found
+
+
+def set_inputs() -> Set[str]:
+    """Inputs code outside ``tests/`` sets: an argument of a builder, spec
+    or source constructor, a canned shape (a shape's own ``cls(...)`` is a
+    ``TopologySpec`` call), ``add_flow`` or ``run``, or a key of a scenario
+    (a dict literal or JSON file with ``"flows"``), a scenario key under the
+    name it spells.  A value handed on under its own name sets nothing
+    (:func:`_passed_on`), and neither does the scenario DSL: its tables
+    list what it reads, and its calls pass on what a scenario sets."""
+    from repro.experiments.topospec import TopologySpec
+
+    found: Set[str] = set()
+
+    def visit(node: ast.AST, calls: Dict[str, object], params: Set[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = params | {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+        if isinstance(node, ast.Call):
+            found.update(_call_sets(node, calls, params))
+        elif isinstance(node, ast.Dict):
+            scenario = _plain(node, params)
+            if "flows" in scenario:
+                found.update(_scenario_keys(scenario))
+        for child in ast.iter_child_nodes(node):
+            visit(child, calls, params)
+
+    calls = _input_calls()
+    for source in SOURCES:
+        if source.module == "repro.experiments.topospec":
+            visit(source.tree, {**calls, "cls": TopologySpec}, set())
+        elif source.module != "repro.experiments.scenario_dsl":
+            visit(source.tree, calls, set())
+    for scenario in SCENARIO_FILES:
+        found.update(_scenario_keys(scenario))
+    return {DSL_SPELLINGS.get(name, name) for name in found}
+
+
+def test_every_input_is_set_outside_tests():
+    from repro.experiments import scenario_dsl as dsl
+
+    found = inputs() - set_inputs()
+    assert sorted(found - set(INPUT_ALLOWLIST)) == [], (
+        "inputs only tests set: delete each with the code it selects"
+    )
+    # The allowlist only shrinks: an entry that is set, or no input, goes.
+    assert sorted(set(INPUT_ALLOWLIST) - found) == []
+    assert all(reason.strip() for reason in INPUT_ALLOWLIST.values())
+    # Each spelling names a key the DSL reads.
+    assert set(DSL_SPELLINGS) <= dsl._TOP_KEYS | dsl._FLOW_KEYS

@@ -1,82 +1,7 @@
-"""Failure-injection and robustness tests.
-
-The Corelite control loop rides on unacknowledged control packets:
-feedback markers can be lost.  These tests inject control-plane loss and
-verify graceful degradation — the design's implicit claim, since a core
-router "does not know or care" whether its feedback arrives.
-"""
-
-import pytest
+"""Queue recording: the occupancy series a run can sample per core link."""
 
 from repro import CloudBuilder, FlowSpec, TopologySpec
-from repro.errors import ConfigurationError
 from repro.experiments.scenarios import startup_flows
-from repro.fairness.metrics import weighted_jain_index
-from repro.sim.control import ControlPlane
-
-
-class TestControlPlaneLoss:
-    def run_with_loss(self, loss_prob, until=80.0):
-        builder = CloudBuilder(
-            TopologySpec.chain(2), "corelite", seed=0, control_loss_prob=loss_prob
-        )
-        net = builder.add_flows(startup_flows(6)).build()
-        result = net.run(until=until)
-        return net, result
-
-    def test_lossless_control_plane_loses_nothing(self):
-        net, _result = self.run_with_loss(0.0)
-        assert net.control.lost == 0
-
-    def test_fault_model_counts_losses(self):
-        net, _result = self.run_with_loss(0.3)
-        assert net.control.lost > 0
-        assert net.control.delivered > 0
-
-    def test_fairness_survives_30_percent_feedback_loss(self):
-        """Lost feedback slows throttling but does not break weighted
-        fairness: the next epoch's markers carry the same information."""
-        _net, result = self.run_with_loss(0.3)
-        rates = result.mean_rates((60.0, 80.0))
-        weights = result.weights()
-        flow_ids = sorted(rates)
-        wj = weighted_jain_index(
-            [rates[f] for f in flow_ids], [weights[f] for f in flow_ids]
-        )
-        assert wj > 0.95
-
-    def test_feedback_loss_costs_packet_drops(self):
-        """Degradation is graceful but real: less feedback means deeper
-        queue excursions and somewhat more tail drops."""
-        _net0, clean = self.run_with_loss(0.0)
-        _net1, lossy = self.run_with_loss(0.5)
-        assert lossy.total_drops >= clean.total_drops
-
-    def test_csfq_loss_notifications_also_survive(self):
-        net = CloudBuilder(TopologySpec.chain(2), "csfq", seed=0, control_loss_prob=0.3)
-        net.add_flows(startup_flows(6))
-        result = net.run(until=80.0)
-        rates = result.mean_rates((60.0, 80.0))
-        weights = result.weights()
-        flow_ids = sorted(rates)
-        wj = weighted_jain_index(
-            [rates[f] for f in flow_ids], [weights[f] for f in flow_ids]
-        )
-        assert wj > 0.9
-
-    def test_invalid_loss_prob_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CloudBuilder(TopologySpec.chain(2), "corelite", control_loss_prob=1.0).build()
-        with pytest.raises(ConfigurationError):
-            CloudBuilder(TopologySpec.chain(2), "corelite", control_loss_prob=-0.1).build()
-
-    def test_lossy_plane_requires_rng(self):
-        from repro.sim.engine import Simulator
-        from repro.sim.topology import Topology
-
-        sim = Simulator()
-        with pytest.raises(ConfigurationError):
-            ControlPlane(sim, Topology(sim), loss_prob=0.2, rng=None)
 
 
 class TestQueueRecording:

@@ -121,7 +121,14 @@ def assert_matches_oracle(topology: Topology) -> None:
 SPECS = {
     "chain": (lambda **kw: TopologySpec.chain(4, **kw), ("C2", "C3")),
     "parking_lot": (lambda **kw: TopologySpec.parking_lot(3, **kw), ("C1", "C2")),
-    "star": (lambda **kw: TopologySpec.star(3, **kw), ("H", "S1")),
+    "star": (
+        lambda **kw: TopologySpec(
+            links=tuple(LinkSpec("H", f"S{i}", 500.0, 0.02) for i in (1, 2, 3)),
+            name="star-3",
+            **kw,
+        ),
+        ("H", "S1"),
+    ),
     "mesh": (lambda **kw: TopologySpec.mesh(**kw), ("A", "B")),
     "leaf_spine": (lambda **kw: TopologySpec.leaf_spine(3, 2, **kw), ("L1", "S1")),
     "fat_tree": (lambda **kw: TopologySpec.fat_tree(4, **kw), ("P1E1", "P1A1")),

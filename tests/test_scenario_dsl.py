@@ -96,7 +96,7 @@ class TestBuild:
         net = build_network(scenario)
         assert len(net.flows[1].micro_flows) == 2
 
-    def test_unknown_keys_rejected_everywhere(self):
+    def test_unknown_keys_rejected_everywhere(self, monkeypatch):
         with pytest.raises(ConfigurationError):
             build_network(basic_scenario(tyop=1))
         with pytest.raises(ConfigurationError):
@@ -107,6 +107,22 @@ class TestBuild:
             build_network(basic_scenario(
                 flows=[{"id": 1, "source": {"kind": "poisson", "rate": 5}}]
             ))
+        # Retired inputs: a scenario that still sets one dies, naming it,
+        # before any cloud exists.
+        monkeypatch.setattr(
+            Cloud, "__init__", lambda *a, **k: pytest.fail("a cloud was built")
+        )
+        for overrides, error, names in (
+            ({"control_loss_prob": 0.1}, ConfigurationError,
+             r"unknown keys \['control_loss_prob'\]"),
+            ({"topology": {"kind": "mesh", "reroute_latency": 0.5}}, TopologyError,
+             r"unknown keys \['reroute_latency'\]"),
+            ({"topology": {"kind": "star", "spokes": 3}}, TopologyError,
+             r"unknown keys \['spokes'\]"),
+            ({"topology": {"kind": "star"}}, TopologyError, r"unknown kind 'star'"),
+        ):
+            with pytest.raises(error, match=names):
+                build_network(basic_scenario(**overrides))
 
     @pytest.mark.parametrize(
         "overrides, key",
@@ -163,8 +179,8 @@ class TestBuild:
             ({"topology": {"kind": "chain", "num_cores": "3"}}, r"topology: 'num_cores'.*'3'"),
             ({"topology": {"kind": "chain", "num_cores": 2.9}}, r"topology: 'num_cores'.*2\.9"),
             ({"topology": {"kind": "parking_lot", "hops": "3"}}, r"topology: 'hops'.*'3'"),
-            ({"topology": {"kind": "mesh", "reroute_latency": "0.1"}},
-             r"topology: 'reroute_latency'.*'0\.1'"),
+            ({"topology": {"kind": "mesh", "access_prop_delay": "0.1"}},
+             r"topology: 'access_prop_delay'.*'0\.1'"),
             ({"topology": {"kind": "mesh", "events": [
                 {"time": "5", "kind": "link_down", "link": ["A", "B"]}]}},
              r"network event: 'time'.*'5'"),
@@ -232,18 +248,9 @@ class TestTopologyKey:
 
     def test_network_section_names_topology(self):
         """The graph has one spelling: beside ``"topology"`` too, a
-        ``"network"`` section is refused, pointing at ``"topology"`` (and at
-        the top-level ``control_loss_prob``)."""
-        for network in ({"num_cores": 3}, {"control_loss_prob": 0.1}):
-            with pytest.raises(ConfigurationError, match="'topology'.*'control_loss_prob'"):
-                build_network(basic_scenario(topology={"kind": "mesh"}, network=network))
-
-    def test_control_loss_prob_still_allowed_with_topology(self):
-        net = build_network(basic_scenario(
-            topology={"kind": "chain", "num_cores": 2},
-            control_loss_prob=0.1,
-        ))
-        assert net.control.loss_prob == 0.1
+        ``"network"`` section is refused, pointing at ``"topology"``."""
+        with pytest.raises(ConfigurationError, match="no 'network' section.*'topology'"):
+            build_network(basic_scenario(topology={"kind": "mesh"}, network={"num_cores": 3}))
 
     def test_bad_topology_value_names_the_field(self):
         from repro.errors import TopologyError

@@ -93,7 +93,6 @@ class TestTopologySpec:
             ("access_capacity_pps", math.inf),
             ("access_prop_delay", math.nan),
             ("access_prop_delay", -0.01),
-            ("reroute_latency", math.nan),
         ],
     )
     def test_bad_access_link_or_latency_named_in_error(self, key, value):
@@ -122,13 +121,6 @@ class TestTopologySpec:
         assert spec.cores == ("C1", "C2", "C3", "C4")
         with pytest.raises(TopologyError, match="hops"):
             TopologySpec.parking_lot(0)
-
-    def test_star_shape(self):
-        spec = TopologySpec.star(4)
-        assert spec.cores == ("H", "S1", "S2", "S3", "S4")
-        assert all(link.a == "H" for link in spec.links)
-        with pytest.raises(TopologyError, match="spokes"):
-            TopologySpec.star(1)
 
     def test_mesh_shape_and_heterogeneous_capacities(self):
         spec = TopologySpec.mesh(capacity_pps=500.0)
