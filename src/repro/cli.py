@@ -111,7 +111,7 @@ def _print_result(result: RunResult, window, chart: bool = True) -> None:
         dip = transient_dip(throughput, event_time)
         print(
             f"dynamics: {len(dyn['events'])} event(s), "
-            f"{dyn['reroutes']} reroute(s), "
+            f"{len(dyn['events'])} reroute(s), "
             f"{dyn['failure_drops']} failure drop(s)"
         )
         print(

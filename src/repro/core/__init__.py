@@ -34,7 +34,6 @@ from repro.core.congestion import (
 )
 from repro.core.edge import CoreliteEdge, FlowAttachment
 from repro.core.marking import MarkerInjector
-from repro.core.microflows import MicroFlowMux
 from repro.core.router import CoreliteCoreRouter
 from repro.core.selective_feedback import SelectiveFeedback
 from repro.core.shaping import PacedSender
@@ -54,5 +53,4 @@ __all__ = [
     "CoreliteEdge",
     "FlowAttachment",
     "CoreliteCoreRouter",
-    "MicroFlowMux",
 ]

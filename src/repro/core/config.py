@@ -39,7 +39,7 @@ class FeedbackScheme(Enum):
 @dataclass
 class EdgeConfig:
     """What the edge of either scheme is configured by: the source agents'
-    slow-start + LIMD constants and the shaper.  The paper
+    slow-start + LIMD constants.  The paper
     uses "similar rate adaptation schemes" for Corelite and CSFQ (§4), so
     :class:`CoreliteConfig` and :class:`repro.csfq.config.CsfqConfig` inherit
     these fields and :class:`repro.core.adaptation.RateController` reads
@@ -74,10 +74,6 @@ class EdgeConfig:
         default stays 0).
     max_rate:
         Optional administrative cap on any single flow's allowed rate.
-    shaper_burst:
-        Token-bucket depth of the edge shaper, in packets.  1.0 (the
-        paper's model) is pure pacing; larger values let a flow that was
-        idle send a short back-to-back burst before settling at bg.
     """
 
     alpha: float = 1.0
@@ -87,7 +83,6 @@ class EdgeConfig:
     ss_double_interval: float = 1.0
     min_rate: float = 0.0
     max_rate: float = math.inf
-    shaper_burst: float = 1.0
 
     def __post_init__(self) -> None:
         self._require_positive(
@@ -99,10 +94,6 @@ class EdgeConfig:
         if self.min_rate > self.max_rate:
             raise ConfigurationError(
                 f"min_rate ({self.min_rate}) exceeds max_rate ({self.max_rate})"
-            )
-        if not 1.0 <= self.shaper_burst < math.inf:
-            raise ConfigurationError(
-                f"shaper_burst must be finite and >= 1 packet, got {self.shaper_burst}"
             )
 
     def _require_positive(self, *names: str) -> None:

@@ -34,10 +34,9 @@ A scalar packet costs one frame at each end: ``_emit`` builds it
 positionally with ``MarkerInjector.on_data`` and the single-path hit of
 ``Router.forward`` inline (``forward`` still serves multipath, unrouted
 packets and extra markers), and ``receive`` records it with the loss
-detector, the meter and ``DelayTracker.record`` inline; only a mux flow's
-packet adds to a micro-flow tally (``delivered_by_micro`` derives micro-flow
-0 from the meter), and no builtin ``min`` / ``max`` runs.  A train costs the
-same: ``_emit_train`` builds its ``PacketTrain`` positionally, calls
+detector, the meter and ``DelayTracker.record`` inline; no builtin ``min``
+/ ``max`` runs.  A train costs the same: ``_emit_train`` builds its
+``PacketTrain`` positionally, calls
 ``MarkerInjector.on_train`` and takes the same inline route hit, and
 ``receive`` records its ``n = count`` members in the same frame, through
 ``DelayTracker.record_train`` (``_deliver_local`` keeps markers and unknown
@@ -63,10 +62,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from math import inf
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.microflows import MicroFlowMux
+from typing import Dict, Optional, Tuple
 
 from repro.core.adaptation import Phase, RateController
 from repro.core.config import CoreliteConfig, EdgeConfig
@@ -113,11 +109,11 @@ class FlowAttachment:
     backlogged: bool = True
     external: bool = False
     shaper_buffer: int = 40
-    #: Number of same-(path, weight) member flows this attachment stands
-    #: for.  ``weight``/``min_rate`` are the *bucket totals* (member x N);
-    #: the marker interval is computed from the member weight so the
-    #: feedback density matches N individual flows, and the controller
-    #: gains are scaled accordingly (see RateController).
+    #: Number of same-(path, weight) always-backlogged member flows this
+    #: attachment stands for.  ``weight``/``min_rate`` are the *bucket
+    #: totals* (member x N); the marker interval is computed from the
+    #: member weight so the feedback density matches N individual flows,
+    #: and the controller gains are scaled accordingly (see RateController).
     aggregate: int = 1
 
     def __post_init__(self) -> None:
@@ -133,9 +129,9 @@ class FlowAttachment:
             raise FlowError(f"flow {self.flow_id}: shaper_buffer must be >= 1")
         if self.aggregate < 1:
             raise FlowError(f"flow {self.flow_id}: aggregate must be >= 1")
-        if self.aggregate > 1 and self.external:
+        if self.aggregate > 1 and not self.backlogged:
             raise FlowError(
-                f"flow {self.flow_id}: external flows cannot be aggregated"
+                f"flow {self.flow_id}: an aggregate bucket is backlogged"
             )
 
 
@@ -154,7 +150,6 @@ class _IngressFlow:
         "started_times",
         "backlog",
         "rate_estimator",
-        "mux",
         "ext_queue",
         "shaper_drops",
         "fence",
@@ -189,9 +184,6 @@ class _IngressFlow:
         self.rate_estimator: Optional[ExponentialRateEstimator] = (
             None if attachment.backlogged else ExponentialRateEstimator(k=0.1)
         )
-        #: Micro-flow multiplexer (set via attach_microflows); when
-        #: present it replaces the scalar backlog as the shaper's source.
-        self.mux: Optional["MicroFlowMux"] = None
         #: External (host-originated) packets awaiting shaping.
         self.ext_queue: Optional[deque] = deque() if attachment.external else None
         #: External packets dropped because the shaper buffer was full.
@@ -208,7 +200,6 @@ class _EgressFlow:
         "markers_received",
         "expected_seq",
         "lost",
-        "micro_delivered",
         "delay",
     )
 
@@ -217,8 +208,6 @@ class _EgressFlow:
         self.markers_received = 0
         self.expected_seq: Optional[int] = None
         self.lost = 0
-        #: Delivered data packets per micro-flow id >= 1 (mux flows only).
-        self.micro_delivered: Dict[int, int] = {}
         #: One-way delay statistics (ingress shaping to egress delivery).
         self.delay = DelayTracker()
 
@@ -292,7 +281,6 @@ class EdgeRouter(Router):
             self.sim,
             state.controller.rate,
             partial(self._emit, state),
-            burst=self.config.shaper_burst,
             train_batch=train_batch,
             train_emit=partial(self._emit_train, state) if train_batch > 1 else None,
         )
@@ -502,31 +490,6 @@ class CoreliteEdge(EdgeRouter):
         if count > state.signal:
             state.signal = count
 
-    def attach_microflows(self, flow_id: int, mux: "MicroFlowMux") -> "MicroFlowMux":
-        """Turn a non-backlogged flow into an aggregate of micro-flows.
-
-        The shaper then serves the mux round-robin; per-micro-flow traffic
-        is offered through ``mux.deposit(micro_id, n)``.
-        """
-        state = self._ingress_state(flow_id)
-        if state.attachment.backlogged:
-            raise FlowError(
-                f"{self.name}: flow {flow_id} must be declared non-backlogged "
-                "to aggregate micro-flows"
-            )
-        if state.mux is not None:
-            raise FlowError(f"{self.name}: flow {flow_id} already aggregated")
-        state.mux = mux
-        mux.on_deposit = state.pacer.kick
-        return mux
-
-    def deposit(self, flow_id: int, n: int = 1) -> None:
-        if self._ingress_state(flow_id).mux is not None:
-            raise FlowError(
-                f"{self.name}: flow {flow_id} is aggregated; deposit through its mux"
-            )
-        super().deposit(flow_id, n)
-
     def backlog_of(self, flow_id: int) -> Optional[int]:
         ext_queue = self._ingress_state(flow_id).ext_queue
         return super().backlog_of(flow_id) if ext_queue is None else len(ext_queue)
@@ -562,20 +525,13 @@ class CoreliteEdge(EdgeRouter):
                 return False  # no host packet buffered
             packet = state.ext_queue.popleft()
         else:
-            micro_id = 0
-            if state.mux is not None:
-                micro_id = state.mux.pop()
-                if micro_id is None:
-                    return False  # the whole aggregate is idle
-            elif state.backlog is not None:
+            if state.backlog is not None:
                 if state.backlog < 1:
                     return False  # nothing deposited yet
                 state.backlog -= 1
             packet = Packet(
                 _DATA, att.flow_id, name, att.dst_edge, 1.0, state.seq, None, 0.0, now, sim
             )
-            if micro_id:  # a mux never hands out 0, ``Packet``'s default
-                packet.micro_id = micro_id
             state.seq += 1
         size = packet.size
         if state.rate_estimator is not None:
@@ -637,20 +593,7 @@ class CoreliteEdge(EdgeRouter):
         now = sim.now
         name = self.name
         n = allowance
-        micro_ids = None
-        if state.mux is not None:
-            pop = state.mux.pop
-            picked = []
-            while len(picked) < allowance:
-                micro = pop()
-                if micro is None:
-                    break
-                picked.append(micro)
-            if not picked:
-                return 0
-            n = len(picked)
-            micro_ids = tuple(picked)
-        elif state.backlog is not None:
+        if state.backlog is not None:
             backlog = state.backlog
             if backlog < 1:
                 return 0
@@ -659,9 +602,6 @@ class CoreliteEdge(EdgeRouter):
             state.backlog = backlog - n
         train = PacketTrain(att.flow_id, name, att.dst_edge, state.seq, n, now, 0.0, sim)
         state.seq += n
-        if micro_ids is not None:
-            train.micro_ids = micro_ids
-            train.micro_id = micro_ids[0]
         if state.rate_estimator is not None:
             state.rate_estimator.update(now, float(n))
         due = state.injector.on_train(n)
@@ -687,15 +627,6 @@ class CoreliteEdge(EdgeRouter):
         return n
 
     # -- egress role -----------------------------------------------------
-
-    def delivered_by_micro(self, flow_id: int) -> Dict[int, int]:
-        """Delivered packets keyed by micro-flow id (0 = unaggregated)."""
-        state = self._egress_state(flow_id)
-        tally = dict(state.micro_delivered)
-        unaggregated = state.meter.count - sum(tally.values())
-        if unaggregated > 0:
-            tally[0] = unaggregated
-        return tally
 
     def _deliver_local(self, packet: Packet) -> None:
         """What is addressed to this edge other than the data packets and
@@ -763,14 +694,6 @@ class CoreliteEdge(EdgeRouter):
                 # (a train handed over without a link has no spacing).
                 spacing = 0.0 if link is None else 1.0 / link.bandwidth_pps
                 state.delay.record_train(delay, n, spacing)
-                if packet.micro_ids is not None:
-                    micro_delivered = state.micro_delivered
-                    for micro in packet.micro_ids:
-                        micro_delivered[micro] = micro_delivered.get(micro, 0) + 1
-                    return
-            micro = packet.micro_id
-            if micro:  # micro-flow 0 is ``delivered_by_micro``'s remainder
-                state.micro_delivered[micro] = state.micro_delivered.get(micro, 0) + n
             return
         if packet.kind is _DATA:
             # Ingress role for external flows: host-originated packets are

@@ -2,14 +2,11 @@
 
 Each ingress edge router "maintains the allowed transmission rate bg(f)
 for every flow passing through it, and shapes the flow's traffic according
-to its current bg(f)".  The shaper is a token bucket draining at ``bg``:
-
-* with the default ``burst = 1`` it degenerates to pure *pacing* — one
-  packet every ``1/bg`` seconds, which is the paper's model for its
-  always-backlogged sources;
-* with ``burst > 1`` a flow that has been idle may send up to ``burst``
-  packets back-to-back before settling at ``bg`` — classic token-bucket
-  shaping for bursty or transactional traffic.
+to its current bg(f)".  The shaper is a token bucket draining at ``bg``,
+``burst`` tokens deep: one on the scalar path, where it is pure *pacing* —
+one packet every ``1/bg`` seconds, the paper's model for its
+always-backlogged sources — and ``train_batch`` in train mode, so the
+bucket can hold a whole train ("Train mode").
 
 The ``emit`` callback reports whether it actually sent a packet.  When a
 flow has nothing to send, the shaper *parks* (no timer) instead of firing
@@ -149,14 +146,11 @@ class PacedSender:
         sim: Simulator,
         rate: float,
         emit: Callable[[], Optional[bool]],
-        burst: float = 1.0,
         train_batch: int = 1,
         train_emit: Optional[Callable[[int], int]] = None,
     ) -> None:
         if rate < 0:
             raise ConfigurationError(f"rate must be >= 0, got {rate}")
-        if burst < 1.0:
-            raise ConfigurationError(f"burst must be >= 1 packet, got {burst}")
         if train_batch < 1 or train_batch != int(train_batch):
             raise ConfigurationError(
                 f"train_batch must be a positive integer, got {train_batch}"
@@ -168,10 +162,8 @@ class PacedSender:
         self._rate = rate
         self._train_batch = int(train_batch)
         self._train_emit = train_emit
-        if train_batch > 1:
-            # The bucket must be able to hold a whole batch of tokens.
-            burst = max(burst, float(train_batch))
-        self.burst = burst
+        #: The bucket's depth: it must be able to hold a whole batch of tokens.
+        self.burst = float(train_batch)
         self._credit = 1.0  # a fresh flow may send immediately
         self._last_accrual = 0.0
         self._running = False

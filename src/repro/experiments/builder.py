@@ -11,7 +11,7 @@ feedback or loss notifications travel, which links run admission — is
 concentrated in a small :class:`SchemeStrategy` object per scheme:
 
 * :class:`CoreliteStrategy` — Corelite cores + edges, feedback markers
-  over the control plane, micro-flow aggregation, TCP host attachment;
+  over the control plane, TCP host attachment;
 * :class:`CsfqStrategy` — weighted-CSFQ cores + edges, egress-to-ingress
   loss notifications;
 * :class:`FifoStrategy` — CSFQ sources over pure FIFO/AQM forwarders
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, FlowError, RoutingError, TopologyError
@@ -58,9 +59,8 @@ __all__ = [
 class SchemeStrategy:
     """Everything scheme-specific about building one cloud.
 
-    A strategy instance is bound to exactly one :class:`Cloud` (it may
-    hold per-cloud state such as the micro-flow muxes) and answers the
-    cloud's construction hooks.  The base class implements the parts that
+    A strategy instance is bound to exactly one :class:`Cloud` and answers
+    the cloud's construction hooks.  The base class implements the parts that
     are genuinely shared: taking a private copy of the scheme config and
     clamping it to the cloud's access capacity after the cores exist.
     """
@@ -139,21 +139,6 @@ class SchemeStrategy:
     def policy_drops(self, cloud: "Cloud") -> int:
         """Data packets its cores dropped by policy, unseen by ``total_drops()``."""
         return 0
-
-    def attach_aggregate(self, cloud: "Cloud", ingress, spec: FlowPathSpec):
-        raise ConfigurationError(
-            f"scheme {self.scheme!r} does not support micro-flow aggregation "
-            "(a Corelite edge feature)"
-        )
-
-    def attach_bucket(self, cloud: "Cloud", ingress, spec: FlowPathSpec):
-        """Per-member mux for a sourced ``aggregate: N`` bucket.
-
-        ``None`` (the default) means the scheme has no per-member
-        accounting: the aggregate source deposits into the bucket's
-        plain shaper backlog instead.
-        """
-        return None
 
     def attach_tcp_hosts(self, cloud: "Cloud", spec: FlowPathSpec) -> None:
         raise ConfigurationError(
@@ -261,24 +246,6 @@ class CoreliteStrategy(SchemeStrategy):
         )
         cloud._extra_destinations += [spec.sender_host, spec.receiver_host]
         cloud.tcp_hosts[spec.flow_id] = (sender, receiver)
-
-    def attach_aggregate(self, cloud: "Cloud", ingress, spec: FlowPathSpec):
-        from repro.core.microflows import MicroFlowMux
-
-        mux = MicroFlowMux(tuple(mid for mid, _spec in spec.micro_flows))
-        ingress.attach_microflows(spec.flow_id, mux)
-        cloud._muxes[spec.flow_id] = mux
-        return mux
-
-    def attach_bucket(self, cloud: "Cloud", ingress, spec: FlowPathSpec):
-        """Mux for a sourced ``aggregate: N`` bucket (members 1..N), so
-        per-member delivery accounting survives aggregation."""
-        from repro.core.microflows import MicroFlowMux
-
-        mux = MicroFlowMux(tuple(range(1, spec.aggregate + 1)))
-        ingress.attach_microflows(spec.flow_id, mux)
-        cloud._muxes[spec.flow_id] = mux
-        return mux
 
     @classmethod
     def control_channels(cls, flows, on_path_cores):
@@ -481,8 +448,6 @@ class Cloud:
         self._extra_destinations: List[str] = []
         #: flow_id -> (TcpSender, TcpReceiver) for transport="tcp" flows.
         self.tcp_hosts: Dict[int, Tuple[object, object]] = {}
-        #: flow_id -> MicroFlowMux for aggregated flows.
-        self._muxes: Dict[int, object] = {}
 
         def default_queue_factory() -> DropTailQueue:
             return DropTailQueue(capacity=spec.queue_capacity)
@@ -784,10 +749,6 @@ class Cloud:
 
     # -- scheme-specific accessors ----------------------------------------
 
-    def mux_for(self, flow_id: int):
-        """The aggregate's multiplexer (available after run() scheduling)."""
-        return self._muxes[flow_id]
-
     def core_router(self, name: str):
         node = self.topology.nodes[name]
         if name not in self.core_names:
@@ -799,7 +760,7 @@ class Cloud:
     # -- running ----------------------------------------------------------
 
     def _schedule_flow_traffic(self, fid: int, spec: FlowPathSpec, until: float) -> None:
-        """Schedule one flow's on/off transitions and source generators.
+        """Schedule one flow's on/off transitions and its source.
 
         Factored out of :meth:`run` so a partitioned run can schedule
         exactly the flows whose ingress it owns; the serial path calls it
@@ -807,72 +768,27 @@ class Cloud:
         (and therefore every replay) is unchanged.
         """
         ingress = self.edges[spec.ingress_edge]
-        # (source model, deposit callable, rng stream) per generator:
-        # one for a plain sourced flow, one per micro-flow when
-        # aggregated.
-        generators = []
-        if spec.micro_flows:
-            mux = self.strategy.attach_aggregate(self, ingress, spec)
-            generators.extend(
-                (
-                    source_spec.build(),
-                    lambda n, m=mux, mid=mid: m.deposit(mid, n),
-                    self.rng.stream(f"source:{fid}:{mid}"),
-                )
-                for mid, source_spec in spec.micro_flows
-            )
-        elif (
-            spec.aggregate > 1
-            and spec.source is not None
-            and not spec.source.is_backlogged
-        ):
-            # One generator process stands in for the whole bucket:
-            # a Poisson superposition at N x member rate (exactly N
-            # independent member processes, by the thinning theorem).
-            from repro.sim.sources import PacedAggregateSource
-
-            model = PacedAggregateSource(
-                tuple(range(1, spec.aggregate + 1)),
-                spec.source.mean_rate,
-                kind="poisson",
-                batch=ingress.train_batch,
-            )
-            mux = self.strategy.attach_bucket(self, ingress, spec)
-            if mux is not None:
-                deposit = mux.deposit
-            else:
-                # No per-member accounting in this scheme: fold the
-                # member deposits into the bucket's shaper backlog.
-                def deposit(mid, n, edge=ingress, flow=fid):
-                    edge.deposit(flow, n)
-
-            generators.append(
-                (model, deposit, self.rng.stream(f"source:{fid}"))
-            )
-        elif spec.source is not None and not spec.source.is_backlogged:
-            generators.append(
-                (
-                    spec.source.build(),
-                    lambda n, edge=ingress, flow=fid: edge.deposit(flow, n),
-                    self.rng.stream(f"source:{fid}"),
-                )
-            )
+        source = None
+        if spec.source is not None and not spec.source.is_backlogged:
+            source = spec.source.build()
+            deposit = partial(ingress.deposit, fid)
+            source_rng = self.rng.stream(f"source:{fid}")
         tcp_sender = self.tcp_hosts.get(fid, (None, None))[0]
         for start, stop in spec.schedule:
             if start <= until:
                 self.sim.add_fence(start)  # no shaper release runs past it
                 self.sim.schedule_at(start, ingress.start_flow, fid)
-                for model, deposit, source_rng in generators:
+                if source is not None:
                     self.sim.schedule_at(
-                        start, model.start, self.sim, deposit, source_rng
+                        start, source.start, self.sim, deposit, source_rng
                     )
                 if tcp_sender is not None:
                     self.sim.schedule_at(start, tcp_sender.start)
             if math.isfinite(stop) and stop <= until:
                 self.sim.add_fence(stop)
                 self.sim.schedule_at(stop, ingress.stop_flow, fid)
-                for model, _deposit, _rng in generators:
-                    self.sim.schedule_at(stop, model.stop)
+                if source is not None:
+                    self.sim.schedule_at(stop, source.stop)
                 if tcp_sender is not None:
                     self.sim.schedule_at(stop, tcp_sender.stop)
 
@@ -959,8 +875,6 @@ class Cloud:
             records[fid].delivered = egress.delivered(fid)
             records[fid].losses = egress.losses(fid)
             records[fid].delay = egress.delay_stats(fid).summary()
-            if fid in self._muxes:
-                records[fid].micro_delivered = egress.delivered_by_micro(fid)
 
         dynamics_summary = None
         if self.dynamics is not None:
@@ -972,7 +886,6 @@ class Cloud:
                 "events": [
                     event.to_dict() for _t, event in self.dynamics.applied
                 ],
-                "reroutes": self.dynamics.reroutes,
                 "failure_drops": self.dynamics.failure_drops(),
                 "control_unroutable": self.control.unroutable,
                 "post_reference": self._post_event_reference(),

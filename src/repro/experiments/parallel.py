@@ -68,9 +68,10 @@ __all__ = [
     "batch_summary_table",
 ]
 
-#: Bump when the cached payload's layout or meaning changes (4: the
-#: payload carries ``policy_drops``); part of every cache key.
-CACHE_FORMAT = 4
+#: Bump when the cached payload's layout or meaning changes (5: no
+#: ``micro_delivered`` per flow, no ``reroutes`` in ``dynamics``); part of
+#: every cache key.
+CACHE_FORMAT = 5
 
 
 def _canonical_json(value: object, where: str) -> str:
@@ -223,9 +224,6 @@ def result_to_payload(result: RunResult) -> Dict:
                 "delivered": record.delivered,
                 "losses": record.losses,
                 "demand": None if math.isinf(record.demand) else record.demand,
-                "micro_delivered": {
-                    str(k): v for k, v in record.micro_delivered.items()
-                },
                 "delay": dict(record.delay),
                 "rate_series": _series_rows(record.rate_series),
                 "throughput_series": _series_rows(record.throughput_series),
@@ -241,7 +239,6 @@ def result_to_payload(result: RunResult) -> Dict:
         if result.dynamics is None
         else {
             "events": list(result.dynamics["events"]),
-            "reroutes": result.dynamics["reroutes"],
             "failure_drops": result.dynamics["failure_drops"],
             "control_unroutable": result.dynamics["control_unroutable"],
             "post_reference": {
@@ -275,7 +272,6 @@ def result_from_payload(payload: Mapping) -> RunResult:
             delivered=raw["delivered"],
             losses=raw["losses"],
             demand=math.inf if raw["demand"] is None else raw["demand"],
-            micro_delivered={int(k): v for k, v in raw["micro_delivered"].items()},
             delay=dict(raw["delay"]),
         )
     queue_series = {
@@ -286,7 +282,6 @@ def result_from_payload(payload: Mapping) -> RunResult:
     if dynamics is not None:
         dynamics = {
             "events": list(dynamics["events"]),
-            "reroutes": dynamics["reroutes"],
             "failure_drops": dynamics["failure_drops"],
             "control_unroutable": dynamics["control_unroutable"],
             "post_reference": {

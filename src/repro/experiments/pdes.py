@@ -46,7 +46,7 @@ Barrier overhead is attacked three more ways:
   partition instead of per-packet tuples, so a batch pickles as a few
   buffers.  :class:`~repro.sim.packet.PacketTrain` carriers cross
   plain-FIFO cut links whole — the wire format round-trips the train
-  fields (count, markers, micro ids, member labels).
+  fields (count, markers, member labels).
 
 Execution modes differ in stepping discipline, not semantics: ``inline``
 advances one partition at a time (Gauss–Seidel — each step sees every
@@ -102,9 +102,8 @@ __all__ = ["ParallelCloud"]
 # are allocation bookkeeping, never behavior).
 
 #: Numeric column stride: deliver, tag (0 pkt / 1 feedback / 2 loss),
-#: emission seq, packet kind, size, packet seq, label, created_at, ecn,
-#: micro_id.
-_NUMS = 10
+#: emission seq, packet kind, size, packet seq, label, created_at, ecn.
+_NUMS = 9
 #: Object column stride: dst node/edge name, flow_id, src, dst,
 #: origin_edge, feedback_from.
 _OBJS = 6
@@ -139,7 +138,6 @@ class _OutBatch:
                 float(packet.label),
                 packet.created_at,
                 1.0 if packet.ecn else 0.0,
-                float(packet.micro_id),
             )
         )
         self.objs.extend(
@@ -153,7 +151,7 @@ class _OutBatch:
             )
         )
         if type(packet) is not Packet:
-            self.trains.append((row, packet.count, packet.marker_count, packet.micro_ids))
+            self.trains.append((row, packet.count, packet.marker_count))
 
     def payload(self) -> Tuple:
         return (self.n, self.min_deliver, self.nums, self.objs, self.trains)
@@ -436,9 +434,8 @@ class _PartitionWorker:
                     created_at=nums[base + 7],
                     sim=sim,
                 )
-                packet.micro_id = int(nums[base + 9])
             else:
-                _row, count, marker_count, micro_ids = extra
+                _row, count, marker_count = extra
                 if dst == objs[obase]:
                     # The egress edge spaces member delays by the link that
                     # delivers the train; cuts join cores, so that hop is local.
@@ -458,8 +455,6 @@ class _PartitionWorker:
                 packet.size = nums[base + 4]
                 packet.origin_edge = objs[obase + 4]
                 packet.marker_count = marker_count
-                packet.micro_ids = micro_ids
-                packet.micro_id = int(nums[base + 9])
             packet.feedback_from = objs[obase + 5]
             packet.ecn = nums[base + 8] != 0.0
             if tag == 0.0:
@@ -509,7 +504,6 @@ class _PartitionWorker:
             rate_series = entry.get("rate")
             if rate_series is not None:
                 out["rate"] = (list(rate_series.times), list(rate_series.values))
-                out["has_mux"] = fid in cloud._muxes
             tput_series = entry.get("tput")
             if tput_series is not None:
                 egress = cloud.edges[spec.egress_edge]
@@ -519,9 +513,6 @@ class _PartitionWorker:
                 out["delivered"] = egress.delivered(fid)
                 out["losses"] = egress.losses(fid)
                 out["delay"] = egress.delay_stats(fid).summary()
-                by_micro = getattr(egress, "delivered_by_micro", None)
-                if by_micro is not None:
-                    out["micro"] = by_micro(fid)
             flows[fid] = out
         return {
             "drops": cloud.topology.total_drops(),
@@ -1057,8 +1048,6 @@ class ParallelCloud:
             record.delivered = egress["delivered"]
             record.losses = egress["losses"]
             record.delay = egress["delay"]
-            if ingress.get("has_mux") and "micro" in egress:
-                record.micro_delivered = egress["micro"]
             records[fid] = record
         queue_series: Optional[Dict[str, Series]] = None
         if record_queues:

@@ -38,9 +38,6 @@ class FlowRecord:
     #: Mean offered load (inf for the paper's always-backlogged sources);
     #: caps the flow's expected rate in the max-min reference allocation.
     demand: float = math.inf
-    #: Delivered packets per micro-flow id for aggregated flows (empty
-    #: when the flow is not an aggregate).
-    micro_delivered: Dict[int, int] = field(default_factory=dict)
     #: One-way delay summary (see repro.sim.delay.DelayTracker.summary),
     #: filled after the run.
     delay: Dict[str, float] = field(default_factory=dict)
@@ -76,8 +73,8 @@ class RunResult:
         self.seed = seed
         #: Per-link queue occupancy samples (only when the run recorded them).
         self.queue_series: Dict[str, Series] = queue_series or {}
-        #: Topology-dynamics summary (events applied, reroutes, failure
-        #: drops, post-event reference rates); None for static runs.
+        #: Topology-dynamics summary (events applied, each one a reroute;
+        #: failure drops, post-event reference rates); None for static runs.
         self.dynamics: Optional[Dict] = dynamics
 
     # -- basic accessors -------------------------------------------------

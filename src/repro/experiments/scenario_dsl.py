@@ -45,7 +45,7 @@ docs/REPRODUCING.md; accepted and inert for csfq/fifo), a top-level
 members (also statistically pinned; the default ``train: 1`` is
 byte-identical; inert for csfq/fifo, whose edges stay scalar), and a
 per-flow ``"aggregate": N`` makes one flow entry stand for a bucket of N
-identical member flows.  Every value, the
+identical always-backlogged member flows.  Every value, the
 ``"topology"`` section's included, is read through one typed reader: a
 quoted ``"false"`` or ``"4"``, a missing ``mean_rate`` or a short
 ``links`` row is a ``ConfigurationError`` naming the key and the
@@ -72,7 +72,7 @@ __all__ = ["build_network", "run_scenario", "load_scenario_file"]
 _TOP_KEYS = {"scheme", "seed", "duration", "sample_interval", "record_queues",
              "topology", "config", "flows", "description", "vectorized", "train"}
 _FLOW_KEYS = {"id", "weight", "ingress", "egress", "schedule", "min_rate",
-              "source", "transport", "micro_flows", "aggregate"}
+              "source", "transport", "aggregate"}
 _SOURCE_KEYS = {"kind", "mean_rate", "peak_rate", "mean_on", "mean_off",
                 "total_packets"}
 #: ``"topology"`` keys every kind reads, with their JSON kind.
@@ -180,15 +180,6 @@ def _parse_flow(raw, default_ingress: str, default_egress: str) -> FlowSpec:
         kwargs["schedule"] = _parse_schedule(raw["schedule"], f"{where}: 'schedule'")
     if "source" in raw:
         kwargs["source"] = _parse_source(raw["source"], f"{where}: 'source'")
-    if "micro_flows" in raw:
-        entry = f"{where}: 'micro_flows' entry [id, source]"
-        kwargs["micro_flows"] = tuple(
-            (_typed(mid, "int", entry), _parse_source(source, entry))
-            for mid, source in (
-                _row(raw_entry, 2, entry)
-                for raw_entry in _read(raw, "micro_flows", "list", where)
-            )
-        )
     return FlowSpec(**kwargs)  # type: ignore[arg-type]
 
 

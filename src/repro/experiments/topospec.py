@@ -501,12 +501,6 @@ class FlowPathSpec:
         Traffic model (:mod:`repro.sim.sources`); ``None`` means the
         paper's always-backlogged source.  Poisson / ON-OFF sources feed
         the edge shaper's backlog, so a flow can be demand-limited.
-    micro_flows:
-        Optional aggregation (Corelite only): ``(micro_id, SourceSpec)``
-        pairs.  The network treats the aggregate as one flow; the ingress
-        edge divides its allowed rate among the micro-flows round-robin
-        (see :mod:`repro.core.microflows`).  Mutually exclusive with
-        ``source``.
     transport:
         ``"shaped"`` (default): the edge generates the paced traffic, as
         in the paper's §4.  ``"tcp"`` (Corelite only): a Reno TCP
@@ -515,16 +509,17 @@ class FlowPathSpec:
         (the §4.4/§6 edge-host interaction).
     aggregate:
         Member count of a same-(path, weight) flow bucket.  ``N > 1``
-        makes this spec stand for N identical member flows carried by a
-        *single* network flow whose weight is ``N * weight`` and whose
-        access links get N times the capacity; the ingress controller's
-        gains scale so the bucket tracks the sum of N individual flows
-        (see :class:`repro.core.adaptation.RateController`).  This is
-        how scenarios scale by bucket count instead of object count.
-        ``weight``/``min_rate`` stay *per member*.  Mutually exclusive
-        with ``micro_flows`` and TCP transport; a finite ``source``
-        describes one member and is superposed N-fold by a
-        :class:`repro.sim.sources.PacedAggregateSource`.
+        makes this spec stand for N identical always-backlogged member
+        flows carried by a *single* network flow whose weight is
+        ``N * weight`` and whose access links get N times the capacity;
+        the ingress controller's gains scale so the bucket tracks the sum
+        of N individual flows (see
+        :class:`repro.core.adaptation.RateController`).  This is how
+        scenarios scale by bucket count instead of object count.
+        ``weight``/``min_rate`` stay *per member*.  A bucket is
+        backlogged: it takes no finite ``source`` and no TCP transport,
+        and its members carry no identity of their own (the paper's unit
+        of fairness is the edge-to-edge flow).
     """
 
     flow_id: int
@@ -534,7 +529,6 @@ class FlowPathSpec:
     schedule: Tuple[Tuple[float, float], ...] = ((0.0, math.inf),)
     min_rate: float = 0.0
     source: Optional[SourceSpec] = None
-    micro_flows: Tuple[Tuple[int, SourceSpec], ...] = ()
     transport: str = "shaped"
     aggregate: int = 1
 
@@ -571,54 +565,26 @@ class FlowPathSpec:
                 f"flow {self.flow_id}: unknown transport {self.transport!r} "
                 "(expected 'shaped' or 'tcp')"
             )
-        if self.transport == "tcp" and (self.source is not None or self.micro_flows):
+        if self.transport == "tcp" and self.source is not None:
             raise FlowError(
                 f"flow {self.flow_id}: a TCP flow's traffic comes from its "
-                "sender host, not a source model or micro-flows"
+                "sender host, not a source model"
             )
-        if self.micro_flows:
-            if self.source is not None:
-                raise FlowError(
-                    f"flow {self.flow_id}: micro_flows and source are exclusive"
-                )
-            ids = [mid for mid, _spec in self.micro_flows]
-            if len(set(ids)) != len(ids):
-                raise FlowError(f"flow {self.flow_id}: duplicate micro-flow ids")
-            for mid, spec in self.micro_flows:
-                if spec.is_backlogged:
-                    raise FlowError(
-                        f"flow {self.flow_id}: micro-flow {mid} needs a "
-                        "finite-rate source"
-                    )
         if type(self.aggregate) is not int or self.aggregate < 1:
             raise FlowError(
                 f"flow {self.flow_id}: aggregate must be a positive integer, "
                 f"got {self.aggregate!r}"
             )
-        if self.aggregate > 1:
-            if self.micro_flows:
-                raise FlowError(
-                    f"flow {self.flow_id}: aggregate and micro_flows are "
-                    "exclusive (an aggregate builds its own mux)"
-                )
-            if self.transport == "tcp":
-                raise FlowError(
-                    f"flow {self.flow_id}: TCP flows cannot be aggregated"
-                )
-            if self.source is not None and self.source.kind not in (
-                "backlogged",
-                "poisson",
-            ):
-                raise FlowError(
-                    f"flow {self.flow_id}: aggregate members must be "
-                    "backlogged or poisson (superposition of "
-                    f"{self.source.kind!r} sources is not memoryless)"
-                )
+        if self.aggregate > 1 and not self.backlogged:
+            raise FlowError(
+                f"flow {self.flow_id}: an aggregate bucket is backlogged, so it "
+                "takes no TCP transport or finite source"
+            )
 
     @property
     def backlogged(self) -> bool:
         """Whether the flow uses the paper's always-backlogged source."""
-        if self.micro_flows or self.transport == "tcp":
+        if self.transport == "tcp":
             return False
         return self.source is None or self.source.is_backlogged
 
@@ -655,10 +621,8 @@ class FlowPathSpec:
 
     def demand(self) -> float:
         """Mean offered load capping the flow's expected allocation."""
-        if self.micro_flows:
-            return sum(s.offered_rate() for _mid, s in self.micro_flows)
         if self.source is not None:
-            return self.source.offered_rate() * self.aggregate
+            return self.source.offered_rate()
         return math.inf
 
 

@@ -123,8 +123,6 @@ class NetworkDynamics:
         self.events: Tuple[NetworkEvent, ...] = tuple(events)
         #: Executed events as ``(fire_time, event)`` in execution order.
         self.applied: List[Tuple[float, NetworkEvent]] = []
-        #: Route recomputations performed so far.
-        self.reroutes = 0
         self._links_for: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
         for event in self.events:
             if event.pair in self._links_for:
@@ -165,7 +163,6 @@ class NetworkDynamics:
         self.topology.rebuild_routes()
         if self.control is not None:
             self.control.invalidate_paths()
-        self.reroutes += 1
 
     # -- accounting ------------------------------------------------------
 
@@ -180,5 +177,5 @@ class NetworkDynamics:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"NetworkDynamics(events={len(self.events)}, "
-            f"applied={len(self.applied)}, reroutes={self.reroutes})"
+            f"applied={len(self.applied)})"
         )

@@ -101,7 +101,6 @@ class Packet:
         "feedback_from",
         "created_at",
         "ecn",
-        "micro_id",
     )
 
     #: Number of data packets this object represents.  Plain packets are
@@ -145,10 +144,6 @@ class Packet:
         self.created_at = created_at
         #: Congestion-experienced bit (used by the DECbit baseline queue).
         self.ecn = False
-        #: End-to-end micro-flow id within an aggregated edge-to-edge flow
-        #: (paper §2: an edge-to-edge flow "can potentially comprise of
-        #: several end to end micro flows"); 0 when not aggregated.
-        self.micro_id = 0
 
     @classmethod
     def data(
@@ -236,8 +231,6 @@ class PacketTrain(Packet):
     * ``seq`` is the *head* sequence number; members carry the contiguous
       range ``seq .. seq + count - 1`` (the egress loss detector uses the
       head for its gap computation and advances past the tail).
-    * ``micro_ids`` optionally holds one micro-flow id per member (for
-      aggregated sources); ``None`` means all members use ``micro_id``.
     * ``marker_count`` piggybacked markers ride on the train when
       ``origin_edge`` is set; on a split they attach to the first
       ``marker_count`` members.
@@ -252,7 +245,7 @@ class PacketTrain(Packet):
     relative to the scalar schedule.
     """
 
-    __slots__ = ("count", "marker_count", "micro_ids")
+    __slots__ = ("count", "marker_count")
 
     def __init__(
         self,
@@ -271,7 +264,6 @@ class PacketTrain(Packet):
         )
         self.count = n
         self.marker_count = 0
-        self.micro_ids: Optional[tuple] = None
 
     def split(self, sim: Optional["Simulator"] = None) -> list:
         """Materialize the scalar member packets and retire the train.
@@ -286,7 +278,6 @@ class PacketTrain(Packet):
         label = self.label
         origin = self.origin_edge
         markers = self.marker_count if origin is not None else 0
-        micro_ids = self.micro_ids
         members = []
         for i in range(self.count):
             pkt = Packet.data(
@@ -295,8 +286,6 @@ class PacketTrain(Packet):
             )
             if i < markers:
                 pkt.origin_edge = origin
-            if micro_ids is not None:
-                pkt.micro_id = micro_ids[i]
             members.append(pkt)
         return members
 

@@ -37,7 +37,6 @@ __all__ = [
     "PoissonSource",
     "OnOffSource",
     "FiniteTransferSource",
-    "PacedAggregateSource",
     "SourceSpec",
     "BACKLOGGED",
     "poisson_source",
@@ -46,9 +45,6 @@ __all__ = [
 ]
 
 Deposit = Callable[[int], None]
-
-#: Deposit for an aggregate: (micro/member id, packet count).
-MemberDeposit = Callable[[int, int], None]
 
 
 class SourceModel:
@@ -202,128 +198,6 @@ class FiniteTransferSource(SourceModel):
         if self.remaining > 0:
             assert self._sim is not None
             self._sim.schedule_fast(1.0 / self.peak_rate, self._next)
-
-
-class PacedAggregateSource(SourceModel):
-    """One generator process standing in for a whole bucket of sources.
-
-    Scaling a scenario to tens of thousands of flows with one
-    ``SourceModel`` per flow means tens of thousands of concurrent timer
-    chains — the event heap, not the packet work, becomes the simulation.
-    A :class:`PacedAggregateSource` collapses a bucket of N identical
-    member sources into a *single* timer chain running at the aggregate
-    rate ``N * member_rate`` and attributes each deposit to a member:
-
-    * ``kind="paced"`` — deterministic gaps of ``1/(N*rate)``, members
-      served round-robin: the superposition of N ideal paced sources.
-    * ``kind="poisson"`` — exponential gaps at the aggregate rate with a
-      uniformly random member per arrival.  By the superposition /
-      thinning theorem this is *exactly* N independent Poisson(rate)
-      processes, so statistics per member match the per-object model.
-
-    Deposits go through a two-argument callable ``(member_id, n)`` —
-    typically ``MicroFlowMux.deposit`` — so per-member accounting
-    survives aggregation.
-
-    ``batch = B > 1`` (the train datapath's source-side twin) coalesces
-    B consecutive arrivals into one timer firing: the gap is the *sum*
-    of B member gaps (an Erlang-B draw for ``poisson``; ``B`` fixed gaps
-    for ``paced``), and the B member attributions are deposited together
-    as per-member counts.  Arrival times within the batch collapse to
-    the batch instant — a statistical approximation matched to the
-    downstream shaper's train horizon, never used on the byte-pinned
-    default path (``batch=1`` is untouched).
-    """
-
-    def __init__(
-        self,
-        member_ids: tuple,
-        member_rate: float,
-        kind: str = "paced",
-        batch: int = 1,
-    ) -> None:
-        super().__init__()
-        if not member_ids:
-            raise ConfigurationError("aggregate needs at least one member")
-        if member_rate <= 0:
-            raise ConfigurationError(
-                f"member_rate must be positive, got {member_rate}"
-            )
-        if kind not in ("paced", "poisson"):
-            raise ConfigurationError(f"unknown aggregate kind {kind!r}")
-        if batch < 1:
-            raise ConfigurationError(f"batch must be >= 1, got {batch}")
-        self.member_ids = tuple(member_ids)
-        self.member_rate = member_rate
-        self.kind = kind
-        self.batch = int(batch)
-        self.aggregate_rate = member_rate * len(self.member_ids)
-        self._rr = 0
-
-    def start(self, sim: Simulator, deposit: MemberDeposit, rng: random.Random) -> None:  # type: ignore[override]
-        super().start(sim, deposit, rng)  # type: ignore[arg-type]
-
-    def _offer_member(self, member_id: int) -> None:
-        assert self._deposit is not None
-        self.packets_offered += 1
-        self._deposit(member_id, 1)  # type: ignore[call-arg]
-
-    def _begin(self) -> None:
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        assert self._sim is not None and self._rng is not None
-        batch = self.batch
-        if self.kind == "poisson":
-            if batch == 1:
-                gap = self._rng.expovariate(self.aggregate_rate)
-            else:
-                # Erlang-B: the sum of B exponential member gaps.
-                gap = self._rng.gammavariate(batch, 1.0 / self.aggregate_rate)
-        else:
-            gap = batch / self.aggregate_rate
-        self._sim.schedule_fast(gap, self._arrive)
-
-    def _arrive(self) -> None:
-        if not self._running:
-            return
-        batch = self.batch
-        if batch == 1:
-            if self.kind == "poisson":
-                assert self._rng is not None
-                member = self.member_ids[self._rng.randrange(len(self.member_ids))]
-            else:
-                member = self.member_ids[self._rr]
-                self._rr = (self._rr + 1) % len(self.member_ids)
-            self._offer_member(member)
-        else:
-            self._arrive_batch(batch)
-        self._schedule_next()
-
-    def _arrive_batch(self, batch: int) -> None:
-        members = self.member_ids
-        m = len(members)
-        counts: dict = {}
-        if self.kind == "poisson":
-            assert self._rng is not None
-            randrange = self._rng.randrange
-            for _ in range(batch):
-                member = members[randrange(m)]
-                counts[member] = counts.get(member, 0) + 1
-        else:
-            rr = self._rr
-            for _ in range(batch):
-                member = members[rr]
-                rr += 1
-                if rr == m:
-                    rr = 0
-                counts[member] = counts.get(member, 0) + 1
-            self._rr = rr
-        deposit = self._deposit
-        assert deposit is not None
-        self.packets_offered += batch
-        for member, n in counts.items():
-            deposit(member, n)  # type: ignore[call-arg]
 
 
 #: Source kind -> the fields it reads.

@@ -76,12 +76,9 @@ def _failover_mesh():
 
 
 def _parking_lot_aggregate():
-    """Flow 2 is a Poisson-sourced ``aggregate:4`` bucket (mux accounting on
-    Corelite, shaper backlog on CSFQ)."""
+    """Flow 2 is an ``aggregate:4`` bucket, so multi-hop buckets stay pinned."""
     flows = parking_lot_flows()
-    flows[1] = dataclasses.replace(
-        flows[1], aggregate=4, source=SourceSpec("poisson", mean_rate=100.0)
-    )
+    flows[1] = dataclasses.replace(flows[1], aggregate=4)
     return flows
 
 
@@ -100,31 +97,15 @@ _SMALL_BUFFERS = [
     for fid in range(1, 9)
 ]
 _SIX_WEIGHTED = [FlowPathSpec(fid, weight=float((fid + 1) // 2)) for fid in range(1, 7)]
-_MICRO_FLOWS = [
-    FlowPathSpec(
-        1,
-        weight=2.0,
-        micro_flows=tuple(
-            (mid, SourceSpec(kind="poisson", mean_rate=90.0)) for mid in (1, 2, 3)
-        ),
-    ),
-    FlowPathSpec(2, weight=1.0),
-    FlowPathSpec(3, weight=1.0, source=SourceSpec(kind="poisson", mean_rate=60.0)),
-]
 
-#: Backlogged, deposit-fed (under its allowed rate: it runs dry), micro-flow
-#: mux, external (TCP), a ``min_rate`` contract, sub-unit weights (several
-#: markers owed per packet) and on/off, over a bottleneck that drops; with
+#: Backlogged, deposit-fed (under its allowed rate: it runs dry), external
+#: (TCP), a ``min_rate`` contract, sub-unit weights (several markers owed
+#: per packet) and on/off, over a bottleneck that drops; with
 #: trains, they slow-start up to whole batches (so accrual meets the
 #: bucket's cap) into a buffer they fit in.
 _EVERY_FLOW_KIND = [
     FlowPathSpec(1, weight=1.0),
     FlowPathSpec(2, weight=1.0, source=SourceSpec(kind="poisson", mean_rate=15.0)),
-    FlowPathSpec(
-        3,
-        weight=2.0,
-        micro_flows=tuple((mid, SourceSpec(kind="poisson", mean_rate=50.0)) for mid in (1, 2, 3)),
-    ),
     FlowPathSpec(4, weight=1.0, transport="tcp"),
     FlowPathSpec(5, weight=1.0, min_rate=60.0),
     FlowPathSpec(6, weight=0.4),
@@ -197,7 +178,6 @@ CLOUDS = {
         15.0,
         8,
     ),
-    "micro-flow-mux": _cloud(TopologySpec.chain(2, capacity_pps=300.0), _MICRO_FLOWS, 15.0, 10),
     "every-flow-kind": _cloud(
         TopologySpec.chain(2, capacity_pps=320.0, queue_capacity=12.0),
         _EVERY_FLOW_KIND,

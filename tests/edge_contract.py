@@ -44,6 +44,14 @@ def test_duplicate_attach_rejected(rig):
         attach(edge)
 
 
+def test_an_aggregate_bucket_is_backlogged(rig):
+    """A bucket's members carry no identity, so nothing can feed it."""
+    _, _, edge, _ = rig
+    with pytest.raises(FlowError, match="flow 1: an aggregate bucket is backlogged"):
+        attach(edge, aggregate=4, backlogged=False)
+    assert edge.ingress_flow_ids() == ()
+
+
 def test_unknown_flow_queries_rejected(rig):
     _, _, edge, _ = rig
     with pytest.raises(FlowError):

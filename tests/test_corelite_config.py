@@ -108,11 +108,8 @@ def test_fn_k_zero_is_allowed():
         ("ss_double_interval", -1.0, 0.5),
         ("min_rate", -1.0, 1.0),
         ("max_rate", 0.0, 100.0),
-        ("shaper_burst", 0.5, 4.0),
         ("min_rate", math.nan, 1.0),
         ("min_rate", math.inf, 1.0),
-        ("shaper_burst", math.nan, 4.0),
-        ("shaper_burst", math.inf, 4.0),
     ],
 )
 def test_edge_config_fields_are_validated_once_for_both_schemes(config_cls, field, bad, good):

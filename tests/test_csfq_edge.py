@@ -14,6 +14,7 @@ from repro.sim.queues import DropTailQueue
 from tests.edge_contract import (  # noqa: F401 - the cases both edges run
     EgressContract,
     arrive,
+    test_an_aggregate_bucket_is_backlogged,
     test_duplicate_attach_rejected,
     test_flow_starts_stopped,
     test_stop_flow_stops_emission,

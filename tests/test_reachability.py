@@ -340,7 +340,6 @@ CONFIG_ALLOWLIST: Dict[str, str] = {
     "min_rate": f"§4/§6: the rate floor of the max(0, ...) decrease; {_PAPER}",
     "k_flow": f"§4: CSFQ's K = 100 ms; {_PAPER}",
     "k_window": f"§4: CSFQ's Klink = 100 ms; {_PAPER}",
-    "shaper_burst": "DESIGN.md S19: token-bucket depth; 1 is the paper's pure pacing",
 }
 
 #: Calls whose keywords set config fields.
@@ -516,8 +515,6 @@ def _scenario_keys(scenario: dict) -> Set[str]:
     keys = set(scenario) | set(section(scenario.get("topology")))
     for flow in map(section, entries(scenario.get("flows"))):
         keys |= set(flow) | set(section(flow.get("source")))
-        for micro in entries(flow.get("micro_flows")):
-            keys.update(*map(section, entries(micro)[1:]))
     return keys
 
 

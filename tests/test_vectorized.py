@@ -1,4 +1,4 @@
-"""The batched control plane (``vectorized=True``) and aggregated sources.
+"""The batched control plane (``vectorized=True``) and aggregate buckets.
 
 Exact replay pins of the default and batched paths are rows of the contract
 table (``tests/contract``).  Here:
@@ -7,11 +7,9 @@ table (``tests/contract``).  Here:
   (scheme, scenario, train batch) key replays its contract row.
 * **Batched vs unbatched** — batching quantizes feedback to core
   epochs, so against the default only the statistical pins apply.
-* **Aggregated sources** — ``PacedAggregateSource`` unit behavior and
-  the ``aggregate`` knob end to end (builder and scenario DSL).
+* **Aggregate buckets** — the ``aggregate`` knob end to end (builder and
+  scenario DSL).
 """
-
-import random
 
 import pytest
 
@@ -21,9 +19,7 @@ from repro.experiments.scenario_dsl import build_network, run_scenario
 from repro.experiments.scenarios import WEIGHTS_41, topology1_flows
 from repro.experiments.topospec import FlowPathSpec, TopologySpec
 from repro.fairness.metrics import jain_index
-from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketKind
-from repro.sim.sources import PacedAggregateSource, SourceSpec
 
 from .conftest import flow_scaling_cloud
 from .contract import FIELDS, load_golden, run_row
@@ -182,66 +178,8 @@ class TestBatchedControl:
 
 
 # ---------------------------------------------------------------------------
-# Aggregated sources
+# Aggregate buckets
 # ---------------------------------------------------------------------------
-
-
-class TestPacedAggregateSource:
-    @staticmethod
-    def _drive(model, duration, seed=0):
-        sim = Simulator()
-        deposits = []
-        model.start(
-            sim, lambda mid, n: deposits.append((mid, n)), random.Random(seed)
-        )
-        sim.run(until=duration)
-        return deposits
-
-    def test_paced_round_robin_is_deterministic(self):
-        model = PacedAggregateSource((1, 2, 3), member_rate=10.0, kind="paced")
-        assert model.aggregate_rate == pytest.approx(30.0)
-        deposits = self._drive(model, duration=0.5)
-        # 30 pkt/s for 0.5 s -> ~15 arrivals, one per 1/30 s, members
-        # cycling 1, 2, 3, 1, 2, ...
-        assert len(deposits) == pytest.approx(15, abs=1)
-        members = [mid for mid, _ in deposits]
-        assert members == [1 + (i % 3) for i in range(len(members))]
-        assert all(n == 1 for _, n in deposits)
-        assert model.packets_offered == len(deposits)
-
-    def test_poisson_superposition_statistics(self):
-        model = PacedAggregateSource(
-            tuple(range(1, 5)), member_rate=50.0, kind="poisson"
-        )
-        deposits = self._drive(model, duration=4.0, seed=7)
-        total = len(deposits)
-        # Aggregate Poisson(200/s) over 4 s.
-        assert total == pytest.approx(800, rel=0.15)
-        per_member = {mid: 0 for mid in range(1, 5)}
-        for mid, _ in deposits:
-            per_member[mid] += 1
-        # Thinning: each member sees ~1/4 of the arrivals.
-        for count in per_member.values():
-            assert count == pytest.approx(total / 4, rel=0.25)
-
-    def test_stop_halts_the_timer_chain(self):
-        sim = Simulator()
-        model = PacedAggregateSource((1, 2), member_rate=100.0)
-        seen = []
-        model.start(sim, lambda mid, n: seen.append(mid), random.Random(0))
-        sim.run(until=0.1)
-        model.stop()
-        before = len(seen)
-        sim.run(until=1.0)
-        assert len(seen) == before
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            PacedAggregateSource((), member_rate=1.0)
-        with pytest.raises(ConfigurationError):
-            PacedAggregateSource((1,), member_rate=0.0)
-        with pytest.raises(ConfigurationError):
-            PacedAggregateSource((1,), member_rate=1.0, kind="fractal")
 
 
 class TestAggregateBuckets:
@@ -274,34 +212,6 @@ class TestAggregateBuckets:
         for weight, total in individual.items():
             assert bucketed[4.0 * weight] == pytest.approx(total, rel=0.15)
 
-    def test_sourced_bucket_uses_aggregate_generator(self):
-        """A non-backlogged aggregate bucket runs ONE generator process
-        (the Poisson superposition) and still delivers per-member."""
-        builder = CloudBuilder(
-            TopologySpec.chain(2), scheme="corelite", seed=4, vectorized=True
-        )
-        builder.add_flow(
-            FlowPathSpec(
-                1,
-                weight=1.0,
-                ingress_core="C1",
-                egress_core="C2",
-                aggregate=4,
-                source=SourceSpec("poisson", mean_rate=20.0),
-            )
-        )
-        cloud = builder.build(finalize=False)
-        result = cloud.run(until=6.0)
-        assert result.flows[1].delivered > 0
-        mux = cloud.mux_for(1)
-        assert mux.micro_ids == (1, 2, 3, 4)
-        # One superposed generator fed all four members...
-        assert sum(mux.offered.values()) > 0
-        assert all(count > 0 for count in mux.offered.values())
-        # ...and the round-robin shaper served each of them.
-        assert all(count > 0 for count in mux.sent.values())
-        assert sum(mux.sent.values()) >= result.flows[1].delivered
-
 
 # ---------------------------------------------------------------------------
 # Scenario DSL knobs
@@ -316,8 +226,7 @@ class TestDslKnobs:
             "duration": 6.0,
             "vectorized": True,
             "flows": [
-                {"id": 1, "weight": 1.0, "aggregate": 3,
-                 "source": {"kind": "poisson", "mean_rate": 15.0}},
+                {"id": 1, "weight": 1.0, "aggregate": 3},
                 {"id": 2, "weight": 2.0},
             ],
         }
